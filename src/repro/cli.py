@@ -40,19 +40,11 @@ Subcommands:
 * ``trace record|survival|profile`` — record a benchmark's lifetime
   trace to a file and re-analyze it offline;
 * ``validate`` — run the reproduction self-check;
-* ``verify`` — differential GC testing: replay one deterministic
-  mutator script under every collector and require identical live
-  graphs (shrinking any counterexample); ``--budgets`` runs the
-  incremental collector's interruption-equivalence suite instead,
-  replaying the script at several mark-slice budgets on both heap
-  backends and requiring identical graphs, stats, and survivor sets;
-  ``--concurrent`` runs the concurrent collector's off-thread-marking
-  equivalence suite the same way (inline and worker-process markers
-  must match the unbounded incremental run exactly); ``--resume`` runs
-  the resume-equivalence suite: every collector on both backends is
-  checkpoint/restored through its serialized snapshot at every
-  allocation safepoint and must replay byte-identically to an
-  uninterrupted run;
+* ``verify`` — equivalence testing: replay one deterministic mutator
+  script under every collector and require identical live graphs,
+  shrinking any counterexample; at most one of ``--backends``,
+  ``--budgets``, ``--concurrent`` and ``--resume`` picks another suite
+  of :mod:`repro.verify.differential` to run the same way;
 * ``snapshot save|load|verify`` — crash-consistent heap snapshots:
   checkpoint a live collector (heap contents, roots, collector state,
   stats) to a versioned, checksummed JSON file via the atomic write
@@ -527,237 +519,96 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.verify import generate_script, run_differential, shrink_script
+def slice_budget(token: str) -> int | None:
+    """One ``verify --budgets`` value: a positive integer or ``inf``.
 
+    An argparse ``type``, named for the error text argparse builds
+    from it ("invalid slice_budget value").
+    """
+    if token in ("inf", "none"):
+        return None
+    value = int(token)
+    if value < 1:
+        raise ValueError(f"budget must be positive, got {value}")
+    return value
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.heap.backend import HEAP_BACKENDS
+    from repro.verify import SUITES, generate_script, shrink_script
+
+    # The mode flags pick the suite and what it is built from; the
+    # budget, concurrent and resume suites run once per heap backend.
     kinds = tuple(args.collectors)
+    backends: tuple[str | None, ...] = tuple(sorted(HEAP_BACKENDS))
     try:
         script = generate_script(
             args.ops, args.seed, max_live_words=args.max_live
         )
+        if args.budgets is not None:
+            name = "budgets"
+            options = {"budgets": tuple(args.budgets)} if args.budgets else {}
+        elif args.concurrent:
+            name, options = "concurrent", {}
+        elif args.resume:
+            name = "resume"
+            options = {"kinds": kinds, "resume_interval": args.resume_interval}
+        else:
+            name = "backends" if args.backends else "collectors"
+            options = {"kinds": kinds}
+            backends = (None,)
+        suites = {
+            backend: SUITES[name](
+                **options, **({"backend": backend} if backend else {})
+            )
+            for backend in backends
+        }
     except ValueError as exc:
         print(f"repro-gc verify: error: {exc}", file=sys.stderr)
         return 2
     checked = not args.unchecked
-    if args.budgets is not None:
-        return _verify_budgets(args, script, checked)
-    if args.concurrent:
-        return _verify_concurrent(args, script, checked)
-    if args.resume:
-        return _verify_resume(args, script, checked)
-    if args.backends:
-        from repro.verify.differential import run_backend_differential
 
-        report = run_backend_differential(script, kinds, checked=checked)
-        if report.ok:
-            print(f"[PASS] {report.summary()}")
-            for label in sorted(report.results):
-                result = report.results[label]
-                assert result is not None
+    def heading(backend: str | None) -> str:
+        return f"backend {backend}: " if backend else ""
+
+    reports = {
+        backend: suite.run(script, checked=checked)
+        for backend, suite in suites.items()
+    }
+    failing = [backend for backend in reports if not reports[backend].ok]
+    if not failing:
+        for backend, report in reports.items():
+            print(f"[PASS] {heading(backend)}{report.summary()}")
+        if backends == (None,):
+            # The single-run suites also list every replay.
+            results = reports[None].results
+            labels, width = list(results), 14
+            if name == "backends":
+                labels, width = sorted(results), 24
+            for label in labels:
                 print(
-                    f"       {label:<24} "
-                    f"collections={result.collections:<4} "
-                    f"checkpoints={len(result.checkpoints)}"
+                    f"       {label:<{width}} "
+                    f"collections={results[label].collections:<4} "
+                    f"checkpoints={len(results[label].checkpoints)}"
                 )
-            return 0
-        print(f"[FAIL] {report.summary()}")
-        return 1
-    report = run_differential(script, kinds, checked=checked)
-    if report.ok:
-        print(f"[PASS] {report.summary()}")
-        for kind in kinds:
-            result = report.results[kind]
-            assert result is not None
-            print(
-                f"       {kind:<14} collections={result.collections:<4} "
-                f"checkpoints={len(result.checkpoints)}"
-            )
         return 0
-    print(f"[FAIL] {report.summary()}")
+    for backend in failing:
+        print(f"[FAIL] {heading(backend)}{reports[backend].summary()}")
     if not args.no_shrink:
+        backend = failing[0]
+        where = f" (backend {backend})" if backend else ""
         print()
-        print("shrinking the counterexample ...")
+        print(f"shrinking the counterexample{where} ...")
+        suite = suites[backend]
 
         def fails(candidate) -> bool:
-            return not run_differential(
-                candidate, kinds, checked=checked
-            ).ok
+            return not suite.run(candidate, checked=checked).ok
 
         small = shrink_script(script, fails)
         print(f"minimal failing script ({len(small.ops)} ops):")
         print(small.to_text())
-        final = run_differential(small, kinds, checked=checked)
         print()
-        print(final.summary())
-    return 1
-
-
-def _verify_budgets(args: argparse.Namespace, script, checked: bool) -> int:
-    """``verify --budgets``: the interruption-equivalence suite."""
-    from repro.verify import shrink_script
-    from repro.verify.budget import (
-        DEFAULT_BUDGETS,
-        run_budget_differential,
-        run_budget_differential_all_backends,
-    )
-
-    budgets: tuple[int | None, ...]
-    if args.budgets:
-        parsed = []
-        for token in args.budgets:
-            if token in ("inf", "none"):
-                parsed.append(None)
-            else:
-                try:
-                    value = int(token)
-                except ValueError:
-                    print(
-                        f"repro-gc verify: error: bad budget {token!r} "
-                        f"(want a positive integer or 'inf')",
-                        file=sys.stderr,
-                    )
-                    return 2
-                if value < 1:
-                    print(
-                        f"repro-gc verify: error: budget must be "
-                        f"positive, got {value}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                parsed.append(value)
-        budgets = tuple(parsed)
-    else:
-        budgets = DEFAULT_BUDGETS
-
-    reports = run_budget_differential_all_backends(
-        script, budgets=budgets, checked=checked
-    )
-    failing = {
-        backend: report
-        for backend, report in reports.items()
-        if not report.ok
-    }
-    if not failing:
-        for backend, report in sorted(reports.items()):
-            print(f"[PASS] backend {backend}: {report.summary()}")
-        return 0
-    for backend, report in sorted(failing.items()):
-        print(f"[FAIL] backend {backend}: {report.summary()}")
-    if not args.no_shrink:
-        backend = sorted(failing)[0]
-        print()
-        print(f"shrinking the counterexample (backend {backend}) ...")
-
-        def fails(candidate) -> bool:
-            return not run_budget_differential(
-                candidate, budgets=budgets, backend=backend, checked=checked
-            ).ok
-
-        small = shrink_script(script, fails)
-        print(f"minimal failing script ({len(small.ops)} ops):")
-        print(small.to_text())
-        final = run_budget_differential(
-            small, budgets=budgets, backend=backend, checked=checked
-        )
-        print()
-        print(final.summary())
-    return 1
-
-
-def _verify_concurrent(args: argparse.Namespace, script, checked: bool) -> int:
-    """``verify --concurrent``: the off-thread-marking equivalence suite."""
-    from repro.verify import shrink_script
-    from repro.verify.concurrent import (
-        run_concurrent_differential,
-        run_concurrent_differential_all_backends,
-    )
-
-    reports = run_concurrent_differential_all_backends(script, checked=checked)
-    failing = {
-        backend: report
-        for backend, report in reports.items()
-        if not report.ok
-    }
-    if not failing:
-        for backend, report in sorted(reports.items()):
-            print(f"[PASS] backend {backend}: {report.summary()}")
-        return 0
-    for backend, report in sorted(failing.items()):
-        print(f"[FAIL] backend {backend}: {report.summary()}")
-    if not args.no_shrink:
-        backend = sorted(failing)[0]
-        print()
-        print(f"shrinking the counterexample (backend {backend}) ...")
-
-        def fails(candidate) -> bool:
-            return not run_concurrent_differential(
-                candidate, backend=backend, checked=checked
-            ).ok
-
-        small = shrink_script(script, fails)
-        print(f"minimal failing script ({len(small.ops)} ops):")
-        print(small.to_text())
-        final = run_concurrent_differential(
-            small, backend=backend, checked=checked
-        )
-        print()
-        print(final.summary())
-    return 1
-
-
-def _verify_resume(args: argparse.Namespace, script, checked: bool) -> int:
-    """``verify --resume``: the resume-equivalence suite."""
-    from repro.verify import shrink_script
-    from repro.verify.resume import (
-        run_resume_differential,
-        run_resume_differential_all_backends,
-    )
-
-    if args.resume_interval < 1:
-        print(
-            f"repro-gc verify: error: --resume-interval must be "
-            f"positive, got {args.resume_interval}",
-            file=sys.stderr,
-        )
-        return 2
-    reports = run_resume_differential_all_backends(
-        script, checked=checked, resume_interval=args.resume_interval
-    )
-    failing = {
-        backend: report
-        for backend, report in reports.items()
-        if not report.ok
-    }
-    if not failing:
-        for backend, report in sorted(reports.items()):
-            print(f"[PASS] backend {backend}: {report.summary()}")
-        return 0
-    for backend, report in sorted(failing.items()):
-        print(f"[FAIL] backend {backend}: {report.summary()}")
-    if not args.no_shrink:
-        backend = sorted(failing)[0]
-        print()
-        print(f"shrinking the counterexample (backend {backend}) ...")
-
-        def fails(candidate) -> bool:
-            return not run_resume_differential(
-                candidate,
-                backend=backend,
-                checked=checked,
-                resume_interval=args.resume_interval,
-            ).ok
-
-        small = shrink_script(script, fails)
-        print(f"minimal failing script ({len(small.ops)} ops):")
-        print(small.to_text())
-        final = run_resume_differential(
-            small,
-            backend=backend,
-            checked=checked,
-            resume_interval=args.resume_interval,
-        )
-        print()
-        print(final.summary())
+        print(suite.run(small, checked=checked).summary())
     return 1
 
 
@@ -776,23 +627,18 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     if args.snapshot_command == "save":
         from repro.gc.registry import collector_factory
         from repro.verify.differential import VERIFY_GEOMETRY
-        from repro.verify.replay import generate_script, replay
+        from repro.verify.replay import ReplayContext, generate_script
 
         try:
             script = generate_script(args.ops, args.seed)
         except ValueError as exc:
             print(f"repro-gc snapshot: error: {exc}", file=sys.stderr)
             return 2
-        captured: dict = {}
-        factory = collector_factory(args.collector, VERIFY_GEOMETRY)
-
-        def build(heap, roots):
-            built = factory(heap, roots)
-            captured["collector"] = built
-            return built
-
-        replay(script, build, name=args.collector)
-        collector = captured["collector"]
+        context = ReplayContext(
+            collector_factory(args.collector, VERIFY_GEOMETRY)
+        )
+        context.run(script)
+        collector = context.collector
         document = checkpoint(collector, args.collector, VERIFY_GEOMETRY)
         save_snapshot(path, document)
         payload = document["payload"]
@@ -1431,7 +1277,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the per-collection heap-invariant audit",
     )
-    sub.add_argument(
+    # The suites are alternatives: at most one mode flag per run.
+    mode = sub.add_mutually_exclusive_group()
+    mode.add_argument(
         "--backends",
         action="store_true",
         help=(
@@ -1441,9 +1289,10 @@ def build_parser() -> argparse.ArgumentParser:
             "metrics event streams"
         ),
     )
-    sub.add_argument(
+    mode.add_argument(
         "--budgets",
         nargs="*",
+        type=slice_budget,
         default=None,
         metavar="BUDGET",
         help=(
@@ -1454,7 +1303,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and survivor sets at every budget"
         ),
     )
-    sub.add_argument(
+    mode.add_argument(
         "--concurrent",
         action="store_true",
         help=(
@@ -1465,7 +1314,7 @@ def build_parser() -> argparse.ArgumentParser:
             "graphs, stats, pause logs, and survivor sets"
         ),
     )
-    sub.add_argument(
+    mode.add_argument(
         "--resume",
         action="store_true",
         help=(

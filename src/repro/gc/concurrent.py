@@ -31,10 +31,11 @@ moves the whole mark phase into a worker process:
   and the survivor set ``R ∪ non-white ∪ born-in-epoch`` is exactly
   what the incremental collector computes for the same script.  Every
   ``GcStats`` counter is therefore identical to incremental's at any
-  slice budget (the oracle of :mod:`repro.verify.concurrent`); only
-  the pause *log* differs: the mutator sees a ``handoff`` and a
-  ``reconcile`` pause instead of mark slices, with the mark work
-  itself priced off-thread.
+  slice budget (the ``concurrent`` suite of
+  :mod:`repro.verify.differential` is the oracle); only the pause
+  *log* differs: the mutator sees a ``handoff`` and a ``reconcile``
+  pause instead of mark slices, with the mark work itself priced
+  off-thread.
 
 Pause accounting stays in words (the repo-wide currency): the handoff
 is 0 words of mark work (arena memcpy is not mark work, and the flat

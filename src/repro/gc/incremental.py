@@ -37,8 +37,8 @@ scanned in one cycle is exactly the set reachable at the cycle's open
 with the slices.  Every :class:`~repro.gc.stats.GcStats` counter is
 therefore *budget-invariant*: replaying one script at budgets 1, 7,
 64 and unbounded produces identical stats, survivor sets, and final
-graphs (the oracle of :mod:`repro.verify.budget`).  Only the pause
-*log* differs — which is the point.
+graphs (the ``budgets`` suite of :mod:`repro.verify.differential` is
+the oracle).  Only the pause *log* differs — which is the point.
 
 SATB keeps objects that die mid-cycle ("floating garbage") until the
 next cycle, so when a finished cycle still cannot satisfy an

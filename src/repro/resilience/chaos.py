@@ -42,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.events import EventStream
 
 from repro.gc.registry import GcGeometry, collector_factory
-from repro.heap.barrier import WriteBarrier
 from repro.heap.backend import make_heap
 from repro.heap.roots import RootSet
 from repro.resilience.faults import (
@@ -52,10 +51,12 @@ from repro.resilience.faults import (
     fault_expectation,
     inject_fault,
 )
-from repro.verify.audit import audit_collector, enable_checked_mode
+from repro.verify.audit import audit_collector
 from repro.verify.differential import DEFAULT_COLLECTORS, VERIFY_GEOMETRY
 from repro.verify.replay import (
     MutatorScript,
+    ReplayContext,
+    ReplayError,
     ReplayResult,
     generate_script,
     replay,
@@ -341,24 +342,17 @@ def run_snapshot_chaos(
 
     outcomes: list[ChaosOutcome] = []
     for collector_kind in collectors:
-        captured: dict = {}
-        factory = collector_factory(collector_kind, geometry)
-
-        def build(heap, roots, _factory=factory, _captured=captured):
-            built = _factory(heap, roots)
-            _captured["collector"] = built
-            return built
-
+        context = ReplayContext(
+            collector_factory(collector_kind, geometry), checked=True
+        )
         try:
-            replay(script, build, checked=True, name=collector_kind)
+            context.run(script)
         except Exception as exc:
             raise ChaosError(
                 f"clean replay failed under {collector_kind}: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
-        document = take_snapshot(
-            captured["collector"], collector_kind, geometry
-        )
+        document = take_snapshot(context.collector, collector_kind, geometry)
         wire = _json.dumps(document, sort_keys=True, separators=(",", ":"))
 
         for fault in kinds:
@@ -552,14 +546,11 @@ def _run_cell(
     ops = script.ops
     inject_at = rng.randrange(len(ops) // 4, max(len(ops) // 4 + 1, (3 * len(ops)) // 4))
 
-    heap = make_heap()
-    roots = RootSet()
-    collector = factory(heap, roots)
-    enable_checked_mode(collector)
-    barrier = WriteBarrier(collector.remember_store)
-
-    uid_to_id: dict[int, int] = {}
+    context = ReplayContext(factory, checked=True)
+    collector = context.collector
+    uid_to_id = context.uid_to_id
     rooted_uids: set[int] = set()
+    track_root = {"alloc": rooted_uids.add, "drop": rooted_uids.discard}
     injection: FaultInjection | None = None
     injected_at: int | None = None
     check_cursor = 0
@@ -568,16 +559,6 @@ def _run_cell(
         # What the *mutator* believes is rooted — independent of the
         # collector's root set, so a silently skipped root still shows.
         return {uid_to_id[uid] for uid in rooted_uids}
-
-    def fingerprint() -> tuple[int, tuple]:
-        reached = heap.reachable_from(list(roots.ids()))
-        graph = tuple(
-            sorted(
-                (obj_id, heap.get(obj_id).size, tuple(heap.get(obj_id).fields))
-                for obj_id in reached
-            )
-        )
-        return heap.clock, graph
 
     def audit_now(where: str) -> ChaosOutcome | None:
         report = audit_collector(collector, expected_roots=witness())
@@ -592,9 +573,8 @@ def _run_cell(
         )
 
     def compare_checkpoint(cursor: int) -> ChaosOutcome | None:
-        clock, graph = fingerprint()
         expected = reference.checkpoints[cursor]
-        if clock == expected.clock and graph == expected.graph:
+        if context.checkpoint(expected.op_index) == expected:
             return None
         if injection is None:
             raise ChaosError(
@@ -647,35 +627,16 @@ def _run_cell(
                     return verdict
         op_kind = op[0]
         try:
-            if op_kind == "alloc":
-                _, uid, size, field_count = op
-                obj = collector.allocate(size, field_count)
-                uid_to_id[uid] = obj.obj_id
-                roots.set_global(f"u{uid}", obj)
-                rooted_uids.add(uid)
-            elif op_kind == "store":
-                _, src_uid, slot, dst_uid = op
-                src = heap.get(uid_to_id[src_uid])
-                if dst_uid is None:
-                    barrier.on_store(src, slot, None)
-                    heap.write_field(src, slot, None)
-                else:
-                    target = heap.get(uid_to_id[dst_uid])
-                    barrier.on_store(src, slot, target)
-                    heap.write_field(src, slot, target)
-            elif op_kind == "drop":
-                roots.remove_global(f"u{op[1]}")
-                rooted_uids.discard(op[1])
-            elif op_kind == "collect":
-                collector.collect()
-            elif op_kind == "check":
+            if op_kind == "check":
                 verdict = compare_checkpoint(check_cursor)
                 check_cursor += 1
                 if verdict is not None:
                     return verdict
             else:
-                raise ChaosError(f"unknown op kind {op_kind!r}")
-        except ChaosError:
+                context.apply(op)
+                if op_kind in track_root:
+                    track_root[op_kind](op[1])
+        except (ChaosError, ReplayError):
             raise
         except Exception as exc:
             if injection is None:

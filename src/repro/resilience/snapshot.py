@@ -8,8 +8,8 @@ in-flight result — and the cumulative :class:`~repro.gc.stats.GcStats`
 ledger.  The unit of correctness is *resume equivalence*: restoring a
 snapshot taken at any allocation safepoint and replaying the rest of
 the script must be byte-identical to never having stopped
-(:mod:`repro.verify.resume` proves this for all seven collectors on
-both backends).
+(the ``resume`` suite of :mod:`repro.verify.differential` proves
+this for all seven collectors on both backends).
 
 On disk a snapshot is one JSON document:
 

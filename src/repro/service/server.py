@@ -82,6 +82,7 @@ class HeapServer:
         self._closing = asyncio.Event()
         self._server: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.requests_served = 0
 
     # ------------------------------------------------------------------
@@ -102,15 +103,28 @@ class HeapServer:
         await self.close()
 
     async def close(self) -> None:
+        """Stop accepting, answer what is queued, end every connection.
+
+        Connection handlers are finished here rather than left to
+        ``asyncio.run``'s cancel sweep, which logs one traceback per
+        handler it has to cancel.
+        """
         self._closing.set()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         if self._dispatcher is not None:
             self._kick.set()
             await self._dispatcher
             self._dispatcher = None
+        # An idle handler sits in readline(); closing its transport
+        # feeds it EOF, and it leaves through its own finally block.
+        handlers = dict(self._handlers)
+        for writer in handlers.values():
+            writer.close()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -119,6 +133,8 @@ class HeapServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers[task] = writer
         try:
             while not self._closing.is_set():
                 try:
@@ -129,7 +145,9 @@ class HeapServer:
                     ConnectionResetError,
                 ):
                     break
-                if not line:
+                # Nothing read after shutdown began is served: the
+                # dispatcher may already be gone.
+                if not line or self._closing.is_set():
                     break
                 if not line.strip():
                     continue
@@ -140,6 +158,7 @@ class HeapServer:
                 except ConnectionResetError:
                     break
         finally:
+            del self._handlers[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -209,7 +228,6 @@ class HeapServer:
             await self._kick.wait()
             self._kick.clear()
             if any(self._queues):
-                pending = [queue for queue in self._queues if queue]
                 batches: dict[int, list[dict]] = {}
                 futures: dict[int, list[asyncio.Future]] = {}
                 for shard, queue in enumerate(self._queues):
@@ -218,7 +236,6 @@ class HeapServer:
                     self._queues[shard] = []
                     batches[shard] = [request for request, _ in queue]
                     futures[shard] = [future for _, future in queue]
-                del pending
                 try:
                     responses = await loop.run_in_executor(
                         None, self.executor.execute, batches

@@ -5,16 +5,14 @@ Two independent oracles over the collectors in :mod:`repro.gc`:
 * :mod:`repro.verify.audit` — structural invariants checked against a
   single collector ("checked mode", installable as a post-collection
   hook);
-* :mod:`repro.verify.differential` — replay one deterministic mutator
-  script (:mod:`repro.verify.replay`) under every registered collector
-  and require identical live graphs at every checkpoint, with
-  :mod:`repro.verify.shrink` minimizing any counterexample.
-  :mod:`repro.verify.budget` specializes the same machinery into the
-  incremental collector's interruption-equivalence suite,
-  :mod:`repro.verify.concurrent` into the concurrent collector's
-  off-thread-marking equivalence suite, and
-  :mod:`repro.verify.resume` into the snapshot subsystem's
-  resume-equivalence suite (restore at every allocation safepoint).
+* :mod:`repro.verify.differential` — the equivalence engine: replay
+  one deterministic mutator script (:mod:`repro.verify.replay`) under
+  a table of variants (collector kind, geometry, heap backend, restart
+  policy) and require related pairs to agree on checkpoints, stats,
+  pauses, survivors or event streams.  The cross-collector,
+  cross-backend, slice-budget, marker-placement and resume oracles are
+  preset tables over it, and :mod:`repro.verify.shrink` minimizes any
+  counterexample.
 
 The CLI front end is ``repro-gc verify``.
 """
@@ -27,23 +25,16 @@ from repro.verify.audit import (
     disable_checked_mode,
     enable_checked_mode,
 )
-from repro.verify.budget import (
-    DEFAULT_BUDGETS,
-    budget_label,
-    run_budget_differential,
-    run_budget_differential_all_backends,
-)
-from repro.verify.concurrent import (
-    CONCURRENT_LABELS,
-    run_concurrent_differential,
-    run_concurrent_differential_all_backends,
-)
 from repro.verify.differential import (
     DEFAULT_COLLECTORS,
+    SUITES,
     VERIFY_GEOMETRY,
     DifferentialReport,
     Divergence,
+    Relation,
+    Variant,
     run_differential,
+    run_equivalence,
 )
 from repro.verify.replay import (
     Checkpoint,
@@ -55,32 +46,23 @@ from repro.verify.replay import (
     normalize_ops,
     replay,
 )
-from repro.verify.resume import (
-    resume_label,
-    run_resume_differential,
-    run_resume_differential_all_backends,
-)
 from repro.verify.shrink import shrink_script
 
 __all__ = [
     "AuditError",
     "AuditReport",
-    "CONCURRENT_LABELS",
     "Checkpoint",
-    "DEFAULT_BUDGETS",
     "DEFAULT_COLLECTORS",
     "DifferentialReport",
     "Divergence",
     "MutatorScript",
+    "Relation",
     "ReplayCrash",
     "ReplayError",
     "ReplayResult",
+    "SUITES",
     "VERIFY_GEOMETRY",
-    "budget_label",
-    "run_budget_differential",
-    "run_budget_differential_all_backends",
-    "run_concurrent_differential",
-    "run_concurrent_differential_all_backends",
+    "Variant",
     "assert_heap_invariants",
     "audit_collector",
     "disable_checked_mode",
@@ -88,9 +70,7 @@ __all__ = [
     "generate_script",
     "normalize_ops",
     "replay",
-    "resume_label",
     "run_differential",
-    "run_resume_differential",
-    "run_resume_differential_all_backends",
+    "run_equivalence",
     "shrink_script",
 ]

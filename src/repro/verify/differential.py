@@ -1,26 +1,38 @@
-"""The differential oracle: one script, five collectors, equal graphs.
+"""The equivalence engine: one script, many variants, equal observables.
 
-All five collectors implement the same abstract service — keep exactly
+All seven collectors implement the same abstract service — keep exactly
 the reachable objects alive — while disagreeing wildly about *when*
-and *where* objects move.  Replaying one deterministic mutator script
-(:mod:`repro.verify.replay`) under each of them must therefore produce
+and *where* objects move.  Every oracle in this repository is one
+instance of the same experiment: replay one deterministic mutator
+script (:mod:`repro.verify.replay`) under several *variants* of the
+system and require chosen *observables* of chosen pairs to be equal.
 
-* the same number of checkpoints,
-* an isomorphic (here: *identical*, since object ids coincide across
-  replays) live graph at every checkpoint, and
-* the same total allocation volume,
+* A :class:`Variant` is one way to run the script: a collector kind at
+  a :class:`~repro.gc.registry.GcGeometry`, on a heap backend,
+  optionally restarted from a snapshot every Nth allocation, optionally
+  built by an injected factory (how tests plant broken collectors).
+* A :class:`Relation` says a candidate variant must match a reference
+  variant on some of :data:`OBSERVABLES`, and reports the first one
+  that does not.
+* :func:`run_equivalence` does every replay, turns a crash into a
+  ``crash`` divergence (a correct collector replays any valid script
+  without raising), closes every collector, and evaluates the
+  relations in order.
 
-regardless of collector policy.  Any disagreement is a bug in one of
-the collectors (or in the write-barrier plumbing), and the earliest
-diverging checkpoint localizes it.  :func:`run_differential` performs
-the comparison; the first collector in ``kinds`` serves as the
-reference.
+The five suites (:data:`SUITES`, by CLI name) are tables of variants
+and relations over that engine.  Because the simulated heap assigns
+object ids sequentially, replays of one script share object ids, so
+graphs and survivor sets compare by identity and the earliest
+diverging checkpoint localizes a bug.  Failures shrink with
+:func:`repro.verify.shrink.shrink_script` ("this report is not ok").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
 from repro.heap.backend import HEAP_BACKENDS
@@ -28,18 +40,31 @@ from repro.metrics.instrument import metrics_session
 from repro.verify.replay import (
     CollectorFactory,
     MutatorScript,
+    ReplayContext,
     ReplayCrash,
     ReplayResult,
-    replay,
 )
 
 __all__ = [
+    "DEFAULT_BUDGETS",
     "DEFAULT_COLLECTORS",
+    "OBSERVABLES",
+    "SUITES",
     "VERIFY_GEOMETRY",
     "DifferentialReport",
     "Divergence",
-    "run_backend_differential",
+    "Relation",
+    "Suite",
+    "Variant",
+    "backend_suite",
+    "budget_label",
+    "budget_suite",
+    "collector_suite",
+    "concurrent_suite",
+    "resume_label",
+    "resume_suite",
     "run_differential",
+    "run_equivalence",
 ]
 
 #: Canonical collector names, in comparison order (first = reference).
@@ -59,18 +84,68 @@ VERIFY_GEOMETRY = GcGeometry(
     step_count=8,
 )
 
+#: Slice budgets the budget suite sweeps: pathological (1 word per
+#: slice), small prime (maximally misaligned with object sizes), the
+#: default, and unbounded (degenerate stop-the-world, the sanity
+#: anchor).
+DEFAULT_BUDGETS: tuple[int | None, ...] = (1, 7, 64, None)
+
+
+# ----------------------------------------------------------------------
+# The data model
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One way to replay the script.
+
+    Attributes:
+        label: the key of this replay in the report.
+        kind: collector kind name (see the registry).
+        geometry: heap geometry the collector is built at.
+        backend: heap backend (None = the session default).
+        resume_interval: checkpoint/restore the whole context after
+            every Nth allocation (None = run uninterrupted).
+        factory: builds the collector instead of the registry's stock
+            factory for ``kind``/``geometry``.
+    """
+
+    label: str
+    kind: str
+    geometry: GcGeometry = VERIFY_GEOMETRY
+    backend: str | None = None
+    resume_interval: int | None = None
+    factory: CollectorFactory | None = None
+
+
+@dataclass(frozen=True)
+class Relation:
+    """``candidate`` must match ``reference`` on ``observables``.
+
+    The first observable that differs is reported, under ``kind`` if
+    given and under the observable's own divergence kind otherwise.
+    """
+
+    candidate: str
+    reference: str
+    observables: tuple[str, ...] = ("checkpoints",)
+    kind: str | None = None
+
 
 @dataclass(frozen=True)
 class Divergence:
     """One observed disagreement between two replays.
 
     Attributes:
-        kind: "crash", "checkpoint-count", "live-graph", or
-            "allocation-volume".
-        collector: the diverging collector's kind name.
-        reference: the reference collector's kind name.
+        kind: "crash", an observable's own kind ("checkpoint-count",
+            "live-graph", "allocation-volume", "gc-stats", "pause-log",
+            "survivor-set", "event-stream"), or the name its relation
+            gave it.
+        collector: the diverging variant's label.
+        reference: the reference variant's label.
         checkpoint_index: index of the earliest diverging checkpoint
-            (None for crashes and count mismatches).
+            (None when the divergence is not at a checkpoint).
         op_index: script position associated with the divergence.
         detail: human-readable description.
     """
@@ -91,7 +166,7 @@ class Divergence:
 
 @dataclass(frozen=True)
 class DifferentialReport:
-    """The outcome of one differential run."""
+    """The outcome of one equivalence run."""
 
     script: MutatorScript
     results: Mapping[str, ReplayResult | None]
@@ -116,165 +191,177 @@ class DifferentialReport:
         return f"{len(self.divergences)} divergence(s):\n{lines}"
 
 
-def run_differential(
-    script: MutatorScript,
-    kinds: Sequence[str] = DEFAULT_COLLECTORS,
-    *,
-    geometry: GcGeometry | None = None,
-    factories: Mapping[str, CollectorFactory] | None = None,
-    checked: bool = True,
-) -> DifferentialReport:
-    """Replay ``script`` under every collector and compare checkpoints.
+# ----------------------------------------------------------------------
+# One comparator per observable
+# ----------------------------------------------------------------------
 
-    Args:
-        script: a valid mutator script.
-        kinds: collector kind names, compared against ``kinds[0]``.
-        geometry: heap geometry for the stock factories (defaults to
-            :data:`VERIFY_GEOMETRY`).
-        factories: overrides mapping a kind name to a custom factory —
-            how tests inject deliberately broken collectors.
-        checked: audit heap invariants after every collection during
-            each replay (crashes surface as "crash" divergences).
-    """
-    if not kinds:
-        raise ValueError("need at least one collector kind")
-    geometry = geometry if geometry is not None else VERIFY_GEOMETRY
-    factories = dict(factories or {})
 
-    results: dict[str, ReplayResult | None] = {}
-    crashes: dict[str, ReplayCrash] = {}
-    for kind in kinds:
-        factory = factories.get(kind) or collector_factory(kind, geometry)
-        try:
-            results[kind] = replay(script, factory, checked=checked, name=kind)
-        except ReplayCrash as crash:
-            results[kind] = None
-            crashes[kind] = crash
+class _Difference(NamedTuple):
+    """What a comparator found; the engine adds who it was between."""
 
-    reference = kinds[0]
-    divergences: list[Divergence] = []
-    for kind in kinds:
-        crash = crashes.get(kind)
-        if crash is not None:
-            divergences.append(
-                Divergence(
-                    kind="crash",
-                    collector=kind,
-                    reference=reference,
-                    checkpoint_index=None,
-                    op_index=crash.op_index,
-                    detail=str(crash),
-                )
+    kind: str
+    detail: str
+    checkpoint_index: int | None = None
+    op_index: int | None = None
+
+
+def _compare_checkpoints(
+    base: ReplayResult, candidate: ReplayResult
+) -> _Difference | None:
+    """Same number of checkpoints, the same live graph and clock at
+    each, and the same total allocation volume; the earliest
+    disagreement wins."""
+    name, reference = candidate.collector, base.collector
+    if len(base.checkpoints) != len(candidate.checkpoints):
+        return _Difference(
+            "checkpoint-count",
+            f"{name} took {len(candidate.checkpoints)} checkpoints, "
+            f"{reference} took {len(base.checkpoints)}",
+        )
+    for index, (expected, actual) in enumerate(
+        zip(base.checkpoints, candidate.checkpoints)
+    ):
+        if expected.graph != actual.graph:
+            return _Difference(
+                "live-graph",
+                _graph_difference(expected, actual, reference, name),
+                index,
+                actual.op_index,
             )
+        if expected.clock != actual.clock:
+            return _Difference(
+                "allocation-volume",
+                f"clock {actual.clock} != {reference}'s "
+                f"{expected.clock} at checkpoint {index}",
+                index,
+                actual.op_index,
+            )
+    if base.words_allocated != candidate.words_allocated:
+        return _Difference(
+            "allocation-volume",
+            f"allocated {candidate.words_allocated} words, "
+            f"{reference} allocated {base.words_allocated}",
+        )
+    return None
 
-    base = results.get(reference)
-    if base is not None:
-        for kind in kinds[1:]:
-            candidate = results.get(kind)
-            if candidate is None:
-                continue  # already reported as a crash
-            divergence = _compare(base, candidate, reference, kind)
-            if divergence is not None:
-                divergences.append(divergence)
 
-    return DifferentialReport(
-        script=script,
-        results=results,
-        divergences=tuple(divergences),
+def _graph_difference(expected, actual, reference: str, kind: str) -> str:
+    """Describe the first differing object between two fingerprints."""
+    expected_by_id = {entry[0]: entry for entry in expected.graph}
+    actual_by_id = {entry[0]: entry for entry in actual.graph}
+    only_expected = sorted(set(expected_by_id) - set(actual_by_id))
+    only_actual = sorted(set(actual_by_id) - set(expected_by_id))
+    parts = [
+        f"live graphs differ ({len(expected.graph)} vs "
+        f"{len(actual.graph)} objects)"
+    ]
+    if only_expected:
+        parts.append(f"{reference} alone reaches ids {only_expected[:5]}")
+    if only_actual:
+        parts.append(f"{kind} alone reaches ids {only_actual[:5]}")
+    if not only_expected and not only_actual:
+        for obj_id in sorted(expected_by_id):
+            if expected_by_id[obj_id] != actual_by_id[obj_id]:
+                parts.append(
+                    f"object {obj_id} differs: "
+                    f"{expected_by_id[obj_id]} vs {actual_by_id[obj_id]}"
+                )
+                break
+    return "; ".join(parts)
+
+
+def _compare_stats(
+    base: ReplayResult, candidate: ReplayResult
+) -> _Difference | None:
+    """Every GcStats counter must match; a counter only one side has
+    is a difference like any other."""
+    if base.stats == candidate.stats:
+        return None
+    expected, actual = dict(base.stats), dict(candidate.stats)
+    diffs = [
+        f"{key}: {actual.get(key)} != {expected.get(key)}"
+        for key in sorted(expected.keys() | actual.keys())
+        if actual.get(key) != expected.get(key)
+    ]
+    return _Difference("gc-stats", "; ".join(diffs))
+
+
+def _compare_log(
+    kind: str,
+    attribute: str,
+    unit: str,
+    base: ReplayResult,
+    candidate: ReplayResult,
+) -> _Difference | None:
+    """Two logs must be identical, entry for entry, in order."""
+    expected = getattr(base, attribute)
+    actual = getattr(candidate, attribute)
+    if expected == actual:
+        return None
+    index = next(
+        (i for i, (a, b) in enumerate(zip(expected, actual)) if a != b),
+        min(len(expected), len(actual)),
+    )
+    return _Difference(
+        kind,
+        f"{attribute} differ at {unit} {index} "
+        f"({len(actual)} vs {len(expected)} {attribute})",
     )
 
 
-def run_backend_differential(
-    script: MutatorScript,
-    kinds: Sequence[str] = DEFAULT_COLLECTORS,
-    *,
-    backends: Sequence[str] = HEAP_BACKENDS,
-    geometry: GcGeometry | None = None,
-    factories: Mapping[str, CollectorFactory] | None = None,
-    checked: bool = True,
-) -> DifferentialReport:
-    """Replay ``script`` per collector under every heap backend.
+def _compare_survivors(
+    base: ReplayResult, candidate: ReplayResult
+) -> _Difference | None:
+    """The final resident sets must match — stronger than graph
+    equality: it also proves no floating garbage is left behind."""
+    if base.survivors == candidate.survivors:
+        return None
+    name, reference = candidate.collector, base.collector
+    extra = sorted(set(candidate.survivors) - set(base.survivors))
+    missing = sorted(set(base.survivors) - set(candidate.survivors))
+    parts = [
+        f"{len(candidate.survivors)} resident objects vs "
+        f"{reference}'s {len(base.survivors)}"
+    ]
+    if extra:
+        parts.append(f"{name} alone retains ids {extra[:5]}")
+    if missing:
+        parts.append(f"{name} is missing ids {missing[:5]}")
+    return _Difference("survivor-set", "; ".join(parts))
 
-    The object-versus-flat axis is stricter than the cross-collector
-    one: two backends running the *same* collector must agree not only
-    on the live graph at every checkpoint but on every
-    :class:`~repro.gc.stats.GcStats` counter, the full pause log, and
-    the complete metrics event stream.  ``backends[0]`` is the
-    reference; results are keyed ``"<kind>@<backend>"``.
+
+_COMPARATORS: Mapping[
+    str, Callable[[ReplayResult, ReplayResult], _Difference | None]
+] = {
+    "checkpoints": _compare_checkpoints,
+    "stats": _compare_stats,
+    "pauses": partial(_compare_log, "pause-log", "pauses", "collection"),
+    "survivors": _compare_survivors,
+    "events": partial(_compare_log, "event-stream", "events", "record"),
+}
+
+#: What a :class:`Relation` can require two replays to agree on.
+OBSERVABLES: tuple[str, ...] = tuple(_COMPARATORS)
+
+
+# ----------------------------------------------------------------------
+# The engine
+# ----------------------------------------------------------------------
+
+
+def _quiesce(script: MutatorScript) -> MutatorScript:
+    """The script plus two cycle-closing collections.
+
+    The first closes any SATB cycle the script left open (sweeping to
+    that cycle's snapshot, so floating garbage may survive it); the
+    second runs from the quiescent heap and is therefore *precise*.
+    The replay's implicit final checkpoint — and the survivor set —
+    then observe exactly the reachable objects under every collector.
     """
-    if not kinds:
-        raise ValueError("need at least one collector kind")
-    if len(backends) < 2:
-        raise ValueError("need at least two backends to compare")
-    geometry = geometry if geometry is not None else VERIFY_GEOMETRY
-    factories = dict(factories or {})
-
-    results: dict[str, ReplayResult | None] = {}
-    divergences: list[Divergence] = []
-    reference_backend = backends[0]
-    for kind in kinds:
-        factory = factories.get(kind) or collector_factory(kind, geometry)
-        replays: dict[str, ReplayResult | None] = {}
-        events: dict[str, tuple] = {}
-        for backend in backends:
-            label = f"{kind}@{backend}"
-            try:
-                with metrics_session() as session:
-                    result = replay(
-                        script,
-                        factory,
-                        checked=checked,
-                        name=label,
-                        backend=backend,
-                    )
-            except ReplayCrash as crash:
-                replays[backend] = None
-                results[label] = None
-                divergences.append(
-                    Divergence(
-                        kind="crash",
-                        collector=label,
-                        reference=f"{kind}@{reference_backend}",
-                        checkpoint_index=None,
-                        op_index=crash.op_index,
-                        detail=str(crash),
-                    )
-                )
-                continue
-            replays[backend] = result
-            results[label] = result
-            events[backend] = tuple(
-                _freeze(record) for record in session.stream.events()
-            )
-
-        base = replays.get(reference_backend)
-        if base is None:
-            continue
-        reference = f"{kind}@{reference_backend}"
-        for backend in backends[1:]:
-            candidate = replays.get(backend)
-            if candidate is None:
-                continue  # already reported as a crash
-            label = f"{kind}@{backend}"
-            divergence = _compare(base, candidate, reference, label)
-            if divergence is None:
-                divergence = _compare_work(
-                    base, candidate, reference, label
-                )
-            if divergence is None:
-                divergence = _compare_events(
-                    events[reference_backend],
-                    events[backend],
-                    reference,
-                    label,
-                )
-            if divergence is not None:
-                divergences.append(divergence)
-
-    return DifferentialReport(
-        script=script,
-        results=results,
-        divergences=tuple(divergences),
+    return replace(
+        script,
+        ops=script.ops + (("collect",), ("collect",)),
+        note=(script.note + "; " if script.note else "") + "quiesced",
     )
 
 
@@ -287,163 +374,360 @@ def _freeze(value):
     return value
 
 
-def _compare_work(
-    base: ReplayResult,
-    candidate: ReplayResult,
-    reference: str,
-    kind: str,
-) -> Divergence | None:
-    """GcStats counters and the pause log must match exactly."""
-    if base.stats != candidate.stats:
-        diffs = [
-            f"{key}: {dict(candidate.stats)[key]} != {value}"
-            for key, value in base.stats
-            if dict(candidate.stats)[key] != value
-        ]
-        return Divergence(
-            kind="gc-stats",
-            collector=kind,
-            reference=reference,
-            checkpoint_index=None,
-            op_index=None,
-            detail="; ".join(diffs) or "stat key sets differ",
-        )
-    if base.pauses != candidate.pauses:
-        index = next(
-            (
-                i
-                for i, (a, b) in enumerate(zip(base.pauses, candidate.pauses))
-                if a != b
-            ),
-            min(len(base.pauses), len(candidate.pauses)),
-        )
-        return Divergence(
-            kind="pause-log",
-            collector=kind,
-            reference=reference,
-            checkpoint_index=None,
-            op_index=None,
-            detail=(
-                f"pause logs differ at collection {index} "
-                f"({len(base.pauses)} vs {len(candidate.pauses)} pauses)"
-            ),
-        )
-    return None
-
-
-def _compare_events(
-    base_events: tuple,
-    candidate_events: tuple,
-    reference: str,
-    kind: str,
-) -> Divergence | None:
-    """The two metrics event streams must be identical, record for
-    record, in order."""
-    if base_events == candidate_events:
-        return None
-    index = next(
-        (
-            i
-            for i, (a, b) in enumerate(zip(base_events, candidate_events))
-            if a != b
-        ),
-        min(len(base_events), len(candidate_events)),
+def _replay_variant(
+    variant: Variant, script: MutatorScript, checked: bool, events: bool
+) -> ReplayResult:
+    factory = variant.factory or collector_factory(
+        variant.kind, variant.geometry
     )
-    return Divergence(
-        kind="event-stream",
-        collector=kind,
-        reference=reference,
-        checkpoint_index=None,
-        op_index=None,
-        detail=(
-            f"event streams differ at record {index} "
-            f"({len(base_events)} vs {len(candidate_events)} events)"
-        ),
-    )
-
-
-def _compare(
-    base: ReplayResult,
-    candidate: ReplayResult,
-    reference: str,
-    kind: str,
-) -> Divergence | None:
-    """The earliest disagreement between two replays, if any."""
-    if len(base.checkpoints) != len(candidate.checkpoints):
-        return Divergence(
-            kind="checkpoint-count",
-            collector=kind,
-            reference=reference,
-            checkpoint_index=None,
-            op_index=None,
-            detail=(
-                f"{kind} took {len(candidate.checkpoints)} checkpoints, "
-                f"{reference} took {len(base.checkpoints)}"
-            ),
+    resume = None
+    if variant.resume_interval is not None:
+        resume = (variant.resume_interval, variant.kind, variant.geometry)
+    # Collectors bind to the metrics session they are built under.
+    with metrics_session() if events else nullcontext() as session:
+        context = ReplayContext(
+            factory, backend=variant.backend, checked=checked
         )
-    for index, (expected, actual) in enumerate(
-        zip(base.checkpoints, candidate.checkpoints)
-    ):
-        if expected.graph != actual.graph:
-            return Divergence(
-                kind="live-graph",
-                collector=kind,
+        try:
+            result = context.run(script, name=variant.label, resume=resume)
+        finally:
+            context.close()
+    if events:
+        result = replace(
+            result,
+            events=tuple(_freeze(r) for r in session.stream.events()),
+        )
+    return result
+
+
+def run_equivalence(
+    script: MutatorScript,
+    variants: Sequence[Variant],
+    relations: Sequence[Relation],
+    *,
+    quiesce: bool = False,
+    checked: bool = True,
+) -> DifferentialReport:
+    """Replay ``script`` under every variant and evaluate the relations.
+
+    Args:
+        script: a valid mutator script.
+        variants: what to replay, in report order.
+        relations: what must agree, in reporting order.  A relation
+            with a crashed side is skipped — the crash is already a
+            divergence.
+        quiesce: append the two cycle-closing collections first (pass
+            the raw script; the report carries the quiesced one).
+        checked: audit heap invariants after every collection (and
+            every incremental slice, and on both sides of every
+            restore); audit failures surface as crashes.
+    """
+    if not variants:
+        raise ValueError("need at least one variant to replay")
+    if quiesce:
+        script = _quiesce(script)
+    events = any("events" in relation.observables for relation in relations)
+    # A crash is reported against the variant's first reference.
+    references: dict[str, str] = {}
+    for relation in relations:
+        references.setdefault(relation.candidate, relation.reference)
+
+    results: dict[str, ReplayResult | None] = {}
+    divergences: list[Divergence] = []
+
+    def diverged(candidate: str, reference: str, found: _Difference) -> None:
+        divergences.append(
+            Divergence(
+                kind=found.kind,
+                collector=candidate,
                 reference=reference,
-                checkpoint_index=index,
-                op_index=actual.op_index,
-                detail=_graph_difference(expected, actual, reference, kind),
+                checkpoint_index=found.checkpoint_index,
+                op_index=found.op_index,
+                detail=found.detail,
             )
-        if expected.clock != actual.clock:
-            return Divergence(
-                kind="allocation-volume",
-                collector=kind,
-                reference=reference,
-                checkpoint_index=index,
-                op_index=actual.op_index,
-                detail=(
-                    f"clock {actual.clock} != {reference}'s "
-                    f"{expected.clock} at checkpoint {index}"
+        )
+
+    for variant in variants:
+        label = variant.label
+        try:
+            results[label] = _replay_variant(variant, script, checked, events)
+        except ReplayCrash as crash:
+            results[label] = None
+            diverged(
+                label,
+                references.get(label, label),
+                _Difference("crash", str(crash), None, crash.op_index),
+            )
+
+    for relation in relations:
+        base = results[relation.reference]
+        candidate = results[relation.candidate]
+        if base is None or candidate is None:
+            continue
+        for observable in relation.observables:
+            found = _COMPARATORS[observable](base, candidate)
+            if found is not None:
+                if relation.kind is not None:
+                    found = found._replace(kind=relation.kind)
+                diverged(relation.candidate, relation.reference, found)
+                break
+
+    return DifferentialReport(script, results, tuple(divergences))
+
+
+# ----------------------------------------------------------------------
+# The suites: preset tables over the engine
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A preset: the arguments of :func:`run_equivalence` as data."""
+
+    variants: tuple[Variant, ...]
+    relations: tuple[Relation, ...]
+    quiesce: bool = False
+
+    def run(
+        self, script: MutatorScript, *, checked: bool = True
+    ) -> DifferentialReport:
+        return run_equivalence(
+            script,
+            self.variants,
+            self.relations,
+            quiesce=self.quiesce,
+            checked=checked,
+        )
+
+
+def budget_label(budget: int | None) -> str:
+    """The label of one slice budget's incremental replay."""
+    return f"incremental@b={'inf' if budget is None else budget}"
+
+
+def resume_label(kind: str) -> str:
+    """The label of one kind's resumed replay."""
+    return f"{kind}+resume"
+
+
+def collector_suite(
+    kinds: Sequence[str] = DEFAULT_COLLECTORS,
+    *,
+    backend: str | None = None,
+    geometry: GcGeometry = VERIFY_GEOMETRY,
+    factories: Mapping[str, CollectorFactory] | None = None,
+) -> Suite:
+    """Every collector against ``kinds[0]``: whatever the policy, the
+    same checkpoints — count, live graph and clock at each, allocation
+    volume.  ``factories`` maps a kind name to a replacement factory.
+    """
+    factories = factories or {}
+    return Suite(
+        variants=tuple(
+            Variant(kind, kind, geometry, backend, factory=factories.get(kind))
+            for kind in kinds
+        ),
+        relations=tuple(Relation(kind, kinds[0]) for kind in kinds[1:]),
+    )
+
+
+def backend_suite(
+    kinds: Sequence[str] = DEFAULT_COLLECTORS,
+    *,
+    backends: Sequence[str] = HEAP_BACKENDS,
+    geometry: GcGeometry = VERIFY_GEOMETRY,
+    factories: Mapping[str, CollectorFactory] | None = None,
+) -> Suite:
+    """Every collector as ``"<kind>@<backend>"`` against its replay on
+    ``backends[0]``.  The backends are two representations of one
+    heap, so the bar is stricter than across collectors: checkpoints,
+    every GcStats counter, the pause log and the metrics event stream.
+    """
+    if len(backends) < 2:
+        raise ValueError("need at least two backends to compare")
+    factories = factories or {}
+    return Suite(
+        variants=tuple(
+            Variant(
+                f"{kind}@{backend}",
+                kind,
+                geometry,
+                backend,
+                factory=factories.get(kind),
+            )
+            for kind in kinds
+            for backend in backends
+        ),
+        relations=tuple(
+            Relation(
+                f"{kind}@{backend}",
+                f"{kind}@{backends[0]}",
+                ("checkpoints", "stats", "pauses", "events"),
+            )
+            for kind in kinds
+            for backend in backends[1:]
+        ),
+    )
+
+
+def budget_suite(
+    budgets: Sequence[int | None] = DEFAULT_BUDGETS,
+    *,
+    backend: str | None = None,
+    geometry: GcGeometry = VERIFY_GEOMETRY,
+) -> Suite:
+    """Mark-sweep and the incremental collector at every slice budget
+    (*budget-invariance*): checkpoints and survivors as mark-sweep's,
+    stats (``budget-stats``) and checkpoints as the first budget's.
+    Only the pause log may differ — slicing exists to change it.
+    """
+    if not budgets:
+        raise ValueError("need at least one slice budget")
+    labels = [budget_label(budget) for budget in budgets]
+    return Suite(
+        variants=(
+            Variant("mark-sweep", "mark-sweep", geometry, backend),
+            *(
+                Variant(
+                    label,
+                    "incremental",
+                    replace(geometry, slice_budget=budget),
+                    backend,
+                )
+                for label, budget in zip(labels, budgets)
+            ),
+        ),
+        relations=(
+            *(Relation(label, "mark-sweep") for label in labels),
+            *(
+                relation
+                for label in labels[1:]
+                for relation in (
+                    Relation(label, labels[0], ("stats",), "budget-stats"),
+                    Relation(label, labels[0]),
+                )
+            ),
+            *(
+                Relation(label, "mark-sweep", ("survivors",))
+                for label in labels
+            ),
+        ),
+        quiesce=True,
+    )
+
+
+def concurrent_suite(
+    *,
+    backend: str | None = None,
+    geometry: GcGeometry = VERIFY_GEOMETRY,
+    pool_workers: int = 1,
+) -> Suite:
+    """Mark-sweep, incremental(∞), and the concurrent collector with
+    the marker inline and in a worker process: checkpoints and
+    survivors as mark-sweep's, stats as incremental(∞)'s
+    (``concurrent-stats``), and the pool run as the inline one in
+    everything *including the pause log* (``marker-mode`` — where the
+    marker ran is not an observable).  ``pool_workers=0`` skips the
+    pool replay (inline-only, for constrained hosts).
+    """
+    incremental = budget_label(None)
+    inline, pool = "concurrent@inline", "concurrent@pool"
+    variants = [
+        Variant("mark-sweep", "mark-sweep", geometry, backend),
+        Variant(
+            incremental,
+            "incremental",
+            replace(geometry, slice_budget=None),
+            backend,
+        ),
+        Variant(
+            inline, "concurrent", replace(geometry, marker_workers=0), backend
+        ),
+        Variant(
+            pool,
+            "concurrent",
+            replace(geometry, marker_workers=pool_workers),
+            backend,
+        ),
+    ]
+    others = (incremental, inline, pool)
+    relations = [
+        *(Relation(label, "mark-sweep") for label in others),
+        Relation(inline, incremental, ("stats",), "concurrent-stats"),
+        Relation(pool, incremental, ("stats",), "concurrent-stats"),
+        Relation(pool, inline, ("stats", "pauses"), "marker-mode"),
+        Relation(pool, inline),
+        *(Relation(label, "mark-sweep", ("survivors",)) for label in others),
+    ]
+    if pool_workers < 1:
+        variants.pop()
+        relations = [r for r in relations if r.candidate != pool]
+    return Suite(tuple(variants), tuple(relations), quiesce=True)
+
+
+def resume_suite(
+    kinds: Sequence[str] = DEFAULT_COLLECTORS,
+    *,
+    backend: str | None = None,
+    geometry: GcGeometry = VERIFY_GEOMETRY,
+    resume_interval: int = 1,
+) -> Suite:
+    """Every collector uninterrupted and as ``"<kind>+resume"``,
+    restarted from its serialized snapshot after every
+    ``resume_interval``-th allocation (*resume equivalence*): equal
+    checkpoints, stats, pauses and survivors, each under its own
+    ``resume-*`` kind.  Concurrent marking is forced inline so both
+    replays schedule identically.
+    """
+    if resume_interval < 1:
+        raise ValueError(
+            f"resume interval must be positive, got {resume_interval!r}"
+        )
+    geometry = replace(geometry, marker_workers=0)
+    return Suite(
+        variants=tuple(
+            variant
+            for kind in kinds
+            for variant in (
+                Variant(kind, kind, geometry, backend),
+                Variant(
+                    resume_label(kind), kind, geometry, backend, resume_interval
                 ),
             )
-    if base.words_allocated != candidate.words_allocated:
-        return Divergence(
-            kind="allocation-volume",
-            collector=kind,
-            reference=reference,
-            checkpoint_index=None,
-            op_index=None,
-            detail=(
-                f"allocated {candidate.words_allocated} words, "
-                f"{reference} allocated {base.words_allocated}"
-            ),
-        )
-    return None
+        ),
+        relations=tuple(
+            Relation(resume_label(kind), kind, (observable,), name)
+            for kind in kinds
+            for observable, name in (
+                ("checkpoints", "resume-checkpoint"),
+                ("stats", "resume-stats"),
+                ("pauses", "resume-pauses"),
+                ("survivors", "resume-survivor"),
+            )
+        ),
+        quiesce=True,
+    )
 
 
-def _graph_difference(
-    expected, actual, reference: str, kind: str
-) -> str:
-    """Describe the first differing object between two fingerprints."""
-    expected_by_id = {entry[0]: entry for entry in expected.graph}
-    actual_by_id = {entry[0]: entry for entry in actual.graph}
-    only_expected = sorted(set(expected_by_id) - set(actual_by_id))
-    only_actual = sorted(set(actual_by_id) - set(expected_by_id))
-    parts = [
-        f"live graphs differ ({len(expected.graph)} vs "
-        f"{len(actual.graph)} objects)"
-    ]
-    if only_expected:
-        parts.append(
-            f"{reference} alone reaches ids {only_expected[:5]}"
-        )
-    if only_actual:
-        parts.append(f"{kind} alone reaches ids {only_actual[:5]}")
-    if not only_expected and not only_actual:
-        for obj_id in sorted(expected_by_id):
-            if expected_by_id[obj_id] != actual_by_id[obj_id]:
-                parts.append(
-                    f"object {obj_id} differs: "
-                    f"{expected_by_id[obj_id]} vs {actual_by_id[obj_id]}"
-                )
-                break
-    return "; ".join(parts)
+#: The suites by the name ``repro-gc verify`` and CI know them by.
+SUITES: Mapping[str, Callable[..., Suite]] = {
+    "collectors": collector_suite,
+    "backends": backend_suite,
+    "budgets": budget_suite,
+    "concurrent": concurrent_suite,
+    "resume": resume_suite,
+}
+
+
+def run_differential(
+    script: MutatorScript,
+    kinds: Sequence[str] = DEFAULT_COLLECTORS,
+    *,
+    geometry: GcGeometry = VERIFY_GEOMETRY,
+    factories: Mapping[str, CollectorFactory] | None = None,
+    checked: bool = True,
+) -> DifferentialReport:
+    """The cross-collector oracle: :func:`collector_suite`, run."""
+    return collector_suite(kinds, geometry=geometry, factories=factories).run(
+        script, checked=checked
+    )

@@ -29,6 +29,7 @@ chunk deletion produces) back to validity.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
@@ -43,6 +44,7 @@ from repro.verify.audit import enable_checked_mode
 __all__ = [
     "Checkpoint",
     "MutatorScript",
+    "ReplayContext",
     "ReplayCrash",
     "ReplayError",
     "ReplayResult",
@@ -135,10 +137,14 @@ class Checkpoint:
 class ReplayResult:
     """One collector's replay of one script.
 
+    Beyond the checkpoints, the result carries every observable the
+    equivalence engine (:mod:`repro.verify.differential`) can relate:
     ``stats`` (the sorted :meth:`~repro.gc.stats.GcStats.snapshot`
-    items) and ``pauses`` (the full pause log) let the backend
-    differential assert that two heap backends do byte-identical
-    *work*, not merely that they keep the same objects alive.
+    items) and ``pauses`` (the full pause log) say two replays did
+    byte-identical *work*, not merely kept the same objects alive;
+    ``survivors`` is the sorted ids resident in the heap at the end
+    (reachable or floating); ``events`` is the metrics event stream,
+    filled in by the engine when a relation observes it.
     """
 
     collector: str
@@ -147,6 +153,8 @@ class ReplayResult:
     collections: int
     stats: tuple[tuple[str, int], ...] = ()
     pauses: tuple = ()
+    survivors: tuple[int, ...] = ()
+    events: tuple = ()
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +369,150 @@ def generate_script(
 # ----------------------------------------------------------------------
 
 
+class ReplayContext:
+    """The heap, roots, collector and barrier a script's ops act on.
+
+    The one interpreter of script ops: :func:`replay` drives a whole
+    script through it, and harnesses that need to interleave their own
+    steps (the chaos matrix's fault injection) or keep the collector
+    afterwards (snapshot capture) hold a context and call
+    :meth:`apply`/:meth:`run` themselves.
+    """
+
+    def __init__(
+        self,
+        factory: CollectorFactory,
+        *,
+        backend: str | None = None,
+        checked: bool = False,
+    ) -> None:
+        self.checked = checked
+        self.uid_to_id: dict[int, int] = {}
+        #: Allocation safepoints passed so far.
+        self.allocations = 0
+        heap = make_heap(backend)
+        roots = RootSet()
+        self._install(heap, roots, factory(heap, roots))
+
+    def _install(self, heap, roots: RootSet, collector: Collector) -> None:
+        self.heap, self.roots, self.collector = heap, roots, collector
+        if self.checked:
+            enable_checked_mode(collector)
+        self.barrier = WriteBarrier(collector.remember_store)
+
+    def apply(self, op: Op) -> None:
+        """Apply one ``alloc``/``store``/``drop``/``collect`` op."""
+        kind = op[0]
+        if kind == "alloc":
+            _, uid, size, field_count = op
+            obj = self.collector.allocate(size, field_count)
+            self.uid_to_id[uid] = obj.obj_id
+            self.roots.set_global(f"u{uid}", obj)
+            self.allocations += 1
+        elif kind == "store":
+            _, src_uid, slot, dst_uid = op
+            src = self.heap.get(self._resolve(src_uid))
+            target = (
+                None
+                if dst_uid is None
+                else self.heap.get(self._resolve(dst_uid))
+            )
+            self.barrier.on_store(src, slot, target)
+            self.heap.write_field(src, slot, target)
+        elif kind == "drop":
+            self.roots.remove_global(f"u{op[1]}")
+        elif kind == "collect":
+            self.collector.collect()
+        else:
+            raise ReplayError(f"unknown op kind {kind!r}")
+
+    def _resolve(self, uid: int) -> int:
+        try:
+            return self.uid_to_id[uid]
+        except KeyError:
+            raise ReplayError(
+                f"script references uid {uid} before its alloc"
+            ) from None
+
+    def checkpoint(self, op_index: int) -> Checkpoint:
+        """Fingerprint the graph reachable from the surviving roots."""
+        heap = self.heap
+        graph = tuple(
+            sorted(
+                (obj_id, heap.get(obj_id).size, tuple(heap.get(obj_id).fields))
+                for obj_id in heap.reachable_from(list(self.roots.ids()))
+            )
+        )
+        return Checkpoint(
+            op_index=op_index,
+            clock=heap.clock,
+            live_words=sum(entry[1] for entry in graph),
+            graph=graph,
+        )
+
+    def restart(self, kind: str, geometry) -> None:
+        """Checkpoint, drop the context, restore from the wire form.
+
+        The document round-trips through its canonical JSON text
+        (parse + checksum verification included), so the restore path
+        is the one a cold process would take after a crash.  Object
+        ids survive it, so the script needs no translation.
+        """
+        # Imported here: repro.resilience's package init imports the
+        # chaos harness, which imports this module.
+        from repro.resilience.snapshot import checkpoint, restore
+
+        wire = json.dumps(
+            checkpoint(self.collector, kind, geometry), sort_keys=True
+        )
+        self.close()
+        self._install(*restore(json.loads(wire)))
+
+    def close(self) -> None:
+        """Release whatever the collector holds (a marker pool)."""
+        close = getattr(self.collector, "close", None)
+        if close is not None:
+            close()
+
+    def run(
+        self,
+        script: MutatorScript,
+        *,
+        name: str = "",
+        resume: tuple | None = None,
+    ) -> ReplayResult:
+        """Replay ``script`` on this context (see :func:`replay`)."""
+        checkpoints: list[Checkpoint] = []
+        restart_at = self.allocations + resume[0] if resume else None
+        # A final fingerprint so even check-free scripts are comparable.
+        ops = script.ops + (("check",),)
+        for op_index, op in enumerate(ops):
+            try:
+                if op[0] == "check":
+                    checkpoints.append(self.checkpoint(op_index))
+                    continue
+                self.apply(op)
+                if self.allocations == restart_at:
+                    self.restart(*resume[1:])
+                    restart_at += resume[0]
+            except ReplayError:
+                raise
+            except Exception as exc:
+                raise ReplayCrash(op_index, op, exc) from exc
+        stats = self.collector.stats
+        return ReplayResult(
+            collector=name or self.collector.name,
+            checkpoints=tuple(checkpoints),
+            words_allocated=stats.words_allocated,
+            collections=stats.collections,
+            stats=tuple(sorted(stats.snapshot().items())),
+            pauses=tuple(stats.pauses),
+            survivors=tuple(
+                sorted(obj.obj_id for obj in self.heap.all_objects())
+            ),
+        )
+
+
 def replay(
     script: MutatorScript,
     factory: CollectorFactory,
@@ -368,6 +520,7 @@ def replay(
     checked: bool = False,
     name: str = "",
     backend: str | None = None,
+    resume: tuple | None = None,
 ) -> ReplayResult:
     """Replay a script under a freshly built collector.
 
@@ -379,6 +532,8 @@ def replay(
         name: label for the result (defaults to the collector's name).
         backend: heap backend to replay on (``"object"``/``"flat"``);
             None resolves the environment/default selection.
+        resume: ``(interval, kind, geometry)`` — after every
+            ``interval``-th allocation, :meth:`ReplayContext.restart`.
 
     Raises:
         ReplayCrash: an op raised inside the collector or heap —
@@ -386,85 +541,5 @@ def replay(
             checked mode.
         ReplayError: the script itself is malformed.
     """
-    heap = make_heap(backend)
-    roots = RootSet()
-    collector = factory(heap, roots)
-    if checked:
-        enable_checked_mode(collector)
-    barrier = WriteBarrier(collector.remember_store)
-
-    uid_to_id: dict[int, int] = {}
-    checkpoints: list[Checkpoint] = []
-
-    def take_checkpoint(op_index: int) -> None:
-        root_ids = list(roots.ids())
-        reached = heap.reachable_from(root_ids)
-        graph = tuple(
-            sorted(
-                (obj_id, heap.get(obj_id).size, tuple(heap.get(obj_id).fields))
-                for obj_id in reached
-            )
-        )
-        live = sum(entry[1] for entry in graph)
-        checkpoints.append(
-            Checkpoint(
-                op_index=op_index,
-                clock=heap.clock,
-                live_words=live,
-                graph=graph,
-            )
-        )
-
-    for op_index, op in enumerate(script.ops):
-        kind = op[0]
-        try:
-            if kind == "alloc":
-                _, uid, size, field_count = op
-                obj = collector.allocate(size, field_count)
-                uid_to_id[uid] = obj.obj_id
-                roots.set_global(f"u{uid}", obj)
-            elif kind == "store":
-                _, src_uid, slot, dst_uid = op
-                src = heap.get(_resolve(uid_to_id, src_uid))
-                if dst_uid is None:
-                    barrier.on_store(src, slot, None)
-                    heap.write_field(src, slot, None)
-                else:
-                    target = heap.get(_resolve(uid_to_id, dst_uid))
-                    barrier.on_store(src, slot, target)
-                    heap.write_field(src, slot, target)
-            elif kind == "drop":
-                roots.remove_global(f"u{op[1]}")
-            elif kind == "collect":
-                collector.collect()
-            elif kind == "check":
-                take_checkpoint(op_index)
-            else:
-                raise ReplayError(f"unknown op kind {kind!r}")
-        except ReplayError:
-            raise
-        except Exception as exc:
-            raise ReplayCrash(op_index, op, exc) from exc
-
-    # A final fingerprint so even check-free scripts are comparable.
-    try:
-        take_checkpoint(len(script.ops))
-    except Exception as exc:
-        raise ReplayCrash(len(script.ops), ("check",), exc) from exc
-    return ReplayResult(
-        collector=name or collector.name,
-        checkpoints=tuple(checkpoints),
-        words_allocated=collector.stats.words_allocated,
-        collections=collector.stats.collections,
-        stats=tuple(sorted(collector.stats.snapshot().items())),
-        pauses=tuple(collector.stats.pauses),
-    )
-
-
-def _resolve(uid_to_id: dict[int, int], uid: int) -> int:
-    try:
-        return uid_to_id[uid]
-    except KeyError:
-        raise ReplayError(
-            f"script references uid {uid} before its alloc"
-        ) from None
+    context = ReplayContext(factory, backend=backend, checked=checked)
+    return context.run(script, name=name, resume=resume)

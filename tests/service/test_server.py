@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import socket
 
 from repro.service.loadgen import (
     _Connection,
@@ -184,6 +186,37 @@ def test_shutdown_op_unblocks_serve_until_closed():
         await connection.close()
 
     _run(body())
+
+
+def test_shutdown_with_idle_connections_logs_nothing(caplog):
+    """close() ends idle connection handlers itself; leaving them to
+    asyncio.run's cancel sweep logs one traceback per connection."""
+    idle: list[socket.socket] = []
+
+    async def body():
+        server = HeapServer()
+        port = await server.start()
+        serve_task = asyncio.create_task(server.serve_until_closed())
+        for _ in range(3):
+            idle.append(socket.create_connection(("127.0.0.1", port)))
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        connection = _Connection(reader, writer)
+        # One round trip, so the idle handlers are parked in readline().
+        assert (await connection.request(_req("ping", 0)))["pong"]
+        response = await connection.request(_req("shutdown", 1))
+        assert response["closing"] is True
+        await asyncio.wait_for(serve_task, timeout=5)
+        await connection.close()
+
+    try:
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            _run(body())
+        # The server hung up on every idle client.
+        assert [client.recv(1) for client in idle] == [b""] * 3
+    finally:
+        for client in idle:
+            client.close()
+    assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
 
 def test_socket_load_run_matches_inline_reference():

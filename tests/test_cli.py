@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -161,6 +165,101 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "op count must be positive" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "suite", ["collectors", "backends", "budgets", "concurrent", "resume"]
+    )
+    def test_verify_pass_stdout_is_pinned(self, capsys, suite):
+        """The [PASS] text of every mode, captured before the five
+        handlers became one."""
+        golden = json.loads(
+            (
+                Path(__file__).parent / "verify" / "golden_verify_stdout.json"
+            ).read_text()
+        )
+        flags = [] if suite == "collectors" else [f"--{suite}"]
+        assert main(golden["argv"] + flags) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == golden["stdout"][suite]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--resume", "--backends"],
+            ["--budgets", "--concurrent"],
+            ["--backends", "--budgets", "7"],
+        ],
+    )
+    def test_verify_modes_are_mutually_exclusive(self, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--ops", "50", *flags])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["--resume", "--backends"])
+    def test_verify_collectors_reach_every_suite_built_from_kinds(
+        self, capsys, mode
+    ):
+        assert main(
+            ["verify", "--ops", "80", "--seed", "2", mode,
+             "--collectors", "mark-sweep", "hybrid"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "hybrid" in out
+        assert "generational" not in out
+
+    def test_verify_rejects_bad_budget_and_interval_cleanly(self, capsys):
+        for token in ("0", "many"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["verify", "--ops", "50", "--budgets", token])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"invalid slice_budget value: '{token}'" in err
+        assert main(
+            ["verify", "--ops", "50", "--resume", "--resume-interval", "0"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "resume interval must be positive" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "mode, victim",
+        [
+            ([], "hybrid"),
+            (["--backends"], "hybrid@flat"),
+            (["--budgets"], "incremental@b=7"),
+            (["--concurrent"], "concurrent@pool"),
+            (["--resume"], "hybrid+resume"),
+        ],
+    )
+    def test_verify_failure_shrinks_in_every_mode(
+        self, capsys, monkeypatch, mode, victim
+    ):
+        """One FAIL path: every mode shrinks, and --no-shrink stops
+        every mode (--backends used to do neither)."""
+        import repro.verify.differential as differential
+
+        real = differential._replay_variant
+
+        def tampered(variant, script, *args):
+            result = real(variant, script, *args)
+            # A "bug" in one variant that needs a store to show.
+            if variant.label == victim and any(
+                op[0] == "store" for op in script.ops
+            ):
+                result = replace(result, checkpoints=result.checkpoints[:-1])
+            return result
+
+        monkeypatch.setattr(differential, "_replay_variant", tampered)
+        argv = ["verify", "--ops", "60", "--seed", "1", *mode]
+        assert main(argv + ["--no-shrink"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL]" in out and "shrinking" not in out
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL]" in out
+        assert "shrinking the counterexample" in out
+        assert "minimal failing script (2 ops)" in out
 
 
 class TestServiceCommands:

@@ -1,6 +1,6 @@
 """The backend-equivalence suite: object vs flat, every collector.
 
-``run_backend_differential`` holds the two heap representations to a
+``backend_suite`` holds the two heap representations to a
 stricter bar than the cross-collector oracle: same collector, same
 script, both backends must agree on the live graph at every
 checkpoint *and* on every GcStats counter, the full pause log, and
@@ -15,10 +15,7 @@ import pytest
 from repro.heap.backend import HEAP_BACKENDS
 from repro.perf.parallel import default_jobs, parallel_map
 from repro.verify import generate_script
-from repro.verify.differential import (
-    DEFAULT_COLLECTORS,
-    run_backend_differential,
-)
+from repro.verify.differential import DEFAULT_COLLECTORS, backend_suite
 
 SEEDS = range(12)
 
@@ -26,7 +23,7 @@ SEEDS = range(12)
 def _sweep_task(seed: int) -> tuple[int, bool, str]:
     """Module-level so the sweep can run in worker processes."""
     script = generate_script(150, seed)
-    report = run_backend_differential(script)
+    report = backend_suite().run(script)
     return seed, report.ok, report.summary()
 
 
@@ -42,7 +39,7 @@ def test_backends_agree_on_random_scripts() -> None:
 
 def test_covers_every_collector_on_every_backend() -> None:
     script = generate_script(120, seed=99)
-    report = run_backend_differential(script)
+    report = backend_suite().run(script)
     assert report.ok, report.summary()
     assert set(report.results) == {
         f"{kind}@{backend}"
@@ -53,11 +50,11 @@ def test_covers_every_collector_on_every_backend() -> None:
 
 def test_longer_script_with_higher_live_budget() -> None:
     script = generate_script(400, seed=7, max_live_words=60)
-    report = run_backend_differential(script)
+    report = backend_suite().run(script)
     assert report.ok, report.summary()
 
 
 def test_rejects_single_backend() -> None:
     script = generate_script(10, seed=0)
     with pytest.raises(ValueError):
-        run_backend_differential(script, backends=("flat",))
+        backend_suite(backends=("flat",)).run(script)

@@ -14,16 +14,21 @@ from __future__ import annotations
 
 import pytest
 
-import repro.verify.budget as budget_module
+import repro.verify.differential as budget_module
 from repro.gc.incremental import IncrementalCollector
 from repro.heap.backend import HEAP_BACKENDS
-from repro.verify.budget import (
+from repro.verify.differential import (
     DEFAULT_BUDGETS,
     budget_label,
-    run_budget_differential,
-    run_budget_differential_all_backends,
+    budget_suite,
 )
 from repro.verify.replay import generate_script
+
+
+def run_budget_differential(
+    script, *, budgets=DEFAULT_BUDGETS, backend=None, checked=True
+):
+    return budget_suite(budgets, backend=backend).run(script, checked=checked)
 
 
 class TestLabels:
@@ -52,9 +57,12 @@ class TestBudgetInvariance:
 
     def test_all_backends(self):
         script = generate_script(300, 13, max_live_words=40)
-        reports = run_budget_differential_all_backends(
-            script, budgets=(1, 64, None)
-        )
+        reports = {
+            backend: run_budget_differential(
+                script, budgets=(1, 64, None), backend=backend
+            )
+            for backend in HEAP_BACKENDS
+        }
         assert set(reports) == set(HEAP_BACKENDS)
         for backend, report in reports.items():
             assert report.ok, f"{backend}: {report.summary()}"

@@ -16,16 +16,27 @@ from __future__ import annotations
 
 import pytest
 
-import repro.verify.concurrent as concurrent_module
+import repro.verify.differential as concurrent_module
 from repro.gc.concurrent import ConcurrentCollector
 from repro.heap.backend import HEAP_BACKENDS
-from repro.verify.concurrent import (
-    CONCURRENT_LABELS,
-    run_concurrent_differential,
-    run_concurrent_differential_all_backends,
-)
+from repro.verify.differential import concurrent_suite
 from repro.verify.replay import generate_script
 from repro.verify.shrink import shrink_script
+
+#: Every label the suite replays, in run order.
+CONCURRENT_LABELS = (
+    "mark-sweep",
+    "incremental@b=inf",
+    "concurrent@inline",
+    "concurrent@pool",
+)
+
+
+def run_concurrent_differential(
+    script, *, backend=None, checked=True, pool_workers=1
+):
+    suite = concurrent_suite(backend=backend, pool_workers=pool_workers)
+    return suite.run(script, checked=checked)
 
 
 class TestConcurrentEquivalence:
@@ -34,7 +45,7 @@ class TestConcurrentEquivalence:
         script = generate_script(400, seed, max_live_words=40)
         report = run_concurrent_differential(script)
         assert report.ok, report.summary()
-        assert set(report.results) == set(CONCURRENT_LABELS)
+        assert tuple(report.results) == CONCURRENT_LABELS
 
     def test_quiesced_script_is_used(self):
         script = generate_script(100, 0, max_live_words=40)
@@ -50,7 +61,10 @@ class TestConcurrentEquivalence:
 
     def test_all_backends(self):
         script = generate_script(300, 13, max_live_words=40)
-        reports = run_concurrent_differential_all_backends(script)
+        reports = {
+            backend: run_concurrent_differential(script, backend=backend)
+            for backend in HEAP_BACKENDS
+        }
         assert set(reports) == set(HEAP_BACKENDS)
         for backend, report in reports.items():
             assert report.ok, f"{backend}: {report.summary()}"

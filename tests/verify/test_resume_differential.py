@@ -4,12 +4,17 @@ import pytest
 
 from repro.gc.registry import COLLECTOR_KINDS
 from repro.heap.backend import HEAP_BACKENDS
+from repro.verify.differential import resume_label, resume_suite
 from repro.verify.replay import generate_script
-from repro.verify.resume import (
-    resume_label,
-    run_resume_differential,
-    run_resume_differential_all_backends,
-)
+
+
+def run_resume_differential(
+    script, *, kinds=COLLECTOR_KINDS, backend=None, resume_interval=1
+):
+    suite = resume_suite(
+        kinds, backend=backend, resume_interval=resume_interval
+    )
+    return suite.run(script)
 
 
 class TestResumeLabel:
@@ -49,11 +54,37 @@ class TestResumeEquivalence:
         )
         assert report.ok, report.summary()
 
+    def test_restarts_after_every_nth_allocation(self, monkeypatch):
+        """The resumed replay really is torn down and restored: once
+        per interval-th allocation, and never in the reference."""
+        from repro.verify.replay import ReplayContext
+
+        restarts = []
+        real = ReplayContext.restart
+
+        def counting(self, kind, geometry):
+            restarts.append(kind)
+            real(self, kind, geometry)
+
+        monkeypatch.setattr(ReplayContext, "restart", counting)
+        script = generate_script(150, seed=6)
+        allocations = sum(op[0] == "alloc" for op in script.ops)
+        for interval in (1, 4):
+            restarts.clear()
+            report = run_resume_differential(
+                script, kinds=["hybrid"], resume_interval=interval
+            )
+            assert report.ok, report.summary()
+            assert restarts == ["hybrid"] * (allocations // interval)
+
     def test_all_backends_helper_covers_each_backend(self):
         script = generate_script(60, seed=8)
-        reports = run_resume_differential_all_backends(
-            script, kinds=["mark-sweep"]
-        )
+        reports = {
+            backend: run_resume_differential(
+                script, kinds=["mark-sweep"], backend=backend
+            )
+            for backend in HEAP_BACKENDS
+        }
         assert set(reports) == set(HEAP_BACKENDS)
         for backend, report in reports.items():
             assert report.ok, f"{backend}: {report.summary()}"
