@@ -2,35 +2,59 @@
 
 One :class:`HeapServer` hosts every tenant heap behind a TCP listener.
 Connections are cheap multiplexers: any connection may carry requests
-for any number of tenants (the per-request ``id`` correlates
-responses), so a load generator can drive thousands of tenants over a
-handful of sockets.
+for any number of tenants, so a load generator can drive thousands of
+tenants over a handful of sockets.
 
-The data path is queue → batch → shard:
+The data path is pipelined — read → queue → batch → shard → write — and
+nothing on it waits for a response before taking the next request:
 
-1. a connection handler decodes and validates each line; malformed
-   requests are answered immediately with ``bad-request`` and never
-   reach a shard;
-2. valid tenant ops are appended to the owning shard's queue (stable
-   hash routing via :func:`repro.service.shard.shard_of`) with a
-   future for the response;
-3. a single dispatcher task drains all queues into one batch per
-   shard and hands them to the :class:`~repro.service.shard.ShardExecutor`
+1. a connection's reader decodes and validates each line and goes
+   straight back to ``readline()``.  Malformed requests are answered
+   in place with ``bad-request`` and never reach a shard; server ops
+   (``ping``/``stats``/``metrics``/``shutdown``) are answered in place
+   by the parent;
+2. a valid tenant op is appended, with its connection, to the owning
+   shard's queue (stable hash routing via
+   :func:`repro.service.shard.shard_of`);
+3. a single dispatcher task swaps all queues out as one batch per
+   shard, hands them to the :class:`~repro.service.shard.ShardExecutor`
    in a worker thread (the executor blocks on process-pool fan-out;
-   the event loop keeps accepting traffic meanwhile), then resolves
-   the futures.
+   the readers keep queueing the next batch meanwhile), then encodes
+   the responses and issues one ``write`` per connection per batch.
 
-Because the dispatcher swaps whole queues, per-tenant request order is
-preserved end to end: a closed-loop client that awaits each response
-before sending the next op observes exactly the serial semantics the
-isolation oracle demands.
+So what is in flight is bounded per tenant by the client, not per
+socket by the server: a connection that multiplexes fourteen
+closed-loop tenants has fourteen requests in a batch, not one.
 
-Server ops (``ping``/``stats``/``metrics``/``shutdown``) are answered
-by the parent directly.  Backpressure and heap exhaustion are ordinary
-*responses* on this path — a shard at its tenant cap refuses ``open``
-with its occupancy attached, an exhausted heap refuses ``alloc`` with
-the per-space snapshot attached, and in neither case does any session
-or connection die.
+**Ordering.**  Requests of one tenant that arrive on one connection
+are applied, and answered, in arrival order: the reader is sequential,
+a shard queue is FIFO, a batch is applied in order and its responses
+are written in batch order.  A client may therefore write a tenant's
+whole script without awaiting anything and observes exactly the serial
+semantics the isolation oracle demands.  Responses of *different*
+tenants on one connection may arrive in any order; match them by
+``id``, which is what the correlation id is for.  Responses answered
+in place (server ops, ``bad-request``) may overtake queued tenant ops.
+
+**Backpressure.**  A connection may have :data:`MAX_IN_FLIGHT`
+requests queued or executing; its reader stops reading while that
+window is full or while the transport's write buffer is above its
+high-water mark, so a client that floods, or never reads its
+responses, costs bounded memory and stalls only itself.  The window is
+a constant, not an option: it only has to stay above what one
+connection's tenants put into a batch (a batch is whatever arrived
+while the previous one ran), and no caller has a reason to want a
+different bound.
+
+A client that goes away with requests in flight loses only the
+responses: what was queued still executes and commits, and the reader
+closes the socket once its window has emptied.  Shutdown answers
+everything queued before any socket closes, then gives each connection
+:data:`CLOSE_GRACE_S` to take its responses.  Admission refusal and
+heap exhaustion are ordinary *responses* on this path — a shard at its
+tenant cap refuses ``open`` with its occupancy attached, an exhausted
+heap refuses ``alloc`` with the per-space snapshot attached, and in
+neither case does any session or connection die.
 """
 
 from __future__ import annotations
@@ -55,6 +79,41 @@ __all__ = ["HeapServer"]
 #: op, far below a memory-pressure vector.
 MAX_LINE_BYTES = 1 << 20
 
+#: Most requests one connection may have queued or executing before its
+#: reader stops reading (see *Backpressure* in the module docstring).
+MAX_IN_FLIGHT = 256
+
+#: How long :meth:`HeapServer.close` lets a connection take its unread
+#: responses before it is cut off.
+CLOSE_GRACE_S = 5.0
+
+
+class _Peer:
+    """One connection as the dispatcher sees it: where a response goes
+    and how many the connection is still owed."""
+
+    __slots__ = ("writer", "in_flight", "_delivered")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.in_flight = 0
+        self._delivered = asyncio.Event()
+
+    def deliver(self, lines: list[bytes]) -> None:
+        """One batch's responses for this connection, in batch order."""
+        self.in_flight -= len(lines)
+        # A client that has gone away loses its responses; writing to
+        # the dead transport would only log a warning per batch.
+        if not self.writer.transport.is_closing():
+            self.writer.write(b"".join(lines))
+        self._delivered.set()
+
+    async def wait_below(self, limit: int) -> None:
+        """Return once fewer than ``limit`` requests are in flight."""
+        while self.in_flight >= limit:
+            self._delivered.clear()
+            await self._delivered.wait()
+
 
 class HeapServer:
     """The multi-tenant heap service (see module docstring)."""
@@ -75,14 +134,14 @@ class HeapServer:
             timeout=timeout,
             retries=retries,
         )
-        self._queues: list[list[tuple[dict, asyncio.Future]]] = [
+        self._queues: list[list[tuple[dict, _Peer]]] = [
             [] for _ in range(shards)
         ]
         self._kick = asyncio.Event()
         self._closing = asyncio.Event()
         self._server: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._handlers: dict[asyncio.Task, _Peer] = {}
         self.requests_served = 0
 
     # ------------------------------------------------------------------
@@ -116,12 +175,19 @@ class HeapServer:
             self._kick.set()
             await self._dispatcher
             self._dispatcher = None
-        # An idle handler sits in readline(); closing its transport
-        # feeds it EOF, and it leaves through its own finally block.
+        # Every response is written by now.  An idle handler sits in
+        # readline(); closing its transport feeds it EOF, and it leaves
+        # through its own finally block.
         handlers = dict(self._handlers)
-        for writer in handlers.values():
-            writer.close()
-        await asyncio.gather(*handlers, return_exceptions=True)
+        for peer in handlers.values():
+            peer.writer.close()
+        if handlers:
+            _, stuck = await asyncio.wait(handlers, timeout=CLOSE_GRACE_S)
+            # A transport flushes before it closes, and a client that
+            # never reads never lets it: only an abort ends that one.
+            for task in stuck:
+                handlers[task].writer.transport.abort()
+            await asyncio.gather(*handlers, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -134,16 +200,14 @@ class HeapServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        self._handlers[task] = writer
+        peer = self._handlers[task] = _Peer(writer)
         try:
             while not self._closing.is_set():
+                await peer.wait_below(MAX_IN_FLIGHT)
                 try:
+                    await writer.drain()
                     line = await reader.readline()
-                except (
-                    asyncio.LimitOverrunError,
-                    ValueError,
-                    ConnectionResetError,
-                ):
+                except (ValueError, OSError):  # oversized line, dead peer
                     break
                 # Nothing read after shutdown began is served: the
                 # dispatcher may already be gone.
@@ -151,12 +215,12 @@ class HeapServer:
                     break
                 if not line.strip():
                     continue
-                response = await self._handle_line(line)
-                writer.write(encode_line(response))
-                try:
-                    await writer.drain()
-                except ConnectionResetError:
-                    break
+                response = self._accept(line, peer)
+                if response is not None:
+                    writer.write(encode_line(response))
+            # What was accepted still executes; its responses go out
+            # (or are dropped, if the client is gone) before the close.
+            await peer.wait_below(1)
         finally:
             del self._handlers[task]
             writer.close()
@@ -165,7 +229,9 @@ class HeapServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _handle_line(self, line: bytes) -> dict:
+    def _accept(self, line: bytes, peer: _Peer) -> dict | None:
+        """Decode, validate and route one line.  Returns the response
+        if the line is answered in place, ``None`` if it was queued."""
         self.requests_served += 1
         try:
             payload = decode_line(line)
@@ -192,12 +258,10 @@ class HeapServer:
             self._kick.set()
             return ok_response(request["id"], closing=True)
         shard = self.executor.shard_of(request["tenant"])
-        future: asyncio.Future = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._queues[shard].append((request, future))
+        self._queues[shard].append((request, peer))
+        peer.in_flight += 1
         self._kick.set()
-        return await future
+        return None
 
     def _metrics_response(self, request: dict) -> dict:
         registries = self.executor.merged_metrics()
@@ -223,57 +287,66 @@ class HeapServer:
     # ------------------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             await self._kick.wait()
             self._kick.clear()
-            if any(self._queues):
-                batches: dict[int, list[dict]] = {}
-                futures: dict[int, list[asyncio.Future]] = {}
-                for shard, queue in enumerate(self._queues):
-                    if not queue:
-                        continue
-                    self._queues[shard] = []
-                    batches[shard] = [request for request, _ in queue]
-                    futures[shard] = [future for _, future in queue]
-                try:
-                    responses = await loop.run_in_executor(
-                        None, self.executor.execute, batches
-                    )
-                except Exception as exc:  # keep the dispatcher alive
-                    responses = {
-                        shard: [
-                            error_response(
-                                request.get("id"),
-                                "internal",
-                                f"dispatch failed: "
-                                f"{type(exc).__name__}: {exc}",
-                            )
-                            for request in ops
-                        ]
-                        for shard, ops in batches.items()
-                    }
-                for shard, shard_futures in futures.items():
-                    shard_responses = responses.get(shard, [])
-                    for future, response in zip(
-                        shard_futures, shard_responses
-                    ):
-                        if not future.done():
-                            future.set_result(response)
-                    # Chaos pseudo-ops produce no response; a real
-                    # request can only be left behind by a bug, and a
-                    # hung client is worse than a structured error.
-                    for future in shard_futures[len(shard_responses):]:
-                        if not future.done():
-                            future.set_result(
-                                error_response(
-                                    None,
-                                    "shard-failed",
-                                    "batch returned no response",
-                                    shard=shard,
-                                )
-                            )
-            elif self._closing.is_set():
-                return
+            taken = {
+                shard: queue
+                for shard, queue in enumerate(self._queues)
+                if queue
+            }
+            for shard in taken:
+                self._queues[shard] = []
+            if taken:
+                self._deliver(taken, await self._execute(taken))
             if self._closing.is_set() and not any(self._queues):
                 return
+
+    async def _execute(
+        self, taken: dict[int, list[tuple[dict, _Peer]]]
+    ) -> dict[int, list[dict]]:
+        batches = {
+            shard: [request for request, _ in queue]
+            for shard, queue in taken.items()
+        }
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                None, self.executor.execute, batches
+            )
+        except Exception as exc:  # keep the dispatcher alive
+            return {
+                shard: [
+                    error_response(
+                        request["id"],
+                        "internal",
+                        f"dispatch failed: {type(exc).__name__}: {exc}",
+                    )
+                    for request in ops
+                ]
+                for shard, ops in batches.items()
+            }
+
+    @staticmethod
+    def _deliver(
+        taken: dict[int, list[tuple[dict, _Peer]]],
+        responses: dict[int, list[dict]],
+    ) -> None:
+        """Pair responses with requests by position, then one write
+        per connection."""
+        outboxes: dict[_Peer, list[bytes]] = {}
+        for shard, queue in taken.items():
+            answers = iter(responses.get(shard, ()))
+            for request, peer in queue:
+                response = next(answers, None)
+                if response is None:
+                    # Only a bug can leave a request unanswered, and a
+                    # hung client is worse than a structured error.
+                    response = error_response(
+                        request["id"],
+                        "shard-failed",
+                        "batch returned no response",
+                        shard=shard,
+                    )
+                outboxes.setdefault(peer, []).append(encode_line(response))
+        for peer, lines in outboxes.items():
+            peer.deliver(lines)

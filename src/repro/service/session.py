@@ -19,8 +19,9 @@ JSON-able state blob built on the PR 9 snapshot machinery
 (:func:`repro.resilience.snapshot.checkpoint`, checksummed envelope
 included), and :meth:`TenantSession.from_state` revives it in another
 process.  Resume equivalence (proven per collector and backend by
-:mod:`repro.verify.resume`) is what lets the sharded executor replay a
-batch on a respawned worker without any tenant noticing.
+``resume_suite`` in :mod:`repro.verify.differential`) is what lets the
+sharded executor replay a batch on a respawned worker without any
+tenant noticing.
 
 Metric accounting is *cadence-independent by construction*: instead of
 observing collections as they happen (whose batching would make

@@ -16,9 +16,10 @@ the *parent* as a map of tenant → checksummed snapshot blob
 PR 9 snapshot machinery).  A worker that dies mid-batch never
 acknowledged anything: ``resilient_map`` replays the identical batch
 from the identical committed state on a fresh worker, and — by resume
-equivalence (:mod:`repro.verify.resume`) — produces the identical
-responses.  No committed tenant state can be lost, because committed
-state is precisely what the parent already holds.
+equivalence (``resume_suite`` in :mod:`repro.verify.differential`) —
+produces the identical responses.  No committed tenant state can be
+lost, because committed state is precisely what the parent already
+holds.
 
 Two execution modes, one semantics:
 
