@@ -12,10 +12,15 @@ moves the whole mark phase into a worker process:
   dict), and hand it to :func:`_mark_snapshot_task`.  With
   ``marker_workers == 0`` the task runs inline at the handoff — the
   deterministic reference mode every oracle uses; with workers it is
-  submitted to a lazily created :class:`ProcessPoolExecutor` reusing
-  the hardened machinery of :mod:`repro.perf.parallel` (env-tunable
-  timeout, attempt-salted retries via ``derive_seed(seed, cycle,
-  attempt)``, worker-crash recovery, inline serial fallback).
+  submitted to the collector's own
+  :class:`~repro.perf.parallel.WorkerPool`, which lives as long as the
+  collector does (workers are forked at the first pool-mode cycle and
+  reused by every later one; :meth:`ConcurrentCollector.close` or a
+  watchdog abort kills them).  Reconciliation hands the submitted
+  future to the pool's retry ladder (env-tunable timeout,
+  attempt-salted retries via ``derive_seed(seed, cycle, attempt)``,
+  worker-crash recovery); what a given-up marker *means* — watchdog
+  abort or inline fallback — is decided here.
 * **While the marker runs** the mutator proceeds untouched: allocation
   is allocate-black via the birth clock (nothing born after the epoch
   is ever scanned), and the SATB deletion barrier grays overwritten
@@ -255,7 +260,6 @@ class ConcurrentCollector(IncrementalCollector):
         #: Payload of the in-flight marker task (None when quiescent).
         self._payload: tuple | None = None
         self._future = None
-        self._attempt = 0
         #: Cached marker result dict once drained (or when inline).
         self._result: dict | None = None
         self._done_early = False
@@ -280,88 +284,58 @@ class ConcurrentCollector(IncrementalCollector):
         """True while a marker holds a snapshot for the open cycle."""
         return self.cycle_open and self._payload is not None
 
-    def _ensure_pool(self):
+    def _marker_pool(self):
         if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
+            from repro.perf.parallel import WorkerPool
 
-            self._pool = ProcessPoolExecutor(max_workers=self.marker_workers)
+            self._pool = WorkerPool(self.marker_workers)
         return self._pool
 
     def _submit_marker(self, snapshot: dict) -> None:
         payload = (snapshot, self.marker_seed, self.cycles_opened)
         self._payload = payload
         self._result = None
-        self._attempt = 0
         self._done_early = False
         if self.marker_workers == 0:
             self._result = _mark_snapshot_task(payload)
             self._future = None
         else:
-            self._future = self._ensure_pool().submit(
+            self._future = self._marker_pool().submit(
                 _mark_snapshot_task, payload, 0
             )
 
     def _drain_pending(self) -> dict:
         """The marker's result dict, waiting/retrying as needed.
 
-        Timeouts and pool crashes follow the ``resilient_map`` ladder:
-        terminate the poisoned pool, resubmit with the attempt salt
-        bumped, and after ``marker_retries`` resubmissions run the task
-        inline — the serial path is always the reference semantics, so
-        a lost worker degrades throughput, never correctness.
+        Timeouts and worker crashes climb the pool's ladder: kill the
+        poisoned workers, resubmit with the attempt salt bumped, give
+        up after ``marker_retries`` resubmissions.  A given-up marker
+        aborts the cycle if the watchdog holds a rollback target —
+        rather than re-marking a heap the wedged worker may have been
+        poisoned against — and otherwise runs inline: the serial path
+        is always the reference semantics, so a lost worker degrades
+        throughput, never correctness.
         """
         if self._result is not None:
             return self._result
-        from concurrent.futures.process import BrokenProcessPool
+        from repro.perf.parallel import TaskFailure
 
-        from repro.perf.parallel import (
-            _terminate_pool,
-            task_retries,
-            task_timeout,
+        if self._future.done():
+            self._done_early = True
+        (result,) = self._marker_pool().map(
+            _mark_snapshot_task,
+            [self._payload],
+            timeout=self._marker_timeout,
+            retries=self._marker_retries,
+            submitted=[self._future],
         )
-
-        timeout = (
-            self._marker_timeout
-            if self._marker_timeout is not None
-            else task_timeout()
-        )
-        retries = (
-            self._marker_retries
-            if self._marker_retries is not None
-            else task_retries()
-        )
-        future = self._future
-        attempt = self._attempt
-        while True:
-            if not self._done_early and future.done():
-                self._done_early = True
-            try:
-                result = future.result(timeout=timeout)
-                break
-            except (TimeoutError, BrokenProcessPool):
-                attempt += 1
-                pool = self._pool
-                self._pool = None
-                if pool is not None:
-                    _terminate_pool(pool)
-                if attempt > retries:
-                    if self._cycle_checkpoint is not None:
-                        # Deadline exhausted with a rollback target in
-                        # hand: the watchdog aborts the cycle instead
-                        # of re-marking a heap the wedged worker may
-                        # have been poisoned against.
-                        self._attempt = attempt
-                        raise WedgedMarkerError(
-                            f"marker wedged after {attempt} attempts "
-                            f"(timeout {timeout}s)"
-                        )
-                    result = _mark_snapshot_task(self._payload, attempt)
-                    break
-                future = self._ensure_pool().submit(
-                    _mark_snapshot_task, self._payload, attempt
+        if isinstance(result, TaskFailure):
+            if self._cycle_checkpoint is not None:
+                raise WedgedMarkerError(
+                    f"marker wedged after {result.attempts} attempts "
+                    f"({result.kind}: {result.error})"
                 )
-                self._future = future
-                self._attempt = attempt
+            result = _mark_snapshot_task(self._payload, result.attempts)
         self._future = None
         self._result = result
         return result
@@ -402,25 +376,23 @@ class ConcurrentCollector(IncrementalCollector):
         self._future = None
         self._payload = None
         self._result = None
-        self._attempt = 0
         self._done_early = False
         if future is not None:
             future.cancel()
 
     def close(self) -> None:
-        """Release the marker pool (idempotent)."""
+        """Kill the marker workers (idempotent)."""
         self._discard_pending()
-        pool = self._pool
-        self._pool = None
+        pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.close()
 
     # ------------------------------------------------------------------
     # Watchdog supervisor
     # ------------------------------------------------------------------
 
     def _watchdog_abort(self, reason: str) -> None:
-        """Abort the wedged cycle: kill the pool, roll the collector
+        """Abort the wedged cycle: kill the workers, roll the collector
         back to the cycle-open checkpoint, and degrade to inline
         marking permanently.
 
@@ -428,15 +400,10 @@ class ConcurrentCollector(IncrementalCollector):
         the cycle opened are discarded, exactly the crash-recovery
         semantics a process restore from the same snapshot would give.
         """
-        from repro.perf.parallel import _terminate_pool
         from repro.resilience.snapshot import restore_state
 
         checkpoint = self._cycle_checkpoint
-        self._discard_pending()
-        pool = self._pool
-        self._pool = None
-        if pool is not None:
-            _terminate_pool(pool)
+        self.close()
         restore_state(self, checkpoint)
         self.marker_workers = 0
         self.watchdog_aborts += 1

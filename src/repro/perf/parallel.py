@@ -14,9 +14,14 @@ keep that guarantee:
 * **``jobs=1`` bypasses the pool entirely** — the serial path is the
   reference semantics, and everything else must equal it.
 
-Workers are spawned by :class:`concurrent.futures.ProcessPoolExecutor`
-with the default start method; task callables must be module-level
-(picklable) functions.
+Every worker process in the repo belongs to a :class:`WorkerPool` —
+the one place a :class:`concurrent.futures.ProcessPoolExecutor`
+(default start method) is built, found broken, or killed.  A pool's
+lifetime is chosen by where its owner holds it, not by a flag: the
+one-shot sweeps (:func:`parallel_map`, :func:`resilient_map`) and the
+shard executor's batches open one in a ``with`` block, the concurrent
+collector keeps one for its whole life so mark cycles reuse warm
+workers.  Task callables must be module-level (picklable) functions.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import time
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -41,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ExperimentRecord",
     "TaskFailure",
+    "WorkerPool",
     "default_jobs",
     "derive_seed",
     "parallel_map",
@@ -148,8 +155,9 @@ def parallel_map(
     work = list(items)
     if jobs <= 1 or len(work) <= 1:
         return [func(item) for item in work]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-        return list(pool.map(func, work))
+    with WorkerPool(min(jobs, len(work))) as pool:
+        futures = [pool.submit(func, item) for item in work]
+        return [future.result() for future in futures]
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +192,208 @@ class TaskFailure:
         )
 
 
+class WorkerPool:
+    """``jobs`` worker processes and the retry ladder that drives them.
+
+    Workers are forked by the first :meth:`submit` after construction
+    or :meth:`restart`, so a pool nobody submits to costs nothing, and
+    a pool that is dropped without :meth:`close` leaves nothing behind
+    (the executor winds its idle workers down when it is collected or
+    the interpreter exits).  Not thread-safe, and :meth:`map` is
+    one-call-at-a-time per pool.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self._executor: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def submit(self, func: Callable[..., Any], *args: Any) -> Future:
+        """Schedule ``func(*args)`` on a worker, forking the workers
+        first if there are none (or one died while idle)."""
+        if self._executor is not None:
+            try:
+                return self._executor.submit(func, *args)
+            except BrokenProcessPool:
+                self.restart()
+        self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        return self._executor.submit(func, *args)
+
+    def restart(self) -> None:
+        """Kill the workers and forget them; the next :meth:`submit`
+        forks new ones.  Futures still in flight never resolve."""
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        # _processes is CPython's worker table; gone after shutdown, so
+        # snapshot it first.  Killing is the point: a wedged worker never
+        # honours a polite shutdown.
+        processes = list((executor._processes or {}).values())
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join(timeout=2.0)
+
+    def close(self) -> None:
+        """Release the workers (idempotent)."""
+        self.restart()
+
+    def map(
+        self,
+        func: Callable[[Any, int], Any],
+        items: Iterable[Any],
+        *,
+        timeout: float | None = None,
+        retries: int | None = None,
+        on_result: Callable[[int, Any], None] | None = None,
+        submitted: Sequence[Future] = (),
+    ) -> list[Any]:
+        """Map ``func`` over ``items``; failures cannot sink the sweep.
+
+        ``func`` is called as ``func(item, attempt)`` — attempt 0 first,
+        incrementing on each retry so tasks can salt derived seeds
+        (:func:`derive_seed`).  Each slot of the returned list (input
+        order) holds either the task's result or a :class:`TaskFailure`
+        describing why it was quarantined after ``retries`` extra
+        attempts.
+
+        * A raising task is retried, then quarantined (``"crash"``).
+        * A task running longer than ``timeout`` seconds has its
+          (unkillable-politely) workers killed; innocent in-flight
+          tasks are resubmitted at their same attempt number, the
+          offender at ``attempt + 1`` (``"timeout"``).
+        * A dead worker process (:class:`BrokenProcessPool`) retires
+          the workers the same way; every in-flight task at the time of
+          death is charged one attempt, since the engine cannot know
+          which of them killed it (``"worker-crash"``).
+
+        ``timeout``/``retries`` default to the ``REPRO_TASK_TIMEOUT`` /
+        ``REPRO_TASK_RETRIES`` environment knobs.  ``on_result`` is
+        invoked in the parent process as each slot settles — the sweep
+        journal hangs off this to persist completions immediately.
+        ``submitted`` holds attempt-0 futures the caller already got from
+        :meth:`submit` for the leading items (the concurrent collector
+        submits its marker at cycle open and reconciles here); their
+        timeout clock starts now.  A ``map`` left by an exception
+        (``KeyboardInterrupt``, a raising ``on_result``) kills the
+        workers, so no abandoned task keeps one.
+        """
+        work = list(items)
+        if timeout is None:
+            timeout = task_timeout()
+        if retries is None:
+            retries = task_retries()
+        results: list[Any] = [None] * len(work)
+
+        def settle(index: int, outcome: Any) -> None:
+            results[index] = outcome
+            if on_result is not None:
+                on_result(index, outcome)
+
+        pending: deque[tuple[int, Any, int]] = deque(
+            (index, item, 0) for index, item in enumerate(work)
+        )
+        inflight: dict[Any, tuple[int, Any, int, float]] = {}
+        for future in submitted:
+            inflight[future] = (*pending.popleft(), time.monotonic())
+
+        def retry_or_quarantine(
+            index: int, item: Any, attempt: int, kind: str, error: str
+        ) -> None:
+            if attempt < retries:
+                pending.append((index, item, attempt + 1))
+            else:
+                settle(
+                    index,
+                    TaskFailure(
+                        index=index,
+                        item=item,
+                        kind=kind,
+                        attempts=attempt + 1,
+                        error=error,
+                    ),
+                )
+
+        try:
+            while pending or inflight:
+                while pending and len(inflight) < self.jobs:
+                    index, item, attempt = pending.popleft()
+                    future = self.submit(func, item, attempt)
+                    inflight[future] = (index, item, attempt, time.monotonic())
+
+                tick = 0.05 if timeout is not None else None
+                done, _ = wait(
+                    set(inflight), timeout=tick, return_when=FIRST_COMPLETED
+                )
+                broken = False
+                for future in done:
+                    index, item, attempt, _started = inflight.pop(future)
+                    try:
+                        value = future.result()
+                    except BrokenProcessPool as exc:
+                        broken = True
+                        retry_or_quarantine(
+                            index,
+                            item,
+                            attempt,
+                            "worker-crash",
+                            str(exc) or type(exc).__name__,
+                        )
+                    except Exception as exc:
+                        retry_or_quarantine(
+                            index,
+                            item,
+                            attempt,
+                            "crash",
+                            f"{type(exc).__name__}: {exc}",
+                        )
+                    else:
+                        settle(index, value)
+                if broken:
+                    # The workers are unusable; everything still in
+                    # flight is doomed but innocent — resubmit at the
+                    # same attempt.
+                    for index, item, attempt, _started in inflight.values():
+                        pending.append((index, item, attempt))
+                    inflight = {}
+                    self.restart()
+                    continue
+                if timeout is not None and inflight:
+                    now = time.monotonic()
+                    expired = [
+                        future
+                        for future, (_i, _it, _a, started) in inflight.items()
+                        if now - started > timeout
+                    ]
+                    if expired:
+                        # A stuck worker cannot be cancelled politely;
+                        # kill them all and resubmit the innocent.
+                        for future in expired:
+                            index, item, attempt, started = inflight.pop(future)
+                            retry_or_quarantine(
+                                index,
+                                item,
+                                attempt,
+                                "timeout",
+                                f"exceeded {timeout}s "
+                                f"(ran {now - started:.1f}s)",
+                            )
+                        for index, item, attempt, _started in inflight.values():
+                            pending.append((index, item, attempt))
+                        inflight = {}
+                        self.restart()
+        except BaseException:
+            self.restart()
+            raise
+        return results
+
+
 def resilient_map(
     func: Callable[[Any, int], Any],
     items: Iterable[Any],
@@ -193,145 +403,30 @@ def resilient_map(
     retries: int | None = None,
     on_result: Callable[[int, Any], None] | None = None,
 ) -> list[Any]:
-    """Like :func:`parallel_map`, but failures cannot sink the sweep.
+    """:meth:`WorkerPool.map` over a pool that lives for this call.
 
-    ``func`` is called as ``func(item, attempt)`` — attempt 0 first,
-    incrementing on each retry so tasks can salt derived seeds
-    (:func:`derive_seed`).  Each slot of the returned list (input
-    order) holds either the task's result or a :class:`TaskFailure`
-    describing why it was quarantined after ``retries`` extra
-    attempts.
-
-    * A raising task is retried, then quarantined (``"crash"``).
-    * With ``jobs > 1``, a task running longer than ``timeout``
-      seconds has its (unkillable-politely) worker pool torn down and
-      rebuilt; innocent in-flight tasks are resubmitted at their same
-      attempt number, the offender at ``attempt + 1``
-      (``"timeout"``).  Timeouts are not enforced on the serial path —
-      there is no worker to kill.
-    * A dead worker process (:class:`BrokenProcessPool`) retires the
-      pool the same way; every in-flight task at the time of death is
-      charged one attempt, since the engine cannot know which of them
-      killed it (``"worker-crash"``).
-
-    ``timeout``/``retries`` default to the ``REPRO_TASK_TIMEOUT`` /
-    ``REPRO_TASK_RETRIES`` environment knobs.  ``on_result`` is
-    invoked in the parent process as each slot settles — the sweep
-    journal hangs off this to persist completions immediately.
+    With ``jobs <= 1`` (or fewer than two items) the tasks run in the
+    current process instead, with the same retry-then-quarantine
+    bookkeeping; timeouts are not enforced there — there is no worker
+    to kill.
     """
     work = list(items)
-    if timeout is None:
-        timeout = task_timeout()
+    if jobs > 1 and len(work) > 1:
+        with WorkerPool(jobs) as pool:
+            return pool.map(
+                func,
+                work,
+                timeout=timeout,
+                retries=retries,
+                on_result=on_result,
+            )
     if retries is None:
         retries = task_retries()
-    results: list[Any] = [None] * len(work)
-
-    def settle(index: int, outcome: Any) -> None:
-        results[index] = outcome
+    results = []
+    for index, item in enumerate(work):
+        results.append(_serial_attempts(func, item, index, retries))
         if on_result is not None:
-            on_result(index, outcome)
-
-    if jobs <= 1 or len(work) <= 1:
-        for index, item in enumerate(work):
-            settle(index, _serial_attempts(func, item, index, retries))
-        return results
-
-    pending: deque[tuple[int, Any, int]] = deque(
-        (index, item, 0) for index, item in enumerate(work)
-    )
-    inflight: dict[Any, tuple[int, Any, int, float]] = {}
-
-    def retry_or_quarantine(
-        index: int, item: Any, attempt: int, kind: str, error: str
-    ) -> None:
-        if attempt < retries:
-            pending.append((index, item, attempt + 1))
-        else:
-            settle(
-                index,
-                TaskFailure(
-                    index=index,
-                    item=item,
-                    kind=kind,
-                    attempts=attempt + 1,
-                    error=error,
-                ),
-            )
-
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        while pending or inflight:
-            while pending and len(inflight) < jobs:
-                index, item, attempt = pending.popleft()
-                try:
-                    future = pool.submit(func, item, attempt)
-                except BrokenProcessPool:
-                    pool = _replace_pool(pool, jobs)
-                    future = pool.submit(func, item, attempt)
-                inflight[future] = (index, item, attempt, time.monotonic())
-
-            tick = 0.05 if timeout is not None else None
-            done, _ = wait(
-                set(inflight), timeout=tick, return_when=FIRST_COMPLETED
-            )
-            broken = False
-            for future in done:
-                index, item, attempt, _started = inflight.pop(future)
-                try:
-                    value = future.result()
-                except BrokenProcessPool as exc:
-                    broken = True
-                    retry_or_quarantine(
-                        index,
-                        item,
-                        attempt,
-                        "worker-crash",
-                        str(exc) or type(exc).__name__,
-                    )
-                except Exception as exc:
-                    retry_or_quarantine(
-                        index,
-                        item,
-                        attempt,
-                        "crash",
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                else:
-                    settle(index, value)
-            if broken:
-                # The pool is unusable; everything still in flight is
-                # doomed but innocent — resubmit at the same attempt.
-                for index, item, attempt, _started in inflight.values():
-                    pending.append((index, item, attempt))
-                inflight = {}
-                pool = _replace_pool(pool, jobs)
-                continue
-            if timeout is not None and inflight:
-                now = time.monotonic()
-                expired = [
-                    future
-                    for future, (_i, _it, _a, started) in inflight.items()
-                    if now - started > timeout
-                ]
-                if expired:
-                    # A stuck worker cannot be cancelled politely;
-                    # tear the pool down and resubmit the innocent.
-                    for future in expired:
-                        index, item, attempt, started = inflight.pop(future)
-                        retry_or_quarantine(
-                            index,
-                            item,
-                            attempt,
-                            "timeout",
-                            f"exceeded {timeout}s "
-                            f"(ran {now - started:.1f}s)",
-                        )
-                    for index, item, attempt, _started in inflight.values():
-                        pending.append((index, item, attempt))
-                    inflight = {}
-                    pool = _replace_pool(pool, jobs)
-    finally:
-        _terminate_pool(pool)
+            on_result(index, results[-1])
     return results
 
 
@@ -351,26 +446,6 @@ def _serial_attempts(
         attempts=retries + 1,
         error=error,
     )
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    # _processes is CPython's worker table; gone after shutdown, so
-    # snapshot it first.  Killing is the point: a wedged worker never
-    # honours a polite shutdown.
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=2.0)
-
-
-def _replace_pool(
-    pool: ProcessPoolExecutor, jobs: int
-) -> ProcessPoolExecutor:
-    _terminate_pool(pool)
-    return ProcessPoolExecutor(max_workers=jobs)
 
 
 # ----------------------------------------------------------------------

@@ -6,16 +6,16 @@ shard count routes identically).  The execution unit is a **batch**:
 the ordered list of validated requests a shard has pending.  A batch
 is applied by :func:`run_shard_batch` — a pure, picklable,
 module-level function from ``(state, ops)`` to ``(responses, state')``
-— which is exactly the shape :func:`repro.perf.parallel.resilient_map`
+— which is exactly the shape :meth:`repro.perf.parallel.WorkerPool.map`
 hardens: per-batch timeouts, attempt-bounded retry, worker-crash
-recovery with pool teardown and rebuild.
+recovery by killing the workers and forking new ones.
 
 That purity is the crash story.  Shard state between batches lives in
 the *parent* as a map of tenant → checksummed snapshot blob
 (:meth:`repro.service.session.TenantSession.capture`, built on the
 PR 9 snapshot machinery).  A worker that dies mid-batch never
-acknowledged anything: ``resilient_map`` replays the identical batch
-from the identical committed state on a fresh worker, and — by resume
+acknowledged anything: the pool replays the identical batch from the
+identical committed state on a fresh worker, and — by resume
 equivalence (``resume_suite`` in :mod:`repro.verify.differential`) —
 produces the identical responses.  No committed tenant state can be
 lost, because committed state is precisely what the parent already
@@ -28,13 +28,18 @@ Two execution modes, one semantics:
     sessions stay live between batches.  The deterministic reference
     mode the isolation oracle replays.
 ``jobs >= 1`` (pool)
-    Each batch ships through ``resilient_map`` to a worker process,
-    which lazily revives only the tenants the batch touches and
-    captures them back afterwards.  A batch that exhausts its retry
-    budget is *drained*: every request in it gets a structured
-    ``shard-failed`` response, the state stays at the last committed
-    blobs, and the next batch revives the shard from them (the
-    respawn).
+    Each batch opens a :class:`~repro.perf.parallel.WorkerPool` of up
+    to ``jobs`` workers (one per shard the batch touches) and ships to
+    it; a worker lazily revives only the tenants the batch touches and
+    captures them back afterwards.  Holding a pool *means*
+    out-of-process, so a one-shard batch is not padded and ``--jobs N``
+    is N workers.  A batch that exhausts its retry budget is *drained*:
+    every request in it gets a structured ``shard-failed`` response,
+    the state stays at the last committed blobs, and the next batch
+    revives the shard from them (the respawn).  A batch is a pure
+    function of the blobs shipped with it, so nothing but the pool's
+    lifetime ties it to its workers (why that lifetime is one batch:
+    ``docs/IMPLEMENTATION.md``).
 
 The byte-identity of the two modes — responses and per-shard metric
 registries alike — is asserted by the service test suite; it follows
@@ -50,7 +55,7 @@ import time
 from typing import Any, Iterable, Mapping
 
 from repro.metrics.registry import MetricRegistry, merge_registries
-from repro.perf.parallel import TaskFailure, resilient_map
+from repro.perf.parallel import TaskFailure, WorkerPool
 from repro.service.protocol import (
     ProtocolError,
     error_response,
@@ -257,7 +262,7 @@ class ShardRuntime:
 
 
 def run_shard_batch(item: dict, attempt: int = 0) -> dict:
-    """One shard batch as a pure function — the ``resilient_map`` task.
+    """One shard batch as a pure function — the ``WorkerPool.map`` task.
 
     ``item`` carries the shard id, the committed state blobs, the
     ordered validated requests, and the executor config.  The result
@@ -270,8 +275,8 @@ def run_shard_batch(item: dict, attempt: int = 0) -> dict:
     Chaos pseudo-ops (honoured only when the executor was built with
     ``chaos=True``; the server never emits them) make the fault drills
     real instead of simulated: ``_chaos-exit`` kills the worker
-    process mid-batch with ``os._exit`` (a genuine
-    ``BrokenProcessPool``), ``_chaos-spin`` wedges it past the task
+    process mid-batch with ``os._exit`` (a genuinely dead worker, as
+    the pool sees it), ``_chaos-spin`` wedges it past the task
     timeout.  Both stand down once ``attempt`` reaches their
     ``attempts`` count, so the drill exercises the full
     die → respawn → replay path.
@@ -317,9 +322,8 @@ class ShardExecutor:
 
     The parent-side half of the service: :meth:`execute` takes one
     batch per shard and returns responses per shard, fanning the
-    non-empty shards across worker processes with ``resilient_map``
-    (``jobs >= 1``) or applying them to persistent in-process runtimes
-    (``jobs == 0``).
+    non-empty shards across worker processes (``jobs >= 1``) or
+    applying them to persistent in-process runtimes (``jobs == 0``).
     """
 
     def __init__(
@@ -442,23 +446,15 @@ class ShardExecutor:
                     },
                 }
             )
-        # resilient_map degrades to a serial in-process path when
-        # jobs <= 1 or there is a single item.  Pool mode exists for
-        # crash isolation — tenant heaps must never run inside the
-        # server process — so force the process-pool path: at least
-        # two workers, and a no-op pad item when one shard has all
-        # the traffic.
-        if len(items) == 1:
-            items.append(
-                {"shard": -1, "state": {}, "ops": [], "config": {}}
+        # Pool mode exists for crash isolation: tenant heaps never run
+        # inside the calling process, however few shards a batch touches.
+        with WorkerPool(min(self.jobs, len(items))) as pool:
+            outcomes = pool.map(
+                run_shard_batch,
+                items,
+                timeout=self.timeout,
+                retries=self.retries,
             )
-        outcomes = resilient_map(
-            run_shard_batch,
-            items,
-            jobs=max(2, min(self.jobs, len(items))),
-            timeout=self.timeout,
-            retries=self.retries,
-        )
         responses: dict[int, list[dict]] = {}
         for (shard, ops), outcome in zip(work.items(), outcomes):
             if isinstance(outcome, TaskFailure):

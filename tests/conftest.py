@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 
 import pytest
@@ -30,6 +31,15 @@ def heap() -> SimulatedHeap:
 @pytest.fixture
 def roots() -> RootSet:
     return RootSet()
+
+
+@pytest.fixture
+def new_workers():
+    """Callable: the child processes forked since the test began that
+    are still alive.  Relative, not ``active_children()`` itself — an
+    earlier test's dropped pool may still be winding its workers down."""
+    before = set(multiprocessing.active_children())
+    return lambda: set(multiprocessing.active_children()) - before
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ Four layers:
 from __future__ import annotations
 
 import random
+from concurrent.futures import Future
 
 import pytest
 
@@ -179,17 +180,11 @@ class TestEquivalence:
         )
 
 
-class _HungFuture:
-    """A future whose worker never answers."""
-
-    def done(self):
-        return False
-
-    def result(self, timeout=None):
-        raise TimeoutError("induced hang")
-
-    def cancel(self):
-        return True
+class _HungFuture(Future):
+    """A future whose worker never answers: a real, never-resolved
+    future, so ``result(timeout)`` raises what the stdlib raises —
+    ``concurrent.futures.TimeoutError``, which before Python 3.11 is
+    not the builtin ``TimeoutError``."""
 
 
 class TestResilientMarker:
@@ -270,14 +265,15 @@ class TestLifecycle:
         assert not collector.cycle_open
         assert collector._payload is None
 
-    def test_close_is_idempotent(self):
+    def test_close_is_idempotent(self, new_workers):
         _, roots, collector = setup(heap_words=100, marker_workers=1)
         frame = roots.push_frame()
         while not collector.cycle_open:
             frame.push(collector.allocate(4))
+        assert new_workers()
         collector.close()
         collector.close()
-        assert collector._pool is None
+        assert not new_workers()
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):

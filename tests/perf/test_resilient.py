@@ -5,8 +5,11 @@ journal integration of the experiment runner."""
 import os
 import time
 
+import pytest
+
 from repro.perf.parallel import (
     TaskFailure,
+    WorkerPool,
     derive_seed,
     resilient_map,
     run_experiment_records,
@@ -51,6 +54,10 @@ def _kill_worker_first_attempt(item, attempt):
     if item == "bomb" and attempt == 0:
         os._exit(1)
     return (item, attempt)
+
+
+def _pid(item, attempt):
+    return os.getpid()
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +204,68 @@ class TestPooledPath:
         assert [r[0] for r in results] == ["a", "bomb", "b"]
         bomb_item, bomb_attempt = results[1]
         assert bomb_attempt >= 1
+
+
+# ----------------------------------------------------------------------
+# WorkerPool: the workers outlive a call
+# ----------------------------------------------------------------------
+
+
+class TestWorkerPool:
+    def test_consecutive_maps_reuse_the_same_workers(self):
+        with WorkerPool(2) as pool:
+            pids = {
+                pid
+                for _ in range(20)
+                for pid in pool.map(_pid, ["a", "b"], retries=0)
+            }
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_one_item_map_runs_out_of_process(self):
+        # No serial shortcut and no pad item: holding a pool *means*
+        # out-of-process, even for a single task.
+        with WorkerPool(2) as pool:
+            (pid,) = pool.map(_pid, ["only"], retries=0)
+        assert pid != os.getpid()
+
+    def test_map_adopts_an_already_submitted_future(self):
+        with WorkerPool(2) as pool:
+            early = pool.submit(_echo, "a", 0)
+            results = pool.map(
+                _echo, ["a", "b"], retries=0, submitted=[early]
+            )
+        assert early.done()
+        assert results == [("a", 0), ("b", 0)]
+
+    def test_crashed_workers_are_replaced_by_the_next_map(self, new_workers):
+        with WorkerPool(2) as pool:
+            before = set(pool.map(_pid, ["a", "b"], retries=0))
+            (failure,) = pool.map(_kill_worker, ["bomb"], retries=0)
+            assert failure.kind == "worker-crash"
+            after = set(pool.map(_pid, ["a", "b"], retries=0))
+            assert after and not (after & before)
+        assert not new_workers()
+
+    def test_abandoned_map_leaves_the_pool_usable(self, new_workers):
+        def explode(index, outcome):
+            raise RuntimeError("on_result blew up")
+
+        with WorkerPool(2) as pool:
+            with pytest.raises(RuntimeError, match="blew up"):
+                pool.map(
+                    _sleep_first_attempt,
+                    ["fast", "slow"],
+                    retries=0,
+                    on_result=explode,
+                )
+            # The 30 s sleeper was abandoned mid-task: its worker is
+            # killed with the rest rather than kept busy.
+            assert not new_workers()
+            assert pool.map(_echo, ["a", "b"], retries=0) == [
+                ("a", 0),
+                ("b", 0),
+            ]
 
 
 # ----------------------------------------------------------------------

@@ -71,11 +71,14 @@ class TestWatchdogAbort:
         assert collector.stats.collections >= 1
         collector.close()
 
-    def test_abort_degrades_to_inline_marking_permanently(self, backend):
+    def test_abort_degrades_to_inline_marking_permanently(
+        self, backend, new_workers
+    ):
         heap, roots, collector = _wedged_collector(backend)
+        assert new_workers()
         collector.collect()
         assert collector.marker_workers == 0
-        assert collector._pool is None
+        assert not new_workers()
         # Subsequent cycles run inline and stay healthy.
         collector.collect()
         assert collector.watchdog_aborts == 1

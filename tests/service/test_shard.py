@@ -292,6 +292,44 @@ class TestFaultDrills:
         assert responses[0]["ok"] is True
         assert responses[0]["uid"] == 1
 
+    def test_wedged_batch_drains_and_leaves_no_worker(self, new_workers):
+        """A batch that spins past the timeout drains like a crashed
+        one: its worker is killed rather than left spinning, the
+        committed blob never moved, and the next batch serves again."""
+        executor = ShardExecutor(
+            1, jobs=2, chaos=True, retries=0, timeout=0.3
+        )
+        executor.execute(
+            {
+                0: [
+                    _req("open", "t0", 0, kind="mark-sweep"),
+                    _req("alloc", "t0", 1, uid=0, size=3, fields=0),
+                ]
+            }
+        )
+        before = executor.shard_state(0)["t0"]
+        (responses,) = executor.execute(
+            {
+                0: [
+                    {
+                        "op": "_chaos-spin",
+                        "attempts": 99,
+                        "seconds": 30.0,
+                        "tenant": "t0",
+                    },
+                    _req("alloc", "t0", 2, uid=1, size=2, fields=0),
+                ]
+            }
+        ).values()
+        assert responses[0]["error"]["kind"] == "shard-failed"
+        assert executor.respawns == [1]
+        assert executor.shard_state(0)["t0"] == before
+        assert not new_workers()
+        (responses,) = executor.execute(
+            {0: [_req("alloc", "t0", 3, uid=1, size=2, fields=0)]}
+        ).values()
+        assert responses[0]["ok"] is True
+
     def test_stats_snapshot_shape(self):
         executor = ShardExecutor(3, jobs=0, tenant_cap=10)
         executor.execute(
