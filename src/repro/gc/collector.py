@@ -7,8 +7,8 @@ deliberately small:
 
 * :meth:`Collector.allocate` — allocate, collecting first if needed;
 * :meth:`Collector.collect` — an explicit full collection;
-* :meth:`Collector.remember_store` — called by the write barrier on
-  every pointer store.
+* :meth:`Collector.remember_store_id` — called by the write barrier
+  on every store, with object ids.
 
 Collectors never inspect object contents beyond reference slots, and
 never inspect object ages — the non-predictive collector's defining
@@ -181,13 +181,22 @@ class Collector(abc.ABC):
     def remember_store(
         self, obj: HeapObject, slot: int, target: HeapObject | None
     ) -> None:
+        """Object-taking form of :meth:`remember_store_id`, for callers
+        that hold handles (:class:`~repro.heap.barrier.WriteBarrier`)."""
+        self.remember_store_id(
+            obj.obj_id, slot, None if target is None else target.obj_id
+        )
+
+    def remember_store_id(
+        self, src_id: int, slot: int, target_id: int | None
+    ) -> None:
         """Write-barrier hook; default is to remember nothing.
 
-        Called for every mutator store (``target`` is None when the
-        new value is not a pointer — the snapshot-at-the-beginning
-        barrier needs to see those deletions too).  Non-generational
-        stop-the-world collectors need no remembered sets, so the
-        default is a no-op.
+        Called for every mutator store, before the heap write
+        (``target_id`` is None when the new value is not a pointer —
+        the snapshot-at-the-beginning barrier needs to see those
+        deletions too).  Non-generational stop-the-world collectors
+        need no remembered sets, so the default is a no-op.
         """
 
     def on_static_promotion(self) -> None:

@@ -224,18 +224,25 @@ class GenerationalCollector(Collector):
     # Write barrier
     # ------------------------------------------------------------------
 
-    def remember_store(
-        self, obj: HeapObject, slot: int, target: HeapObject | None
+    def remember_store_id(
+        self, src_id: int, slot: int, target_id: int | None
     ) -> None:
         """Remember old-to-young pointer stores (situation 3 of §8.4)."""
-        if target is None:
+        if target_id is None:
             return
-        src_gen = self.generation_index(obj)
-        dst_gen = self.generation_index(target)
+        space_if_live = self.heap.space_if_live
+        src_space = space_if_live(src_id)
+        if src_space is None or src_space is self.spaces[0]:
+            return  # nothing is younger than a nursery source
+        dst_space = space_if_live(target_id)
+        if dst_space is None:
+            return
+        src_gen = self._generation_of.get(src_space.name)
+        dst_gen = self._generation_of.get(dst_space.name)
         if src_gen is None or dst_gen is None:
             return
         if src_gen > dst_gen:
-            self.remsets[src_gen].record_barrier(obj.obj_id, slot)
+            self.remsets[src_gen].record_barrier(src_id, slot)
             self.stats.remset_entries_created += 1
 
     # ------------------------------------------------------------------

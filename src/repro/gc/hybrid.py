@@ -245,29 +245,30 @@ class HybridCollector(Collector):
     # Write barrier
     # ------------------------------------------------------------------
 
-    def remember_store(
-        self, obj: HeapObject, slot: int, target: HeapObject | None
+    def remember_store_id(
+        self, src_id: int, slot: int, target_id: int | None
     ) -> None:
-        if target is None:
+        if target_id is None:
             return
-        src_space = obj.space
+        space_if_live = self.heap.space_if_live
+        src_space = space_if_live(src_id)
         if src_space is None:
             return
         index_of = self._step_index_of
         src = index_of.get(src_space)
         if src is None:
             return  # nursery (or unmanaged) sources are always traced
-        if target.space is self.nursery:
+        dst_space = space_if_live(target_id)
+        if dst_space is self.nursery:
             # Situation 3: dynamic-area object now points at the nursery.
-            self.remset_young.record_barrier(obj.obj_id, slot)
+            self.remset_young.record_barrier(src_id, slot)
             self.stats.remset_entries_created += 1
             return
-        dst_space = target.space
         dst = None if dst_space is None else index_of.get(dst_space)
         # 0-based equivalent of "src <= j < dst" on 1-based step numbers.
         if dst is not None and src < self._j <= dst:
             # Situation 6: protected step points into a collectable step.
-            self.remset_steps.record_barrier(obj.obj_id, slot)
+            self.remset_steps.record_barrier(src_id, slot)
             self.stats.remset_entries_created += 1
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ The algorithm is snapshot-at-the-beginning (SATB) tri-color marking:
   in-space targets, stop after ``slice_budget`` words of scanning.
   Each slice records a ``"slice"`` pause and emits a ``slice`` event.
 * **Write barrier** (SATB deletion barrier): before any mutator store
-  overwrites a slot, :meth:`remember_store` grays the slot's *old*
+  overwrites a slot, :meth:`remember_store_id` grays the slot's *old*
   referent if it is still white — a deleted edge can never hide a
   snapshot-reachable object from the wavefront.  The barrier fires for
   every store, including overwrites with non-pointers.
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from repro.gc.collector import Collector, HeapExhausted
 from repro.heap.heap import SimulatedHeap
-from repro.heap.object_model import HeapObject
 from repro.heap.roots import RootSet
 from repro.heap.space import Space
 
@@ -341,18 +340,18 @@ class IncrementalCollector(Collector):
     # Write barrier (SATB deletion barrier)
     # ------------------------------------------------------------------
 
-    def remember_store(
-        self, obj: HeapObject, slot: int, target: HeapObject | None
+    def remember_store_id(
+        self, src_id: int, slot: int, target_id: int | None
     ) -> None:
         """Gray the overwritten slot's old referent while marking.
 
-        ``target`` (the new value) is irrelevant to SATB — only the
+        ``target_id`` (the new value) is irrelevant to SATB — only the
         edge being *deleted* can hide a snapshot-reachable object.
         """
         if not self.cycle_open:
             return
         heap = self.heap
-        entry = heap.slot_ref(obj.obj_id, slot)
+        entry = heap.slot_ref(src_id, slot)
         if entry is None:
             return  # old value was not a pointer
         old_ref = entry[1]

@@ -334,8 +334,8 @@ class NonPredictiveCollector(Collector):
     # Write barrier
     # ------------------------------------------------------------------
 
-    def remember_store(
-        self, obj: HeapObject, slot: int, target: HeapObject | None
+    def remember_store_id(
+        self, src_id: int, slot: int, target_id: int | None
     ) -> None:
         """Remember protected-to-collectable stores (situation 6 of §8.4).
 
@@ -344,11 +344,11 @@ class NonPredictiveCollector(Collector):
         stores crossing the boundary in the young-to-old direction are
         recorded.
         """
-        if target is None or not self.use_remset:
+        if target_id is None or not self.use_remset:
             return
         index_of = self._step_index_of
-        src_space = obj.space
-        dst_space = target.space
+        src_space = self.heap.space_if_live(src_id)
+        dst_space = self.heap.space_if_live(target_id)
         if src_space is None or dst_space is None:
             return
         src = index_of.get(src_space)
@@ -357,7 +357,7 @@ class NonPredictiveCollector(Collector):
             return
         # 0-based equivalent of "src <= j < dst" on 1-based step numbers.
         if src < self.j <= dst:
-            self.remset.record_barrier(obj.obj_id, slot)
+            self.remset.record_barrier(src_id, slot)
             self.stats.remset_entries_created += 1
 
     # ------------------------------------------------------------------

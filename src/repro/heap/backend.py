@@ -6,12 +6,20 @@ five collectors are written against:
 * the public object surface of
   :class:`repro.heap.heap.SimulatedHeap` — spaces, ``allocate`` /
   ``free`` / ``move`` / ``get``, field access, ``reachable_from``,
-  ``check_integrity``, ``occupancy`` — and
+  ``check_integrity``, ``occupancy``;
 * the shared collection kernels — ``allocate_id``, ``trace_region``,
   ``cheney_evacuate``, ``free_unmarked``, ``partition_space``,
   ``extract_live``, ``extract_all``, ``place_id``, ``move_ids``,
-  ``count_slot_refs_into`` and the id-level accessors (``size_of``,
-  ``ref_slots``, ``space_if_live``, ``slot_ref``, ...).
+  ``count_slot_refs_into`` — and
+* the id-level accessors, the one currency between the heap and its
+  clients.  The collectors' half: ``size_of``, ``birth_of``,
+  ``slot_count_of``, ``slots_of``, ``ref_slots``, ``space_if_live``,
+  ``slot_ref``.  The mutator's half (:mod:`repro.runtime.machine`
+  builds no object handle per access): ``kind_of`` (which is also the
+  dangling-id test ``get`` makes), ``payload_of`` / ``set_payload``,
+  ``load_slot`` (bounds-checked) and ``store_slot`` (bounds-checked,
+  and probing for dangling ids in checked mode); ``read_slot`` and
+  ``write_slot`` are their object-taking delegates.
 
 Two backends exist:
 

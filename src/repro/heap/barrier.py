@@ -9,8 +9,15 @@ the store creates a remembered-set entry.
 
 The barrier does not distinguish *why* a store is interesting — the
 paper notes that situations 3 and 6 of §8.4 are "detected by the write
-barrier, which does not distinguish between them" — so the hook
-receives only (source object, slot, target object).
+barrier, which does not distinguish between them" — so a collector's
+hook receives only source, slot and target.  Its one body per collector
+is id-level, ``Collector.remember_store_id(src_id, slot, target_id)``:
+like PyPy's barrier, a test on the source's header word, with no object
+model in the way.  :meth:`WriteBarrier.on_store` is the form for callers
+that hold object handles (replay, the service's sessions); it reaches
+that body through the ``Collector.remember_store`` adapter.
+:class:`~repro.runtime.machine.Machine` holds ids, so its store paths
+bump this barrier's counters and call the id-level hook directly.
 """
 
 from __future__ import annotations

@@ -31,15 +31,18 @@ timing), so order fidelity here is what makes the two backends
 byte-identical.
 
 Object handles (:class:`FlatObject`) are created on demand by
-:meth:`FlatHeap.get` and read through to the arenas; hot collector
-loops never touch them — they run over ids via the shared kernel
-methods (``trace_region``, ``cheney_evacuate``, ``free_unmarked``,
-``partition_space``, ``extract_live``, ...) that both backends
-implement.
+:meth:`FlatHeap.get` and read through to the arenas; neither the hot
+collector loops nor the mutator (:mod:`repro.runtime.machine`) touch
+them — collectors run over ids via the shared kernel methods
+(``trace_region``, ``cheney_evacuate``, ``free_unmarked``,
+``partition_space``, ``extract_live``, ...) and the mutator over ids
+via the id-level accessors (``kind_of``, ``load_slot``, ``store_slot``,
+``payload_of``, ...) that both backends implement.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import deque
 from typing import Callable, Iterable, Iterator
@@ -92,7 +95,10 @@ class FlatSpace:
         self.name = name
         self.capacity = capacity
         self.used = 0
-        self._heap = heap
+        # Weak: the heap owns its spaces, and a back-reference that
+        # counted would keep a dropped heap's arenas until CPython's
+        # cycle collector next ran.
+        self._heap = weakref.proxy(heap)
         self._token = token
         self._ids: list[int] = []
         self._count = 0
@@ -192,12 +198,13 @@ class FlatSpace:
 class FlatFields:
     """A mutable list-like view of one object's slot range.
 
-    Supports exactly the operations collector and runtime code performs
-    on ``HeapObject.fields``: ``len``, iteration, indexing (including
-    negative indices and slices), item assignment, and equality against
-    any sequence.  Assignment writes the slot arena directly — like a
-    raw list store on the object backend, it bypasses checked-mode
-    probes (the chaos fault injector relies on this).
+    Supports exactly the operations collector code and the fault
+    injectors perform on ``HeapObject.fields``: ``len``, iteration,
+    indexing (including negative indices and slices), item assignment,
+    and equality against any sequence.  Assignment writes the slot
+    arena directly — like a raw list store on the object backend, it
+    bypasses checked-mode probes (the chaos fault injector relies on
+    this).
     """
 
     __slots__ = ("_heap", "_oid")
@@ -345,6 +352,7 @@ class FlatHeap:
         "objects_allocated",
         "checked",
         "event_sink",
+        "__weakref__",
     )
 
     def __init__(self, *, checked: bool = False) -> None:
@@ -463,7 +471,9 @@ class FlatHeap:
                 f"field count {field_count!r} does not fit in {size} words"
             )
         oid = len(self._hdr)
-        kind_code = 0 if kind == "data" else self._kind_code(kind)
+        kind_code = self._kind_codes.get(kind)
+        if kind_code is None:
+            kind_code = self._kind_code(kind)
         self._hdr.append(size | (field_count << _FC_SHIFT)
                          | (kind_code << _KIND_SHIFT))
         self._birth.append(self.clock)
@@ -635,13 +645,7 @@ class FlatHeap:
         return self.get(ref)
 
     def read_slot(self, obj: FlatObject, slot: int) -> object:
-        oid = obj.obj_id
-        count = (self._hdr[oid] >> _FC_SHIFT) & _FC_MASK
-        if not 0 <= slot < count:
-            raise HeapError(
-                f"object {oid} has no slot {slot} (it has {count})"
-            )
-        return self._slots[self._slot_base[oid] + slot]
+        return self.load_slot(obj.obj_id, slot)
 
     def write_field(
         self, obj: FlatObject, slot: int, target: FlatObject | None
@@ -649,15 +653,7 @@ class FlatHeap:
         self.write_slot(obj, slot, None if target is None else target.obj_id)
 
     def write_slot(self, obj: FlatObject, slot: int, value: object) -> None:
-        oid = obj.obj_id
-        count = (self._hdr[oid] >> _FC_SHIFT) & _FC_MASK
-        if slot < 0 or slot >= count:
-            raise HeapError(
-                f"object {oid} has no slot {slot} (it has {count})"
-            )
-        if self.checked and type(value) is int and not self.contains_id(value):
-            raise HeapError(f"cannot store dangling object id {value}")
-        self._slots[self._slot_base[oid] + slot] = value
+        self.store_slot(obj.obj_id, slot, value)
 
     # ------------------------------------------------------------------
     # Id-level accessors (shared kernel surface)
@@ -671,6 +667,45 @@ class FlatHeap:
 
     def slot_count_of(self, oid: int) -> int:
         return (self._hdr[oid] >> _FC_SHIFT) & _FC_MASK
+
+    def kind_of(self, oid: int) -> str:
+        """The kind tag of a live object; like :meth:`get`, a dangling
+        id is a structural error."""
+        state = self._state
+        if (
+            type(oid) is not int
+            or not 0 <= oid < len(state)
+            or state[oid] == _DEAD
+        ):
+            raise HeapError(f"dangling object id {oid}")
+        return self._kind_names[self._hdr[oid] >> _KIND_SHIFT]
+
+    def payload_of(self, oid: int) -> object:
+        return self._payloads.get(oid)
+
+    def set_payload(self, oid: int, value: object) -> None:
+        self._payloads[oid] = value
+
+    def load_slot(self, oid: int, slot: int) -> object:
+        """A slot's raw value: an id, None, or an immediate."""
+        count = (self._hdr[oid] >> _FC_SHIFT) & _FC_MASK
+        if not 0 <= slot < count:
+            raise HeapError(
+                f"object {oid} has no slot {slot} (it has {count})"
+            )
+        return self._slots[self._slot_base[oid] + slot]
+
+    def store_slot(self, oid: int, slot: int, value: object) -> None:
+        """Write a slot's raw value (no write barrier); checked mode
+        rejects a dangling id at the store site."""
+        count = (self._hdr[oid] >> _FC_SHIFT) & _FC_MASK
+        if not 0 <= slot < count:
+            raise HeapError(
+                f"object {oid} has no slot {slot} (it has {count})"
+            )
+        if self.checked and type(value) is int and not self.contains_id(value):
+            raise HeapError(f"cannot store dangling object id {value}")
+        self._slots[self._slot_base[oid] + slot] = value
 
     def slots_of(self, oid: int) -> list[object]:
         """A snapshot copy of the object's raw slot values."""

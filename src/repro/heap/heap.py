@@ -295,13 +295,7 @@ class SimulatedHeap:
 
     def read_slot(self, obj: HeapObject, slot: int) -> object:
         """Read a slot's raw value: an id, None, or an immediate."""
-        try:
-            return obj.fields[slot]
-        except IndexError:
-            raise HeapError(
-                f"object {obj.obj_id} has no slot {slot} "
-                f"(it has {len(obj.fields)})"
-            ) from None
+        return self.load_slot(obj.obj_id, slot)
 
     def write_field(
         self, obj: HeapObject, slot: int, target: HeapObject | None
@@ -322,18 +316,7 @@ class SimulatedHeap:
         otherwise they surface later via :meth:`check_integrity` or a
         dangling :meth:`get`.
         """
-        if slot < 0 or slot >= len(obj.fields):
-            raise HeapError(
-                f"object {obj.obj_id} has no slot {slot} "
-                f"(it has {len(obj.fields)})"
-            )
-        if (
-            self.checked
-            and type(value) is int
-            and value not in self._objects
-        ):
-            raise HeapError(f"cannot store dangling object id {value}")
-        obj.fields[slot] = value
+        self.store_slot(obj.obj_id, slot, value)
 
     # ------------------------------------------------------------------
     # Id-level accessors (shared kernel surface)
@@ -347,6 +330,42 @@ class SimulatedHeap:
 
     def slot_count_of(self, oid: int) -> int:
         return len(self._objects[oid].fields)
+
+    def kind_of(self, oid: int) -> str:
+        """The kind tag of a live object; like :meth:`get`, a dangling
+        id is a structural error."""
+        return self.get(oid).kind
+
+    def payload_of(self, oid: int) -> object:
+        return self._objects[oid].payload
+
+    def set_payload(self, oid: int, value: object) -> None:
+        self._objects[oid].payload = value
+
+    def load_slot(self, oid: int, slot: int) -> object:
+        """A slot's raw value: an id, None, or an immediate."""
+        fields = self._objects[oid].fields
+        if not 0 <= slot < len(fields):
+            raise HeapError(
+                f"object {oid} has no slot {slot} (it has {len(fields)})"
+            )
+        return fields[slot]
+
+    def store_slot(self, oid: int, slot: int, value: object) -> None:
+        """Write a slot's raw value (no write barrier); checked mode
+        rejects a dangling id at the store site."""
+        fields = self._objects[oid].fields
+        if not 0 <= slot < len(fields):
+            raise HeapError(
+                f"object {oid} has no slot {slot} (it has {len(fields)})"
+            )
+        if (
+            self.checked
+            and type(value) is int
+            and value not in self._objects
+        ):
+            raise HeapError(f"cannot store dangling object id {value}")
+        fields[slot] = value
 
     def slots_of(self, oid: int) -> list[object]:
         """A snapshot copy of the object's raw slot values."""

@@ -91,11 +91,12 @@ class Interpreter:
         self, procedure: SchemeValue, arguments: list[SchemeValue]
     ) -> SchemeValue:
         machine = self.machine
-        if (
-            isinstance(procedure, Ref)
-            and procedure.is_vector()
-            and procedure.obj.payload == "closure"
-        ):
+        tag = (
+            machine.heap.payload_of(procedure.obj_id)
+            if isinstance(procedure, Ref) and procedure.is_vector()
+            else None
+        )
+        if tag == "closure":
             params = machine.vector_ref(procedure, 0)
             body = machine.vector_ref(procedure, 1)
             env = machine.vector_ref(procedure, 2)
@@ -113,14 +114,8 @@ class Interpreter:
             for expr in self._iter(body):
                 result = self.eval(expr, extended)
             return result
-        if (
-            isinstance(procedure, Ref)
-            and procedure.is_vector()
-            and isinstance(procedure.obj.payload, str)
-            and procedure.obj.payload.startswith("primitive:")
-        ):
-            name = procedure.obj.payload.removeprefix("primitive:")
-            return self._primitives[name](arguments)
+        if isinstance(tag, str) and tag.startswith("primitive:"):
+            return self._primitives[tag.removeprefix("primitive:")](arguments)
         raise SchemeError(f"not a procedure: {procedure!r}")
 
     # ------------------------------------------------------------------
@@ -159,7 +154,7 @@ class Interpreter:
     ) -> Ref:
         machine = self.machine
         closure = machine.make_vector(3)
-        closure.obj.payload = "closure"
+        machine.heap.set_payload(closure.obj_id, "closure")
         machine.vector_set(closure, 0, params)
         machine.vector_set(closure, 1, body)
         machine.vector_set(closure, 2, env)
@@ -185,7 +180,7 @@ class Interpreter:
         def define(name: str, fn: Callable) -> None:
             self._primitives[name] = fn
             procedure = machine.make_vector(1)
-            procedure.obj.payload = f"primitive:{name}"
+            machine.heap.set_payload(procedure.obj_id, f"primitive:{name}")
             self.globals[name] = procedure
 
         define("+", lambda a: Fixnum(sum(fixnums(a))))

@@ -21,7 +21,8 @@ the machine rejects such stores.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import operator
+from typing import Callable
 
 from repro.gc.collector import Collector
 from repro.gc.stats import GcStats
@@ -60,9 +61,23 @@ class Machine:
         self.roots = RootSet()
         self.collector = collector_factory(self.heap, self.roots)
         self.barrier = WriteBarrier(self.collector.remember_store)
+        #: The collector's id-level barrier hook.  The store paths below
+        #: bump the barrier's counters and call it themselves rather
+        #: than building two handles for ``barrier.on_store``.
+        self._remember = self.collector.remember_store_id
         self.static = self.heap.add_space("static", None)
         self._handles: dict[int, int] = {}
-        self.roots.add_provider(self._handle_ids)
+        # The provider closes over the table, not the machine, and a
+        # Ref holds the table and the heap, not the machine: nothing
+        # the machine owns points back at it, so dropping the last
+        # reference frees it (and the heap's arenas) at once instead of
+        # leaving it to CPython's cycle collector — which float-heavy
+        # programs, whose only tracked allocations are short-lived
+        # handles, never trigger.  The snapshot: a handle's __del__ may
+        # run at any bytecode, and mutating the dict during root
+        # enumeration would be an error.
+        handles = self._handles
+        self.roots.add_provider(lambda: list(handles))
         self._symbols: dict[str, Ref] = {}
         #: Callbacks invoked with each dynamically allocated object.
         self._allocation_hooks: list[Callable[[HeapObject], None]] = []
@@ -89,11 +104,6 @@ class Machine:
         else:
             self._handles[obj_id] = count - 1
 
-    def _handle_ids(self) -> Iterable[int]:
-        # Snapshot: a handle's __del__ may run at any bytecode, and
-        # mutating the dict during root enumeration would be an error.
-        return list(self._handles)
-
     @property
     def handle_count(self) -> int:
         return len(self._handles)
@@ -105,7 +115,7 @@ class Machine:
     def _encode(self, value: SchemeValue) -> object:
         """Program value -> slot value (id for handles, raw immediates)."""
         if isinstance(value, Ref):
-            return value.obj.obj_id
+            return value.obj_id
         if value is None or isinstance(value, (bool, Fixnum)):
             return value
         if isinstance(value, str) and len(value) == 1:
@@ -121,51 +131,55 @@ class Machine:
     def _decode(self, slot_value: object) -> SchemeValue:
         """Slot value -> program value (ids become fresh handles)."""
         if type(slot_value) is int:
-            return Ref(self, self.heap.get(slot_value))
+            # kind_of is also the dangling-id test.
+            return Ref(self, slot_value, self.heap.kind_of(slot_value))
         return slot_value
 
     # ------------------------------------------------------------------
     # Stores
     # ------------------------------------------------------------------
 
-    def _store(self, obj: HeapObject, slot: int, value: SchemeValue) -> None:
+    def _store(self, obj_id: int, slot: int, value: SchemeValue) -> None:
         self.operations += 1
         barrier = self.barrier
+        heap = self.heap
         if isinstance(value, Ref):
-            # A live handle pins its object, so the handle's HeapObject
-            # *is* the store target — no id round-trip needed.
-            target = value.obj
-            if obj.space is self.static and target.space is not self.static:
+            # A live handle pins its object, so the handle's id *is*
+            # the store target.
+            target_id = value.obj_id
+            static = self.static
+            if (
+                heap.space_if_live(obj_id) is static
+                and heap.space_if_live(target_id) is not static
+            ):
                 raise HeapError(
                     "static objects may only reference static objects"
                 )
             barrier.stores += 1
             barrier.pointer_stores += 1
-            hook = barrier._hook
-            if hook is not None:
-                hook(obj, slot, target)
-            self.heap.write_slot(obj, slot, target.obj_id)
+            self._remember(obj_id, slot, target_id)
+            heap.store_slot(obj_id, slot, target_id)
         else:
             encoded = self._encode(value)
             barrier.stores += 1
-            hook = barrier._hook
-            if hook is not None:
-                # The SATB barrier must see pointer *deletions* too:
-                # overwriting a reference slot with an immediate kills
-                # an edge just as surely as storing None.
-                hook(obj, slot, None)
-            self.heap.write_slot(obj, slot, encoded)
+            # The SATB barrier must see pointer *deletions* too:
+            # overwriting a reference slot with an immediate kills an
+            # edge just as surely as storing None.
+            self._remember(obj_id, slot, None)
+            heap.store_slot(obj_id, slot, encoded)
 
-    def _require(self, value: SchemeValue, kind: str) -> HeapObject:
-        if not isinstance(value, Ref) or value.obj.kind != kind:
+    def _require(self, value: SchemeValue, kind: str) -> int:
+        """The object id behind a handle of the given kind."""
+        if not isinstance(value, Ref) or value.kind != kind:
             raise TypeError(f"expected a {kind}, got {value!r}")
-        return value.obj
+        return value.obj_id
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
 
-    def _notify(self, obj: HeapObject) -> None:
+    def _notify(self, obj_id: int) -> None:
+        obj = self.heap.get(obj_id)
         for hook in self._allocation_hooks:
             hook(obj)
 
@@ -176,66 +190,65 @@ class Machine:
         """Allocate a pair (2 words).
 
         The two initializing stores are inlined from :meth:`_store`: a
-        fresh pair is never in the static area (so the static-reference
-        check cannot fire) and slots 0/1 exist by construction (so the
-        bounds and dangling checks cannot fire either).  Barrier counts
-        and the remember-store hook are identical to ``_store``.
+        fresh pair is never in the static area, so the static-reference
+        check cannot fire.  Barrier counts and the remember-store hook
+        are identical to ``_store``.
         """
-        obj = self.collector.allocate(PAIR_WORDS, 2, "pair")
-        ref = Ref(self, obj)
-        fields = obj.fields
+        obj_id = self.collector.allocate_id(PAIR_WORDS, 2, "pair")
+        ref = Ref(self, obj_id, "pair")
+        store_slot = self.heap.store_slot
         barrier = self.barrier
-        hook = barrier._hook
         self.operations += 2
         barrier.stores += 2
         if isinstance(car, Ref):
-            target = car.obj
+            target_id = car.obj_id
             barrier.pointer_stores += 1
-            if hook is not None:
-                hook(obj, 0, target)
-            fields[0] = target.obj_id
+            self._remember(obj_id, 0, target_id)
+            store_slot(obj_id, 0, target_id)
         else:
-            fields[0] = self._encode(car)
+            store_slot(obj_id, 0, self._encode(car))
         if isinstance(cdr, Ref):
-            target = cdr.obj
+            target_id = cdr.obj_id
             barrier.pointer_stores += 1
-            if hook is not None:
-                hook(obj, 1, target)
-            fields[1] = target.obj_id
+            self._remember(obj_id, 1, target_id)
+            store_slot(obj_id, 1, target_id)
         else:
-            fields[1] = self._encode(cdr)
+            store_slot(obj_id, 1, self._encode(cdr))
         if self._allocation_hooks:
-            self._notify(obj)
+            self._notify(obj_id)
         return ref
 
     def make_vector(self, length: int, fill: SchemeValue = None) -> Ref:
         """Allocate a vector (length + 1 words)."""
-        obj = self.collector.allocate(
+        obj_id = self.collector.allocate_id(
             word_size_of_vector(length), length, "vector"
         )
-        ref = Ref(self, obj)
+        ref = Ref(self, obj_id, "vector")
         if fill is not None:
             for slot in range(length):
-                self._store(obj, slot, fill)
-        self._notify(obj)
+                self._store(obj_id, slot, fill)
+        if self._allocation_hooks:
+            self._notify(obj_id)
         return ref
 
     def make_flonum(self, value: float) -> Ref:
         """Box an IEEE double (4 words, §7.2's flonum representation)."""
-        obj = self.collector.allocate(FLONUM_WORDS, 0, "flonum")
-        obj.payload = float(value)
-        ref = Ref(self, obj)
-        self._notify(obj)
+        obj_id = self.collector.allocate_id(FLONUM_WORDS, 0, "flonum")
+        self.heap.set_payload(obj_id, float(value))
+        ref = Ref(self, obj_id, "flonum")
+        if self._allocation_hooks:
+            self._notify(obj_id)
         return ref
 
     def make_string(self, text: str) -> Ref:
         """Allocate a string (1 + ceil(n/4) words)."""
-        obj = self.collector.allocate(
+        obj_id = self.collector.allocate_id(
             word_size_of_string(len(text)), 0, "string"
         )
-        obj.payload = text
-        ref = Ref(self, obj)
-        self._notify(obj)
+        self.heap.set_payload(obj_id, text)
+        ref = Ref(self, obj_id, "string")
+        if self._allocation_hooks:
+            self._notify(obj_id)
         return ref
 
     def intern(self, name: str) -> Ref:
@@ -249,20 +262,21 @@ class Machine:
         existing = self._symbols.get(name)
         if existing is not None:
             return existing
-        string_obj = self.heap.allocate(
+        heap = self.heap
+        string_id = heap.allocate_id(
             word_size_of_string(len(name)),
             0,
             self.static,
             "string",
             advance_clock=False,
         )
-        string_obj.payload = name
-        symbol_obj = self.heap.allocate(
+        heap.set_payload(string_id, name)
+        symbol_id = heap.allocate_id(
             SYMBOL_WORDS, 1, self.static, "symbol", advance_clock=False
         )
-        symbol_obj.payload = name
-        self.heap.write_field(symbol_obj, 0, string_obj)
-        ref = Ref(self, symbol_obj)
+        heap.set_payload(symbol_id, name)
+        heap.store_slot(symbol_id, 0, string_id)
+        ref = Ref(self, symbol_id, "symbol")
         self._symbols[name] = ref
         return ref
 
@@ -272,20 +286,22 @@ class Machine:
 
     def car(self, pair: SchemeValue) -> SchemeValue:
         self.operations += 1
-        if not isinstance(pair, Ref) or pair.obj.kind != "pair":
+        if not isinstance(pair, Ref) or pair.kind != "pair":
             raise TypeError(f"expected a pair, got {pair!r}")
-        value = pair.obj.fields[0]
+        heap = self.heap
+        value = heap.load_slot(pair.obj_id, 0)
         if type(value) is int:
-            return Ref(self, self.heap.get(value))
+            return Ref(self, value, heap.kind_of(value))
         return value
 
     def cdr(self, pair: SchemeValue) -> SchemeValue:
         self.operations += 1
-        if not isinstance(pair, Ref) or pair.obj.kind != "pair":
+        if not isinstance(pair, Ref) or pair.kind != "pair":
             raise TypeError(f"expected a pair, got {pair!r}")
-        value = pair.obj.fields[1]
+        heap = self.heap
+        value = heap.load_slot(pair.obj_id, 1)
         if type(value) is int:
-            return Ref(self, self.heap.get(value))
+            return Ref(self, value, heap.kind_of(value))
         return value
 
     def set_car(self, pair: SchemeValue, value: SchemeValue) -> None:
@@ -298,40 +314,46 @@ class Machine:
     # Vectors
     # ------------------------------------------------------------------
 
+    def _vector_index_error(self, obj_id: int, index: int) -> IndexError:
+        length = self.heap.slot_count_of(obj_id)
+        return IndexError(
+            f"vector index {index} out of range 0..{length - 1}"
+        )
+
     def vector_length(self, vector: SchemeValue) -> int:
-        return len(self._require(vector, "vector").fields)
+        return self.heap.slot_count_of(self._require(vector, "vector"))
 
     def vector_ref(self, vector: SchemeValue, index: int) -> SchemeValue:
         self.operations += 1
-        obj = self._require(vector, "vector")
-        if not 0 <= index < len(obj.fields):
-            raise IndexError(
-                f"vector index {index} out of range 0..{len(obj.fields) - 1}"
-            )
-        value = obj.fields[index]
+        heap = self.heap
+        obj_id = self._require(vector, "vector")
+        try:
+            value = heap.load_slot(obj_id, index)
+        except HeapError:
+            raise self._vector_index_error(obj_id, index) from None
         if type(value) is int:
-            return Ref(self, self.heap.get(value))
+            return Ref(self, value, heap.kind_of(value))
         return value
 
     def vector_set(
         self, vector: SchemeValue, index: int, value: SchemeValue
     ) -> None:
-        obj = self._require(vector, "vector")
-        if not 0 <= index < len(obj.fields):
-            raise IndexError(
-                f"vector index {index} out of range 0..{len(obj.fields) - 1}"
-            )
-        self._store(obj, index, value)
+        obj_id = self._require(vector, "vector")
+        # Checked here, not left to the store: an out-of-range index
+        # must not reach the barrier or the counters.
+        if not 0 <= index < self.heap.slot_count_of(obj_id):
+            raise self._vector_index_error(obj_id, index)
+        self._store(obj_id, index, value)
 
     # ------------------------------------------------------------------
     # Strings and symbols
     # ------------------------------------------------------------------
 
     def string_value(self, string: SchemeValue) -> str:
-        return str(self._require(string, "string").payload)
+        return str(self.heap.payload_of(self._require(string, "string")))
 
     def symbol_name(self, symbol: SchemeValue) -> str:
-        return str(self._require(symbol, "symbol").payload)
+        return str(self.heap.payload_of(self._require(symbol, "symbol")))
 
     # ------------------------------------------------------------------
     # Flonums
@@ -339,28 +361,27 @@ class Machine:
 
     def flonum_value(self, flonum: SchemeValue) -> float:
         self.operations += 1
-        payload = self._require(flonum, "flonum").payload
+        payload = self.heap.payload_of(self._require(flonum, "flonum"))
         assert isinstance(payload, float)
         return payload
 
     def _flonum_binop(
         self, a: SchemeValue, b: SchemeValue, op: Callable[[float, float], float]
     ) -> Ref:
-        result = op(self.flonum_value(a), self.flonum_value(b))
-        return self.make_flonum(result)
+        return self.make_flonum(op(self.flonum_value(a), self.flonum_value(b)))
 
     def fl_add(self, a: SchemeValue, b: SchemeValue) -> Ref:
         """Flonum addition: allocates the boxed result, as Larceny does."""
-        return self._flonum_binop(a, b, lambda x, y: x + y)
+        return self._flonum_binop(a, b, operator.add)
 
     def fl_sub(self, a: SchemeValue, b: SchemeValue) -> Ref:
-        return self._flonum_binop(a, b, lambda x, y: x - y)
+        return self._flonum_binop(a, b, operator.sub)
 
     def fl_mul(self, a: SchemeValue, b: SchemeValue) -> Ref:
-        return self._flonum_binop(a, b, lambda x, y: x * y)
+        return self._flonum_binop(a, b, operator.mul)
 
     def fl_div(self, a: SchemeValue, b: SchemeValue) -> Ref:
-        return self._flonum_binop(a, b, lambda x, y: x / y)
+        return self._flonum_binop(a, b, operator.truediv)
 
     def fl_sqrt(self, a: SchemeValue) -> Ref:
         return self.make_flonum(self.flonum_value(a) ** 0.5)

@@ -113,32 +113,37 @@ def fx(value: int) -> Fixnum:
 
 
 class Ref:
-    """A rooted handle to a heap object.
+    """A rooted, tagged handle to a heap object, held by id.
 
-    Creating a ``Ref`` registers its object with the machine's handle
-    table (making it a root); dropping the last Python reference
+    Creating a ``Ref`` registers its object id with the machine's
+    handle table (making it a root); dropping the last Python reference
     unregisters it.  Two handles are equal iff they name the same heap
-    object.
+    object.  Like a tagged pointer in Larceny, the handle carries the
+    object's kind (fixed at birth), so type tests touch no memory; the
+    heap is addressed through the id, and :attr:`obj` builds the
+    backend's object view for callers that want one.  It holds the
+    machine's handle table and heap rather than the machine, so the
+    machine's interned symbols do not tie it into a reference cycle.
     """
 
-    __slots__ = ("machine", "obj", "__weakref__")
+    __slots__ = ("_handles", "_heap", "obj_id", "kind", "__weakref__")
 
-    def __init__(self, machine: "Machine", obj: HeapObject) -> None:
-        self.machine = machine
-        self.obj = obj
+    def __init__(self, machine: "Machine", obj_id: int, kind: str) -> None:
+        self._heap = machine.heap
+        self.obj_id = obj_id
+        self.kind = kind
         # Inlined Machine._retain: handles are created on every heap
         # read, so the extra method call is measurable on pointer-heavy
         # workloads (boyer spends most of its time here).
-        handles = machine._handles
-        obj_id = obj.obj_id
+        self._handles = handles = machine._handles
         count = handles.get(obj_id)
         handles[obj_id] = 1 if count is None else count + 1
 
     def __del__(self) -> None:  # pragma: no cover - exercised implicitly
         try:
             # Inlined Machine._release (see __init__).
-            handles = self.machine._handles
-            obj_id = self.obj.obj_id
+            handles = self._handles
+            obj_id = self.obj_id
             count = handles.get(obj_id)
             if count is None:
                 return
@@ -152,36 +157,32 @@ class Ref:
             pass
 
     @property
-    def kind(self) -> str:
-        return self.obj.kind
-
-    @property
-    def obj_id(self) -> int:
-        return self.obj.obj_id
+    def obj(self) -> HeapObject:
+        return self._heap.get(self.obj_id)
 
     def is_pair(self) -> bool:
-        return self.obj.kind == "pair"
+        return self.kind == "pair"
 
     def is_vector(self) -> bool:
-        return self.obj.kind == "vector"
+        return self.kind == "vector"
 
     def is_string(self) -> bool:
-        return self.obj.kind == "string"
+        return self.kind == "string"
 
     def is_symbol(self) -> bool:
-        return self.obj.kind == "symbol"
+        return self.kind == "symbol"
 
     def is_flonum(self) -> bool:
-        return self.obj.kind == "flonum"
+        return self.kind == "flonum"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Ref) and other.obj.obj_id == self.obj.obj_id
+        return isinstance(other, Ref) and other.obj_id == self.obj_id
 
     def __hash__(self) -> int:
-        return hash(("ref", self.obj.obj_id))
+        return hash(("ref", self.obj_id))
 
     def __repr__(self) -> str:
-        return f"Ref({self.obj.kind}#{self.obj.obj_id})"
+        return f"Ref({self.kind}#{self.obj_id})"
 
 
 #: The union of program-visible values: immediates and handles.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import sys
 
@@ -40,6 +41,19 @@ def new_workers():
     earlier test's dropped pool may still be winding its workers down."""
     before = set(multiprocessing.active_children())
     return lambda: set(multiprocessing.active_children()) - before
+
+
+@pytest.fixture
+def no_cycle_gc():
+    """CPython's cycle collector off for one test.  A ``Ref`` caught in
+    a Python reference cycle stops being a root when the cycle collector
+    next runs, which depends on what the process allocated before
+    (nboyer leaves such handles); with it off they stay roots to the
+    end, whatever the backend."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
 
 
 @pytest.fixture

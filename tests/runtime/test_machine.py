@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import gc as python_gc
+import weakref
 
 import pytest
 
+from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
+from repro.heap.backend import HEAP_BACKENDS
+from repro.heap.flat import FlatFields, FlatObject
 from repro.heap.heap import HeapError
+from repro.programs.registry import get_benchmark
 from repro.runtime.machine import Machine
 from repro.runtime.values import FLONUM_WORDS, PAIR_WORDS, Fixnum, Ref
 from repro.trace.collector import TracingCollector
@@ -120,7 +125,7 @@ class TestSymbols:
         sym = machine.intern("quux")
         pair = machine.cons(None, None)
         with pytest.raises(HeapError):
-            machine._store(sym.obj, 0, pair)
+            machine._store(sym.obj_id, 0, pair)
 
     def test_symbols_survive_collection(self, machine):
         sym = machine.intern("keep")
@@ -174,3 +179,140 @@ class TestAllocationHooks:
         machine.make_flonum(1.0)
         machine.intern("not-dynamic")
         assert seen == ["pair", "flonum"]
+
+
+class TestIdLevelPath:
+    def test_no_handle_is_built_per_access(self, monkeypatch):
+        """The mutator addresses the flat heap by id: a run with no
+        allocation hook builds no slot view and no per-access object
+        handle.  A count, so it cannot flake the way a timing gate
+        would."""
+        built = {FlatObject: 0, FlatFields: 0}
+        for cls in built:
+            def counting(self, *args, _cls=cls, _init=cls.__init__):
+                built[_cls] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        machine = Machine(
+            collector_factory("generational", GcGeometry().scaled(1, 4)),
+            heap_backend="flat",
+        )
+        get_benchmark("nbody").run(machine, 0)
+        machine.collect()
+        assert machine.stats.collections > 1
+        assert machine.stats.objects_allocated > 1000
+        assert built == {FlatObject: 0, FlatFields: 0}
+
+    @pytest.mark.parametrize("kind", COLLECTOR_KINDS)
+    def test_dropped_machine_is_freed_without_the_cycle_collector(
+        self, kind, no_cycle_gc
+    ):
+        """nbody's only tracked allocations are short-lived handles, so
+        a run of such cells never triggers CPython's cycle collector:
+        a machine that needed it would pile up, arenas and all."""
+        machine = Machine(
+            collector_factory(kind, GcGeometry()), heap_backend="flat"
+        )
+        get_benchmark("nbody").run(machine, 0)
+        machine.intern("a-symbol")
+        machine.collector.collect()
+        watched = [
+            weakref.ref(target)
+            for target in (machine, machine.heap, machine.collector)
+        ]
+        del machine
+        assert [ref() for ref in watched] == [None, None, None]
+
+    def test_hook_still_receives_an_object(self):
+        seen = []
+        machine = Machine(TracingCollector, heap_backend="flat")
+        machine.add_allocation_hook(
+            lambda obj: seen.append((obj.kind, obj.size, obj.obj_id))
+        )
+        vec = machine.make_vector(2)
+        s = machine.make_string("abc")
+        assert seen == [("vector", 3, vec.obj_id), ("string", 2, s.obj_id)]
+
+
+@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+class TestChecksKept:
+    """One negative test per check the id-level path must still make."""
+
+    def test_wrong_kind(self, backend):
+        machine = Machine(TracingCollector, heap_backend=backend)
+        vec = machine.make_vector(1)
+        for access in (machine.car, machine.cdr, machine.flonum_value):
+            with pytest.raises(TypeError, match="expected a (pair|flonum)"):
+                access(vec)
+        with pytest.raises(TypeError, match="expected a pair"):
+            machine.set_car(vec, None)
+        with pytest.raises(TypeError, match="expected a pair"):
+            machine.car(Fixnum(1))
+
+    def test_vector_bounds_message(self, backend):
+        machine = Machine(TracingCollector, heap_backend=backend)
+        vec = machine.make_vector(2)
+        with pytest.raises(IndexError, match=r"^vector index 2 out of range 0\.\.1$"):
+            machine.vector_ref(vec, 2)
+        with pytest.raises(IndexError, match=r"^vector index -1 out of range 0\.\.1$"):
+            machine.vector_ref(vec, -1)
+        stores = machine.barrier.stores
+        with pytest.raises(IndexError, match=r"^vector index 2 out of range 0\.\.1$"):
+            machine.vector_set(vec, 2, None)
+        # The bad store reached neither the barrier nor the counters.
+        assert machine.barrier.stores == stores
+
+    def test_decoding_a_freed_id_raises(self, backend):
+        machine = Machine(TracingCollector, heap_backend=backend)
+        inner = machine.cons(None, None)
+        outer = machine.cons(inner, inner)
+        vec = machine.make_vector(1, inner)
+        machine.heap.free(inner.obj)
+        for read in (
+            lambda: machine.car(outer),
+            lambda: machine.cdr(outer),
+            lambda: machine.vector_ref(vec, 0),
+        ):
+            with pytest.raises(HeapError, match="dangling object id"):
+                read()
+
+    def test_static_area_discipline(self, backend):
+        machine = Machine(TracingCollector, heap_backend=backend)
+        sym = machine.intern("quux")
+        pair = machine.cons(None, None)
+        with pytest.raises(HeapError, match="static objects"):
+            machine._store(sym.obj_id, 0, pair)
+        machine._store(sym.obj_id, 0, machine.intern("other"))
+
+    def test_checked_mode_dangling_store_raises(self, backend):
+        machine = Machine(TracingCollector, heap_backend=backend)
+        machine.heap.checked = True
+        pair = machine.cons(None, None)
+        doomed = machine.cons(None, None)
+        machine.heap.free(doomed.obj)
+        with pytest.raises(HeapError, match="cannot store dangling"):
+            machine.set_car(pair, doomed)
+        with pytest.raises(HeapError, match="cannot store dangling"):
+            machine.cons(doomed, None)
+
+    def test_immediate_store_reaches_the_satb_hook(self, backend):
+        machine = Machine(
+            collector_factory("incremental", GcGeometry(slice_budget=1)),
+            heap_backend=backend,
+        )
+        collector = machine.collector
+        victim = machine.cons(Fixnum(7), None)
+        holder = machine.cons(victim, None)
+        victim_id = victim.obj_id
+        del victim
+        collector._open_cycle("test")
+        assert collector.cycle_open
+        assert machine.heap.color_of(victim_id) == 0  # white
+        # Overwriting the only edge with an immediate deletes it; the
+        # snapshot-at-the-beginning barrier must gray the old referent.
+        machine.set_car(holder, Fixnum(0))
+        assert collector.satb_grays == 1
+        assert victim_id in collector.gray_stack
+        machine.collect()
+        assert machine.heap.contains_id(victim_id)  # floats to next cycle
