@@ -5,11 +5,15 @@ every slice still runs on the mutator's critical path.  This collector
 moves the whole mark phase into a worker process:
 
 * **Cycle open (handoff)**: begin a mark epoch exactly like the
-  incremental collector, snapshot the roots plus the heap's
-  reachability-relevant state (:meth:`export_mark_snapshot` on either
-  backend — the flat backend ships its packed ``array('q')`` arenas as
-  raw bytes, one memcpy per arena; the object backend pickles a plain
-  dict), and hand it to :func:`_mark_snapshot_task`.  With
+  incremental collector, snapshot the roots plus the reachability-
+  relevant state of the collected space (:meth:`export_mark_snapshot`
+  on either backend — the flat backend ships the space's *id span* of
+  its packed ``array('q')`` arenas as raw bytes, one memcpy per arena,
+  so the hand-off costs what the space holds, not every id ever
+  issued; the object backend pickles a plain dict), and hand it to
+  :func:`_mark_snapshot_task`.  Nothing else is captured: a cycle
+  that has not swept has freed nothing, so there is nothing to roll
+  back to.  With
   ``marker_workers == 0`` the task runs inline at the handoff — the
   deterministic reference mode every oracle uses; with workers it is
   submitted to the collector's own
@@ -19,8 +23,9 @@ moves the whole mark phase into a worker process:
   watchdog abort kills them).  Reconciliation hands the submitted
   future to the pool's retry ladder (env-tunable timeout,
   attempt-salted retries via ``derive_seed(seed, cycle, attempt)``,
-  worker-crash recovery); what a given-up marker *means* — watchdog
-  abort or inline fallback — is decided here.
+  worker-crash recovery); what a given-up marker *means* is decided
+  here: the watchdog discards the cycle and ``collect`` re-marks the
+  current heap inline.
 * **While the marker runs** the mutator proceeds untouched: allocation
   is allocate-black via the birth clock (nothing born after the epoch
   is ever scanned), and the SATB deletion barrier grays overwritten
@@ -44,7 +49,7 @@ moves the whole mark phase into a worker process:
 
 Pause accounting stays in words (the repo-wide currency): the handoff
 is 0 words of mark work (arena memcpy is not mark work, and the flat
-export is O(arena bytes) precisely so it stays off the words ledger),
+export is O(span bytes) precisely so it stays off the words ledger),
 and the reconcile pause carries only the words the reconcile scan
 itself marked — 0 on clean runs, which is the mutator-visible win the
 SLO report gates.
@@ -68,9 +73,8 @@ _RESTORED_PAYLOAD = ("restored-marker",)
 class WedgedMarkerError(RuntimeError):
     """The marker retry ladder exhausted without producing a result.
 
-    Raised by ``_drain_pending`` only while the watchdog holds a
-    cycle-open checkpoint; ``collect`` catches it, rolls the collector
-    back, and degrades to inline marking.  Escaping to other callers
+    Raised by ``_drain_pending``; ``collect`` catches it, discards the
+    cycle, and degrades to inline marking.  Escaping to other callers
     (``export_state``, ``pending_marked_ids``) means the wedged cycle
     cannot be serialized or audited mid-flight, which is the honest
     answer.
@@ -79,8 +83,10 @@ class WedgedMarkerError(RuntimeError):
 
 def _trace_flat_snapshot(snapshot: dict, roots: list[int]) -> tuple[set[int], int]:
     """Mark a flat-backend snapshot: the ``trace_region`` kernel over
-    rehydrated arenas, with non-resident roots skipped silently (the
-    cycle-open contract) and dangling *references* raised."""
+    the rehydrated id span (arena index = ``oid - lo``), with
+    non-resident roots skipped silently (the cycle-open contract) and
+    dangling *references* raised.  A reference under the span is a
+    boundary if the snapshot lists it as live, else it dangles."""
     from array import array
 
     from repro.heap.flat import (
@@ -101,6 +107,9 @@ def _trace_flat_snapshot(snapshot: dict, roots: list[int]) -> tuple[set[int], in
     refs = array("q")
     refs.frombytes(snapshot["refs"])
     token = snapshot["token"]
+    lo = snapshot["lo"]
+    slot_lo = snapshot["slot_lo"]
+    below = frozenset(snapshot["below"])
     n = len(state)
     marked: set[int] = set()
     mark = marked.add
@@ -109,8 +118,8 @@ def _trace_flat_snapshot(snapshot: dict, roots: list[int]) -> tuple[set[int], in
     pop = stack.pop
     words = 0
     for oid in roots:
-        if oid not in marked and 0 <= oid < n:
-            packed = state[oid]
+        if oid not in marked and 0 <= oid - lo < n:
+            packed = state[oid - lo]
             if (
                 packed != _DEAD
                 and packed != _DETACHED
@@ -119,17 +128,21 @@ def _trace_flat_snapshot(snapshot: dict, roots: list[int]) -> tuple[set[int], in
                 mark(oid)
                 push(oid)
     while stack:
-        oid = pop()
-        header = hdr[oid]
+        index = pop() - lo
+        header = hdr[index]
         words += header & _SIZE_MASK
         count = (header >> _FC_SHIFT) & _FC_MASK
         if count:
-            base = sbase[oid]
+            base = sbase[index] - slot_lo
             for ref in refs[base:base + count]:
                 if ref >= 0 and ref not in marked:
-                    if ref >= n:
+                    if ref < lo:
+                        if ref not in below:
+                            raise HeapError(f"dangling object id {ref}")
+                        continue
+                    if ref - lo >= n:
                         raise HeapError(f"dangling object id {ref}")
-                    packed = state[ref]
+                    packed = state[ref - lo]
                     if packed == _DEAD:
                         raise HeapError(f"dangling object id {ref}")
                     if (
@@ -271,9 +284,6 @@ class ConcurrentCollector(IncrementalCollector):
         self.overlapped_words = 0
         #: Wedged cycles aborted by the watchdog supervisor.
         self.watchdog_aborts = 0
-        #: In-memory rollback target captured at each pool-mode cycle
-        #: open, just before the epoch begins (a quiescent safepoint).
-        self._cycle_checkpoint: dict | None = None
 
     # ------------------------------------------------------------------
     # Marker lifecycle
@@ -310,11 +320,8 @@ class ConcurrentCollector(IncrementalCollector):
         Timeouts and worker crashes climb the pool's ladder: kill the
         poisoned workers, resubmit with the attempt salt bumped, give
         up after ``marker_retries`` resubmissions.  A given-up marker
-        aborts the cycle if the watchdog holds a rollback target —
-        rather than re-marking a heap the wedged worker may have been
-        poisoned against — and otherwise runs inline: the serial path
-        is always the reference semantics, so a lost worker degrades
-        throughput, never correctness.
+        raises :class:`WedgedMarkerError` rather than re-marking a
+        snapshot the wedged worker may have been poisoned against.
         """
         if self._result is not None:
             return self._result
@@ -330,12 +337,10 @@ class ConcurrentCollector(IncrementalCollector):
             submitted=[self._future],
         )
         if isinstance(result, TaskFailure):
-            if self._cycle_checkpoint is not None:
-                raise WedgedMarkerError(
-                    f"marker wedged after {result.attempts} attempts "
-                    f"({result.kind}: {result.error})"
-                )
-            result = _mark_snapshot_task(self._payload, result.attempts)
+            raise WedgedMarkerError(
+                f"marker wedged after {result.attempts} attempts "
+                f"({result.kind}: {result.error})"
+            )
         self._future = None
         self._result = result
         return result
@@ -392,19 +397,18 @@ class ConcurrentCollector(IncrementalCollector):
     # ------------------------------------------------------------------
 
     def _watchdog_abort(self, reason: str) -> None:
-        """Abort the wedged cycle: kill the workers, roll the collector
-        back to the cycle-open checkpoint, and degrade to inline
-        marking permanently.
+        """Discard the wedged cycle: kill the workers, drop the pending
+        mark set and the SATB log, and degrade to inline marking
+        permanently.
 
-        The rollback is deliberately lossy — allocations made since
-        the cycle opened are discarded, exactly the crash-recovery
-        semantics a process restore from the same snapshot would give.
+        Lossless by construction: a cycle that ends without sweeping
+        has freed nothing, so every object — including everything the
+        mutator allocated since the cycle opened — is still there for
+        the fresh inline cycle ``collect`` opens next.
         """
-        from repro.resilience.snapshot import restore_state
-
-        checkpoint = self._cycle_checkpoint
         self.close()
-        restore_state(self, checkpoint)
+        self.cycle_open = False
+        self.gray_stack.clear()
         self.marker_workers = 0
         self.watchdog_aborts += 1
         if self.metrics is not None:
@@ -449,7 +453,6 @@ class ConcurrentCollector(IncrementalCollector):
         self.marker_words_total = state["marker_words_total"]
         self.overlapped_words = state["overlapped_words"]
         self.watchdog_aborts = state["watchdog_aborts"]
-        self._cycle_checkpoint = None
         self._discard_pending()
         result = state["marker_result"]
         if result is not None:
@@ -478,13 +481,6 @@ class ConcurrentCollector(IncrementalCollector):
         if kind == "incremental":
             kind = "concurrent"
         heap = self.heap
-        if self.marker_workers > 0:
-            # Arm the watchdog: capture the rollback target while the
-            # heap is quiescent, before the epoch opens.  Inline mode
-            # cannot wedge, so it skips the capture cost entirely.
-            from repro.resilience.snapshot import capture_state
-
-            self._cycle_checkpoint = capture_state(self)
         heap.begin_mark_epoch()
         self.epoch_clock = heap.clock
         self.cycle_open = True
@@ -599,18 +595,16 @@ class ConcurrentCollector(IncrementalCollector):
             marked_ids, marker_words = self._await_marker()
         except WedgedMarkerError as exc:
             self._watchdog_abort(str(exc))
-            # The rolled-back collector marks inline from here on; the
-            # re-run opens a fresh cycle over the restored heap.
+            # The collector marks inline from here on; the re-run opens
+            # a fresh cycle over the heap as it is now.
             self.collect()
             return
         self.stats.words_marked += marker_words
         work = self._reconcile_scan(marked_ids)
         self.stats.words_marked += work
 
-        marked = heap.survivor_ids(space, self.epoch_clock)
-        marked |= marked_ids
         self.stats.words_swept += space.used
-        reclaimed = heap.free_unmarked(space, marked)
+        reclaimed = heap.sweep_epoch(space, self.epoch_clock, marked_ids)
         live = space.used
 
         self.stats.words_reclaimed += reclaimed

@@ -376,9 +376,8 @@ class IncrementalCollector(Collector):
             self._open_cycle("full")
         work = self._scan(None)
 
-        marked = heap.survivor_ids(space, self.epoch_clock)
         self.stats.words_swept += space.used
-        reclaimed = heap.free_unmarked(space, marked)
+        reclaimed = heap.sweep_epoch(space, self.epoch_clock)
         live = space.used
 
         self.stats.words_reclaimed += reclaimed

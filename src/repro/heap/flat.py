@@ -44,8 +44,9 @@ from __future__ import annotations
 
 import weakref
 from array import array
+from bisect import bisect_left
 from collections import deque
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from repro.heap.heap import HeapError
 from repro.heap.space import SpaceFull
@@ -829,24 +830,92 @@ class FlatHeap:
             work += header & _SIZE_MASK
         return work
 
-    def survivor_ids(self, space: FlatSpace, epoch: int) -> set[int]:
-        """Resident ids that survive a tri-color sweep: colored
-        non-white, or born at/after the mark epoch."""
+    def _splits_at_epoch(
+        self, old: list[int], new: list[int], epoch: int
+    ) -> bool:
+        """True when ``old`` holds only pre-epoch ids inside the color
+        arena — so the color alone decides — and ``new`` only ids born
+        in the epoch.  Ids are issued in birth order, so the youngest
+        of ``old`` and the oldest of ``new`` speak for the rest."""
+        birth = self._birth
+        if old:
+            youngest = max(old)
+            if youngest >= len(self._color) or birth[youngest] >= epoch:
+                return False
+        return not new or birth[min(new)] >= epoch
+
+    def sweep_epoch(
+        self, space: FlatSpace, epoch: int, marked: "Collection[int]" = ()
+    ) -> int:
+        """Close a tri-color cycle over ``space``: free exactly the
+        residents that are white, born before ``epoch`` and not in
+        ``marked`` (a mark set kept off the color arena — the
+        concurrent marker's).
+
+        Returns words reclaimed.  Survivors keep their relative order
+        (positions are renumbered, which is unobservable).
+        """
         state = self._state
+        hdr = self._hdr
         birth = self._birth
         color = self._color
         ncolor = len(color)
+        token = space._token
+        ids = space._ids
         stride = 1 << _POS_SHIFT
-        packed = space._token
-        out: set[int] = set()
-        add = out.add
-        for oid in space._ids:
-            if state[oid] == packed and (
-                (oid < ncolor and color[oid]) or birth[oid] >= epoch
-            ):
-                add(oid)
-            packed += stride
-        return out
+        payloads = self._payloads or None
+        reclaimed = 0
+        # Allocate-black newborns are appended after the epoch opens and
+        # their ids fall off the color arena's end, so they are normally
+        # a suffix of the id list that survives wholesale: only the
+        # pre-epoch prefix needs classifying.  Anything else (stale
+        # entries, an object moved in mid-epoch, a color arena that is
+        # not this epoch's) takes the per-entry loop.
+        split = bisect_left(ids, ncolor)
+        old = ids[:split]
+        new = ids[split:]
+        if space._count == len(ids) and self._splits_at_epoch(
+            old, new, epoch
+        ):
+            fresh: list[int] = []
+            append = fresh.append
+            for oid in old:
+                if color[oid] or oid in marked:
+                    append(oid)
+                else:
+                    state[oid] = _DEAD
+                    reclaimed += hdr[oid] & _SIZE_MASK
+                    if payloads is not None:
+                        payloads.pop(oid, None)
+            if len(fresh) == len(old):
+                return 0
+            fresh += new
+            packed = token
+            for oid in fresh:
+                state[oid] = packed
+                packed += stride
+        else:
+            fresh = []
+            append = fresh.append
+            for pos, oid in enumerate(ids):
+                if state[oid] == (pos << _POS_SHIFT) | token:
+                    if (
+                        (oid < ncolor and color[oid])
+                        or birth[oid] >= epoch
+                        or oid in marked
+                    ):
+                        state[oid] = (len(fresh) << _POS_SHIFT) | token
+                        append(oid)
+                    else:
+                        state[oid] = _DEAD
+                        reclaimed += hdr[oid] & _SIZE_MASK
+                        if payloads is not None:
+                            payloads.pop(oid, None)
+        self._live_count -= space._count - len(fresh)
+        space._ids = fresh
+        space._count = len(fresh)
+        space.used -= reclaimed
+        return reclaimed
 
     def export_mark_snapshot(
         self, space: FlatSpace, root_ids: Iterable[int]
@@ -854,23 +923,42 @@ class FlatHeap:
         """Package the reachability-relevant arenas for an off-process
         marker (:mod:`repro.gc.concurrent`).
 
-        The header/state/slot-base arenas ship as raw ``array('q')``
-        bytes — one memcpy each, O(arena bytes).  The slot arena is a
-        Python list (it holds ids, ``None``, and immediates), so it is
-        lowered to a packed ref arena with non-references encoded as
-        ``-1``; ids are non-negative, so the encoding is unambiguous.
-        Birth clocks are deliberately absent: every snapshot-resident
-        id is pre-epoch by construction (the epoch opens at export).
+        Only the space's id span ships: every resident has an id of at
+        least ``lo = min(space._ids)``, so the header/state/slot-base
+        arenas are sliced from ``lo`` (raw ``array('q')`` bytes, one
+        memcpy each) and the slot arena from ``_slot_base[lo]`` — slots
+        are laid out in id order.  The slot arena is a Python list (it
+        holds ids, ``None``, and immediates), so it is lowered to a
+        packed ref arena with non-references encoded as ``-1``; ids
+        are non-negative, so the encoding is unambiguous.  ``below``
+        lists the live ids under ``lo`` (residents of other spaces;
+        empty whenever this space holds every live object), which is
+        what lets the marker tell a boundary reference from a dangling
+        one without the arenas' head.  Birth clocks are deliberately
+        absent: every snapshot-resident id is pre-epoch by
+        construction (the epoch opens at export).
         """
+        state = self._state
+        slots = self._slots
+        lo = min(space._ids, default=len(state))
+        slot_lo = self._slot_base[lo] if lo < len(state) else len(slots)
         refs = array(
-            "q", (x if type(x) is int else -1 for x in self._slots)
+            "q", (x if type(x) is int else -1 for x in slots[slot_lo:])
+        )
+        below = (
+            []
+            if self._live_count == space._count
+            else [oid for oid in range(lo) if state[oid] != _DEAD]
         )
         return {
             "backend": "flat",
-            "hdr": self._hdr.tobytes(),
-            "state": self._state.tobytes(),
-            "slot_base": self._slot_base.tobytes(),
+            "lo": lo,
+            "slot_lo": slot_lo,
+            "hdr": memoryview(self._hdr)[lo:].tobytes(),
+            "state": memoryview(state)[lo:].tobytes(),
+            "slot_base": memoryview(self._slot_base)[lo:].tobytes(),
             "refs": refs.tobytes(),
+            "below": below,
             "token": space._token,
             "roots": list(root_ids),
         }
@@ -1319,7 +1407,7 @@ class FlatHeap:
     ) -> tuple[list[int], int]:
         """Empty ``space``: free the dead, detach survivors in order.
 
-        Returns ``(survivor_ids, words_reclaimed)``.  Survivors are
+        Returns ``(survivors, words_reclaimed)``.  Survivors are
         left detached for the caller to repack (evacuation/renumbering
         in the non-predictive and hybrid collectors).
         """

@@ -14,7 +14,7 @@ top of it in :mod:`repro.gc`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from repro.heap.object_model import HeapObject
 from repro.heap.space import Space, SpaceFull
@@ -462,16 +462,27 @@ class SimulatedHeap:
             work += obj.size
         return work
 
-    def survivor_ids(self, space: Space, epoch: int) -> set[int]:
-        """Resident ids that survive a tri-color sweep: colored
-        non-white, or born at/after the mark epoch."""
-        colors = self._colors
-        color_get = colors.get
-        return {
-            oid
-            for oid, obj in space._objects.items()
-            if color_get(oid, 0) or obj.birth >= epoch
-        }
+    def sweep_epoch(
+        self, space: Space, epoch: int, marked: "Collection[int]" = ()
+    ) -> int:
+        """Close a tri-color cycle over ``space``: free exactly the
+        residents that are white, born before ``epoch`` and not in
+        ``marked`` (a mark set kept off the color table — the
+        concurrent marker's).
+
+        Returns words reclaimed; survivors keep their relative order.
+        """
+        color_get = self._colors.get
+        return self._free_residents(
+            space,
+            [
+                obj
+                for oid, obj in space._objects.items()
+                if obj.birth < epoch
+                and not color_get(oid, 0)
+                and oid not in marked
+            ],
+        )
 
     def export_mark_snapshot(
         self, space: Space, root_ids: Iterable[int]
@@ -764,11 +775,19 @@ class SimulatedHeap:
 
         Returns words reclaimed; survivors keep their relative order.
         """
+        return self._free_residents(
+            space,
+            [
+                obj
+                for obj in space._objects.values()
+                if obj.obj_id not in marked
+            ],
+        )
+
+    def _free_residents(self, space: Space, dead: list[HeapObject]) -> int:
+        """Free ``dead``, all residents of ``space``; words reclaimed."""
         objects = self._objects
         space_objects = space._objects
-        dead = [
-            obj for obj in space_objects.values() if obj.obj_id not in marked
-        ]
         reclaimed = 0
         for obj in dead:
             oid = obj.obj_id
@@ -810,7 +829,7 @@ class SimulatedHeap:
     ) -> tuple[list[int], int]:
         """Empty ``space``: free the dead, detach survivors in order.
 
-        Returns ``(survivor_ids, words_reclaimed)``; survivors are left
+        Returns ``(survivors, words_reclaimed)``; survivors are left
         detached for the caller to repack.
         """
         objects = self._objects

@@ -24,8 +24,8 @@ instrumentation plane:
 * ``checkpoint`` / ``restore`` — crash-consistent snapshot capture and
   resume points (see :mod:`repro.resilience.snapshot`);
 * ``watchdog-abort`` — the concurrent collector's supervisor killed a
-  wedged mark cycle, rolled back to the cycle-open snapshot, and
-  degraded to inline marking.
+  wedged marker, discarded its mark cycle (nothing had been swept, so
+  no object or allocation is lost), and degraded to inline marking.
 
 Files are written via the shared atomic helpers, so a telemetry file
 is always a complete, parseable stream — never a torn write.
@@ -52,7 +52,7 @@ __all__ = [
 #: ``collection-start`` kind for the concurrent collector's
 #: off-thread mark cycles.  v4 added the ``checkpoint``/``restore``
 #: span kinds for crash-consistent snapshots and the
-#: ``watchdog-abort`` kind for supervised rollback of a wedged
+#: ``watchdog-abort`` kind for the supervised abort of a wedged
 #: concurrent mark cycle.
 EVENT_SCHEMA_VERSION = 4
 

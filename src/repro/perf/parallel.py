@@ -38,6 +38,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing import connection
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -225,20 +226,27 @@ class WorkerPool:
         return self._executor.submit(func, *args)
 
     def restart(self) -> None:
-        """Kill the workers and forget them; the next :meth:`submit`
-        forks new ones.  Futures still in flight never resolve."""
+        """Kill the workers, wait until every one of them has been
+        reaped, and forget them; the next :meth:`submit` forks new
+        ones.  Futures still in flight fail or never resolve."""
         executor, self._executor = self._executor, None
         if executor is None:
             return
-        # _processes is CPython's worker table; gone after shutdown, so
-        # snapshot it first.  Killing is the point: a wedged worker never
-        # honours a polite shutdown.
+        # _processes is CPython's worker table.  Killing is the point:
+        # a wedged worker never honours a polite shutdown.
         processes = list((executor._processes or {}).values())
-        executor.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             process.terminate()
         for process in processes:
-            process.join(timeout=2.0)
+            # Watch the sentinel instead of join()ing: the executor's
+            # manager thread joins every worker as it winds down, and a
+            # second waitpid() from this thread can lose the exit status
+            # to it, after which the child reads as alive here until the
+            # manager gets to publish what it reaped.
+            if not connection.wait([process.sentinel], timeout=2.0):
+                process.kill()  # SIGTERM blocked, or the worker stopped
+        # Returns when the manager thread has joined every worker.
+        executor.shutdown(wait=True, cancel_futures=True)
 
     def close(self) -> None:
         """Release the workers (idempotent)."""

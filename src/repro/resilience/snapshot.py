@@ -34,8 +34,11 @@ must run before heap import so renamed/reordered spaces are matched by
 name), then the heap contents, then roots, then stats.
 
 :func:`capture_state`/:func:`restore_state` are the raw in-memory
-halves (no envelope, no checksum); the concurrent collector's watchdog
-uses them for its cycle-open rollback target.
+halves (no envelope, no checksum) that :func:`checkpoint` and the
+restore functions wrap.  Nothing on a collector's hot path calls them:
+the concurrent collector's watchdog recovers a wedged cycle by
+discarding it (an unswept cycle has freed nothing), not by restoring
+a capture.
 """
 
 from __future__ import annotations

@@ -10,24 +10,30 @@ Four layers:
   produce exactly the unbounded incremental collector's counters and
   survivor set, and the pool marker must be byte-identical to the
   inline one (process placement is not an observable);
-* the resilient-marker ladder — a hung worker falls back to the
-  inline task with the attempt salt bumped, and the salt perturbs
-  only traversal order, never the result;
+* the resilient-marker ladder — a hung worker ends in a discarded
+  cycle and an inline re-mark of the same heap, and the attempt salt
+  perturbs only traversal order, never the result;
 * lifecycle — errors travel back as data and raise at reconciliation,
   and close/collect/static-promotion all discard the pending marker.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 from concurrent.futures import Future
 
 import pytest
 
-from repro.gc.concurrent import ConcurrentCollector, _mark_snapshot_task
+from repro.gc.concurrent import (
+    ConcurrentCollector,
+    WedgedMarkerError,
+    _mark_snapshot_task,
+)
 from repro.gc.incremental import IncrementalCollector
 from repro.heap.backend import HEAP_BACKENDS, make_heap
 from repro.heap.barrier import WriteBarrier
+from repro.heap.flat import FlatHeap
 from repro.heap.heap import HeapError
 from repro.heap.roots import RootSet
 
@@ -197,12 +203,18 @@ class TestResilientMarker:
             frame.push(collector.allocate(4))
         expected = collector.pending_marked_ids()
         # Replay the drain as if the pool never answered: the ladder
-        # must terminate at the inline fallback with the same result.
+        # must terminate, and collect() must discard the cycle and
+        # re-mark the heap inline — everything the lost marker would
+        # have kept (and the allocate-black newborn) survives.
         collector._result = None
         collector._future = _HungFuture()
-        marked, _words = collector._await_marker()
-        assert frozenset(marked) == expected
+        with pytest.raises(WedgedMarkerError):
+            collector._await_marker()
         collector.collect()
+        assert collector.watchdog_aborts == 1
+        assert not collector.cycle_open and not collector.marker_inflight
+        survivors = set(collector.space.object_ids())
+        assert expected < survivors == set(roots.ids())
 
     def test_attempt_salt_perturbs_order_not_result(self):
         from repro.perf.parallel import derive_seed
@@ -278,3 +290,78 @@ class TestLifecycle:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             setup(marker_workers=-1)
+
+
+class TestSpanHandoff:
+    """Cycle open is priced by the space it collects, not by every id
+    the heap ever issued — and slicing the arenas loses no check."""
+
+    def test_cycle_open_takes_no_checkpoint_and_ships_the_span(
+        self, monkeypatch
+    ):
+        heap, roots, collector = setup(
+            heap_words=4000, backend="flat", marker_workers=1
+        )
+        try:
+            frame = roots.push_frame()
+            for _ in range(1000):
+                frame.push(None)
+            for index in range(100_000):
+                frame.set(index % 1000, collector.allocate(1))
+            collector.collect()
+            collector.collect()  # the first kept SATB floating garbage
+            assert len(heap._hdr) >= 100_000
+            assert collector.space.object_count == 1000
+
+            exports = []
+            original = FlatHeap.export_state
+            monkeypatch.setattr(
+                FlatHeap,
+                "export_state",
+                lambda self: exports.append(1) or original(self),
+            )
+            collector._open_cycle("full")
+            assert exports == []
+            shipped = len(pickle.dumps(collector._payload))
+            whole_arenas = 3 * 8 * len(heap._hdr)
+            assert shipped < whole_arenas / 8
+            collector.collect()
+            assert collector.space.object_count == 1000
+        finally:
+            collector.close()
+
+    @pytest.mark.parametrize("backend", HEAP_BACKENDS)
+    def test_boundary_reference_below_the_span_is_skipped(self, backend):
+        heap, roots, collector = setup(heap_words=400, backend=backend)
+        elsewhere = heap.add_space("elsewhere", None)
+        bystander = heap.allocate(2, 0, elsewhere)
+        holder = collector.allocate(4, 1)
+        roots.set_global("holder", holder)
+        heap.write_slot(holder, 0, bystander.obj_id)
+        assert bystander.obj_id < min(collector.space.object_ids())
+        collector.collect()
+        assert heap.contains_id(holder.obj_id)
+        assert heap.contains_id(bystander.obj_id)
+        assert bystander.obj_id not in collector.space.object_ids()
+
+    @pytest.mark.parametrize("bystander", [False, True])
+    @pytest.mark.parametrize("backend", HEAP_BACKENDS)
+    def test_dangling_reference_below_the_span_raises(
+        self, backend, bystander
+    ):
+        # With and without another live object under the span: the
+        # flat export lists live lower ids only when there are any.
+        heap, roots, collector = setup(heap_words=400, backend=backend)
+        elsewhere = heap.add_space("elsewhere", None)
+        if bystander:
+            heap.allocate(2, 0, elsewhere)
+        corpse = heap.allocate(2, 0, elsewhere)
+        holder = collector.allocate(4, 1)
+        roots.set_global("holder", holder)
+        heap.write_slot(holder, 0, corpse.obj_id)
+        heap.free(corpse)
+        assert corpse.obj_id < min(collector.space.object_ids())
+        with pytest.raises(
+            HeapError, match=f"dangling object id {corpse.obj_id}"
+        ):
+            collector.collect()

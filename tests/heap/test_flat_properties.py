@@ -9,11 +9,15 @@ against a model, with a seed to reproduce.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.harness import GcGeometry, collector_factory
+from repro.heap.backend import HEAP_BACKENDS, make_heap
 from repro.heap.flat import FlatHeap
 from repro.heap.heap import HeapError
 from repro.heap.space import SpaceFull
@@ -210,3 +214,214 @@ class TestRemsetMigrationAcrossPromotion:
             script, factory, checked=True, backend="flat", name=kind
         )
         assert result.collections > 0, "no collections; geometry too big"
+
+
+# One heap-building step: ``(op, a, b)``.  Indices pick among the
+# current residents modulo their number, so every generated step is
+# applicable (or a no-op on an empty space).
+_STEP = st.one_of(
+    # allocate: a = size, b = bit 0 into the swept space (else the
+    # other one), bit 1 carries a payload, bit 2 holds the clock still
+    st.tuples(st.just("alloc"), st.integers(1, 4), st.integers(0, 7)),
+    st.tuples(st.just("free"), st.integers(0, 63), st.just(0)),
+    st.tuples(st.just("move-out"), st.integers(0, 63), st.just(0)),
+    st.tuples(st.just("move-in"), st.integers(0, 63), st.just(0)),
+    st.tuples(st.just("color"), st.integers(0, 63), st.integers(1, 2)),
+    st.tuples(st.just("round-trip"), st.just(0), st.just(0)),
+)
+
+_IN, _PAYLOAD, _STILL = 1, 2, 4
+
+
+def _epoch_heap(backend, before, after):
+    """Build a heap, open a mark epoch between the two step lists, and
+    return ``(heap, swept_space, epoch)``."""
+    heap = make_heap(backend)
+    space = heap.add_space("swept", None)
+    other = heap.add_space("other", None)
+    pre_epoch: list[int] = []
+
+    def apply(step, in_epoch):
+        op, a, b = step
+        if op == "alloc":
+            obj = heap.allocate(
+                a,
+                0,
+                space if b & _IN else other,
+                advance_clock=not b & _STILL,
+            )
+            if b & _PAYLOAD:
+                heap.set_payload(obj.obj_id, f"p{obj.obj_id}")
+            if not in_epoch:
+                pre_epoch.append(obj.obj_id)
+        elif op == "free":
+            ids = list(space.object_ids())
+            if ids:
+                heap.free(heap.get(ids[a % len(ids)]))
+        elif op == "move-out":
+            ids = list(space.object_ids())
+            if ids:
+                heap.move_ids([ids[a % len(ids)]], other)
+        elif op == "move-in":
+            ids = list(other.object_ids())
+            if ids:
+                heap.move_ids([ids[a % len(ids)]], space)
+        elif op == "color":
+            # Only ids the epoch's color arena covers can be recolored.
+            ids = [oid for oid in pre_epoch if heap.contains_id(oid)]
+            if in_epoch and ids:
+                heap.set_color(ids[a % len(ids)], b)
+        elif op == "round-trip":
+            heap.import_state(json.loads(json.dumps(heap.export_state())))
+
+    for step in before:
+        apply(step, False)
+    heap.begin_mark_epoch()
+    epoch = heap.clock
+    for step in after:
+        apply(step, True)
+    return heap, space, epoch
+
+
+class TestSweepEpochKernel:
+    """``sweep_epoch`` frees exactly the white, pre-epoch, unmarked
+    residents — checked against the two-pass sweep it replaced."""
+
+    @pytest.mark.parametrize("backend", HEAP_BACKENDS)
+    @given(
+        before=st.lists(_STEP, max_size=30),
+        after=st.lists(_STEP, max_size=30),
+        marked_picks=st.sets(st.integers(0, 63), max_size=8),
+        epoch_shift=st.sampled_from([0, 0, 0, -2, 3]),
+    )
+    # bump allocation on both sides of the epoch: the wholesale path
+    @example(
+        before=[("alloc", 2, _IN)] * 6,
+        after=[("color", 1, 2), ("color", 4, 1)] + [("alloc", 1, _IN)] * 5,
+        marked_picks={0},
+        epoch_shift=0,
+    )
+    # stale lazy-deletion entries
+    @example(
+        before=[("alloc", 1, _IN)] * 5 + [("free", 1, 0), ("move-out", 2, 0)],
+        after=[("alloc", 1, _IN), ("free", 0, 0)],
+        marked_picks=set(),
+        epoch_shift=0,
+    )
+    # payload objects
+    @example(
+        before=[("alloc", 2, _IN | _PAYLOAD), ("alloc", 1, _IN)],
+        after=[("alloc", 1, _IN | _PAYLOAD)],
+        marked_picks=set(),
+        epoch_shift=0,
+    )
+    # an object moved into the space mid-epoch: newborns not a suffix
+    @example(
+        before=[("alloc", 3, 0), ("alloc", 1, _IN)],
+        after=[("alloc", 1, _IN), ("move-in", 0, 0), ("alloc", 1, _IN)],
+        marked_picks=set(),
+        epoch_shift=0,
+    )
+    # empty prefix, empty suffix, and nothing at all
+    @example(
+        before=[], after=[("alloc", 1, _IN)] * 3,
+        marked_picks=set(), epoch_shift=0,
+    )
+    @example(
+        before=[("alloc", 1, _IN)] * 3, after=[("color", 0, 2)],
+        marked_picks={2}, epoch_shift=0,
+    )
+    @example(before=[], after=[], marked_picks=set(), epoch_shift=0)
+    # a clock held still across the epoch: born at the epoch, yet
+    # inside the color arena
+    @example(
+        before=[("alloc", 1, _IN), ("alloc", 1, _IN | _STILL)],
+        after=[("alloc", 1, _IN)],
+        marked_picks=set(),
+        epoch_shift=0,
+    )
+    # an epoch that is not the color arena's
+    @example(
+        before=[("alloc", 1, _IN)] * 4,
+        after=[("alloc", 1, _IN)] * 4,
+        marked_picks=set(),
+        epoch_shift=3,
+    )
+    @example(
+        before=[("alloc", 1, _IN)] * 4,
+        after=[("alloc", 1, _IN)] * 4,
+        marked_picks=set(),
+        epoch_shift=-2,
+    )
+    # ... with an id past the arena's end listed among the old ones
+    @example(
+        before=[("alloc", 1, _IN)] * 2 + [("alloc", 1, 0)] * 2,
+        after=[("alloc", 1, 0), ("alloc", 1, _IN)]
+        + [("move-in", 0, 0)] * 2
+        + [("alloc", 1, 0)] * 2
+        + [("alloc", 1, _IN)] * 2,
+        marked_picks=set(),
+        epoch_shift=3,
+    )
+    # round-tripped through export_state/import_state mid-cycle
+    @example(
+        before=[("alloc", 1, _IN)] * 4 + [("free", 0, 0)],
+        after=[("color", 1, 2), ("alloc", 2, _IN), ("round-trip", 0, 0)],
+        marked_picks={1},
+        epoch_shift=0,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_pass_reference(
+        self, backend, before, after, marked_picks, epoch_shift
+    ):
+        heap, space, epoch = _epoch_heap(backend, before, after)
+        twin, twin_space, _ = _epoch_heap(backend, before, after)
+        epoch += epoch_shift
+        order = list(space.object_ids())
+        assert order == list(twin_space.object_ids())
+        marked = {order[pick % len(order)] for pick in marked_picks if order}
+
+        keep = {
+            oid
+            for oid in order
+            if twin.color_of(oid) or twin.birth_of(oid) >= epoch
+        }
+        expected = twin.free_unmarked(twin_space, keep | marked)
+
+        assert heap.sweep_epoch(space, epoch, marked) == expected
+        assert list(space.object_ids()) == list(twin_space.object_ids())
+        assert list(space.object_ids()) == [
+            oid for oid in order if oid in keep or oid in marked
+        ]
+        assert space.used == twin_space.used
+        assert space.object_count == twin_space.object_count
+        assert heap.object_count == twin.object_count
+        heap.check_integrity()
+        twin.check_integrity()
+        if backend == "flat":
+            assert heap._payloads == twin._payloads
+
+    def test_bump_allocated_epoch_is_swept_wholesale(self, monkeypatch):
+        # A count, not a timing: the shape every windowed benchmark
+        # run has — residents in id order, newborns a suffix — must
+        # classify only the pre-epoch prefix, and a mover that breaks
+        # the shape must fall back to the per-entry loop.
+        verdicts = []
+        original = FlatHeap._splits_at_epoch
+
+        def spy(self, old, new, epoch):
+            verdict = original(self, old, new, epoch)
+            verdicts.append((len(old), len(new), verdict))
+            return verdict
+
+        monkeypatch.setattr(FlatHeap, "_splits_at_epoch", spy)
+        bump = [("alloc", 1, _IN)]
+        heap, space, epoch = _epoch_heap("flat", bump * 6, bump * 5)
+        assert heap.sweep_epoch(space, epoch) == 6
+        heap, space, epoch = _epoch_heap(
+            "flat",
+            [("alloc", 1, 0)] + bump * 6,
+            bump * 5 + [("move-in", 0, 0)],
+        )
+        assert heap.sweep_epoch(space, epoch) == 7
+        assert verdicts == [(6, 5, True), (6, 6, False)]

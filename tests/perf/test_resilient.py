@@ -3,6 +3,7 @@ retry/quarantine, timeout recovery, worker-crash recovery, and the
 journal integration of the experiment runner."""
 
 import os
+import signal
 import time
 
 import pytest
@@ -58,6 +59,12 @@ def _kill_worker_first_attempt(item, attempt):
 
 def _pid(item, attempt):
     return os.getpid()
+
+
+def _spin_ignoring_sigterm(item, attempt):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    while True:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +273,17 @@ class TestWorkerPool:
                 ("a", 0),
                 ("b", 0),
             ]
+
+    def test_restart_escalates_to_sigkill_and_reaps(self, new_workers):
+        pool = WorkerPool(1)
+        (failure,) = pool.map(
+            _spin_ignoring_sigterm, ["deaf"], timeout=0.2, retries=0
+        )
+        assert failure.kind == "timeout"
+        # The ladder's restart() could not SIGTERM this one away; by
+        # the time it returned the worker was SIGKILLed and reaped.
+        assert not new_workers()
+        pool.close()
 
 
 # ----------------------------------------------------------------------

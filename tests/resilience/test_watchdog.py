@@ -1,18 +1,22 @@
 """Tests for the wedged-cycle watchdog on the concurrent collector.
 
 A marker worker that never reports back must not hang the mutator:
-once the retry ladder is exhausted the watchdog aborts the cycle,
-rolls the collector back to the checkpoint captured at cycle open,
-and degrades to inline marking for the rest of the process.
+once the retry ladder is exhausted the watchdog discards the cycle —
+nothing was swept, so nothing the mutator allocated is lost — kills
+the workers, and degrades to inline marking for the rest of the
+process.
 """
 
+import multiprocessing
 from concurrent.futures import Future
 
 import pytest
 
-from repro.gc.concurrent import ConcurrentCollector
+from repro.gc import concurrent as concurrent_module
+from repro.gc.concurrent import ConcurrentCollector, _mark_snapshot_task
 from repro.heap.backend import HEAP_BACKENDS, make_heap
 from repro.heap.roots import RootSet
+from repro.verify.audit import audit_collector, enable_checked_mode
 
 
 class RecordingMetrics:
@@ -47,7 +51,6 @@ def _wedged_collector(backend, metrics=None):
     for index in range(4):
         roots.set_global(f"g{index}", collector.allocate(4))
     collector._open_cycle("full")
-    assert collector._cycle_checkpoint is not None
     collector._future = Future()  # wedged: never completes
     return heap, roots, collector
 
@@ -85,15 +88,28 @@ class TestWatchdogAbort:
         assert collector.stats.collections >= 2
         collector.close()
 
-    def test_rollback_restores_cycle_open_checkpoint(self, backend):
-        heap, roots, collector = _wedged_collector(backend)
-        checkpoint_clock = collector._cycle_checkpoint["heap"]["clock"]
-        stats_before = collector._cycle_checkpoint["stats"]
-        collector._watchdog_abort("test-wedge")
-        assert heap.clock == checkpoint_clock
-        assert collector.stats.export_state() == stats_before
-        assert not collector.cycle_open
-        assert collector.watchdog_aborts == 1
+    def test_abort_keeps_allocations_made_since_cycle_open(self, backend):
+        metrics = RecordingMetrics()
+        heap, roots, collector = _wedged_collector(backend, metrics)
+        enable_checked_mode(collector)
+        # The mutator keeps going while the marker is wedged.
+        newborns = [collector.allocate(4) for _ in range(3)]
+        for index, obj in enumerate(newborns):
+            roots.set_global(f"n{index}", obj)
+        collector.allocate(4)  # unrooted: garbage for the re-run
+        allocated = collector.stats.words_allocated
+        rooted = sorted(roots.ids())
+
+        collector.collect()
+
+        assert sorted(roots.ids()) == rooted
+        assert not heap.dangling_ids(rooted)
+        assert sorted(collector.space.object_ids()) == rooted
+        assert collector.stats.words_allocated == allocated
+        assert audit_collector(collector, expected_roots=rooted).ok
+        kinds = [kind for kind, _ in metrics.events]
+        assert kinds.count("watchdog-abort") == 1
+        assert collector.marker_workers == 0
         collector.close()
 
     def test_abort_emits_watchdog_event(self, backend):
@@ -107,13 +123,73 @@ class TestWatchdogAbort:
         assert payload["reason"]
         collector.close()
 
-    def test_inline_collector_never_arms_the_watchdog(self, backend):
+    def test_inline_collector_never_arms_the_watchdog(
+        self, backend, new_workers
+    ):
         heap = make_heap(backend)
         roots = RootSet()
         collector = ConcurrentCollector(heap, roots, 400)
         for index in range(4):
             roots.set_global(f"g{index}", collector.allocate(4))
         collector.collect()
-        assert collector._cycle_checkpoint is None
+        assert not new_workers()
         assert collector.watchdog_aborts == 0
         collector.close()
+
+
+def _spin_in_worker(payload, attempt=0):
+    """The marker task, except that a forked worker never returns."""
+    if multiprocessing.parent_process() is not None:
+        while True:
+            pass
+    return _mark_snapshot_task(payload, attempt)
+
+
+def _drill_script(collector, roots):
+    """Cross the mark trigger, keep allocating with the cycle open,
+    drop every third root, and quiesce."""
+    frame = roots.push_frame()
+    while not collector.cycle_open:
+        frame.push(collector.allocate(4))
+    for _ in range(12):
+        frame.push(collector.allocate(3))
+        collector.allocate(2)
+    for index in range(0, len(frame), 3):
+        frame.set(index, None)
+    collector.collect()
+    collector.collect()
+
+
+def test_spinning_worker_is_killed_and_survivors_match_inline(
+    backend, monkeypatch, new_workers
+):
+    """The real-process drill: a marker that spins in its forked
+    worker is timed out and killed, and what survives is what an
+    inline collector keeps on the same script."""
+    monkeypatch.setattr(
+        concurrent_module, "_mark_snapshot_task", _spin_in_worker
+    )
+    wedged_roots = RootSet()
+    wedged = ConcurrentCollector(
+        make_heap(backend),
+        wedged_roots,
+        400,
+        marker_workers=1,
+        marker_timeout=0.2,
+        marker_retries=0,
+    )
+    try:
+        _drill_script(wedged, wedged_roots)
+    finally:
+        wedged.close()
+    assert wedged.watchdog_aborts == 1
+    assert wedged.marker_workers == 0
+    assert not new_workers()
+
+    inline_roots = RootSet()
+    inline = ConcurrentCollector(make_heap(backend), inline_roots, 400)
+    _drill_script(inline, inline_roots)
+    assert sorted(wedged.space.object_ids()) == sorted(
+        inline.space.object_ids()
+    )
+    assert sorted(wedged_roots.ids()) == sorted(inline_roots.ids())
