@@ -17,9 +17,12 @@ five collectors are written against:
   ``slot_ref``.  The mutator's half (:mod:`repro.runtime.machine`
   builds no object handle per access): ``kind_of`` (which is also the
   dangling-id test ``get`` makes), ``payload_of`` / ``set_payload``,
-  ``load_slot`` (bounds-checked) and ``store_slot`` (bounds-checked,
-  and probing for dangling ids in checked mode); ``read_slot`` and
-  ``write_slot`` are their object-taking delegates.
+  ``load_slot`` (bounds-checked), ``load_ref`` (``load_slot`` plus
+  ``kind_of``'s dangling-id test on a reference value, in one call:
+  what the machine's slot reads use, because the handle they return
+  may come from a table that outlives the object) and ``store_slot``
+  (bounds-checked, and probing for dangling ids in checked mode);
+  ``read_slot`` and ``write_slot`` are their object-taking delegates.
 
 Two backends exist:
 

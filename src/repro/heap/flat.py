@@ -36,7 +36,7 @@ collector loops nor the mutator (:mod:`repro.runtime.machine`) touch
 them — collectors run over ids via the shared kernel methods
 (``trace_region``, ``cheney_evacuate``, ``free_unmarked``,
 ``partition_space``, ``extract_live``, ...) and the mutator over ids
-via the id-level accessors (``kind_of``, ``load_slot``, ``store_slot``,
+via the id-level accessors (``kind_of``, ``load_ref``, ``store_slot``,
 ``payload_of``, ...) that both backends implement.
 """
 
@@ -695,6 +695,22 @@ class FlatHeap:
                 f"object {oid} has no slot {slot} (it has {count})"
             )
         return self._slots[self._slot_base[oid] + slot]
+
+    def load_ref(self, oid: int, slot: int) -> object:
+        """:meth:`load_slot` for a reader that will follow the value:
+        an id is returned only if it names a live object (the test
+        :meth:`kind_of` makes), else it is a structural error."""
+        count = (self._hdr[oid] >> _FC_SHIFT) & _FC_MASK
+        if not 0 <= slot < count:
+            raise HeapError(
+                f"object {oid} has no slot {slot} (it has {count})"
+            )
+        value = self._slots[self._slot_base[oid] + slot]
+        if type(value) is int:
+            state = self._state
+            if not 0 <= value < len(state) or state[value] == _DEAD:
+                raise HeapError(f"dangling object id {value}")
+        return value
 
     def store_slot(self, oid: int, slot: int, value: object) -> None:
         """Write a slot's raw value (no write barrier); checked mode

@@ -351,6 +351,21 @@ class SimulatedHeap:
             )
         return fields[slot]
 
+    def load_ref(self, oid: int, slot: int) -> object:
+        """:meth:`load_slot` for a reader that will follow the value:
+        an id is returned only if it names a live object (the test
+        :meth:`kind_of` makes), else it is a structural error."""
+        objects = self._objects
+        fields = objects[oid].fields
+        if not 0 <= slot < len(fields):
+            raise HeapError(
+                f"object {oid} has no slot {slot} (it has {len(fields)})"
+            )
+        value = fields[slot]
+        if type(value) is int and value not in objects:
+            raise HeapError(f"dangling object id {value}")
+        return value
+
     def store_slot(self, oid: int, slot: int, value: object) -> None:
         """Write a slot's raw value (no write barrier); checked mode
         rejects a dangling id at the store site."""

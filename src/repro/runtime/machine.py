@@ -6,11 +6,15 @@ write barrier, the root set, and a static area for interned symbols,
 and exposes Scheme-flavoured constructors and accessors (``cons``,
 ``car``, ``vector_set``, flonum arithmetic, ...).
 
-Rooting model: every live :class:`~repro.runtime.values.Ref` handle
-held by Python code is a GC root, via a root provider registered with
-the root set.  This mirrors the stack maps/handle scopes of real
-runtimes and lets benchmark code be written as ordinary Python while
-remaining GC-safe (a collection can strike inside any constructor).
+Rooting model: a :class:`~repro.runtime.values.Ref` handle that Python
+code holds is a GC root.  Handles are *interned* — the machine's table
+maps an object id to the one ``Ref`` of that object, and every reader
+gets that one — so "held" is a question CPython already answers: the
+root provider reports the ids whose ``Ref`` has a reference beyond the
+table's own (:func:`sys.getrefcount`) and forgets the rest.  This
+mirrors the stack maps/handle scopes of real runtimes and lets
+benchmark code be written as ordinary Python while remaining GC-safe (a
+collection can strike inside any constructor).
 
 Static area discipline: objects in the static area (symbols and their
 names) are immutable after creation and may only reference other
@@ -21,7 +25,9 @@ the machine rejects such stores.
 
 from __future__ import annotations
 
+import functools
 import operator
+import sys
 from typing import Callable
 
 from repro.gc.collector import Collector
@@ -48,6 +54,86 @@ __all__ = ["CollectorFactory", "Machine"]
 CollectorFactory = Callable[[SimulatedHeap, RootSet], Collector]
 
 
+#: The handle table is swept from the insert path when it outgrows
+#: this many entries, or twice the handles found held by the last such
+#: sweep if that is more: it stays near the number of handles in use
+#: however many distinct objects a program reads between collections.
+_MIN_HANDLE_LIMIT = 512
+
+
+def _rooted_ids(handles: dict[int, Ref], idle: int) -> list[int]:
+    """The ids whose handle something besides ``handles`` references,
+    in insertion order; every other entry is deleted.
+
+    ``idle`` is the reference count this loop reads on a handle that
+    only the table holds (:func:`_idle_refcount`).  An idle entry names
+    an object no Python code can reach through a handle any more, which
+    is exactly when a ``__del__``-maintained table would already have
+    lost it.  No ``Ref`` is freed inside the loop, so nothing can mutate
+    the table under it.
+    """
+    getrefcount = sys.getrefcount
+    rooted = []
+    forgotten = []
+    for ref in handles.values():
+        if getrefcount(ref) > idle:
+            rooted.append(ref.obj_id)
+        else:
+            forgotten.append(ref.obj_id)
+    for obj_id in forgotten:
+        del handles[obj_id]
+    return rooted
+
+
+def _measure_idle(scan: Callable[[dict[int, Ref], int], list[int]]) -> int:
+    """The reference count ``scan`` reads on a handle only its table
+    holds: what a plain loop over a table reads (table, loop variable,
+    call argument), checked against ``scan`` itself.
+
+    On one-entry tables the scan must call the probe rooted below that
+    count and idle at it, and with one outside reference rooted at it
+    and idle one above; anything else raises.  A lower or non-additive
+    reading means :func:`sys.getrefcount` does not count references
+    here; a higher one means the scan holds a reference of its own to
+    the probe, and one entry cannot tell whether it would hold one to
+    *every* entry (harmless) or only to some (the others would read
+    below ``idle`` while held, and lose their root).
+    """
+
+    def rooted(held: bool, threshold: int) -> bool:
+        table = {0: Ref(None, 0, "probe")}
+        holder = table[0] if held else None  # the outside reference
+        return bool(scan(table, threshold))
+
+    table = {0: Ref(None, 0, "probe")}
+    for ref in table.values():
+        idle = sys.getrefcount(ref)
+    del ref
+    verdicts = [
+        rooted(False, idle - 1),
+        rooted(False, idle),
+        rooted(True, idle),
+        rooted(True, idle + 1),
+    ]
+    if verdicts != [True, False, True, False]:
+        raise RuntimeError(
+            f"cannot root handles by reference count on this interpreter: "
+            f"a plain loop reads {idle} on an idle table entry, but the "
+            f"scan calls an idle probe rooted at thresholds {idle - 1}, "
+            f"{idle} and a held one at {idle}, {idle + 1}: {verdicts} "
+            f"(expected [True, False, True, False])"
+        )
+    return idle
+
+
+@functools.cache
+def _idle_refcount() -> int:
+    """:func:`_measure_idle` of the real scan, once per process — at the
+    first :class:`Machine`, not at import: every process that imports
+    :mod:`repro` imports this module."""
+    return _measure_idle(_rooted_ids)
+
+
 class Machine:
     """A complete simulated runtime for one benchmark execution."""
 
@@ -66,18 +152,21 @@ class Machine:
         #: than building two handles for ``barrier.on_store``.
         self._remember = self.collector.remember_store_id
         self.static = self.heap.add_space("static", None)
-        self._handles: dict[int, int] = {}
-        # The provider closes over the table, not the machine, and a
-        # Ref holds the table and the heap, not the machine: nothing
-        # the machine owns points back at it, so dropping the last
-        # reference frees it (and the heap's arenas) at once instead of
-        # leaving it to CPython's cycle collector — which float-heavy
-        # programs, whose only tracked allocations are short-lived
-        # handles, never trigger.  The snapshot: a handle's __del__ may
-        # run at any bytecode, and mutating the dict during root
-        # enumeration would be an error.
+        #: Object id -> *the* handle of that object, for every object
+        #: Python code may still hold one of (and, until the next sweep,
+        #: some it no longer does).
+        self._handles: dict[int, Ref] = {}
+        self._handle_limit = _MIN_HANDLE_LIMIT
+        idle = _idle_refcount()
+        # The provider is the table's only reader.  It closes over the
+        # table, not the machine, and a Ref holds the heap, not the
+        # machine: nothing the machine owns points back at it, so
+        # dropping the last reference frees it (and the heap's arenas)
+        # at once instead of leaving it to CPython's cycle collector —
+        # which float-heavy programs, whose only tracked allocations
+        # are short-lived handles, never trigger.
         handles = self._handles
-        self.roots.add_provider(lambda: list(handles))
+        self.roots.add_provider(lambda: _rooted_ids(handles, idle))
         self._symbols: dict[str, Ref] = {}
         #: Callbacks invoked with each dynamically allocated object.
         self._allocation_hooks: list[Callable[[HeapObject], None]] = []
@@ -92,21 +181,26 @@ class Machine:
     # Handles (Python-side roots)
     # ------------------------------------------------------------------
 
-    def _retain(self, obj_id: int) -> None:
-        self._handles[obj_id] = self._handles.get(obj_id, 0) + 1
+    def _new_handle(self, obj_id: int, kind: str) -> Ref:
+        """Build and intern the handle of an object the table lacks."""
+        handles = self._handles
+        handles[obj_id] = ref = Ref(self.heap, obj_id, kind)
+        if len(handles) > self._handle_limit:
+            self._sweep_handles()
+        return ref
 
-    def _release(self, obj_id: int) -> None:
-        count = self._handles.get(obj_id)
-        if count is None:
-            return
-        if count <= 1:
-            del self._handles[obj_id]
-        else:
-            self._handles[obj_id] = count - 1
+    def _sweep_handles(self) -> None:
+        """Forget the idle entries; sweep again when the table has
+        doubled.  The caller's new handle is held by its frame."""
+        self._handle_limit = max(
+            _MIN_HANDLE_LIMIT,
+            2 * len(_rooted_ids(self._handles, _idle_refcount())),
+        )
 
     @property
     def handle_count(self) -> int:
-        return len(self._handles)
+        """Objects rooted by a handle right now."""
+        return len(_rooted_ids(self._handles, _idle_refcount()))
 
     # ------------------------------------------------------------------
     # Value encoding
@@ -127,13 +221,6 @@ class Machine:
                 f"(got {value!r})"
             )
         raise TypeError(f"not a storable Scheme value: {value!r}")
-
-    def _decode(self, slot_value: object) -> SchemeValue:
-        """Slot value -> program value (ids become fresh handles)."""
-        if type(slot_value) is int:
-            # kind_of is also the dangling-id test.
-            return Ref(self, slot_value, self.heap.kind_of(slot_value))
-        return slot_value
 
     # ------------------------------------------------------------------
     # Stores
@@ -195,8 +282,14 @@ class Machine:
         are identical to ``_store``.
         """
         obj_id = self.collector.allocate_id(PAIR_WORDS, 2, "pair")
-        ref = Ref(self, obj_id, "pair")
-        store_slot = self.heap.store_slot
+        heap = self.heap
+        # Inlined _new_handle, here and in make_flonum: one frame per
+        # allocation is measurable on the allocation-bound programs.
+        handles = self._handles
+        handles[obj_id] = ref = Ref(heap, obj_id, "pair")
+        if len(handles) > self._handle_limit:
+            self._sweep_handles()
+        store_slot = heap.store_slot
         barrier = self.barrier
         self.operations += 2
         barrier.stores += 2
@@ -223,7 +316,7 @@ class Machine:
         obj_id = self.collector.allocate_id(
             word_size_of_vector(length), length, "vector"
         )
-        ref = Ref(self, obj_id, "vector")
+        ref = self._new_handle(obj_id, "vector")
         if fill is not None:
             for slot in range(length):
                 self._store(obj_id, slot, fill)
@@ -234,8 +327,12 @@ class Machine:
     def make_flonum(self, value: float) -> Ref:
         """Box an IEEE double (4 words, §7.2's flonum representation)."""
         obj_id = self.collector.allocate_id(FLONUM_WORDS, 0, "flonum")
-        self.heap.set_payload(obj_id, float(value))
-        ref = Ref(self, obj_id, "flonum")
+        heap = self.heap
+        heap.set_payload(obj_id, float(value))
+        handles = self._handles
+        handles[obj_id] = ref = Ref(heap, obj_id, "flonum")
+        if len(handles) > self._handle_limit:
+            self._sweep_handles()
         if self._allocation_hooks:
             self._notify(obj_id)
         return ref
@@ -246,7 +343,7 @@ class Machine:
             word_size_of_string(len(text)), 0, "string"
         )
         self.heap.set_payload(obj_id, text)
-        ref = Ref(self, obj_id, "string")
+        ref = self._new_handle(obj_id, "string")
         if self._allocation_hooks:
             self._notify(obj_id)
         return ref
@@ -276,7 +373,7 @@ class Machine:
         )
         heap.set_payload(symbol_id, name)
         heap.store_slot(symbol_id, 0, string_id)
-        ref = Ref(self, symbol_id, "symbol")
+        ref = self._new_handle(symbol_id, "symbol")
         self._symbols[name] = ref
         return ref
 
@@ -288,20 +385,26 @@ class Machine:
         self.operations += 1
         if not isinstance(pair, Ref) or pair.kind != "pair":
             raise TypeError(f"expected a pair, got {pair!r}")
-        heap = self.heap
-        value = heap.load_slot(pair.obj_id, 0)
+        value = self.heap.load_ref(pair.obj_id, 0)
         if type(value) is int:
-            return Ref(self, value, heap.kind_of(value))
+            # load_ref vouched for the id: a table entry alone would
+            # not, it can outlive an object the heap has freed.
+            ref = self._handles.get(value)
+            if ref is None:
+                ref = self._new_handle(value, self.heap.kind_of(value))
+            return ref
         return value
 
     def cdr(self, pair: SchemeValue) -> SchemeValue:
         self.operations += 1
         if not isinstance(pair, Ref) or pair.kind != "pair":
             raise TypeError(f"expected a pair, got {pair!r}")
-        heap = self.heap
-        value = heap.load_slot(pair.obj_id, 1)
+        value = self.heap.load_ref(pair.obj_id, 1)
         if type(value) is int:
-            return Ref(self, value, heap.kind_of(value))
+            ref = self._handles.get(value)
+            if ref is None:
+                ref = self._new_handle(value, self.heap.kind_of(value))
+            return ref
         return value
 
     def set_car(self, pair: SchemeValue, value: SchemeValue) -> None:
@@ -328,11 +431,20 @@ class Machine:
         heap = self.heap
         obj_id = self._require(vector, "vector")
         try:
-            value = heap.load_slot(obj_id, index)
+            value = heap.load_ref(obj_id, index)
         except HeapError:
-            raise self._vector_index_error(obj_id, index) from None
+            # The load reports a bad index and a dangling element alike;
+            # only the first is the caller's IndexError.  (Testing the
+            # bounds up front, as vector_set must, costs every read a
+            # call.)
+            if not 0 <= index < heap.slot_count_of(obj_id):
+                raise self._vector_index_error(obj_id, index) from None
+            raise
         if type(value) is int:
-            return Ref(self, value, heap.kind_of(value))
+            ref = self._handles.get(value)
+            if ref is None:
+                ref = self._new_handle(value, heap.kind_of(value))
+            return ref
         return value
 
     def vector_set(

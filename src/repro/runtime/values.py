@@ -23,12 +23,15 @@ of the 7 million floating point operations in nucleic2 allocates 16
 bytes of heap storage: a header word, a word of padding, and two data
 words".
 
-Heap values are handled through :class:`Ref`, a smart handle: while a
-``Ref`` is alive in Python, the object it names is a GC root (the
-machine registers a root provider enumerating live handles).  This
-plays the role of the register/stack map a real runtime maintains, and
-CPython's reference counting releases handles promptly, so death times
-remain accurate.
+Heap values are handled through :class:`Ref`, an *interned* handle:
+the machine keeps one ``Ref`` per object that Python code may still
+hold, and hands that same ``Ref`` to every reader.  While anything
+besides the machine's table references it, the object it names is a GC
+root — the count is the one CPython already keeps for every object, read
+when a collection enumerates roots (see :mod:`repro.runtime.machine`).
+This plays the role of the register/stack map a real runtime maintains,
+and since CPython drops a reference the moment its holder goes away,
+death times remain accurate.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import TYPE_CHECKING
 from repro.heap.object_model import HeapObject
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.machine import Machine
+    from repro.heap.heap import SimulatedHeap
 
 __all__ = [
     "Fixnum",
@@ -113,48 +116,29 @@ def fx(value: int) -> Fixnum:
 
 
 class Ref:
-    """A rooted, tagged handle to a heap object, held by id.
+    """The tagged handle of one heap object, held by id.
 
-    Creating a ``Ref`` registers its object id with the machine's
-    handle table (making it a root); dropping the last Python reference
-    unregisters it.  Two handles are equal iff they name the same heap
-    object.  Like a tagged pointer in Larceny, the handle carries the
-    object's kind (fixed at birth), so type tests touch no memory; the
-    heap is addressed through the id, and :attr:`obj` builds the
-    backend's object view for callers that want one.  It holds the
-    machine's handle table and heap rather than the machine, so the
-    machine's interned symbols do not tie it into a reference cycle.
+    Only the machine builds handles, and it builds one per object: its
+    table maps the id to *the* ``Ref``, constructors and slot reads
+    return that one, and the object is a GC root for as long as some
+    Python reference to it exists besides the table's.  Dropping the
+    last such reference unroots the object; nothing runs when that
+    happens (there is no ``__del__``) — the next root enumeration reads
+    the reference count and forgets the entry.  Two handles are equal
+    iff they name the same heap object.  Like a tagged pointer in
+    Larceny, the handle carries the object's kind (fixed at birth), so
+    type tests touch no memory; the heap is addressed through the id,
+    and :attr:`obj` builds the backend's object view for callers that
+    want one.  It holds the heap, not the machine or its table, so a
+    machine is in no reference cycle with its handles.
     """
 
-    __slots__ = ("_handles", "_heap", "obj_id", "kind", "__weakref__")
+    __slots__ = ("_heap", "obj_id", "kind", "__weakref__")
 
-    def __init__(self, machine: "Machine", obj_id: int, kind: str) -> None:
-        self._heap = machine.heap
+    def __init__(self, heap: "SimulatedHeap", obj_id: int, kind: str) -> None:
+        self._heap = heap
         self.obj_id = obj_id
         self.kind = kind
-        # Inlined Machine._retain: handles are created on every heap
-        # read, so the extra method call is measurable on pointer-heavy
-        # workloads (boyer spends most of its time here).
-        self._handles = handles = machine._handles
-        count = handles.get(obj_id)
-        handles[obj_id] = 1 if count is None else count + 1
-
-    def __del__(self) -> None:  # pragma: no cover - exercised implicitly
-        try:
-            # Inlined Machine._release (see __init__).
-            handles = self._handles
-            obj_id = self.obj_id
-            count = handles.get(obj_id)
-            if count is None:
-                return
-            if count <= 1:
-                del handles[obj_id]
-            else:
-                handles[obj_id] = count - 1
-        except Exception:
-            # Interpreter shutdown can tear the machine down first;
-            # losing a release then is harmless.
-            pass
 
     @property
     def obj(self) -> HeapObject:
