@@ -23,9 +23,10 @@ Collections come in two flavors:
   a promotion, steps j+1..k are collected together with the ephemeral
   area (a non-predictive collection "always promotes all live objects
   out of the ephemeral area into the non-predictive heap"), the steps
-  are renumbered exactly as in
-  :class:`~repro.gc.nonpredictive.NonPredictiveCollector`, and a new
-  ``j`` is chosen by the tuning policy.
+  are renumbered and a new ``j`` is chosen by the tuning policy —
+  :meth:`repro.gc.steps.StepCollector.collect`, the same code the
+  plain non-predictive collector runs, with the ephemeral area added
+  to the condemned region.
 
 Section 8.3's remembered-set pressure valve is implemented: the
 ephemeral collection counts pointers from surviving nursery objects
@@ -37,8 +38,9 @@ current ``j`` would push the steps remembered set past ``max_remset``,
 
 from __future__ import annotations
 
-from repro.core.policy import HalfEmptyPolicy, StepSnapshot, TuningPolicy
-from repro.gc.collector import Collector, HeapExhausted
+from repro.core.policy import TuningPolicy
+from repro.gc.collector import HeapExhausted
+from repro.gc.steps import StepCollector
 from repro.heap.heap import SimulatedHeap
 from repro.heap.object_model import HeapObject
 from repro.heap.remset import RememberedSet
@@ -48,18 +50,12 @@ from repro.heap.space import Space
 __all__ = ["HybridCollector"]
 
 
-class HybridCollector(Collector):
+class HybridCollector(StepCollector):
     """Ephemeral stop-and-copy nursery over a non-predictive old area.
 
-    Args:
-        heap: the simulated heap.
-        roots: the machine root set.
+    Args (the others as for :class:`~repro.gc.steps.StepCollector`,
+    describing the non-predictive area):
         nursery_words: capacity of the ephemeral area.
-        step_count: ``k``, number of steps in the non-predictive area.
-        step_words: capacity of each step.
-        policy: tuning policy choosing ``j`` after each non-predictive
-            collection (defaults to the paper's §8.1 rule).
-        initial_j: ``j`` before the first non-predictive collection.
         max_remset: §8.3 pressure valve — reduce ``j`` before a
             promotion that would grow the steps remembered set past
             this size (``None`` disables the valve).
@@ -70,6 +66,8 @@ class HybridCollector(Collector):
     """
 
     name = "hybrid-non-predictive"
+    step_space_prefix = "hybrid-step"
+    steps_remset_name = "hybrid-steps"
 
     def __init__(
         self,
@@ -84,74 +82,31 @@ class HybridCollector(Collector):
         max_remset: int | None = None,
         allow_promotion_into_protected: bool = True,
     ) -> None:
-        super().__init__(heap, roots)
         if nursery_words <= 0:
             raise ValueError(
                 f"nursery size must be positive, got {nursery_words!r}"
             )
-        if step_count < 2:
-            raise ValueError(f"need at least 2 steps, got {step_count!r}")
-        if step_words <= 0:
-            raise ValueError(f"step size must be positive, got {step_words!r}")
-        if not 0 <= initial_j <= step_count // 2:
-            raise ValueError(
-                f"initial j must be in [0, {step_count // 2}], got {initial_j!r}"
-            )
+        # The ephemeral area is registered ahead of the steps (the heap
+        # enumerates and snapshots spaces in that order), so the step
+        # geometry is checked first: a rejected one registers nothing.
+        self._check_geometry(step_count, step_words, initial_j)
         self.nursery = heap.add_space("hybrid-nursery", nursery_words)
-        self.steps: list[Space] = [
-            heap.add_space(f"hybrid-step-{index}", step_words)
-            for index in range(step_count)
-        ]
-        self.step_words = step_words
-        self.policy = policy if policy is not None else HalfEmptyPolicy()
-        self._j = 0
-        self.j = initial_j
+        super().__init__(
+            heap, roots, step_count, step_words,
+            policy=policy, initial_j=initial_j,
+        )
         self.max_remset = max_remset
         self.allow_promotion_into_protected = allow_promotion_into_protected
         #: Dynamic-area slots that may point into the nursery (§8.4
-        #: situation 3; conventional old-to-young remembering).
+        #: situation 3; conventional old-to-young remembering).  Its
+        #: protected-step entries root a non-predictive collection too:
+        #: the nursery is part of that collection's region.
         self.remset_young = RememberedSet("hybrid-young")
-        #: Protected-step slots that may point into collectable steps
-        #: (§8.4 situations 5 and 6).
-        self.remset_steps = RememberedSet("hybrid-steps")
-        # Step lookup keyed by space identity (hit on every barrier
-        # store); rebuilt only when the steps are renumbered.
-        self._step_index_of: dict[Space, int] = {
-            space: index for index, space in enumerate(self.steps)
-        }
+        self._remsets = (self.remset_steps, self.remset_young)
 
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
-
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
-    @property
-    def j(self) -> int:
-        """The tuning parameter: steps 1..j are protected."""
-        return self._j
-
-    @j.setter
-    def j(self, value: int) -> None:
-        self._j = value
-        self._refresh_partition()
-
-    def _refresh_partition(self) -> None:
-        """Rebuild the cached protected/collectable split; invalidated
-        whenever ``j`` changes or the steps are renumbered."""
-        j = self._j
-        self._protected_list = self.steps[:j]
-        self._collectable_list = self.steps[j:]
-        self._protected_set = set(self._protected_list)
-
-    def step_number(self, obj: HeapObject) -> int | None:
-        space = obj.space
-        if space is None:
-            return None
-        index = self._step_index_of.get(space)
-        return None if index is None else index + 1
 
     def in_nursery(self, obj: HeapObject) -> bool:
         return obj.space is self.nursery
@@ -159,17 +114,10 @@ class HybridCollector(Collector):
     def managed_spaces(self) -> frozenset[Space]:
         return frozenset((self.nursery, *self.steps))
 
-    def step_used(self) -> list[int]:
-        return [space.used for space in self.steps]
-
     def export_state(self) -> dict:
-        # Renumbering reorders ``steps`` without renaming the spaces,
-        # so the logical order is recoverable from the name list alone.
         return {
             "nursery_capacity": self.nursery.capacity,
-            "step_order": [space.name for space in self.steps],
-            "step_words": self.step_words,
-            "j": self._j,
+            **super().export_state(),
             "max_remset": self.max_remset,
             "allow_promotion_into_protected": (
                 self.allow_promotion_into_protected
@@ -179,29 +127,14 @@ class HybridCollector(Collector):
         }
 
     def import_state(self, state: dict) -> None:
-        if sorted(state["step_order"]) != sorted(
-            space.name for space in self.steps
-        ):
-            raise ValueError(
-                f"snapshot steps {state['step_order']} do not match "
-                f"collector steps {[s.name for s in self.steps]}"
-            )
+        super().import_state(state)
         self.nursery.capacity = state["nursery_capacity"]
-        heap_space = self.heap.space
-        self.steps = [heap_space(name) for name in state["step_order"]]
-        self._step_index_of = {
-            space: index for index, space in enumerate(self.steps)
-        }
-        self.step_words = state["step_words"]
         self.max_remset = state["max_remset"]
         self.allow_promotion_into_protected = state[
             "allow_promotion_into_protected"
         ]
         self.remset_young.import_state(state["remset_young"])
         self.remset_steps.import_state(state["remset_steps"])
-        # Through the setter: rebuilds the partition caches over the
-        # restored order.
-        self.j = state["j"]
 
     def _dynamic_free(self) -> int:
         return sum(space.free for space in self.steps)
@@ -272,42 +205,6 @@ class HybridCollector(Collector):
             self.stats.remset_entries_created += 1
 
     # ------------------------------------------------------------------
-    # Tuning
-    # ------------------------------------------------------------------
-
-    def reduce_j(self, new_j: int) -> None:
-        """Decrease ``j`` mid-cycle, rescanning for newly exposed pointers.
-
-        See :meth:`repro.gc.nonpredictive.NonPredictiveCollector.reduce_j`
-        for why the rescan is required.
-        """
-        if new_j > self.j:
-            raise ValueError(
-                f"j can only be decreased between collections "
-                f"(current {self.j}, requested {new_j})"
-            )
-        if new_j < 0:
-            raise ValueError(f"j must be non-negative, got {new_j!r}")
-        if new_j < self.j:
-            heap = self.heap
-            for space in self.steps[:new_j]:
-                for obj_id in list(space.object_ids()):
-                    for slot, ref in heap.ref_slots(obj_id):
-                        dst = self.step_number(heap.get(ref))
-                        if dst is not None and dst > new_j:
-                            self.remset_steps.record_barrier(obj_id, slot)
-                            self.stats.remset_entries_created += 1
-        self.j = new_j
-
-    def _snapshot(self, projected_growth: int = 0) -> StepSnapshot:
-        return StepSnapshot(
-            step_used=self.step_used(),
-            step_capacity=[self.step_words] * self.step_count,
-            remset_size=len(self.remset_steps),
-            projected_remset_growth=projected_growth,
-        )
-
-    # ------------------------------------------------------------------
     # Ephemeral (promoting) collection
     # ------------------------------------------------------------------
 
@@ -331,7 +228,8 @@ class HybridCollector(Collector):
             )
 
         seeds = self._root_ids()
-        seeds.extend(self._young_remset_seeds())
+        # Dynamic-area slots that still point into the nursery.
+        seeds.extend(self._remset_seeds((self.remset_young,), region))
         marked = self._trace_region(region, seeds, count_work=False)
 
         index_of = self._step_index_of
@@ -442,17 +340,15 @@ class HybridCollector(Collector):
         self, promoted: list[tuple[int, int]]
     ) -> None:
         """Pack survivors into steps 1..j, recording situation-5 entries."""
-        heap = self.heap
         self._place_all(promoted, self.j - 1)
         # Scan the promoted objects for pointers into steps j+1..k
         # (§8.4: detected "when the object is traced, after it has been
         # copied into the non-predictive heap").
-        for oid, _ in promoted:
-            for slot, ref in heap.ref_slots(oid):
-                dst = self.step_number(heap.get(ref))
-                if dst is not None and dst > self.j:
-                    self.remset_steps.record_promotion(oid, slot)
-                    self.stats.remset_entries_created += 1
+        self._remember_crossings(
+            (oid for oid, _ in promoted),
+            self.j,
+            self.remset_steps.record_promotion,
+        )
 
     def _place_all(
         self, promoted: list[tuple[int, int]], cursor: int
@@ -524,155 +420,37 @@ class HybridCollector(Collector):
             move(batch, steps[batch_index])
         return lowest
 
-    def _young_remset_seeds(self) -> list[int]:
-        """Seeds from dynamic-area slots that still point into the nursery."""
-        seeds: list[int] = []
-        heap = self.heap
-        nursery = self.nursery
-        for obj_id, slot in list(self.remset_young.entries()):
-            self.stats.roots_traced += 1
-            probe = heap.slot_ref(obj_id, slot)
-            if probe is None:
-                continue
-            ref = probe[1]
-            if heap.space_if_live(ref) is nursery:
-                seeds.append(ref)
-        return seeds
-
     # ------------------------------------------------------------------
     # Non-predictive collection
     # ------------------------------------------------------------------
 
-    def collect(self) -> None:
-        """Collect steps j+1..k together with the ephemeral area."""
-        heap = self.heap
-        k = self.step_count
-        protected = self._protected_list
-        collectable = self._collectable_list
-        region = set(collectable)
-        region.add(self.nursery)
-        if self.metrics is not None:
-            self.metrics.event(
-                "collection-start",
-                kind="non-predictive",
-                clock=heap.clock,
-                j=self._j,
-                collectable_steps=len(collectable),
-            )
+    def _condemned(self, collectable: list[Space]) -> list[Space]:
+        """Steps j+1..k together with the ephemeral area."""
+        return [self.nursery, *collectable]
 
-        seeds = self._root_ids()
-        seeds.extend(self._steps_remset_seeds(region))
-        marked = self._trace_region(region, seeds, count_work=False)
-
-        survivors: list[int] = []
-        reclaimed = 0
-        for space in [self.nursery, *collectable]:
-            space_survivors, space_reclaimed = heap.extract_live(
-                space, marked
-            )
-            survivors.extend(space_survivors)
-            reclaimed += space_reclaimed
-
-        size_of = heap.size_of
+    def _reclaim(
+        self, condemned: list[Space], protected: list[Space], marked: set[int]
+    ) -> tuple[int, int]:
+        survivors, reclaimed = self._extract_survivors(condemned, marked)
+        size_of = self.heap.size_of
         survivor_words = sum(size_of(oid) for oid in survivors)
-        free_after = sum(space.free for space in self.steps)
-        if survivor_words > free_after:
+        if survivor_words > self._dynamic_free():
             raise HeapExhausted(self, survivor_words, phase="collection")
-
-        # Renumber: old j+1..k become 1..k-j, old 1..j become k-j+1..k.
-        steps = collectable + protected
-        if self.metrics is not None:
-            self.metrics.event(
-                "renumbering", order=[space.name for space in steps]
-            )
-        self.steps = steps
-        self._step_index_of = {
-            space: index for index, space in enumerate(steps)
-        }
-        self._refresh_partition()
+        self._renumber(self._collectable_list + protected)
 
         # Survivors go "to the highest-numbered step that contains free
         # space" — which after renumbering may be an old protected step
         # with room left (the nursery's survivors can exceed the
-        # collectable capacity they came from).  Steps are bounded, so
-        # the inlined placement checks capacity directly.
-        cursor = k - 1
-        live = 0
-        place = heap.place_id
-        for oid in survivors:
-            size = size_of(oid)
-            index = cursor
-            while index >= 0:
-                space = steps[index]
-                if space.used + size <= space.capacity:
-                    break
-                index -= 1
-            if index < 0:
-                raise HeapExhausted(self, size, phase="collection")
-            place(oid, space, size)
-            cursor = index
-            live += size
+        # collectable capacity they came from), so packing starts at
+        # step k, and a survivor no step can take is exhaustion, not
+        # corrupt accounting.
+        live, placed = self._pack_survivors(survivors, self.step_count - 1)
+        if placed < len(survivors):
+            raise HeapExhausted(
+                self, size_of(survivors[placed]), phase="collection"
+            )
         self.stats.words_copied += live
-
-        # Protected steps are empty after renumbering + policy choice,
-        # the nursery is empty, so both remembered sets start afresh.
-        self.remset_steps.clear()
-        self.remset_young.clear()
-
-        self.stats.words_reclaimed += reclaimed
-        self.stats.collections += 1
-        self.stats.major_collections += 1
-        self.stats.record_pause(
-            clock=heap.clock,
-            kind="non-predictive",
-            work=live,
-            reclaimed=reclaimed,
-            live=live,
-        )
-        self.j = self.policy.choose_j(self._snapshot())
-        self._finish_collection()
-
-    def on_static_promotion(self) -> None:
-        self.remset_steps.clear()
-        self.remset_young.clear()
-        self.j = self.policy.choose_j(self._snapshot())
-
-    def _steps_remset_seeds(self, region: set[Space]) -> list[int]:
-        """Seeds from protected-step slots pointing into the region.
-
-        Both remembered sets can contribute: ``remset_steps`` holds
-        protected-to-collectable pointers, and ``remset_young`` may
-        hold protected-step slots pointing into the nursery (which is
-        part of the region for a non-predictive collection).
-        """
-        seeds: list[int] = []
-        heap = self.heap
-        protected = self._protected_set
-        for remset in (self.remset_steps, self.remset_young):
-            for obj_id, slot in list(remset.entries()):
-                self.stats.roots_traced += 1
-                probe = heap.slot_ref(obj_id, slot)
-                if probe is None or probe[0] not in protected:
-                    continue
-                ref = probe[1]
-                if heap.space_if_live(ref) in region:
-                    seeds.append(ref)
-        return seeds
-
-    # ------------------------------------------------------------------
-    # Invariants (used by the heap auditor)
-    # ------------------------------------------------------------------
-
-    def check_step_invariants(self) -> None:
-        """Raise AssertionError if the step structure is inconsistent."""
-        assert len(self.steps) == len(self._step_index_of)
-        for index, space in enumerate(self.steps):
-            assert self._step_index_of[space] == index
-            assert space.capacity == self.step_words
-            assert 0 <= space.used <= self.step_words
-        assert 0 <= self.j <= self.step_count
-        assert self._protected_list == self.steps[: self.j]
-        assert self._collectable_list == self.steps[self.j:]
+        return live, reclaimed
 
     def describe(self) -> str:
         return (

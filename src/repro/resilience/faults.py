@@ -50,11 +50,9 @@ from dataclasses import dataclass
 
 from repro.gc.collector import Collector
 from repro.gc.concurrent import ConcurrentCollector
-from repro.gc.generational import GenerationalCollector
-from repro.gc.hybrid import HybridCollector
 from repro.gc.incremental import IncrementalCollector
-from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.remset import RememberedSet
+from repro.gc.steps import StepCollector
+from repro.verify.audit import remset_family
 
 __all__ = [
     "CORRUPTION_FAULTS",
@@ -100,20 +98,14 @@ def fault_applies(kind: str, collector: Collector) -> bool:
     if kind not in FAULT_KINDS:
         raise ValueError(f"unknown fault kind {kind!r}")
     if kind in ("drop-remset", "dup-remset"):
-        if isinstance(collector, (GenerationalCollector, HybridCollector)):
-            return True
         # The incremental collector's gray stack plays the remembered
         # set's role: losing an entry loses part of the mark obligation.
         if isinstance(collector, IncrementalCollector):
             return True
-        return (
-            isinstance(collector, NonPredictiveCollector)
-            and collector.use_remset
-        )
+        remsets, _ = remset_family(collector)
+        return bool(remsets)
     if kind == "mis-renumber":
-        return isinstance(
-            collector, (NonPredictiveCollector, HybridCollector)
-        )
+        return isinstance(collector, StepCollector)
     return True
 
 
@@ -246,9 +238,7 @@ def _inject_mis_renumber(
     collector: Collector, rng: random.Random
 ) -> FaultInjection | None:
     """Swap two steps without rebuilding the renumbering bookkeeping."""
-    if not isinstance(
-        collector, (NonPredictiveCollector, HybridCollector)
-    ):
+    if not isinstance(collector, StepCollector):
         return None
     steps = collector.steps
     if len(steps) < 2:
@@ -273,10 +263,10 @@ def _inject_drop_remset(
 ) -> FaultInjection | None:
     """Remove a remembered slot that still covers a live pointer.
 
-    Only entries a partial collection actually *needs* (per the same
-    predicates the auditor's completeness check uses) are candidates;
-    removing an already-stale entry would be a legal prune, not a
-    fault.
+    Only entries a partial collection actually *needs* — the
+    obligations the auditor's completeness check enumerates, filtered
+    to the ones currently *present* — are candidates; removing an
+    already-stale entry would be a legal prune, not a fault.
     """
     if isinstance(collector, ConcurrentCollector):
         # The concurrent analogue: corrupt the marker's result while it
@@ -337,7 +327,12 @@ def _inject_drop_remset(
                 f"(object stays colored gray)"
             ),
         )
-    required = _required_entries(collector)
+    _, obligations = remset_family(collector)
+    required = [
+        (needed.remset, needed.entry, needed.why)
+        for needed in obligations
+        if needed.entry in needed.remset
+    ]
     if not required:
         return None
     remset, entry, why = _pick(rng, required, key=lambda r: (r[0].name, r[1]))
@@ -393,10 +388,10 @@ def _inject_dup_remset(
             kind="dup-remset",
             detail=f"gray-stack entry {entry} re-pushed (duplicate)",
         )
-    remsets = _collector_remsets(collector)
-    if remsets is None:
+    sources, _ = remset_family(collector)
+    if not sources:
         return None
-    populated = [remset for remset in remsets if len(remset)]
+    populated = [remset for remset, _ in sources if len(remset)]
     if populated:
         remset = _pick(rng, populated, key=lambda r: r.name)
         entry = _pick(rng, sorted(remset.entries()))
@@ -405,7 +400,17 @@ def _inject_dup_remset(
             kind="dup-remset",
             detail=f"entry {entry} re-recorded in {remset.name}",
         )
-    candidates = _conservative_slots(collector)
+    # Only slots of objects residing in a remset's legitimate *source*
+    # region qualify: a correct collector must tolerate such entries,
+    # because the barrier records them eagerly and the pointed-at store
+    # may be overwritten before the next partial collection prunes.
+    candidates = [
+        (remset, obj.obj_id, slot)
+        for remset, spaces in sources
+        for space in spaces
+        for obj in space.objects()
+        for slot in range(len(obj.fields))
+    ]
     if not candidates:
         return None
     remset, obj_id, slot = _pick(
@@ -429,148 +434,6 @@ _INJECTORS = {
     "root-skip": _inject_root_skip,
     "mis-renumber": _inject_mis_renumber,
 }
-
-
-# ----------------------------------------------------------------------
-# Remset helpers
-# ----------------------------------------------------------------------
-
-
-def _collector_remsets(
-    collector: Collector,
-) -> tuple[RememberedSet, ...] | None:
-    if isinstance(collector, GenerationalCollector):
-        return tuple(collector.remsets[1:])  # gen 0 has no inbound set
-    if isinstance(collector, NonPredictiveCollector):
-        return (collector.remset,) if collector.use_remset else None
-    if isinstance(collector, HybridCollector):
-        return (collector.remset_young, collector.remset_steps)
-    return None
-
-
-def _conservative_slots(collector: Collector) -> list:
-    """``(remset, obj_id, slot)`` triples a barrier could have left stale.
-
-    Only slots of objects residing in a remset's legitimate *source*
-    region qualify: a correct collector must tolerate such entries,
-    because the barrier records them eagerly and the pointed-at store
-    may be overwritten before the next partial collection prunes.
-    """
-    candidates: list = []
-    if isinstance(collector, GenerationalCollector):
-        for src_gen, space in enumerate(collector.spaces):
-            if src_gen == 0:
-                continue
-            remset = collector.remsets[src_gen]
-            for obj in space.objects():
-                for slot in range(len(obj.fields)):
-                    candidates.append((remset, obj.obj_id, slot))
-    elif isinstance(collector, NonPredictiveCollector):
-        if collector.use_remset:
-            for space in collector.steps[: collector.j]:
-                for obj in space.objects():
-                    for slot in range(len(obj.fields)):
-                        candidates.append(
-                            (collector.remset, obj.obj_id, slot)
-                        )
-    elif isinstance(collector, HybridCollector):
-        for index, space in enumerate(collector.steps):
-            for obj in space.objects():
-                for slot in range(len(obj.fields)):
-                    candidates.append(
-                        (collector.remset_young, obj.obj_id, slot)
-                    )
-                    if index + 1 <= collector.j:
-                        candidates.append(
-                            (collector.remset_steps, obj.obj_id, slot)
-                        )
-    return candidates
-
-
-def _required_entries(collector: Collector) -> list:
-    """Every ``(remset, entry, why)`` a partial collection depends on.
-
-    Mirrors the predicates of the auditor's remset-completeness check:
-    an entry is *required* when its slot currently holds a live pointer
-    that the corresponding partial collection would otherwise miss.
-    """
-    heap = collector.heap
-    required: list = []
-    if isinstance(collector, GenerationalCollector):
-        for src_gen, space in enumerate(collector.spaces):
-            if src_gen == 0:
-                continue
-            remset = collector.remsets[src_gen]
-            for obj in space.objects():
-                for slot, ref in enumerate(obj.fields):
-                    if type(ref) is not int or not heap.contains_id(ref):
-                        continue
-                    dst_gen = collector.generation_index(heap.get(ref))
-                    if dst_gen is None or dst_gen >= src_gen:
-                        continue
-                    entry = (obj.obj_id, slot)
-                    if entry in remset:
-                        required.append(
-                            (
-                                remset,
-                                entry,
-                                f"gen-{src_gen} -> gen-{dst_gen}",
-                            )
-                        )
-    elif isinstance(collector, NonPredictiveCollector):
-        if not collector.use_remset:
-            return []
-        j = collector.j
-        for space in collector.steps[:j]:
-            for obj in space.objects():
-                for slot, ref in enumerate(obj.fields):
-                    if type(ref) is not int or not heap.contains_id(ref):
-                        continue
-                    dst = collector.step_number(heap.get(ref))
-                    if dst is None or dst <= j:
-                        continue
-                    entry = (obj.obj_id, slot)
-                    if entry in collector.remset:
-                        required.append(
-                            (
-                                collector.remset,
-                                entry,
-                                f"protected -> step-{dst}",
-                            )
-                        )
-    elif isinstance(collector, HybridCollector):
-        j = collector.j
-        for index, space in enumerate(collector.steps):
-            src_step = index + 1
-            for obj in space.objects():
-                for slot, ref in enumerate(obj.fields):
-                    if type(ref) is not int or not heap.contains_id(ref):
-                        continue
-                    target = heap.get(ref)
-                    if collector.in_nursery(target):
-                        entry = (obj.obj_id, slot)
-                        if entry in collector.remset_young:
-                            required.append(
-                                (
-                                    collector.remset_young,
-                                    entry,
-                                    f"step-{src_step} -> nursery",
-                                )
-                            )
-                        continue
-                    dst_step = collector.step_number(target)
-                    if dst_step is None or not src_step <= j < dst_step:
-                        continue
-                    entry = (obj.obj_id, slot)
-                    if entry in collector.remset_steps:
-                        required.append(
-                            (
-                                collector.remset_steps,
-                                entry,
-                                f"step-{src_step} -> step-{dst_step}",
-                            )
-                        )
-    return required
 
 
 def _pick(rng: random.Random, items, key=None):

@@ -19,7 +19,12 @@ correct collector in this reproduction must maintain:
   reclaimed: ``words_allocated == resident + words_reclaimed``;
 * **remembered-set completeness** — per collector family, every
   pointer that a partial collection would need to treat as a root has
-  a slot-precise remembered-set entry (§8.4's situations 3, 5 and 6);
+  a slot-precise remembered-set entry (§8.4's situations 3, 5 and 6).
+  :func:`remset_family` enumerates them from the heap and the
+  collector's published structure only — never through the collector's
+  own barrier or seeding code, which is what is being checked — and the
+  fault injectors (:mod:`repro.resilience.faults`) pick their targets
+  from the same enumeration;
 * **step structure** — the step renumbering bookkeeping of the
   non-predictive and hybrid collectors is self-consistent and, in the
   non-predictive collector's stop-and-copy mode, objects allocated
@@ -55,6 +60,7 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from repro.gc.collector import Collector
 from repro.gc.concurrent import ConcurrentCollector
@@ -62,7 +68,10 @@ from repro.gc.generational import GenerationalCollector
 from repro.gc.hybrid import HybridCollector
 from repro.gc.incremental import GRAY, WHITE, IncrementalCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
+from repro.gc.steps import StepCollector
 from repro.heap.heap import HeapError
+from repro.heap.remset import RememberedSet
+from repro.heap.space import Space
 
 __all__ = [
     "AuditError",
@@ -71,6 +80,7 @@ __all__ = [
     "audit_collector",
     "disable_checked_mode",
     "enable_checked_mode",
+    "remset_family",
 ]
 
 
@@ -139,21 +149,19 @@ def audit_collector(
         checks.append("root-witness")
         _check_root_witness(collector, expected_roots, violations)
 
-    if isinstance(collector, GenerationalCollector):
+    if isinstance(collector, StepCollector):
+        hybrid = isinstance(collector, HybridCollector)
+        checks.append(f"{'hybrid' if hybrid else 'np'}-step-structure")
+        _check_step_structure(collector, violations)
+    sources, obligations = remset_family(collector)
+    if sources:
         checks.append("remset-completeness")
-        _check_generational_remsets(collector, violations)
-    elif isinstance(collector, NonPredictiveCollector):
-        checks.append("np-step-structure")
-        _check_np_structure(collector, violations)
-        if collector.use_remset:
-            checks.append("remset-completeness")
-            _check_np_remsets(collector, violations)
-    elif isinstance(collector, HybridCollector):
-        checks.append("hybrid-step-structure")
-        _check_hybrid_structure(collector, violations)
-        checks.append("remset-completeness")
-        _check_hybrid_remsets(collector, violations)
-    elif isinstance(collector, ConcurrentCollector):
+        violations.extend(
+            needed.complaint()
+            for needed in obligations
+            if needed.entry not in needed.remset
+        )
+    if isinstance(collector, ConcurrentCollector):
         if collector.cycle_open:
             checks.append("concurrent-wavefront")
             _check_concurrent_wavefront(collector, violations)
@@ -308,69 +316,134 @@ def _check_root_witness(
         )
 
 
-def _check_hybrid_structure(
-    collector: HybridCollector, violations: list[str]
-) -> None:
-    try:
-        collector.check_step_invariants()
-    except AssertionError as exc:
-        violations.append(f"step structure: {exc or 'assertion failed'}")
+class RemsetObligation(NamedTuple):
+    """One slot a partial collection depends on finding remembered:
+    ``entry`` of an object in ``source`` holds ``ref``, in ``target``."""
+
+    remset: RememberedSet
+    entry: tuple[int, int]
+    source: str
+    target: str
+    ref: int
+    #: How the violation text names the source and the missing entry.
+    qualifier: str = ""
+    wanted: str = "an entry"
+
+    @property
+    def why(self) -> str:
+        """What the fault injectors report of a dropped entry."""
+        return f"{self.source} -> {self.target}"
+
+    def complaint(self) -> str:
+        """The violation when ``entry`` is missing from ``remset``."""
+        obj_id, slot = self.entry
+        return (
+            f"remset incomplete: {self.qualifier}{self.source} object "
+            f"{obj_id} slot {slot} points at {self.target} object "
+            f"{self.ref} without {self.wanted}"
+        )
 
 
-def _check_generational_remsets(
-    collector: GenerationalCollector, violations: list[str]
-) -> None:
+def _live_refs(heap, space: Space) -> Iterator[tuple[int, int, int]]:
+    """``(obj_id, slot, ref)`` for every slot of ``space`` that holds
+    the id of a live object."""
+    for obj in space.objects():
+        for slot, ref in enumerate(obj.fields):
+            if type(ref) is int and heap.contains_id(ref):
+                yield obj.obj_id, slot, ref
+
+
+def _generational_obligations(
+    collector: GenerationalCollector,
+) -> Iterator[RemsetObligation]:
     """Every old-to-young pointer must have a remembered slot."""
     heap = collector.heap
     for src_gen, space in enumerate(collector.spaces):
         if src_gen == 0:
             continue  # nursery sources are always traced
-        for obj in space.objects():
-            for slot, ref in enumerate(obj.fields):
-                if type(ref) is not int or not heap.contains_id(ref):
-                    continue
-                dst_gen = collector.generation_index(heap.get(ref))
-                if dst_gen is None or dst_gen >= src_gen:
-                    continue
-                if (obj.obj_id, slot) not in collector.remsets[src_gen]:
-                    violations.append(
-                        f"remset incomplete: gen-{src_gen} object "
-                        f"{obj.obj_id} slot {slot} points at gen-"
-                        f"{dst_gen} object {ref} without an entry"
-                    )
+        for obj_id, slot, ref in _live_refs(heap, space):
+            dst_gen = collector.generation_index(heap.get(ref))
+            if dst_gen is not None and dst_gen < src_gen:
+                yield RemsetObligation(
+                    collector.remsets[src_gen],
+                    (obj_id, slot),
+                    f"gen-{src_gen}",
+                    f"gen-{dst_gen}",
+                    ref,
+                )
 
 
-def _check_np_remsets(
-    collector: NonPredictiveCollector, violations: list[str]
-) -> None:
-    """Every protected-to-collectable pointer must be remembered."""
+def _step_obligations(
+    collector: StepCollector, hybrid: bool
+) -> Iterator[RemsetObligation]:
+    """Every protected-to-collectable pointer must be remembered
+    (situations 5 and 6); in front of a nursery, every dynamic-to-
+    nursery pointer too (situation 3, in ``remset_young``)."""
     heap = collector.heap
     j = collector.j
-    for space in collector.steps[:j]:
-        for obj in space.objects():
-            for slot, ref in enumerate(obj.fields):
-                if type(ref) is not int or not heap.contains_id(ref):
-                    continue
-                dst = collector.step_number(heap.get(ref))
-                if dst is None or dst <= j:
-                    continue
-                if (obj.obj_id, slot) not in collector.remset:
-                    violations.append(
-                        f"remset incomplete: protected object "
-                        f"{obj.obj_id} slot {slot} points at step-{dst} "
-                        f"object {ref} without an entry"
-                    )
+    # Each kind's violation text words the crossing its own way.
+    wording = ("protected ", "a remset_steps entry") if hybrid else ()
+    # Situation 3 makes every step a source; 5 and 6 only the protected.
+    for index, space in enumerate(collector.steps[: None if hybrid else j]):
+        src = f"step-{index + 1}"
+        for obj_id, slot, ref in _live_refs(heap, space):
+            entry = (obj_id, slot)
+            target = heap.get(ref)
+            if hybrid and collector.in_nursery(target):
+                yield RemsetObligation(
+                    collector.remset_young, entry, src, "nursery", ref,
+                    wanted="a remset_young entry",
+                )
+                continue
+            dst = collector.step_number(target)
+            if dst is not None and index < j < dst:
+                yield RemsetObligation(
+                    collector.remset_steps, entry,
+                    src if hybrid else "protected", f"step-{dst}", ref,
+                    *wording,
+                )
 
 
-def _check_np_structure(
-    collector: NonPredictiveCollector, violations: list[str]
+def remset_family(
+    collector: Collector,
+) -> tuple[list, Iterator[RemsetObligation]]:
+    """The collector family's remembered-set contract, as ``(sources,
+    obligations)``: each remembered set it keeps with the spaces whose
+    slots may legitimately appear in it, and every slot its partial
+    collections depend on.  The completeness check reports obligations
+    *missing* from their remset; the fault injectors drop ones that are
+    *present* and add conservative entries from the source spaces.
+    """
+    if isinstance(collector, GenerationalCollector):
+        sources = [  # gen 0 has no inbound set
+            (remset, [space])
+            for remset, space in zip(collector.remsets[1:], collector.spaces[1:])
+        ]
+        return sources, _generational_obligations(collector)
+    if isinstance(collector, StepCollector):
+        protected = collector.steps[: collector.j]
+        sources = [(collector.remset_steps, protected)]
+        hybrid = isinstance(collector, HybridCollector)
+        if hybrid:
+            sources.append((collector.remset_young, collector.steps))
+        elif not collector.use_remset:
+            return [], iter(())  # scan mode keeps no remembered set
+        return sources, _step_obligations(collector, hybrid)
+    return [], iter(())
+
+
+def _check_step_structure(
+    collector: StepCollector, violations: list[str]
 ) -> None:
     try:
         collector.check_step_invariants()
     except AssertionError as exc:
         violations.append(f"step structure: {exc or 'assertion failed'}")
         return
-    if collector.algorithm != "stop-and-copy":
+    if not (
+        isinstance(collector, NonPredictiveCollector)
+        and collector.algorithm == "stop-and-copy"
+    ):
         return
     # Stop-and-copy allocation fills the steps from the top down, so
     # objects allocated since the last pause must sit in non-increasing
@@ -570,38 +643,3 @@ def _check_concurrent_wavefront(
                     f"would dangle — its target {ref} would be swept"
                 )
                 return
-
-
-def _check_hybrid_remsets(
-    collector: HybridCollector, violations: list[str]
-) -> None:
-    """Situations 3, 5 and 6: dynamic-to-nursery pointers must be in
-    ``remset_young``; protected-to-collectable pointers in
-    ``remset_steps``."""
-    heap = collector.heap
-    j = collector.j
-    for index, space in enumerate(collector.steps):
-        src_step = index + 1
-        for obj in space.objects():
-            for slot, ref in enumerate(obj.fields):
-                if type(ref) is not int or not heap.contains_id(ref):
-                    continue
-                target = heap.get(ref)
-                if collector.in_nursery(target):
-                    if (obj.obj_id, slot) not in collector.remset_young:
-                        violations.append(
-                            f"remset incomplete: step-{src_step} object "
-                            f"{obj.obj_id} slot {slot} points at nursery "
-                            f"object {ref} without a remset_young entry"
-                        )
-                    continue
-                dst_step = collector.step_number(target)
-                if dst_step is None or not src_step <= j < dst_step:
-                    continue
-                if (obj.obj_id, slot) not in collector.remset_steps:
-                    violations.append(
-                        f"remset incomplete: protected step-{src_step} "
-                        f"object {obj.obj_id} slot {slot} points at "
-                        f"step-{dst_step} object {ref} without a "
-                        f"remset_steps entry"
-                    )

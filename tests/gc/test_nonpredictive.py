@@ -1,4 +1,10 @@
-"""Tests for the non-predictive collector (paper Section 4 and 8)."""
+"""Tests for the non-predictive collector (paper Section 4 and 8).
+
+What it shares with the hybrid — the step machine's geometry checks,
+``reduce_j``, the renumbering, the snapshot's step half — is tested on
+both kinds in ``test_steps.py``; the cases here are this collector's
+own: allocation into the steps, its barrier and the scan ablation.
+"""
 
 from __future__ import annotations
 
@@ -56,23 +62,6 @@ class TestCollection:
             collector.allocate(4)  # garbage
         collector.allocate(4)
         assert collector.stats.collections == 1
-
-    def test_renumbering_moves_protected_to_oldest(self):
-        heap, roots, collector = setup(
-            step_count=4, step_words=4, policy=FixedJPolicy(1), initial_j=1
-        )
-        frame = roots.push_frame()
-        # Fill steps 4,3,2 with garbage, step 1 with a live object.
-        for _ in range(3):
-            collector.allocate(4)
-        protected = collector.allocate(4)
-        frame.push(protected)
-        assert collector.step_number(protected) == 1
-        collector.collect()
-        # Renumbering: old step 1 becomes step k = 4 ("exchanged, not
-        # collected").
-        assert collector.step_number(protected) == 4
-        collector.check_step_invariants()
 
     def test_protected_objects_survive_even_if_garbage(self):
         # "The collector essentially assumes that all objects in steps
@@ -212,32 +201,6 @@ class TestRememberedSet:
 
 
 class TestReduceJ:
-    def test_reduce_j_rescans_for_hidden_pointers(self):
-        # A pointer created while both ends were protected becomes
-        # protected-to-collectable when j drops; reduce_j must record
-        # it or the target would be collected while reachable.
-        heap, roots, collector = setup(step_count=6, step_words=4, initial_j=3)
-        # Fill collectable steps 6..4 with garbage.
-        for _ in range(3):
-            collector.allocate(4)
-        inner = collector.allocate(4)              # step 3 (protected)
-        holder = collector.allocate(4, field_count=1)  # step 2 (protected)
-        heap.write_field(holder, 0, inner)
-        collector.remember_store(holder, 0, inner)  # both protected: no entry
-        assert len(collector.remset) == 0
-        collector.reduce_j(2)  # step 3 becomes collectable
-        assert (holder.obj_id, 0) in collector.remset
-        collector.allocate(4)  # fill step 1 so a collection can trigger
-        collector.collect()
-        assert heap.contains_id(inner.obj_id)
-
-    def test_reduce_j_cannot_increase(self):
-        _, _, collector = setup(initial_j=1)
-        with pytest.raises(ValueError):
-            collector.reduce_j(2)
-        with pytest.raises(ValueError):
-            collector.reduce_j(-1)
-
     def test_reduce_to_same_value_is_noop(self):
         _, _, collector = setup(initial_j=1)
         collector.reduce_j(1)
@@ -245,14 +208,6 @@ class TestReduceJ:
 
 
 class TestValidation:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            setup(step_count=1)
-        with pytest.raises(ValueError):
-            setup(step_words=0)
-        with pytest.raises(ValueError):
-            setup(initial_j=4)  # > k/2
-
     def test_describe(self):
         _, _, collector = setup()
         assert "non-predictive" in collector.describe()

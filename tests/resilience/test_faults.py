@@ -26,6 +26,7 @@ from repro.resilience.faults import (
     inject_fault,
 )
 from repro.verify.audit import audit_collector
+from tests.gc.test_steps import KINDS as STEP_KINDS, make, settle
 
 
 def _marksweep():
@@ -152,6 +153,101 @@ class TestInjectors:
         assert audit_collector(collector).ok
         collector.collect()  # the spurious entry must not crash a cycle
         assert audit_collector(collector).ok
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+class TestStepKinds:
+    """The two step collectors face one injector and one auditor walk;
+    the detail and violation texts are the ones each kind always had."""
+
+    def _crossing(self, kind):
+        """Steps 6..4 full, a holder in protected step 3 whose slot 0
+        points (remembered) at the object in collectable step 6."""
+        heap, roots, collector = make(kind, initial_j=3)
+        frame = roots.push_frame()
+        target, _ = settle(collector, frame)
+        settle(collector, frame)
+        settle(collector, frame)
+        holder, _ = settle(collector, frame, field_count=1)
+        heap.write_field(holder, 0, target)
+        collector.remember_store(holder, 0, target)
+        assert audit_collector(collector).ok
+        return collector, holder.obj_id, target.obj_id
+
+    def test_drop_remset_names_the_crossing(self, kind):
+        collector, holder, target = self._crossing(kind)
+        injection = inject_fault("drop-remset", collector, random.Random(7))
+        report = audit_collector(collector)
+        if kind == "hybrid":
+            assert injection.detail == (
+                f"entry ({holder}, 0) dropped from hybrid-steps "
+                f"(step-3 -> step-6)"
+            )
+            assert report.violations == (
+                f"remset incomplete: protected step-3 object {holder} slot "
+                f"0 points at step-6 object {target} without a "
+                f"remset_steps entry",
+            )
+        else:
+            assert injection.detail == (
+                f"entry ({holder}, 0) dropped from np-steps "
+                f"(protected -> step-6)"
+            )
+            assert report.violations == (
+                f"remset incomplete: protected object {holder} slot 0 "
+                f"points at step-6 object {target} without an entry",
+            )
+
+    def test_dup_remset_is_benign(self, kind):
+        collector, holder, _ = self._crossing(kind)
+        injection = inject_fault("dup-remset", collector, random.Random(8))
+        assert injection.detail.startswith(f"entry ({holder}, 0) re-recorded")
+        assert audit_collector(collector).ok
+        collector.collect()
+        assert audit_collector(collector).ok
+
+    def test_conservative_entry_comes_from_a_source_step(self, kind):
+        heap, roots, collector = make(kind, initial_j=3)
+        frame = roots.push_frame()
+        for _ in range(4):
+            settle(collector, frame, field_count=1)
+        injection = inject_fault("dup-remset", collector, random.Random(9))
+        assert "stale-store-style entry" in injection.detail
+        assert audit_collector(collector).ok
+
+    def test_mis_renumber_fails_audit(self, kind):
+        collector, _, _ = self._crossing(kind)
+        injection = inject_fault("mis-renumber", collector, random.Random(3))
+        assert "swapped without renumbering" in injection.detail
+        report = audit_collector(collector)
+        assert any(v.startswith("step structure") for v in report.violations)
+
+
+def test_hybrid_drop_remset_names_the_nursery_crossing():
+    heap, roots, collector = make("hybrid")
+    frame = roots.push_frame()
+    old, _ = settle(collector, frame, field_count=1)  # step 6
+    young = collector.allocate(2)
+    frame.push(young)
+    heap.write_field(old, 0, young)
+    collector.remember_store(old, 0, young)
+    injection = inject_fault("drop-remset", collector, random.Random(7))
+    assert injection.detail == (
+        f"entry ({old.obj_id}, 0) dropped from hybrid-young "
+        f"(step-6 -> nursery)"
+    )
+    assert audit_collector(collector).violations == (
+        f"remset incomplete: step-6 object {old.obj_id} slot 0 points at "
+        f"nursery object {young.obj_id} without a remset_young entry",
+    )
+
+
+def test_scan_mode_offers_no_remset_target():
+    _, _, collector = make("non-predictive", initial_j=3, use_remset=False)
+    assert not fault_applies("drop-remset", collector)
+    assert inject_fault("drop-remset", collector, random.Random(0)) is None
+    assert inject_fault("dup-remset", collector, random.Random(0)) is None
+    assert "remset-completeness" not in audit_collector(collector).checks
 
 
 class TestRootSkipWitness:
