@@ -35,6 +35,11 @@ __all__ = ["Collector", "HeapExhausted", "PostCollectionHook"]
 PostCollectionHook = Callable[["Collector"], None]
 
 
+#: ``bump_space`` before the first reservation: empty and zero-sized,
+#: so the fast-path test needs no ``None`` case.
+_UNRESERVED = Space("unreserved", 0)
+
+
 class HeapExhausted(Exception):
     """Collection freed too little memory to satisfy an allocation.
 
@@ -97,6 +102,15 @@ class Collector(abc.ABC):
         #: constructed inside an active metrics session self-attaches.
         session = active_session()
         self.metrics = session.attach(self) if session is not None else None
+        #: The allocation fast-path fact, published after every
+        #: reservation: while ``bump_space.used + n <= bump_limit``,
+        #: ``_reserve(n)`` would return ``bump_space`` and do nothing
+        #: else, so a caller may allocate there without entering the
+        #: collector.  Zero after anything that moves a capacity or the
+        #: allocation space outside ``_reserve`` (a collection, a static
+        #: promotion, a restore): the next allocation is then a miss.
+        self.bump_space: Space = _UNRESERVED
+        self.bump_limit = 0
 
     # ------------------------------------------------------------------
     # Mutator interface
@@ -109,11 +123,28 @@ class Collector(abc.ABC):
 
         This is each collector's allocation policy in one place;
         :meth:`allocate`, :meth:`allocate_id` and
-        :meth:`reserve_window` all route through it.
+        :meth:`reserve_window` all route through it, by way of
+        :meth:`_reserve_bump`.
 
         Raises:
             HeapExhausted: if no collection can free enough space.
         """
+
+    def _reserve_bump(self, size: int) -> Space:
+        """:meth:`_reserve`, then publish ``(bump_space, bump_limit)``
+        for the space it chose — after ``_reserve`` returns, so a
+        collection it ran (which zeroes the limit) leaves no stale pair.
+
+        The limit is the occupancy up to which ``_reserve`` is a pure
+        fit test: here the space's capacity (an unbounded space
+        publishes 0 and stays on :meth:`allocate_id`).  A collector
+        whose ``_reserve`` does more than that below capacity extends
+        this.
+        """
+        space = self._reserve(size)
+        self.bump_space = space
+        self.bump_limit = space.capacity or 0
+        return space
 
     def allocate(
         self, size: int, field_count: int = 0, kind: str = "data"
@@ -123,7 +154,7 @@ class Collector(abc.ABC):
         Raises:
             HeapExhausted: if no collection can free enough space.
         """
-        space = self._reserve(size)
+        space = self._reserve_bump(size)
         obj = self.heap.allocate(size, field_count, space, kind)
         stats = self.stats
         stats.words_allocated += size
@@ -135,12 +166,13 @@ class Collector(abc.ABC):
     ) -> int:
         """Allocate an object and return its raw id (no handle).
 
-        Identical observable behaviour to :meth:`allocate`; the id form
-        is what throughput-critical callers (the benchmark executor)
-        use on the flat backend, where handle construction is pure
-        overhead.
+        Identical observable behaviour to :meth:`allocate`.  Its only
+        caller is :class:`~repro.runtime.machine.Machine`, for which it
+        is the miss handler: the constructors allocate straight into
+        ``bump_space`` while the published limit allows and come here
+        when it does not.
         """
-        space = self._reserve(size)
+        space = self._reserve_bump(size)
         obj_id = self.heap.allocate_id(size, field_count, space, kind)
         stats = self.stats
         stats.words_allocated += size
@@ -164,7 +196,7 @@ class Collector(abc.ABC):
             raise ValueError(
                 f"window must cover >= 1 object, got {max_objects!r}"
             )
-        space = self._reserve(size)
+        space = self._reserve_bump(size)
         count = space.free // size
         if count > max_objects:
             count = max_objects
@@ -205,8 +237,9 @@ class Collector(abc.ABC):
         "A full collection empties the remembered set and promotes
         all live storage to the static area."  The machine moves the
         objects; collectors with remembered sets or step state
-        override this to empty them.
+        extend this to empty them.
         """
+        self.bump_limit = 0
 
     def managed_spaces(self) -> frozenset[Space] | None:
         """The spaces this collector allocates into and collects.
@@ -257,14 +290,11 @@ class Collector(abc.ABC):
         structural updates.  Metrics are observed first so telemetry
         records the collection even when a checked-mode audit then
         rejects the resulting heap."""
+        self.bump_limit = 0
         if self.metrics is not None:
             self.metrics.observe_collection(self)
         if self.post_collection_hook is not None:
             self.post_collection_hook(self)
-
-    def _record_allocation(self, obj: HeapObject) -> None:
-        self.stats.words_allocated += obj.size
-        self.stats.objects_allocated += 1
 
     def _trace_region(
         self,

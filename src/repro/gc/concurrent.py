@@ -526,18 +526,14 @@ class ConcurrentCollector(IncrementalCollector):
             raise ValueError(
                 f"window must cover >= 1 object, got {max_objects!r}"
             )
-        space = self._reserve(size)
+        space = self._reserve_bump(size)
         count = space.free // size
         if count > max_objects:
             count = max_objects
-        if not self.cycle_open:
-            capacity = space.capacity
-            if capacity is not None:
-                room = (
-                    int(capacity * self.trigger_fraction) - space.used
-                ) // size
-                if room < count:
-                    count = max(1, room)
+        if not self.cycle_open and space.capacity is not None:
+            room = (self.bump_limit - space.used) // size
+            if room < count:
+                count = max(1, room)
         first, end = self.heap.bulk_allocate(count, size, space)
         stats = self.stats
         stats.words_allocated += count * size

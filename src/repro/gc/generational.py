@@ -159,6 +159,7 @@ class GenerationalCollector(Collector):
         }
 
     def import_state(self, state: dict) -> None:
+        self.bump_limit = 0
         for space, capacity in zip(
             self.spaces, state["generation_capacities"]
         ):
@@ -407,6 +408,7 @@ class GenerationalCollector(Collector):
         self._finish_collection()
 
     def on_static_promotion(self) -> None:
+        super().on_static_promotion()
         for remset in self.remsets:
             remset.clear()
         self._survival_counts.clear()

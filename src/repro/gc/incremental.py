@@ -155,6 +155,7 @@ class IncrementalCollector(Collector):
         }
 
     def import_state(self, state: dict) -> None:
+        self.bump_limit = 0
         self.space.capacity = state["space_capacity"]
         self.slice_budget = state["slice_budget"]
         self.trigger_fraction = state["trigger_fraction"]
@@ -207,6 +208,23 @@ class IncrementalCollector(Collector):
             self._mark_slice()
         return space
 
+    def _reserve_bump(self, size: int) -> Space:
+        """Cycle closed: the limit is the mark trigger, past which
+        ``_reserve`` opens a cycle.  Cycle open: 0 — every allocation is
+        a safepoint that runs (or polls) a slice.  (Written out rather
+        than layered on the base method: with a cycle open, which is
+        most of the time, every allocation comes through here.)"""
+        space = self._reserve(size)
+        self.bump_space = space
+        if self.cycle_open:
+            self.bump_limit = 0
+        else:
+            capacity = space.capacity or 0
+            self.bump_limit = min(
+                capacity, int(capacity * self.trigger_fraction)
+            )
+        return space
+
     def reserve_window(self, max_objects: int, size: int = 1) -> tuple[int, int]:
         """Bump windows, capped so no per-object safepoint is skipped.
 
@@ -223,31 +241,27 @@ class IncrementalCollector(Collector):
           (nothing between window allocations can re-gray: there are
           no heap stores inside a window), so the full window is safe;
         * cycle closed — the window stops at the last object that
-          keeps occupancy at or under the trigger; the next
-          reservation then opens the cycle exactly where a per-object
-          run would have.
+          keeps occupancy at or under the trigger (``bump_limit``); the
+          next reservation then opens the cycle exactly where a
+          per-object run would have.
         """
         if max_objects <= 0:
             raise ValueError(
                 f"window must cover >= 1 object, got {max_objects!r}"
             )
-        space = self._reserve(size)
+        space = self._reserve_bump(size)
         count = space.free // size
         if count > max_objects:
             count = max_objects
         if self.cycle_open:
             if self.gray_stack:
                 count = 1
-        else:
-            capacity = space.capacity
-            if capacity is not None:
-                room = (
-                    int(capacity * self.trigger_fraction) - space.used
-                ) // size
-                if room < count:
-                    # _reserve just declined to open a cycle, so this
-                    # first object fits under the trigger: room >= 1.
-                    count = max(1, room)
+        elif space.capacity is not None:
+            room = (self.bump_limit - space.used) // size
+            if room < count:
+                # _reserve just declined to open a cycle, so this
+                # first object fits under the trigger: room >= 1.
+                count = max(1, room)
         first, end = self.heap.bulk_allocate(count, size, space)
         stats = self.stats
         stats.words_allocated += count * size
@@ -410,6 +424,7 @@ class IncrementalCollector(Collector):
     def on_static_promotion(self) -> None:
         """A full static promotion moved/freed everything under us;
         abandon any in-progress cycle (its snapshot is meaningless)."""
+        super().on_static_promotion()
         self.cycle_open = False
         self.gray_stack.clear()
 

@@ -83,6 +83,7 @@ class MarkSweepCollector(Collector):
         }
 
     def import_state(self, state: dict) -> None:
+        self.bump_limit = 0
         self.space.capacity = state["space_capacity"]
         self.auto_expand = state["auto_expand"]
         self.load_factor = state["load_factor"]

@@ -156,6 +156,16 @@ class NonPredictiveCollector(StepCollector):
                 raise HeapExhausted(self, size)
         return space
 
+    def _reserve_bump(self, size: int) -> Space:
+        """The cursor step and its capacity in bump-cursor mode.  The
+        mark-sweep search is by size — a smaller request may fit a
+        higher step than the one just chosen — so that mode publishes
+        no fast path."""
+        space = super()._reserve_bump(size)
+        if self.algorithm == "mark-sweep":
+            self.bump_limit = 0
+        return space
+
     def _allocation_step(self, size: int) -> Space | None:
         """The highest-numbered step with room.
 

@@ -183,6 +183,7 @@ class StepCollector(Collector):
         }
 
     def import_state(self, state: dict) -> None:
+        self.bump_limit = 0
         if sorted(state["step_order"]) != sorted(
             space.name for space in self.steps
         ):
@@ -291,6 +292,7 @@ class StepCollector(Collector):
         self._finish_collection()
 
     def on_static_promotion(self) -> None:
+        super().on_static_promotion()
         for remset in self._remsets:
             remset.clear()
         self.j = self.policy.choose_j(self._snapshot())

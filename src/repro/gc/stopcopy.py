@@ -113,6 +113,7 @@ class StopAndCopyCollector(Collector):
         }
 
     def import_state(self, state: dict) -> None:
+        self.bump_limit = 0
         for space in self._semispaces:
             space.capacity = state["semispace_capacity"]
         self._active = state["active"]

@@ -493,6 +493,58 @@ class FlatHeap:
             self.objects_allocated += 1
         return oid
 
+    def shape(
+        self, size: int, field_count: int, kind: str
+    ) -> tuple[int, int, tuple[None, ...]]:
+        """Validate an object layout once and return what
+        :meth:`bump_allocate` stores for it — the packed header word,
+        the size, the empty slots — which :meth:`allocate_id` re-derives
+        from its arguments on every call."""
+        if not 1 <= size <= _SIZE_MASK:
+            raise ValueError(f"object size must be >= 1 word, got {size!r}")
+        if not 0 <= field_count <= size:
+            raise ValueError(
+                f"field count {field_count!r} does not fit in {size} words"
+            )
+        header = (
+            size
+            | (field_count << _FC_SHIFT)
+            | (self._kind_code(kind) << _KIND_SHIFT)
+        )
+        return header, size, (None,) * field_count
+
+    def bump_allocate(
+        self,
+        shape: tuple[int, int, tuple[None, ...]],
+        space: FlatSpace,
+        payload: object = None,
+    ) -> int:
+        """:meth:`allocate_id` for a caller that holds a :meth:`shape`
+        and has just seen that ``space`` has room (a collector's
+        published ``bump_limit``): no argument is validated again and
+        the space is not tested for overflow.  Always advances the
+        clock."""
+        header, size, empty_slots = shape
+        hdr = self._hdr
+        oid = len(hdr)
+        hdr.append(header)
+        self._birth.append(self.clock)
+        slots = self._slots
+        self._slot_base.append(len(slots))
+        if empty_slots:
+            slots += empty_slots
+        ids = space._ids
+        self._state.append((len(ids) << _POS_SHIFT) | space._token)
+        ids.append(oid)
+        space._count += 1
+        space.used += size
+        self._live_count += 1
+        self.clock += size
+        self.objects_allocated += 1
+        if payload is not None:
+            self._payloads[oid] = payload
+        return oid
+
     def bulk_allocate(
         self, count: int, size: int, space: FlatSpace
     ) -> tuple[int, int]:

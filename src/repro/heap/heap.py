@@ -181,6 +181,28 @@ class SimulatedHeap:
             size, field_count, space, kind, advance_clock=advance_clock
         ).obj_id
 
+    def shape(
+        self, size: int, field_count: int, kind: str
+    ) -> tuple[int, int, str]:
+        """An object layout for :meth:`bump_allocate`, which validates
+        it at every use (the flat backend validates here, once)."""
+        return size, field_count, kind
+
+    def bump_allocate(
+        self,
+        shape: tuple[int, int, str],
+        space: Space,
+        payload: object = None,
+    ) -> int:
+        """Allocate an object of a :meth:`shape` in a space the caller
+        has seen to have room.  The flat backend skips its checks on
+        that promise; this one is the reference model and makes them
+        all again."""
+        size, field_count, kind = shape
+        obj = self.allocate(size, field_count, space, kind)
+        obj.payload = payload
+        return obj.obj_id
+
     def bulk_allocate(self, count: int, size: int, space: Space) -> tuple[int, int]:
         """Allocate ``count`` field-less ``data`` objects.
 

@@ -66,38 +66,55 @@ class BoyerRewriter:
         are constants (the nboyer bug fix); compound patterns require
         the same operator and matching argument lists.
         """
-        machine = self.machine
         subst: dict[object, SchemeValue] = {}
+        return subst if self._unify1(subst, term, pattern) else None
 
-        def unify1(term: SchemeValue, pattern: SchemeValue) -> bool:
-            if not is_compound(pattern):
-                if isinstance(pattern, Fixnum):
-                    return isinstance(term, Fixnum) and term == pattern
-                if isinstance(pattern, Ref) and pattern.is_symbol():
-                    key = machine.symbol_name(pattern)
-                    bound = subst.get(key)
-                    if bound is not None:
-                        return term_equal(machine, term, bound)
-                    subst[key] = term
-                    return True
-                return term == pattern
-            if not is_compound(term):
+    # Methods taking ``subst``, not closures over it: a pair of mutually
+    # recursive closures is a reference cycle that owns the
+    # substitution, and every handle bound in a failed match would stay
+    # a root until CPython's cycle collector next ran.
+
+    def _unify1(
+        self,
+        subst: dict[object, SchemeValue],
+        term: SchemeValue,
+        pattern: SchemeValue,
+    ) -> bool:
+        machine = self.machine
+        if not is_compound(pattern):
+            if isinstance(pattern, Fixnum):
+                return isinstance(term, Fixnum) and term == pattern
+            if isinstance(pattern, Ref) and pattern.is_symbol():
+                key = machine.symbol_name(pattern)
+                bound = subst.get(key)
+                if bound is not None:
+                    return term_equal(machine, term, bound)
+                subst[key] = term
+                return True
+            return term == pattern
+        if not is_compound(term):
+            return False
+        if machine.car(term) != machine.car(pattern):
+            return False
+        return self._unify_list(subst, machine.cdr(term), machine.cdr(pattern))
+
+    def _unify_list(
+        self,
+        subst: dict[object, SchemeValue],
+        terms: SchemeValue,
+        patterns: SchemeValue,
+    ) -> bool:
+        machine = self.machine
+        while patterns is not None:
+            if terms is None:
                 return False
-            if machine.car(term) != machine.car(pattern):
+            if not self._unify1(
+                subst, machine.car(terms), machine.car(patterns)
+            ):
                 return False
-            return unify_list(machine.cdr(term), machine.cdr(pattern))
-
-        def unify_list(terms: SchemeValue, patterns: SchemeValue) -> bool:
-            while patterns is not None:
-                if terms is None:
-                    return False
-                if not unify1(machine.car(terms), machine.car(patterns)):
-                    return False
-                terms = machine.cdr(terms)
-                patterns = machine.cdr(patterns)
-            return terms is None
-
-        return subst if unify1(term, pattern) else None
+            terms = machine.cdr(terms)
+            patterns = machine.cdr(patterns)
+        return terms is None
 
     # ------------------------------------------------------------------
     # Rewriting

@@ -76,41 +76,54 @@ def count_monotone_maps(
                 entry.append((earlier_position, False))  # v <= f(earlier)
         constraints.append(entry)
 
-    target_size = len(target)
+    return _extend(machine, constraints, target, 0, None)
 
-    def assigned_value(partial: SchemeValue, back: int) -> int:
-        """The value assigned ``back`` steps ago (list is newest-first)."""
-        for _ in range(back):
-            partial = machine.cdr(partial)
-        head = machine.car(partial)
-        assert isinstance(head, Fixnum)
-        return head.value
 
-    def extend(position: int, partial: SchemeValue) -> int:
-        if position == len(order):
-            return 1
-        count = 0
-        depth = position  # length of the partial list
-        for candidate in range(target_size):
-            ok = True
-            for earlier_position, forward in constraints[position]:
-                earlier_value = assigned_value(
-                    partial, depth - 1 - earlier_position
-                )
-                if forward:
-                    if not target.leq(earlier_value, candidate):
-                        ok = False
-                        break
-                else:
-                    if not target.leq(candidate, earlier_value):
-                        ok = False
-                        break
-            if ok:
-                extended = machine.cons(Fixnum(candidate), partial)
-                count += extend(position + 1, extended)
-        return count
+# Module-level functions taking their state, not closures: ``extend``
+# recursing through its own cell is a reference cycle that owns the
+# machine, whose heap would then wait for CPython's cycle collector.
 
-    return extend(0, None)
+
+def _assigned_value(machine: Machine, partial: SchemeValue, back: int) -> int:
+    """The value assigned ``back`` steps ago (list is newest-first)."""
+    for _ in range(back):
+        partial = machine.cdr(partial)
+    head = machine.car(partial)
+    assert isinstance(head, Fixnum)
+    return head.value
+
+
+def _extend(
+    machine: Machine,
+    constraints: list[list[tuple[int, bool]]],
+    target: Lattice,
+    position: int,
+    partial: SchemeValue,
+) -> int:
+    if position == len(constraints):
+        return 1
+    count = 0
+    depth = position  # length of the partial list
+    for candidate in range(len(target)):
+        ok = True
+        for earlier_position, forward in constraints[position]:
+            earlier_value = _assigned_value(
+                machine, partial, depth - 1 - earlier_position
+            )
+            if forward:
+                if not target.leq(earlier_value, candidate):
+                    ok = False
+                    break
+            else:
+                if not target.leq(candidate, earlier_value):
+                    ok = False
+                    break
+        if ok:
+            extended = machine.cons(Fixnum(candidate), partial)
+            count += _extend(
+                machine, constraints, target, position + 1, extended
+            )
+    return count
 
 
 @dataclass(frozen=True)

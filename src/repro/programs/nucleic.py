@@ -104,6 +104,37 @@ class NucleicResult:
     words_allocated: int
 
 
+@dataclass
+class _Tally:
+    solutions: int = 0
+    tried: int = 0
+
+
+def _place(
+    machine: Machine,
+    transforms: list[Ref],
+    limit2: float,
+    depth_left: int,
+    tally: _Tally,
+    frame: Ref,
+) -> None:
+    """Extend the chain ending at ``frame`` by ``depth_left`` residues.
+
+    A module-level function taking its state, not a closure recursing
+    through its own cell: that reference cycle would keep the candidate
+    transforms' handles rooted after the search returned, until
+    CPython's cycle collector ran.
+    """
+    if depth_left == 0:
+        tally.solutions += 1
+        return
+    for transform in transforms:
+        tally.tried += 1
+        placed = _compose(machine, frame, transform)
+        if _origin_distance2(machine, placed) <= limit2:
+            _place(machine, transforms, limit2, depth_left - 1, tally, placed)
+
+
 def run_nucleic(
     machine: Machine,
     *,
@@ -135,26 +166,19 @@ def run_nucleic(
         for _ in range(candidates)
     ]
     words_before = machine.stats.words_allocated
-    solutions = 0
-    tried = 0
-    limit2 = max_radius * max_radius
-
-    def place(depth: int, frame: Ref) -> None:
-        nonlocal solutions, tried
-        if depth == residues:
-            solutions += 1
-            return
-        for transform in candidate_transforms:
-            tried += 1
-            placed = _compose(machine, frame, transform)
-            if _origin_distance2(machine, placed) <= limit2:
-                place(depth + 1, placed)
-
-    place(0, _identity(machine))
+    tally = _Tally()
+    _place(
+        machine,
+        candidate_transforms,
+        max_radius * max_radius,
+        residues,
+        tally,
+        _identity(machine),
+    )
     return NucleicResult(
         residues=residues,
         candidates=candidates,
-        solutions=solutions,
-        placements_tried=tried,
+        solutions=tally.solutions,
+        placements_tried=tally.tried,
         words_allocated=machine.stats.words_allocated - words_before,
     )

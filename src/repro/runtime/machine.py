@@ -26,7 +26,6 @@ the machine rejects such stores.
 from __future__ import annotations
 
 import functools
-import operator
 import sys
 from typing import Callable
 
@@ -168,6 +167,13 @@ class Machine:
         handles = self._handles
         self.roots.add_provider(lambda: _rooted_ids(handles, idle))
         self._symbols: dict[str, Ref] = {}
+        # Object layouts the constructors allocate, validated and
+        # packed by the heap once instead of at every allocation.
+        self._pair_shape = self.heap.shape(PAIR_WORDS, 2, "pair")
+        self._flonum_shape = self.heap.shape(FLONUM_WORDS, 0, "flonum")
+        #: Vector length -> (words, shape), entered by the first vector
+        #: of that length (which took the checked path).
+        self._vector_shapes: dict[int, tuple[int, object]] = {}
         #: Callbacks invoked with each dynamically allocated object.
         self._allocation_hooks: list[Callable[[HeapObject], None]] = []
         #: Mutator operations executed (reads, stores, arithmetic).
@@ -280,11 +286,26 @@ class Machine:
         fresh pair is never in the static area, so the static-reference
         check cannot fire.  Barrier counts and the remember-store hook
         are identical to ``_store``.
+
+        The stores stay separate from the allocation and in barrier,
+        then slot, order: the SATB barrier reads the slot's *old* value.
         """
-        obj_id = self.collector.allocate_id(PAIR_WORDS, 2, "pair")
         heap = self.heap
-        # Inlined _new_handle, here and in make_flonum: one frame per
-        # allocation is measurable on the allocation-bound programs.
+        # The allocation fast path, inlined here and in make_flonum and
+        # make_vector like _new_handle below (one frame per allocation
+        # is measurable on the allocation-bound programs).  Hit: the
+        # collector's published space has room under its published
+        # limit, so _reserve would do nothing — bump there.  Miss:
+        # enter the collector, which may collect and publishes anew.
+        collector = self.collector
+        space = collector.bump_space
+        if space.used + PAIR_WORDS <= collector.bump_limit:
+            obj_id = heap.bump_allocate(self._pair_shape, space)
+            stats = collector.stats
+            stats.words_allocated += PAIR_WORDS
+            stats.objects_allocated += 1
+        else:
+            obj_id = collector.allocate_id(PAIR_WORDS, 2, "pair")
         handles = self._handles
         handles[obj_id] = ref = Ref(heap, obj_id, "pair")
         if len(handles) > self._handle_limit:
@@ -313,9 +334,23 @@ class Machine:
 
     def make_vector(self, length: int, fill: SchemeValue = None) -> Ref:
         """Allocate a vector (length + 1 words)."""
-        obj_id = self.collector.allocate_id(
-            word_size_of_vector(length), length, "vector"
-        )
+        collector = self.collector
+        space = collector.bump_space
+        known = self._vector_shapes.get(length)
+        if known is not None and space.used + known[0] <= collector.bump_limit:
+            size, shape = known
+            obj_id = self.heap.bump_allocate(shape, space)
+            stats = collector.stats
+            stats.words_allocated += size
+            stats.objects_allocated += 1
+        else:
+            size = word_size_of_vector(length)
+            obj_id = collector.allocate_id(size, length, "vector")
+            if known is None:
+                self._vector_shapes[length] = (
+                    size,
+                    self.heap.shape(size, length, "vector"),
+                )
         ref = self._new_handle(obj_id, "vector")
         if fill is not None:
             for slot in range(length):
@@ -326,9 +361,18 @@ class Machine:
 
     def make_flonum(self, value: float) -> Ref:
         """Box an IEEE double (4 words, §7.2's flonum representation)."""
-        obj_id = self.collector.allocate_id(FLONUM_WORDS, 0, "flonum")
+        payload = float(value)
         heap = self.heap
-        heap.set_payload(obj_id, float(value))
+        collector = self.collector
+        space = collector.bump_space
+        if space.used + FLONUM_WORDS <= collector.bump_limit:
+            obj_id = heap.bump_allocate(self._flonum_shape, space, payload)
+            stats = collector.stats
+            stats.words_allocated += FLONUM_WORDS
+            stats.objects_allocated += 1
+        else:
+            obj_id = collector.allocate_id(FLONUM_WORDS, 0, "flonum")
+            heap.set_payload(obj_id, payload)
         handles = self._handles
         handles[obj_id] = ref = Ref(heap, obj_id, "flonum")
         if len(handles) > self._handle_limit:
@@ -473,33 +517,79 @@ class Machine:
 
     def flonum_value(self, flonum: SchemeValue) -> float:
         self.operations += 1
-        payload = self.heap.payload_of(self._require(flonum, "flonum"))
+        if not isinstance(flonum, Ref) or flonum.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {flonum!r}")
+        payload = self.heap.payload_of(flonum.obj_id)
         assert isinstance(payload, float)
         return payload
 
-    def _flonum_binop(
-        self, a: SchemeValue, b: SchemeValue, op: Callable[[float, float], float]
-    ) -> Ref:
-        return self.make_flonum(op(self.flonum_value(a), self.flonum_value(b)))
+    # The arithmetic below reads both operands as flonum_value does
+    # (one operation each), inline: a flonum operation is the unit of
+    # work of the float-heavy programs, and each frame shows.
 
     def fl_add(self, a: SchemeValue, b: SchemeValue) -> Ref:
         """Flonum addition: allocates the boxed result, as Larceny does."""
-        return self._flonum_binop(a, b, operator.add)
+        self.operations += 2
+        if not isinstance(a, Ref) or a.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {a!r}")
+        if not isinstance(b, Ref) or b.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {b!r}")
+        payload_of = self.heap.payload_of
+        x, y = payload_of(a.obj_id), payload_of(b.obj_id)
+        assert isinstance(x, float) and isinstance(y, float)
+        return self.make_flonum(x + y)
 
     def fl_sub(self, a: SchemeValue, b: SchemeValue) -> Ref:
-        return self._flonum_binop(a, b, operator.sub)
+        self.operations += 2
+        if not isinstance(a, Ref) or a.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {a!r}")
+        if not isinstance(b, Ref) or b.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {b!r}")
+        payload_of = self.heap.payload_of
+        x, y = payload_of(a.obj_id), payload_of(b.obj_id)
+        assert isinstance(x, float) and isinstance(y, float)
+        return self.make_flonum(x - y)
 
     def fl_mul(self, a: SchemeValue, b: SchemeValue) -> Ref:
-        return self._flonum_binop(a, b, operator.mul)
+        self.operations += 2
+        if not isinstance(a, Ref) or a.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {a!r}")
+        if not isinstance(b, Ref) or b.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {b!r}")
+        payload_of = self.heap.payload_of
+        x, y = payload_of(a.obj_id), payload_of(b.obj_id)
+        assert isinstance(x, float) and isinstance(y, float)
+        return self.make_flonum(x * y)
 
     def fl_div(self, a: SchemeValue, b: SchemeValue) -> Ref:
-        return self._flonum_binop(a, b, operator.truediv)
+        self.operations += 2
+        if not isinstance(a, Ref) or a.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {a!r}")
+        if not isinstance(b, Ref) or b.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {b!r}")
+        payload_of = self.heap.payload_of
+        x, y = payload_of(a.obj_id), payload_of(b.obj_id)
+        assert isinstance(x, float) and isinstance(y, float)
+        return self.make_flonum(x / y)
 
     def fl_sqrt(self, a: SchemeValue) -> Ref:
-        return self.make_flonum(self.flonum_value(a) ** 0.5)
+        self.operations += 1
+        if not isinstance(a, Ref) or a.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {a!r}")
+        x = self.heap.payload_of(a.obj_id)
+        assert isinstance(x, float)
+        return self.make_flonum(x**0.5)
 
     def fl_less(self, a: SchemeValue, b: SchemeValue) -> bool:
-        return self.flonum_value(a) < self.flonum_value(b)
+        self.operations += 2
+        if not isinstance(a, Ref) or a.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {a!r}")
+        if not isinstance(b, Ref) or b.kind != "flonum":
+            raise TypeError(f"expected a flonum, got {b!r}")
+        payload_of = self.heap.payload_of
+        x, y = payload_of(a.obj_id), payload_of(b.obj_id)
+        assert isinstance(x, float) and isinstance(y, float)
+        return x < y
 
     # ------------------------------------------------------------------
     # Control

@@ -1,0 +1,104 @@
+"""A frame budget for the mutator's unit operations.
+
+On the allocation-bound programs a Python frame per operation is a few
+percent of a run, but no wall-clock test can hold that line on a shared
+host.  The number of Python frames an operation enters is exact and
+repeatable, so it is pinned here, on the allocation fast path (the hit:
+the collector is not entered) under every collector kind.  Before the
+fast path ``make_flonum`` was 6 frames on the flat backend and ``fl_add``
+14; a count going *up* means a helper call or a proxy crept back into
+the hot path — raise the budget only with a measurement that pays for
+it.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
+from repro.heap.backend import HEAP_BACKENDS
+from repro.runtime.machine import Machine
+from repro.runtime.values import Fixnum
+
+#: Python frames entered, the operation's own included.  The object
+#: backend is the reference model: its ``bump_allocate`` goes through
+#: the checked ``allocate`` and builds a ``HeapObject``.
+BUDGET = {
+    "flat": {
+        # cons, bump_allocate, Ref.__init__, 2 x (_encode, store_slot)
+        "cons": 7,
+        # make_flonum, bump_allocate, Ref.__init__
+        "make_flonum": 3,
+        # make_vector, bump_allocate, _new_handle, Ref.__init__
+        "make_vector": 4,
+        # fl_add, 2 x payload_of, then make_flonum's three
+        "fl_add": 6,
+        # car, load_ref
+        "car": 2,
+    },
+    "object": {
+        "cons": 9,
+        "make_flonum": 5,
+        "make_vector": 6,
+        "fl_add": 8,
+        "car": 2,
+    },
+}
+
+
+def frames_entered(operation) -> list[str]:
+    """The Python-level calls ``operation()`` makes, in order, itself
+    not included."""
+    entered: list[str] = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        operation()
+    finally:
+        sys.setprofile(None)
+    return entered[1:]
+
+
+@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("kind", COLLECTOR_KINDS)
+def test_unit_operations_stay_within_their_frame_budget(
+    kind, backend, no_cycle_gc
+):
+    # Cycle collector off: a collection inside the profiled window
+    # would run other tests' finalizers and weakref callbacks in it.
+    machine = Machine(
+        collector_factory(kind, GcGeometry()), heap_backend=backend
+    )
+    one = Fixnum(1)
+    # The first allocation is a miss (nothing is published yet) and the
+    # first vector of a length takes the checked path; after these,
+    # everything below is a hit.
+    pair = machine.cons(one, None)
+    x = machine.make_flonum(1.0)
+    machine.make_vector(3)
+
+    misses = 0
+    allocate_id = machine.collector.allocate_id
+
+    def counted(*args):
+        nonlocal misses
+        misses += 1
+        return allocate_id(*args)
+
+    machine.collector.allocate_id = counted
+    measured = {
+        "cons": frames_entered(lambda: machine.cons(one, None)),
+        "make_flonum": frames_entered(lambda: machine.make_flonum(2.0)),
+        "make_vector": frames_entered(lambda: machine.make_vector(3)),
+        "fl_add": frames_entered(lambda: machine.fl_add(x, x)),
+        "car": frames_entered(lambda: machine.car(pair)),
+    }
+    assert misses == 0
+    counts = {name: len(entered) for name, entered in measured.items()}
+    assert counts == BUDGET[backend], measured

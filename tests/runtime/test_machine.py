@@ -365,6 +365,29 @@ class TestChecksKept:
         with pytest.raises(HeapError, match="cannot store dangling"):
             machine.cons(doomed, None)
 
+    def test_allocation_fast_path_vets_and_coerces(self, backend):
+        machine = Machine(
+            collector_factory("stop-and-copy", GcGeometry()),
+            heap_backend=backend,
+        )
+        machine.make_vector(2)  # a miss: publishes the fast path
+
+        def no_miss(*args):
+            raise AssertionError(f"allocate_id{args} on the hit path")
+
+        machine.collector.allocate_id = no_miss
+        # A length no vector was made with takes the checked path,
+        # whose first act is to reject it.
+        with pytest.raises(
+            ValueError, match="vector length must be non-negative, got -1"
+        ):
+            machine.make_vector(-1)
+        assert machine.vector_length(machine.make_vector(2)) == 2
+        boxed = machine.flonum_value(machine.make_flonum(3))
+        assert type(boxed) is float and boxed == 3.0
+        with pytest.raises(ValueError, match="could not convert"):
+            machine.make_flonum("three")
+
     def test_immediate_store_reaches_the_satb_hook(self, backend):
         machine = Machine(
             collector_factory("incremental", GcGeometry(slice_budget=1)),
