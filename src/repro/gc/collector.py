@@ -251,6 +251,11 @@ class Collector(abc.ABC):
         """
         return None
 
+    def close(self) -> None:
+        """Release what the collector holds outside the heap
+        (idempotent).  Nothing here; the concurrent collector's marker
+        workers are the one override."""
+
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
@@ -279,6 +284,47 @@ class Collector(abc.ABC):
         raise NotImplementedError(
             f"{self.name} does not support checkpoint/restore"
         )
+
+    # ------------------------------------------------------------------
+    # Heap sizing: the inverse load factor L of Section 5
+    # ------------------------------------------------------------------
+    #
+    # A non-generational collector that keeps its heap at L times the
+    # live storage pays a mark/cons ratio of 1/(L - 1).  Every collector
+    # that sizes a space by that rule calls it with its own space,
+    # factor and cap, at the rule's two moments: the end of a collection
+    # (`_keep_load_factor` over what it left live) and an allocation
+    # that still does not fit after one (`_grow_to_fit`: the same rule
+    # over occupancy plus the request).
+
+    def _set_capacity(self, space: Space, words: int) -> None:
+        """Move ``space``'s capacity to ``words`` and say so."""
+        if self.metrics is not None:
+            self.metrics.event(
+                "heap-expansion",
+                space=space.name,
+                old_capacity=space.capacity or 0,
+                new_capacity=words,
+            )
+        space.capacity = words
+
+    def _grow_to_fit(
+        self, space: Space, pending: int, factor: float, cap: int | None
+    ) -> None:
+        """Make room for a request of ``pending`` words, by the rule."""
+        self._keep_load_factor(space, space.used + pending, factor, cap)
+
+    def _keep_load_factor(
+        self, space: Space, words: int, factor: float, cap: int | None
+    ) -> None:
+        """Keep ``space`` at least ``int(words * factor)`` words, never
+        past ``cap`` (a request that then still cannot fit is the
+        caller's :class:`HeapExhausted`); never shrinks."""
+        minimum = int(words * factor)
+        if cap is not None:
+            minimum = min(minimum, cap)
+        if (space.capacity or 0) < minimum:
+            self._set_capacity(space, minimum)
 
     # ------------------------------------------------------------------
     # Shared helpers

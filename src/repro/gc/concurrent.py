@@ -2,7 +2,9 @@
 
 The incremental collector bounded pauses by slicing the mark loop, but
 every slice still runs on the mutator's critical path.  This collector
-moves the whole mark phase into a worker process:
+moves the whole mark phase into a worker process.  The cycle itself is
+:class:`~repro.gc.incremental.IncrementalCollector`'s; what is here is
+the marker's lifecycle and the hooks that cycle calls around a mark:
 
 * **Cycle open (handoff)**: begin a mark epoch exactly like the
   incremental collector, snapshot the roots plus the reachability-
@@ -24,8 +26,8 @@ moves the whole mark phase into a worker process:
   future to the pool's retry ladder (env-tunable timeout,
   attempt-salted retries via ``derive_seed(seed, cycle, attempt)``,
   worker-crash recovery); what a given-up marker *means* is decided
-  here: the watchdog discards the cycle and ``collect`` re-marks the
-  current heap inline.
+  here: the watchdog discards the cycle and ``_finish_mark`` re-opens
+  one over the current heap, marked inline.
 * **While the marker runs** the mutator proceeds untouched: allocation
   is allocate-black via the birth clock (nothing born after the epoch
   is ever scanned), and the SATB deletion barrier grays overwritten
@@ -73,8 +75,8 @@ _RESTORED_PAYLOAD = ("restored-marker",)
 class WedgedMarkerError(RuntimeError):
     """The marker retry ladder exhausted without producing a result.
 
-    Raised by ``_drain_pending``; ``collect`` catches it, discards the
-    cycle, and degrades to inline marking.  Escaping to other callers
+    Raised by ``_drain_pending``; ``_finish_mark`` catches it, discards
+    the cycle, and degrades to inline marking.  Escaping to other callers
     (``export_state``, ``pending_marked_ids``) means the wedged cycle
     cannot be serialized or audited mid-flight, which is the honest
     answer.
@@ -235,6 +237,12 @@ class ConcurrentCollector(IncrementalCollector):
     """
 
     name = "concurrent"
+
+    close_pause_kind = "reconcile"
+    #: Safepoints only poll, so a live SATB log bounds no bump window.
+    marks_at_safepoints = False
+    #: Reconciliation scans the current roots beside the SATB log.
+    close_rescans_roots = True
 
     def __init__(
         self,
@@ -404,7 +412,7 @@ class ConcurrentCollector(IncrementalCollector):
         Lossless by construction: a cycle that ends without sweeping
         has freed nothing, so every object — including everything the
         mutator allocated since the cycle opened — is still there for
-        the fresh inline cycle ``collect`` opens next.
+        the fresh inline cycle ``_finish_mark`` opens next.
         """
         self.close()
         self.cycle_open = False
@@ -468,24 +476,12 @@ class ConcurrentCollector(IncrementalCollector):
             self._result = result
 
     # ------------------------------------------------------------------
-    # The concurrent cycle
+    # Where this collector's cycle differs from the incremental one
     # ------------------------------------------------------------------
 
-    def _open_cycle(self, kind: str) -> None:
-        """Snapshot, hand off to the marker, and record the handoff.
-
-        The inherited allocation ladder opens trigger cycles under the
-        incremental collector's kind string; remap it so event streams
-        name the collector doing the work.
-        """
-        if kind == "incremental":
-            kind = "concurrent"
+    def _begin_mark(self) -> None:
+        """Snapshot, hand off to the marker, and record the handoff."""
         heap = self.heap
-        heap.begin_mark_epoch()
-        self.epoch_clock = heap.clock
-        self.cycle_open = True
-        self.cycles_opened += 1
-        self.gray_stack.clear()
         root_ids = self._root_ids()
         snapshot = heap.export_mark_snapshot(self.space, root_ids)
         self._submit_marker(snapshot)
@@ -497,9 +493,6 @@ class ConcurrentCollector(IncrementalCollector):
             live=self.space.used,
         )
         if self.metrics is not None:
-            self.metrics.event(
-                "collection-start", kind=kind, clock=heap.clock
-            )
             self.metrics.event(
                 "handoff",
                 clock=heap.clock,
@@ -515,30 +508,6 @@ class ConcurrentCollector(IncrementalCollector):
         future = self._future
         if future is not None and not self._done_early and future.done():
             self._done_early = True
-
-    def reserve_window(self, max_objects: int, size: int = 1) -> tuple[int, int]:
-        """Bump windows; with the wavefront off-thread every mid-cycle
-        safepoint is a free poll, so an open cycle admits the whole
-        window (the incremental base class throttles to one object per
-        live-wavefront slice; here that would only repeat the poll).
-        The closed-cycle trigger clamp is unchanged."""
-        if max_objects <= 0:
-            raise ValueError(
-                f"window must cover >= 1 object, got {max_objects!r}"
-            )
-        space = self._reserve_bump(size)
-        count = space.free // size
-        if count > max_objects:
-            count = max_objects
-        if not self.cycle_open and space.capacity is not None:
-            room = (self.bump_limit - space.used) // size
-            if room < count:
-                count = max(1, room)
-        first, end = self.heap.bulk_allocate(count, size, space)
-        stats = self.stats
-        stats.words_allocated += count * size
-        stats.objects_allocated += count
-        return first, end
 
     def _reconcile_scan(self, marked_ids: set[int]) -> int:
         """Re-mark from the SATB log and the current roots, treating
@@ -581,64 +550,34 @@ class ConcurrentCollector(IncrementalCollector):
             work += heap.size_of(oid)
         return work
 
-    def collect(self) -> None:
-        """Reconcile the marker's set with the SATB log and sweep."""
-        heap = self.heap
-        space = self.space
-        if not self.cycle_open:
-            self._open_cycle("full")
+    def _finish_mark(self) -> tuple[int, set[int]]:
+        """Reconcile the marker's set with the SATB log: only the
+        reconcile scan is pause work, the marker's words were priced
+        off-thread."""
         try:
             marked_ids, marker_words = self._await_marker()
         except WedgedMarkerError as exc:
             self._watchdog_abort(str(exc))
-            # The collector marks inline from here on; the re-run opens
-            # a fresh cycle over the heap as it is now.
-            self.collect()
-            return
+            # The collector marks inline from here on: a fresh cycle
+            # over the heap as it is now.
+            self._open_cycle("full")
+            marked_ids, marker_words = self._await_marker()
         self.stats.words_marked += marker_words
         work = self._reconcile_scan(marked_ids)
         self.stats.words_marked += work
+        return work, marked_ids
 
-        self.stats.words_swept += space.used
-        reclaimed = heap.sweep_epoch(space, self.epoch_clock, marked_ids)
-        live = space.used
-
-        self.stats.words_reclaimed += reclaimed
-        self.stats.collections += 1
-        self.stats.major_collections += 1
-        self.stats.record_pause(
-            clock=heap.clock,
-            kind="reconcile",
-            work=work,
-            reclaimed=reclaimed,
-            live=live,
-        )
+    def _cycle_closed(self, work: int, reclaimed: int, live: int) -> None:
         if self.metrics is not None:
             self.metrics.event(
                 "reconcile",
-                clock=heap.clock,
-                marker_words=marker_words,
+                clock=self.heap.clock,
+                marker_words=self._result["words"],
                 satb_scan_words=work,
                 reclaimed=reclaimed,
                 live=live,
             )
-        self.cycle_open = False
-        self.gray_stack.clear()
         self._discard_pending()
-        if self.auto_expand:
-            minimum = int(live * self.load_factor)
-            if self.max_heap_words is not None:
-                minimum = min(minimum, self.max_heap_words)
-            if (space.capacity or 0) < minimum:
-                if self.metrics is not None:
-                    self.metrics.event(
-                        "heap-expansion",
-                        space=space.name,
-                        old_capacity=space.capacity or 0,
-                        new_capacity=minimum,
-                    )
-                space.capacity = minimum
-        self._finish_collection()
 
     def on_static_promotion(self) -> None:
         super().on_static_promotion()

@@ -344,16 +344,10 @@ class GenerationalCollector(Collector):
             has_stayers = bool(stayers)
         if incoming > target.free:
             if full and self.auto_expand_oldest:
-                if self.metrics is not None:
-                    self.metrics.event(
-                        "heap-expansion",
-                        space=target.name,
-                        old_capacity=target.capacity or 0,
-                        new_capacity=(target.capacity or 0)
-                        + (incoming - target.free),
-                    )
-                target.capacity = (target.capacity or 0) + (
-                    incoming - target.free
+                # Promotion overflow grows by exactly the shortfall —
+                # not the load-factor rule, which runs after the pause.
+                self._set_capacity(
+                    target, (target.capacity or 0) + incoming - target.free
                 )
             else:
                 raise HeapExhausted(self, incoming, phase="promotion")
@@ -395,16 +389,9 @@ class GenerationalCollector(Collector):
             live=live,
         )
         if full and self.auto_expand_oldest:
-            minimum = int(live * self.oldest_load_factor)
-            if (self.oldest.capacity or 0) < minimum:
-                if self.metrics is not None:
-                    self.metrics.event(
-                        "heap-expansion",
-                        space=self.oldest.name,
-                        old_capacity=self.oldest.capacity or 0,
-                        new_capacity=minimum,
-                    )
-                self.oldest.capacity = minimum
+            self._keep_load_factor(
+                self.oldest, live, self.oldest_load_factor, None
+            )
         self._finish_collection()
 
     def on_static_promotion(self) -> None:

@@ -45,9 +45,15 @@ next cycle, so when a finished cycle still cannot satisfy an
 allocation the collector runs a second, now-precise collection from
 the quiescent heap before expanding — the same degradation ladder as
 mark-sweep, one rung longer.
+
+This class is the only tri-color cycle: :mod:`repro.gc.concurrent`
+inherits it whole and overrides only where the mark runs (the class
+attributes below ``name`` and the hooks beside ``_open_cycle``).
 """
 
 from __future__ import annotations
+
+from typing import Collection
 
 from repro.gc.collector import Collector, HeapExhausted
 from repro.heap.heap import SimulatedHeap
@@ -77,6 +83,14 @@ class IncrementalCollector(Collector):
     """
 
     name = "incremental"
+
+    #: Kind of the pause that closes a cycle.
+    close_pause_kind = "full"
+    #: Safepoints do mark work, so a live wavefront bounds a bump window.
+    marks_at_safepoints = True
+    #: The close marks from the gray stack alone (the auditor's
+    #: prediction of that close follows suit).
+    close_rescans_roots = False
 
     def __init__(
         self,
@@ -193,7 +207,9 @@ class IncrementalCollector(Collector):
                 and space.used + size > space.capacity
             ):
                 if self.auto_expand:
-                    self._expand(size)
+                    self._grow_to_fit(
+                        space, size, self.load_factor, self.max_heap_words
+                    )
                 if (
                     space.capacity is not None
                     and space.used + size > space.capacity
@@ -204,7 +220,7 @@ class IncrementalCollector(Collector):
         elif capacity is not None and space.used + size > int(
             capacity * self.trigger_fraction
         ):
-            self._open_cycle("incremental")
+            self._open_cycle(self.name)
             self._mark_slice()
         return space
 
@@ -235,8 +251,9 @@ class IncrementalCollector(Collector):
         observably identical to ``max_objects`` individual
         :meth:`allocate_id` calls (the plan-equivalence pin):
 
-        * cycle open, wavefront live — every later allocation would
-          run its own slice, so the window is one object;
+        * cycle open, wavefront live, ``marks_at_safepoints`` — every
+          later allocation would run its own slice, so the window is one
+          object (a safepoint that only polls is free: full window);
         * cycle open, wavefront drained — later safepoints are no-ops
           (nothing between window allocations can re-gray: there are
           no heap stores inside a window), so the full window is safe;
@@ -254,7 +271,7 @@ class IncrementalCollector(Collector):
         if count > max_objects:
             count = max_objects
         if self.cycle_open:
-            if self.gray_stack:
+            if self.gray_stack and self.marks_at_safepoints:
                 count = 1
         elif space.capacity is not None:
             room = (self.bump_limit - space.used) // size
@@ -268,35 +285,28 @@ class IncrementalCollector(Collector):
         stats.objects_allocated += count
         return first, end
 
-    def _expand(self, pending: int) -> None:
-        """Grow the heap to restore the target inverse load factor."""
-        needed = self.space.used + pending
-        target = max(int(needed * self.load_factor), self.space.capacity or 0)
-        if self.max_heap_words is not None:
-            target = min(target, self.max_heap_words)
-        if target > (self.space.capacity or 0):
-            if self.metrics is not None:
-                self.metrics.event(
-                    "heap-expansion",
-                    space=self.space.name,
-                    old_capacity=self.space.capacity or 0,
-                    new_capacity=target,
-                )
-            self.space.capacity = target
-
     # ------------------------------------------------------------------
     # The tri-color cycle
     # ------------------------------------------------------------------
 
     def _open_cycle(self, kind: str) -> None:
-        """Snapshot the roots and begin a new mark epoch."""
+        """Begin a new mark epoch and start marking its snapshot."""
         heap = self.heap
         heap.begin_mark_epoch()
         self.epoch_clock = heap.clock
         self.cycle_open = True
         self.cycles_opened += 1
+        self.gray_stack.clear()
+        if self.metrics is not None:
+            self.metrics.event(
+                "collection-start", kind=kind, clock=heap.clock
+            )
+        self._begin_mark()
+
+    def _begin_mark(self) -> None:
+        """Gray every root: the wavefront starts on the color arena."""
+        heap = self.heap
         gray = self.gray_stack
-        gray.clear()
         space = self.space
         for rid in self._root_ids():
             if (
@@ -305,10 +315,19 @@ class IncrementalCollector(Collector):
             ):
                 heap.set_color(rid, GRAY)
                 gray.append(rid)
-        if self.metrics is not None:
-            self.metrics.event(
-                "collection-start", kind=kind, clock=heap.clock
-            )
+
+    def _finish_mark(self) -> tuple[int, Collection[int]]:
+        """Complete the open cycle's mark.  Returns the words marked
+        inside this pause and the marks kept off the color arena (none:
+        draining the wavefront blackens in place)."""
+        return self._scan(None), ()
+
+    def _cycle_closed(self, work: int, reclaimed: int, live: int) -> None:
+        """After the sweep and its pause record, before resizing."""
+
+    def pending_marked_ids(self) -> frozenset[int]:
+        """Marks the open cycle holds off the color arena: none here."""
+        return frozenset()
 
     def _scan(self, limit: int | None) -> int:
         """Scan gray objects until the wavefront drains or ``limit``
@@ -388,10 +407,10 @@ class IncrementalCollector(Collector):
         space = self.space
         if not self.cycle_open:
             self._open_cycle("full")
-        work = self._scan(None)
+        work, marked_ids = self._finish_mark()
 
         self.stats.words_swept += space.used
-        reclaimed = heap.sweep_epoch(space, self.epoch_clock)
+        reclaimed = heap.sweep_epoch(space, self.epoch_clock, marked_ids)
         live = space.used
 
         self.stats.words_reclaimed += reclaimed
@@ -399,26 +418,18 @@ class IncrementalCollector(Collector):
         self.stats.major_collections += 1
         self.stats.record_pause(
             clock=heap.clock,
-            kind="full",
+            kind=self.close_pause_kind,
             work=work,
             reclaimed=reclaimed,
             live=live,
         )
+        self._cycle_closed(work, reclaimed, live)
         self.cycle_open = False
         self.gray_stack.clear()
         if self.auto_expand:
-            minimum = int(live * self.load_factor)
-            if self.max_heap_words is not None:
-                minimum = min(minimum, self.max_heap_words)
-            if (space.capacity or 0) < minimum:
-                if self.metrics is not None:
-                    self.metrics.event(
-                        "heap-expansion",
-                        space=space.name,
-                        old_capacity=space.capacity or 0,
-                        new_capacity=minimum,
-                    )
-                space.capacity = minimum
+            self._keep_load_factor(
+                space, live, self.load_factor, self.max_heap_words
+            )
         self._finish_collection()
 
     def on_static_promotion(self) -> None:

@@ -107,34 +107,15 @@ class MarkSweepCollector(Collector):
                 # left of the policy is bounded expansion, then a
                 # structured failure with occupancy diagnostics.
                 if self.auto_expand:
-                    self._expand(size)
+                    self._grow_to_fit(
+                        space, size, self.load_factor, self.max_heap_words
+                    )
                 if (
                     space.capacity is not None
                     and space.used + size > space.capacity
                 ):
                     raise HeapExhausted(self, size)
         return space
-
-    def _expand(self, pending: int) -> None:
-        """Grow the heap to restore the target inverse load factor.
-
-        Growth never exceeds ``max_heap_words``; an allocation that
-        still cannot fit fails over to :class:`HeapExhausted` at the
-        call site.
-        """
-        needed = self.space.used + pending
-        target = max(int(needed * self.load_factor), self.space.capacity or 0)
-        if self.max_heap_words is not None:
-            target = min(target, self.max_heap_words)
-        if target > (self.space.capacity or 0):
-            if self.metrics is not None:
-                self.metrics.event(
-                    "heap-expansion",
-                    space=self.space.name,
-                    old_capacity=self.space.capacity or 0,
-                    new_capacity=target,
-                )
-            self.space.capacity = target
 
     # ------------------------------------------------------------------
     # Collection
@@ -169,18 +150,9 @@ class MarkSweepCollector(Collector):
             live=live,
         )
         if self.auto_expand:
-            minimum = int(live * self.load_factor)
-            if self.max_heap_words is not None:
-                minimum = min(minimum, self.max_heap_words)
-            if (self.space.capacity or 0) < minimum:
-                if self.metrics is not None:
-                    self.metrics.event(
-                        "heap-expansion",
-                        space=self.space.name,
-                        old_capacity=self.space.capacity or 0,
-                        new_capacity=minimum,
-                    )
-                self.space.capacity = minimum
+            self._keep_load_factor(
+                self.space, live, self.load_factor, self.max_heap_words
+            )
         self._finish_collection()
 
     def describe(self) -> str:

@@ -128,8 +128,7 @@ class StopAndCopyCollector(Collector):
 
     def _reserve(self, size: int) -> Space:
         # Hot path: hoist the tospace property and inline Space.fits.
-        # collect() flips the semispaces and _expand() grows them, so
-        # tospace is re-read after either.
+        # collect() flips the semispaces, so tospace is re-read after it.
         tospace = self._semispaces[self._active]
         capacity = tospace.capacity
         if capacity is not None and tospace.used + size > capacity:
@@ -140,33 +139,22 @@ class StopAndCopyCollector(Collector):
                 # Post-collection policy: bounded expansion, then a
                 # structured failure with occupancy diagnostics.
                 if self.auto_expand:
-                    self._expand(size)
-                    tospace = self._semispaces[self._active]
+                    self._grow_to_fit(
+                        tospace,
+                        size,
+                        self.load_factor,
+                        self.max_semispace_words,
+                    )
                 capacity = tospace.capacity
                 if capacity is not None and tospace.used + size > capacity:
                     raise HeapExhausted(self, size)
         return tospace
 
-    def _expand(self, pending: int) -> None:
-        needed = self.tospace.used + pending
-        target = max(
-            int(needed * self.load_factor), self.tospace.capacity or 0
-        )
-        if self.max_semispace_words is not None:
-            target = min(target, self.max_semispace_words)
-        if target > (self.tospace.capacity or 0):
-            self._set_semispace_capacity(target)
-
-    def _set_semispace_capacity(self, words: int) -> None:
-        if self.metrics is not None:
-            self.metrics.event(
-                "heap-expansion",
-                space=self.tospace.name,
-                old_capacity=self.tospace.capacity or 0,
-                new_capacity=words,
-            )
-        for space in self._semispaces:
-            space.capacity = words
+    def _set_capacity(self, space: Space, words: int) -> None:
+        """The semispaces are sized as a pair."""
+        super()._set_capacity(space, words)
+        for semispace in self._semispaces:
+            semispace.capacity = words
         if words > self.peak_semispace_words:
             self.peak_semispace_words = words
 
@@ -208,11 +196,9 @@ class StopAndCopyCollector(Collector):
             live=live,
         )
         if self.auto_expand:
-            minimum = int(live * self.load_factor)
-            if self.max_semispace_words is not None:
-                minimum = min(minimum, self.max_semispace_words)
-            if (self.tospace.capacity or 0) < minimum:
-                self._set_semispace_capacity(minimum)
+            self._keep_load_factor(
+                self.tospace, live, self.load_factor, self.max_semispace_words
+            )
         self._finish_collection()
 
     def describe(self) -> str:

@@ -1,7 +1,7 @@
 """Heap backend selection: one contract, two representations.
 
 A *heap backend* is anything that implements the heap contract the
-five collectors are written against:
+seven collectors are written against:
 
 * the public object surface of
   :class:`repro.heap.heap.SimulatedHeap` — spaces, ``allocate`` /

@@ -34,7 +34,7 @@ class SimulatedHeap:
     :class:`repro.heap.flat.FlatHeap`; both implement the same public
     surface plus the shared collection kernels (``trace_region``,
     ``cheney_evacuate``, ``free_unmarked``, ...), which is what lets
-    the five collectors run unmodified on either backend.
+    the seven collectors run unmodified on either backend.
 
     Attributes:
         clock: total words allocated so far — the reproduction's time

@@ -210,10 +210,10 @@ def bench_collector(
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best[0]:
             if best is not None:
-                _close_collector(best[1])
+                best[1].close()
             best = (elapsed, collector, roots, frame, instrumentation)
         else:
-            _close_collector(collector)
+            collector.close()
     alloc_seconds, collector, roots, frame, instrumentation = best
     collections_during_alloc = collector.stats.collections
 
@@ -227,7 +227,7 @@ def bench_collector(
     overlap = (
         collector.marker_overlap() if kind == "concurrent" else None
     )
-    _close_collector(collector)
+    collector.close()
     pauses = instrumentation.registry.histogram("pause_words")
     return CollectorBench(
         collector=kind,
@@ -248,12 +248,6 @@ def bench_collector(
         pause_words_max=pauses.max,
         marker_overlap=overlap,
     )
-
-
-def _close_collector(collector: Any) -> None:
-    close = getattr(collector, "close", None)
-    if close is not None:
-        close()
 
 
 def run_perf_suite(

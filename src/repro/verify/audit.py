@@ -161,10 +161,9 @@ def audit_collector(
             for needed in obligations
             if needed.entry not in needed.remset
         )
-    if isinstance(collector, ConcurrentCollector):
+    if isinstance(collector, IncrementalCollector):
         if collector.cycle_open:
-            checks.append("concurrent-wavefront")
-            _check_concurrent_wavefront(collector, violations)
+            _check_wavefront(collector, checks, violations)
         else:
             checks.append("tri-color-quiescent")
             if collector.gray_stack:
@@ -172,21 +171,13 @@ def audit_collector(
                     f"tri-color: closed cycle left {len(collector.gray_stack)} "
                     f"entries on the gray stack"
                 )
-            if collector._payload is not None:
+            if (
+                isinstance(collector, ConcurrentCollector)
+                and collector._payload is not None
+            ):
                 violations.append(
                     "concurrent: closed cycle left a marker snapshot "
                     "pending (leaked handoff)"
-                )
-    elif isinstance(collector, IncrementalCollector):
-        if collector.cycle_open:
-            checks.append("tri-color-wavefront")
-            _check_incremental_wavefront(collector, violations)
-        else:
-            checks.append("tri-color-quiescent")
-            if collector.gray_stack:
-                violations.append(
-                    f"tri-color: closed cycle left {len(collector.gray_stack)} "
-                    f"entries on the gray stack"
                 )
 
     return AuditReport(
@@ -466,8 +457,10 @@ def _check_step_structure(
             return
 
 
-def _check_incremental_wavefront(
-    collector: IncrementalCollector, violations: list[str]
+def _check_wavefront(
+    collector: IncrementalCollector,
+    checks: list[str],
+    violations: list[str],
 ) -> None:
     """The SATB tri-color invariants of an *in-cycle* heap snapshot.
 
@@ -487,91 +480,24 @@ def _check_incremental_wavefront(
       since the epoch, plus everything the remaining wavefront would
       mark through *current* fields — covers every root-reachable
       in-space object and is closed under in-space references, i.e.
-      an immediate drain-and-sweep would free no reachable object and
-      dangle no surviving slot.
+      an immediate close would free no reachable object and dangle no
+      surviving slot.
+
+    What "the remaining wavefront" is, the collector reports.  The
+    concurrent collector's parent heap is (legitimately) all-white
+    mid-cycle — the wavefront lives in the worker's snapshot — so the
+    prediction adds the marker's set (``pending_marked_ids``, which
+    reconciliation treats as black) and the closure from the current
+    roots (``close_rescans_roots``); a marker result corrupted
+    mid-handoff surfaces as a would-be-swept reachable object or a
+    would-dangle survivor slot.  The incremental collector reports
+    neither: every mark is on the color arena.
     """
-    heap = collector.heap
-    space = collector.space
-    epoch = collector.epoch_clock
-    stack = list(collector.gray_stack)
-    stack_set = set(stack)
-
-    for oid in stack_set:
-        if heap.space_if_live(oid) is not space:
-            violations.append(
-                f"tri-color: gray-stack id {oid} does not resolve to a "
-                f"live object in the collector's space"
-            )
-        elif heap.color_of(oid) == WHITE:
-            violations.append(
-                f"tri-color: gray-stack id {oid} is colored white"
-            )
-    if violations:
-        return
-
-    resident = list(space.object_ids())
-    for oid in resident:
-        if heap.color_of(oid) == GRAY and oid not in stack_set:
-            violations.append(
-                f"tri-color: object {oid} is colored gray but absent "
-                f"from the gray stack (lost wavefront entry)"
-            )
-    if violations:
-        return
-
-    # Predicted survivors of an immediate drain-and-sweep.
-    survivors = {
-        oid
-        for oid in resident
-        if heap.color_of(oid) != WHITE or heap.birth_of(oid) >= epoch
-    }
-    frontier = list(stack_set)
-    while frontier:
-        oid = frontier.pop()
-        for _slot, ref in heap.ref_slots(oid):
-            if (
-                ref not in survivors
-                and heap.space_if_live(ref) is space
-                and heap.birth_of(ref) < epoch
-            ):
-                survivors.add(ref)
-                frontier.append(ref)
-
-    for oid in heap.reachable_from(collector.roots.ids()):
-        if heap.space_if_live(oid) is space and oid not in survivors:
-            violations.append(
-                f"tri-color: root-reachable object {oid} would be swept "
-                f"by an immediate cycle close"
-            )
-            return
-    for oid in survivors:
-        for slot, ref in heap.ref_slots(oid):
-            if heap.space_if_live(ref) is space and ref not in survivors:
-                violations.append(
-                    f"tri-color: surviving object {oid} slot {slot} "
-                    f"would dangle — its target {ref} would be swept"
-                )
-                return
-
-
-def _check_concurrent_wavefront(
-    collector: ConcurrentCollector, violations: list[str]
-) -> None:
-    """The concurrent collector's in-cycle invariants.
-
-    Mid-cycle the parent heap is (legitimately) all-white: the mark
-    wavefront lives in the worker's snapshot, so the incremental
-    wavefront check would flag every reachable white object.  The
-    concurrent variant instead predicts what *reconciliation* would
-    compute right now: the marker's reachable set, plus every object
-    colored non-white (SATB grays) or born since the epoch, plus the
-    closure the reconcile scan would add from the SATB log and the
-    current roots (skipping marker-marked ids, which reconcile treats
-    as black).  That set must cover every root-reachable in-space
-    object and be closed under in-space references — a marker result
-    corrupted mid-handoff surfaces here as a would-be-swept reachable
-    object or a would-dangle survivor slot.
-    """
+    if collector.close_rescans_roots:
+        label, close = "concurrent", "reconciliation"
+    else:
+        label, close = "tri-color", "cycle close"
+    checks.append(f"{label}-wavefront")
     heap = collector.heap
     space = collector.space
     epoch = collector.epoch_clock
@@ -601,7 +527,7 @@ def _check_concurrent_wavefront(
         return
 
     pending = collector.pending_marked_ids()
-    # Predicted survivors of an immediate reconcile-and-sweep.
+    # Predicted survivors of an immediate close.
     survivors = {
         oid
         for oid in resident
@@ -609,14 +535,15 @@ def _check_concurrent_wavefront(
     }
     survivors |= pending
     frontier = [oid for oid in stack_set if oid not in pending]
-    for rid in collector.roots.ids():
-        if (
-            rid not in survivors
-            and heap.space_if_live(rid) is space
-            and heap.birth_of(rid) < epoch
-        ):
-            survivors.add(rid)
-            frontier.append(rid)
+    if collector.close_rescans_roots:
+        for rid in collector.roots.ids():
+            if (
+                rid not in survivors
+                and heap.space_if_live(rid) is space
+                and heap.birth_of(rid) < epoch
+            ):
+                survivors.add(rid)
+                frontier.append(rid)
     while frontier:
         oid = frontier.pop()
         for _slot, ref in heap.ref_slots(oid):
@@ -631,15 +558,15 @@ def _check_concurrent_wavefront(
     for oid in heap.reachable_from(collector.roots.ids()):
         if heap.space_if_live(oid) is space and oid not in survivors:
             violations.append(
-                f"concurrent: root-reachable object {oid} would be "
-                f"swept by an immediate reconciliation"
+                f"{label}: root-reachable object {oid} would be swept "
+                f"by an immediate {close}"
             )
             return
     for oid in survivors:
         for slot, ref in heap.ref_slots(oid):
             if heap.space_if_live(ref) is space and ref not in survivors:
                 violations.append(
-                    f"concurrent: surviving object {oid} slot {slot} "
+                    f"{label}: surviving object {oid} slot {slot} "
                     f"would dangle — its target {ref} would be swept"
                 )
                 return

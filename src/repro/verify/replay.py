@@ -470,9 +470,7 @@ class ReplayContext:
 
     def close(self) -> None:
         """Release whatever the collector holds (a marker pool)."""
-        close = getattr(self.collector, "close", None)
-        if close is not None:
-            close()
+        self.collector.close()
 
     def run(
         self,
