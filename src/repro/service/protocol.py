@@ -127,6 +127,12 @@ ERROR_KINDS: tuple[str, ...] = (
 #: GcGeometry fields a tenant may override at ``open``.
 _GEOMETRY_FIELDS = frozenset(GcGeometry.__dataclass_fields__)
 
+# The codec is built once: ``json.dumps`` with these arguments would
+# construct this encoder per message, ``json.loads`` re-checks its
+# arguments per line.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_decode = json.JSONDecoder().decode
+
 
 class ProtocolError(Exception):
     """A request failed validation.
@@ -201,7 +207,11 @@ def geometry_from_payload(overrides: dict | None) -> GcGeometry:
 
 
 def validate_request(payload: object) -> dict:
-    """Validate one decoded request; returns it with defaults filled.
+    """Validate one decoded request; returns a shallow copy of it.
+
+    No default is filled in: a field the client left out stays out, and
+    the op's handler (:mod:`repro.service.shard`,
+    :mod:`repro.service.session`) owns its default.
 
     Raises:
         ProtocolError: any structural problem — the caller turns this
@@ -231,10 +241,9 @@ def validate_request(payload: object) -> dict:
         raise ProtocolError("field 'tenant' must be non-empty")
 
     if op == "open":
-        kind = payload.get("kind", COLLECTOR_KINDS[0])
-        if kind not in COLLECTOR_KINDS:
+        if "kind" in payload and payload["kind"] not in COLLECTOR_KINDS:
             raise ProtocolError(
-                f"unknown collector kind {kind!r} "
+                f"unknown collector kind {payload['kind']!r} "
                 f"(known: {', '.join(COLLECTOR_KINDS)})"
             )
         backend = payload.get("backend")
@@ -303,9 +312,7 @@ def error_response(
 
 def encode_line(message: dict) -> bytes:
     """One message as a canonical JSON line (sorted keys, compact)."""
-    return (
-        json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return (_encode(message) + "\n").encode("utf-8")
 
 
 def decode_line(line: bytes | str) -> dict:
@@ -320,8 +327,12 @@ def decode_line(line: bytes | str) -> dict:
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"request is not UTF-8: {exc}") from exc
     try:
-        payload = json.loads(line)
+        payload = _decode(line)
     except ValueError as exc:
+        if line.startswith("\ufeff"):  # json.loads' diagnosis, kept
+            exc = json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+            )
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(

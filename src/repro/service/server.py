@@ -8,19 +8,30 @@ tenants over a handful of sockets.
 The data path is pipelined — read → queue → batch → shard → write — and
 nothing on it waits for a response before taking the next request:
 
-1. a connection's reader decodes and validates each line and goes
-   straight back to ``readline()``.  Malformed requests are answered
-   in place with ``bad-request`` and never reach a shard; server ops
+1. a connection's reader takes whatever the socket has, splits it into
+   lines once, and decodes, validates and routes each line without an
+   ``await`` in between.  Malformed requests are answered in place
+   with ``bad-request`` and never reach a shard; server ops
    (``ping``/``stats``/``metrics``/``shutdown``) are answered in place
    by the parent;
 2. a valid tenant op is appended, with its connection, to the owning
    shard's queue (stable hash routing via
    :func:`repro.service.shard.shard_of`);
-3. a single dispatcher task swaps all queues out as one batch per
-   shard, hands them to the :class:`~repro.service.shard.ShardExecutor`
-   in a worker thread (the executor blocks on process-pool fan-out;
-   the readers keep queueing the next batch meanwhile), then encodes
-   the responses and issues one ``write`` per connection per batch.
+3. a single dispatcher task lets every reader that has data take its
+   turn, swaps all queues out as one batch per shard and hands them to
+   the :class:`~repro.service.shard.ShardExecutor`, then encodes the
+   responses and issues one ``write`` per connection per batch.
+
+Where a batch runs is the executor's own property.  Inline
+(``--jobs 0``) the executor applies it in this process, and the
+dispatcher calls it on the loop thread: the work is CPU-bound Python,
+so a worker thread would buy no parallelism under the interpreter lock
+and cost two hand-offs a batch plus a fight for the lock on every
+``recv``/``send``.  The whole server is then one thread; while a batch
+executes the kernel buffers what the clients send, and the next batch
+is everything that arrived meanwhile.  With a pool (``--jobs N``) the
+executor blocks on process fan-out, so the dispatcher awaits it in a
+worker thread and the readers keep queueing the next batch meanwhile.
 
 So what is in flight is bounded per tenant by the client, not per
 socket by the server: a connection that multiplexes fourteen
@@ -34,17 +45,20 @@ whole script without awaiting anything and observes exactly the serial
 semantics the isolation oracle demands.  Responses of *different*
 tenants on one connection may arrive in any order; match them by
 ``id``, which is what the correlation id is for.  Responses answered
-in place (server ops, ``bad-request``) may overtake queued tenant ops.
+in place (server ops, ``bad-request``) may overtake queued tenant ops
+— but only queued ones: in pool mode they also overtake the batch
+that is executing, inline no line is read while a batch executes, so
+an in-place answer cannot overtake it.
 
 **Backpressure.**  A connection may have :data:`MAX_IN_FLIGHT`
-requests queued or executing; its reader stops reading while that
-window is full or while the transport's write buffer is above its
-high-water mark, so a client that floods, or never reads its
-responses, costs bounded memory and stalls only itself.  The window is
-a constant, not an option: it only has to stay above what one
-connection's tenants put into a batch (a batch is whatever arrived
-while the previous one ran), and no caller has a reason to want a
-different bound.
+requests queued or executing; its reader accepts no further line while
+that window is full, and reads (and answers in place) nothing while
+the transport's write buffer is above its high-water mark, so a client
+that floods, or never reads its responses, costs bounded memory and
+stalls only itself.  The window is a constant, not an option: it only
+has to stay above what one connection's tenants put into a batch (a
+batch is whatever arrived while the previous one ran), and no caller
+has a reason to want a different bound.
 
 A client that goes away with requests in flight loses only the
 responses: what was queued still executes and commits, and the reader
@@ -151,7 +165,7 @@ class HeapServer:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Bind and start serving; returns the bound port."""
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=MAX_LINE_BYTES
+            self._handle_connection, host, port
         )
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         return self._server.sockets[0].getsockname()[1]
@@ -176,7 +190,7 @@ class HeapServer:
             await self._dispatcher
             self._dispatcher = None
         # Every response is written by now.  An idle handler sits in
-        # readline(); closing its transport feeds it EOF, and it leaves
+        # read(); closing its transport feeds it EOF, and it leaves
         # through its own finally block.
         handlers = dict(self._handlers)
         for peer in handlers.values():
@@ -202,22 +216,10 @@ class HeapServer:
         task = asyncio.current_task()
         peer = self._handlers[task] = _Peer(writer)
         try:
-            while not self._closing.is_set():
-                await peer.wait_below(MAX_IN_FLIGHT)
-                try:
-                    await writer.drain()
-                    line = await reader.readline()
-                except (ValueError, OSError):  # oversized line, dead peer
-                    break
-                # Nothing read after shutdown began is served: the
-                # dispatcher may already be gone.
-                if not line or self._closing.is_set():
-                    break
-                if not line.strip():
-                    continue
-                response = self._accept(line, peer)
-                if response is not None:
-                    writer.write(encode_line(response))
+            try:
+                await self._read_requests(reader, peer)
+            except OSError:  # dead peer
+                pass
             # What was accepted still executes; its responses go out
             # (or are dropped, if the client is gone) before the close.
             await peer.wait_below(1)
@@ -228,6 +230,51 @@ class HeapServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _read_requests(
+        self, reader: asyncio.StreamReader, peer: _Peer
+    ) -> None:
+        """Accept lines until EOF, shutdown or an oversized line.
+
+        One read is split into lines once, and a line that is queued
+        costs no ``await``: the reader suspends only for more data, for
+        a full window, or behind a response it wrote in place.
+        """
+        writer = peer.writer
+        tail = bytearray()  # the unterminated end of what has been read
+        at_eof = False
+        while not at_eof:
+            await writer.drain()
+            chunk = await reader.read(1 << 16)
+            if b"\n" in chunk:
+                *lines, rest = (bytes(tail) + chunk).split(b"\n")
+                tail = bytearray(rest)
+            elif chunk:
+                tail += chunk
+                if len(tail) > MAX_LINE_BYTES:
+                    return
+                continue
+            else:  # FIN: an unterminated last line is still a request
+                lines = [bytes(tail)]
+                at_eof = True
+            for line in lines:
+                if len(line) > MAX_LINE_BYTES:
+                    return
+                if not line.strip():
+                    continue
+                if peer.in_flight >= MAX_IN_FLIGHT:
+                    await peer.wait_below(MAX_IN_FLIGHT)
+                    await writer.drain()
+                # Nothing read after shutdown began is served: the
+                # dispatcher may already be gone.
+                if self._closing.is_set():
+                    return
+                response = self._accept(line, peer)
+                if response is not None:
+                    writer.write(encode_line(response))
+                    # A deaf client that floods server ops is held by
+                    # the high-water mark, not by the window.
+                    await writer.drain()
 
     def _accept(self, line: bytes, peer: _Peer) -> dict | None:
         """Decode, validate and route one line.  Returns the response
@@ -289,6 +336,10 @@ class HeapServer:
     async def _dispatch_loop(self) -> None:
         while True:
             await self._kick.wait()
+            # A batch is everything that has arrived, not what the
+            # first reader to run had: every reader that is runnable
+            # takes its turn before the queues are swapped out.
+            await asyncio.sleep(0)
             self._kick.clear()
             taken = {
                 shard: queue
@@ -310,6 +361,10 @@ class HeapServer:
             for shard, queue in taken.items()
         }
         try:
+            if self.executor.inline:
+                # CPU-bound Python in this process: a thread would add
+                # two hand-offs a batch and no parallelism.
+                return self.executor.execute(batches)
             return await asyncio.get_running_loop().run_in_executor(
                 None, self.executor.execute, batches
             )

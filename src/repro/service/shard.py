@@ -52,8 +52,10 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from functools import lru_cache
 from typing import Any, Iterable, Mapping
 
+from repro.gc.registry import COLLECTOR_KINDS
 from repro.metrics.registry import MetricRegistry, merge_registries
 from repro.perf.parallel import TaskFailure, WorkerPool
 from repro.service.protocol import (
@@ -72,10 +74,30 @@ __all__ = [
 ]
 
 
-def shard_of(tenant: str, shards: int) -> int:
-    """The owning shard: a stable content hash, PYTHONHASHSEED-proof."""
+#: Most routes :func:`shard_of` remembers.  Tenant names are chosen by
+#: the client, so the memo is bounded in entries (least recently used
+#: goes first) and, by the length test in :func:`shard_of`, in bytes.
+SHARD_MEMO_ENTRIES = 1 << 14
+
+
+def _hash_shard(tenant: str, shards: int) -> int:
     digest = hashlib.sha256(tenant.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % shards
+
+
+_remembered_shard = lru_cache(maxsize=SHARD_MEMO_ENTRIES)(_hash_shard)
+
+
+def shard_of(tenant: str, shards: int) -> int:
+    """The owning shard: a stable content hash, PYTHONHASHSEED-proof.
+
+    A tenant is routed once per request, so the hash of a name of
+    ordinary length is remembered; a name can be as long as a request
+    line, and one that long is hashed every time rather than kept.
+    """
+    if len(tenant) > 64:
+        return _hash_shard(tenant, shards)
+    return _remembered_shard(tenant, shards)
 
 
 class ShardRuntime:
@@ -156,18 +178,27 @@ class ShardRuntime:
         structured error responses scoped to their own request.
         """
         service = self.registry("service")
+        # Counted per batch: one counter lookup per op kind and outcome
+        # the batch saw, not two per request.
+        requested: dict[str, int] = {}
+        refused: dict[str, int] = {}
         responses: list[dict] = []
         touched: set[str] = set()
         for request in ops:
-            service.counter(f"requests.{request['op']}").inc()
+            op = request["op"]
+            requested[op] = requested.get(op, 0) + 1
             response = self._apply_one(request, touched)
-            if response.get("ok"):
-                service.counter("responses_ok").inc()
-            else:
-                service.counter(
-                    f"errors.{response['error']['kind']}"
-                ).inc()
+            if not response.get("ok"):
+                kind = response["error"]["kind"]
+                refused[kind] = refused.get(kind, 0) + 1
             responses.append(response)
+        for op, count in requested.items():
+            service.counter(f"requests.{op}").inc(count)
+        answered_ok = len(responses) - sum(refused.values())
+        if answered_ok:
+            service.counter("responses_ok").inc(answered_ok)
+        for kind, count in refused.items():
+            service.counter(f"errors.{kind}").inc(count)
         for tenant in touched:
             session = self.sessions.get(tenant)
             if session is not None:
@@ -239,12 +270,17 @@ class ShardRuntime:
                 open_tenants=self.open_tenants,
                 tenant_cap=self.tenant_cap,
             )
-        session = TenantSession(
-            tenant,
-            kind=request.get("kind", "mark-sweep"),
-            backend=request.get("backend"),
-            geometry=geometry_from_payload(request.get("geometry")),
-        )
+        try:
+            session = TenantSession(
+                tenant,
+                kind=request.get("kind", COLLECTOR_KINDS[0]),
+                backend=request.get("backend"),
+                geometry=geometry_from_payload(request.get("geometry")),
+            )
+        except ValueError as exc:
+            # Well-typed geometry the chosen collector cannot be built
+            # with: the request's fault, and no session ever existed.
+            return error_response(request["id"], "bad-request", str(exc))
         self.sessions[tenant] = session
         self.registry("service").counter("tenants_opened").inc()
         return ok_response(
@@ -340,13 +376,16 @@ class ShardExecutor:
             raise ValueError(f"need at least one shard, got {shards}")
         self.shards = shards
         self.jobs = jobs
+        #: Batches are applied in the calling process — no pool to
+        #: block on, so a caller gains nothing from a thread.
+        self.inline = jobs == 0
         self.tenant_cap = tenant_cap
         self.chaos = chaos
         self.timeout = timeout
         self.retries = retries
         self.batches = 0
         self.respawns = [0] * shards
-        if jobs == 0:
+        if self.inline:
             self._runtimes: list[ShardRuntime] | None = [
                 ShardRuntime(index, tenant_cap=tenant_cap)
                 for index in range(shards)

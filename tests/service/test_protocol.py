@@ -179,3 +179,100 @@ class TestWireCodec:
     def test_responses_are_json_encodable(self):
         for message in (ok_response(1, x=[1, 2]), error_response(None, "internal", "boom")):
             json.loads(encode_line(message))
+
+
+class TestCodecIsTheJsonModules:
+    """The codec is built once at import; the bytes on the wire, and the
+    words of a decode error, are still ``json.dumps``/``json.loads``'."""
+
+    @staticmethod
+    def _response_shapes() -> list[dict]:
+        from dataclasses import asdict
+
+        from repro.service.loadgen import build_plan
+        from repro.service.server import HeapServer
+        from repro.service.shard import ShardExecutor
+
+        shapes: list[dict] = []
+        # Every tenant op's answer under all seven kinds.
+        executor = ShardExecutor(1, tenant_cap=8)
+        for tenant_plan in build_plan(7, seed=5, ops_per_tenant=40).plans:
+            shapes += executor.execute({0: tenant_plan.requests})[0]
+        # The error shapes, extras included.
+        tiny = GcGeometry(
+            nursery_words=64, semispace_words=64, step_words=64,
+            auto_expand=False,
+        )
+        script = [
+            _req("checkpoint", tenant="nobody"),
+            _req("open", tenant="caf\u00e9 \u79df\u6237", geometry=asdict(tiny)),
+            _req("open", tenant="caf\u00e9 \u79df\u6237"),
+            _req("read", tenant="caf\u00e9 \u79df\u6237", uid=9),
+            _req("open", tenant="u", geometry={"semispace_words": 0}),
+            *[
+                _req("alloc", tenant="caf\u00e9 \u79df\u6237", uid=uid, size=8)
+                for uid in range(40)
+            ],
+            *[_req("open", tenant=f"filler{index}") for index in range(9)],
+        ]
+        shapes += executor.execute({0: script})[0]
+        shapes.append(error_response(None, "shard-failed", "lost", shard=1))
+        shapes.append(error_response("x", "internal", "boom \"quoted\"\n\ttab"))
+        # What the server parent answers in place.
+        server = HeapServer(shards=1)
+        server.executor = executor
+        for line in (
+            b"not json",
+            encode_line({"v": 1, "id": 1.5, "op": "ping"}),
+            encode_line({"v": 1, "id": "p", "op": "ping"}),
+            encode_line({"v": 1, "id": "s", "op": "stats"}),
+            encode_line({"v": 1, "id": "m", "op": "metrics"}),
+            encode_line({"v": 1, "id": "m", "op": "metrics", "format": "prometheus"}),
+        ):
+            shapes.append(server._accept(line, None))
+        return shapes
+
+    def test_encode_line_is_json_dumps_sorted_and_compact(self):
+        shapes = self._response_shapes()
+        kinds = {
+            shape["error"]["kind"] for shape in shapes if not shape["ok"]
+        }
+        assert kinds == set(ERROR_KINDS)
+        for shape in shapes:
+            expected = json.dumps(shape, sort_keys=True, separators=(",", ":"))
+            assert encode_line(shape) == (expected + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "",
+            "   ",
+            "{",
+            '{"a":1} trailing',
+            '{"a":1}{"b":2}',
+            '{"a":NaN,}',
+            "\ufeff{}",
+            '\ufeff{"v":1,"id":1,"op":"ping"}',
+            "nul\x00l",
+        ],
+    )
+    def test_decode_errors_read_as_json_loads_would_put_them(self, line):
+        with pytest.raises(ValueError) as expected:
+            json.loads(line)
+        with pytest.raises(ProtocolError) as raised:
+            decode_line(line.encode("utf-8"))
+        assert raised.value.detail == (
+            f"request is not valid JSON: {expected.value}"
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"v":1,"id":1,"op":"ping"}',
+            b' \t{"a":[1,2.5e3,null,true],"b":{"c":"\\u00e9\xc3\xa9"}}\r\n',
+            b'{"big":123456789012345678901234567890,"nan":NaN}',
+        ],
+    )
+    def test_decode_line_is_json_loads(self, line):
+        decoded = decode_line(line)
+        assert repr(decoded) == repr(json.loads(line))

@@ -51,17 +51,19 @@ def _line(op: str, request_id, **payload) -> bytes:
     return encode_line(_req(op, request_id, **payload))
 
 
-def _hold_batches(server: HeapServer) -> threading.Event:
-    """Keep every batch in the executor until the returned event is
-    set, so a test decides what is in flight and for how long."""
-    release = threading.Event()
-    execute = server.executor.execute
+def _hold_batches(server: HeapServer) -> asyncio.Event:
+    """Park every batch at the dispatcher, queues already swapped out,
+    until the returned event is set, so a test decides what is in
+    flight and for how long.  (Blocking inside the executor would park
+    the whole loop in inline mode: it runs on the loop thread.)"""
+    release = asyncio.Event()
+    execute = server._execute
 
-    def held(batches):
-        assert release.wait(30), "test never released the executor"
-        return execute(batches)
+    async def held(taken):
+        await asyncio.wait_for(release.wait(), 30)
+        return await execute(taken)
 
-    server.executor.execute = held
+    server._execute = held
     return release
 
 
@@ -439,6 +441,64 @@ def test_one_write_of_many_tenants_is_a_few_batches():
     assert all(r["ok"] for r in responses)
     assert sum(stats["open_tenants"]) == tenants
     assert stats["batches"] <= 4
+
+
+def test_inline_server_is_one_thread():
+    """Inline batches run on the loop thread: serving them starts no
+    thread (the default executor's workers would stay alive)."""
+    ran_on: list[threading.Thread] = []
+
+    async def body(server, port, connection):
+        execute = server.executor.execute
+
+        def recording(batches):
+            ran_on.append(threading.current_thread())
+            return execute(batches)
+
+        server.executor.execute = recording
+        threads = threading.active_count()
+        assert (await connection.request(_req("open", 0, tenant="t")))["ok"]
+        for uid in range(5):
+            response = await connection.request(
+                _req("alloc", uid + 1, tenant="t", uid=uid, size=2, fields=0)
+            )
+            assert response["ok"]
+        assert threading.active_count() == threads
+
+    _run(asyncio.wait_for(_with_server(body, jobs=0), 30))
+    assert len(ran_on) == 6
+    assert set(ran_on) == {threading.main_thread()}
+
+
+def test_pool_server_answers_in_place_while_a_batch_is_in_the_pool():
+    """Pool mode keeps its thread: the executor blocks on the workers,
+    and the loop must go on reading and answering meanwhile."""
+    entered, release = threading.Event(), threading.Event()
+    ran_on: list[threading.Thread] = []
+
+    async def body(server, port, connection):
+        execute = server.executor.execute
+
+        def held(batches):
+            ran_on.append(threading.current_thread())
+            entered.set()
+            assert release.wait(30), "test never released the executor"
+            return execute(batches)
+
+        server.executor.execute = held
+        opening = asyncio.create_task(
+            connection.request(_req("open", 0, tenant="t"))
+        )
+        try:
+            await _eventually(entered.is_set)
+            assert (await connection.request(_req("ping", 1)))["pong"]
+            assert not opening.done()
+        finally:
+            release.set()
+        assert (await opening)["ok"]
+
+    _run(asyncio.wait_for(_with_server(body, jobs=2), 60))
+    assert ran_on and threading.main_thread() not in ran_on
 
 
 def test_flooding_client_is_held_to_its_window():

@@ -7,6 +7,10 @@ path recomputed identical answers from committed state.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -15,7 +19,8 @@ from repro.metrics.registry import MetricRegistry
 from repro.service.loadgen import tenant_geometry
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.session import TenantSession
-from repro.service.shard import ShardExecutor, shard_of
+from repro.service import shard as shard_module
+from repro.service.shard import SHARD_MEMO_ENTRIES, ShardExecutor, shard_of
 
 GEOMETRY = asdict(tenant_geometry())
 
@@ -92,6 +97,53 @@ class TestRouting:
     def test_executor_requires_a_shard(self):
         with pytest.raises(ValueError):
             ShardExecutor(0)
+
+    def test_routing_memo_is_bounded_and_is_the_sha256_rule(self):
+        """Tenant names are client-chosen: ten times the memo's bound of
+        distinct names leaves it at the bound, a name as long as a
+        request line is never kept, and remembered or not every route
+        is the content hash."""
+
+        def rule(tenant: str, shards: int) -> int:
+            digest = hashlib.sha256(tenant.encode("utf-8")).digest()
+            return int.from_bytes(digest[:8], "big") % shards
+
+        memo = shard_module._remembered_shard
+        memo.cache_clear()
+        names = [f"tenant-{index}" for index in range(10 * SHARD_MEMO_ENTRIES)]
+        for name in names:
+            assert shard_of(name, 5) == rule(name, 5)
+        assert memo.cache_info().currsize == SHARD_MEMO_ENTRIES
+        # Evicted, still remembered, and asked of another shard count.
+        for name in (names[0], names[-1]):
+            assert shard_of(name, 5) == rule(name, 5)
+            assert shard_of(name, 3) == rule(name, 3)
+        before = memo.cache_info()
+        huge = "x" * (1 << 20)
+        assert shard_of(huge, 5) == rule(huge, 5)
+        assert memo.cache_info() == before
+
+    def test_routes_do_not_depend_on_the_hash_seed(self):
+        names = [f"t{index:05d}" for index in range(64)] + ["café", "租户"]
+        script = (
+            "import sys\n"
+            "from repro.service.shard import shard_of\n"
+            "print([shard_of(name, 7) for name in sys.argv[1:]])\n"
+        )
+        routes = set()
+        for seed in ("0", "1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            routes.add(
+                subprocess.run(
+                    [sys.executable, "-c", script, *names],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                    timeout=60,
+                ).stdout
+            )
+        assert routes == {f"{[shard_of(name, 7) for name in names]}\n"}
 
 
 class TestModeEquivalence:
@@ -201,6 +253,87 @@ class TestErrorScoping:
         ).values()
         assert responses[0]["error"]["kind"] == "unknown-tenant"
         assert responses[1]["ok"] is True
+
+
+#: Every (kind, geometry override) the kind's constructor refuses
+#: although each value is of the type the protocol asks for.
+UNBUILDABLE = [
+    (kind, {field: value})
+    for kinds, field, values in [
+        (
+            ("mark-sweep", "stop-and-copy", "incremental", "concurrent"),
+            "semispace_words",
+            (0, -5),
+        ),
+        (
+            ("mark-sweep", "stop-and-copy", "incremental", "concurrent"),
+            "load_factor",
+            (0, 1, -5.0),
+        ),
+        (("generational", "hybrid"), "nursery_words", (0, -5)),
+        (("generational",), "gen_oldest_load_factor", (0, 1.0)),
+        (("non-predictive", "hybrid"), "step_words", (0, -5)),
+        (("non-predictive", "hybrid"), "step_count", (0, 1, -5)),
+        (("incremental",), "slice_budget", (0, -5)),
+        (("concurrent",), "marker_workers", (-1,)),
+    ]
+    for kind in kinds
+    for value in values
+]
+
+
+class TestUnbuildableGeometry:
+    """An ``open`` whose geometry the collector's constructor rejects
+    is the request's fault: ``bad-request`` with the constructor's
+    message, and no trace of a session that never existed."""
+
+    def _batch(self) -> list[dict]:
+        batch = [_req("open", "neighbour", 0, kind="generational")]
+        for index, (kind, geometry) in enumerate(UNBUILDABLE):
+            batch.append(
+                _req("open", f"u{index}", 0, kind=kind, geometry=geometry)
+            )
+        batch.append(_req("alloc", "neighbour", 1, uid=0, size=2, fields=0))
+        # The name is free: the same tenant opens with a sane geometry.
+        batch.append(_req("open", "u0", 1, kind=UNBUILDABLE[0][0]))
+        return batch
+
+    def test_every_cell_is_a_bad_request_and_counts_nothing_else(self):
+        executor = ShardExecutor(1, jobs=0)
+        (responses,) = executor.execute({0: self._batch()}).values()
+        refused = responses[1 : 1 + len(UNBUILDABLE)]
+        for (kind, geometry), response in zip(UNBUILDABLE, refused):
+            assert response["ok"] is False, (kind, geometry)
+            assert response["error"]["kind"] == "bad-request"
+            assert "evicted" not in response["error"]["detail"]
+            # The constructor's own words: a size or factor and its value.
+            assert "got" in response["error"]["detail"], (kind, geometry)
+        assert [r["ok"] for r in (responses[0], *responses[-2:])] == [True] * 3
+        assert executor.open_tenants(0) == 2
+        assert executor._runtimes[0].closed == []
+        (service,) = [
+            r for r in executor.merged_metrics() if r.label == "service"
+        ]
+        assert {
+            name: service.get(name).value
+            for name in service.names()
+            if not name.startswith("requests.")
+        } == {
+            "tenants_opened": 2,
+            "responses_ok": 3,
+            "errors.bad-request": len(UNBUILDABLE),
+        }
+
+    def test_inline_and_pool_agree_byte_for_byte(self):
+        inline = ShardExecutor(1, jobs=0)
+        pool = ShardExecutor(1, jobs=2)
+        assert pool.execute({0: self._batch()}) == inline.execute(
+            {0: self._batch()}
+        )
+        assert {r.label: r.canonical_json() for r in pool.merged_metrics()} == {
+            r.label: r.canonical_json() for r in inline.merged_metrics()
+        }
+        assert sorted(pool.shard_state(0)) == ["neighbour", "u0"]
 
 
 class TestPartialStateShipping:
