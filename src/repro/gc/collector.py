@@ -166,11 +166,11 @@ class Collector(abc.ABC):
     ) -> int:
         """Allocate an object and return its raw id (no handle).
 
-        Identical observable behaviour to :meth:`allocate`.  Its only
-        caller is :class:`~repro.runtime.machine.Machine`, for which it
-        is the miss handler: the constructors allocate straight into
-        ``bump_space`` while the published limit allows and come here
-        when it does not.
+        Identical observable behaviour to :meth:`allocate`.  For
+        :class:`~repro.runtime.machine.Machine` it is the miss handler:
+        the constructors allocate straight into ``bump_space`` while the
+        published limit allows and come here when it does not.  The
+        service's tenant sessions allocate through it on every ``alloc``.
         """
         space = self._reserve_bump(size)
         obj_id = self.heap.allocate_id(size, field_count, space, kind)

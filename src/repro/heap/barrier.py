@@ -14,10 +14,11 @@ hook receives only source, slot and target.  Its one body per collector
 is id-level, ``Collector.remember_store_id(src_id, slot, target_id)``:
 like PyPy's barrier, a test on the source's header word, with no object
 model in the way.  :meth:`WriteBarrier.on_store` is the form for callers
-that hold object handles (replay, the service's sessions); it reaches
-that body through the ``Collector.remember_store`` adapter.
+that hold object handles (replay and the tests); it reaches that body
+through the ``Collector.remember_store`` adapter.
 :class:`~repro.runtime.machine.Machine` holds ids, so its store paths
-bump this barrier's counters and call the id-level hook directly.
+bump this barrier's counters and call the id-level hook directly; the
+service's sessions hold ids too, count nothing, and call only the hook.
 """
 
 from __future__ import annotations

@@ -75,6 +75,7 @@ The error kinds a client must be prepared for:
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry
@@ -87,6 +88,7 @@ __all__ = [
     "TENANT_OPS",
     "ProtocolError",
     "decode_line",
+    "encode_json",
     "encode_line",
     "error_response",
     "geometry_from_payload",
@@ -127,10 +129,21 @@ ERROR_KINDS: tuple[str, ...] = (
 #: GcGeometry fields a tenant may override at ``open``.
 _GEOMETRY_FIELDS = frozenset(GcGeometry.__dataclass_fields__)
 
-# The codec is built once: ``json.dumps`` with these arguments would
-# construct this encoder per message, ``json.loads`` re-checks its
-# arguments per line.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The codec is built once.  ``json.dumps`` with these arguments builds
+# a ``JSONEncoder`` per message, and ``JSONEncoder.encode`` builds its C
+# encoder per message; this is that C encoder, built here, with the
+# arguments ``json.dumps(sort_keys=True, separators=(",", ":"))`` passes
+# it.  ``markers`` is None: no message or digest input is cyclic, and a
+# shared markers dict would carry stale entries past a failed encode.
+# ``json.loads`` re-checks its arguments per line.
+_reference_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+if c_make_encoder is not None:
+    _iterencode = c_make_encoder(
+        None, _reference_encoder.default, encode_basestring_ascii, None,
+        ":", ",", True, False, True,
+    )
+else:  # an interpreter without the C accelerator: the same text
+    _iterencode = _reference_encoder.iterencode
 _decode = json.JSONDecoder().decode
 
 
@@ -310,9 +323,20 @@ def error_response(
     }
 
 
+def encode_json(value: Any) -> str:
+    """``value`` as canonical JSON text (sorted keys, compact, ASCII):
+    ``json.dumps(value, sort_keys=True, separators=(",", ":"))``.
+
+    Tuples encode as arrays.  The wire and the session digests
+    (:func:`repro.service.session.graph_digest`,
+    :func:`~repro.service.session.pauses_digest`) share this encoder.
+    """
+    return "".join(_iterencode(value, 0))
+
+
 def encode_line(message: dict) -> bytes:
     """One message as a canonical JSON line (sorted keys, compact)."""
-    return (_encode(message) + "\n").encode("utf-8")
+    return ("".join(_iterencode(message, 0)) + "\n").encode("utf-8")
 
 
 def decode_line(line: bytes | str) -> dict:

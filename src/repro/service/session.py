@@ -1,7 +1,7 @@
 """One tenant's heap session: the mutator surface behind the service.
 
-A :class:`TenantSession` owns a private ``(heap, roots, collector,
-barrier)`` context built from the tenant's chosen collector kind,
+A :class:`TenantSession` owns a private ``(heap, roots, collector)``
+context built from the tenant's chosen collector kind,
 :class:`~repro.gc.registry.GcGeometry`, and heap backend — nothing is
 shared between tenants, which is the whole point: the isolation oracle
 (:mod:`repro.service.isolation`) proves that a tenant's checkpoints and
@@ -12,7 +12,13 @@ to replaying its ops serially through a standalone heap
 Op semantics deliberately mirror :mod:`repro.verify.replay` — same
 root naming (``u{uid}``), same write-barrier-then-write store order,
 same live-graph fingerprint — so the two sides are comparable without
-translation.
+translation.  Like :class:`~repro.runtime.machine.Machine`, the session
+addresses the heap by object id: ``allocate_id``, the collector's
+id-level barrier hook ``remember_store_id`` followed by
+``heap.store_slot``, and ``size_of``/``slots_of`` for reads and the
+fingerprint — no object handle is built on any op.  A uid whose object
+a collection reclaimed (dropped, then unreachable) answers
+``unknown-uid`` like a uid that was never allocated.
 
 Sessions are *migratable*: :meth:`capture` freezes the session into a
 JSON-able state blob built on the PR 9 snapshot machinery
@@ -30,25 +36,32 @@ telemetry depend on how the service chunked the traffic),
 from high-water marks stored **in the session state**.  Draining after
 every batch, or once at close, or at any mixture, yields byte-identical
 registries — which is what makes per-shard metrics merge exactly across
-inline and worker-process execution at any jobs level.
+inline and worker-process execution at any jobs level.  So the shard
+drains when it must, not per batch
+(:class:`~repro.service.shard.ShardRuntime`): before its registries
+are read, before a session is captured (the marks travel in the blob),
+at ``close``, and before an evicted session is dropped — an evicted
+tenant's registry therefore counts every op it had acknowledged.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict
 from typing import Any
 
 from repro.gc.collector import HeapExhausted
 from repro.gc.registry import GcGeometry, make_collector
 from repro.heap.backend import make_heap, resolve_backend_name
-from repro.heap.barrier import WriteBarrier
 from repro.heap.roots import RootSet
 from repro.metrics.registry import MetricRegistry
 from repro.resilience.snapshot import checkpoint as snapshot_checkpoint
 from repro.resilience.snapshot import restore as snapshot_restore
-from repro.service.protocol import ProtocolError, geometry_from_payload
+from repro.service.protocol import (
+    ProtocolError,
+    encode_json,
+    geometry_from_payload,
+)
 
 __all__ = [
     "OpRejected",
@@ -80,20 +93,17 @@ def graph_digest(graph: tuple) -> str:
     ``graph`` is the sorted ``(obj_id, size, fields)`` tuple built by
     both :func:`repro.verify.replay.replay` checkpoints and
     :meth:`TenantSession.checkpoint_payload`; hashing the canonical
-    JSON of the same structure makes the two directly comparable.
+    JSON of the same structure makes the two directly comparable.  The
+    tuples encode as the arrays ``[[obj_id, size, [fields...]], ...]``.
     """
-    blob = json.dumps(
-        [[obj_id, size, list(fields)] for obj_id, size, fields in graph],
-        separators=(",", ":"),
-    )
+    blob = encode_json(graph)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def pauses_digest(pauses) -> str:
     """SHA-256 over a pause log (any iterable of PauseRecord)."""
-    blob = json.dumps(
-        [[p.clock, p.kind, p.work, p.reclaimed, p.live] for p in pauses],
-        separators=(",", ":"),
+    blob = encode_json(
+        [[p.clock, p.kind, p.work, p.reclaimed, p.live] for p in pauses]
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -123,7 +133,6 @@ class TenantSession:
         self.collector = make_collector(
             kind, self.heap, self.roots, self.geometry
         )
-        self.barrier = WriteBarrier(self.collector.remember_store)
         self.uid_to_id: dict[int, int] = {}
         self.id_to_uid: dict[int, int] = {}
         self.checkpoints = 0
@@ -140,13 +149,25 @@ class TenantSession:
     # ------------------------------------------------------------------
 
     def _resolve(self, uid: int) -> int:
-        try:
-            return self.uid_to_id[uid]
-        except KeyError:
+        """The live object id under ``uid``.
+
+        A uid that was never allocated, and one whose object a
+        collection has reclaimed, are both the client's stale handle:
+        ``unknown-uid``, and the session is untouched.
+        """
+        obj_id = self.uid_to_id.get(uid)
+        if obj_id is None:
             raise ProtocolError(
                 f"tenant {self.tenant!r} has no object under uid {uid}",
                 kind="unknown-uid",
-            ) from None
+            )
+        if not self.heap.contains_id(obj_id):
+            raise ProtocolError(
+                f"tenant {self.tenant!r}: the object under uid {uid} was "
+                f"dropped and has been collected",
+                kind="unknown-uid",
+            )
+        return obj_id
 
     def apply(self, request: dict) -> dict:
         """Apply one validated tenant op; returns the response payload.
@@ -179,7 +200,7 @@ class TenantSession:
                 kind="bad-request",
             )
         try:
-            obj = self.collector.allocate(
+            obj_id = self.collector.allocate_id(
                 request["size"], request.get("fields", 0)
             )
         except HeapExhausted as exc:
@@ -190,28 +211,29 @@ class TenantSession:
                 phase=exc.phase,
                 occupancy=exc.snapshot,
             ) from exc
-        self.uid_to_id[uid] = obj.obj_id
-        self.id_to_uid[obj.obj_id] = uid
-        self.roots.set_global(f"u{uid}", obj)
+        self.uid_to_id[uid] = obj_id
+        self.id_to_uid[obj_id] = uid
+        # The cell ``RootSet.set_global`` writes, written by id: its
+        # signature takes a handle, and this path builds none.
+        self.roots._globals[f"u{uid}"] = obj_id
         return {"uid": uid, "clock": self.heap.clock}
 
     def _op_write(self, request: dict) -> dict:
-        src = self.heap.get(self._resolve(request["src"]))
+        src = self._resolve(request["src"])
         slot = request["slot"]
-        if slot >= len(src.fields):
+        heap = self.heap
+        count = heap.slot_count_of(src)
+        if slot >= count:
             raise ProtocolError(
                 f"slot {slot} out of range for uid {request['src']} "
-                f"({len(src.fields)} fields)",
+                f"({count} fields)",
                 kind="bad-request",
             )
         dst_uid = request.get("dst")
-        if dst_uid is None:
-            self.barrier.on_store(src, slot, None)
-            self.heap.write_field(src, slot, None)
-        else:
-            target = self.heap.get(self._resolve(dst_uid))
-            self.barrier.on_store(src, slot, target)
-            self.heap.write_field(src, slot, target)
+        dst = None if dst_uid is None else self._resolve(dst_uid)
+        # Barrier, then write: the order replay and Machine use.
+        self.collector.remember_store_id(src, slot, dst)
+        heap.store_slot(src, slot, dst)
         return {}
 
     def _op_drop(self, request: dict) -> dict:
@@ -221,12 +243,13 @@ class TenantSession:
         return {}
 
     def _op_read(self, request: dict) -> dict:
-        obj = self.heap.get(self._resolve(request["uid"]))
+        obj_id = self._resolve(request["uid"])
+        id_to_uid = self.id_to_uid
         fields = [
-            None if ref is None else self.id_to_uid.get(ref)
-            for ref in obj.fields
+            None if ref is None else id_to_uid.get(ref)
+            for ref in self.heap.slots_of(obj_id)
         ]
-        return {"size": obj.size, "fields": fields}
+        return {"size": self.heap.size_of(obj_id), "fields": fields}
 
     def _op_collect(self) -> dict:
         try:
@@ -247,17 +270,18 @@ class TenantSession:
 
     def live_graph(self) -> tuple:
         """The canonical live-graph tuple (replay checkpoint form)."""
-        reached = self.heap.reachable_from(list(self.roots.ids()))
-        return tuple(
-            sorted(
-                (
-                    obj_id,
-                    self.heap.get(obj_id).size,
-                    tuple(self.heap.get(obj_id).fields),
-                )
-                for obj_id in reached
-            )
-        )
+        heap = self.heap
+        size_of = heap.size_of
+        slots_of = heap.slots_of
+        # Ids are unique, so ordering by id is ordering the entries.
+        reached = sorted(heap.reachable_from(list(self.roots.ids())))
+        # From a list, not a generator: ``tuple`` sizes it exactly
+        # instead of growing it, which would strand every resized
+        # tuple in the interpreter's per-size free lists.
+        return tuple([
+            (obj_id, size_of(obj_id), tuple(slots_of(obj_id)))
+            for obj_id in reached
+        ])
 
     def checkpoint_payload(self) -> dict:
         graph = self.live_graph()
@@ -357,7 +381,6 @@ class TenantSession:
         session.heap = heap
         session.roots = roots
         session.collector = collector
-        session.barrier = WriteBarrier(collector.remember_store)
         session.uid_to_id = {
             int(uid): int(obj_id) for uid, obj_id in state["uid_to_id"]
         }

@@ -127,18 +127,43 @@ class ShardRuntime:
         # counted so the admission cap sees true shard occupancy.
         self.external_tenants = external_tenants
         self.closed: list[str] = []
-        self.registries: dict[str, MetricRegistry] = {}
+        self._registries: dict[str, MetricRegistry] = {}
+        # Tenants that ran ops since their session was last drained.
+        self._undrained: set[str] = set()
 
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
 
+    @property
+    def registries(self) -> dict[str, MetricRegistry]:
+        """The shard's metric registries (label → registry), with every
+        session's metrics drained into them first."""
+        self._flush_metrics()
+        return self._registries
+
     def registry(self, label: str) -> MetricRegistry:
-        registry = self.registries.get(label)
+        registry = self._registries.get(label)
         if registry is None:
             registry = MetricRegistry(label)
-            self.registries[label] = registry
+            self._registries[label] = registry
         return registry
+
+    def _flush_metrics(self) -> None:
+        """Drain every session that ran ops since its last drain.
+
+        Draining is cadence-independent (:mod:`repro.service.session`),
+        so the shard drains only when its registries are about to be
+        read or its sessions captured, not after every batch.
+        """
+        # ``close`` and eviction discard their tenant, so every
+        # undrained tenant still has a live session.
+        for tenant in self._undrained:
+            self._drain(self.sessions[tenant])
+        self._undrained.clear()
+
+    def _drain(self, session: TenantSession) -> None:
+        session.drain_metrics(self.registry(session.metrics_label))
 
     @property
     def open_tenants(self) -> int:
@@ -160,7 +185,13 @@ class ShardRuntime:
         return session
 
     def export_state(self) -> dict[str, dict]:
-        """Capture every session back into blob form (plus cold ones)."""
+        """Capture every session back into blob form (plus cold ones).
+
+        Drains first: the high-water marks travel in the blobs, and a
+        blob captured ahead of its drain would count its metrics again
+        on the next batch.
+        """
+        self._flush_metrics()
         state = dict(self._cold)
         for tenant, session in self.sessions.items():
             state[tenant] = session.capture()
@@ -176,6 +207,15 @@ class ShardRuntime:
         No op may raise out of this method: malformed state references,
         policy refusals, and even unexpected internal errors all become
         structured error responses scoped to their own request.
+
+        Sessions are not drained here.  A tenant the batch touched is
+        marked undrained and drained when the registries are next read
+        (:attr:`registries`) or the sessions captured
+        (:meth:`export_state`, which a pool worker calls once per
+        batch).  ``close`` drains its session, and the blast-radius
+        fence drains an evicted session before dropping it, so the
+        registry of an evicted tenant counts every op it acknowledged,
+        in either execution mode.
         """
         service = self.registry("service")
         # Counted per batch: one counter lookup per op kind and outcome
@@ -183,11 +223,10 @@ class ShardRuntime:
         requested: dict[str, int] = {}
         refused: dict[str, int] = {}
         responses: list[dict] = []
-        touched: set[str] = set()
         for request in ops:
             op = request["op"]
             requested[op] = requested.get(op, 0) + 1
-            response = self._apply_one(request, touched)
+            response = self._apply_one(request)
             if not response.get("ok"):
                 kind = response["error"]["kind"]
                 refused[kind] = refused.get(kind, 0) + 1
@@ -199,13 +238,9 @@ class ShardRuntime:
             service.counter("responses_ok").inc(answered_ok)
         for kind, count in refused.items():
             service.counter(f"errors.{kind}").inc(count)
-        for tenant in touched:
-            session = self.sessions.get(tenant)
-            if session is not None:
-                session.drain_metrics(self.registry(session.metrics_label))
         return responses
 
-    def _apply_one(self, request: dict, touched: set[str]) -> dict:
+    def _apply_one(self, request: dict) -> dict:
         op = request["op"]
         tenant = request["tenant"]
         request_id = request["id"]
@@ -221,16 +256,14 @@ class ShardRuntime:
                     f"{self.shard_id}",
                 )
             if op == "close":
-                touched.discard(tenant)
-                session.drain_metrics(
-                    self.registry(session.metrics_label)
-                )
+                self._undrained.discard(tenant)
+                self._drain(session)
                 payload = session.close_payload()
                 del self.sessions[tenant]
                 self.closed.append(tenant)
                 self.registry("service").counter("tenants_closed").inc()
                 return ok_response(request_id, **payload)
-            touched.add(tenant)
+            self._undrained.add(tenant)
             return ok_response(request_id, **session.apply(request))
         except ProtocolError as exc:
             return error_response(request_id, exc.kind, exc.detail)
@@ -239,7 +272,10 @@ class ShardRuntime:
                 request_id, exc.kind, exc.detail, **exc.extra
             )
         except Exception as exc:  # tenant blast-radius fence
-            self.sessions.pop(tenant, None)
+            session = self.sessions.pop(tenant, None)
+            self._undrained.discard(tenant)
+            if session is not None:
+                self._drain(session)
             self._cold.pop(tenant, None)
             self.closed.append(tenant)
             self.registry("service").counter("tenants_evicted").inc()

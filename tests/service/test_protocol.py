@@ -14,6 +14,7 @@ from repro.service.protocol import (
     TENANT_OPS,
     ProtocolError,
     decode_line,
+    encode_json,
     encode_line,
     error_response,
     geometry_from_payload,
@@ -241,6 +242,100 @@ class TestCodecIsTheJsonModules:
         for shape in shapes:
             expected = json.dumps(shape, sort_keys=True, separators=(",", ":"))
             assert encode_line(shape) == (expected + "\n").encode("utf-8")
+
+    def test_digests_hash_json_dumps_of_the_same_lists(self):
+        """``graph_digest``/``pauses_digest`` share the wire's encoder;
+        the text they hash is still ``json.dumps`` of lists, so every
+        checkpoint and pause digest is unchanged."""
+        import hashlib
+
+        from repro.gc.registry import COLLECTOR_KINDS
+        from repro.service.loadgen import build_plan
+        from repro.service.session import (
+            TenantSession,
+            graph_digest,
+            pauses_digest,
+        )
+
+        def sha(value) -> str:
+            text = json.dumps(value, separators=(",", ":"))
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        plan = build_plan(
+            2 * len(COLLECTOR_KINDS), seed=2, backends=("flat", "object"),
+            ops_per_tenant=60,
+        )
+        collections = 0
+        for tenant_plan in plan.plans:
+            opening = tenant_plan.requests[0]
+            session = TenantSession(
+                tenant_plan.tenant,
+                kind=opening["kind"],
+                backend=opening["backend"],
+                geometry=geometry_from_payload(opening["geometry"]),
+            )
+            for request in tenant_plan.requests[1:-1]:
+                session.apply(request)
+                graph = session.live_graph()
+                assert graph_digest(graph) == sha(
+                    [[obj_id, size, list(fields)] for obj_id, size, fields in graph]
+                )
+            pauses = session.collector.stats.pauses
+            collections += len(pauses)
+            assert pauses_digest(pauses) == sha(
+                [[p.clock, p.kind, p.work, p.reclaimed, p.live] for p in pauses]
+            )
+        assert collections
+
+    def test_encoder_without_the_c_accelerator_writes_the_same_bytes(self):
+        """The encoder is built from ``json.encoder.c_make_encoder``; an
+        interpreter without it falls back to ``JSONEncoder``'s own
+        iterator and must put the same bytes on the wire."""
+        import subprocess
+        import sys
+
+        script = (
+            "import json, json.encoder\n"
+            "json.encoder.c_make_encoder = None\n"
+            "from repro.service.protocol import encode_json, encode_line\n"
+            "shapes = [{'v': 1, 'id': 'caf\\u00e9', 'ok': True, 'x': [1.5,"
+            " None, float('nan'), (2, 3)], 'a': {'z': 1, 'b': '\"\\n'}},"
+            " [[3, 2, [None, 4]], [9, 1, []]]]\n"
+            "for shape in shapes:\n"
+            "    text = json.dumps(shape, sort_keys=True,"
+            " separators=(',', ':'))\n"
+            "    assert encode_json(shape) == text, shape\n"
+            "    assert encode_line(shape) == (text + '\\n').encode()\n"
+            "print('same')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.stdout == "same\n", result.stderr
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"b": [1.5, float("inf"), None, True], "a": "\u79df\u6237\x00"},
+            ((1, 2, (None, 3)), (4, 5, ())),
+            [1e300, -0.0, 2**70, ""],
+        ],
+    )
+    def test_encode_json_is_json_dumps(self, value):
+        assert encode_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":")
+        )
+
+    def test_unencodable_values_fail_as_json_dumps_does(self):
+        for value in ({"x": object()}, {"x": {1, 2}}, {(1, 2): 3}):
+            with pytest.raises(TypeError) as expected:
+                json.dumps(value, sort_keys=True, separators=(",", ":"))
+            with pytest.raises(TypeError) as raised:
+                encode_line(value)
+            assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize(
         "line",

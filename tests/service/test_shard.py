@@ -15,12 +15,21 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.metrics.registry import MetricRegistry
-from repro.service.loadgen import tenant_geometry
-from repro.service.protocol import PROTOCOL_VERSION
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.gc.registry import COLLECTOR_KINDS
+from repro.metrics.registry import MetricRegistry, merge_registries
+from repro.service.loadgen import build_plan, tenant_geometry
+from repro.service.protocol import PROTOCOL_VERSION, geometry_from_payload
 from repro.service.session import TenantSession
 from repro.service import shard as shard_module
-from repro.service.shard import SHARD_MEMO_ENTRIES, ShardExecutor, shard_of
+from repro.service.shard import (
+    SHARD_MEMO_ENTRIES,
+    ShardExecutor,
+    ShardRuntime,
+    shard_of,
+)
 
 GEOMETRY = asdict(tenant_geometry())
 
@@ -474,3 +483,288 @@ class TestFaultDrills:
         assert stats["batches"] == 1
         assert sum(stats["open_tenants"]) == 1
         assert stats["respawns"] == [0, 0, 0]
+
+
+#: A stale handle, three ways: read it, store from it, store it.
+STALE_USES = {
+    "read": {"op": "read", "uid": 0},
+    "write-src": {"op": "write", "src": 0, "slot": 0, "dst": 1},
+    "write-dst": {"op": "write", "src": 1, "slot": 0, "dst": 0},
+}
+
+
+def _stale_uid_streams() -> dict[str, list[dict]]:
+    """Every kind × backend × stale use: uid 0 is dropped and collected,
+    then used; the session must answer and keep serving."""
+    streams = {}
+    for backend in ("flat", "object"):
+        for kind in COLLECTOR_KINDS:
+            for use, payload in STALE_USES.items():
+                tenant = f"{kind}/{backend}/{use}"
+                stale = _req(payload["op"], tenant, 5)
+                stale.update(payload)
+                streams[tenant] = [
+                    _req(
+                        "open", tenant, 0,
+                        kind=kind, backend=backend, geometry=GEOMETRY,
+                    ),
+                    _req("alloc", tenant, 1, uid=0, size=2, fields=1),
+                    _req("alloc", tenant, 2, uid=1, size=2, fields=1),
+                    _req("drop", tenant, 3, uid=0),
+                    _req("collect", tenant, 4),
+                    stale,
+                    _req("read", tenant, 6, uid=1),
+                    _req("checkpoint", tenant, 7),
+                    _req("close", tenant, 8),
+                ]
+    return streams
+
+
+class TestStaleUid:
+    """A uid whose object a collection reclaimed is the client's stale
+    handle, not corrupted tenant state: ``unknown-uid``, nothing
+    evicted, the session keeps serving.
+
+    Writing a pointer to a dropped object that is unreachable but not
+    yet collected is a different, still open hazard (the hostile-input
+    item of ROADMAP.md): the store succeeds and may resurrect it.
+    """
+
+    def test_every_kind_and_use_answers_unknown_uid_in_both_modes(self):
+        streams = _stale_uid_streams()
+        inline = ShardExecutor(2, jobs=0)
+        pool = ShardExecutor(2, jobs=2)
+        inline_responses = _run_streams(inline, streams)
+        assert _run_streams(pool, streams) == inline_responses
+        inline_metrics = {
+            r.label: r.canonical_json() for r in inline.merged_metrics()
+        }
+        assert {
+            r.label: r.canonical_json() for r in pool.merged_metrics()
+        } == inline_metrics
+
+        for tenant, responses in inline_responses.items():
+            stale = responses[5]
+            assert stale["ok"] is False, tenant
+            assert stale["error"]["kind"] == "unknown-uid", tenant
+            assert "collected" in stale["error"]["detail"], tenant
+            assert all(
+                r["ok"] for i, r in enumerate(responses) if i != 5
+            ), tenant
+            # The refused store wrote nothing into uid 1.
+            assert responses[6]["fields"] == [None], tenant
+
+        (service,) = [
+            r for r in inline.merged_metrics() if r.label == "service"
+        ]
+        assert service.get("tenants_evicted") is None
+        assert service.get("errors.unknown-uid").value == len(streams)
+        assert service.get("tenants_closed").value == len(streams)
+
+
+def _interleave(plan) -> list[dict]:
+    """The plan's requests round-robin over its tenants (each tenant's
+    own order kept), as a closed-loop client would send them."""
+    cursors = [0] * len(plan.plans)
+    stream: list[dict] = []
+    while len(stream) < plan.request_count:
+        for index, tenant_plan in enumerate(plan.plans):
+            if cursors[index] < len(tenant_plan.requests):
+                stream.append(tenant_plan.requests[cursors[index]])
+                cursors[index] += 1
+    return stream
+
+
+def _jsonable(registries) -> dict[str, str]:
+    return {r.label: r.canonical_json() for r in registries}
+
+
+#: One loadgen plan for the drain-cadence property: every kind, both
+#: backends, enough ops per tenant for each kind to collect.
+_CADENCE_PLAN = build_plan(
+    len(COLLECTOR_KINDS) + 2,
+    seed=3,
+    backends=("flat", "object"),
+    ops_per_tenant=40,
+)
+_CADENCE_STREAM = _interleave(_CADENCE_PLAN)
+
+
+def _drained_once_at_close(plan) -> dict[str, str]:
+    """Each tenant's ops through a bare session, drained once at the
+    end: the registries every drain cadence must reproduce."""
+    registries: dict[str, MetricRegistry] = {}
+    for tenant_plan in plan.plans:
+        opening = tenant_plan.requests[0]
+        session = TenantSession(
+            tenant_plan.tenant,
+            kind=opening["kind"],
+            backend=opening["backend"],
+            geometry=geometry_from_payload(opening["geometry"]),
+        )
+        for request in tenant_plan.requests[1:-1]:
+            session.apply(request)
+        label = session.metrics_label
+        session.drain_metrics(
+            registries.setdefault(label, MetricRegistry(label))
+        )
+    return _jsonable(registries.values())
+
+
+class TestDrainCadence:
+    """Sessions are drained when the registries are read or the
+    sessions captured — not per batch — and no batching, read or
+    migration point changes a byte of what the registries say."""
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_any_batching_reads_and_migration_drain_identically(self, data):
+        stream = _CADENCE_STREAM
+        cuts = sorted(
+            data.draw(
+                st.sets(
+                    st.integers(1, len(stream) - 1), min_size=1, max_size=5
+                ),
+                label="cuts",
+            )
+        )
+        bounds = [0, *cuts, len(stream)]
+        batches = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+        # Boundaries (after batch i) where metrics are read mid-run and
+        # where the runtime's sessions are captured and revived.
+        read_at = data.draw(st.integers(0, len(batches) - 1), label="read")
+        migrate_at = data.draw(
+            st.integers(0, len(batches) - 1), label="migrate"
+        )
+
+        inline = ShardExecutor(1, jobs=0)
+        pool = ShardExecutor(1, jobs=2)
+        runtime = ShardRuntime(0)
+        retired: list[MetricRegistry] = []
+        for index, batch in enumerate(batches):
+            inline_responses = inline.execute({0: batch})
+            assert pool.execute({0: batch}) == inline_responses
+            assert runtime.apply_batch(batch) == inline_responses[0]
+            if index == read_at:
+                inline.merged_metrics()  # the ``metrics`` op's read
+                runtime.registries
+            if index == migrate_at:
+                state = runtime.export_state()
+                retired += runtime.registries.values()
+                runtime = ShardRuntime(0, state=state)
+        retired += runtime.registries.values()
+        by_label: dict[str, list[MetricRegistry]] = {}
+        for registry in retired:
+            by_label.setdefault(registry.label, []).append(registry)
+        migrated = _jsonable(
+            merge_registries(group, label)
+            for label, group in by_label.items()
+        )
+
+        inline_metrics = _jsonable(inline.merged_metrics())
+        assert _jsonable(pool.merged_metrics()) == inline_metrics
+        assert migrated == inline_metrics
+        tenants_only = {
+            label: text
+            for label, text in inline_metrics.items()
+            if label != "service"
+        }
+        assert tenants_only == _drained_once_at_close(_CADENCE_PLAN)
+
+    def test_eviction_drains_every_acknowledged_op_in_both_modes(self):
+        """The fence drains an evicted session before dropping it, so
+        its registry counts the ops of the evicting batch that came
+        before the one that raised — in pool mode as inline."""
+        victim, bystander = "victim", "bystander"
+
+        def allocs(tenant, first, count):
+            return [
+                _req("alloc", tenant, first + k, uid=first + k, size=6,
+                     fields=1)
+                for k in range(count)
+            ]
+
+        batches = [
+            [
+                _req("open", victim, 0, kind="generational",
+                     geometry=GEOMETRY),
+                _req("open", bystander, 0, kind="mark-sweep",
+                     geometry=GEOMETRY),
+                *allocs(victim, 1, 8),
+            ],
+            [*allocs(victim, 9, 8), _req("collect", victim, 17),
+             *allocs(bystander, 1, 3)],
+            [*allocs(victim, 18, 4), _req("collect", victim, 22)],
+            [
+                *allocs(victim, 23, 2),
+                _req("collect", victim, 25),
+                # No validator lets a string slot through: it stands in
+                # for any op that raises inside the session.
+                _req("write", victim, 26, src=1, slot="0", dst=None),
+                _req("checkpoint", bystander, 4),
+            ],
+            [_req("checkpoint", victim, 27), _req("close", bystander, 5)],
+        ]
+        inline = ShardExecutor(1, jobs=0)
+        pool = ShardExecutor(1, jobs=2)
+        answers = []
+        for batch in batches:
+            answers.append(inline.execute({0: batch})[0])
+            assert pool.execute({0: batch})[0] == answers[-1]
+        inline_metrics = _jsonable(inline.merged_metrics())
+        assert _jsonable(pool.merged_metrics()) == inline_metrics
+
+        evicting = answers[3]
+        assert [r["ok"] for r in evicting] == [True, True, True, False, True]
+        assert evicting[3]["error"]["kind"] == "internal"
+        assert "evicted" in evicting[3]["error"]["detail"]
+        assert answers[4][0]["error"]["kind"] == "unknown-tenant"
+
+        # What the victim acknowledged, through a bare session, drained
+        # once: the three collects of batches 2–4 included.
+        session = TenantSession(
+            victim, kind="generational", geometry=tenant_geometry()
+        )
+        for batch in batches[:4]:
+            for request in batch:
+                if request["tenant"] == victim and request["op"] not in (
+                    "open", "write",
+                ):
+                    session.apply(request)
+        reference = MetricRegistry(session.metrics_label)
+        session.drain_metrics(reference)
+        assert inline_metrics[session.metrics_label] == (
+            reference.canonical_json()
+        )
+        assert reference.get("collections").value >= 3
+        (service,) = [
+            r for r in inline.merged_metrics() if r.label == "service"
+        ]
+        assert service.get("tenants_evicted").value == 1
+
+    def test_inline_batches_drain_nothing_until_a_read(self, monkeypatch):
+        calls: list[str] = []
+        original = TenantSession.drain_metrics
+
+        def counting(self, registry):
+            calls.append(self.tenant)
+            return original(self, registry)
+
+        monkeypatch.setattr(TenantSession, "drain_metrics", counting)
+        executor = ShardExecutor(1, jobs=0)
+        executor.execute(
+            {0: [_req("open", "t0", 0, kind="generational", geometry=GEOMETRY)]}
+        )
+        for seq in range(1, 13):
+            executor.execute(
+                {0: [_req("alloc", "t0", seq, uid=seq, size=5, fields=1)]}
+            )
+        assert calls == []
+        executor.merged_metrics()
+        assert calls == ["t0"]
+        executor.merged_metrics()  # nothing ran since the last drain
+        assert calls == ["t0"]
