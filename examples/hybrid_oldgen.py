@@ -16,7 +16,7 @@ Run:  python examples/hybrid_oldgen.py
 from __future__ import annotations
 
 from repro import GenerationalCollector, HybridCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator import LifetimeDrivenMutator, PhasedSchedule
 
@@ -26,7 +26,7 @@ PHASE = 6_000  # words per iteration of the simulated iterated process
 
 
 def run(name, build) -> None:
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = build(heap, roots)
     schedule = PhasedSchedule(

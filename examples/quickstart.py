@@ -18,11 +18,11 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import (
+    FlatHeap,
     GenerationalCollector,
     MarkSweepCollector,
     NonPredictiveCollector,
     RadioactiveDecayModel,
-    SimulatedHeap,
     RootSet,
     mark_cons_ratio,
     nongenerational_mark_cons,
@@ -80,7 +80,7 @@ def main() -> None:
         ),
     }
     for name, factory in configs.items():
-        heap = SimulatedHeap()
+        heap = FlatHeap()
         roots = RootSet()
         collector = factory(heap, roots)
         mutator = LifetimeDrivenMutator(

@@ -49,11 +49,11 @@ from repro.gc import (
     StopAndCopyCollector,
 )
 from repro.heap import (
-    HeapObject,
+    FlatHeap,
+    FlatObject,
+    FlatSpace,
     RememberedSet,
     RootSet,
-    SimulatedHeap,
-    Space,
     SpaceFull,
     WriteBarrier,
 )
@@ -67,11 +67,13 @@ __all__ = [
     "Collector",
     "FixedFractionPolicy",
     "FixedJPolicy",
+    "FlatHeap",
+    "FlatObject",
+    "FlatSpace",
     "GcStats",
     "GenerationalCollector",
     "HalfEmptyPolicy",
     "HeapExhausted",
-    "HeapObject",
     "HybridCollector",
     "Machine",
     "MarkConsEstimate",
@@ -81,8 +83,6 @@ __all__ = [
     "RadioactiveDecayModel",
     "RememberedSet",
     "RootSet",
-    "SimulatedHeap",
-    "Space",
     "SpaceFull",
     "StepSnapshot",
     "StopAndCopyCollector",

@@ -42,9 +42,9 @@ Subcommands:
 * ``validate`` — run the reproduction self-check;
 * ``verify`` — equivalence testing: replay one deterministic mutator
   script under every collector and require identical live graphs,
-  shrinking any counterexample; at most one of ``--backends``,
-  ``--budgets``, ``--concurrent`` and ``--resume`` picks another suite
-  of :mod:`repro.verify.differential` to run the same way;
+  shrinking any counterexample; at most one of ``--budgets``,
+  ``--concurrent`` and ``--resume`` picks another suite of
+  :mod:`repro.verify.differential` to run the same way;
 * ``snapshot save|load|verify`` — crash-consistent heap snapshots:
   checkpoint a live collector (heap contents, roots, collector state,
   stats) to a versioned, checksummed JSON file via the atomic write
@@ -436,15 +436,15 @@ def _cmd_bench_suite(args: argparse.Namespace) -> int:
     baseline = load_report(path)
     mode = "quick" if args.quick else "full"
     print(f"perf suite ({mode}): allocation throughput and "
-          f"full-collection latency per collector per heap backend")
+          f"full-collection latency per collector")
     results = run_perf_suite(quick=args.quick)
     print(
-        f"{'collector':<16} {'backend':<8} {'words/sec':>12} "
+        f"{'collector':<16} {'words/sec':>12} "
         f"{'collections':>12} {'collect mean':>13} {'collect max':>12}"
     )
     for bench in results:
         print(
-            f"{bench.collector:<16} {bench.backend:<8} "
+            f"{bench.collector:<16} "
             f"{bench.alloc_words_per_sec:>12,.0f} "
             f"{bench.collections_during_alloc:>12} "
             f"{bench.full_collect_seconds_mean * 1000:>11.2f}ms "
@@ -452,13 +452,6 @@ def _cmd_bench_suite(args: argparse.Namespace) -> int:
         )
     report = build_report(results, quick=args.quick, previous=baseline)
     write_report(path, report)
-    speedup = report.get("backend_speedup")
-    if speedup:
-        per = ", ".join(
-            f"{kind} {ratio:.2f}x"
-            for kind, ratio in sorted(speedup["per_collector"].items())
-        )
-        print(f"flat vs object speedup: mean {speedup['mean']:.2f}x ({per})")
     print(f"written to {path.name}")
     if args.no_baseline_check or baseline is None:
         return 0
@@ -534,13 +527,10 @@ def slice_budget(token: str) -> int | None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.heap.backend import HEAP_BACKENDS
     from repro.verify import SUITES, generate_script, shrink_script
 
-    # The mode flags pick the suite and what it is built from; the
-    # budget, concurrent and resume suites run once per heap backend.
+    # The mode flags pick the suite and what it is built from.
     kinds = tuple(args.collectors)
-    backends: tuple[str | None, ...] = tuple(sorted(HEAP_BACKENDS))
     try:
         script = generate_script(
             args.ops, args.seed, max_live_words=args.max_live
@@ -554,52 +544,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             name = "resume"
             options = {"kinds": kinds, "resume_interval": args.resume_interval}
         else:
-            name = "backends" if args.backends else "collectors"
-            options = {"kinds": kinds}
-            backends = (None,)
-        suites = {
-            backend: SUITES[name](
-                **options, **({"backend": backend} if backend else {})
-            )
-            for backend in backends
-        }
+            name, options = "collectors", {"kinds": kinds}
+        suite = SUITES[name](**options)
     except ValueError as exc:
         print(f"repro-gc verify: error: {exc}", file=sys.stderr)
         return 2
     checked = not args.unchecked
-
-    def heading(backend: str | None) -> str:
-        return f"backend {backend}: " if backend else ""
-
-    reports = {
-        backend: suite.run(script, checked=checked)
-        for backend, suite in suites.items()
-    }
-    failing = [backend for backend in reports if not reports[backend].ok]
-    if not failing:
-        for backend, report in reports.items():
-            print(f"[PASS] {heading(backend)}{report.summary()}")
-        if backends == (None,):
-            # The single-run suites also list every replay.
-            results = reports[None].results
-            labels, width = list(results), 14
-            if name == "backends":
-                labels, width = sorted(results), 24
-            for label in labels:
+    # The budget, concurrent and resume suites keep the heading they
+    # printed when they ran once per heap backend.
+    heading = "" if name == "collectors" else "backend flat: "
+    report = suite.run(script, checked=checked)
+    if report.ok:
+        print(f"[PASS] {heading}{report.summary()}")
+        if name == "collectors":
+            # The collector suite also lists every replay.
+            for label, result in report.results.items():
                 print(
-                    f"       {label:<{width}} "
-                    f"collections={results[label].collections:<4} "
-                    f"checkpoints={len(results[label].checkpoints)}"
+                    f"       {label:<14} "
+                    f"collections={result.collections:<4} "
+                    f"checkpoints={len(result.checkpoints)}"
                 )
         return 0
-    for backend in failing:
-        print(f"[FAIL] {heading(backend)}{reports[backend].summary()}")
+    print(f"[FAIL] {heading}{report.summary()}")
     if not args.no_shrink:
-        backend = failing[0]
-        where = f" (backend {backend})" if backend else ""
+        where = f" ({heading[:-2]})" if heading else ""
         print()
         print(f"shrinking the counterexample{where} ...")
-        suite = suites[backend]
 
         def fails(candidate) -> bool:
             return not suite.run(candidate, checked=checked).ok
@@ -782,23 +752,6 @@ def _parse_kinds(text: str | None) -> tuple[str, ...]:
     return kinds
 
 
-def _parse_backends(text: str | None) -> tuple[str, ...]:
-    from repro.heap.backend import HEAP_BACKENDS
-
-    if not text:
-        return ("flat",)
-    backends = tuple(
-        part.strip() for part in text.split(",") if part.strip()
-    )
-    unknown = [name for name in backends if name not in HEAP_BACKENDS]
-    if unknown:
-        raise SystemExit(
-            f"unknown heap backend(s): {', '.join(unknown)} "
-            f"(known: {', '.join(HEAP_BACKENDS)})"
-        )
-    return backends
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -853,7 +806,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
         seed=args.seed,
         profile=args.profile,
         kinds=_parse_kinds(args.kinds),
-        backends=_parse_backends(args.backends),
         ops_per_tenant=args.ops,
     )
     if args.fingerprint:
@@ -933,7 +885,6 @@ def _cmd_isolation(args: argparse.Namespace) -> int:
         shards=args.shards,
         jobs=args.jobs,
         kinds=_parse_kinds(args.kinds),
-        backends=_parse_backends(args.backends),
         interleave_seed=args.interleave_seed,
     )
     print(report.summary())
@@ -951,16 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Reproduction of 'Generational Garbage Collection and the "
             "Radioactive Decay Model' (Clinger & Hansen, PLDI 1997)"
-        ),
-    )
-    parser.add_argument(
-        "--heap-backend",
-        choices=("object", "flat"),
-        default=None,
-        help=(
-            "heap representation for this run: 'object' (one Python "
-            "object per heap object) or 'flat' (struct-of-arrays "
-            "arenas); default comes from REPRO_HEAP_BACKEND, else 'flat'"
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -1280,16 +1221,6 @@ def build_parser() -> argparse.ArgumentParser:
     # The suites are alternatives: at most one mode flag per run.
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument(
-        "--backends",
-        action="store_true",
-        help=(
-            "compare heap backends instead of collectors: replay the "
-            "script per collector under both the object and the flat "
-            "heap and require identical graphs, stats, pauses, and "
-            "metrics event streams"
-        ),
-    )
-    mode.add_argument(
         "--budgets",
         nargs="*",
         type=slice_budget,
@@ -1298,9 +1229,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "interruption-equivalence suite: replay the script under "
             "mark-sweep and under the incremental collector at each "
-            "slice budget ('inf' = unbounded; default 1 7 64 inf), on "
-            "both heap backends, and require identical graphs, stats, "
-            "and survivor sets at every budget"
+            "slice budget ('inf' = unbounded; default 1 7 64 inf), "
+            "and require identical graphs, stats, and survivor sets at "
+            "every budget"
         ),
     )
     mode.add_argument(
@@ -1310,8 +1241,8 @@ def build_parser() -> argparse.ArgumentParser:
             "concurrent-equivalence suite: replay the script under "
             "mark-sweep, the unbounded incremental collector, and the "
             "concurrent collector with both inline and worker-process "
-            "markers, on both heap backends, and require identical "
-            "graphs, stats, pause logs, and survivor sets"
+            "markers, and require identical graphs, stats, pause logs, "
+            "and survivor sets"
         ),
     )
     mode.add_argument(
@@ -1319,11 +1250,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "resume-equivalence suite: replay the script under every "
-            "collector on both heap backends, checkpoint/restoring the "
-            "entire context through its serialized snapshot at every "
-            "allocation safepoint, and require checkpoints, stats, "
-            "pauses, and survivors byte-identical to an uninterrupted "
-            "run"
+            "collector, checkpoint/restoring the entire context through "
+            "its serialized snapshot at every allocation safepoint, and "
+            "require checkpoints, stats, pauses, and survivors "
+            "byte-identical to an uninterrupted run"
         ),
     )
     sub.add_argument(
@@ -1479,11 +1409,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated collector kinds (default: all seven)",
     )
     sub.add_argument(
-        "--backends",
-        default=None,
-        help="comma-separated heap backends (default: flat)",
-    )
-    sub.add_argument(
         "--ops", type=int, default=300, help="ops per tenant (approx)"
     )
     sub.add_argument("--connections", type=int, default=8)
@@ -1550,7 +1475,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--shards", type=int, default=2)
     sub.add_argument("--jobs", type=int, default=0)
     sub.add_argument("--kinds", default=None)
-    sub.add_argument("--backends", default=None)
     sub.add_argument("--interleave-seed", type=int, default=None)
     sub.add_argument(
         "--verbose",
@@ -1564,14 +1488,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.heap_backend is not None:
-        # Exported rather than threaded through every call site so the
-        # choice also reaches worker processes spawned by `all`.
-        import os
-
-        from repro.heap.backend import ENV_BACKEND
-
-        os.environ[ENV_BACKEND] = args.heap_backend
     return args.func(args)
 
 

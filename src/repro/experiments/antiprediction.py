@@ -26,7 +26,7 @@ from repro.gc.generational import GenerationalCollector
 from repro.gc.marksweep import MarkSweepCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
 from repro.gc.stopcopy import StopAndCopyCollector
-from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.decay_mutator import DecaySchedule
@@ -87,7 +87,7 @@ def run_antiprediction(
     workload_words = cycles * heap_words
 
     def run_one(name: str, build) -> float:
-        heap = make_heap()
+        heap = FlatHeap()
         roots = RootSet()
         collector = build(heap, roots)
         mutator = LifetimeDrivenMutator(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.core.decay import RadioactiveDecayModel, equilibrium_live_storage
 from repro.gc.marksweep import MarkSweepCollector
-from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.decay_mutator import DecaySchedule
@@ -52,7 +52,7 @@ def run_equilibrium(
 ) -> EquilibriumResult:
     """Measure the decay workload's equilibrium live population."""
     model = RadioactiveDecayModel(half_life)
-    heap = make_heap()
+    heap = FlatHeap()
     roots = RootSet()
     # Plenty of headroom: the collector must not perturb the mutator.
     collector = MarkSweepCollector(

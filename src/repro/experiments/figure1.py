@@ -22,7 +22,7 @@ from repro.core import analysis
 from repro.core.decay import LN2
 from repro.core.policy import FixedFractionPolicy
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.decay_mutator import DecaySchedule
@@ -93,7 +93,7 @@ def simulate_relative_overhead(
     live = half_life / LN2
     heap_words = int(live * load)
     step_words = heap_words // step_count
-    heap = make_heap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = NonPredictiveCollector(
         heap,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.gc.generational import GenerationalCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.synthetic import WeibullSchedule
@@ -94,7 +94,7 @@ def run_hazard(
         mean = scale * math.gamma(1.0 + 1.0 / shape)
         heap_words = int(mean * load_factor)
 
-        heap = make_heap()
+        heap = FlatHeap()
         roots = RootSet()
         generational = GenerationalCollector(
             heap,
@@ -108,7 +108,7 @@ def run_hazard(
         mutator.run(cycles * heap_words)
         gen_cost = _steady_mark_cons(generational)
 
-        heap = make_heap()
+        heap = FlatHeap()
         roots = RootSet()
         nonpredictive = NonPredictiveCollector(
             heap, roots, step_count, heap_words // step_count

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.gc.generational import GenerationalCollector
 from repro.gc.hybrid import HybridCollector
-from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.phased import PhasedSchedule
@@ -53,7 +53,7 @@ class PromotionResult:
 
 
 def _run_one(name: str, build, phase_words: int, phases: int, seed: int):
-    heap = make_heap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = build(heap, roots)
     schedule = PhasedSchedule(

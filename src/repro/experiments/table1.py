@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.core.policy import FixedJPolicy
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.decay_mutator import HalvingSchedule
@@ -70,7 +70,7 @@ def run_table1(
     warmup_cycles: int = 6,
 ) -> Table1Result:
     """Run the Table 1 configuration and capture one steady cycle."""
-    heap = make_heap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = NonPredictiveCollector(
         heap,

@@ -26,7 +26,7 @@ from repro.core.policy import (
     TuningPolicy,
 )
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.decay_mutator import DecaySchedule
@@ -70,7 +70,7 @@ def _run_policy(
 ) -> TuningRow:
     live = half_life / LN2
     heap_words = int(live * load_factor)
-    heap = make_heap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = NonPredictiveCollector(
         heap,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from repro.gc.generational import GenerationalCollector
 from repro.gc.marksweep import MarkSweepCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.synthetic import BimodalSchedule
@@ -100,7 +100,7 @@ def run_weak_hypothesis(
     """Run the bimodal comparison across heap sizes (ascending)."""
 
     def run_one(build) -> float:
-        heap = make_heap()
+        heap = FlatHeap()
         roots = RootSet()
         collector = build(heap, roots)
         mutator = LifetimeDrivenMutator(

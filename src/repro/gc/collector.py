@@ -20,14 +20,13 @@ only by the measurement layer in :mod:`repro.trace`.
 from __future__ import annotations
 
 import abc
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from repro.gc.stats import GcStats
-from repro.heap.heap import SimulatedHeap
-from repro.metrics.instrument import active_session
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatHeap, FlatObject, FlatSpace
 from repro.heap.roots import RootSet
-from repro.heap.space import Space
+from repro.metrics.instrument import active_session
 
 __all__ = ["Collector", "HeapExhausted", "PostCollectionHook"]
 
@@ -36,8 +35,9 @@ PostCollectionHook = Callable[["Collector"], None]
 
 
 #: ``bump_space`` before the first reservation: empty and zero-sized,
-#: so the fast-path test needs no ``None`` case.
-_UNRESERVED = Space("unreserved", 0)
+#: so the fast-path test needs no ``None`` case.  Only ``used`` is read
+#: while ``bump_limit`` is 0, and nothing is ever allocated here.
+_UNRESERVED = SimpleNamespace(name="unreserved", capacity=0, used=0)
 
 
 class HeapExhausted(Exception):
@@ -47,7 +47,7 @@ class HeapExhausted(Exception):
     policy (emergency full collection, then any bounded expansion it
     allows), so catching it is a *final* verdict, not a retryable one.
     The exception carries a per-space occupancy snapshot
-    (:meth:`repro.heap.heap.SimulatedHeap.occupancy`) captured at
+    (:meth:`repro.heap.flat.FlatHeap.occupancy`) captured at
     raise time, so experiment logs show exactly which space wedged and
     how full every other one was.
     """
@@ -87,7 +87,7 @@ class Collector(abc.ABC):
     #: Short machine-readable name ("mark-sweep", "non-predictive", ...).
     name: str = "abstract"
 
-    def __init__(self, heap: SimulatedHeap, roots: RootSet) -> None:
+    def __init__(self, heap: FlatHeap, roots: RootSet) -> None:
         self.heap = heap
         self.roots = roots
         self.stats = GcStats()
@@ -109,7 +109,7 @@ class Collector(abc.ABC):
         #: collector.  Zero after anything that moves a capacity or the
         #: allocation space outside ``_reserve`` (a collection, a static
         #: promotion, a restore): the next allocation is then a miss.
-        self.bump_space: Space = _UNRESERVED
+        self.bump_space: FlatSpace = _UNRESERVED
         self.bump_limit = 0
 
     # ------------------------------------------------------------------
@@ -117,7 +117,7 @@ class Collector(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def _reserve(self, size: int) -> Space:
+    def _reserve(self, size: int) -> FlatSpace:
         """Return a space with room for ``size`` words, collecting,
         expanding, or degrading first as the collector's policy allows.
 
@@ -130,7 +130,7 @@ class Collector(abc.ABC):
             HeapExhausted: if no collection can free enough space.
         """
 
-    def _reserve_bump(self, size: int) -> Space:
+    def _reserve_bump(self, size: int) -> FlatSpace:
         """:meth:`_reserve`, then publish ``(bump_space, bump_limit)``
         for the space it chose — after ``_reserve`` returns, so a
         collection it ran (which zeroes the limit) leaves no stale pair.
@@ -148,7 +148,7 @@ class Collector(abc.ABC):
 
     def allocate(
         self, size: int, field_count: int = 0, kind: str = "data"
-    ) -> HeapObject:
+    ) -> FlatObject:
         """Allocate an object, collecting first if necessary.
 
         Raises:
@@ -188,9 +188,8 @@ class Collector(abc.ABC):
         windowed run triggers exactly the same collections at exactly
         the same clocks as ``max_objects`` individual ``allocate_id``
         calls — only intermediate clock *readings* differ, and nothing
-        reads the clock mid-window.  The flat backend materializes the
-        window at C speed, which is where its allocation-throughput
-        advantage comes from.
+        reads the clock mid-window.  The heap materializes the window
+        at C speed (:meth:`~repro.heap.flat.FlatHeap.bulk_allocate`).
         """
         if max_objects <= 0:
             raise ValueError(
@@ -211,7 +210,7 @@ class Collector(abc.ABC):
         """Perform a full collection of everything this collector manages."""
 
     def remember_store(
-        self, obj: HeapObject, slot: int, target: HeapObject | None
+        self, obj: FlatObject, slot: int, target: FlatObject | None
     ) -> None:
         """Object-taking form of :meth:`remember_store_id`, for callers
         that hold handles (:class:`~repro.heap.barrier.WriteBarrier`)."""
@@ -241,7 +240,7 @@ class Collector(abc.ABC):
         """
         self.bump_limit = 0
 
-    def managed_spaces(self) -> frozenset[Space] | None:
+    def managed_spaces(self) -> frozenset[FlatSpace] | None:
         """The spaces this collector allocates into and collects.
 
         The heap auditor (:mod:`repro.verify.audit`) uses this to scope
@@ -297,7 +296,7 @@ class Collector(abc.ABC):
     # that still does not fit after one (`_grow_to_fit`: the same rule
     # over occupancy plus the request).
 
-    def _set_capacity(self, space: Space, words: int) -> None:
+    def _set_capacity(self, space: FlatSpace, words: int) -> None:
         """Move ``space``'s capacity to ``words`` and say so."""
         if self.metrics is not None:
             self.metrics.event(
@@ -309,13 +308,13 @@ class Collector(abc.ABC):
         space.capacity = words
 
     def _grow_to_fit(
-        self, space: Space, pending: int, factor: float, cap: int | None
+        self, space: FlatSpace, pending: int, factor: float, cap: int | None
     ) -> None:
         """Make room for a request of ``pending`` words, by the rule."""
         self._keep_load_factor(space, space.used + pending, factor, cap)
 
     def _keep_load_factor(
-        self, space: Space, words: int, factor: float, cap: int | None
+        self, space: FlatSpace, words: int, factor: float, cap: int | None
     ) -> None:
         """Keep ``space`` at least ``int(words * factor)`` words, never
         past ``cap`` (a request that then still cannot fit is the
@@ -344,7 +343,7 @@ class Collector(abc.ABC):
 
     def _trace_region(
         self,
-        region: set[Space],
+        region: set[FlatSpace],
         seed_ids: Iterable[int],
         *,
         count_work: bool = True,

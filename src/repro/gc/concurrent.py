@@ -9,10 +9,9 @@ the marker's lifecycle and the hooks that cycle calls around a mark:
 * **Cycle open (handoff)**: begin a mark epoch exactly like the
   incremental collector, snapshot the roots plus the reachability-
   relevant state of the collected space (:meth:`export_mark_snapshot`
-  on either backend — the flat backend ships the space's *id span* of
-  its packed ``array('q')`` arenas as raw bytes, one memcpy per arena,
-  so the hand-off costs what the space holds, not every id ever
-  issued; the object backend pickles a plain dict), and hand it to
+  ships the space's *id span* of the heap's packed ``array('q')``
+  arenas as raw bytes, one memcpy per arena, so the hand-off costs
+  what the space holds, not every id ever issued), and hand it to
   :func:`_mark_snapshot_task`.  Nothing else is captured: a cycle
   that has not swept has freed nothing, so there is nothing to roll
   back to.  With
@@ -50,7 +49,7 @@ the marker's lifecycle and the hooks that cycle calls around a mark:
   off-thread.
 
 Pause accounting stays in words (the repo-wide currency): the handoff
-is 0 words of mark work (arena memcpy is not mark work, and the flat
+is 0 words of mark work (arena memcpy is not mark work, and the
 export is O(span bytes) precisely so it stays off the words ledger),
 and the reconcile pause carries only the words the reconcile scan
 itself marked — 0 on clean runs, which is the mutator-visible win the
@@ -59,8 +58,19 @@ SLO report gates.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.gc.incremental import BLACK, GRAY, WHITE, IncrementalCollector
-from repro.heap.heap import HeapError, SimulatedHeap
+from repro.heap.flat import (
+    _DEAD,
+    _DETACHED,
+    _FC_MASK,
+    _FC_SHIFT,
+    _SIZE_MASK,
+    _TOKEN_MASK,
+    FlatHeap,
+    HeapError,
+)
 from repro.heap.roots import RootSet
 
 __all__ = ["ConcurrentCollector", "WedgedMarkerError"]
@@ -83,23 +93,12 @@ class WedgedMarkerError(RuntimeError):
     """
 
 
-def _trace_flat_snapshot(snapshot: dict, roots: list[int]) -> tuple[set[int], int]:
-    """Mark a flat-backend snapshot: the ``trace_region`` kernel over
-    the rehydrated id span (arena index = ``oid - lo``), with
-    non-resident roots skipped silently (the cycle-open contract) and
-    dangling *references* raised.  A reference under the span is a
-    boundary if the snapshot lists it as live, else it dangles."""
-    from array import array
-
-    from repro.heap.flat import (
-        _DEAD,
-        _DETACHED,
-        _FC_MASK,
-        _FC_SHIFT,
-        _SIZE_MASK,
-        _TOKEN_MASK,
-    )
-
+def _trace_snapshot(snapshot: dict, roots: list[int]) -> tuple[set[int], int]:
+    """Mark a heap snapshot: the ``trace_region`` kernel over the
+    rehydrated id span (arena index = ``oid - lo``), with non-resident
+    roots skipped silently (the cycle-open contract) and dangling
+    *references* raised.  A reference under the span is a boundary if
+    the snapshot lists it as live, else it dangles."""
     hdr = array("q")
     hdr.frombytes(snapshot["hdr"])
     state = array("q")
@@ -156,40 +155,6 @@ def _trace_flat_snapshot(snapshot: dict, roots: list[int]) -> tuple[set[int], in
     return marked, words
 
 
-def _trace_object_snapshot(
-    snapshot: dict, roots: list[int]
-) -> tuple[set[int], int]:
-    """Mark an object-backend snapshot (the pickle fallback): residents
-    are ``oid -> (size, refs)``; a reference outside the space but in
-    ``known`` is a boundary (skip), anything else dangles (raise)."""
-    objects = snapshot["objects"]
-    known = snapshot["known"]
-    marked: set[int] = set()
-    mark = marked.add
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    words = 0
-    for oid in roots:
-        if oid not in marked and oid in objects:
-            mark(oid)
-            push(oid)
-    while stack:
-        oid = pop()
-        size, oid_refs = objects[oid]
-        words += size
-        for ref in oid_refs:
-            if ref not in marked:
-                entry = objects.get(ref)
-                if entry is None:
-                    if ref not in known:
-                        raise HeapError(f"dangling object id {ref}")
-                    continue
-                mark(ref)
-                push(ref)
-    return marked, words
-
-
 def _mark_snapshot_task(payload: tuple, attempt: int = 0) -> dict:
     """Worker entry point: trace one heap snapshot to a reachable set.
 
@@ -210,10 +175,7 @@ def _mark_snapshot_task(payload: tuple, attempt: int = 0) -> dict:
     roots = list(snapshot["roots"])
     random.Random(derive_seed(base_seed, cycle_index, attempt)).shuffle(roots)
     try:
-        if snapshot["backend"] == "flat":
-            marked, words = _trace_flat_snapshot(snapshot, roots)
-        else:
-            marked, words = _trace_object_snapshot(snapshot, roots)
+        marked, words = _trace_snapshot(snapshot, roots)
     except HeapError as exc:
         return {"error": str(exc)}
     return {"ids": sorted(marked), "words": words}
@@ -246,7 +208,7 @@ class ConcurrentCollector(IncrementalCollector):
 
     def __init__(
         self,
-        heap: SimulatedHeap,
+        heap: FlatHeap,
         roots: RootSet,
         heap_words: int,
         *,

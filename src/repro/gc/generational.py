@@ -29,11 +29,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.gc.collector import Collector, HeapExhausted
-from repro.heap.heap import SimulatedHeap
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatHeap, FlatObject, FlatSpace
 from repro.heap.remset import RememberedSet
 from repro.heap.roots import RootSet
-from repro.heap.space import Space
 
 __all__ = ["GenerationalCollector"]
 
@@ -67,7 +65,7 @@ class GenerationalCollector(Collector):
 
     def __init__(
         self,
-        heap: SimulatedHeap,
+        heap: FlatHeap,
         roots: RootSet,
         generation_words: Sequence[int],
         *,
@@ -99,7 +97,7 @@ class GenerationalCollector(Collector):
             raise ValueError(
                 f"load factor must exceed 1, got {oldest_load_factor!r}"
             )
-        self.spaces: list[Space] = [
+        self.spaces: list[FlatSpace] = [
             heap.add_space(f"gen-{index}", words)
             for index, words in enumerate(generation_words)
         ]
@@ -127,20 +125,20 @@ class GenerationalCollector(Collector):
         return len(self.spaces)
 
     @property
-    def nursery(self) -> Space:
+    def nursery(self) -> FlatSpace:
         return self.spaces[0]
 
     @property
-    def oldest(self) -> Space:
+    def oldest(self) -> FlatSpace:
         return self.spaces[-1]
 
-    def generation_index(self, obj: HeapObject) -> int | None:
+    def generation_index(self, obj: FlatObject) -> int | None:
         """The generation an object resides in, or None if unmanaged."""
         if obj.space is None:
             return None
         return self._generation_of.get(obj.space.name)
 
-    def managed_spaces(self) -> frozenset[Space]:
+    def managed_spaces(self) -> frozenset[FlatSpace]:
         return frozenset(self.spaces)
 
     def export_state(self) -> dict:
@@ -178,8 +176,8 @@ class GenerationalCollector(Collector):
     # Allocation
     # ------------------------------------------------------------------
 
-    def _reserve(self, size: int) -> Space:
-        # Hot path: hoist the nursery property and inline Space.fits.
+    def _reserve(self, size: int) -> FlatSpace:
+        # Hot path: hoist the nursery property and inline FlatSpace.fits.
         nursery = self.spaces[0]
         capacity = nursery.capacity
         if capacity is not None and nursery.used + size > capacity:
@@ -321,7 +319,7 @@ class GenerationalCollector(Collector):
             has_stayers = False
         else:
             size_of = heap.size_of
-            survivors: list[tuple[int, int, Space]] = []
+            survivors: list[tuple[int, int, FlatSpace]] = []
             for space in region_list:
                 ids, dead_words = heap.partition_space(space, marked)
                 survivors.extend((oid, size_of(oid), space) for oid in ids)
@@ -402,11 +400,11 @@ class GenerationalCollector(Collector):
 
     def _partition_survivors(
         self,
-        survivors: list[tuple[int, int, Space]],
-        target: Space,
+        survivors: list[tuple[int, int, FlatSpace]],
+        target: FlatSpace,
         full: bool,
     ) -> tuple[
-        list[tuple[int, int, Space]], list[tuple[int, int, Space]]
+        list[tuple[int, int, FlatSpace]], list[tuple[int, int, FlatSpace]]
     ]:
         """Split ``(id, size, space)`` survivors into movers and stayers.
 
@@ -421,10 +419,10 @@ class GenerationalCollector(Collector):
         if full or self.promotion_threshold == 1:
             return candidates, already_there
 
-        movers: list[tuple[int, int, Space]] = []
+        movers: list[tuple[int, int, FlatSpace]] = []
         stayers = already_there[:]
         stayer_words: dict[str, int] = {}
-        undecided: list[tuple[int, int, Space]] = []
+        undecided: list[tuple[int, int, FlatSpace]] = []
         for entry in candidates:
             oid, size, space = entry
             count = self._survival_counts.get(oid, 0) + 1
@@ -493,7 +491,7 @@ class GenerationalCollector(Collector):
                     remset.record_promotion(oid, slot)
                     self.stats.remset_entries_created += 1
 
-    def _remset_seeds(self, upto: int, region: set[Space]) -> list[int]:
+    def _remset_seeds(self, upto: int, region: set[FlatSpace]) -> list[int]:
         """Seed ids from older generations' remembered sets.
 
         Each entry is re-examined (§8.4): if the slot still points into

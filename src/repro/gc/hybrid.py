@@ -41,11 +41,9 @@ from __future__ import annotations
 from repro.core.policy import TuningPolicy
 from repro.gc.collector import HeapExhausted
 from repro.gc.steps import StepCollector
-from repro.heap.heap import SimulatedHeap
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatHeap, FlatObject, FlatSpace
 from repro.heap.remset import RememberedSet
 from repro.heap.roots import RootSet
-from repro.heap.space import Space
 
 __all__ = ["HybridCollector"]
 
@@ -71,7 +69,7 @@ class HybridCollector(StepCollector):
 
     def __init__(
         self,
-        heap: SimulatedHeap,
+        heap: FlatHeap,
         roots: RootSet,
         nursery_words: int,
         step_count: int,
@@ -108,10 +106,10 @@ class HybridCollector(StepCollector):
     # Geometry
     # ------------------------------------------------------------------
 
-    def in_nursery(self, obj: HeapObject) -> bool:
+    def in_nursery(self, obj: FlatObject) -> bool:
         return obj.space is self.nursery
 
-    def managed_spaces(self) -> frozenset[Space]:
+    def managed_spaces(self) -> frozenset[FlatSpace]:
         return frozenset((self.nursery, *self.steps))
 
     def export_state(self) -> dict:
@@ -149,8 +147,8 @@ class HybridCollector(StepCollector):
     # Allocation
     # ------------------------------------------------------------------
 
-    def _reserve(self, size: int) -> Space:
-        # Hot path: hoist the nursery attribute and inline Space.fits.
+    def _reserve(self, size: int) -> FlatSpace:
+        # Hot path: hoist the nursery attribute and inline FlatSpace.fits.
         nursery = self.nursery
         capacity = nursery.capacity
         if size > (capacity or 0):
@@ -424,12 +422,15 @@ class HybridCollector(StepCollector):
     # Non-predictive collection
     # ------------------------------------------------------------------
 
-    def _condemned(self, collectable: list[Space]) -> list[Space]:
+    def _condemned(self, collectable: list[FlatSpace]) -> list[FlatSpace]:
         """Steps j+1..k together with the ephemeral area."""
         return [self.nursery, *collectable]
 
     def _reclaim(
-        self, condemned: list[Space], protected: list[Space], marked: set[int]
+        self,
+        condemned: list[FlatSpace],
+        protected: list[FlatSpace],
+        marked: set[int],
     ) -> tuple[int, int]:
         survivors, reclaimed = self._extract_survivors(condemned, marked)
         size_of = self.heap.size_of

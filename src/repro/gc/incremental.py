@@ -11,7 +11,7 @@ The algorithm is snapshot-at-the-beginning (SATB) tri-color marking:
 
 * **Cycle open** (a safepoint where occupancy crosses
   ``trigger_fraction`` of capacity): reset every color to white via
-  :meth:`~repro.heap.heap.SimulatedHeap.begin_mark_epoch`, record the
+  :meth:`~repro.heap.flat.FlatHeap.begin_mark_epoch`, record the
   epoch clock, and gray every root id.  The collection's obligation is
   fixed here: everything reachable *at this instant* will be marked.
 * **Slices** (every later allocation safepoint while the cycle is
@@ -56,9 +56,8 @@ from __future__ import annotations
 from typing import Collection
 
 from repro.gc.collector import Collector, HeapExhausted
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.roots import RootSet
-from repro.heap.space import Space
 
 __all__ = ["BLACK", "GRAY", "WHITE", "IncrementalCollector"]
 
@@ -94,7 +93,7 @@ class IncrementalCollector(Collector):
 
     def __init__(
         self,
-        heap: SimulatedHeap,
+        heap: FlatHeap,
         roots: RootSet,
         heap_words: int,
         *,
@@ -187,7 +186,7 @@ class IncrementalCollector(Collector):
     # Allocation (every call is a safepoint)
     # ------------------------------------------------------------------
 
-    def _reserve(self, size: int) -> Space:
+    def _reserve(self, size: int) -> FlatSpace:
         space = self.space
         capacity = space.capacity
         if capacity is not None and space.used + size > capacity:
@@ -224,7 +223,7 @@ class IncrementalCollector(Collector):
             self._mark_slice()
         return space
 
-    def _reserve_bump(self, size: int) -> Space:
+    def _reserve_bump(self, size: int) -> FlatSpace:
         """Cycle closed: the limit is the mark trigger, past which
         ``_reserve`` opens a cycle.  Cycle open: 0 — every allocation is
         a safepoint that runs (or polls) a slice.  (Written out rather
@@ -333,10 +332,9 @@ class IncrementalCollector(Collector):
         """Scan gray objects until the wavefront drains or ``limit``
         words have been examined; returns the words scanned.
 
-        The loop lives in the heap backends (``drain_gray``) so the
-        flat backend can hoist its arena lookups — the per-ref method
-        calls here used to keep flat's incremental speedup at half of
-        every other collector's.
+        The loop lives in the heap (``drain_gray``) so it can hoist
+        its arena lookups — per-ref method calls here would cost every
+        mark slice a call per reference.
         """
         work = self.heap.drain_gray(
             self.gray_stack, self.space, self.epoch_clock, limit

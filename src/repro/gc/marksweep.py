@@ -15,9 +15,8 @@ how Larceny's collectors "chose" their heap sizes in Table 3.
 from __future__ import annotations
 
 from repro.gc.collector import Collector, HeapExhausted
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.roots import RootSet
-from repro.heap.space import Space
 
 __all__ = ["MarkSweepCollector"]
 
@@ -46,7 +45,7 @@ class MarkSweepCollector(Collector):
 
     def __init__(
         self,
-        heap: SimulatedHeap,
+        heap: FlatHeap,
         roots: RootSet,
         heap_words: int,
         *,
@@ -94,7 +93,7 @@ class MarkSweepCollector(Collector):
     # ------------------------------------------------------------------
 
     def _reserve(self, size: int) -> "Space":
-        # Hot path: inline Space.fits.
+        # Hot path: inline FlatSpace.fits.
         space = self.space
         capacity = space.capacity
         if capacity is not None and space.used + size > capacity:

@@ -26,9 +26,8 @@ from __future__ import annotations
 from repro.core.policy import TuningPolicy
 from repro.gc.collector import HeapExhausted
 from repro.gc.steps import StepCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.roots import RootSet
-from repro.heap.space import Space
 
 __all__ = ["NonPredictiveCollector"]
 
@@ -56,7 +55,7 @@ class NonPredictiveCollector(StepCollector):
 
     def __init__(
         self,
-        heap: SimulatedHeap,
+        heap: FlatHeap,
         roots: RootSet,
         step_count: int,
         step_words: int,
@@ -120,14 +119,14 @@ class NonPredictiveCollector(StepCollector):
     # Allocation
     # ------------------------------------------------------------------
 
-    def _reserve(self, size: int) -> Space:
+    def _reserve(self, size: int) -> FlatSpace:
         if size > self.step_words:
             raise ValueError(
                 f"object of {size} words exceeds the step size "
                 f"{self.step_words}"
             )
         # Hot path: the stop-and-copy bump cursor from _allocation_step,
-        # inlined with Space.fits expanded (steps always have a
+        # inlined with FlatSpace.fits expanded (steps always have a
         # capacity).  The mark-sweep by-number search stays out of line.
         space = None
         if self.algorithm == "mark-sweep":
@@ -156,7 +155,7 @@ class NonPredictiveCollector(StepCollector):
                 raise HeapExhausted(self, size)
         return space
 
-    def _reserve_bump(self, size: int) -> Space:
+    def _reserve_bump(self, size: int) -> FlatSpace:
         """The cursor step and its capacity in bump-cursor mode.  The
         mark-sweep search is by size — a smaller request may fit a
         higher step than the one just chosen — so that mode publishes
@@ -166,7 +165,7 @@ class NonPredictiveCollector(StepCollector):
             self.bump_limit = 0
         return space
 
-    def _allocation_step(self, size: int) -> Space | None:
+    def _allocation_step(self, size: int) -> FlatSpace | None:
         """The highest-numbered step with room.
 
         Stop-and-copy mode uses a bump cursor: a step that cannot fit
@@ -222,14 +221,17 @@ class NonPredictiveCollector(StepCollector):
     # ------------------------------------------------------------------
 
     def _protected_seeds(
-        self, protected: list[Space], region: set[Space]
+        self, protected: list[FlatSpace], region: set[FlatSpace]
     ) -> list[int]:
         if self.use_remset:
             return super()._protected_seeds(protected, region)
         return self._scan_protected(protected, region)
 
     def _reclaim(
-        self, condemned: list[Space], protected: list[Space], marked: set[int]
+        self,
+        condemned: list[FlatSpace],
+        protected: list[FlatSpace],
+        marked: set[int],
     ) -> tuple[int, int]:
         if self.algorithm == "mark-sweep":
             outcome = self._sweep_in_place(condemned, protected, marked)
@@ -246,8 +248,8 @@ class NonPredictiveCollector(StepCollector):
 
     def _evacuate_survivors(
         self,
-        collectable: list[Space],
-        protected: list[Space],
+        collectable: list[FlatSpace],
+        protected: list[FlatSpace],
         marked: set[int],
     ) -> tuple[int, int]:
         """Stop-and-copy survivor phase: detach, renumber, repack."""
@@ -282,8 +284,8 @@ class NonPredictiveCollector(StepCollector):
 
     def _sweep_in_place(
         self,
-        collectable: list[Space],
-        protected: list[Space],
+        collectable: list[FlatSpace],
+        protected: list[FlatSpace],
         marked: set[int],
     ) -> tuple[int, int]:
         """Mark/sweep survivor phase: free the dead where they lie.
@@ -354,7 +356,7 @@ class NonPredictiveCollector(StepCollector):
         return -1
 
     def _scan_protected(
-        self, protected: list[Space], region: set[Space]
+        self, protected: list[FlatSpace], region: set[FlatSpace]
     ) -> list[int]:
         """Scan every protected object for pointers into the region."""
         seeds: list[int] = []

@@ -26,7 +26,7 @@ from repro.gc.incremental import IncrementalCollector
 from repro.gc.marksweep import MarkSweepCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
 from repro.gc.stopcopy import StopAndCopyCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 
 __all__ = [
@@ -126,7 +126,7 @@ class GcGeometry:
 
 def make_collector(
     kind: str,
-    heap: SimulatedHeap,
+    heap: FlatHeap,
     roots: RootSet,
     geometry: GcGeometry,
 ) -> Collector:
@@ -194,11 +194,11 @@ def make_collector(
 
 def collector_factory(
     kind: str, geometry: GcGeometry | None = None
-) -> Callable[[SimulatedHeap, RootSet], Collector]:
+) -> Callable[[FlatHeap, RootSet], Collector]:
     """A machine-compatible factory for one of the registered collectors."""
     geometry = geometry if geometry is not None else GcGeometry()
 
-    def build(heap: SimulatedHeap, roots: RootSet) -> Collector:
+    def build(heap: FlatHeap, roots: RootSet) -> Collector:
         return make_collector(kind, heap, roots, geometry)
 
     return build

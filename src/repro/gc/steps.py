@@ -45,11 +45,9 @@ import abc
 
 from repro.core.policy import HalfEmptyPolicy, StepSnapshot, TuningPolicy
 from repro.gc.collector import Collector
-from repro.heap.heap import SimulatedHeap
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatHeap, FlatObject, FlatSpace
 from repro.heap.remset import RememberedSet
 from repro.heap.roots import RootSet
-from repro.heap.space import Space
 
 __all__ = ["StepCollector"]
 
@@ -77,7 +75,7 @@ class StepCollector(Collector):
 
     def __init__(
         self,
-        heap: SimulatedHeap,
+        heap: FlatHeap,
         roots: RootSet,
         step_count: int,
         step_words: int,
@@ -88,7 +86,7 @@ class StepCollector(Collector):
         self._check_geometry(step_count, step_words, initial_j)
         super().__init__(heap, roots)
         #: Steps in logical order: index 0 is step 1 (youngest).
-        self.steps: list[Space] = [
+        self.steps: list[FlatSpace] = [
             heap.add_space(f"{self.step_space_prefix}-{index}", step_words)
             for index in range(step_count)
         ]
@@ -104,7 +102,7 @@ class StepCollector(Collector):
         # barrier store, rebuilt only at renumbering time.  (Keying by
         # name would pay a string hash per store for a map that cannot
         # change between renumberings.)
-        self._step_index_of: dict[Space, int] = {
+        self._step_index_of: dict[FlatSpace, int] = {
             space: index for index, space in enumerate(self.steps)
         }
         self._j = 0
@@ -157,7 +155,7 @@ class StepCollector(Collector):
         self._collectable_list = self.steps[j:]
         self._protected_set = set(self._protected_list)
 
-    def step_number(self, obj: HeapObject) -> int | None:
+    def step_number(self, obj: FlatObject) -> int | None:
         """The 1-based step number an object resides in, or None."""
         space = obj.space
         if space is None:
@@ -169,7 +167,7 @@ class StepCollector(Collector):
         """Words used per step, youngest first (Table 1's columns)."""
         return [space.used for space in self.steps]
 
-    def managed_spaces(self) -> frozenset[Space]:
+    def managed_spaces(self) -> frozenset[FlatSpace]:
         return frozenset(self.steps)
 
     def export_state(self) -> dict:
@@ -297,13 +295,13 @@ class StepCollector(Collector):
             remset.clear()
         self.j = self.policy.choose_j(self._snapshot())
 
-    def _condemned(self, collectable: list[Space]) -> list[Space]:
+    def _condemned(self, collectable: list[FlatSpace]) -> list[FlatSpace]:
         """The spaces a collection traces and empties, in the order
         their survivors are extracted: steps ``j+1..k``."""
         return collectable
 
     def _protected_seeds(
-        self, protected: list[Space], region: set[Space]
+        self, protected: list[FlatSpace], region: set[FlatSpace]
     ) -> list[int]:
         """Ids in the region that the protected steps point at."""
         return self._remset_seeds(
@@ -312,14 +310,17 @@ class StepCollector(Collector):
 
     @abc.abstractmethod
     def _reclaim(
-        self, condemned: list[Space], protected: list[Space], marked: set[int]
+        self,
+        condemned: list[FlatSpace],
+        protected: list[FlatSpace],
+        marked: set[int],
     ) -> tuple[int, int]:
         """Free the unmarked objects of ``condemned``, renumber the
         collectable steps ahead of ``protected`` and settle the
         survivors; returns ``(live words, reclaimed words)``."""
 
     def _extract_survivors(
-        self, condemned: list[Space], marked: set[int]
+        self, condemned: list[FlatSpace], marked: set[int]
     ) -> tuple[list[int], int]:
         """Detach the marked objects of ``condemned``, space by space,
         and free the rest; returns ``(survivor ids, words freed)``."""
@@ -331,7 +332,7 @@ class StepCollector(Collector):
             reclaimed += freed
         return survivors, reclaimed
 
-    def _renumber(self, new_order: list[Space]) -> None:
+    def _renumber(self, new_order: list[FlatSpace]) -> None:
         """Old steps j+1..k become 1..k-j; old 1..j become k-j+1..k
         (they are exchanged, not collected — Table 1's "*")."""
         if self.metrics is not None:
@@ -376,7 +377,10 @@ class StepCollector(Collector):
         return live, len(survivors)
 
     def _remset_seeds(
-        self, remsets, region: set[Space], sources: set[Space] | None = None
+        self,
+        remsets,
+        region: set[FlatSpace],
+        sources: set[FlatSpace] | None = None,
     ) -> list[int]:
         """Seed ids from remembered slots pointing into the region.
 

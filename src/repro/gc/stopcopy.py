@@ -17,9 +17,8 @@ copied word) follow Cheney's algorithm exactly.
 from __future__ import annotations
 
 from repro.gc.collector import Collector, HeapExhausted
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.roots import RootSet
-from repro.heap.space import Space
 
 __all__ = ["StopAndCopyCollector"]
 
@@ -47,7 +46,7 @@ class StopAndCopyCollector(Collector):
 
     def __init__(
         self,
-        heap: SimulatedHeap,
+        heap: FlatHeap,
         roots: RootSet,
         semispace_words: int,
         *,
@@ -86,12 +85,12 @@ class StopAndCopyCollector(Collector):
     # ------------------------------------------------------------------
 
     @property
-    def tospace(self) -> Space:
+    def tospace(self) -> FlatSpace:
         """The active semispace (where allocation happens)."""
         return self._semispaces[self._active]
 
     @property
-    def fromspace(self) -> Space:
+    def fromspace(self) -> FlatSpace:
         """The idle semispace (empty between collections)."""
         return self._semispaces[1 - self._active]
 
@@ -126,8 +125,8 @@ class StopAndCopyCollector(Collector):
     # Allocation
     # ------------------------------------------------------------------
 
-    def _reserve(self, size: int) -> Space:
-        # Hot path: hoist the tospace property and inline Space.fits.
+    def _reserve(self, size: int) -> FlatSpace:
+        # Hot path: hoist the tospace property and inline FlatSpace.fits.
         # collect() flips the semispaces, so tospace is re-read after it.
         tospace = self._semispaces[self._active]
         capacity = tospace.capacity
@@ -150,7 +149,7 @@ class StopAndCopyCollector(Collector):
                     raise HeapExhausted(self, size)
         return tospace
 
-    def _set_capacity(self, space: Space, words: int) -> None:
+    def _set_capacity(self, space: FlatSpace, words: int) -> None:
         """The semispaces are sized as a pair."""
         super()._set_capacity(space, words)
         for semispace in self._semispaces:

@@ -1,38 +1,27 @@
 """The simulated memory system: objects, spaces, roots, remembered sets."""
 
-from repro.heap.backend import (
-    DEFAULT_BACKEND,
-    HEAP_BACKENDS,
-    default_backend_name,
-    make_heap,
-    resolve_backend_name,
-)
+from repro.heap.backend import make_heap
 from repro.heap.barrier import WriteBarrier
-from repro.heap.flat import FlatHeap, FlatObject, FlatSpace
-from repro.heap.heap import HeapError, SimulatedHeap
-from repro.heap.object_model import NULL_REF, HeapObject
+from repro.heap.flat import (
+    FlatHeap,
+    FlatObject,
+    FlatSpace,
+    HeapError,
+    SpaceFull,
+)
 from repro.heap.remset import RememberedSet, SlotRef
 from repro.heap.roots import Frame, RootSet
-from repro.heap.space import Space, SpaceFull
 
 __all__ = [
-    "DEFAULT_BACKEND",
-    "HEAP_BACKENDS",
-    "NULL_REF",
     "FlatHeap",
     "FlatObject",
     "FlatSpace",
     "Frame",
     "HeapError",
-    "HeapObject",
     "RememberedSet",
     "RootSet",
-    "SimulatedHeap",
     "SlotRef",
-    "Space",
     "SpaceFull",
     "WriteBarrier",
-    "default_backend_name",
     "make_heap",
-    "resolve_backend_name",
 ]

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatObject
 
 __all__ = ["WriteBarrier"]
 
 #: Signature of the collector hook invoked on every store (the target
 #: is None when the new value is not a pointer).
-RememberStoreHook = Callable[[HeapObject, int, "HeapObject | None"], None]
+RememberStoreHook = Callable[[FlatObject, int, "FlatObject | None"], None]
 
 
 class WriteBarrier:
@@ -54,7 +54,7 @@ class WriteBarrier:
         self._hook = hook
 
     def on_store(
-        self, obj: HeapObject, slot: int, target: HeapObject | None
+        self, obj: FlatObject, slot: int, target: FlatObject | None
     ) -> None:
         """Record one mutator store; called before the heap write.
 

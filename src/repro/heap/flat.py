@@ -1,10 +1,15 @@
-"""Struct-of-arrays heap backend: headers and slots in flat arenas.
+"""The simulated heap: headers and slots in struct-of-arrays arenas.
 
-:class:`FlatHeap` implements the same heap contract as
-:class:`repro.heap.heap.SimulatedHeap` (the *object* backend) but
-stores every per-object attribute in flat ``array('q')`` arenas indexed
-by object id, the representation the PyPy ``SemiSpaceGC`` lineage uses
-for real heaps:
+:class:`FlatHeap` owns every object and every space.  It provides
+word-accurate allocation (advancing an allocation clock that the whole
+reproduction uses as its notion of time, exactly as the paper measures
+time "by the number of objects that have been allocated" — here
+generalized to words), object movement between spaces, field reads and
+writes, reachability tracing, and the collection kernels the seven
+collectors in :mod:`repro.gc` are written against; it knows nothing
+about collection policy.  Every per-object attribute lives in flat
+``array('q')`` arenas indexed by object id, the representation the
+PyPy ``SemiSpaceGC`` lineage uses for real heaps:
 
 ========  ============================================================
 arena     contents (one entry per object id, never reused)
@@ -27,17 +32,27 @@ is valid iff the object's packed state is exactly
 (iteration order, re-insert-at-end) without per-removal compaction.
 The survivor-enumeration order of the non-predictive and hybrid
 collectors is observable (it drives packing, renumbering, and reclaim
-timing), so order fidelity here is what makes the two backends
-byte-identical.
+timing).  ``tests/heap/reference_model.py`` states these semantics as
+a plain dict model, and a state machine holds this heap to it after
+every operation.
 
 Object handles (:class:`FlatObject`) are created on demand by
 :meth:`FlatHeap.get` and read through to the arenas; neither the hot
 collector loops nor the mutator (:mod:`repro.runtime.machine`) touch
-them — collectors run over ids via the shared kernel methods
+them — collectors run over ids via the kernel methods
 (``trace_region``, ``cheney_evacuate``, ``free_unmarked``,
 ``partition_space``, ``extract_live``, ...) and the mutator over ids
 via the id-level accessors (``kind_of``, ``load_ref``, ``store_slot``,
-``payload_of``, ...) that both backends implement.
+``payload_of``, ...).
+
+References between objects are stored as integer object ids rather
+than Python references, so reachability is whatever the simulated
+graph says, never what CPython's own GC happens to keep alive.  A slot
+may also hold an *immediate*: any value that is not an ``int`` and not
+``None`` (the Scheme-ish runtime stores booleans, characters and
+wrapped fixnums this way).  Immediates are opaque to the collector:
+``type(value) is int`` is the tagging test every tracing loop makes,
+which excludes ``bool`` deliberately, so booleans can be stored raw.
 """
 
 from __future__ import annotations
@@ -48,10 +63,14 @@ from bisect import bisect_left
 from collections import deque
 from typing import Callable, Collection, Iterable, Iterator
 
-from repro.heap.heap import HeapError
-from repro.heap.space import SpaceFull
-
-__all__ = ["FlatFields", "FlatHeap", "FlatObject", "FlatSpace"]
+__all__ = [
+    "FlatFields",
+    "FlatHeap",
+    "FlatObject",
+    "FlatSpace",
+    "HeapError",
+    "SpaceFull",
+]
 
 # Header packing: size in the low 24 bits, field count in the next 20,
 # kind code above.  Sizes stay far below 2**24 words in every workload
@@ -79,12 +98,35 @@ _COMPACT_FACTOR = 4
 _COMPACT_SLACK = 64
 
 
-class FlatSpace:
-    """A bounded heap region backed by an append-only id list.
+class HeapError(Exception):
+    """Structural misuse of the simulated heap (dangling ids, bad slots)."""
 
-    Mirrors :class:`repro.heap.space.Space` (name, capacity, ``used``,
-    ``free``, ``fits``, membership, iteration) but membership is the
-    packed state word in the owning :class:`FlatHeap`, not a dict.
+
+class SpaceFull(Exception):
+    """Raised when an allocation or move would overflow a space."""
+
+    def __init__(self, space: "FlatSpace", requested: int) -> None:
+        super().__init__(
+            f"space {space.name!r} cannot fit {requested} words "
+            f"({space.free} of {space.capacity} free)"
+        )
+        self.space = space
+        self.requested = requested
+
+
+class FlatSpace:
+    """A bounded region of the heap, backed by an append-only id list.
+
+    Collectors build their heap geometry out of spaces: a mark/sweep
+    collector uses one space, a stop-and-copy collector two semispaces,
+    a generational collector one or more per generation, and the
+    non-predictive collector ``k`` equally sized *steps*.  ``used`` is
+    the sum of resident object sizes, ``free`` is ``capacity - used``,
+    and a space never accepts an object that would overflow it: the
+    resulting :class:`SpaceFull` is what triggers collection.  A
+    ``None`` capacity is unbounded (trace-collection harnesses that
+    never collect).  Membership is the packed state word in the owning
+    :class:`FlatHeap`.
     """
 
     __slots__ = ("name", "capacity", "used", "_heap", "_token", "_ids", "_count")
@@ -200,12 +242,11 @@ class FlatFields:
     """A mutable list-like view of one object's slot range.
 
     Supports exactly the operations collector code and the fault
-    injectors perform on ``HeapObject.fields``: ``len``, iteration,
+    injectors perform on ``FlatObject.fields``: ``len``, iteration,
     indexing (including negative indices and slices), item assignment,
     and equality against any sequence.  Assignment writes the slot
-    arena directly — like a raw list store on the object backend, it
-    bypasses checked-mode probes (the chaos fault injector relies on
-    this).
+    arena directly — a raw store that bypasses checked-mode probes
+    (the chaos fault injector relies on this).
     """
 
     __slots__ = ("_heap", "_oid")
@@ -252,10 +293,9 @@ class FlatObject:
     """An on-demand handle over one arena row.
 
     Cheap to create (two attribute stores); all state reads go through
-    to the arenas, so two handles for the same id always agree.  Unlike
-    :class:`~repro.heap.object_model.HeapObject`, handles have no
-    identity guarantee — code must compare ``obj_id``, which everything
-    in this repository already does.
+    to the arenas, so two handles for the same id always agree.
+    Handles have no identity guarantee — code must compare ``obj_id``,
+    which everything in this repository does.
     """
 
     __slots__ = ("heap", "obj_id")
@@ -283,9 +323,9 @@ class FlatObject:
     @space.setter
     def space(self, value: FlatSpace | None) -> None:
         # Rewrites only which space the object *claims* — no space table
-        # or occupancy is touched, mirroring a raw back-pointer store on
-        # HeapObject.  Exists for the fault injectors; collectors move
-        # objects through the heap kernels instead.
+        # or occupancy is touched, like a raw back-pointer store.  Exists
+        # for the fault injectors; collectors move objects through the
+        # heap kernels instead.
         heap = self.heap
         packed = heap._state[self.obj_id]
         if packed == _DEAD:
@@ -327,11 +367,21 @@ class FlatObject:
 
 
 class FlatHeap:
-    """The struct-of-arrays heap backend.
+    """A word-accurate simulated heap over struct-of-arrays arenas.
 
-    Public surface matches :class:`repro.heap.heap.SimulatedHeap`
-    exactly (spaces, allocate/free/move/get, field access, tracing,
-    integrity) plus the shared kernel methods both backends provide.
+    Attributes:
+        clock: total words allocated so far — the reproduction's time
+            axis.  Never decreases.
+        objects_allocated: count of allocation events.
+        checked: when true, :meth:`store_slot` probes every stored
+            reference and rejects dangling ids.  Off by default: a
+            correct mutator never stores a dangling id.  Checked mode
+            (``repro-gc verify``, the heap auditor) turns it on;
+            :meth:`check_integrity` catches dangling slots after the
+            fact either way.
+        event_sink: optional telemetry sink
+            (:class:`repro.metrics.EventStream`) for space creation and
+            removal; ``None`` emits nothing.
     """
 
     backend_name = "flat"
@@ -460,7 +510,7 @@ class FlatHeap:
         *,
         advance_clock: bool = True,
     ) -> int:
-        """Allocate and return the raw id — the backend's hot path."""
+        """Allocate and return the raw id — the heap's hot path."""
         capacity = space.capacity
         used = space.used
         if capacity is not None and used + size > capacity:
@@ -1019,7 +1069,6 @@ class FlatHeap:
             else [oid for oid in range(lo) if state[oid] != _DEAD]
         )
         return {
-            "backend": "flat",
             "lo": lo,
             "slot_lo": slot_lo,
             "hdr": memoryview(self._hdr)[lo:].tobytes(),
@@ -1084,13 +1133,11 @@ class FlatHeap:
         is rebuilt at the snapshot's indices.  Ends with a full
         :meth:`check_integrity` pass so a structurally inconsistent
         snapshot fails here rather than corrupting a later collection.
+        The ``"backend"`` key is not read: what heap a snapshot is for
+        is checked once, with its envelope, by
+        :func:`repro.resilience.snapshot.verify_snapshot`.
         """
-        if state.get("backend") != "flat":
-            raise HeapError(
-                f"snapshot backend {state.get('backend')!r} does not match "
-                f"heap backend 'flat'"
-            )
-        names = {entry["name"] for entry in state["spaces"]}
+        names ={entry["name"] for entry in state["spaces"]}
         if names != set(self._spaces):
             raise HeapError(
                 f"snapshot spaces {sorted(names)} do not match heap spaces "
@@ -1217,7 +1264,7 @@ class FlatHeap:
 
         Returns ``(marked_ids, words_marked)``.  References leaving the
         region are not followed; dangling seeds or slots raise
-        :class:`HeapError` exactly like the object backend's trace.
+        :class:`HeapError`.
         """
         state = self._state
         hdr = self._hdr

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatObject
 
 __all__ = ["Frame", "RootSet"]
 
@@ -30,7 +30,7 @@ class Frame:
     def __init__(self) -> None:
         self._slots: list[int | None] = []
 
-    def push(self, obj: HeapObject | None) -> int:
+    def push(self, obj: FlatObject | None) -> int:
         """Append a slot; returns its index within the frame."""
         self._slots.append(None if obj is None else obj.obj_id)
         return len(self._slots) - 1
@@ -40,7 +40,7 @@ class Frame:
         self._slots.append(obj_id)
         return len(self._slots) - 1
 
-    def set(self, index: int, obj: HeapObject | None) -> None:
+    def set(self, index: int, obj: FlatObject | None) -> None:
         self._slots[index] = None if obj is None else obj.obj_id
 
     def set_id(self, index: int, obj_id: int | None) -> None:
@@ -83,7 +83,7 @@ class RootSet:
     # Globals
     # ------------------------------------------------------------------
 
-    def set_global(self, name: str, obj: HeapObject | None) -> None:
+    def set_global(self, name: str, obj: FlatObject | None) -> None:
         self._globals[name] = None if obj is None else obj.obj_id
 
     def get_global_id(self, name: str) -> int | None:

@@ -40,12 +40,12 @@ QUICK_ALLOC_WORDS = 20_000
 
 def _build_cell(kind: str, seed: int):
     from repro.gc.registry import collector_factory
-    from repro.heap.backend import make_heap
+    from repro.heap.flat import FlatHeap
     from repro.heap.roots import RootSet
     from repro.mutator.base import LifetimeDrivenMutator
     from repro.mutator.decay_mutator import DecaySchedule
 
-    heap = make_heap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = collector_factory(kind, None)(heap, roots)
     mutator = LifetimeDrivenMutator(

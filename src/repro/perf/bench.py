@@ -1,6 +1,6 @@
 """The ``repro-gc bench`` performance suite and its persistent record.
 
-Two microbenchmarks per collector per heap backend, both driven by
+Two microbenchmarks per collector, both driven by
 the radioactive decay workload (half-life 2000 words, the
 experiments' canonical regime) on the stock
 :class:`~repro.experiments.harness.GcGeometry`:
@@ -24,16 +24,16 @@ they are measured against.
 Schema (``"schema": 5`` — v5 added the concurrent collector and its
 ``marker_overlap`` column, the fraction of mark work whose worker
 finished while the mutator was still running; v4 added the
-incremental collector; v3 added the heap-backend axis and made the
-timed loop plan-driven; v2 added the pause-percentile columns, in
-words of work, from the :mod:`repro.metrics` plane)::
+incremental collector; v3 made the timed loop plan-driven; v2 added
+the pause-percentile columns, in words of work, from the
+:mod:`repro.metrics` plane)::
 
     {
       "schema": 5,
       "quick": bool,            # quick mode shrinks the workloads ~8x
-      "heap_backend": "flat",   # backend behind "collectors"
-      "collectors": {           # primary (flat) backend — the axis
-        "<kind>": {             # the CI regression gate reads
+      "heap_backend": "flat",   # the heap behind "collectors"
+      "collectors": {           # the axis the CI regression gate reads
+        "<kind>": {
           "alloc_words": int,
           "alloc_seconds": float,
           "alloc_words_per_sec": float,
@@ -46,13 +46,6 @@ words of work, from the :mod:`repro.metrics` plane)::
           "pause_words_max": int,
           "marker_overlap": float  # concurrent only
         }, ...
-      },
-      "backends": {             # every non-primary backend measured
-        "object": {"<kind>": {same columns}, ...}
-      },
-      "backend_speedup": {      # flat vs object, when both ran
-        "per_collector": {"<kind>": float, ...},
-        "mean": float
       },
       "serial_baseline": {      # preserved across rewrites
         "total_seconds": float, # seed-tree `repro-gc all`, serial
@@ -75,7 +68,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
-from repro.heap.backend import make_heap, resolve_backend_name
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.metrics.instrument import instrument_collector
 from repro.mutator.decay_mutator import DecaySchedule
@@ -83,7 +76,6 @@ from repro.perf.plan import build_allocation_plan, execute_plan
 
 __all__ = [
     "BENCH_FILENAME",
-    "BENCH_BACKENDS",
     "BENCH_COLLECTORS",
     "CollectorBench",
     "bench_collector",
@@ -100,9 +92,6 @@ BENCH_FILENAME = "BENCH_perf.json"
 #: ``marker_overlap`` column) joined the matrix.
 SCHEMA_VERSION = 5
 
-#: Backends the suite measures, primary (report axis) first.
-BENCH_BACKENDS: tuple[str, ...] = ("flat", "object")
-
 BENCH_COLLECTORS: tuple[str, ...] = COLLECTOR_KINDS
 
 #: Decay half-life of the bench workload, in allocation words.
@@ -117,10 +106,9 @@ QUICK_COLLECT_ROUNDS = 5
 
 @dataclass(frozen=True)
 class CollectorBench:
-    """One collector's measurements on one backend, one suite run."""
+    """One collector's measurements, one suite run."""
 
     collector: str
-    backend: str
     alloc_words: int
     alloc_seconds: float
     alloc_words_per_sec: float
@@ -164,7 +152,6 @@ class CollectorBench:
 def bench_collector(
     kind: str,
     *,
-    backend: str | None = None,
     alloc_words: int = BENCH_ALLOC_WORDS,
     collect_rounds: int = BENCH_COLLECT_ROUNDS,
     half_life: float = BENCH_HALF_LIFE,
@@ -172,7 +159,7 @@ def bench_collector(
     geometry: GcGeometry | None = None,
     repeats: int = 1,
 ) -> CollectorBench:
-    """Measure one collector on one heap backend.
+    """Measure one collector.
 
     Throughput is measured over the whole lifetime-driven run,
     collections included — it is the sustained allocation rate a
@@ -186,7 +173,6 @@ def bench_collector(
     deterministic, so every repeat does identical work and the
     minimum wall-clock is the least-interfered measurement of it.
     """
-    backend = resolve_backend_name(backend)
     if kind == "concurrent":
         # Overlap is the point of the concurrent bench column, so the
         # marker gets a real worker process instead of the inline
@@ -197,7 +183,7 @@ def bench_collector(
     )
     best = None
     for _ in range(max(1, repeats)):
-        heap = make_heap(backend)
+        heap = FlatHeap()
         roots = RootSet()
         collector = collector_factory(kind, geometry)(heap, roots)
         # The pause-percentile columns come from the metrics plane;
@@ -231,7 +217,6 @@ def bench_collector(
     pauses = instrumentation.registry.histogram("pause_words")
     return CollectorBench(
         collector=kind,
-        backend=backend,
         alloc_words=plan.total_words,
         alloc_seconds=alloc_seconds,
         alloc_words_per_sec=(
@@ -255,28 +240,22 @@ def run_perf_suite(
     *,
     quick: bool = False,
     seed: int = 0,
-    backends: Sequence[str] = BENCH_BACKENDS,
 ) -> list[CollectorBench]:
-    """Bench every collector kind on every requested backend; always
-    serial (timing fidelity).  Backends are measured back-to-back per
-    collector, so slow-host episodes land on both sides of a
-    throughput ratio instead of skewing one whole backend sweep; the
-    full suite additionally takes the best of three repeats per cell
-    (see :func:`bench_collector`)."""
+    """Bench every collector kind; always serial (timing fidelity).
+    The full suite takes the best of three repeats per collector (see
+    :func:`bench_collector`)."""
     alloc_words = QUICK_ALLOC_WORDS if quick else BENCH_ALLOC_WORDS
     rounds = QUICK_COLLECT_ROUNDS if quick else BENCH_COLLECT_ROUNDS
     repeats = 1 if quick else 3
     return [
         bench_collector(
             kind,
-            backend=backend,
             alloc_words=alloc_words,
             collect_rounds=rounds,
             seed=seed,
             repeats=repeats,
         )
         for kind in kinds
-        for backend in backends
     ]
 
 
@@ -300,54 +279,15 @@ def build_report(
     quick: bool,
     previous: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """A fresh report, carrying forward the baseline and run log.
-
-    The primary backend (``flat`` when present, else the first
-    measured) fills the top-level ``"collectors"`` mapping the CI
-    regression gate reads; every other backend lands under
-    ``"backends"``, and when both ``flat`` and ``object`` ran, the
-    per-collector throughput ratio is summarised in
-    ``"backend_speedup"``.
-    """
-    by_backend: dict[str, list[CollectorBench]] = {}
-    for bench in results:
-        by_backend.setdefault(bench.backend, []).append(bench)
-    primary = "flat" if "flat" in by_backend else results[0].backend
+    """A fresh report, carrying forward the baseline and run log."""
     report: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
         "quick": quick,
-        "heap_backend": primary,
+        "heap_backend": FlatHeap.backend_name,
         "collectors": {
-            bench.collector: bench.to_jsonable()
-            for bench in by_backend[primary]
+            bench.collector: bench.to_jsonable() for bench in results
         },
     }
-    secondary = {
-        backend: {
-            bench.collector: bench.to_jsonable() for bench in benches
-        }
-        for backend, benches in by_backend.items()
-        if backend != primary
-    }
-    if secondary:
-        report["backends"] = secondary
-    if primary == "flat" and "object" in by_backend:
-        object_rates = {
-            bench.collector: bench.alloc_words_per_sec
-            for bench in by_backend["object"]
-        }
-        speedups = {
-            bench.collector: round(
-                bench.alloc_words_per_sec / object_rates[bench.collector], 2
-            )
-            for bench in by_backend["flat"]
-            if object_rates.get(bench.collector)
-        }
-        if speedups:
-            report["backend_speedup"] = {
-                "per_collector": speedups,
-                "mean": round(sum(speedups.values()) / len(speedups), 2),
-            }
     if previous:
         for key in ("serial_baseline", "all_runs"):
             if key in previous:

@@ -14,11 +14,11 @@ always happens at clock ``start + i * object_words``.
 into flat tuples; :func:`execute_plan` then drives a collector through
 the identical workload with nothing in the timed loop but allocation
 windows (:meth:`~repro.gc.collector.Collector.reserve_window`, which
-the flat backend materializes at C speed) and root-slot stores.
+the heap materializes at C speed) and root-slot stores.
 Observable collector state afterwards — collections, pause log,
 GcStats, heap fingerprint — is identical to driving
 ``LifetimeDrivenMutator.run`` over the same schedule, which
-``tests/perf/test_plan.py`` pins for every collector on both backends.
+``tests/perf/test_plan.py`` pins for every collector.
 
 Two facts carry the equivalence argument:
 

@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.gc.registry import GcGeometry, collector_factory
-from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.metrics.instrument import instrument_collector
 from repro.metrics.registry import Histogram, MetricRegistry
@@ -105,7 +105,7 @@ SLO_GEOMETRY = GcGeometry(
 
 def _decay_registry(kind: str, *, alloc_words: int, seed: int) -> MetricRegistry:
     """One instrumented decay-workload run of ``kind``."""
-    heap = make_heap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = collector_factory(kind, SLO_GEOMETRY)(heap, roots)
     instrument = instrument_collector(collector)

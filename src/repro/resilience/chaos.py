@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.events import EventStream
 
 from repro.gc.registry import GcGeometry, collector_factory
-from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.resilience.faults import (
     FAULT_KINDS,
@@ -536,7 +536,7 @@ def _run_cell(
 
     # Applicability is a property of the collector family; probe a
     # fresh instance rather than special-casing kind names here.
-    probe = factory(make_heap(), RootSet())
+    probe = factory(FlatHeap(), RootSet())
     if not fault_applies(fault, probe):
         return outcome(
             "n/a", detail=f"{fault} does not apply to {collector_kind}"

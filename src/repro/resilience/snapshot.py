@@ -1,25 +1,26 @@
 """Crash-consistent checkpoint/restore of a live heap and collector.
 
 A *snapshot* freezes everything a process would need to resume a
-tenant heap after dying: the heap contents (either backend), the root
-set, the collector's private state — grown capacities, remembered
-sets, step order, an open SATB mark cycle, even a concurrent marker's
-in-flight result — and the cumulative :class:`~repro.gc.stats.GcStats`
-ledger.  The unit of correctness is *resume equivalence*: restoring a
-snapshot taken at any allocation safepoint and replaying the rest of
-the script must be byte-identical to never having stopped
-(the ``resume`` suite of :mod:`repro.verify.differential` proves
-this for all seven collectors on both backends).
+tenant heap after dying: the heap contents, the root set, the
+collector's private state — grown capacities, remembered sets, step
+order, an open SATB mark cycle, even a concurrent marker's in-flight
+result — and the cumulative :class:`~repro.gc.stats.GcStats` ledger.
+The unit of correctness is *resume equivalence*: restoring a snapshot
+taken at any allocation safepoint and replaying the rest of the script
+must be byte-identical to never having stopped (the ``resume`` suite
+of :mod:`repro.verify.differential` proves this for all seven
+collectors).
 
 On disk a snapshot is one JSON document:
 
 ``{"format": "repro-heap-snapshot", "version": 1,
    "checksum": sha256(canonical payload JSON), "payload": {...}}``
 
-The payload carries the backend tag, the collector descriptor
-(``kind`` + :class:`~repro.gc.registry.GcGeometry` fields, enough for
-:func:`restore` to rebuild a fresh context), and the four state
-sections.  The checksum is computed over the canonical serialization
+The payload carries the heap's name (``"backend": "flat"``, the only
+one; :func:`verify_snapshot` rejects any other), the collector
+descriptor (``kind`` + :class:`~repro.gc.registry.GcGeometry` fields,
+enough for :func:`restore` to rebuild a fresh context), and the four
+state sections.  The checksum is computed over the canonical serialization
 (sorted keys, compact separators) of the payload alone, so the
 envelope fields can be inspected or rewritten without invalidating
 it — and any corruption of the payload is detected *before* a single
@@ -49,6 +50,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.heap.flat import FlatHeap
 from repro.resilience.atomic import atomic_write_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -164,8 +166,9 @@ def verify_snapshot(document: object) -> dict:
     """Validate a snapshot document; returns its payload.
 
     Raises:
-        SnapshotError: wrong structure, format tag, version, or a
-            checksum mismatch.
+        SnapshotError: wrong structure, format tag, version, a
+            checksum mismatch, or a heap backend this build does not
+            have.
     """
     if not isinstance(document, dict):
         raise SnapshotError(
@@ -191,6 +194,11 @@ def verify_snapshot(document: object) -> dict:
             f"{checksum[:12]}..., envelope claims "
             f"{str(document.get('checksum'))[:12]}..."
         )
+    if payload.get("backend") != FlatHeap.backend_name:
+        raise SnapshotError(
+            f"snapshot of heap backend {payload.get('backend')!r} "
+            f"(known: {FlatHeap.backend_name})"
+        )
     return payload
 
 
@@ -198,16 +206,15 @@ def restore(document: dict):
     """Rebuild a fresh ``(heap, roots, collector)`` context from a
     snapshot document.
 
-    Validates the envelope, constructs the backend heap and the
-    collector exactly as the registry originally did, and imports the
-    four state sections.  Any structural inconsistency the importers
+    Validates the envelope, constructs the heap and the collector
+    exactly as the registry originally did, and imports the four
+    state sections.  Any structural inconsistency the importers
     detect (a payload that passed the checksum but lies about itself
     can only come from a buggy writer) surfaces as
     :class:`SnapshotError` too.
     """
     payload = verify_snapshot(document)
     from repro.gc.registry import GcGeometry, make_collector
-    from repro.heap.backend import make_heap
     from repro.heap.roots import RootSet
 
     descriptor = payload.get("collector")
@@ -215,7 +222,7 @@ def restore(document: dict):
         raise SnapshotError("snapshot carries no collector descriptor")
     try:
         geometry = GcGeometry(**descriptor["geometry"])
-        heap = make_heap(payload["backend"])
+        heap = FlatHeap()
         roots = RootSet()
         collector = make_collector(descriptor["kind"], heap, roots, geometry)
         restore_state(collector, payload)

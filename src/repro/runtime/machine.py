@@ -33,8 +33,7 @@ from repro.gc.collector import Collector
 from repro.gc.stats import GcStats
 from repro.heap.backend import make_heap
 from repro.heap.barrier import WriteBarrier
-from repro.heap.heap import HeapError, SimulatedHeap
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatHeap, FlatObject, HeapError
 from repro.heap.roots import RootSet
 from repro.runtime.values import (
     FLONUM_WORDS,
@@ -50,7 +49,7 @@ from repro.runtime.values import (
 __all__ = ["CollectorFactory", "Machine"]
 
 #: Builds a collector over a freshly created heap and root set.
-CollectorFactory = Callable[[SimulatedHeap, RootSet], Collector]
+CollectorFactory = Callable[[FlatHeap, RootSet], Collector]
 
 
 #: The handle table is swept from the insert path when it outgrows
@@ -134,13 +133,17 @@ def _idle_refcount() -> int:
 
 
 class Machine:
-    """A complete simulated runtime for one benchmark execution."""
+    """A complete simulated runtime for one benchmark execution.
+
+    ``heap_backend`` names the heap (:func:`repro.heap.backend.make_heap`
+    accepts only ``"flat"``).
+    """
 
     def __init__(
         self,
         collector_factory: CollectorFactory,
         *,
-        heap_backend: str | None = None,
+        heap_backend: str = FlatHeap.backend_name,
     ) -> None:
         self.heap = make_heap(heap_backend)
         self.roots = RootSet()
@@ -175,7 +178,7 @@ class Machine:
         #: of that length (which took the checked path).
         self._vector_shapes: dict[int, tuple[int, object]] = {}
         #: Callbacks invoked with each dynamically allocated object.
-        self._allocation_hooks: list[Callable[[HeapObject], None]] = []
+        self._allocation_hooks: list[Callable[[FlatObject], None]] = []
         #: Mutator operations executed (reads, stores, arithmetic).
         #: Together with words allocated this is the simulator's proxy
         #: for "mutator time" in Table 3: programs like sboyer that
@@ -276,7 +279,7 @@ class Machine:
         for hook in self._allocation_hooks:
             hook(obj)
 
-    def add_allocation_hook(self, hook: Callable[[HeapObject], None]) -> None:
+    def add_allocation_hook(self, hook: Callable[[FlatObject], None]) -> None:
         self._allocation_hooks.append(hook)
 
     def cons(self, car: SchemeValue, cdr: SchemeValue) -> Ref:

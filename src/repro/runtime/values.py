@@ -36,12 +36,7 @@ death times remain accurate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.heap.object_model import HeapObject
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap, FlatObject
 
 __all__ = [
     "Fixnum",
@@ -128,20 +123,20 @@ class Ref:
     iff they name the same heap object.  Like a tagged pointer in
     Larceny, the handle carries the object's kind (fixed at birth), so
     type tests touch no memory; the heap is addressed through the id,
-    and :attr:`obj` builds the backend's object view for callers that
+    and :attr:`obj` builds the heap's object handle for callers that
     want one.  It holds the heap, not the machine or its table, so a
     machine is in no reference cycle with its handles.
     """
 
     __slots__ = ("_heap", "obj_id", "kind", "__weakref__")
 
-    def __init__(self, heap: "SimulatedHeap", obj_id: int, kind: str) -> None:
+    def __init__(self, heap: FlatHeap, obj_id: int, kind: str) -> None:
         self._heap = heap
         self.obj_id = obj_id
         self.kind = kind
 
     @property
-    def obj(self) -> HeapObject:
+    def obj(self) -> FlatObject:
         return self._heap.get(self.obj_id)
 
     def is_pair(self) -> bool:

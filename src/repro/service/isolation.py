@@ -56,7 +56,6 @@ class TenantCase:
 
     tenant: str
     kind: str
-    backend: str
     script: MutatorScript
     geometry: GcGeometry
 
@@ -67,7 +66,6 @@ class Divergence:
 
     tenant: str
     kind: str
-    backend: str
     detail: str
     script_ops: int
     shrunk_ops: int | None = None
@@ -101,8 +99,8 @@ class IsolationReport:
         ]
         for divergence in self.divergences:
             lines.append(
-                f"  {divergence.tenant} ({divergence.kind}/"
-                f"{divergence.backend}): {divergence.detail} "
+                f"  {divergence.tenant} ({divergence.kind}): "
+                f"{divergence.detail} "
                 f"[script {divergence.script_ops} ops"
                 + (
                     f", shrunk to {divergence.shrunk_ops}"
@@ -124,7 +122,6 @@ def script_to_requests(
     tenant: str,
     *,
     kind: str,
-    backend: str | None = None,
     geometry: GcGeometry | None = None,
 ) -> list[dict]:
     """A script as the service request stream that replays it.
@@ -147,8 +144,6 @@ def script_to_requests(
         requests.append(request)
 
     open_payload: dict = {"kind": kind}
-    if backend is not None:
-        open_payload["backend"] = backend
     if geometry is not None:
         open_payload["geometry"] = asdict(geometry)
     emit("open", **open_payload)
@@ -186,11 +181,7 @@ def _checkpoint_entry(payload: dict) -> list:
 
 def replay_fingerprint(case: TenantCase) -> dict:
     """The serial-replay reference history for one tenant case."""
-    result = replay(
-        case.script,
-        collector_factory(case.kind, case.geometry),
-        backend=case.backend,
-    )
+    result = replay(case.script, collector_factory(case.kind, case.geometry))
     checks = [
         [
             checkpoint.clock,
@@ -358,10 +349,9 @@ def build_cases(
     seed: int = 0,
     ops_per_tenant: int = 160,
     kinds: tuple[str, ...] = COLLECTOR_KINDS,
-    backends: tuple[str, ...] = ("flat",),
     geometry: GcGeometry | None = None,
 ) -> list[TenantCase]:
-    """Seeded tenant cases cycling through kinds and backends."""
+    """Seeded tenant cases cycling through kinds."""
     geometry = geometry if geometry is not None else tenant_geometry()
     cases = []
     for index in range(tenants):
@@ -369,7 +359,6 @@ def build_cases(
             TenantCase(
                 tenant=f"iso{index:03d}",
                 kind=kinds[index % len(kinds)],
-                backend=backends[(index // len(kinds)) % len(backends)],
                 script=generate_script(
                     ops_per_tenant, derive_seed(seed, index)
                 ),
@@ -387,7 +376,6 @@ def run_isolation_suite(
     shards: int = 2,
     jobs: int = 0,
     kinds: tuple[str, ...] = COLLECTOR_KINDS,
-    backends: tuple[str, ...] = ("flat",),
     interleave_seed: int | None = None,
     batch_ops: int = 32,
     shrink: bool = True,
@@ -413,7 +401,6 @@ def run_isolation_suite(
         seed=seed,
         ops_per_tenant=ops_per_tenant,
         kinds=kinds,
-        backends=backends,
     )
     report = IsolationReport(
         tenants=tenants,
@@ -433,7 +420,6 @@ def run_isolation_suite(
                 case.script,
                 case.tenant,
                 kind=case.kind,
-                backend=case.backend,
                 geometry=case.geometry,
             )
             for case in current
@@ -462,7 +448,6 @@ def run_isolation_suite(
         divergence = Divergence(
             tenant=case.tenant,
             kind=case.kind,
-            backend=case.backend,
             detail=detail,
             script_ops=len(case.script.ops),
         )
@@ -488,7 +473,6 @@ def _shrink_divergence(
         trial = TenantCase(
             tenant=case.tenant,
             kind=case.kind,
-            backend=case.backend,
             script=candidate,
             geometry=case.geometry,
         )

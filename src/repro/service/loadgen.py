@@ -3,7 +3,7 @@
 The generator is split into two halves on purpose:
 
 * **Plan building is offline-pure.**  :func:`build_plan` turns
-  ``(tenants, seed, profile, kinds, backends, ops)`` into the complete
+  ``(tenants, seed, profile, kinds, ops)`` into the complete
   per-tenant request streams — every op, every payload, every
   correlation id — without talking to any server.  The stream is a
   function of the seed alone, never of responses, so
@@ -51,6 +51,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry
+from repro.heap.flat import FlatHeap
 from repro.perf.parallel import derive_seed
 from repro.service.protocol import PROTOCOL_VERSION, encode_line
 from repro.service.shard import ShardExecutor
@@ -127,7 +128,6 @@ class _TenantScripter:
         self,
         tenant: str,
         kind: str,
-        backend: str,
         geometry: dict,
         rng: random.Random,
     ) -> None:
@@ -138,7 +138,14 @@ class _TenantScripter:
         self.live_words = 0
         self.next_uid = 0
         self._seq = 0
-        self._emit("open", kind=kind, backend=backend, geometry=geometry)
+        # Every plan names the heap, as plans always have: the open
+        # request's bytes (and so the plan fingerprint) stay the same.
+        self._emit(
+            "open",
+            kind=kind,
+            backend=FlatHeap.backend_name,
+            geometry=geometry,
+        )
 
     def _emit(self, op: str, **payload) -> None:
         request = {
@@ -312,17 +319,15 @@ def build_plan(
     seed: int = 0,
     profile: str = "mixed",
     kinds: tuple[str, ...] = COLLECTOR_KINDS,
-    backends: tuple[str, ...] = ("flat",),
     ops_per_tenant: int = 120,
     geometry: GcGeometry | None = None,
 ) -> LoadPlan:
     """Build the complete request streams for ``tenants`` tenants.
 
-    Tenant *i* gets collector ``kinds[i % len(kinds)]``, backend
-    ``backends[(i // len(kinds)) % len(backends)]``, and the RNG
-    seeded with ``derive_seed(seed, i)`` — so every (kind, backend)
-    pair sees every profile, and any single tenant's stream can be
-    regenerated in isolation.
+    Tenant *i* gets collector ``kinds[i % len(kinds)]`` and the RNG
+    seeded with ``derive_seed(seed, i)`` — so every kind sees every
+    profile, and any single tenant's stream can be regenerated in
+    isolation.
     """
     if profile != "mixed" and profile not in _SCRIPTERS:
         raise ValueError(
@@ -335,14 +340,11 @@ def build_plan(
     for index in range(tenants):
         tenant = f"t{index:05d}"
         kind = kinds[index % len(kinds)]
-        backend = backends[(index // len(kinds)) % len(backends)]
         tenant_profile = (
             PROFILES[index % len(PROFILES)] if profile == "mixed" else profile
         )
         rng = random.Random(derive_seed(seed, index))
-        scripter = _TenantScripter(
-            tenant, kind, backend, geometry_overrides, rng
-        )
+        scripter = _TenantScripter(tenant, kind, geometry_overrides, rng)
         _SCRIPTERS[tenant_profile](scripter, ops_per_tenant)
         scripter.checkpoint()
         scripter.close()
@@ -350,7 +352,7 @@ def build_plan(
             TenantPlan(
                 tenant=tenant,
                 kind=kind,
-                backend=backend,
+                backend=FlatHeap.backend_name,
                 profile=tenant_profile,
                 requests=tuple(scripter.requests),
             )

@@ -20,9 +20,10 @@ service runs against standalone replays byte for byte):
 
 ``open``
     Create a tenant session: pick a collector ``kind`` (any
-    :data:`repro.gc.registry.COLLECTOR_KINDS` entry), a heap
-    ``backend`` (``"flat"``/``"object"``), and optionally override
-    :class:`~repro.gc.registry.GcGeometry` fields via ``geometry``.
+    :data:`repro.gc.registry.COLLECTOR_KINDS` entry) and optionally
+    override :class:`~repro.gc.registry.GcGeometry` fields via
+    ``geometry``.  An optional ``backend`` names the heap; ``"flat"``
+    is the only one, and any other name is a ``bad-request``.
 ``alloc``
     Allocate ``size`` words with ``fields`` reference slots and root
     the object under the tenant-scoped handle ``uid``.
@@ -79,7 +80,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry
-from repro.heap.backend import HEAP_BACKENDS
+from repro.heap.flat import FlatHeap
 
 __all__ = [
     "ERROR_KINDS",
@@ -259,11 +260,11 @@ def validate_request(payload: object) -> dict:
                 f"unknown collector kind {payload['kind']!r} "
                 f"(known: {', '.join(COLLECTOR_KINDS)})"
             )
-        backend = payload.get("backend")
-        if backend is not None and backend not in HEAP_BACKENDS:
+        backend = payload.get("backend", FlatHeap.backend_name)
+        if backend != FlatHeap.backend_name:
             raise ProtocolError(
                 f"unknown heap backend {backend!r} "
-                f"(known: {', '.join(HEAP_BACKENDS)})"
+                f"(known: {FlatHeap.backend_name})"
             )
         geometry_from_payload(payload.get("geometry"))  # validate now
     elif op == "alloc":

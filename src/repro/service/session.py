@@ -1,9 +1,9 @@
 """One tenant's heap session: the mutator surface behind the service.
 
 A :class:`TenantSession` owns a private ``(heap, roots, collector)``
-context built from the tenant's chosen collector kind,
-:class:`~repro.gc.registry.GcGeometry`, and heap backend — nothing is
-shared between tenants, which is the whole point: the isolation oracle
+context built from the tenant's chosen collector kind and
+:class:`~repro.gc.registry.GcGeometry` — nothing is shared between
+tenants, which is the whole point: the isolation oracle
 (:mod:`repro.service.isolation`) proves that a tenant's checkpoints and
 :class:`~repro.gc.stats.GcStats` through the service are byte-identical
 to replaying its ops serially through a standalone heap
@@ -24,7 +24,7 @@ Sessions are *migratable*: :meth:`capture` freezes the session into a
 JSON-able state blob built on the PR 9 snapshot machinery
 (:func:`repro.resilience.snapshot.checkpoint`, checksummed envelope
 included), and :meth:`TenantSession.from_state` revives it in another
-process.  Resume equivalence (proven per collector and backend by
+process.  Resume equivalence (proven per collector by
 ``resume_suite`` in :mod:`repro.verify.differential`) is what lets the
 sharded executor replay a batch on a respawned worker without any
 tenant noticing.
@@ -52,9 +52,11 @@ from typing import Any
 
 from repro.gc.collector import HeapExhausted
 from repro.gc.registry import GcGeometry, make_collector
-from repro.heap.backend import make_heap, resolve_backend_name
+from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.metrics.registry import MetricRegistry
+from repro.resilience.snapshot import SnapshotError
 from repro.resilience.snapshot import checkpoint as snapshot_checkpoint
 from repro.resilience.snapshot import restore as snapshot_restore
 from repro.service.protocol import (
@@ -114,21 +116,26 @@ def pause_family(kind: str) -> str:
 
 
 class TenantSession:
-    """A live tenant context plus its uid↔object-id bookkeeping."""
+    """A live tenant context plus its uid↔object-id bookkeeping.
+
+    ``backend`` names the heap; only ``"flat"`` exists (the protocol
+    answers any other name on ``open`` with ``bad-request``).  It rides
+    in the metric label and the state blob.
+    """
 
     def __init__(
         self,
         tenant: str,
         *,
         kind: str,
-        backend: str | None = None,
+        backend: str = FlatHeap.backend_name,
         geometry: GcGeometry | None = None,
     ) -> None:
         self.tenant = tenant
         self.kind = kind
-        self.backend = resolve_backend_name(backend)
+        self.backend = backend
         self.geometry = geometry if geometry is not None else GcGeometry()
-        self.heap = make_heap(self.backend)
+        self.heap = make_heap(backend)
         self.roots = RootSet()
         self.collector = make_collector(
             kind, self.heap, self.roots, self.geometry
@@ -371,7 +378,17 @@ class TenantSession:
 
     @classmethod
     def from_state(cls, state: dict) -> "TenantSession":
-        """Revive a captured session (possibly in another process)."""
+        """Revive a captured session (possibly in another process).
+
+        Raises:
+            SnapshotError: the blob is for a heap this build does not
+                have, or its snapshot fails verification or restore.
+        """
+        if state["backend"] != FlatHeap.backend_name:
+            raise SnapshotError(
+                f"session blob for heap backend {state['backend']!r} "
+                f"(known: {FlatHeap.backend_name})"
+            )
         session = cls.__new__(cls)
         session.tenant = state["tenant"]
         session.kind = state["kind"]

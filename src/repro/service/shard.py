@@ -56,6 +56,7 @@ from functools import lru_cache
 from typing import Any, Iterable, Mapping
 
 from repro.gc.registry import COLLECTOR_KINDS
+from repro.heap.flat import FlatHeap
 from repro.metrics.registry import MetricRegistry, merge_registries
 from repro.perf.parallel import TaskFailure, WorkerPool
 from repro.service.protocol import (
@@ -310,7 +311,7 @@ class ShardRuntime:
             session = TenantSession(
                 tenant,
                 kind=request.get("kind", COLLECTOR_KINDS[0]),
-                backend=request.get("backend"),
+                backend=request.get("backend", FlatHeap.backend_name),
                 geometry=geometry_from_payload(request.get("geometry")),
             )
         except ValueError as exc:

@@ -11,9 +11,8 @@ their death times.
 from __future__ import annotations
 
 from repro.gc.collector import Collector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.roots import RootSet
-from repro.heap.space import Space
 
 __all__ = ["TracingCollector"]
 
@@ -23,11 +22,11 @@ class TracingCollector(Collector):
 
     name = "tracing"
 
-    def __init__(self, heap: SimulatedHeap, roots: RootSet) -> None:
+    def __init__(self, heap: FlatHeap, roots: RootSet) -> None:
         super().__init__(heap, roots)
         self.space = heap.add_space("trace-heap", None)
 
-    def _reserve(self, size: int) -> Space:
+    def _reserve(self, size: int) -> FlatSpace:
         return self.space
 
     def managed_spaces(self) -> None:

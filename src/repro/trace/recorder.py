@@ -18,7 +18,7 @@ color represents the survivors from a 100,000-byte epoch").
 
 from __future__ import annotations
 
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatObject
 from repro.runtime.machine import Machine
 from repro.trace.collector import TracingCollector
 from repro.trace.events import LifetimeTrace, ObjectRecord
@@ -59,7 +59,7 @@ class LifetimeRecorder:
     # Hooks
     # ------------------------------------------------------------------
 
-    def _on_allocate(self, obj: HeapObject) -> None:
+    def _on_allocate(self, obj: FlatObject) -> None:
         if self._finished:
             return
         record = ObjectRecord(

@@ -7,12 +7,11 @@ Two independent oracles over the collectors in :mod:`repro.gc`:
   hook);
 * :mod:`repro.verify.differential` — the equivalence engine: replay
   one deterministic mutator script (:mod:`repro.verify.replay`) under
-  a table of variants (collector kind, geometry, heap backend, restart
-  policy) and require related pairs to agree on checkpoints, stats,
-  pauses, survivors or event streams.  The cross-collector,
-  cross-backend, slice-budget, marker-placement and resume oracles are
-  preset tables over it, and :mod:`repro.verify.shrink` minimizes any
-  counterexample.
+  a table of variants (collector kind, geometry, restart policy) and
+  require related pairs to agree on checkpoints, stats, pauses or
+  survivors.  The cross-collector, slice-budget, marker-placement and
+  resume oracles are preset tables over it, and
+  :mod:`repro.verify.shrink` minimizes any counterexample.
 
 The CLI front end is ``repro-gc verify``.
 """

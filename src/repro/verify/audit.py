@@ -6,7 +6,7 @@ correct collector in this reproduction must maintain:
 
 * **heap integrity** — space membership is consistent and no reference
   slot dangles (delegates to
-  :meth:`repro.heap.heap.SimulatedHeap.check_integrity`);
+  :meth:`repro.heap.flat.FlatHeap.check_integrity`);
 * **root resolution / reachability closure** — every root id resolves
   to a live object, and the transitive closure from the roots can be
   traced without hitting a freed object (a collector that reclaims a
@@ -69,9 +69,8 @@ from repro.gc.hybrid import HybridCollector
 from repro.gc.incremental import GRAY, WHITE, IncrementalCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
 from repro.gc.steps import StepCollector
-from repro.heap.heap import HeapError
+from repro.heap.flat import FlatSpace, HeapError
 from repro.heap.remset import RememberedSet
-from repro.heap.space import Space
 
 __all__ = [
     "AuditError",
@@ -202,7 +201,7 @@ def enable_checked_mode(collector: Collector) -> None:
     """Audit after every completed collection (testing/debugging).
 
     Also arms the heap's per-store dangling-id probe
-    (:attr:`repro.heap.heap.SimulatedHeap.checked`), so bad stores fail
+    (:attr:`repro.heap.flat.FlatHeap.checked`), so bad stores fail
     at the store site instead of at the next audit.
     """
     collector.post_collection_hook = assert_heap_invariants
@@ -335,7 +334,7 @@ class RemsetObligation(NamedTuple):
         )
 
 
-def _live_refs(heap, space: Space) -> Iterator[tuple[int, int, int]]:
+def _live_refs(heap, space: FlatSpace) -> Iterator[tuple[int, int, int]]:
     """``(obj_id, slot, ref)`` for every slot of ``space`` that holds
     the id of a live object."""
     for obj in space.objects():

@@ -8,9 +8,9 @@ script (:mod:`repro.verify.replay`) under several *variants* of the
 system and require chosen *observables* of chosen pairs to be equal.
 
 * A :class:`Variant` is one way to run the script: a collector kind at
-  a :class:`~repro.gc.registry.GcGeometry`, on a heap backend,
-  optionally restarted from a snapshot every Nth allocation, optionally
-  built by an injected factory (how tests plant broken collectors).
+  a :class:`~repro.gc.registry.GcGeometry`, optionally restarted from a
+  snapshot every Nth allocation, optionally built by an injected
+  factory (how tests plant broken collectors).
 * A :class:`Relation` says a candidate variant must match a reference
   variant on some of :data:`OBSERVABLES`, and reports the first one
   that does not.
@@ -19,7 +19,7 @@ system and require chosen *observables* of chosen pairs to be equal.
   without raising), closes every collector, and evaluates the
   relations in order.
 
-The five suites (:data:`SUITES`, by CLI name) are tables of variants
+The four suites (:data:`SUITES`, by CLI name) are tables of variants
 and relations over that engine.  Because the simulated heap assigns
 object ids sequentially, replays of one script share object ids, so
 graphs and survivor sets compare by identity and the earliest
@@ -29,14 +29,11 @@ diverging checkpoint localizes a bug.  Failures shrink with
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
-from repro.heap.backend import HEAP_BACKENDS
-from repro.metrics.instrument import metrics_session
 from repro.verify.replay import (
     CollectorFactory,
     MutatorScript,
@@ -56,7 +53,6 @@ __all__ = [
     "Relation",
     "Suite",
     "Variant",
-    "backend_suite",
     "budget_label",
     "budget_suite",
     "collector_suite",
@@ -104,7 +100,6 @@ class Variant:
         label: the key of this replay in the report.
         kind: collector kind name (see the registry).
         geometry: heap geometry the collector is built at.
-        backend: heap backend (None = the session default).
         resume_interval: checkpoint/restore the whole context after
             every Nth allocation (None = run uninterrupted).
         factory: builds the collector instead of the registry's stock
@@ -114,7 +109,6 @@ class Variant:
     label: str
     kind: str
     geometry: GcGeometry = VERIFY_GEOMETRY
-    backend: str | None = None
     resume_interval: int | None = None
     factory: CollectorFactory | None = None
 
@@ -140,8 +134,7 @@ class Divergence:
     Attributes:
         kind: "crash", an observable's own kind ("checkpoint-count",
             "live-graph", "allocation-volume", "gc-stats", "pause-log",
-            "survivor-set", "event-stream"), or the name its relation
-            gave it.
+            "survivor-set"), or the name its relation gave it.
         collector: the diverging variant's label.
         reference: the reference variant's label.
         checkpoint_index: index of the earliest diverging checkpoint
@@ -337,7 +330,6 @@ _COMPARATORS: Mapping[
     "stats": _compare_stats,
     "pauses": partial(_compare_log, "pause-log", "pauses", "collection"),
     "survivors": _compare_survivors,
-    "events": partial(_compare_log, "event-stream", "events", "record"),
 }
 
 #: What a :class:`Relation` can require two replays to agree on.
@@ -365,17 +357,8 @@ def _quiesce(script: MutatorScript) -> MutatorScript:
     )
 
 
-def _freeze(value):
-    """Recursively hashable/comparable form of an event record."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
-    return value
-
-
 def _replay_variant(
-    variant: Variant, script: MutatorScript, checked: bool, events: bool
+    variant: Variant, script: MutatorScript, checked: bool
 ) -> ReplayResult:
     factory = variant.factory or collector_factory(
         variant.kind, variant.geometry
@@ -383,21 +366,11 @@ def _replay_variant(
     resume = None
     if variant.resume_interval is not None:
         resume = (variant.resume_interval, variant.kind, variant.geometry)
-    # Collectors bind to the metrics session they are built under.
-    with metrics_session() if events else nullcontext() as session:
-        context = ReplayContext(
-            factory, backend=variant.backend, checked=checked
-        )
-        try:
-            result = context.run(script, name=variant.label, resume=resume)
-        finally:
-            context.close()
-    if events:
-        result = replace(
-            result,
-            events=tuple(_freeze(r) for r in session.stream.events()),
-        )
-    return result
+    context = ReplayContext(factory, checked=checked)
+    try:
+        return context.run(script, name=variant.label, resume=resume)
+    finally:
+        context.close()
 
 
 def run_equivalence(
@@ -426,7 +399,6 @@ def run_equivalence(
         raise ValueError("need at least one variant to replay")
     if quiesce:
         script = _quiesce(script)
-    events = any("events" in relation.observables for relation in relations)
     # A crash is reported against the variant's first reference.
     references: dict[str, str] = {}
     for relation in relations:
@@ -450,7 +422,7 @@ def run_equivalence(
     for variant in variants:
         label = variant.label
         try:
-            results[label] = _replay_variant(variant, script, checked, events)
+            results[label] = _replay_variant(variant, script, checked)
         except ReplayCrash as crash:
             results[label] = None
             diverged(
@@ -513,7 +485,6 @@ def resume_label(kind: str) -> str:
 def collector_suite(
     kinds: Sequence[str] = DEFAULT_COLLECTORS,
     *,
-    backend: str | None = None,
     geometry: GcGeometry = VERIFY_GEOMETRY,
     factories: Mapping[str, CollectorFactory] | None = None,
 ) -> Suite:
@@ -524,56 +495,16 @@ def collector_suite(
     factories = factories or {}
     return Suite(
         variants=tuple(
-            Variant(kind, kind, geometry, backend, factory=factories.get(kind))
+            Variant(kind, kind, geometry, factory=factories.get(kind))
             for kind in kinds
         ),
         relations=tuple(Relation(kind, kinds[0]) for kind in kinds[1:]),
     )
 
 
-def backend_suite(
-    kinds: Sequence[str] = DEFAULT_COLLECTORS,
-    *,
-    backends: Sequence[str] = HEAP_BACKENDS,
-    geometry: GcGeometry = VERIFY_GEOMETRY,
-    factories: Mapping[str, CollectorFactory] | None = None,
-) -> Suite:
-    """Every collector as ``"<kind>@<backend>"`` against its replay on
-    ``backends[0]``.  The backends are two representations of one
-    heap, so the bar is stricter than across collectors: checkpoints,
-    every GcStats counter, the pause log and the metrics event stream.
-    """
-    if len(backends) < 2:
-        raise ValueError("need at least two backends to compare")
-    factories = factories or {}
-    return Suite(
-        variants=tuple(
-            Variant(
-                f"{kind}@{backend}",
-                kind,
-                geometry,
-                backend,
-                factory=factories.get(kind),
-            )
-            for kind in kinds
-            for backend in backends
-        ),
-        relations=tuple(
-            Relation(
-                f"{kind}@{backend}",
-                f"{kind}@{backends[0]}",
-                ("checkpoints", "stats", "pauses", "events"),
-            )
-            for kind in kinds
-            for backend in backends[1:]
-        ),
-    )
-
-
 def budget_suite(
     budgets: Sequence[int | None] = DEFAULT_BUDGETS,
     *,
-    backend: str | None = None,
     geometry: GcGeometry = VERIFY_GEOMETRY,
 ) -> Suite:
     """Mark-sweep and the incremental collector at every slice budget
@@ -586,13 +517,12 @@ def budget_suite(
     labels = [budget_label(budget) for budget in budgets]
     return Suite(
         variants=(
-            Variant("mark-sweep", "mark-sweep", geometry, backend),
+            Variant("mark-sweep", "mark-sweep", geometry),
             *(
                 Variant(
                     label,
                     "incremental",
                     replace(geometry, slice_budget=budget),
-                    backend,
                 )
                 for label, budget in zip(labels, budgets)
             ),
@@ -618,7 +548,6 @@ def budget_suite(
 
 def concurrent_suite(
     *,
-    backend: str | None = None,
     geometry: GcGeometry = VERIFY_GEOMETRY,
     pool_workers: int = 1,
 ) -> Suite:
@@ -633,21 +562,13 @@ def concurrent_suite(
     incremental = budget_label(None)
     inline, pool = "concurrent@inline", "concurrent@pool"
     variants = [
-        Variant("mark-sweep", "mark-sweep", geometry, backend),
+        Variant("mark-sweep", "mark-sweep", geometry),
         Variant(
-            incremental,
-            "incremental",
-            replace(geometry, slice_budget=None),
-            backend,
+            incremental, "incremental", replace(geometry, slice_budget=None)
         ),
+        Variant(inline, "concurrent", replace(geometry, marker_workers=0)),
         Variant(
-            inline, "concurrent", replace(geometry, marker_workers=0), backend
-        ),
-        Variant(
-            pool,
-            "concurrent",
-            replace(geometry, marker_workers=pool_workers),
-            backend,
+            pool, "concurrent", replace(geometry, marker_workers=pool_workers)
         ),
     ]
     others = (incremental, inline, pool)
@@ -668,7 +589,6 @@ def concurrent_suite(
 def resume_suite(
     kinds: Sequence[str] = DEFAULT_COLLECTORS,
     *,
-    backend: str | None = None,
     geometry: GcGeometry = VERIFY_GEOMETRY,
     resume_interval: int = 1,
 ) -> Suite:
@@ -689,10 +609,8 @@ def resume_suite(
             variant
             for kind in kinds
             for variant in (
-                Variant(kind, kind, geometry, backend),
-                Variant(
-                    resume_label(kind), kind, geometry, backend, resume_interval
-                ),
+                Variant(kind, kind, geometry),
+                Variant(resume_label(kind), kind, geometry, resume_interval),
             )
         ),
         relations=tuple(
@@ -712,7 +630,6 @@ def resume_suite(
 #: The suites by the name ``repro-gc verify`` and CI know them by.
 SUITES: Mapping[str, Callable[..., Suite]] = {
     "collectors": collector_suite,
-    "backends": backend_suite,
     "budgets": budget_suite,
     "concurrent": concurrent_suite,
     "resume": resume_suite,

@@ -36,8 +36,7 @@ from typing import Callable, Iterable
 
 from repro.gc.collector import Collector
 from repro.heap.barrier import WriteBarrier
-from repro.heap.backend import make_heap
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.verify.audit import enable_checked_mode
 
@@ -57,7 +56,7 @@ __all__ = [
 Op = tuple
 
 #: Builds a collector over a fresh heap and root set.
-CollectorFactory = Callable[[SimulatedHeap, RootSet], Collector]
+CollectorFactory = Callable[[FlatHeap, RootSet], Collector]
 
 
 class ReplayError(Exception):
@@ -143,8 +142,7 @@ class ReplayResult:
     items) and ``pauses`` (the full pause log) say two replays did
     byte-identical *work*, not merely kept the same objects alive;
     ``survivors`` is the sorted ids resident in the heap at the end
-    (reachable or floating); ``events`` is the metrics event stream,
-    filled in by the engine when a relation observes it.
+    (reachable or floating).
     """
 
     collector: str
@@ -154,7 +152,6 @@ class ReplayResult:
     stats: tuple[tuple[str, int], ...] = ()
     pauses: tuple = ()
     survivors: tuple[int, ...] = ()
-    events: tuple = ()
 
 
 # ----------------------------------------------------------------------
@@ -383,14 +380,13 @@ class ReplayContext:
         self,
         factory: CollectorFactory,
         *,
-        backend: str | None = None,
         checked: bool = False,
     ) -> None:
         self.checked = checked
         self.uid_to_id: dict[int, int] = {}
         #: Allocation safepoints passed so far.
         self.allocations = 0
-        heap = make_heap(backend)
+        heap = FlatHeap()
         roots = RootSet()
         self._install(heap, roots, factory(heap, roots))
 
@@ -517,7 +513,6 @@ def replay(
     *,
     checked: bool = False,
     name: str = "",
-    backend: str | None = None,
     resume: tuple | None = None,
 ) -> ReplayResult:
     """Replay a script under a freshly built collector.
@@ -528,8 +523,6 @@ def replay(
         checked: install the heap auditor as a post-collection hook,
             so every collection is audited as it completes.
         name: label for the result (defaults to the collector's name).
-        backend: heap backend to replay on (``"object"``/``"flat"``);
-            None resolves the environment/default selection.
         resume: ``(interval, kind, geometry)`` — after every
             ``interval``-th allocation, :meth:`ReplayContext.restart`.
 
@@ -539,5 +532,5 @@ def replay(
             checked mode.
         ReplayError: the script itself is malformed.
     """
-    context = ReplayContext(factory, backend=backend, checked=checked)
+    context = ReplayContext(factory, checked=checked)
     return context.run(script, name=name, resume=resume)

@@ -15,7 +15,7 @@ from repro.gc.incremental import IncrementalCollector
 from repro.gc.marksweep import MarkSweepCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
 from repro.gc.stopcopy import StopAndCopyCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.runtime.machine import Machine
 from repro.trace.collector import TracingCollector
@@ -25,8 +25,8 @@ sys.setrecursionlimit(200_000)
 
 
 @pytest.fixture
-def heap() -> SimulatedHeap:
-    return SimulatedHeap()
+def heap() -> FlatHeap:
+    return FlatHeap()
 
 
 @pytest.fixture
@@ -49,7 +49,7 @@ def no_cycle_gc():
     a Python reference cycle stops being a root when the cycle collector
     next runs, which depends on what the process allocated before
     (nboyer leaves such handles); with it off they stay roots to the
-    end, whatever the backend."""
+    end."""
     gc.collect()
     gc.disable()
     yield

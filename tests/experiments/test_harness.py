@@ -14,7 +14,7 @@ from repro.gc.hybrid import HybridCollector
 from repro.gc.marksweep import MarkSweepCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
 from repro.gc.stopcopy import StopAndCopyCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.programs.registry import get_benchmark
 
@@ -32,13 +32,13 @@ class TestFactories:
     )
     def test_factory_builds_right_collector(self, kind, cls):
         factory = collector_factory(kind, GcGeometry())
-        collector = factory(SimulatedHeap(), RootSet())
+        collector = factory(FlatHeap(), RootSet())
         assert isinstance(collector, cls)
 
     def test_unknown_kind(self):
         factory = collector_factory("compacting")
         with pytest.raises(ValueError):
-            factory(SimulatedHeap(), RootSet())
+            factory(FlatHeap(), RootSet())
 
 
 class TestRunOutcome:

@@ -6,8 +6,7 @@ import pytest
 
 from repro.gc.collector import Collector, HeapExhausted
 from repro.gc.marksweep import MarkSweepCollector
-from repro.heap.heap import SimulatedHeap
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatHeap, FlatObject
 from repro.heap.roots import RootSet
 
 
@@ -30,7 +29,7 @@ class _NullCollector(Collector):
 
 @pytest.fixture
 def setup():
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     return heap, roots, _NullCollector(heap, roots)
 
@@ -91,7 +90,7 @@ class TestTraceRegion:
 
 class TestHeapExhausted:
     def test_message_names_collector_and_size(self):
-        heap = SimulatedHeap()
+        heap = FlatHeap()
         roots = RootSet()
         collector = MarkSweepCollector(
             heap, roots, 4, auto_expand=False

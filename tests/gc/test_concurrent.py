@@ -6,10 +6,10 @@ Four layers:
   handoff pause is priced at zero words, allocation stays black, and
   a clean run's reconcile scan does zero words of work (the
   shrinking-reachability argument, observed);
-* equivalence — seeded mutation storms on BOTH heap backends must
-  produce exactly the unbounded incremental collector's counters and
-  survivor set, and the pool marker must be byte-identical to the
-  inline one (process placement is not an observable);
+* equivalence — seeded mutation storms must produce exactly the
+  unbounded incremental collector's counters and survivor set, and
+  the pool marker must be byte-identical to the inline one (process
+  placement is not an observable);
 * the resilient-marker ladder — a hung worker ends in a discarded
   cycle and an inline re-mark of the same heap, and the attempt salt
   perturbs only traversal order, never the result;
@@ -31,14 +31,13 @@ from repro.gc.concurrent import (
     _mark_snapshot_task,
 )
 from repro.gc.incremental import IncrementalCollector
-from repro.heap.backend import HEAP_BACKENDS, make_heap
+from repro.heap.backend import make_heap
 from repro.heap.barrier import WriteBarrier
-from repro.heap.flat import FlatHeap
-from repro.heap.heap import HeapError
+from repro.heap.flat import FlatHeap, HeapError
 from repro.heap.roots import RootSet
 
 
-def setup(heap_words=100, backend=None, **kwargs):
+def setup(heap_words=100, backend="flat", **kwargs):
     heap = make_heap(backend)
     roots = RootSet()
     collector = ConcurrentCollector(heap, roots, heap_words, **kwargs)
@@ -142,7 +141,7 @@ class TestHandoff:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("backend", HEAP_BACKENDS)
+    @pytest.mark.parametrize("backend", ["flat"])
     @pytest.mark.parametrize("seed", [0, 7, 29])
     def test_storm_matches_unbounded_incremental(self, backend, seed):
         heap_c = make_heap(backend)
@@ -164,7 +163,7 @@ class TestEquivalence:
             incremental.space.object_ids()
         )
 
-    @pytest.mark.parametrize("backend", HEAP_BACKENDS)
+    @pytest.mark.parametrize("backend", ["flat"])
     def test_pool_marker_matches_inline(self, backend):
         heap_p = make_heap(backend)
         roots_p = RootSet()
@@ -242,12 +241,13 @@ class TestResilientMarker:
 
 class TestLifecycle:
     def test_marker_error_raises_at_reconcile(self):
-        snapshot = {
-            "backend": "object",
-            "objects": {1: (4, (99,))},
-            "known": frozenset({1}),
-            "roots": [1],
-        }
+        heap = FlatHeap()
+        space = heap.add_space("s", None)
+        holder = heap.allocate(4, 1, space)
+        corpse = heap.allocate(1, 0, space)
+        heap.write_slot(holder, 0, corpse.obj_id)
+        heap.free(corpse)
+        snapshot = heap.export_mark_snapshot(space, [holder.obj_id])
         result = _mark_snapshot_task((snapshot, 0, 0))
         assert "error" in result and "dangling" in result["error"]
 
@@ -299,9 +299,7 @@ class TestSpanHandoff:
     def test_cycle_open_takes_no_checkpoint_and_ships_the_span(
         self, monkeypatch
     ):
-        heap, roots, collector = setup(
-            heap_words=4000, backend="flat", marker_workers=1
-        )
+        heap, roots, collector = setup(heap_words=4000, marker_workers=1)
         try:
             frame = roots.push_frame()
             for _ in range(1000):
@@ -330,7 +328,7 @@ class TestSpanHandoff:
         finally:
             collector.close()
 
-    @pytest.mark.parametrize("backend", HEAP_BACKENDS)
+    @pytest.mark.parametrize("backend", ["flat"])
     def test_boundary_reference_below_the_span_is_skipped(self, backend):
         heap, roots, collector = setup(heap_words=400, backend=backend)
         elsewhere = heap.add_space("elsewhere", None)
@@ -345,12 +343,12 @@ class TestSpanHandoff:
         assert bystander.obj_id not in collector.space.object_ids()
 
     @pytest.mark.parametrize("bystander", [False, True])
-    @pytest.mark.parametrize("backend", HEAP_BACKENDS)
+    @pytest.mark.parametrize("backend", ["flat"])
     def test_dangling_reference_below_the_span_raises(
         self, backend, bystander
     ):
         # With and without another live object under the span: the
-        # flat export lists live lower ids only when there are any.
+        # export lists live lower ids only when there are any.
         heap, roots, collector = setup(heap_words=400, backend=backend)
         elsewhere = heap.add_space("elsewhere", None)
         if bystander:

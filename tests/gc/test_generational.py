@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.gc.generational import GenerationalCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 
 
 def setup(generation_words=(20, 100), **kwargs):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = GenerationalCollector(
         heap, roots, list(generation_words), **kwargs

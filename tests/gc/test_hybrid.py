@@ -7,12 +7,12 @@ import pytest
 from repro.core.policy import FixedJPolicy
 from repro.gc.collector import HeapExhausted
 from repro.gc.hybrid import HybridCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 
 
 def setup(nursery_words=10, step_count=4, step_words=10, **kwargs):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = HybridCollector(
         heap, roots, nursery_words, step_count, step_words, **kwargs

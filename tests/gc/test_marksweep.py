@@ -6,12 +6,12 @@ import pytest
 
 from repro.gc.collector import HeapExhausted
 from repro.gc.marksweep import MarkSweepCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 
 
 def setup(heap_words=100, **kwargs):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = MarkSweepCollector(heap, roots, heap_words, **kwargs)
     return heap, roots, collector

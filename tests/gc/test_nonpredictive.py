@@ -13,12 +13,12 @@ import pytest
 from repro.core.policy import FixedJPolicy, HalfEmptyPolicy
 from repro.gc.collector import HeapExhausted
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 
 
 def setup(step_count=6, step_words=10, **kwargs):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = NonPredictiveCollector(
         heap, roots, step_count, step_words, **kwargs

@@ -13,14 +13,14 @@ import pytest
 
 from repro.core.policy import FixedJPolicy
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.decay_mutator import DecaySchedule
 
 
 def setup(step_count=6, step_words=20, **kwargs):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = NonPredictiveCollector(
         heap, roots, step_count, step_words, algorithm="mark-sweep", **kwargs
@@ -30,7 +30,7 @@ def setup(step_count=6, step_words=20, **kwargs):
 
 class TestMarkSweepMode:
     def test_rejects_unknown_algorithm(self):
-        heap, roots = SimulatedHeap(), RootSet()
+        heap, roots = FlatHeap(), RootSet()
         with pytest.raises(ValueError):
             NonPredictiveCollector(heap, roots, 4, 10, algorithm="compact")
 
@@ -123,7 +123,7 @@ class TestMarkSweepMode:
         # (hence as large a protected fraction g) as evacuation does.
         results = {}
         for algorithm in ("stop-and-copy", "mark-sweep"):
-            heap = SimulatedHeap()
+            heap = FlatHeap()
             roots = RootSet()
             collector = NonPredictiveCollector(
                 heap,

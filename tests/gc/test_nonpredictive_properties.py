@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.policy import FixedFractionPolicy, HalfEmptyPolicy
 from repro.gc.collector import HeapExhausted
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 
@@ -43,7 +43,7 @@ class ListSchedule:
 def test_invariants_hold_under_random_workloads(
     lifetimes, step_count, algorithm
 ):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = NonPredictiveCollector(
         heap, roots, step_count, 64, algorithm=algorithm
@@ -74,7 +74,7 @@ def test_invariants_hold_under_random_workloads(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 def test_fixed_fraction_policy_respects_constraints(g, lifetimes):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = NonPredictiveCollector(
         heap, roots, 8, 64, policy=FixedFractionPolicy(g)
@@ -95,7 +95,7 @@ def test_fixed_fraction_policy_respects_constraints(g, lifetimes):
 @pytest.mark.parametrize("algorithm", ["stop-and-copy", "mark-sweep"])
 def test_post_collection_protected_steps_empty(algorithm):
     """With the §8.1 policy, steps 1..j are empty right after collection."""
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = NonPredictiveCollector(
         heap, roots, 8, 64, policy=HalfEmptyPolicy(), algorithm=algorithm

@@ -9,14 +9,15 @@ it between processes), so a refactor of the classes that write it must
 not move a key, a value, or an entry order.
 
 One seeded script (:func:`repro.verify.replay.generate_script`, seed 1)
-is replayed under each configuration on both heap backends and stopped
+is replayed under each configuration and stopped
 at the first op boundary where the state is *interesting*: at least two
 renumberings behind it, ``j > 0``, and every remembered set the
 configuration uses non-empty (``use_remset=False`` keeps none, so only
 the first two apply).  Each cell pins the stop index, the renumberings
 behind it, the exported state there, and the ``GcStats`` counters at
 the end of the script; the restore test imports the golden state into a
-fresh collector and finishes the script from it.
+fresh collector and finishes the script from it.  Keys end in the name
+of the heap they were captured on (``/flat``), the only one there is.
 
 Regenerate (only when the *intended* format changes):
 ``PYTHONPATH=src python -m tests.gc.test_step_state``.
@@ -31,7 +32,6 @@ import pytest
 
 from repro.gc.hybrid import HybridCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.backend import HEAP_BACKENDS
 from repro.resilience.snapshot import capture_state, restore_state
 from repro.verify.replay import ReplayContext, generate_script
 
@@ -104,7 +104,7 @@ def _wire(value):
 def run_to(cell: str, backend: str, stop: int | None) -> tuple:
     """Replay the script's first ``stop + 1`` ops (or, with ``None``, up
     to the first interesting boundary); returns ``(context, stop)``."""
-    context = ReplayContext(CELLS[cell], backend=backend, checked=True)
+    context = ReplayContext(CELLS[cell], checked=True)
     for index, op in enumerate(OPS):
         context.apply(op)
         if index == stop or (
@@ -122,21 +122,20 @@ def finish(context: ReplayContext, stop: int) -> dict:
 
 def capture() -> dict:
     golden: dict = {}
-    for cell in CELLS:
-        for backend in HEAP_BACKENDS:
-            context, stop = run_to(cell, backend, None)
-            state = _wire(context.collector.export_state())
-            golden[f"{cell}/{backend}"] = {
-                "stop": stop,
-                "renumberings": context.collector.stats.major_collections,
-                "state": state,
-                "final_stats": finish(context, stop),
-            }
+    for cell, backend in CASES:
+        context, stop = run_to(cell, backend, None)
+        state = _wire(context.collector.export_state())
+        golden[f"{cell}/{backend}"] = {
+            "stop": stop,
+            "renumberings": context.collector.stats.major_collections,
+            "state": state,
+            "final_stats": finish(context, stop),
+        }
     return golden
 
 
+CASES = [(cell, "flat") for cell in CELLS]
 GOLDEN = {} if __name__ == "__main__" else json.loads(GOLDEN_PATH.read_text())
-CASES = [(cell, backend) for cell in CELLS for backend in HEAP_BACKENDS]
 
 
 def test_golden_covers_every_cell_and_is_interesting():
@@ -164,7 +163,7 @@ def test_golden_state_restores_and_finishes(cell, backend):
     source, stop = run_to(cell, backend, entry["stop"])
     captured = _wire(capture_state(source.collector))
     captured["collector_state"] = entry["state"]
-    resumed = ReplayContext(CELLS[cell], backend=backend, checked=True)
+    resumed = ReplayContext(CELLS[cell], checked=True)
     restore_state(resumed.collector, captured)
     resumed.uid_to_id = dict(source.uid_to_id)
     assert _wire(resumed.collector.export_state()) == entry["state"]

@@ -17,7 +17,7 @@ from repro.gc.hybrid import HybridCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
 from repro.gc.registry import COLLECTOR_KINDS
 from repro.gc.steps import StepCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.verify.audit import audit_collector
 
@@ -25,7 +25,7 @@ KINDS = ("non-predictive", "hybrid")
 
 
 def make(kind, step_count=6, step_words=4, **kwargs):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     if kind == "hybrid":
         collector = HybridCollector(
@@ -63,7 +63,7 @@ class TestConstruction:
             make(kind, initial_j=-1)
 
     def test_rejected_geometry_registers_no_space(self, kind):
-        heap, roots = SimulatedHeap(), RootSet()
+        heap, roots = FlatHeap(), RootSet()
         with pytest.raises(ValueError):
             if kind == "hybrid":
                 HybridCollector(heap, roots, 4, 1, 4)
@@ -82,7 +82,7 @@ class TestConstruction:
 
 def test_the_machine_is_not_a_kind():
     with pytest.raises(TypeError):
-        StepCollector(SimulatedHeap(), RootSet(), 4, 4)
+        StepCollector(FlatHeap(), RootSet(), 4, 4)
     assert "steps" not in COLLECTOR_KINDS
     assert len(COLLECTOR_KINDS) == 7
 

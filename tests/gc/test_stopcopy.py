@@ -6,12 +6,12 @@ import pytest
 
 from repro.gc.collector import HeapExhausted
 from repro.gc.stopcopy import StopAndCopyCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 
 
 def setup(semispace_words=50, **kwargs):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = StopAndCopyCollector(heap, roots, semispace_words, **kwargs)
     return heap, roots, collector

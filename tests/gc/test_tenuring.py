@@ -11,14 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.gc.generational import GenerationalCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.runtime.machine import Machine
 from repro.runtime.values import Fixnum
 
 
 def setup(generation_words=(40, 200), **kwargs):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = GenerationalCollector(
         heap, roots, list(generation_words), **kwargs

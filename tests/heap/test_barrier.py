@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.heap.barrier import WriteBarrier
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatHeap, FlatObject
 
 
-def obj(obj_id: int) -> HeapObject:
-    return HeapObject(obj_id, 2, 2, 0)
+def obj(obj_id: int) -> FlatObject:
+    """A handle; the code under test reads only its id."""
+    return FlatObject(FlatHeap(), obj_id)
 
 
 class TestBarrier:

@@ -1,4 +1,4 @@
-"""Seeded property tests for the flat struct-of-arrays backend.
+"""Seeded property tests for the flat struct-of-arrays heap.
 
 The flat heap's lazy-deletion id tables and packed state words have
 exactly the failure modes a copying collector does — stale forwarding
@@ -17,10 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.harness import GcGeometry, collector_factory
-from repro.heap.backend import HEAP_BACKENDS, make_heap
-from repro.heap.flat import FlatHeap
-from repro.heap.heap import HeapError
-from repro.heap.space import SpaceFull
+from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap, HeapError, SpaceFull
 from repro.verify import generate_script
 from repro.verify.replay import replay
 
@@ -210,9 +208,7 @@ class TestRemsetMigrationAcrossPromotion:
     def test_promotion_heavy_scripts_stay_sound(self, kind, seed):
         script = generate_script(250, seed, max_live_words=40)
         factory = collector_factory(kind, PROMOTION_GEOMETRY)
-        result = replay(
-            script, factory, checked=True, backend="flat", name=kind
-        )
+        result = replay(script, factory, checked=True, name=kind)
         assert result.collections > 0, "no collections; geometry too big"
 
 
@@ -287,7 +283,7 @@ class TestSweepEpochKernel:
     """``sweep_epoch`` frees exactly the white, pre-epoch, unmarked
     residents — checked against the two-pass sweep it replaced."""
 
-    @pytest.mark.parametrize("backend", HEAP_BACKENDS)
+    @pytest.mark.parametrize("backend", ["flat"])
     @given(
         before=st.lists(_STEP, max_size=30),
         after=st.lists(_STEP, max_size=30),
@@ -398,8 +394,7 @@ class TestSweepEpochKernel:
         assert heap.object_count == twin.object_count
         heap.check_integrity()
         twin.check_integrity()
-        if backend == "flat":
-            assert heap._payloads == twin._payloads
+        assert heap._payloads == twin._payloads
 
     def test_bump_allocated_epoch_is_swept_wholesale(self, monkeypatch):
         # A count, not a timing: the shape every windowed benchmark

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.heap.heap import HeapError, SimulatedHeap
-from repro.heap.space import SpaceFull
+from repro.heap.backend import make_heap
+from repro.heap.flat import FlatHeap, HeapError, SpaceFull
 from repro.runtime.values import Fixnum
 
 
 @pytest.fixture
 def heap():
-    return SimulatedHeap()
+    return FlatHeap()
 
 
 class TestAllocation:
@@ -104,7 +104,7 @@ class TestFields:
         a = heap.allocate(2, 2, space)
         b = heap.allocate(2, 0, space)
         heap.write_field(a, 0, b)
-        assert heap.read_field(a, 0) is b
+        assert heap.read_field(a, 0).obj_id == b.obj_id
         heap.write_field(a, 0, None)
         assert heap.read_field(a, 0) is None
 
@@ -215,9 +215,8 @@ class TestIntegrity:
         a = heap.allocate(2, 1, space)
         b = heap.allocate(2, 0, space)
         heap.write_field(a, 0, b)
-        # Free b behind the heap's back (bypassing the field check).
-        space.remove(b)
-        heap._objects.pop(b.obj_id)
+        # free() does not look for referrers: a's slot now dangles.
+        heap.free(b)
         with pytest.raises(HeapError):
             heap.check_integrity()
 
@@ -231,7 +230,7 @@ class TestPropertyBased:
     )
     @settings(max_examples=80)
     def test_accounting_invariant_under_alloc_free(self, sizes, free_mask):
-        heap = SimulatedHeap()
+        heap = FlatHeap()
         space = heap.add_space("s", None)
         objs = [heap.allocate(size, 0, space) for size in sizes]
         for obj, do_free in zip(objs, free_mask):
@@ -245,3 +244,11 @@ class TestPropertyBased:
         assert space.used == sum(obj.size for obj in kept)
         assert heap.clock == sum(sizes)
         heap.check_integrity()
+
+
+class TestMakeHeap:
+    def test_accepts_only_the_flat_name(self):
+        assert isinstance(make_heap("flat", checked=True), FlatHeap)
+        assert make_heap().checked is False
+        with pytest.raises(ValueError, match="unknown heap backend 'object'"):
+            make_heap("object")

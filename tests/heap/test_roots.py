@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.heap.object_model import HeapObject
+from repro.heap.flat import FlatHeap, FlatObject
 from repro.heap.roots import RootSet
 
 
-def obj(obj_id: int) -> HeapObject:
-    return HeapObject(obj_id, 1, 0, 0)
+def obj(obj_id: int) -> FlatObject:
+    """A handle; the code under test reads only its id."""
+    return FlatObject(FlatHeap(), obj_id)
 
 
 class TestGlobals:

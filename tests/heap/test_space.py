@@ -4,87 +4,100 @@ from __future__ import annotations
 
 import pytest
 
-from repro.heap.object_model import HeapObject
-from repro.heap.space import Space, SpaceFull
+from repro.heap.flat import FlatHeap, FlatObject, SpaceFull
 
 
-def make_obj(obj_id: int, size: int) -> HeapObject:
-    return HeapObject(obj_id, size, 0, 0)
+@pytest.fixture
+def heap() -> FlatHeap:
+    return FlatHeap()
+
+
+def make_obj(heap: FlatHeap, size: int) -> FlatObject:
+    """A detached object of ``size`` words, ready for ``space.add``."""
+    try:
+        home = heap.space("home")
+    except KeyError:
+        home = heap.add_space("home", None)
+    obj = heap.allocate(size, 0, home)
+    home.remove(obj)
+    return obj
 
 
 class TestOccupancy:
-    def test_starts_empty(self):
-        space = Space("s", 100)
+    def test_starts_empty(self, heap):
+        space = heap.add_space("s", 100)
         assert space.used == 0
         assert space.free == 100
         assert space.is_empty()
         assert space.object_count == 0
 
-    def test_add_updates_accounting(self):
-        space = Space("s", 100)
-        obj = make_obj(1, 30)
+    def test_add_updates_accounting(self, heap):
+        space = heap.add_space("s", 100)
+        obj = make_obj(heap, 30)
         space.add(obj)
         assert space.used == 30
         assert space.free == 70
         assert obj.space is space
         assert space.contains(obj)
 
-    def test_remove_updates_accounting(self):
-        space = Space("s", 100)
-        obj = make_obj(1, 30)
+    def test_remove_updates_accounting(self, heap):
+        space = heap.add_space("s", 100)
+        obj = make_obj(heap, 30)
         space.add(obj)
         space.remove(obj)
         assert space.used == 0
         assert obj.space is None
         assert not space.contains(obj)
 
-    def test_fits(self):
-        space = Space("s", 10)
-        space.add(make_obj(1, 6))
+    def test_fits(self, heap):
+        space = heap.add_space("s", 10)
+        space.add(make_obj(heap, 6))
         assert space.fits(4)
         assert not space.fits(5)
 
-    def test_overflow_raises_space_full(self):
-        space = Space("s", 10)
-        space.add(make_obj(1, 8))
+    def test_overflow_raises_space_full(self, heap):
+        space = heap.add_space("s", 10)
+        space.add(make_obj(heap, 8))
         with pytest.raises(SpaceFull) as excinfo:
-            space.add(make_obj(2, 3))
+            space.add(make_obj(heap, 3))
         assert excinfo.value.space is space
         assert excinfo.value.requested == 3
 
-    def test_exact_fill_allowed(self):
-        space = Space("s", 10)
-        space.add(make_obj(1, 10))
+    def test_exact_fill_allowed(self, heap):
+        space = heap.add_space("s", 10)
+        space.add(make_obj(heap, 10))
         assert space.free == 0
 
-    def test_duplicate_add_rejected(self):
-        space = Space("s", 100)
-        obj = make_obj(1, 5)
+    def test_duplicate_add_rejected(self, heap):
+        space = heap.add_space("s", 100)
+        obj = make_obj(heap, 5)
         space.add(obj)
         with pytest.raises(ValueError):
             space.add(obj)
 
-    def test_remove_absent_rejected(self):
-        space = Space("s", 100)
+    def test_remove_absent_rejected(self, heap):
+        space = heap.add_space("s", 100)
         with pytest.raises(KeyError):
-            space.remove(make_obj(1, 5))
+            space.remove(make_obj(heap, 5))
 
-    def test_unbounded_space(self):
-        space = Space("s", None)
+    def test_unbounded_space(self, heap):
+        space = heap.add_space("s", None)
         assert space.fits(10**12)
-        space.add(make_obj(1, 10**9))
-        assert space.used == 10**9
+        space.add(make_obj(heap, 2**24 - 1))  # the largest object
+        assert space.used == 2**24 - 1
 
-    def test_negative_capacity_rejected(self):
+    def test_negative_capacity_rejected(self, heap):
         with pytest.raises(ValueError):
-            Space("s", -1)
+            heap.add_space("s", -1)
 
 
 class TestIteration:
-    def test_objects_in_insertion_order(self):
-        space = Space("s", 100)
-        objs = [make_obj(index, 1) for index in range(5)]
-        for obj in objs:
-            space.add(obj)
-        assert list(space.objects()) == objs
+    def test_objects_in_insertion_order(self, heap):
+        space = heap.add_space("s", 100)
+        objs = [heap.allocate(1, 0, space) for _ in range(5)]
+        assert [obj.obj_id for obj in space.objects()] == [0, 1, 2, 3, 4]
         assert list(space.object_ids()) == [0, 1, 2, 3, 4]
+        # Like a dict, a re-inserted resident goes to the end.
+        space.remove(objs[1])
+        space.add(objs[1])
+        assert list(space.object_ids()) == [0, 2, 3, 4, 1]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.harness import collector_factory
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.metrics.instrument import (
     GcInstrumentation,
@@ -26,7 +26,7 @@ ALL_KINDS = (
 
 
 def build(kind: str):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = collector_factory(kind, None)(heap, roots)
     mutator = LifetimeDrivenMutator(
@@ -40,7 +40,7 @@ class TestAttachment:
         for kind in ALL_KINDS:
             collector, _ = build(kind)
             assert collector.metrics is None
-        heap = SimulatedHeap()
+        heap = FlatHeap()
         assert heap.event_sink is None
 
     def test_instrument_collector_wires_registry_and_sink(self):
@@ -145,7 +145,7 @@ class TestObservation:
         from repro.metrics.events import EventStream
 
         stream = EventStream()
-        heap = SimulatedHeap()
+        heap = FlatHeap()
         heap.event_sink = stream
         heap.add_space("nursery", capacity=1024)
         assert stream.events("space-created")[0]["space"] == "nursery"

@@ -11,7 +11,7 @@ for).
 from __future__ import annotations
 
 from repro.gc.registry import GcGeometry, collector_factory
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.metrics.instrument import instrument_collector, metrics_session
 from repro.mutator.base import LifetimeDrivenMutator
@@ -24,7 +24,7 @@ GEOMETRY = GcGeometry().scaled(1, 16)
 
 
 def _build(kind: str, seed: int):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = collector_factory(kind, GEOMETRY)(heap, roots)
     mutator = LifetimeDrivenMutator(

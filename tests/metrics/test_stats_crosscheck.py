@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.policy import FixedJPolicy
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.metrics.instrument import instrument_collector
 from repro.mutator.base import LifetimeDrivenMutator
@@ -35,7 +35,7 @@ def steady():
     over one full steady cycle (collection boundary to collection
     boundary), captured from both accounting paths independently.
     """
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = NonPredictiveCollector(
         heap,

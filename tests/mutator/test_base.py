@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.gc.marksweep import MarkSweepCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.synthetic import FixedLifetimeSchedule
 
 
 def setup(schedule, heap_words=10_000, object_words=1):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = MarkSweepCollector(heap, roots, heap_words)
     mutator = LifetimeDrivenMutator(

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.decay import LN2
 from repro.gc.marksweep import MarkSweepCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.decay_mutator import (
@@ -28,7 +28,7 @@ from repro.mutator.synthetic import (
 
 class TestDecaySchedule:
     def test_equilibrium_population(self):
-        heap = SimulatedHeap()
+        heap = FlatHeap()
         roots = RootSet()
         collector = MarkSweepCollector(heap, roots, 50_000)
         mutator = decay_mutator(collector, roots, half_life=1_000, seed=3)

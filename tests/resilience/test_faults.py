@@ -15,7 +15,7 @@ import pytest
 from repro.gc.generational import GenerationalCollector
 from repro.gc.marksweep import MarkSweepCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.resilience.faults import (
     CORRUPTION_FAULTS,
@@ -30,20 +30,20 @@ from tests.gc.test_steps import KINDS as STEP_KINDS, make, settle
 
 
 def _marksweep():
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     return MarkSweepCollector(heap, roots, 256), heap, roots
 
 
 def _generational():
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = GenerationalCollector(heap, roots, [64, 128])
     return collector, heap, roots
 
 
 def _nonpredictive():
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = NonPredictiveCollector(heap, roots, 32, 8)
     return collector, heap, roots

@@ -6,11 +6,11 @@ import os
 import pytest
 
 from repro.gc.registry import COLLECTOR_KINDS
-from repro.heap.backend import HEAP_BACKENDS
 from repro.resilience.snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
     SnapshotError,
+    _payload_checksum,
     capture_state,
     checkpoint,
     load_snapshot,
@@ -26,7 +26,7 @@ from repro.verify.replay import generate_script, replay
 from repro.gc.registry import collector_factory
 
 
-def _live_collector(kind="generational", backend="flat", *, ops=80, seed=5):
+def _live_collector(kind="generational", *, ops=80, seed=5):
     """A collector mid-life: a replayed script left real survivors."""
     base = collector_factory(kind, VERIFY_GEOMETRY)
     captured = []
@@ -37,7 +37,7 @@ def _live_collector(kind="generational", backend="flat", *, ops=80, seed=5):
         return collector
 
     script = generate_script(ops, seed)
-    replay(script, factory, backend=backend, checked=True)
+    replay(script, factory, checked=True)
     return captured[0]
 
 
@@ -46,10 +46,10 @@ def _survivors(heap):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("backend", HEAP_BACKENDS)
+    @pytest.mark.parametrize("backend", ["flat"])
     @pytest.mark.parametrize("kind", COLLECTOR_KINDS)
     def test_wire_roundtrip_is_lossless(self, kind, backend):
-        collector = _live_collector(kind, backend)
+        collector = _live_collector(kind)
         document = checkpoint(collector, kind, VERIFY_GEOMETRY)
         wire = json.dumps(document, sort_keys=True)
         heap, roots, restored = restore(json.loads(wire))
@@ -74,16 +74,16 @@ class TestRoundTrip:
         assert len(_survivors(heap)) <= before + 1
 
     def test_restore_into_rebinds_in_place(self):
-        source = _live_collector("mark-sweep", "object", seed=9)
+        source = _live_collector("mark-sweep", seed=9)
         document = checkpoint(source, "mark-sweep", VERIFY_GEOMETRY)
-        target = _live_collector("mark-sweep", "object", seed=13)
+        target = _live_collector("mark-sweep", seed=13)
         assert _survivors(target.heap) != _survivors(source.heap)
         restore_into(target, document)
         assert _survivors(target.heap) == _survivors(source.heap)
         assert target.heap.clock == source.heap.clock
 
     def test_capture_restore_state_rolls_back_mutation(self):
-        collector = _live_collector("mark-sweep", "flat")
+        collector = _live_collector("mark-sweep")
         state = capture_state(collector)
         clock = collector.heap.clock
         survivors = _survivors(collector.heap)
@@ -132,6 +132,20 @@ class TestEnvelopeValidation:
         with pytest.raises(SnapshotError):
             verify_snapshot(document)
 
+    def test_rejects_retired_backend_before_any_import(self):
+        # A well-formed, correctly checksummed document for a heap this
+        # build does not have fails validation, for every entry point.
+        document = self._document()
+        document["payload"]["backend"] = "object"
+        document["checksum"] = _payload_checksum(document["payload"])
+        with pytest.raises(SnapshotError, match="heap backend 'object'"):
+            verify_snapshot(document)
+        with pytest.raises(SnapshotError, match="heap backend 'object'"):
+            restore(document)
+        target = _live_collector()
+        with pytest.raises(SnapshotError, match="heap backend 'object'"):
+            restore_into(target, document)
+
     def test_format_constants_are_wired_through(self):
         document = self._document()
         assert document["format"] == SNAPSHOT_FORMAT
@@ -140,7 +154,7 @@ class TestEnvelopeValidation:
 
 class TestDiskRoundTrip:
     def test_save_then_load(self, tmp_path):
-        collector = _live_collector("stop-and-copy", "flat")
+        collector = _live_collector("stop-and-copy")
         document = checkpoint(collector, "stop-and-copy", VERIFY_GEOMETRY)
         path = tmp_path / "heap.snapshot.json"
         save_snapshot(path, document)
@@ -169,7 +183,7 @@ class TestDiskRoundTrip:
         """A crash during save must never clobber the last good
         snapshot: the atomic-write recipe renames a fully fsynced temp
         file or nothing at all."""
-        collector = _live_collector("mark-sweep", "flat", seed=3)
+        collector = _live_collector("mark-sweep", seed=3)
         first = checkpoint(collector, "mark-sweep", VERIFY_GEOMETRY)
         path = tmp_path / "heap.snapshot.json"
         save_snapshot(path, first)

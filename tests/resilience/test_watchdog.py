@@ -14,7 +14,7 @@ import pytest
 
 from repro.gc import concurrent as concurrent_module
 from repro.gc.concurrent import ConcurrentCollector, _mark_snapshot_task
-from repro.heap.backend import HEAP_BACKENDS, make_heap
+from repro.heap.backend import make_heap
 from repro.heap.roots import RootSet
 from repro.verify.audit import audit_collector, enable_checked_mode
 
@@ -55,7 +55,7 @@ def _wedged_collector(backend, metrics=None):
     return heap, roots, collector
 
 
-@pytest.fixture(params=HEAP_BACKENDS)
+@pytest.fixture(params=["flat"])
 def backend(request):
     return request.param
 

@@ -23,7 +23,6 @@ from repro.gc.collector import HeapExhausted
 from repro.gc.hybrid import HybridCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
-from repro.heap.backend import HEAP_BACKENDS
 from repro.programs.registry import benchmark_names, get_benchmark
 from repro.runtime.machine import Machine
 from repro.runtime.values import Fixnum
@@ -125,7 +124,7 @@ def churn(machine: Machine, rounds: int, keep: int = 12) -> list:
     return live
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 @pytest.mark.parametrize("kind", COLLECTOR_KINDS)
 @pytest.mark.parametrize("name", benchmark_names())
 def test_program_hit_equals_miss(name, kind, backend):
@@ -145,7 +144,7 @@ def test_program_hit_equals_miss(name, kind, backend):
         assert took_hits.misses * 10 < allocated
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 @pytest.mark.parametrize("kind", ("incremental", "concurrent"))
 def test_cycle_opening_mid_run(kind, backend):
     """Hits up to the mark trigger, misses while the cycle is open,
@@ -170,7 +169,7 @@ def test_cycle_opening_mid_run(kind, backend):
     assert 0 < took_hits.misses < took_hits.machine.stats.objects_allocated
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 def test_non_predictive_mark_sweep_mode_publishes_no_fast_path(backend):
     """Its step search is by size, so no limit is safe: every
     allocation is a miss, with or without the forcing."""
@@ -189,7 +188,7 @@ def test_non_predictive_mark_sweep_mode_publishes_no_fast_path(backend):
     assert took_hits.machine.collector.bump_limit == 0
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 @pytest.mark.parametrize("kind", COLLECTOR_KINDS)
 def test_around_full_collect_to_static(kind, backend):
     """The promotion empties the dynamic spaces behind the collector's
@@ -205,7 +204,7 @@ def test_around_full_collect_to_static(kind, backend):
     both_ways(collector_factory(kind, SMALL_GEOMETRY), backend, scenario)
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 @pytest.mark.parametrize("kind", COLLECTOR_KINDS)
 def test_collections_requested_from_outside(kind, backend):
     """``collector.collect()`` (and the hybrid's ``collect_nursery()``)

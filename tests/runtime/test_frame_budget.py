@@ -5,10 +5,9 @@ percent of a run, but no wall-clock test can hold that line on a shared
 host.  The number of Python frames an operation enters is exact and
 repeatable, so it is pinned here, on the allocation fast path (the hit:
 the collector is not entered) under every collector kind.  Before the
-fast path ``make_flonum`` was 6 frames on the flat backend and ``fl_add``
-14; a count going *up* means a helper call or a proxy crept back into
-the hot path — raise the budget only with a measurement that pays for
-it.
+fast path ``make_flonum`` was 6 frames and ``fl_add`` 14; a count
+going *up* means a helper call or a proxy crept back into the hot
+path — raise the budget only with a measurement that pays for it.
 """
 
 from __future__ import annotations
@@ -18,33 +17,21 @@ import sys
 import pytest
 
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
-from repro.heap.backend import HEAP_BACKENDS
 from repro.runtime.machine import Machine
 from repro.runtime.values import Fixnum
 
-#: Python frames entered, the operation's own included.  The object
-#: backend is the reference model: its ``bump_allocate`` goes through
-#: the checked ``allocate`` and builds a ``HeapObject``.
+#: Python frames entered, the operation's own included.
 BUDGET = {
-    "flat": {
-        # cons, bump_allocate, Ref.__init__, 2 x (_encode, store_slot)
-        "cons": 7,
-        # make_flonum, bump_allocate, Ref.__init__
-        "make_flonum": 3,
-        # make_vector, bump_allocate, _new_handle, Ref.__init__
-        "make_vector": 4,
-        # fl_add, 2 x payload_of, then make_flonum's three
-        "fl_add": 6,
-        # car, load_ref
-        "car": 2,
-    },
-    "object": {
-        "cons": 9,
-        "make_flonum": 5,
-        "make_vector": 6,
-        "fl_add": 8,
-        "car": 2,
-    },
+    # cons, bump_allocate, Ref.__init__, 2 x (_encode, store_slot)
+    "cons": 7,
+    # make_flonum, bump_allocate, Ref.__init__
+    "make_flonum": 3,
+    # make_vector, bump_allocate, _new_handle, Ref.__init__
+    "make_vector": 4,
+    # fl_add, 2 x payload_of, then make_flonum's three
+    "fl_add": 6,
+    # car, load_ref
+    "car": 2,
 }
 
 
@@ -65,7 +52,7 @@ def frames_entered(operation) -> list[str]:
     return entered[1:]
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 @pytest.mark.parametrize("kind", COLLECTOR_KINDS)
 def test_unit_operations_stay_within_their_frame_budget(
     kind, backend, no_cycle_gc
@@ -101,4 +88,4 @@ def test_unit_operations_stay_within_their_frame_budget(
     }
     assert misses == 0
     counts = {name: len(entered) for name, entered in measured.items()}
-    assert counts == BUDGET[backend], measured
+    assert counts == BUDGET, measured

@@ -18,8 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.gc.registry import GcGeometry, collector_factory
-from repro.heap.backend import HEAP_BACKENDS
-from repro.heap.heap import HeapError
+from repro.heap.flat import HeapError
 from repro.runtime.machine import (
     Machine,
     _idle_refcount,
@@ -170,7 +169,7 @@ class Program:
         assert not machine.heap.dangling_ids(expected)
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 @given(actions=ACTIONS)
 @settings(
     max_examples=60,
@@ -232,7 +231,7 @@ def test_calibration_rejects_a_scan_that_roots_nothing():
         _measure_idle(lambda handles, idle: [])
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 def test_stale_entry_of_a_freed_object_is_never_returned(backend, no_cycle_gc):
     """The table outlives what ``heap.free`` removes: a hit must not
     vouch for the id, the load does."""

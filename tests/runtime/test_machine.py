@@ -8,9 +8,7 @@ import weakref
 import pytest
 
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
-from repro.heap.backend import HEAP_BACKENDS
-from repro.heap.flat import FlatFields, FlatObject
-from repro.heap.heap import HeapError
+from repro.heap.flat import FlatFields, FlatObject, HeapError
 from repro.programs.registry import get_benchmark
 from repro.runtime.machine import Machine
 from repro.runtime.values import FLONUM_WORDS, PAIR_WORDS, Fixnum, Ref
@@ -304,7 +302,7 @@ class TestIdLevelPath:
         assert seen == [("vector", 3, vec.obj_id), ("string", 2, s.obj_id)]
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 class TestChecksKept:
     """One negative test per check the id-level path must still make."""
 
@@ -408,3 +406,10 @@ class TestChecksKept:
         assert victim_id in collector.gray_stack
         machine.collect()
         assert machine.heap.contains_id(victim_id)  # floats to next cycle
+
+
+def test_only_the_flat_heap_is_accepted():
+    machine = Machine(TracingCollector, heap_backend="flat")
+    assert machine.heap.backend_name == "flat"
+    with pytest.raises(ValueError, match="unknown heap backend 'object'"):
+        Machine(TracingCollector, heap_backend="object")

@@ -13,7 +13,7 @@ collection no longer traces three candidate transforms (183 words) that
 a recursive closure kept rooted after the search returned.
 
 Cells: ``lattice``, ``nbody``, ``10dynamic`` and ``nucleic2`` at scale 0
-under all seven kinds on both backends, at a quarter of the stock
+under all seven kinds, at a quarter of the stock
 geometry (nbody, 10dynamic and nucleic2 then collect 2 to 99 times a
 cell; lattice fits the nursery and pins the mutator's counts); each pins
 ``[words_allocated, words_traced, collections, max_pause_work,
@@ -23,7 +23,8 @@ result.  The benchmark's own ``nboyer`` cells are pinned too, and run
 after no, one and five warm-up passes with CPython's cycle collector
 *on*: the counts must not depend on what the process did before (they
 did while ``one_way_unify`` leaked handles into reference cycles; see
-``test_no_handle_garbage.py``).
+``test_no_handle_garbage.py``).  Keys end in the name of the heap they
+were captured on (``/flat``), the only one there is.
 
 Regenerate (only when the *intended* semantics change):
 ``PYTHONPATH=src python -m tests.runtime.test_program_counts``.
@@ -40,7 +41,6 @@ import pytest
 
 from repro.gc.collector import HeapExhausted
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
-from repro.heap.backend import HEAP_BACKENDS
 from repro.programs.registry import get_benchmark
 from repro.runtime.machine import Machine
 
@@ -81,17 +81,16 @@ def capture() -> dict:
     cells = [(program, COLLECTOR_KINDS) for program in EXACT_PROGRAMS]
     cells.append(("nboyer", NBOYER_KINDS))
     return {
-        f"{program}/{kind}/{backend}": run_cell(program, kind, backend)
+        f"{program}/{kind}/flat": run_cell(program, kind, "flat")
         for program, kinds in cells
         for kind in kinds
-        for backend in HEAP_BACKENDS
     }
 
 
 GOLDEN = {} if __name__ == "__main__" else json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 @pytest.mark.parametrize("kind", COLLECTOR_KINDS)
 @pytest.mark.parametrize("program", EXACT_PROGRAMS)
 def test_counts_match_golden(program, kind, backend):
@@ -100,7 +99,7 @@ def test_counts_match_golden(program, kind, backend):
     ]
 
 
-@pytest.mark.parametrize("backend", HEAP_BACKENDS)
+@pytest.mark.parametrize("backend", ["flat"])
 @pytest.mark.parametrize("kind", NBOYER_KINDS)
 def test_nboyer_counts_match_golden(kind, backend):
     assert gc.isenabled()
@@ -117,8 +116,7 @@ def test_nboyer_counts_match_golden(kind, backend):
 
 def test_golden_covers_every_cell():
     assert len(GOLDEN) == (
-        len(EXACT_PROGRAMS) * len(COLLECTOR_KINDS) * len(HEAP_BACKENDS)
-        + len(NBOYER_KINDS) * len(HEAP_BACKENDS)
+        len(EXACT_PROGRAMS) * len(COLLECTOR_KINDS) + len(NBOYER_KINDS)
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.gc.generational import GenerationalCollector
 from repro.gc.hybrid import HybridCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.heap.heap import HeapError
+from repro.heap.flat import HeapError
 from repro.runtime.machine import Machine
 from repro.runtime.values import Fixnum
 

@@ -2,7 +2,7 @@
 
 Interleaved service traffic must be byte-identical, per tenant, to a
 serial replay of that tenant's script on a standalone heap — across
-collector kinds, heap backends, shard counts, and execution modes.
+collector kinds, shard counts, and execution modes.
 And the oracle must actually have teeth: a deliberately broken
 executor is injected to prove divergences are caught and ddmin-shrunk.
 """
@@ -46,20 +46,6 @@ def test_all_kinds_isolated_through_worker_pool():
         jobs=2,
     )
     assert report.ok, report.summary()
-
-
-def test_object_backend_tenants_isolated():
-    report = run_isolation_suite(
-        tenants=6,
-        seed=2,
-        ops_per_tenant=100,
-        shards=3,
-        jobs=0,
-        kinds=("mark-sweep", "generational", "concurrent"),
-        backends=("flat", "object"),
-    )
-    assert report.ok, report.summary()
-    assert {case.backend for case in report.cases} == {"flat", "object"}
 
 
 def test_interleave_schedule_is_irrelevant():
@@ -128,7 +114,6 @@ def test_tampered_response_stream_is_a_readable_divergence():
         case.script,
         case.tenant,
         kind=case.kind,
-        backend=case.backend,
         geometry=case.geometry,
     )
     executor = ShardExecutor(1, jobs=0)

@@ -72,16 +72,11 @@ class TestDeterminism:
 
 class TestPlanShape:
     def test_kinds_and_backends_cycle(self):
-        plan = build_plan(
-            len(COLLECTOR_KINDS) * 2,
-            seed=0,
-            backends=("flat", "object"),
-            ops_per_tenant=40,
-        )
+        plan = build_plan(len(COLLECTOR_KINDS) * 2, seed=0, ops_per_tenant=40)
         kinds = [p.kind for p in plan.plans]
         assert kinds == list(COLLECTOR_KINDS) * 2
-        backends = {p.backend for p in plan.plans}
-        assert backends == {"flat", "object"}
+        # Every plan names the one heap, as plans always have.
+        assert {p.backend for p in plan.plans} == {"flat"}
 
     def test_mixed_profile_cycles_and_explicit_profile_sticks(self):
         mixed = build_plan(6, seed=0, ops_per_tenant=40)

@@ -74,6 +74,7 @@ class TestValidateRequest:
         [
             _req("open", kind="no-such-collector"),
             _req("open", backend="no-such-backend"),
+            _req("open", backend=None),
             _req("open", geometry={"nursery_words": "big"}),
             _req("open", geometry={"not_a_field": 1}),
             _req("alloc", uid=-1, size=2),
@@ -98,6 +99,15 @@ class TestValidateRequest:
             assert exc.kind == "bad-request"
         else:
             pytest.fail("expected ProtocolError")
+
+    def test_only_the_flat_heap_opens(self):
+        opened = validate_request(_req("open", backend="flat"))
+        assert opened["backend"] == "flat"
+        with pytest.raises(
+            ProtocolError, match="unknown heap backend 'object'"
+        ) as excinfo:
+            validate_request(_req("open", backend="object"))
+        assert excinfo.value.kind == "bad-request"
 
 
 class TestGeometryFromPayload:
@@ -262,8 +272,7 @@ class TestCodecIsTheJsonModules:
             return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
         plan = build_plan(
-            2 * len(COLLECTOR_KINDS), seed=2, backends=("flat", "object"),
-            ops_per_tenant=60,
+            2 * len(COLLECTOR_KINDS), seed=2, ops_per_tenant=60
         )
         collections = 0
         for tenant_plan in plan.plans:

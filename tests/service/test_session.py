@@ -6,6 +6,7 @@ import pytest
 
 from repro.gc.registry import COLLECTOR_KINDS
 from repro.metrics.registry import MetricRegistry
+from repro.resilience.snapshot import SnapshotError
 from repro.service.isolation import (
     TenantCase,
     compare_fingerprints,
@@ -41,7 +42,6 @@ def test_session_history_equals_serial_replay(kind):
     case = TenantCase(
         tenant="solo",
         kind=kind,
-        backend="flat",
         script=generate_script(140, seed=11),
         geometry=GEOMETRY,
     )
@@ -59,18 +59,16 @@ def test_session_history_equals_serial_replay(kind):
     assert detail is None, detail
 
 
-@pytest.mark.parametrize("backend", ["flat", "object"])
+@pytest.mark.parametrize("backend", ["flat"])
 def test_backend_choice_preserves_replay_equivalence(backend):
     case = TenantCase(
         tenant="b",
         kind="generational",
-        backend=backend,
         script=generate_script(120, seed=5),
         geometry=GEOMETRY,
     )
     requests = script_to_requests(
-        case.script, case.tenant, kind=case.kind,
-        backend=backend, geometry=GEOMETRY,
+        case.script, case.tenant, kind=case.kind, geometry=GEOMETRY
     )
     session = TenantSession(
         case.tenant, kind=case.kind, backend=backend, geometry=GEOMETRY
@@ -212,3 +210,12 @@ def test_heap_exhausted_surfaces_occupancy_and_session_survives():
     session.apply({"op": "collect"})
     payload = session.apply({"op": "alloc", "uid": uid, "size": 8, "fields": 0})
     assert payload["uid"] == uid
+
+
+def test_session_blob_for_another_heap_is_refused():
+    session = TenantSession("t", kind="mark-sweep", geometry=GEOMETRY)
+    assert session.metrics_label == "mark-sweep/flat"
+    state = session.capture()
+    assert TenantSession.from_state(state).backend == "flat"
+    with pytest.raises(SnapshotError, match="heap backend 'object'"):
+        TenantSession.from_state({**state, "backend": "object"})

@@ -214,6 +214,14 @@ class TestErrorScoping:
         ).values()
         assert responses[0]["error"]["kind"] == "tenant-exists"
 
+    def test_open_without_a_backend_gets_the_flat_heap(self):
+        executor = ShardExecutor(1, jobs=0)
+        shard = executor.shard_of("t0")
+        (responses,) = executor.execute(
+            {shard: [_req("open", "t0", 0, kind="mark-sweep")]}
+        ).values()
+        assert responses[0]["backend"] == "flat"
+
     def test_internal_error_evicts_one_tenant_only(self, monkeypatch):
         """The blast-radius fence: an op that raises unexpectedly
         inside one session becomes a structured `internal` error, that
@@ -494,29 +502,25 @@ STALE_USES = {
 
 
 def _stale_uid_streams() -> dict[str, list[dict]]:
-    """Every kind × backend × stale use: uid 0 is dropped and collected,
-    then used; the session must answer and keep serving."""
+    """Every kind × stale use: uid 0 is dropped and collected, then
+    used; the session must answer and keep serving."""
     streams = {}
-    for backend in ("flat", "object"):
-        for kind in COLLECTOR_KINDS:
-            for use, payload in STALE_USES.items():
-                tenant = f"{kind}/{backend}/{use}"
-                stale = _req(payload["op"], tenant, 5)
-                stale.update(payload)
-                streams[tenant] = [
-                    _req(
-                        "open", tenant, 0,
-                        kind=kind, backend=backend, geometry=GEOMETRY,
-                    ),
-                    _req("alloc", tenant, 1, uid=0, size=2, fields=1),
-                    _req("alloc", tenant, 2, uid=1, size=2, fields=1),
-                    _req("drop", tenant, 3, uid=0),
-                    _req("collect", tenant, 4),
-                    stale,
-                    _req("read", tenant, 6, uid=1),
-                    _req("checkpoint", tenant, 7),
-                    _req("close", tenant, 8),
-                ]
+    for kind in COLLECTOR_KINDS:
+        for use, payload in STALE_USES.items():
+            tenant = f"{kind}/{use}"
+            stale = _req(payload["op"], tenant, 5)
+            stale.update(payload)
+            streams[tenant] = [
+                _req("open", tenant, 0, kind=kind, geometry=GEOMETRY),
+                _req("alloc", tenant, 1, uid=0, size=2, fields=1),
+                _req("alloc", tenant, 2, uid=1, size=2, fields=1),
+                _req("drop", tenant, 3, uid=0),
+                _req("collect", tenant, 4),
+                stale,
+                _req("read", tenant, 6, uid=1),
+                _req("checkpoint", tenant, 7),
+                _req("close", tenant, 8),
+            ]
     return streams
 
 
@@ -579,13 +583,11 @@ def _jsonable(registries) -> dict[str, str]:
     return {r.label: r.canonical_json() for r in registries}
 
 
-#: One loadgen plan for the drain-cadence property: every kind, both
-#: backends, enough ops per tenant for each kind to collect.
+#: One loadgen plan for the drain-cadence property: every kind, two of
+#: them twice (so two tenants share a registry), enough ops per tenant
+#: for each kind to collect.
 _CADENCE_PLAN = build_plan(
-    len(COLLECTOR_KINDS) + 2,
-    seed=3,
-    backends=("flat", "object"),
-    ops_per_tenant=40,
+    len(COLLECTOR_KINDS) + 2, seed=3, ops_per_tenant=40
 )
 _CADENCE_STREAM = _interleave(_CADENCE_PLAN)
 

@@ -167,7 +167,7 @@ class TestVerifyCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "suite", ["collectors", "backends", "budgets", "concurrent", "resume"]
+        "suite", ["collectors", "budgets", "concurrent", "resume"]
     )
     def test_verify_pass_stdout_is_pinned(self, capsys, suite):
         """The [PASS] text of every mode, captured before the five
@@ -185,9 +185,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--resume", "--backends"],
+            ["--resume", "--concurrent"],
             ["--budgets", "--concurrent"],
-            ["--backends", "--budgets", "7"],
+            ["--resume", "--budgets", "7"],
         ],
     )
     def test_verify_modes_are_mutually_exclusive(self, capsys, flags):
@@ -196,7 +196,7 @@ class TestVerifyCommand:
         assert exit_info.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["--resume", "--backends"])
+    @pytest.mark.parametrize("mode", ["--resume"])
     def test_verify_collectors_reach_every_suite_built_from_kinds(
         self, capsys, mode
     ):
@@ -226,17 +226,23 @@ class TestVerifyCommand:
         "mode, victim",
         [
             ([], "hybrid"),
-            (["--backends"], "hybrid@flat"),
             (["--budgets"], "incremental@b=7"),
             (["--concurrent"], "concurrent@pool"),
             (["--resume"], "hybrid+resume"),
+        ],
+        # Pinned: the retired --backends row was ``mode1``.
+        ids=[
+            "mode0-hybrid",
+            "mode2-incremental@b=7",
+            "mode3-concurrent@pool",
+            "mode4-hybrid+resume",
         ],
     )
     def test_verify_failure_shrinks_in_every_mode(
         self, capsys, monkeypatch, mode, victim
     ):
         """One FAIL path: every mode shrinks, and --no-shrink stops
-        every mode (--backends used to do neither)."""
+        every mode."""
         import repro.verify.differential as differential
 
         real = differential._replay_variant

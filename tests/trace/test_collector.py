@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.trace.collector import TracingCollector
 
 
 def setup():
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     return heap, roots, TracingCollector(heap, roots)
 

@@ -7,7 +7,7 @@ import pytest
 from repro.experiments.harness import collector_factory
 from repro.gc.generational import GenerationalCollector
 from repro.heap.barrier import WriteBarrier
-from repro.heap.heap import SimulatedHeap
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.trace.collector import TracingCollector
 from repro.verify import (
@@ -21,7 +21,7 @@ from repro.verify.differential import DEFAULT_COLLECTORS, VERIFY_GEOMETRY
 
 
 def build(kind: str):
-    heap = SimulatedHeap()
+    heap = FlatHeap()
     roots = RootSet()
     collector = collector_factory(kind, VERIFY_GEOMETRY)(heap, roots)
     return heap, roots, collector
@@ -116,7 +116,7 @@ class TestCheckedMode:
                 pass  # lose every barrier notification
 
         roots2 = RootSet()
-        broken = Broken(SimulatedHeap(), roots2, [24, 96])
+        broken = Broken(FlatHeap(), roots2, [24, 96])
         enable_checked_mode(broken)
         barrier = WriteBarrier(broken.remember_store)
         old = broken.allocate(2, 1)
@@ -142,7 +142,7 @@ class TestCheckedMode:
 
 class TestUnmanagedCollectors:
     def test_tracing_collector_skips_conservation(self):
-        heap = SimulatedHeap()
+        heap = FlatHeap()
         roots = RootSet()
         collector = TracingCollector(heap, roots)
         collector.allocate(3)

@@ -2,7 +2,7 @@
 
 Positive direction: generated scripts replayed under mark-sweep and
 under the incremental collector at budgets {1, 7, 64, inf} agree on
-checkpoints, GcStats, and survivor sets, on both heap backends.
+checkpoints, GcStats, and survivor sets.
 
 Negative direction: a collector whose marked set *does* depend on the
 interleaving (simulated by giving one budget a different cycle
@@ -16,7 +16,6 @@ import pytest
 
 import repro.verify.differential as budget_module
 from repro.gc.incremental import IncrementalCollector
-from repro.heap.backend import HEAP_BACKENDS
 from repro.verify.differential import (
     DEFAULT_BUDGETS,
     budget_label,
@@ -25,10 +24,8 @@ from repro.verify.differential import (
 from repro.verify.replay import generate_script
 
 
-def run_budget_differential(
-    script, *, budgets=DEFAULT_BUDGETS, backend=None, checked=True
-):
-    return budget_suite(budgets, backend=backend).run(script, checked=checked)
+def run_budget_differential(script, *, budgets=DEFAULT_BUDGETS, checked=True):
+    return budget_suite(budgets).run(script, checked=checked)
 
 
 class TestLabels:
@@ -56,16 +53,10 @@ class TestBudgetInvariance:
         assert "quiesced" in (report.script.note or "")
 
     def test_all_backends(self):
+        """The script the per-backend sweep ran, on the one heap."""
         script = generate_script(300, 13, max_live_words=40)
-        reports = {
-            backend: run_budget_differential(
-                script, budgets=(1, 64, None), backend=backend
-            )
-            for backend in HEAP_BACKENDS
-        }
-        assert set(reports) == set(HEAP_BACKENDS)
-        for backend, report in reports.items():
-            assert report.ok, f"{backend}: {report.summary()}"
+        report = run_budget_differential(script, budgets=(1, 64, None))
+        assert report.ok, report.summary()
 
     def test_empty_budgets_rejected(self):
         script = generate_script(50, 0, max_live_words=40)

@@ -3,7 +3,7 @@
 Positive direction: generated scripts replayed under mark-sweep,
 unbounded incremental, and the concurrent collector (inline and pool
 markers) agree on checkpoints, GcStats, pause logs, and survivor
-sets, on both heap backends.
+sets.
 
 Negative direction: a concurrent collector whose cycles open at a
 different occupancy is caught as a ``concurrent-stats`` divergence, a
@@ -18,7 +18,6 @@ import pytest
 
 import repro.verify.differential as concurrent_module
 from repro.gc.concurrent import ConcurrentCollector
-from repro.heap.backend import HEAP_BACKENDS
 from repro.verify.differential import concurrent_suite
 from repro.verify.replay import generate_script
 from repro.verify.shrink import shrink_script
@@ -32,10 +31,8 @@ CONCURRENT_LABELS = (
 )
 
 
-def run_concurrent_differential(
-    script, *, backend=None, checked=True, pool_workers=1
-):
-    suite = concurrent_suite(backend=backend, pool_workers=pool_workers)
+def run_concurrent_differential(script, *, checked=True, pool_workers=1):
+    suite = concurrent_suite(pool_workers=pool_workers)
     return suite.run(script, checked=checked)
 
 
@@ -60,14 +57,10 @@ class TestConcurrentEquivalence:
         assert "concurrent@pool" not in report.results
 
     def test_all_backends(self):
+        """The script the per-backend sweep ran, on the one heap."""
         script = generate_script(300, 13, max_live_words=40)
-        reports = {
-            backend: run_concurrent_differential(script, backend=backend)
-            for backend in HEAP_BACKENDS
-        }
-        assert set(reports) == set(HEAP_BACKENDS)
-        for backend, report in reports.items():
-            assert report.ok, f"{backend}: {report.summary()}"
+        report = run_concurrent_differential(script)
+        assert report.ok, report.summary()
 
 
 def _skewed_factory(real_factory, *, workers, trigger):

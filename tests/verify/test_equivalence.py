@@ -31,9 +31,6 @@ DIVERGENCE_KINDS = {
     "checkpoint-count",
     "live-graph",
     "allocation-volume",
-    "gc-stats",
-    "pause-log",
-    "event-stream",
     "budget-stats",
     "survivor-set",
     "concurrent-stats",
@@ -78,10 +75,6 @@ def _other_survivors(result):
     return replace(result, survivors=result.survivors + (10**6,))
 
 
-def _other_events(result):
-    return replace(result, events=result.events[:-1])
-
-
 #: suite, its options, the replay to tamper with, how, and exactly
 #: the divergence kinds the suite must then report.
 INDUCED = [
@@ -89,10 +82,6 @@ INDUCED = [
     ("collectors", {}, "hybrid", _fewer_checkpoints, {"checkpoint-count"}),
     ("collectors", {}, "hybrid", _other_graph, {"live-graph"}),
     ("collectors", {}, "hybrid", _other_clock, {"allocation-volume"}),
-    ("backends", {}, "hybrid@flat", _other_graph, {"live-graph"}),
-    ("backends", {}, "hybrid@flat", _other_stats, {"gc-stats"}),
-    ("backends", {}, "hybrid@flat", _other_pauses, {"pause-log"}),
-    ("backends", {}, "hybrid@flat", _other_events, {"event-stream"}),
     ("budgets", {}, "incremental@b=7", _crash, {"crash"}),
     ("budgets", {}, "incremental@b=7", _other_graph, {"live-graph"}),
     ("budgets", {}, "incremental@b=7", _other_stats, {"budget-stats"}),

