@@ -757,14 +757,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.server import HeapServer
 
+    server = HeapServer(
+        shards=args.shards,
+        jobs=args.jobs,
+        tenant_cap=args.tenant_cap,
+        timeout=args.task_timeout,
+        retries=args.task_retries,
+    )
+
     async def run() -> None:
-        server = HeapServer(
-            shards=args.shards,
-            jobs=args.jobs,
-            tenant_cap=args.tenant_cap,
-            timeout=args.task_timeout,
-            retries=args.task_retries,
-        )
         port = await server.start(args.host, args.port)
         # The bound port on one parseable line, flushed immediately, so
         # scripts (and the CI smoke job) can serve on port 0 and read
@@ -784,7 +785,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
-        pass
+        # Ctrl-C cancels serve_until_closed before server.close() runs.
+        server.executor.close()
     return 0
 
 

@@ -16,18 +16,22 @@ keep that guarantee:
 
 Every worker process in the repo belongs to a :class:`WorkerPool` —
 the one place a :class:`concurrent.futures.ProcessPoolExecutor`
-(default start method) is built, found broken, or killed.  A pool's
-lifetime is chosen by where its owner holds it, not by a flag: the
-one-shot sweeps (:func:`parallel_map`, :func:`resilient_map`) and the
-shard executor's batches open one in a ``with`` block, the concurrent
-collector keeps one for its whole life so mark cycles reuse warm
-workers.  Task callables must be module-level (picklable) functions.
+(default start method) is built, found broken, or killed, and so the
+one place that makes its workers exit when their parent dies.  A
+pool's lifetime is chosen by where its owner holds it, not by a flag:
+the one-shot sweeps (:func:`parallel_map`, :func:`resilient_map`)
+open one in a ``with`` block, the shard executor and the concurrent
+collector each keep one for their whole life so batches and mark
+cycles reuse warm workers.  Task callables must be module-level
+(picklable) functions.
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import (
@@ -193,6 +197,25 @@ class TaskFailure:
         )
 
 
+def _exit_with_parent() -> None:
+    """Worker initializer: end the worker when its parent process dies.
+
+    An idle worker blocks on its task queue, and a parent that dies
+    without cleanup (``kill -9``, or a SIGTERM nothing handles) never
+    tells it to stop.  The parent's sentinel turns readable when the
+    parent is gone, so a daemon thread waits on it and exits.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="exit-with-parent", daemon=True
+    ).start()
+
+
 class WorkerPool:
     """``jobs`` worker processes and the retry ladder that drives them.
 
@@ -200,8 +223,9 @@ class WorkerPool:
     or :meth:`restart`, so a pool nobody submits to costs nothing, and
     a pool that is dropped without :meth:`close` leaves nothing behind
     (the executor winds its idle workers down when it is collected or
-    the interpreter exits).  Not thread-safe, and :meth:`map` is
-    one-call-at-a-time per pool.
+    the interpreter exits, and a worker whose parent died exits by
+    itself).  Not thread-safe, and :meth:`map` is one-call-at-a-time
+    per pool.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -222,7 +246,9 @@ class WorkerPool:
                 return self._executor.submit(func, *args)
             except BrokenProcessPool:
                 self.restart()
-        self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        self._executor = ProcessPoolExecutor(
+            max_workers=self.jobs, initializer=_exit_with_parent
+        )
         return self._executor.submit(func, *args)
 
     def restart(self) -> None:

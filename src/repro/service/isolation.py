@@ -424,13 +424,13 @@ def run_isolation_suite(
             )
             for case in current
         }
-        executor = executor_factory(shards, jobs)
-        responses = drive_interleaved(
-            streams,
-            executor,
-            interleave_seed=interleave_seed,
-            batch_ops=batch_ops,
-        )
+        with executor_factory(shards, jobs) as executor:
+            responses = drive_interleaved(
+                streams,
+                executor,
+                interleave_seed=interleave_seed,
+                batch_ops=batch_ops,
+            )
         return {
             tenant: (streams[tenant], responses[tenant])
             for tenant in streams

@@ -74,6 +74,7 @@ neither case does any session or connection die.
 from __future__ import annotations
 
 import asyncio
+import socket
 from typing import Any
 
 from repro.metrics.export import to_prometheus
@@ -100,6 +101,32 @@ MAX_IN_FLIGHT = 256
 #: How long :meth:`HeapServer.close` lets a connection take its unread
 #: responses before it is cut off.
 CLOSE_GRACE_S = 5.0
+
+
+def _hang_up(writer: asyncio.StreamWriter, *, abort: bool = False) -> None:
+    """End a connection so that its client reads EOF.
+
+    A forked child — a pool worker, a concurrent tenant's marker —
+    inherits every socket open at the fork, and closing this process's
+    descriptor sends no FIN while a copy lives.  ``shutdown`` acts on
+    the connection, not the descriptor: a close first shuts down the
+    sending side (``write_eof``), an abort both sides.  ``write_eof``
+    on a transport with output still buffered only marks it, and a
+    close that then flushes the buffer skips the shutdown, so a caller
+    that can have output buffered drains it first.
+    """
+    transport = writer.transport
+    try:
+        if abort:
+            transport.get_extra_info("socket").shutdown(socket.SHUT_RDWR)
+        else:
+            writer.write_eof()
+    except OSError:  # the client is already gone
+        pass
+    if abort:
+        transport.abort()
+    else:
+        writer.close()
 
 
 class _Peer:
@@ -189,18 +216,20 @@ class HeapServer:
             self._kick.set()
             await self._dispatcher
             self._dispatcher = None
-        # Every response is written by now.  An idle handler sits in
-        # read(); closing its transport feeds it EOF, and it leaves
-        # through its own finally block.
+        # Every response is written by now and no batch runs again:
+        # the workers go before any connection is hung up.
+        self.executor.close()
+        # An idle handler sits in read(); closing its transport feeds
+        # it EOF, and it leaves through its own finally block.
         handlers = dict(self._handlers)
         for peer in handlers.values():
-            peer.writer.close()
+            _hang_up(peer.writer)
         if handlers:
             _, stuck = await asyncio.wait(handlers, timeout=CLOSE_GRACE_S)
             # A transport flushes before it closes, and a client that
             # never reads never lets it: only an abort ends that one.
             for task in stuck:
-                handlers[task].writer.transport.abort()
+                _hang_up(handlers[task].writer, abort=True)
             await asyncio.gather(*handlers, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
@@ -225,7 +254,14 @@ class HeapServer:
             await peer.wait_below(1)
         finally:
             del self._handlers[task]
-            writer.close()
+            # drain() returns once the buffer is empty, so the hang-up's
+            # shutdown is not skipped (see _hang_up).
+            writer.transport.set_write_buffer_limits(0)
+            try:
+                await writer.drain()
+            except OSError:
+                pass
+            _hang_up(writer)
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):

@@ -28,18 +28,18 @@ Two execution modes, one semantics:
     sessions stay live between batches.  The deterministic reference
     mode the isolation oracle replays.
 ``jobs >= 1`` (pool)
-    Each batch opens a :class:`~repro.perf.parallel.WorkerPool` of up
-    to ``jobs`` workers (one per shard the batch touches) and ships to
-    it; a worker lazily revives only the tenants the batch touches and
-    captures them back afterwards.  Holding a pool *means*
-    out-of-process, so a one-shard batch is not padded and ``--jobs N``
-    is N workers.  A batch that exhausts its retry budget is *drained*:
-    every request in it gets a structured ``shard-failed`` response,
-    the state stays at the last committed blobs, and the next batch
-    revives the shard from them (the respawn).  A batch is a pure
-    function of the blobs shipped with it, so nothing but the pool's
-    lifetime ties it to its workers (why that lifetime is one batch:
-    ``docs/IMPLEMENTATION.md``).
+    The executor holds one :class:`~repro.perf.parallel.WorkerPool` of
+    ``min(jobs, shards)`` workers for its whole life (until
+    :meth:`ShardExecutor.close`) and ships every batch to it; a worker
+    lazily revives only the tenants the batch touches and captures
+    them back afterwards.  Holding a pool *means* out-of-process, so a
+    one-shard batch is not padded.  A batch that exhausts its retry
+    budget is *drained*: every request in it gets a structured
+    ``shard-failed`` response, the state stays at the last committed
+    blobs, and the next batch revives the shard from them (the
+    respawn).  A batch is a pure function of the blobs shipped with
+    it, so a worker carries nothing from one batch to the next, and a
+    pool the retry ladder killed is forked anew by the next batch.
 
 The byte-identity of the two modes — responses and per-shard metric
 registries alike — is asserted by the service test suite; it follows
@@ -397,6 +397,8 @@ class ShardExecutor:
     batch per shard and returns responses per shard, fanning the
     non-empty shards across worker processes (``jobs >= 1``) or
     applying them to persistent in-process runtimes (``jobs == 0``).
+    The owner releases the workers with :meth:`close` (or a ``with``
+    block).
     """
 
     def __init__(
@@ -429,10 +431,25 @@ class ShardExecutor:
             ]
             self._state: list[dict[str, dict]] | None = None
             self._metrics: list[dict[str, MetricRegistry]] | None = None
+            self._pool: WorkerPool | None = None
         else:
             self._runtimes = None
             self._state = [dict() for _ in range(shards)]
             self._metrics = [dict() for _ in range(shards)]
+            # Forked by the first batch; re-forked only by the retry
+            # ladder after a timeout or a dead worker.
+            self._pool = WorkerPool(min(jobs, shards))
+
+    def close(self) -> None:
+        """Kill the worker processes (idempotent; inline has none)."""
+        if self._pool is not None:
+            self._pool.close()
+
+    def __enter__(self) -> "ShardExecutor":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
 
@@ -524,13 +541,12 @@ class ShardExecutor:
             )
         # Pool mode exists for crash isolation: tenant heaps never run
         # inside the calling process, however few shards a batch touches.
-        with WorkerPool(min(self.jobs, len(items))) as pool:
-            outcomes = pool.map(
-                run_shard_batch,
-                items,
-                timeout=self.timeout,
-                retries=self.retries,
-            )
+        outcomes = self._pool.map(
+            run_shard_batch,
+            items,
+            timeout=self.timeout,
+            retries=self.retries,
+        )
         responses: dict[int, list[dict]] = {}
         for (shard, ops), outcome in zip(work.items(), outcomes):
             if isinstance(outcome, TaskFailure):

@@ -46,23 +46,23 @@ def _one(executor: ShardExecutor, request: dict) -> dict:
 class TestAdmissionControl:
     @pytest.mark.parametrize("jobs", [0, 2])
     def test_cap_refuses_with_occupancy_then_frees_on_close(self, jobs):
-        executor = ShardExecutor(1, jobs=jobs, tenant_cap=3)
-        for index in range(3):
-            response = _one(
-                executor, _req("open", f"t{index}", 0, kind="mark-sweep")
-            )
-            assert response["ok"] is True
-        refused = _one(executor, _req("open", "t3", 0, kind="mark-sweep"))
-        error = refused["error"]
-        assert error["kind"] == "backpressure"
-        assert error["open_tenants"] == 3
-        assert error["tenant_cap"] == 3
-        assert error["shard"] == 0
-        # The refused tenant holds no slot; closing one admits it.
-        assert _one(executor, _req("close", "t0", 1))["ok"] is True
-        assert _one(executor, _req("open", "t3", 1, kind="mark-sweep"))[
-            "ok"
-        ] is True
+        with ShardExecutor(1, jobs=jobs, tenant_cap=3) as executor:
+            for index in range(3):
+                response = _one(
+                    executor, _req("open", f"t{index}", 0, kind="mark-sweep")
+                )
+                assert response["ok"] is True
+            refused = _one(executor, _req("open", "t3", 0, kind="mark-sweep"))
+            error = refused["error"]
+            assert error["kind"] == "backpressure"
+            assert error["open_tenants"] == 3
+            assert error["tenant_cap"] == 3
+            assert error["shard"] == 0
+            # The refused tenant holds no slot; closing one admits it.
+            assert _one(executor, _req("close", "t0", 1))["ok"] is True
+            assert _one(executor, _req("open", "t3", 1, kind="mark-sweep"))[
+                "ok"
+            ] is True
 
     def test_cap_is_per_shard(self):
         executor = ShardExecutor(2, jobs=0, tenant_cap=1)
@@ -182,19 +182,20 @@ class TestWorkerLossDrill:
                 )
             return responses
 
-        reference = run(ShardExecutor(1, jobs=2), stream())
+        with ShardExecutor(1, jobs=2) as clean:
+            reference = run(clean, stream())
 
-        executor = ShardExecutor(1, jobs=2, chaos=True, retries=2)
         requests = stream()
         drilled = []
-        for index, request in enumerate(requests):
-            shard = executor.shard_of("t")
-            batch = [request]
-            if index == 8:  # mid-load, state already committed
-                batch = [
-                    {"op": "_chaos-exit", "attempts": 1, "tenant": "t"},
-                    request,
-                ]
-            drilled.extend(executor.execute({shard: batch}).get(shard, []))
+        with ShardExecutor(1, jobs=2, chaos=True, retries=2) as executor:
+            for index, request in enumerate(requests):
+                shard = executor.shard_of("t")
+                batch = [request]
+                if index == 8:  # mid-load, state already committed
+                    batch = [
+                        {"op": "_chaos-exit", "attempts": 1, "tenant": "t"},
+                        request,
+                    ]
+                drilled.extend(executor.execute({shard: batch}).get(shard, []))
         assert executor.respawns == [0]  # replayed within the batch
         assert drilled == reference

@@ -56,8 +56,8 @@ class TestDeterminism:
         plan = build_plan(6, seed=0, ops_per_tenant=60)
 
         def rows(jobs):
-            executor = ShardExecutor(2, jobs=jobs)
-            result = run_load_inline(plan, executor)
+            with ShardExecutor(2, jobs=jobs) as executor:
+                result = run_load_inline(plan, executor)
             report = build_scale_report(
                 plan, result, executor.merged_metrics(), mode="test"
             )

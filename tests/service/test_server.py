@@ -5,9 +5,15 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +28,9 @@ from repro.service.loadgen import (
 from repro.service.protocol import PROTOCOL_VERSION, encode_line
 from repro.service.report import build_scale_report, deterministic_rows
 from repro.service.server import MAX_IN_FLIGHT, HeapServer
-from repro.service.shard import ShardExecutor
+from repro.service.shard import ShardExecutor, shard_of
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _run(coroutine):
@@ -295,6 +303,132 @@ def test_shutdown_with_idle_connections_logs_nothing(caplog):
         for client in idle:
             client.close()
     assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+
+@pytest.mark.parametrize(
+    "requests", [1, 20], ids=["one-response", "responses-still-buffered"]
+)
+def test_hang_up_sends_fin_while_a_forked_child_holds_the_socket(requests):
+    """A forked child inherits every open socket, and closing the
+    server's descriptor sends no FIN while the child lives.  Here the
+    server is inline and a concurrent tenant's marker pool is that
+    child, holding the socket of a connection opened before it forked:
+    the connection's client sends FIN and must read every response and
+    then EOF — also when the server still has responses buffered for
+    it as it hangs up."""
+
+    async def body(server, port, connection):
+        loop = asyncio.get_running_loop()
+        client = _unread_socket(port)
+        try:
+            (peer,) = await _eventually(
+                lambda: [
+                    p
+                    for p in server._handlers.values()
+                    if p.writer.get_extra_info("peername")
+                    == client.getsockname()
+                ]
+            )
+            # Small kernel buffers leave responses in the transport.
+            peer.writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            opened = await connection.request(
+                _req("open", 0, tenant="t", kind="concurrent",
+                     geometry={"marker_workers": 1})
+            )
+            assert opened["ok"]
+            assert (await connection.request(_req("collect", 1, tenant="t")))[
+                "ok"
+            ]
+            await loop.sock_sendall(
+                client,
+                b"".join(
+                    _line("metrics", index, format="prometheus")
+                    for index in range(requests)
+                ),
+            )
+            client.shutdown(socket.SHUT_WR)
+            received = bytearray()
+
+            async def read_to_eof():
+                while chunk := await loop.sock_recv(client, 1 << 16):
+                    received.extend(chunk)
+
+            await asyncio.wait_for(read_to_eof(), 5)
+        finally:
+            client.close()
+        answered = [json.loads(line) for line in received.splitlines()]
+        assert [r["id"] for r in answered] == list(range(requests))
+
+    _run(asyncio.wait_for(_with_server(body), 60))
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a running process (a zombie is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    # "pid (comm) state ...": comm may itself hold ") ".
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def _children(pid: int) -> set[int]:
+    """The running processes whose parent is ``pid``."""
+    found = set()
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        state, ppid = stat.rpartition(")")[2].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            found.add(int(entry.name))
+    return found
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads /proc"
+)
+def test_pool_workers_exit_when_their_server_is_killed():
+    """``kill -9`` runs no cleanup in the server, so nothing tells its
+    idle pool workers to stop: they must see that their parent is gone
+    and exit by themselves."""
+    tenants = [f"t{index}" for index in range(8)]
+    assert {shard_of(tenant, 2) for tenant in tenants} == {0, 1}
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--shards", "2", "--jobs", "2", "--port", "0",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(REPO_SRC)),
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    try:
+        port = int(server.stdout.readline().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=60) as client:
+            client.sendall(
+                b"".join(_line("open", tenant, tenant=tenant) for tenant in tenants)
+            )
+            replies = client.makefile("rb")
+            answered = [json.loads(replies.readline()) for _ in tenants]
+        assert all(response["ok"] for response in answered)
+        workers = _children(server.pid)
+        assert len(workers) == 2
+    finally:
+        server.send_signal(signal.SIGKILL)
+        server.wait(timeout=30)
+        server.stdout.close()
+    deadline = time.monotonic() + 5
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in workers if _alive(pid)]
 
 
 def test_disconnect_with_requests_in_flight(caplog, monkeypatch):

@@ -8,10 +8,13 @@ path recomputed identical answers from committed state.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import asdict
+from multiprocessing import connection
 
 import pytest
 
@@ -63,12 +66,15 @@ def _tenant_stream(tenant: str, kind: str = "mark-sweep") -> list[dict]:
 
 
 def _run_streams(
-    executor: ShardExecutor, streams: dict[str, list[dict]]
+    executor: ShardExecutor,
+    streams: dict[str, list[dict]],
+    after_round=None,
 ) -> dict[str, list[dict]]:
-    """One request per tenant per round (the closed-loop shape)."""
+    """One request per tenant per round (the closed-loop shape);
+    ``after_round(index)`` runs between rounds."""
     cursors = {tenant: 0 for tenant in streams}
     responses: dict[str, list[dict]] = {tenant: [] for tenant in streams}
-    while True:
+    for index in itertools.count():
         batches: dict[int, list[dict]] = {}
         order: dict[int, list[str]] = {}
         for tenant in sorted(streams):
@@ -88,6 +94,15 @@ def _run_streams(
         for shard, tenants in order.items():
             for position, tenant in enumerate(tenants):
                 responses[tenant].append(results[shard][position])
+        if after_round is not None:
+            after_round(index)
+
+
+def _worker_pids(executor: ShardExecutor) -> set[int]:
+    """The pids of the executor's workers right now (CPython's worker
+    table; empty while none are forked)."""
+    workers = executor._pool._executor
+    return set(workers._processes or ()) if workers is not None else set()
 
 
 class TestRouting:
@@ -166,9 +181,9 @@ class TestModeEquivalence:
             for i in range(6)
         }
         inline = ShardExecutor(2, jobs=0)
-        pool = ShardExecutor(2, jobs=2)
         inline_responses = _run_streams(inline, streams)
-        pool_responses = _run_streams(pool, streams)
+        with ShardExecutor(2, jobs=2) as pool:
+            pool_responses = _run_streams(pool, streams)
         assert pool_responses == inline_responses
         inline_metrics = {
             r.label: r.canonical_json() for r in inline.merged_metrics()
@@ -184,18 +199,18 @@ class TestModeEquivalence:
         losing crash isolation for tenant heaps)."""
         import os
 
-        executor = ShardExecutor(1, jobs=2, chaos=True, retries=2)
         parent = os.getpid()
         # If this ran in-process, _chaos-exit would kill the test run.
-        responses = executor.execute(
-            {
-                0: [
-                    _req("open", "t0", 0, kind="mark-sweep"),
-                    {"op": "_chaos-exit", "attempts": 1},
-                    _req("close", "t0", 1),
-                ]
-            }
-        )
+        with ShardExecutor(1, jobs=2, chaos=True, retries=2) as executor:
+            responses = executor.execute(
+                {
+                    0: [
+                        _req("open", "t0", 0, kind="mark-sweep"),
+                        {"op": "_chaos-exit", "attempts": 1},
+                        _req("close", "t0", 1),
+                    ]
+                }
+            )
         assert os.getpid() == parent
         assert [r["ok"] for r in responses[0]] == [True, True]
 
@@ -343,10 +358,10 @@ class TestUnbuildableGeometry:
 
     def test_inline_and_pool_agree_byte_for_byte(self):
         inline = ShardExecutor(1, jobs=0)
-        pool = ShardExecutor(1, jobs=2)
-        assert pool.execute({0: self._batch()}) == inline.execute(
-            {0: self._batch()}
-        )
+        with ShardExecutor(1, jobs=2) as pool:
+            assert pool.execute({0: self._batch()}) == inline.execute(
+                {0: self._batch()}
+            )
         assert {r.label: r.canonical_json() for r in pool.merged_metrics()} == {
             r.label: r.canonical_json() for r in inline.merged_metrics()
         }
@@ -355,34 +370,55 @@ class TestUnbuildableGeometry:
 
 class TestPartialStateShipping:
     def test_untouched_tenants_are_not_shipped_but_still_counted(self):
-        executor = ShardExecutor(1, jobs=2, tenant_cap=3)
         shard = 0
-        executor.execute(
-            {
-                shard: [
-                    _req("open", "a", 0, kind="mark-sweep"),
-                    _req("open", "b", 0, kind="mark-sweep"),
-                    _req("open", "c", 0, kind="mark-sweep"),
-                ]
-            }
-        )
-        assert executor.open_tenants(shard) == 3
-        # A batch touching only "d" ships no blobs for a/b/c, yet the
-        # worker must still see occupancy 3 and refuse admission.
-        (responses,) = executor.execute(
-            {shard: [_req("open", "d", 0, kind="mark-sweep")]}
-        ).values()
-        error = responses[0]["error"]
-        assert error["kind"] == "backpressure"
-        assert error["open_tenants"] == 3
-        assert error["tenant_cap"] == 3
-        # Closing frees the slot for the next open.
-        executor.execute({shard: [_req("close", "a", 1)]})
-        assert executor.open_tenants(shard) == 2
-        (responses,) = executor.execute(
-            {shard: [_req("open", "d", 1, kind="mark-sweep")]}
-        ).values()
-        assert responses[0]["ok"] is True
+        with ShardExecutor(1, jobs=2, tenant_cap=3) as executor:
+            executor.execute(
+                {
+                    shard: [
+                        _req("open", "a", 0, kind="mark-sweep"),
+                        _req("open", "b", 0, kind="mark-sweep"),
+                        _req("open", "c", 0, kind="mark-sweep"),
+                    ]
+                }
+            )
+            assert executor.open_tenants(shard) == 3
+            # A batch touching only "d" ships no blobs for a/b/c, yet the
+            # worker must still see occupancy 3 and refuse admission.
+            (responses,) = executor.execute(
+                {shard: [_req("open", "d", 0, kind="mark-sweep")]}
+            ).values()
+            error = responses[0]["error"]
+            assert error["kind"] == "backpressure"
+            assert error["open_tenants"] == 3
+            assert error["tenant_cap"] == 3
+            # Closing frees the slot for the next open.
+            executor.execute({shard: [_req("close", "a", 1)]})
+            assert executor.open_tenants(shard) == 2
+            (responses,) = executor.execute(
+                {shard: [_req("open", "d", 1, kind="mark-sweep")]}
+            ).values()
+            assert responses[0]["ok"] is True
+
+
+#: Two tenants on each of two shards.
+TWO_SHARD_TENANTS = ("t0", "t1", "t4", "t5")
+
+
+def _open_streams() -> dict[str, list[dict]]:
+    """Four tenants over both shards, left open so that their committed
+    blobs can be compared at the end."""
+    return {
+        tenant: _tenant_stream(tenant, kind="generational")[:-1]
+        for tenant in TWO_SHARD_TENANTS
+    }
+
+
+#: The two fault drills, each standing down on its first retry.
+DRILLS = {
+    "exit": {"op": "_chaos-exit", "attempts": 1, "tenant": "t0"},
+    "spin": {"op": "_chaos-spin", "attempts": 1, "seconds": 30.0,
+             "tenant": "t0"},
+}
 
 
 class TestFaultDrills:
@@ -395,9 +431,9 @@ class TestFaultDrills:
     def test_worker_exit_mid_load_loses_no_committed_state(self):
         """Kill a worker between batches: every committed checkpoint
         digest must match the chaos-free run exactly."""
-        reference = _run_streams(ShardExecutor(2, jobs=2), self._streams())
+        with ShardExecutor(2, jobs=2) as clean:
+            reference = _run_streams(clean, self._streams())
 
-        executor = ShardExecutor(2, jobs=2, chaos=True, retries=2)
         streams = self._streams()
         # Splice a worker-kill into the middle of one tenant's stream;
         # chaos ops produce no response and never reach a session.
@@ -406,79 +442,106 @@ class TestFaultDrills:
             + [{"op": "_chaos-exit", "attempts": 1, "tenant": "t0"}]
             + streams["t0"][5:]
         )
-        drilled = _run_streams(executor, streams)
+        with ShardExecutor(2, jobs=2, chaos=True, retries=2) as executor:
+            drilled = _run_streams(executor, streams)
         assert drilled == reference
+
+    @pytest.mark.parametrize("drill", DRILLS)
+    def test_a_retried_drill_keeps_the_blobs_and_reforks_the_pool(self, drill):
+        """The drill's retry replays the batch on a newly forked pool,
+        which every later batch reuses; responses and committed blobs
+        equal an inline run's byte for byte."""
+        inline = ShardExecutor(2, jobs=0)
+        reference = _run_streams(inline, _open_streams())
+        streams = _open_streams()
+        streams["t0"] = streams["t0"][:5] + [DRILLS[drill]] + streams["t0"][5:]
+        pids: list[set[int]] = []
+        with ShardExecutor(
+            2, jobs=2, chaos=True, retries=2, timeout=2.0
+        ) as executor:
+            drilled = _run_streams(
+                executor,
+                streams,
+                after_round=lambda _: pids.append(_worker_pids(executor)),
+            )
+            assert drilled == reference
+            assert executor.respawns == [0, 0]
+            for shard in range(2):
+                assert executor.shard_state(shard) == inline.shard_state(shard)
+        # Round 5 carried the drill.
+        assert len(pids[4]) == 2 and pids[5].isdisjoint(pids[4])
+        assert all(seen == pids[5] for seen in pids[5:])
 
     def test_drained_batch_fails_structurally_then_revives(self):
         """Exhaust the retry budget: the batch drains to shard-failed,
         committed state is intact, and the next batch serves again."""
-        executor = ShardExecutor(1, jobs=2, chaos=True, retries=1)
-        shard = 0
-        executor.execute(
-            {
-                shard: [
-                    _req("open", "t0", 0, kind="mark-sweep"),
-                    _req("alloc", "t0", 1, uid=0, size=3, fields=0),
-                ]
-            }
-        )
-        before = executor.shard_state(shard)["t0"]
-        (responses,) = executor.execute(
-            {
-                shard: [
-                    {"op": "_chaos-exit", "attempts": 99, "tenant": "t0"},
-                    _req("alloc", "t0", 2, uid=1, size=2, fields=0),
-                ]
-            }
-        ).values()
-        assert len(responses) == 1  # chaos pseudo-op gets no response
-        assert responses[0]["error"]["kind"] == "shard-failed"
-        assert executor.respawns[shard] == 1
-        assert executor.shard_state(shard)["t0"] == before
-        # Revival: the same request succeeds on the next batch.
-        (responses,) = executor.execute(
-            {shard: [_req("alloc", "t0", 3, uid=1, size=2, fields=0)]}
-        ).values()
-        assert responses[0]["ok"] is True
-        assert responses[0]["uid"] == 1
+        with ShardExecutor(1, jobs=2, chaos=True, retries=1) as executor:
+            shard = 0
+            executor.execute(
+                {
+                    shard: [
+                        _req("open", "t0", 0, kind="mark-sweep"),
+                        _req("alloc", "t0", 1, uid=0, size=3, fields=0),
+                    ]
+                }
+            )
+            before = executor.shard_state(shard)["t0"]
+            (responses,) = executor.execute(
+                {
+                    shard: [
+                        {"op": "_chaos-exit", "attempts": 99, "tenant": "t0"},
+                        _req("alloc", "t0", 2, uid=1, size=2, fields=0),
+                    ]
+                }
+            ).values()
+            assert len(responses) == 1  # chaos pseudo-op gets no response
+            assert responses[0]["error"]["kind"] == "shard-failed"
+            assert executor.respawns[shard] == 1
+            assert executor.shard_state(shard)["t0"] == before
+            # Revival: the same request succeeds on the next batch.
+            (responses,) = executor.execute(
+                {shard: [_req("alloc", "t0", 3, uid=1, size=2, fields=0)]}
+            ).values()
+            assert responses[0]["ok"] is True
+            assert responses[0]["uid"] == 1
 
     def test_wedged_batch_drains_and_leaves_no_worker(self, new_workers):
         """A batch that spins past the timeout drains like a crashed
         one: its worker is killed rather than left spinning, the
         committed blob never moved, and the next batch serves again."""
-        executor = ShardExecutor(
+        with ShardExecutor(
             1, jobs=2, chaos=True, retries=0, timeout=0.3
-        )
-        executor.execute(
-            {
-                0: [
-                    _req("open", "t0", 0, kind="mark-sweep"),
-                    _req("alloc", "t0", 1, uid=0, size=3, fields=0),
-                ]
-            }
-        )
-        before = executor.shard_state(0)["t0"]
-        (responses,) = executor.execute(
-            {
-                0: [
-                    {
-                        "op": "_chaos-spin",
-                        "attempts": 99,
-                        "seconds": 30.0,
-                        "tenant": "t0",
-                    },
-                    _req("alloc", "t0", 2, uid=1, size=2, fields=0),
-                ]
-            }
-        ).values()
-        assert responses[0]["error"]["kind"] == "shard-failed"
-        assert executor.respawns == [1]
-        assert executor.shard_state(0)["t0"] == before
-        assert not new_workers()
-        (responses,) = executor.execute(
-            {0: [_req("alloc", "t0", 3, uid=1, size=2, fields=0)]}
-        ).values()
-        assert responses[0]["ok"] is True
+        ) as executor:
+            executor.execute(
+                {
+                    0: [
+                        _req("open", "t0", 0, kind="mark-sweep"),
+                        _req("alloc", "t0", 1, uid=0, size=3, fields=0),
+                    ]
+                }
+            )
+            before = executor.shard_state(0)["t0"]
+            (responses,) = executor.execute(
+                {
+                    0: [
+                        {
+                            "op": "_chaos-spin",
+                            "attempts": 99,
+                            "seconds": 30.0,
+                            "tenant": "t0",
+                        },
+                        _req("alloc", "t0", 2, uid=1, size=2, fields=0),
+                    ]
+                }
+            ).values()
+            assert responses[0]["error"]["kind"] == "shard-failed"
+            assert executor.respawns == [1]
+            assert executor.shard_state(0)["t0"] == before
+            assert not new_workers()
+            (responses,) = executor.execute(
+                {0: [_req("alloc", "t0", 3, uid=1, size=2, fields=0)]}
+            ).values()
+            assert responses[0]["ok"] is True
 
     def test_stats_snapshot_shape(self):
         executor = ShardExecutor(3, jobs=0, tenant_cap=10)
@@ -491,6 +554,59 @@ class TestFaultDrills:
         assert stats["batches"] == 1
         assert sum(stats["open_tenants"]) == 1
         assert stats["respawns"] == [0, 0, 0]
+
+
+class TestWorkerLifetime:
+    """A pool-mode executor forks its workers once and keeps them:
+    only the retry ladder re-forks them, and only ``close`` ends them."""
+
+    def test_fifty_batches_run_on_the_workers_of_the_first(self, new_workers):
+        pids: list[set[int]] = []
+        with ShardExecutor(2, jobs=3) as executor:
+            for index in range(50):
+                batches: dict[int, list[dict]] = {}
+                for tenant in TWO_SHARD_TENANTS:
+                    request = (
+                        _req("alloc", tenant, index, uid=index, size=2,
+                             fields=0)
+                        if index
+                        else _req("open", tenant, 0, kind="mark-sweep")
+                    )
+                    batches.setdefault(executor.shard_of(tenant), []).append(
+                        request
+                    )
+                assert sorted(batches) == [0, 1]
+                answered = executor.execute(batches)
+                assert all(r["ok"] for rs in answered.values() for r in rs)
+                pids.append(_worker_pids(executor))
+            assert executor.respawns == [0, 0]
+        assert len(pids[0]) == 2  # min(jobs, shards)
+        assert all(seen == pids[0] for seen in pids)
+        assert not new_workers()
+
+    def test_an_idle_worker_killed_between_batches_costs_no_request(self):
+        """The dead worker is noticed at the next submit or charged one
+        retry; either way the batch is replayed from the committed
+        blobs, so responses and blobs equal an inline run's."""
+        inline = ShardExecutor(2, jobs=0)
+        reference = _run_streams(inline, _open_streams())
+
+        with ShardExecutor(2, jobs=2) as executor:
+
+            def kill_a_worker(index: int) -> None:
+                if index == 4:
+                    victim = min(_worker_pids(executor))
+                    process = executor._pool._executor._processes[victim]
+                    os.kill(victim, signal.SIGKILL)
+                    assert connection.wait([process.sentinel], timeout=30)
+
+            killed = _run_streams(
+                executor, _open_streams(), after_round=kill_a_worker
+            )
+            assert killed == reference
+            assert executor.respawns == [0, 0]
+            for shard in range(2):
+                assert executor.shard_state(shard) == inline.shard_state(shard)
 
 
 #: A stale handle, three ways: read it, store from it, store it.
@@ -537,9 +653,9 @@ class TestStaleUid:
     def test_every_kind_and_use_answers_unknown_uid_in_both_modes(self):
         streams = _stale_uid_streams()
         inline = ShardExecutor(2, jobs=0)
-        pool = ShardExecutor(2, jobs=2)
         inline_responses = _run_streams(inline, streams)
-        assert _run_streams(pool, streams) == inline_responses
+        with ShardExecutor(2, jobs=2) as pool:
+            assert _run_streams(pool, streams) == inline_responses
         inline_metrics = {
             r.label: r.canonical_json() for r in inline.merged_metrics()
         }
@@ -644,20 +760,20 @@ class TestDrainCadence:
         )
 
         inline = ShardExecutor(1, jobs=0)
-        pool = ShardExecutor(1, jobs=2)
         runtime = ShardRuntime(0)
         retired: list[MetricRegistry] = []
-        for index, batch in enumerate(batches):
-            inline_responses = inline.execute({0: batch})
-            assert pool.execute({0: batch}) == inline_responses
-            assert runtime.apply_batch(batch) == inline_responses[0]
-            if index == read_at:
-                inline.merged_metrics()  # the ``metrics`` op's read
-                runtime.registries
-            if index == migrate_at:
-                state = runtime.export_state()
-                retired += runtime.registries.values()
-                runtime = ShardRuntime(0, state=state)
+        with ShardExecutor(1, jobs=2) as pool:
+            for index, batch in enumerate(batches):
+                inline_responses = inline.execute({0: batch})
+                assert pool.execute({0: batch}) == inline_responses
+                assert runtime.apply_batch(batch) == inline_responses[0]
+                if index == read_at:
+                    inline.merged_metrics()  # the ``metrics`` op's read
+                    runtime.registries
+                if index == migrate_at:
+                    state = runtime.export_state()
+                    retired += runtime.registries.values()
+                    runtime = ShardRuntime(0, state=state)
         retired += runtime.registries.values()
         by_label: dict[str, list[MetricRegistry]] = {}
         for registry in retired:
@@ -712,11 +828,11 @@ class TestDrainCadence:
             [_req("checkpoint", victim, 27), _req("close", bystander, 5)],
         ]
         inline = ShardExecutor(1, jobs=0)
-        pool = ShardExecutor(1, jobs=2)
         answers = []
-        for batch in batches:
-            answers.append(inline.execute({0: batch})[0])
-            assert pool.execute({0: batch})[0] == answers[-1]
+        with ShardExecutor(1, jobs=2) as pool:
+            for batch in batches:
+                answers.append(inline.execute({0: batch})[0])
+                assert pool.execute({0: batch})[0] == answers[-1]
         inline_metrics = _jsonable(inline.merged_metrics())
         assert _jsonable(pool.merged_metrics()) == inline_metrics
 
