@@ -14,16 +14,26 @@ keep that guarantee:
 * **``jobs=1`` bypasses the pool entirely** — the serial path is the
   reference semantics, and everything else must equal it.
 
-Every worker process in the repo belongs to a :class:`WorkerPool` —
-the one place a :class:`concurrent.futures.ProcessPoolExecutor`
-(default start method) is built, found broken, or killed, and so the
-one place that makes its workers exit when their parent dies.  A
-pool's lifetime is chosen by where its owner holds it, not by a flag:
-the one-shot sweeps (:func:`parallel_map`, :func:`resilient_map`)
-open one in a ``with`` block, the shard executor and the concurrent
-collector each keep one for their whole life so batches and mark
-cycles reuse warm workers.  Task callables must be module-level
-(picklable) functions.
+Every worker process in the repo is forked here, in one of two
+shapes, and both make their workers exit when their parent dies:
+
+* a :class:`WorkerPool` — the one place a
+  :class:`concurrent.futures.ProcessPoolExecutor` (default start
+  method) is built, found broken, or killed.  Any worker takes any
+  task, so a task must carry everything it needs.  A pool's lifetime
+  is chosen by where its owner holds it, not by a flag: the one-shot
+  sweeps (:func:`parallel_map`, :func:`resilient_map`) open one in a
+  ``with`` block, the concurrent collector keeps one for its whole
+  life so mark cycles reuse warm workers;
+* a :class:`PinnedWorker` — one process with a pipe of its own, which
+  answers every message its owner sends it and keeps whatever the
+  handler keeps between messages.  The pool-mode shard executor pins
+  each shard to one, so tenant heaps stay resident in the worker and a
+  batch ships only its requests.  A pinned worker that dies, overruns
+  or raises is killed and reaped before its owner hears of it
+  (:class:`WorkerLost`); rebuilding what it held is the owner's job.
+
+Task callables and handlers must be module-level (picklable) functions.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import connection
+from multiprocessing import connection, util
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,7 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ExperimentRecord",
+    "PinnedWorker",
     "TaskFailure",
+    "WorkerLost",
     "WorkerPool",
     "default_jobs",
     "derive_seed",
@@ -216,6 +228,150 @@ def _exit_with_parent() -> None:
     ).start()
 
 
+def _kill(processes: Sequence[multiprocessing.process.BaseProcess]) -> None:
+    """SIGTERM every process, then SIGKILL any still running after a
+    2 s grace.  Killing is the point: a wedged worker never honours a
+    polite shutdown.  Returns once every one of them has exited; the
+    caller reaps them."""
+    for process in processes:
+        process.terminate()
+    for process in processes:
+        # Watch the sentinel instead of join()ing: an executor's manager
+        # thread joins its workers as it winds down, and a second
+        # waitpid() from this thread can lose the exit status to it,
+        # after which the child reads as alive here until the manager
+        # gets to publish what it reaped.
+        if not connection.wait([process.sentinel], timeout=2.0):
+            process.kill()  # SIGTERM blocked, or the worker stopped
+            connection.wait([process.sentinel])
+
+
+class WorkerLost(Exception):
+    """A :class:`PinnedWorker` failed a message and has been killed.
+
+    ``kind`` is the :class:`TaskFailure` vocabulary: ``"worker-crash"``
+    (the process died or its pipe broke), ``"timeout"`` (no reply
+    inside the budget) or ``"crash"`` (the handler raised).
+    """
+
+    def __init__(self, kind: str, error: str) -> None:
+        super().__init__(f"{kind}: {error}")
+        self.kind = kind
+
+
+def _serve_pinned(conn: connection.Connection, handler: Callable) -> None:
+    """A pinned worker's life: one reply per message, in order."""
+    _exit_with_parent()
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, handler(message))
+        except Exception as exc:
+            reply = (False, f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
+
+
+def _stop_pinned(
+    process: multiprocessing.process.BaseProcess, conn: connection.Connection
+) -> None:
+    _kill([process])
+    process.join()
+    conn.close()
+
+
+class PinnedWorker:
+    """One long-lived worker process and the pipe its owner talks on.
+
+    ``handler`` runs in the worker as ``handler(message)`` for every
+    :meth:`send`, and :meth:`receive` returns what it returned; module
+    state the handler keeps survives from one message to the next.
+    The process is forked by the first :meth:`send` after construction
+    or :meth:`kill`.  Any failure — the process died (a pipe EOF or its
+    sentinel), no reply inside the timeout, the handler raised — kills
+    and reaps it before :class:`WorkerLost` is raised, so a message is
+    never answered late.  A worker dropped without :meth:`kill` is
+    killed when it is collected or, at the latest, when the owning
+    interpreter exits (before :mod:`multiprocessing` joins its
+    children), and one whose parent died exits by itself.  Not
+    thread-safe: one message in flight at a time.
+    """
+
+    def __init__(self, handler: Callable[[Any], Any]) -> None:
+        self.handler = handler
+        self._process: multiprocessing.process.BaseProcess | None = None
+        self._conn: connection.Connection | None = None
+        self._stop: util.Finalize | None = None
+
+    @property
+    def pid(self) -> int | None:
+        """The worker's pid, ``None`` while none is forked."""
+        return self._process.pid if self._process is not None else None
+
+    def died_idle(self) -> bool:
+        """Whether a forked worker has exited between messages; if so
+        it is reaped, and the next :meth:`send` forks a new one."""
+        if self._process is None or self._process.is_alive():
+            return False
+        self.kill()
+        return True
+
+    def send(self, message: Any) -> None:
+        if self._process is None:
+            self._fork()
+        try:
+            self._conn.send(message)
+        except OSError as exc:
+            self._lose("worker-crash", f"{type(exc).__name__}: {exc}")
+
+    def receive(self, timeout: float | None = None) -> Any:
+        """The reply to the message sent last."""
+        ready = connection.wait([self._conn, self._process.sentinel], timeout)
+        if not ready:
+            self._lose("timeout", f"no reply within {timeout:.3g}s")
+        if self._conn not in ready:
+            self._lose(
+                "worker-crash",
+                f"worker exited with code {self._process.exitcode}",
+            )
+        try:
+            ok, value = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            self._lose("worker-crash", f"{type(exc).__name__}: {exc}")
+        if not ok:
+            self._lose("crash", value)
+        return value
+
+    def kill(self) -> None:
+        """Kill and reap the worker (idempotent)."""
+        stop, self._stop = self._stop, None
+        self._process = self._conn = None
+        if stop is not None:
+            stop()
+
+    def _lose(self, kind: str, error: str) -> None:
+        self.kill()
+        raise WorkerLost(kind, error)
+
+    def _fork(self) -> None:
+        conn, child_conn = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_serve_pinned,
+            args=(child_conn, self.handler),
+            name="pinned-worker",
+        )
+        process.start()
+        child_conn.close()
+        self._process, self._conn = process, conn
+        # exitpriority >= 0: run at exit before multiprocessing joins
+        # its non-daemonic children, which an idle worker would block.
+        self._stop = util.Finalize(
+            self, _stop_pinned, args=(process, conn), exitpriority=10
+        )
+
+
 class WorkerPool:
     """``jobs`` worker processes and the retry ladder that drives them.
 
@@ -258,19 +414,8 @@ class WorkerPool:
         executor, self._executor = self._executor, None
         if executor is None:
             return
-        # _processes is CPython's worker table.  Killing is the point:
-        # a wedged worker never honours a polite shutdown.
-        processes = list((executor._processes or {}).values())
-        for process in processes:
-            process.terminate()
-        for process in processes:
-            # Watch the sentinel instead of join()ing: the executor's
-            # manager thread joins every worker as it winds down, and a
-            # second waitpid() from this thread can lose the exit status
-            # to it, after which the child reads as alive here until the
-            # manager gets to publish what it reaped.
-            if not connection.wait([process.sentinel], timeout=2.0):
-                process.kill()  # SIGTERM blocked, or the worker stopped
+        # _processes is CPython's worker table.
+        _kill(list((executor._processes or {}).values()))
         # Returns when the manager thread has joined every worker.
         executor.shutdown(wait=True, cancel_futures=True)
 

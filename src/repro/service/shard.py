@@ -1,64 +1,74 @@
-"""Sharded tenant execution over the hardened parallel engine.
+"""Sharded tenant execution, inline or in pinned worker processes.
 
 A *shard* owns a disjoint set of tenants (assignment is a stable
 content hash of the tenant name, so every process that can see the
 shard count routes identically).  The execution unit is a **batch**:
-the ordered list of validated requests a shard has pending.  A batch
-is applied by :func:`run_shard_batch` — a pure, picklable,
-module-level function from ``(state, ops)`` to ``(responses, state')``
-— which is exactly the shape :meth:`repro.perf.parallel.WorkerPool.map`
-hardens: per-batch timeouts, attempt-bounded retry, worker-crash
-recovery by killing the workers and forking new ones.
-
-That purity is the crash story.  Shard state between batches lives in
-the *parent* as a map of tenant → checksummed snapshot blob
-(:meth:`repro.service.session.TenantSession.capture`, built on the
-PR 9 snapshot machinery).  A worker that dies mid-batch never
-acknowledged anything: the pool replays the identical batch from the
-identical committed state on a fresh worker, and — by resume
-equivalence (``resume_suite`` in :mod:`repro.verify.differential`) —
-produces the identical responses.  No committed tenant state can be
-lost, because committed state is precisely what the parent already
-holds.
+the ordered list of validated requests a shard has pending, applied
+by a :class:`ShardRuntime` — the shard's live sessions and metric
+registries — one response per request.
 
 Two execution modes, one semantics:
 
 ``jobs == 0`` (inline)
-    Persistent :class:`ShardRuntime` objects in the calling process;
-    sessions stay live between batches.  The deterministic reference
-    mode the isolation oracle replays.
+    Persistent :class:`ShardRuntime` objects in the calling process.
+    The deterministic reference mode the isolation oracle replays.
 ``jobs >= 1`` (pool)
-    The executor holds one :class:`~repro.perf.parallel.WorkerPool` of
-    ``min(jobs, shards)`` workers for its whole life (until
-    :meth:`ShardExecutor.close`) and ships every batch to it; a worker
-    lazily revives only the tenants the batch touches and captures
-    them back afterwards.  Holding a pool *means* out-of-process, so a
-    one-shard batch is not padded.  A batch that exhausts its retry
-    budget is *drained*: every request in it gets a structured
-    ``shard-failed`` response, the state stays at the last committed
-    blobs, and the next batch revives the shard from them (the
-    respawn).  A batch is a pure function of the blobs shipped with
-    it, so a worker carries nothing from one batch to the next, and a
-    pool the retry ladder killed is forked anew by the next batch.
+    Each shard is pinned to one of ``min(jobs, shards)`` long-lived
+    :class:`~repro.perf.parallel.PinnedWorker` processes (shard ``s``
+    to worker ``s % workers``), which keeps the shard's runtime
+    resident from batch to batch: a batch message carries only the
+    shard's requests and an attempt counter, never a heap.  Holding
+    workers *means* out-of-process, so a one-shard batch is not
+    padded, and no tenant heap ever runs in the parent.
 
-The byte-identity of the two modes — responses and per-shard metric
-registries alike — is asserted by the service test suite; it follows
-from resume equivalence plus the cadence-independent metric draining
-in :mod:`repro.service.session`.
+The crash story is replay.  What the parent holds for a pool-mode
+shard is its *committed* state — the session blobs
+(:meth:`repro.service.session.TenantSession.capture`, checksummed) and
+metric registries from the shard's last commit point — plus the
+*suffix*: every batch acknowledged since, with the responses the
+clients were sent.  A commit point drains and captures in the worker
+(:meth:`ShardRuntime.commit`) and empties the suffix; there is one
+every :data:`COMMIT_EVERY_BATCHES` batches, at every parent-side read
+(:meth:`ShardExecutor.shard_state`, :meth:`~ShardExecutor.shard_metrics`
+and so the ``metrics`` op) and at :meth:`ShardExecutor.close`.  When a
+worker dies — mid-batch or idle — or overruns the task timeout, the
+parent kills it, forks a replacement, sends it the committed blobs and
+replays the suffix, then retries the batch at ``attempt + 1``.  By
+resume equivalence (``resume_suite`` in :mod:`repro.verify.differential`)
+the replay reproduces the lost worker's state exactly, so no
+acknowledged op can be lost; and the replay is checked, not trusted:
+the rebuilt worker returns the responses it produced, and one that
+differs from what was acknowledged drains the shard with
+``shard-failed`` naming the first differing request instead of
+serving from a state that diverged.  A batch that exhausts its retry
+budget is *drained*: every request in it gets ``shard-failed``, and
+the state stays committed + suffix for the next batch to rebuild.
+
+The byte-identity of the two modes — responses, per-shard metric
+registries and committed blobs alike — is asserted by the service test
+suite; it follows from resume equivalence plus the cadence-independent
+metric draining in :mod:`repro.service.session`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
-from functools import lru_cache
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.gc.registry import COLLECTOR_KINDS
 from repro.heap.flat import FlatHeap
 from repro.metrics.registry import MetricRegistry, merge_registries
-from repro.perf.parallel import TaskFailure, WorkerPool
+from repro.perf.parallel import (
+    PinnedWorker,
+    WorkerLost,
+    task_retries,
+    task_timeout,
+)
 from repro.service.protocol import (
     ProtocolError,
     error_response,
@@ -68,12 +78,18 @@ from repro.service.protocol import (
 from repro.service.session import OpRejected, TenantSession
 
 __all__ = [
+    "COMMIT_EVERY_BATCHES",
     "ShardExecutor",
     "ShardRuntime",
     "run_shard_batch",
     "shard_of",
 ]
 
+
+#: Most batches a pool-mode shard acknowledges past its last commit
+#: point: reaching it makes a commit point, so a rebuild replays at
+#: most this many batches and the parent holds at most this many.
+COMMIT_EVERY_BATCHES = 64
 
 #: Most routes :func:`shard_of` remembers.  Tenant names are chosen by
 #: the client, so the memo is bounded in entries (least recently used
@@ -107,8 +123,9 @@ class ShardRuntime:
     ``state`` seeds the runtime with captured session blobs; sessions
     are revived lazily on first touch, so a batch that addresses 3 of
     500 tenants pays for 3 restores.  The same class serves both
-    execution modes — the inline executor keeps one runtime alive for
-    the whole run, the pool worker builds a fresh one per batch.
+    execution modes — the inline executor keeps its runtimes in the
+    calling process, a pinned pool worker keeps its shards' runtimes
+    resident between batches.
     """
 
     def __init__(
@@ -117,20 +134,16 @@ class ShardRuntime:
         *,
         state: Mapping[str, dict] | None = None,
         tenant_cap: int | None = None,
-        external_tenants: int = 0,
     ) -> None:
         self.shard_id = shard_id
         self.tenant_cap = tenant_cap
         self.sessions: dict[str, TenantSession] = {}
         self._cold: dict[str, dict] = dict(state or {})
-        # Tenants the parent holds that were not shipped with this
-        # batch (pool mode ships only the blobs a batch touches);
-        # counted so the admission cap sees true shard occupancy.
-        self.external_tenants = external_tenants
-        self.closed: list[str] = []
         self._registries: dict[str, MetricRegistry] = {}
         # Tenants that ran ops since their session was last drained.
         self._undrained: set[str] = set()
+        # Tenants opened or run since the last commit point.
+        self._touched: set[str] = set()
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -168,9 +181,7 @@ class ShardRuntime:
 
     @property
     def open_tenants(self) -> int:
-        return (
-            len(self.sessions) + len(self._cold) + self.external_tenants
-        )
+        return len(self.sessions) + len(self._cold)
 
     def has_tenant(self, tenant: str) -> bool:
         return tenant in self.sessions or tenant in self._cold
@@ -198,6 +209,25 @@ class ShardRuntime:
             state[tenant] = session.capture()
         return state
 
+    def commit(
+        self,
+    ) -> tuple[dict[str, dict], list[str], dict[str, MetricRegistry]]:
+        """A commit point: what a pool-mode parent needs to hold the
+        shard without its worker.
+
+        Drains first, like :meth:`export_state`, then captures only the
+        tenants opened or run since the last commit point — the parent
+        keeps its blob of every other one.  Returns those blobs, every
+        tenant the shard holds, and the registries.
+        """
+        self._flush_metrics()
+        blobs = {
+            tenant: self.sessions[tenant].capture()
+            for tenant in self._touched
+        }
+        self._touched.clear()
+        return blobs, [*self._cold, *self.sessions], self._registries
+
     # ------------------------------------------------------------------
     # Batch application
     # ------------------------------------------------------------------
@@ -212,11 +242,10 @@ class ShardRuntime:
         Sessions are not drained here.  A tenant the batch touched is
         marked undrained and drained when the registries are next read
         (:attr:`registries`) or the sessions captured
-        (:meth:`export_state`, which a pool worker calls once per
-        batch).  ``close`` drains its session, and the blast-radius
-        fence drains an evicted session before dropping it, so the
-        registry of an evicted tenant counts every op it acknowledged,
-        in either execution mode.
+        (:meth:`export_state`, :meth:`commit`).  ``close`` drains its
+        session, and the blast-radius fence drains an evicted session
+        before dropping it, so the registry of an evicted tenant counts
+        every op it acknowledged, in either execution mode.
         """
         service = self.registry("service")
         # Counted per batch: one counter lookup per op kind and outcome
@@ -258,13 +287,14 @@ class ShardRuntime:
                 )
             if op == "close":
                 self._undrained.discard(tenant)
+                self._touched.discard(tenant)
                 self._drain(session)
                 payload = session.close_payload()
                 del self.sessions[tenant]
-                self.closed.append(tenant)
                 self.registry("service").counter("tenants_closed").inc()
                 return ok_response(request_id, **payload)
             self._undrained.add(tenant)
+            self._touched.add(tenant)
             return ok_response(request_id, **session.apply(request))
         except ProtocolError as exc:
             return error_response(request_id, exc.kind, exc.detail)
@@ -275,10 +305,10 @@ class ShardRuntime:
         except Exception as exc:  # tenant blast-radius fence
             session = self.sessions.pop(tenant, None)
             self._undrained.discard(tenant)
+            self._touched.discard(tenant)
             if session is not None:
                 self._drain(session)
             self._cold.pop(tenant, None)
-            self.closed.append(tenant)
             self.registry("service").counter("tenants_evicted").inc()
             return error_response(
                 request_id,
@@ -319,6 +349,7 @@ class ShardRuntime:
             # with: the request's fault, and no session ever existed.
             return error_response(request["id"], "bad-request", str(exc))
         self.sessions[tenant] = session
+        self._touched.add(tenant)
         self.registry("service").counter("tenants_opened").inc()
         return ok_response(
             request["id"],
@@ -330,29 +361,33 @@ class ShardRuntime:
 
 
 # ----------------------------------------------------------------------
-# The picklable batch task (pool mode)
+# The pinned worker's side (pool mode)
 # ----------------------------------------------------------------------
 
 
-def run_shard_batch(item: dict, attempt: int = 0) -> dict:
-    """One shard batch as a pure function — the ``WorkerPool.map`` task.
+#: The shard runtimes this process keeps resident (a pinned worker's).
+_RESIDENT: dict[int, ShardRuntime] = {}
 
-    ``item`` carries the shard id, the committed state blobs, the
-    ordered validated requests, and the executor config.  The result
-    carries the responses, the new committed state, and the batch's
-    metric-registry deltas in JSON form.  ``attempt`` is the engine's
-    retry counter; the batch itself is deterministic, so a retry
-    recomputes identical results — ``attempt`` is consulted only by
-    the chaos pseudo-ops below.
+
+def run_shard_batch(item: dict, attempt: int = 0) -> dict:
+    """One shard batch on this process's resident runtime for the shard.
+
+    ``item`` carries the shard id, the ordered validated requests and
+    the executor config; the runtime is created empty by the shard's
+    first batch in this process.  The result carries the responses and
+    the shard's open-tenant count.  ``attempt`` is the executor's retry
+    counter; a retry runs on a rebuilt runtime and recomputes identical
+    results, so ``attempt`` is consulted only by the chaos pseudo-ops
+    below.
 
     Chaos pseudo-ops (honoured only when the executor was built with
     ``chaos=True``; the server never emits them) make the fault drills
     real instead of simulated: ``_chaos-exit`` kills the worker
     process mid-batch with ``os._exit`` (a genuinely dead worker, as
-    the pool sees it), ``_chaos-spin`` wedges it past the task
+    the executor sees it), ``_chaos-spin`` wedges it past the task
     timeout.  Both stand down once ``attempt`` reaches their
     ``attempts`` count, so the drill exercises the full
-    die → respawn → replay path.
+    die → rebuild → replay → retry path.
     """
     config = item.get("config", {})
     chaos = bool(config.get("chaos"))
@@ -366,39 +401,88 @@ def run_shard_batch(item: dict, attempt: int = 0) -> dict:
                 time.sleep(float(request.get("seconds", 30.0)))
             continue
         ops.append(request)
-    runtime = ShardRuntime(
-        item["shard"],
-        state=item["state"],
-        tenant_cap=config.get("tenant_cap"),
-        external_tenants=int(config.get("external_tenants", 0)),
-    )
-    responses = runtime.apply_batch(ops)
+    shard = item["shard"]
+    runtime = _RESIDENT.get(shard)
+    if runtime is None:
+        runtime = _RESIDENT[shard] = ShardRuntime(
+            shard, tenant_cap=config.get("tenant_cap")
+        )
     return {
-        "shard": item["shard"],
-        "responses": responses,
-        "state": runtime.export_state(),
-        "closed": runtime.closed,
-        "metrics": {
-            label: registry.to_jsonable()
-            for label, registry in runtime.registries.items()
-        },
+        "responses": runtime.apply_batch(ops),
+        "open_tenants": runtime.open_tenants,
     }
 
 
+def _rebuild(
+    config: dict,
+    shard: int,
+    blobs: dict[str, dict],
+    registries: dict[str, MetricRegistry],
+    suffix: list[list[dict]],
+) -> list[list[dict]]:
+    """Make the shard resident from committed state, replay the
+    acknowledged suffix on it, and return the replay's responses."""
+    runtime = ShardRuntime(
+        shard, state=blobs, tenant_cap=config.get("tenant_cap")
+    )
+    runtime._registries = registries
+    _RESIDENT[shard] = runtime
+    return [runtime.apply_batch(ops) for ops in suffix]
+
+
+def serve_shards(config: dict, message: tuple[str, list]) -> list:
+    """A pinned worker's handler: ``(verb, items)`` → one reply per item.
+
+    ``batch`` items are ``(shard, requests, attempt)``; ``rebuild``
+    items are ``(shard, blobs, registries, suffix)``; ``commit`` items
+    are shard ids, answered by :meth:`ShardRuntime.commit`.
+    """
+    verb, items = message
+    if verb == "batch":
+        return [
+            run_shard_batch(
+                {"shard": shard, "ops": ops, "config": config}, attempt
+            )
+            for shard, ops, attempt in items
+        ]
+    if verb == "rebuild":
+        return [_rebuild(config, *item) for item in items]
+    if verb == "commit":
+        return [_RESIDENT[shard].commit() for shard in items]
+    raise ValueError(f"unknown shard message {verb!r}")
+
+
 # ----------------------------------------------------------------------
-# The executor: state ownership, fan-out, drain/respawn
+# The executor: committed state, the suffix, rebuild and drain
 # ----------------------------------------------------------------------
+
+
+@dataclass
+class _Ledger:
+    """What the parent holds for one pool-mode shard."""
+
+    #: Session blobs and metric registries at the last commit point.
+    blobs: dict[str, dict] = field(default_factory=dict)
+    registries: dict[str, MetricRegistry] = field(default_factory=dict)
+    #: ``(requests, responses)`` of every batch acknowledged since.
+    suffix: list[tuple[list[dict], list[dict]]] = field(default_factory=list)
+    #: The worker's open-tenant count after the last acknowledged batch.
+    open_tenants: int = 0
+    #: Whether the shard's worker holds committed + suffix right now.
+    resident: bool = True
 
 
 class ShardExecutor:
     """Owns the shards' committed state and routes batches to them.
 
     The parent-side half of the service: :meth:`execute` takes one
-    batch per shard and returns responses per shard, fanning the
-    non-empty shards across worker processes (``jobs >= 1``) or
-    applying them to persistent in-process runtimes (``jobs == 0``).
+    batch per shard and returns responses per shard, sending the
+    non-empty shards to their pinned worker processes (``jobs >= 1``)
+    or applying them to persistent in-process runtimes (``jobs == 0``).
     The owner releases the workers with :meth:`close` (or a ``with``
-    block).
+    block); state and registries stay readable afterwards.  In pool
+    mode every method that talks to the workers holds one lock, so a
+    read from another thread waits for the batch in flight.
     """
 
     def __init__(
@@ -429,21 +513,32 @@ class ShardExecutor:
                 ShardRuntime(index, tenant_cap=tenant_cap)
                 for index in range(shards)
             ]
-            self._state: list[dict[str, dict]] | None = None
-            self._metrics: list[dict[str, MetricRegistry]] | None = None
-            self._pool: WorkerPool | None = None
+            self._ledgers: list[_Ledger] | None = None
+            self._workers: list[PinnedWorker] | None = None
         else:
             self._runtimes = None
-            self._state = [dict() for _ in range(shards)]
-            self._metrics = [dict() for _ in range(shards)]
-            # Forked by the first batch; re-forked only by the retry
-            # ladder after a timeout or a dead worker.
-            self._pool = WorkerPool(min(jobs, shards))
+            self._ledgers = [_Ledger() for _ in range(shards)]
+            # Forked by their first message; re-forked after a loss.
+            handler = partial(
+                serve_shards, {"tenant_cap": tenant_cap, "chaos": chaos}
+            )
+            self._workers = [
+                PinnedWorker(handler) for _ in range(min(jobs, shards))
+            ]
+            self._lock = threading.Lock()
 
     def close(self) -> None:
-        """Kill the worker processes (idempotent; inline has none)."""
-        if self._pool is not None:
-            self._pool.close()
+        """Commit every shard, then kill the worker processes
+        (idempotent; inline has none)."""
+        if self._workers is None:
+            return
+        with self._lock:
+            try:
+                self._commit(range(self.shards))
+            finally:
+                for index, worker in enumerate(self._workers):
+                    worker.kill()
+                    self._lost(index)
 
     def __enter__(self) -> "ShardExecutor":
         return self
@@ -459,16 +554,22 @@ class ShardExecutor:
     def open_tenants(self, shard: int) -> int:
         if self._runtimes is not None:
             return self._runtimes[shard].open_tenants
-        return len(self._state[shard])
+        return self._ledgers[shard].open_tenants
 
     def shard_metrics(self, shard: int) -> dict[str, MetricRegistry]:
-        """The shard's merged metric registries (label → registry)."""
+        """The shard's metric registries (label → registry); a commit
+        point in pool mode."""
         if self._runtimes is not None:
             return self._runtimes[shard].registries
-        return self._metrics[shard]
+        with self._lock:
+            self._commit([shard])
+            return self._ledgers[shard].registries
 
     def merged_metrics(self) -> list[MetricRegistry]:
         """Service-wide registries: shard registries merged per label."""
+        if self._ledgers is not None:
+            with self._lock:
+                self._commit(range(self.shards))
         by_label: dict[str, list[MetricRegistry]] = {}
         for shard in range(self.shards):
             for label, registry in self.shard_metrics(shard).items():
@@ -479,10 +580,13 @@ class ShardExecutor:
         ]
 
     def shard_state(self, shard: int) -> dict[str, dict]:
-        """The shard's committed state blobs (captured live if inline)."""
+        """The shard's state blobs: captured live if inline, a commit
+        point in pool mode."""
         if self._runtimes is not None:
             return self._runtimes[shard].export_state()
-        return self._state[shard]
+        with self._lock:
+            self._commit([shard])
+            return self._ledgers[shard].blobs
 
     # ------------------------------------------------------------------
 
@@ -509,81 +613,243 @@ class ShardExecutor:
                 )
                 for shard, ops in work.items()
             }
+        with self._lock:
+            responses = self._execute_pinned(work)
+        return {shard: responses[shard] for shard in work}
 
-        # Ship only the blobs this batch can touch: per-batch cost
-        # scales with batch size, not with how many tenants the shard
-        # hosts.  The worker learns the unshipped count so the
-        # admission cap still measures true occupancy.
-        items = []
-        for shard, ops in work.items():
-            state = self._state[shard]
-            touched = {
-                request["tenant"]
-                for request in ops
-                if "tenant" in request
-            }
-            shipped = {
-                tenant: state[tenant]
-                for tenant in touched
-                if tenant in state
-            }
-            items.append(
-                {
-                    "shard": shard,
-                    "state": shipped,
-                    "ops": ops,
-                    "config": {
-                        "tenant_cap": self.tenant_cap,
-                        "chaos": self.chaos,
-                        "external_tenants": len(state) - len(shipped),
-                    },
-                }
-            )
-        # Pool mode exists for crash isolation: tenant heaps never run
-        # inside the calling process, however few shards a batch touches.
-        outcomes = self._pool.map(
-            run_shard_batch,
-            items,
-            timeout=self.timeout,
-            retries=self.retries,
-        )
+    def _execute_pinned(
+        self, work: dict[int, list[dict]]
+    ) -> dict[int, list[dict]]:
+        """Run each batch on its shard's worker, rebuilding a lost
+        worker and retrying the batch until the budget is spent."""
+        retries = task_retries() if self.retries is None else self.retries
         responses: dict[int, list[dict]] = {}
-        for (shard, ops), outcome in zip(work.items(), outcomes):
-            if isinstance(outcome, TaskFailure):
-                # Drained: state unchanged, every request answered
-                # with a structured failure, shard revives next batch.
-                self.respawns[shard] += 1
-                responses[shard] = [
-                    error_response(
-                        request.get("id"),
-                        "shard-failed",
-                        f"shard {shard} lost its worker "
-                        f"({outcome.kind} after {outcome.attempts} "
-                        f"attempt(s)); committed state preserved",
-                        shard=shard,
-                    )
-                    for request in ops
-                    if not str(request.get("op", "")).startswith("_chaos")
-                ]
-                continue
-            state = self._state[shard]
-            for tenant in outcome["closed"]:
-                state.pop(tenant, None)
-            state.update(outcome["state"])
-            merged = self._metrics[shard]
-            for label, payload in outcome["metrics"].items():
-                delta = MetricRegistry.from_jsonable(payload)
-                if label in merged:
-                    merged[label].merge(delta)
-                else:
-                    merged[label] = delta
-            responses[shard] = outcome["responses"]
+        attempts = dict.fromkeys(work, 0)
+        pending = dict(work)
+        while pending:
+            replies, lost, diverged = self._call(
+                "batch", pending, lambda s: (s, pending[s], attempts[s])
+            )
+            for shard, detail in diverged.items():
+                responses[shard] = self._drain(shard, pending.pop(shard), detail)
+            for shard, reply in replies.items():
+                ledger = self._ledgers[shard]
+                ledger.suffix.append(
+                    (self._strip_chaos(pending.pop(shard)), reply["responses"])
+                )
+                ledger.open_tenants = reply["open_tenants"]
+                responses[shard] = reply["responses"]
+            for shard, failure in lost.items():
+                if attempts[shard] < retries:
+                    attempts[shard] += 1
+                    continue
+                responses[shard] = self._drain(
+                    shard,
+                    pending.pop(shard),
+                    f"shard {shard} lost its worker ({failure.kind} after "
+                    f"{attempts[shard] + 1} attempt(s)); committed state "
+                    f"preserved",
+                )
+        self._commit(
+            shard
+            for shard in responses
+            if len(self._ledgers[shard].suffix) >= COMMIT_EVERY_BATCHES
+        )
         return responses
+
+    def _drain(self, shard: int, ops: list[dict], detail: str) -> list[dict]:
+        """Answer a batch that never ran: state stays committed +
+        suffix, and the next batch rebuilds the shard from it."""
+        self.respawns[shard] += 1
+        return [
+            error_response(
+                request.get("id"), "shard-failed", detail, shard=shard
+            )
+            for request in self._strip_chaos(ops)
+        ]
+
+    def _commit(self, shards: Iterable[int]) -> None:
+        """A commit point for ``shards``: each worker drains and
+        captures what changed since the last one, and the suffix is
+        emptied.  A shard whose worker cannot be rebuilt within the
+        retry budget stays at committed + suffix."""
+        due = [shard for shard in shards if self._ledgers[shard].suffix]
+        retries = task_retries() if self.retries is None else self.retries
+        for _attempt in range(retries + 1):
+            if not due:
+                return
+            replies, lost, _diverged = self._call("commit", due, lambda s: s)
+            for shard, (blobs, tenants, registries) in replies.items():
+                ledger = self._ledgers[shard]
+                ledger.blobs = {
+                    tenant: blobs.get(tenant) or ledger.blobs[tenant]
+                    for tenant in tenants
+                }
+                ledger.registries = registries
+                ledger.suffix = []
+            due = list(lost)
+
+    def _call(
+        self, verb: str, shards: Iterable[int], item: Callable[[int], Any]
+    ) -> tuple[dict[int, Any], dict[int, WorkerLost], dict[int, str]]:
+        """Make ``shards`` resident, then send each worker one ``verb``
+        message carrying ``item(shard)`` for each of its shards.
+
+        Returns the reply of every shard that got one, the shards whose
+        worker was lost on the way, and the shards whose rebuild
+        diverged (see :meth:`_make_resident`), which were not sent.
+        """
+        lost, diverged = self._make_resident(shards)
+        groups = self._by_worker(
+            [shard for shard in shards if shard not in lost | diverged.keys()]
+        )
+        outcomes = self._round(
+            verb,
+            {
+                index: [item(shard) for shard in group]
+                for index, group in groups.items()
+            },
+        )
+        replies: dict[int, Any] = {}
+        for index, group in groups.items():
+            outcome = outcomes[index]
+            for position, shard in enumerate(group):
+                if isinstance(outcome, WorkerLost):
+                    lost[shard] = outcome
+                else:
+                    replies[shard] = outcome[position]
+        return replies, lost, diverged
+
+    def _make_resident(
+        self, shards: Iterable[int]
+    ) -> tuple[dict[int, WorkerLost], dict[int, str]]:
+        """Rebuild every shard of ``shards`` its worker does not hold.
+
+        A worker found dead between messages is reaped first.  The
+        rebuilt worker's replay of the suffix must answer exactly what
+        was acknowledged; a worker whose replay diverged is killed.
+        Returns the shards of ``shards`` whose worker was lost on the
+        way (a lost worker takes every shard it held with it) and, with
+        a detail naming the first differing request, the shards whose
+        replay diverged.
+        """
+        shards = list(shards)
+        for index in self._by_worker(shards):
+            if self._workers[index].died_idle():
+                self._lost(index)
+        groups = self._by_worker(
+            [shard for shard in shards if not self._ledgers[shard].resident]
+        )
+        outcomes = self._round(
+            "rebuild",
+            {
+                index: [
+                    (
+                        shard,
+                        self._ledgers[shard].blobs,
+                        self._ledgers[shard].registries,
+                        [ops for ops, _ in self._ledgers[shard].suffix],
+                    )
+                    for shard in group
+                ]
+                for index, group in groups.items()
+            },
+        )
+        diverged: dict[int, str] = {}
+        for index, group in groups.items():
+            outcome = outcomes[index]
+            if isinstance(outcome, WorkerLost):
+                continue
+            for position, shard in enumerate(group):
+                mismatch = _first_difference(
+                    self._ledgers[shard].suffix, outcome[position]
+                )
+                if mismatch is None:
+                    self._ledgers[shard].resident = True
+                else:
+                    diverged[shard] = (
+                        f"shard {shard} failed its replay check: the "
+                        f"rebuilt worker answered request {mismatch!r} "
+                        f"differently from the acknowledged response; "
+                        f"committed state preserved"
+                    )
+            if diverged.keys() & set(group):
+                # A worker that diverged is trusted with no shard.
+                self._workers[index].kill()
+                self._lost(index)
+                outcomes[index] = WorkerLost(
+                    "crash", "a shard on this worker failed its replay check"
+                )
+        lost = {
+            shard: outcomes[shard % len(self._workers)]
+            for shard in shards
+            if shard not in diverged
+            and isinstance(
+                outcomes.get(shard % len(self._workers)), WorkerLost
+            )
+        }
+        return lost, diverged
+
+    def _round(
+        self, verb: str, groups: dict[int, list]
+    ) -> dict[int, Any]:
+        """One message to each worker in ``groups``, then every reply.
+
+        A worker's reply is due within the task timeout times the
+        batches its message carries (a rebuild counts its suffix).  A
+        lost worker's outcome is its :class:`WorkerLost`, and its
+        shards are no longer resident.
+        """
+        timeout = task_timeout() if self.timeout is None else self.timeout
+        outcomes: dict[int, Any] = {}
+        started = time.monotonic()
+        try:
+            for index, items in groups.items():
+                try:
+                    self._workers[index].send((verb, items))
+                except WorkerLost as lost:
+                    outcomes[index] = lost
+            for index, items in groups.items():
+                if index in outcomes:
+                    continue
+                budget = None
+                if timeout is not None:
+                    units = len(items)
+                    if verb == "rebuild":
+                        units += sum(len(item[3]) for item in items)
+                    budget = max(
+                        0.0, started + timeout * units - time.monotonic()
+                    )
+                try:
+                    outcomes[index] = self._workers[index].receive(budget)
+                except WorkerLost as lost:
+                    outcomes[index] = lost
+        except BaseException:
+            # A reply left unread would answer the next message.
+            for index in groups:
+                self._workers[index].kill()
+                self._lost(index)
+            raise
+        for index, outcome in outcomes.items():
+            if isinstance(outcome, WorkerLost):
+                self._lost(index)
+        return outcomes
+
+    def _by_worker(self, shards: Iterable[int]) -> dict[int, list[int]]:
+        groups: dict[int, list[int]] = {}
+        for shard in shards:
+            groups.setdefault(shard % len(self._workers), []).append(shard)
+        return groups
+
+    def _lost(self, index: int) -> None:
+        """Worker ``index`` is gone: none of its shards is resident."""
+        for shard in range(index, self.shards, len(self._workers)):
+            self._ledgers[shard].resident = False
 
     @staticmethod
     def _strip_chaos(ops: list[dict]) -> list[dict]:
-        """Inline mode has no worker to kill; chaos ops are dropped
-        (matching pool mode's response stream, which skips them too)."""
+        """Chaos pseudo-ops never reach a session and get no response
+        (inline has no worker to kill, a rebuild replays none)."""
         return [
             request
             for request in ops
@@ -604,3 +870,20 @@ class ShardExecutor:
                 self.open_tenants(shard) for shard in range(self.shards)
             ],
         }
+
+
+def _first_difference(
+    suffix: list[tuple[list[dict], list[dict]]], replayed: list[list[dict]]
+) -> Any:
+    """The id of the first replayed response that differs from the
+    acknowledged one, or ``None`` when the replay matches."""
+    acknowledged = [answer for _ops, answers in suffix for answer in answers]
+    answers = [answer for batch in replayed for answer in batch]
+    if answers == acknowledged:
+        return None
+    for expected, got in zip(acknowledged, answers):
+        if got != expected:
+            return expected.get("id")
+    # One side ran out: the first response only the other has.
+    extra = acknowledged[len(answers):] or answers[len(acknowledged):]
+    return extra[0].get("id")

@@ -2,6 +2,7 @@
 retry/quarantine, timeout recovery, worker-crash recovery, and the
 journal integration of the experiment runner."""
 
+import itertools
 import os
 import signal
 import time
@@ -9,7 +10,9 @@ import time
 import pytest
 
 from repro.perf.parallel import (
+    PinnedWorker,
     TaskFailure,
+    WorkerLost,
     WorkerPool,
     derive_seed,
     resilient_map,
@@ -284,6 +287,75 @@ class TestWorkerPool:
         # the time it returned the worker was SIGKILLed and reaped.
         assert not new_workers()
         pool.close()
+
+
+#: Advanced only inside pinned workers, each from its forked copy.
+_pinned_messages = itertools.count(1)
+
+
+def _pinned(message):
+    """A pinned worker's handler: counts its messages, and fails the
+    way ``message`` asks."""
+    if message == "raise":
+        raise ValueError("handler refused")
+    if message == "spin":
+        _spin_ignoring_sigterm(message, 0)
+    if message == "exit":
+        os._exit(1)
+    return (os.getpid(), next(_pinned_messages))
+
+
+class TestPinnedWorker:
+    def test_the_worker_keeps_its_state_between_messages(self, new_workers):
+        worker = PinnedWorker(_pinned)
+        replies = []
+        for _ in range(3):
+            worker.send("count")
+            replies.append(worker.receive(timeout=30))
+        pid = worker.pid
+        assert pid != os.getpid()
+        assert replies == [(pid, 1), (pid, 2), (pid, 3)]
+        worker.kill()
+        assert worker.pid is None and not new_workers()
+
+    @pytest.mark.parametrize(
+        "message, kind",
+        [("raise", "crash"), ("spin", "timeout"), ("exit", "worker-crash")],
+    )
+    def test_a_failed_message_kills_and_reaps_the_worker(
+        self, message, kind, new_workers
+    ):
+        worker = PinnedWorker(_pinned)
+        worker.send("count")
+        worker.receive(timeout=30)
+        worker.send(message)
+        with pytest.raises(WorkerLost) as lost:
+            worker.receive(timeout=0.5)
+        assert lost.value.kind == kind
+        # Killed (SIGKILL where SIGTERM is ignored) and reaped before
+        # the owner heard of it; the next message forks a new worker
+        # that starts from nothing.
+        assert worker.pid is None and not new_workers()
+        worker.send("count")
+        assert worker.receive(timeout=30)[1] == 1
+        worker.kill()
+
+    def test_a_worker_dead_while_idle_is_found_before_the_next_message(
+        self,
+    ):
+        worker = PinnedWorker(_pinned)
+        assert not worker.died_idle()  # never forked
+        worker.send("count")
+        first, _ = worker.receive(timeout=30)
+        os.kill(first, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not worker.died_idle():
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        worker.send("count")
+        pid, count = worker.receive(timeout=30)
+        assert pid != first and count == 1
+        worker.kill()
 
 
 # ----------------------------------------------------------------------

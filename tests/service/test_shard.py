@@ -1,8 +1,9 @@
 """ShardExecutor: routing, mode byte-identity, fences, fault drills.
 
 The pool-mode drills here are the real thing — `_chaos-exit` kills an
-actual worker process with os._exit and the drill asserts the respawn
-path recomputed identical answers from committed state.
+actual worker process with os._exit, SIGKILL an idle one — and the
+drill asserts that the rebuilt worker, given the committed blobs and
+the replayed suffix, recomputed identical answers.
 """
 
 from __future__ import annotations
@@ -10,11 +11,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import asdict
 from multiprocessing import connection
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -23,11 +29,13 @@ from hypothesis import strategies as st
 
 from repro.gc.registry import COLLECTOR_KINDS
 from repro.metrics.registry import MetricRegistry, merge_registries
+from repro.perf.parallel import PinnedWorker
 from repro.service.loadgen import build_plan, tenant_geometry
 from repro.service.protocol import PROTOCOL_VERSION, geometry_from_payload
 from repro.service.session import TenantSession
 from repro.service import shard as shard_module
 from repro.service.shard import (
+    COMMIT_EVERY_BATCHES,
     SHARD_MEMO_ENTRIES,
     ShardExecutor,
     ShardRuntime,
@@ -99,10 +107,17 @@ def _run_streams(
 
 
 def _worker_pids(executor: ShardExecutor) -> set[int]:
-    """The pids of the executor's workers right now (CPython's worker
-    table; empty while none are forked)."""
-    workers = executor._pool._executor
-    return set(workers._processes or ()) if workers is not None else set()
+    """The pids of the executor's pinned workers right now (none while
+    none are forked)."""
+    return {worker.pid for worker in executor._workers if worker.pid}
+
+
+def _kill_worker(executor: ShardExecutor, shard: int) -> None:
+    """SIGKILL the idle worker pinned to ``shard`` and wait until it is
+    gone."""
+    worker = executor._workers[shard % len(executor._workers)]
+    os.kill(worker.pid, signal.SIGKILL)
+    assert connection.wait([worker._process.sentinel], timeout=30)
 
 
 class TestRouting:
@@ -342,7 +357,7 @@ class TestUnbuildableGeometry:
             assert "got" in response["error"]["detail"], (kind, geometry)
         assert [r["ok"] for r in (responses[0], *responses[-2:])] == [True] * 3
         assert executor.open_tenants(0) == 2
-        assert executor._runtimes[0].closed == []
+        assert sorted(executor._runtimes[0].sessions) == ["neighbour", "u0"]
         (service,) = [
             r for r in executor.merged_metrics() if r.label == "service"
         ]
@@ -368,9 +383,29 @@ class TestUnbuildableGeometry:
         assert sorted(pool.shard_state(0)) == ["neighbour", "u0"]
 
 
+def _recording_sends(monkeypatch) -> list[tuple]:
+    """Every message the parent sends a pinned worker, from now on."""
+    sent: list[tuple] = []
+    original = PinnedWorker.send
+
+    def recording(self, message):
+        sent.append(message)
+        return original(self, message)
+
+    monkeypatch.setattr(PinnedWorker, "send", recording)
+    return sent
+
+
 class TestPartialStateShipping:
-    def test_untouched_tenants_are_not_shipped_but_still_counted(self):
+    def test_untouched_tenants_are_not_shipped_but_still_counted(
+        self, monkeypatch
+    ):
+        """A batch message is the shard's requests and an attempt
+        counter, whatever the worker holds: its pickled size is the
+        same beside three empty heaps and beside three grown ones, and
+        the resident tenants still count against the cap."""
         shard = 0
+        sent = _recording_sends(monkeypatch)
         with ShardExecutor(1, jobs=2, tenant_cap=3) as executor:
             executor.execute(
                 {
@@ -382,22 +417,92 @@ class TestPartialStateShipping:
                 }
             )
             assert executor.open_tenants(shard) == 3
-            # A batch touching only "d" ships no blobs for a/b/c, yet the
-            # worker must still see occupancy 3 and refuse admission.
-            (responses,) = executor.execute(
-                {shard: [_req("open", "d", 0, kind="mark-sweep")]}
-            ).values()
-            error = responses[0]["error"]
-            assert error["kind"] == "backpressure"
-            assert error["open_tenants"] == 3
-            assert error["tenant_cap"] == 3
+            sizes = []
+            for seq in (1, 2):
+                knock = _req("open", "d", seq, kind="mark-sweep")
+                del sent[:]
+                (responses,) = executor.execute({shard: [knock]}).values()
+                assert sent == [("batch", [(shard, [knock], 0)])]
+                sizes.append(len(pickle.dumps(sent[0])))
+                error = responses[0]["error"]
+                assert error["kind"] == "backpressure"
+                assert error["open_tenants"] == 3
+                assert error["tenant_cap"] == 3
+                # Grow every resident heap between the two knocks.
+                for tenant in "abc":
+                    executor.execute(
+                        {
+                            shard: [
+                                _req("alloc", tenant, 10 + uid, uid=uid,
+                                     size=8, fields=0)
+                                for uid in range(300)
+                            ]
+                        }
+                    )
+            assert sizes[0] == sizes[1]
+            assert sum(map(len, executor.shard_state(shard).values())) > 0
             # Closing frees the slot for the next open.
             executor.execute({shard: [_req("close", "a", 1)]})
             assert executor.open_tenants(shard) == 2
             (responses,) = executor.execute(
-                {shard: [_req("open", "d", 1, kind="mark-sweep")]}
+                {shard: [_req("open", "d", 3, kind="mark-sweep")]}
             ).values()
             assert responses[0]["ok"] is True
+        # Nothing was lost, so no blob ever travelled to a worker.
+        assert all(verb in ("batch", "commit") for verb, _ in sent)
+
+    def test_churn_leaves_nothing_behind(self):
+        """5,000 batches that each open, run and close (or evict) a
+        tenant beside one long-lived neighbour: the parent's suffix
+        never outgrows the commit cadence, and a gone tenant leaves no
+        blob, suffix entry or session in the parent or the worker."""
+
+        def batch(index: int) -> list[dict]:
+            tenant = f"c{index}"
+            ops = [
+                _req("open", tenant, 0, kind="mark-sweep"),
+                _req("alloc", tenant, 1, uid=0, size=2, fields=1),
+                _req("alloc", "keeper", index, uid=index % 50, size=2,
+                     fields=0),
+            ]
+            if index % 7:
+                ops.append(_req("close", tenant, 2))
+            else:
+                # No validator lets a string slot through: the op
+                # raises inside the session and evicts the tenant.
+                ops.append(
+                    _req("write", tenant, 2, src=0, slot="0", dst=None)
+                )
+            return ops
+
+        runtime = ShardRuntime(0)
+        opening = [_req("open", "keeper", 0, kind="generational")]
+        runtime.apply_batch(opening)
+        with ShardExecutor(1, jobs=1) as executor:
+            executor.execute({0: opening})
+            ledger = executor._ledgers[0]
+            longest = 0
+            for index in range(5000):
+                ops = batch(index)
+                (responses,) = executor.execute({0: ops}).values()
+                assert responses == runtime.apply_batch(ops)
+                longest = max(longest, len(ledger.suffix))
+            assert longest == COMMIT_EVERY_BATCHES - 1
+            assert executor.open_tenants(0) == 1
+            # A commit point: the worker's tenants are the blobs' keys.
+            assert list(executor.shard_state(0)) == ["keeper"]
+            assert ledger.suffix == []
+            assert list(ledger.blobs) == ["keeper"]
+            (service,) = [
+                r for r in executor.merged_metrics() if r.label == "service"
+            ]
+        assert service.get("tenants_evicted").value == 5000 // 7 + 1
+        assert service.get("tenants_closed").value == 5000 - 5000 // 7 - 1
+        # The same class the worker runs, looked at from inside.
+        runtime.registries
+        assert list(runtime.sessions) == ["keeper"]
+        assert not runtime._cold and not runtime._undrained
+        assert runtime._touched == {"keeper"}
 
 
 #: Two tenants on each of two shards.
@@ -448,9 +553,11 @@ class TestFaultDrills:
 
     @pytest.mark.parametrize("drill", DRILLS)
     def test_a_retried_drill_keeps_the_blobs_and_reforks_the_pool(self, drill):
-        """The drill's retry replays the batch on a newly forked pool,
-        which every later batch reuses; responses and committed blobs
-        equal an inline run's byte for byte."""
+        """The drill's retry replays the batch on a newly forked worker
+        for the drilled shard, rebuilt from committed blobs plus the
+        suffix, which every later batch reuses; the other shard's worker
+        never notices.  Responses and committed blobs equal an inline
+        run's byte for byte."""
         inline = ShardExecutor(2, jobs=0)
         reference = _run_streams(inline, _open_streams())
         streams = _open_streams()
@@ -468,8 +575,9 @@ class TestFaultDrills:
             assert executor.respawns == [0, 0]
             for shard in range(2):
                 assert executor.shard_state(shard) == inline.shard_state(shard)
-        # Round 5 carried the drill.
-        assert len(pids[4]) == 2 and pids[5].isdisjoint(pids[4])
+        # Round 5 carried the drill: exactly one worker was replaced.
+        assert len(pids[4]) == len(pids[5]) == 2
+        assert len(pids[5] - pids[4]) == 1
         assert all(seen == pids[5] for seen in pids[5:])
 
     def test_drained_batch_fails_structurally_then_revives(self):
@@ -585,9 +693,9 @@ class TestWorkerLifetime:
         assert not new_workers()
 
     def test_an_idle_worker_killed_between_batches_costs_no_request(self):
-        """The dead worker is noticed at the next submit or charged one
-        retry; either way the batch is replayed from the committed
-        blobs, so responses and blobs equal an inline run's."""
+        """The dead worker is noticed before the next batch is sent; a
+        new one is rebuilt from the committed blobs plus the suffix, so
+        responses and blobs equal an inline run's."""
         inline = ShardExecutor(2, jobs=0)
         reference = _run_streams(inline, _open_streams())
 
@@ -595,10 +703,8 @@ class TestWorkerLifetime:
 
             def kill_a_worker(index: int) -> None:
                 if index == 4:
-                    victim = min(_worker_pids(executor))
-                    process = executor._pool._executor._processes[victim]
-                    os.kill(victim, signal.SIGKILL)
-                    assert connection.wait([process.sentinel], timeout=30)
+                    assert executor._ledgers[0].suffix
+                    _kill_worker(executor, 0)
 
             killed = _run_streams(
                 executor, _open_streams(), after_round=kill_a_worker
@@ -607,6 +713,50 @@ class TestWorkerLifetime:
             assert executor.respawns == [0, 0]
             for shard in range(2):
                 assert executor.shard_state(shard) == inline.shard_state(shard)
+
+
+    def test_a_replay_that_answers_differently_drains_the_shard(
+        self, monkeypatch
+    ):
+        """Replay is checked, not trusted: a rebuilt worker whose replay
+        of the suffix answers one request differently drains the batch
+        with ``shard-failed`` naming that request, and the shard serves
+        again, byte-identical to inline, once the replay is honest."""
+        opening = [
+            _req("open", "t0", 0, kind="mark-sweep"),
+            _req("alloc", "t0", 1, uid=0, size=3, fields=1),
+        ]
+        inline = ShardExecutor(1, jobs=0)
+        with ShardExecutor(1, jobs=1) as executor:
+            for ops in (opening, [_req("read", "t0", 2, uid=0)]):
+                assert executor.execute({0: ops}) == inline.execute({0: ops})
+            assert len(executor._ledgers[0].suffix) == 2
+            original = TenantSession.apply
+
+            def drifting(self, request):
+                response = original(self, request)
+                if request["op"] == "read":
+                    response = {**response, "drift": True}
+                return response
+
+            # Only a worker forked from now on runs the drifting apply.
+            monkeypatch.setattr(TenantSession, "apply", drifting)
+            _kill_worker(executor, 0)
+            later = [_req("checkpoint", "t0", 3)]
+            (responses,) = executor.execute({0: later}).values()
+            (failed,) = responses
+            assert failed["error"]["kind"] == "shard-failed"
+            assert "replay check" in failed["error"]["detail"]
+            assert "'t0#2'" in failed["error"]["detail"]
+            assert executor.respawns == [1]
+            assert len(executor._ledgers[0].suffix) == 2
+
+            monkeypatch.setattr(TenantSession, "apply", original)
+            assert executor.execute({0: later}) == inline.execute({0: later})
+            assert executor.shard_state(0) == inline.shard_state(0)
+        assert _jsonable(executor.merged_metrics()) == _jsonable(
+            inline.merged_metrics()
+        )
 
 
 #: A stale handle, three ways: read it, store from it, store it.
@@ -886,3 +1036,187 @@ class TestDrainCadence:
         assert calls == ["t0"]
         executor.merged_metrics()  # nothing ran since the last drain
         assert calls == ["t0"]
+
+
+class TestKillAnywhere:
+    """Kill a pool worker anywhere between commit points — idle with
+    acknowledged batches not yet committed, or in the middle of a
+    batch — and nothing a client or a reader can see changes: the
+    rebuilt worker replays the suffix onto the committed blobs."""
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_responses_registries_and_blobs_equal_inline(self, data):
+        stream = _CADENCE_STREAM
+        cuts = sorted(
+            data.draw(
+                st.sets(
+                    st.integers(1, len(stream) - 1), min_size=1, max_size=6
+                ),
+                label="cuts",
+            )
+        )
+        bounds = [0, *cuts, len(stream)]
+        batches = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+        last = len(batches) - 1
+        commit_every = data.draw(st.integers(2, 5), label="commit every")
+        read_at = data.draw(st.integers(0, last), label="read")
+        migrate_at = data.draw(st.integers(0, last), label="migrate")
+        kill = data.draw(
+            st.sampled_from(["sigkill", "_chaos-exit", "_chaos-spin"]),
+            label="kill",
+        )
+        kill_at = data.draw(st.integers(0, last), label="kill at")
+        victim = data.draw(st.integers(0, 1), label="shard")
+
+        inline = ShardExecutor(2, jobs=0)
+        killed = False
+        with mock.patch.object(
+            shard_module, "COMMIT_EVERY_BATCHES", commit_every
+        ), ShardExecutor(2, jobs=2, chaos=True, timeout=1.0) as pool:
+            for index, batch in enumerate(batches):
+                routed = _routed(pool, batch)
+                expected = inline.execute(routed)
+                if kill != "sigkill" and index == kill_at:
+                    drill = {"op": kill, "attempts": 1, "seconds": 30.0}
+                    shard = victim if victim in routed else 1 - victim
+                    routed[shard] = [drill, *routed[shard]]
+                assert pool.execute(routed) == expected
+                # The idle kill waits for a shard with an uncommitted
+                # suffix, which at most one more batch brings.
+                if kill == "sigkill" and index >= kill_at and not killed:
+                    for shard in (victim, 1 - victim):
+                        if pool._ledgers[shard].suffix:
+                            _kill_worker(pool, shard)
+                            killed = True
+                            break
+                if index == read_at:
+                    assert _jsonable(pool.merged_metrics()) == _jsonable(
+                        inline.merged_metrics()
+                    )
+                if index == migrate_at:
+                    for shard in range(2):
+                        assert pool.shard_state(shard) == inline.shard_state(
+                            shard
+                        )
+            assert pool.respawns == [0, 0]
+        assert kill != "sigkill" or killed or kill_at == last
+        assert _jsonable(pool.merged_metrics()) == _jsonable(
+            inline.merged_metrics()
+        )
+        for shard in range(2):
+            assert pool.shard_state(shard) == inline.shard_state(shard)
+
+
+def test_reads_from_another_thread_wait_for_the_batch_in_flight():
+    """The server executes pool batches in a helper thread and answers
+    ``metrics`` on the event loop: a commit point taken from a second
+    thread, over and over with a short switch interval and more
+    workers than cores, must neither interleave with a batch on a
+    worker's pipe nor lose one from the suffix."""
+    stream = _CADENCE_STREAM
+    batches = [stream[index : index + 23] for index in range(0, len(stream), 23)]
+    inline = ShardExecutor(3, jobs=0)
+    expected = [
+        inline.execute(_routed(inline, batch)) for batch in batches
+    ]
+    stop = threading.Event()
+    reads = []
+    errors: list[BaseException] = []
+    switch = sys.getswitchinterval()
+    with ShardExecutor(3, jobs=3) as pool:
+
+        def reader() -> None:
+            try:
+                while not stop.is_set():
+                    pool.merged_metrics()
+                    reads.append(pool.shard_state(len(reads) % 3))
+                    reading.set()
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+                reading.set()
+
+        reading = threading.Event()
+        thread = threading.Thread(target=reader)
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            assert reading.wait(timeout=60)
+            answers = [pool.execute(_routed(pool, batch)) for batch in batches]
+        finally:
+            stop.set()
+            sys.setswitchinterval(switch)
+            thread.join(timeout=60)
+        assert not thread.is_alive() and not errors
+        assert answers == expected
+        for shard in range(3):
+            assert pool.shard_state(shard) == inline.shard_state(shard)
+    assert _jsonable(pool.merged_metrics()) == _jsonable(
+        inline.merged_metrics()
+    )
+
+
+def _routed(executor: ShardExecutor, batch: list[dict]) -> dict[int, list]:
+    routed: dict[int, list[dict]] = {}
+    for request in batch:
+        routed.setdefault(executor.shard_of(request["tenant"]), []).append(
+            request
+        )
+    return routed
+
+
+def _live_pids(pids: list[int]) -> list[int]:
+    """The pids of ``pids`` that are still running (not zombies)."""
+    alive = []
+    for pid in pids:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            continue
+        if stat.rpartition(")")[2].split()[0] != "Z":
+            alive.append(pid)
+    return alive
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads /proc"
+)
+def test_an_executor_dropped_without_close_exits_cleanly():
+    """A pool executor that is never closed — one dropped while the
+    program runs, one still held when it exits — costs neither a hang
+    at exit nor a leftover process."""
+    script = (
+        "from repro.service.shard import ShardExecutor\n"
+        "tenants = ('t0', 't1', 't4', 't5')\n"
+        "def run():\n"
+        "    executor = ShardExecutor(2, jobs=2)\n"
+        "    batches = {}\n"
+        "    for tenant in tenants:\n"
+        "        request = {'v': 1, 'id': tenant, 'op': 'open',\n"
+        "                   'tenant': tenant, 'kind': 'mark-sweep'}\n"
+        "        batches.setdefault(executor.shard_of(tenant), []).append(\n"
+        "            request)\n"
+        "    assert len(batches) == 2\n"
+        "    executor.execute(batches)\n"
+        "    executor.merged_metrics()\n"
+        "    return executor, [worker.pid for worker in executor._workers]\n"
+        "_, dropped = run()\n"
+        "held, pids = run()\n"
+        "print(*dropped, *pids, flush=True)\n"
+    )
+    started = time.monotonic()
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert run.returncode == 0, run.stderr
+    assert time.monotonic() - started < 10
+    pids = [int(pid) for pid in run.stdout.split()]
+    assert len(set(pids)) == 4
+    assert _live_pids(pids) == []
