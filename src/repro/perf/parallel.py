@@ -56,6 +56,8 @@ from multiprocessing import connection, util
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
+    import asyncio
+
     from repro.perf.cache import ArtifactCache
     from repro.resilience.journal import SweepJournal
 
@@ -286,24 +288,50 @@ class PinnedWorker:
     """One long-lived worker process and the pipe its owner talks on.
 
     ``handler`` runs in the worker as ``handler(message)`` for every
-    :meth:`send`, and :meth:`receive` returns what it returned; module
-    state the handler keeps survives from one message to the next.
-    The process is forked by the first :meth:`send` after construction
-    or :meth:`kill`.  Any failure — the process died (a pipe EOF or its
+    :meth:`send`, and the reply is what it returned; module state the
+    handler keeps survives from one message to the next.  The process
+    is forked by the first :meth:`send` after construction or
+    :meth:`kill`.  Any failure — the process died (a pipe EOF or its
     sentinel), no reply inside the timeout, the handler raised — kills
     and reaps it before :class:`WorkerLost` is raised, so a message is
     never answered late.  A worker dropped without :meth:`kill` is
     killed when it is collected or, at the latest, when the owning
     interpreter exits (before :mod:`multiprocessing` joins its
-    children), and one whose parent died exits by itself.  Not
-    thread-safe: one message in flight at a time.
+    children), and one whose parent died exits by itself.
+
+    A reply is waited for in one of two ways.  :meth:`receive` blocks
+    the calling thread in :func:`multiprocessing.connection.wait`.
+    ``await`` :meth:`reply` lets the running event loop watch the
+    worker instead: the first awaited reply after a fork registers the
+    pipe and the process sentinel with the loop (``add_reader``), and
+    :meth:`kill` unregisters them, so a batch costs no registration.
+    The loop's callback takes a reply off the pipe as soon as it is
+    readable, and a watched worker that exits with no message in flight
+    is killed and reaped there and then, and reported to ``on_exit``;
+    a reply it wrote before exiting is still answered.
+    Either way one message is in flight at a time, and a watched worker
+    is driven only from its loop's thread.
     """
 
-    def __init__(self, handler: Callable[[Any], Any]) -> None:
+    def __init__(
+        self,
+        handler: Callable[[Any], Any],
+        *,
+        on_exit: Callable[[], None] | None = None,
+    ) -> None:
         self.handler = handler
+        self.on_exit = on_exit
         self._process: multiprocessing.process.BaseProcess | None = None
         self._conn: connection.Connection | None = None
         self._stop: util.Finalize | None = None
+        #: A message is in flight and its outcome not yet taken.
+        self._busy = False
+        #: The outcome taken off the pipe: a reply or a WorkerLost.
+        self._outcome: Any = None
+        #: The loop watching the pipe and the sentinel, and their fds.
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._watched: tuple[int, int] = (-1, -1)
+        self._waiter: asyncio.Future | None = None
 
     @property
     def pid(self) -> int | None:
@@ -313,47 +341,108 @@ class PinnedWorker:
     def died_idle(self) -> bool:
         """Whether a forked worker has exited between messages; if so
         it is reaped, and the next :meth:`send` forks a new one."""
-        if self._process is None or self._process.is_alive():
+        if self._busy or self._process is None or self._process.is_alive():
             return False
         self.kill()
         return True
 
     def send(self, message: Any) -> None:
+        if self._busy:
+            raise RuntimeError("a message is already in flight")
         if self._process is None:
             self._fork()
         try:
             self._conn.send(message)
         except OSError as exc:
             self._lose("worker-crash", f"{type(exc).__name__}: {exc}")
+        self._busy = True
 
     def receive(self, timeout: float | None = None) -> Any:
-        """The reply to the message sent last."""
-        ready = connection.wait([self._conn, self._process.sentinel], timeout)
-        if not ready:
-            self._lose("timeout", f"no reply within {timeout:.3g}s")
-        if self._conn not in ready:
-            self._lose(
-                "worker-crash",
-                f"worker exited with code {self._process.exitcode}",
+        """The reply to the message sent last, waited for in this
+        thread."""
+        if self._busy:
+            ready = connection.wait(
+                [self._conn, self._process.sentinel], timeout
             )
-        try:
-            ok, value = self._conn.recv()
-        except (EOFError, OSError) as exc:
-            self._lose("worker-crash", f"{type(exc).__name__}: {exc}")
-        if not ok:
-            self._lose("crash", value)
-        return value
+            if not ready:
+                self._lose("timeout", f"no reply within {timeout:.3g}s")
+            self._take(self._conn in ready)
+        return self._collect()
+
+    async def reply(self, timeout: float | None = None) -> Any:
+        """The reply to the message sent last, awaited on the running
+        event loop, which serves everything else meanwhile."""
+        if self._busy:
+            # Whoever awaits this has asyncio loaded; a module import
+            # would put it on the import path of every sweep.
+            import asyncio
+
+            loop = asyncio.get_running_loop()
+            if self._loop is not loop:
+                self._watch(loop)
+            waiter = self._waiter = loop.create_future()
+            timer = None
+            if timeout is not None:
+                timer = loop.call_later(timeout, self._wake)
+            try:
+                await waiter
+            finally:
+                self._waiter = None
+                if timer is not None:
+                    timer.cancel()
+            if self._busy:
+                self._lose("timeout", f"no reply within {timeout:.3g}s")
+        return self._collect()
 
     def kill(self) -> None:
-        """Kill and reap the worker (idempotent)."""
+        """Kill and reap the worker (idempotent).  A message in flight
+        is lost with it, and an awaited :meth:`reply` raises
+        :class:`WorkerLost`; a reply already taken off the pipe is
+        still the message's."""
+        self._unwatch()
         stop, self._stop = self._stop, None
         self._process = self._conn = None
+        if self._busy:
+            self._busy = False
+            self._outcome = WorkerLost(
+                "worker-crash", "worker killed with a message in flight"
+            )
+            self._wake()
         if stop is not None:
             stop()
 
-    def _lose(self, kind: str, error: str) -> None:
+    def _take(self, readable: bool) -> None:
+        """Take the message's outcome: the reply on the pipe, or the
+        loss of a worker that exited without one."""
+        self._busy = False
+        if not readable:
+            self._outcome = self._fail(
+                "worker-crash",
+                f"worker exited with code {self._process.exitcode}",
+            )
+            return
+        try:
+            ok, value = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            self._outcome = self._fail(
+                "worker-crash", f"{type(exc).__name__}: {exc}"
+            )
+            return
+        self._outcome = value if ok else self._fail("crash", value)
+
+    def _collect(self) -> Any:
+        outcome, self._outcome = self._outcome, None
+        if isinstance(outcome, WorkerLost):
+            raise outcome
+        return outcome
+
+    def _fail(self, kind: str, error: str) -> WorkerLost:
         self.kill()
-        raise WorkerLost(kind, error)
+        return WorkerLost(kind, error)
+
+    def _lose(self, kind: str, error: str) -> None:
+        self._busy = False
+        raise self._fail(kind, error)
 
     def _fork(self) -> None:
         conn, child_conn = multiprocessing.Pipe()
@@ -370,6 +459,50 @@ class PinnedWorker:
         self._stop = util.Finalize(
             self, _stop_pinned, args=(process, conn), exitpriority=10
         )
+
+    # ------------------------------------------------------------------
+    # Watched by an event loop
+    # ------------------------------------------------------------------
+
+    def _watch(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._unwatch()
+        fds = (self._conn.fileno(), self._process.sentinel)
+        loop.add_reader(fds[0], self._on_pipe)
+        loop.add_reader(fds[1], self._on_sentinel)
+        self._loop, self._watched = loop, fds
+
+    def _unwatch(self) -> None:
+        loop, self._loop = self._loop, None
+        if loop is not None:
+            for fd in self._watched:
+                loop.remove_reader(fd)
+
+    def _on_pipe(self) -> None:
+        # The reply is taken here, before the loop polls again, so a
+        # readiness the loop has seen is never seen twice.
+        if not self._busy:  # idle, the pipe is readable only at its end
+            self._exited()
+            return
+        self._take(True)
+        self._wake()
+
+    def _on_sentinel(self) -> None:
+        # A reply written before the exit is still the message's, also
+        # when the pipe's callback took it in this same poll.
+        if not self._busy:
+            self._exited()
+            return
+        self._take(self._conn.poll())
+        self._wake()
+
+    def _wake(self) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    def _exited(self) -> None:
+        self.kill()
+        if self.on_exit is not None:
+            self.on_exit()
 
 
 class WorkerPool:

@@ -12,26 +12,36 @@ nothing on it waits for a response before taking the next request:
    lines once, and decodes, validates and routes each line without an
    ``await`` in between.  Malformed requests are answered in place
    with ``bad-request`` and never reach a shard; server ops
-   (``ping``/``stats``/``metrics``/``shutdown``) are answered in place
-   by the parent;
+   (``ping``/``stats``/``shutdown``, and ``metrics`` inline) are
+   answered in place by the parent;
 2. a valid tenant op is appended, with its connection, to the owning
    shard's queue (stable hash routing via
-   :func:`repro.service.shard.shard_of`);
-3. a single dispatcher task lets every reader that has data take its
-   turn, swaps all queues out as one batch per shard and hands them to
-   the :class:`~repro.service.shard.ShardExecutor`, then encodes the
-   responses and issues one ``write`` per connection per batch.
+   :func:`repro.service.shard.shard_of`), and the shard's *lane* is
+   kicked;
+3. each lane's dispatcher task lets every reader that has data take
+   its turn, swaps its shards' queues out as one batch per shard and
+   hands them to :meth:`~repro.service.shard.ShardExecutor.execute_lane`,
+   then encodes the responses and issues one ``write`` per connection
+   per batch.
 
-Where a batch runs is the executor's own property.  Inline
-(``--jobs 0``) the executor applies it in this process, and the
-dispatcher calls it on the loop thread: the work is CPU-bound Python,
-so a worker thread would buy no parallelism under the interpreter lock
-and cost two hand-offs a batch plus a fight for the lock on every
-``recv``/``send``.  The whole server is then one thread; while a batch
+A lane is the set of shards one executor worker runs, and everything
+about it happens on the event-loop thread; the whole server is one
+thread in either mode.  Inline (``--jobs 0``) there is one lane for all
+shards and the executor applies its batch in this process, on the loop
+thread: the work is CPU-bound Python, so a worker thread would buy no
+parallelism under the interpreter lock and cost two hand-offs a batch
+plus a fight for the lock on every ``recv``/``send``.  While a batch
 executes the kernel buffers what the clients send, and the next batch
-is everything that arrived meanwhile.  With a pool (``--jobs N``) the
-executor blocks on process fan-out, so the dispatcher awaits it in a
-worker thread and the readers keep queueing the next batch meanwhile.
+is everything that arrived meanwhile.  With a pool (``--jobs N``) there
+is one lane per pinned worker process: the lane sends its batch down
+the worker's pipe and awaits the reply, which the loop notices by
+watching the pipe, so the readers keep queueing and the other lanes
+keep dispatching meanwhile — a slow or lost worker, and the rebuild,
+replay and retry that follow, hold up its own lane's tenants only.  A
+pool-mode ``metrics`` op waits for every lane to go idle and for the
+commit point that follows, on the loop as well: it counts as one of its
+connection's requests in flight, and every other connection is served
+meanwhile.
 
 So what is in flight is bounded per tenant by the client, not per
 socket by the server: a connection that multiplexes fourteen
@@ -46,9 +56,10 @@ semantics the isolation oracle demands.  Responses of *different*
 tenants on one connection may arrive in any order; match them by
 ``id``, which is what the correlation id is for.  Responses answered
 in place (server ops, ``bad-request``) may overtake queued tenant ops
-— but only queued ones: in pool mode they also overtake the batch
-that is executing, inline no line is read while a batch executes, so
-an in-place answer cannot overtake it.
+— but only queued ones: in pool mode they also overtake the batches
+that are executing, inline no line is read while a batch executes, so
+an in-place answer cannot overtake it.  A pool-mode ``metrics`` answer
+comes after every batch dispatched before it was read.
 
 **Backpressure.**  A connection may have :data:`MAX_IN_FLIGHT`
 requests queued or executing; its reader accepts no further line while
@@ -78,6 +89,7 @@ import socket
 from typing import Any
 
 from repro.metrics.export import to_prometheus
+from repro.metrics.registry import MetricRegistry
 from repro.service.protocol import (
     ProtocolError,
     decode_line,
@@ -178,11 +190,20 @@ class HeapServer:
         self._queues: list[list[tuple[dict, _Peer]]] = [
             [] for _ in range(shards)
         ]
-        self._kick = asyncio.Event()
+        # One dispatch lane per pinned worker (inline: one for all).
+        lane_of = [self.executor.lane_of(shard) for shard in range(shards)]
+        self._kicks = [asyncio.Event() for _ in range(self.executor.lanes)]
+        self._lane_shards = [
+            [shard for shard in range(shards) if lane_of[shard] == lane]
+            for lane in range(self.executor.lanes)
+        ]
+        self._shard_kicks = [self._kicks[lane] for lane in lane_of]
         self._closing = asyncio.Event()
         self._server: asyncio.AbstractServer | None = None
-        self._dispatcher: asyncio.Task | None = None
+        self._dispatchers: list[asyncio.Task] = []
         self._handlers: dict[asyncio.Task, _Peer] = {}
+        # ``metrics`` ops waiting for the lanes (pool mode).
+        self._reads: set[asyncio.Task] = set()
         self.requests_served = 0
 
     # ------------------------------------------------------------------
@@ -194,7 +215,10 @@ class HeapServer:
         self._server = await asyncio.start_server(
             self._handle_connection, host, port
         )
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        self._dispatchers = [
+            asyncio.create_task(self._dispatch_loop(lane))
+            for lane in range(len(self._kicks))
+        ]
         return self._server.sockets[0].getsockname()[1]
 
     async def serve_until_closed(self) -> None:
@@ -212,12 +236,15 @@ class HeapServer:
         self._closing.set()
         if self._server is not None:
             self._server.close()
-        if self._dispatcher is not None:
-            self._kick.set()
-            await self._dispatcher
-            self._dispatcher = None
+        for kick in self._kicks:
+            kick.set()
+        dispatchers, self._dispatchers = self._dispatchers, []
+        await asyncio.gather(*dispatchers)
+        while self._reads:
+            await asyncio.gather(*self._reads)
         # Every response is written by now and no batch runs again:
-        # the workers go before any connection is hung up.
+        # the workers go before any connection is hung up.  The final
+        # commit round blocks the loop, which has nothing left to serve.
         self.executor.close()
         # An idle handler sits in read(); closing its transport feeds
         # it EOF, and it leaves through its own finally block.
@@ -335,19 +362,48 @@ class HeapServer:
         if op == "stats":
             return ok_response(request["id"], **self.stats())
         if op == "metrics":
-            return self._metrics_response(request)
+            if self.executor.inline:
+                # No batch is executing while a reader runs.
+                return self._metrics_response(
+                    request, self.executor.merged_metrics()
+                )
+            peer.in_flight += 1
+            read = asyncio.create_task(self._answer_metrics(request, peer))
+            self._reads.add(read)
+            read.add_done_callback(self._reads.discard)
+            return None
         if op == "shutdown":
             self._closing.set()
-            self._kick.set()
+            for kick in self._kicks:
+                kick.set()
             return ok_response(request["id"], closing=True)
         shard = self.executor.shard_of(request["tenant"])
         self._queues[shard].append((request, peer))
         peer.in_flight += 1
-        self._kick.set()
+        self._shard_kicks[shard].set()
         return None
 
-    def _metrics_response(self, request: dict) -> dict:
-        registries = self.executor.merged_metrics()
+    async def _answer_metrics(self, request: dict, peer: _Peer) -> None:
+        """A pool-mode ``metrics`` op: it waits for every lane to go
+        idle and awaits their commit point, while the loop serves every
+        other connection.  It is one of its connection's requests in
+        flight, so the connection (and ``close``) waits for it."""
+        try:
+            response = self._metrics_response(
+                request, await self.executor.lane_metrics()
+            )
+        except Exception as exc:
+            response = error_response(
+                request["id"],
+                "internal",
+                f"metrics failed: {type(exc).__name__}: {exc}",
+            )
+        peer.deliver([encode_line(response)])
+
+    @staticmethod
+    def _metrics_response(
+        request: dict, registries: list[MetricRegistry]
+    ) -> dict:
         if request.get("format") == "prometheus":
             return ok_response(
                 request["id"], prometheus=to_prometheus(registries)
@@ -361,6 +417,12 @@ class HeapServer:
         )
 
     def stats(self) -> dict[str, Any]:
+        """The executor's occupancy snapshot and the lines served.
+
+        Read on the loop thread, which is the only thread that touches
+        the executor's ledgers, so the snapshot never races a batch.
+        ``batches`` counts lane dispatches.
+        """
         snapshot = self.executor.stats()
         snapshot["requests_served"] = self.requests_served
         return snapshot
@@ -369,42 +431,40 @@ class HeapServer:
     # Dispatch
     # ------------------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
+    async def _dispatch_loop(self, lane: int) -> None:
+        kick = self._kicks[lane]
+        shards = self._lane_shards[lane]
         while True:
-            await self._kick.wait()
+            await kick.wait()
             # A batch is everything that has arrived, not what the
             # first reader to run had: every reader that is runnable
             # takes its turn before the queues are swapped out.
             await asyncio.sleep(0)
-            self._kick.clear()
+            kick.clear()
             taken = {
-                shard: queue
-                for shard, queue in enumerate(self._queues)
-                if queue
+                shard: self._queues[shard]
+                for shard in shards
+                if self._queues[shard]
             }
             for shard in taken:
                 self._queues[shard] = []
             if taken:
-                self._deliver(taken, await self._execute(taken))
-            if self._closing.is_set() and not any(self._queues):
+                self._deliver(taken, await self._execute(lane, taken))
+            if self._closing.is_set() and not any(
+                self._queues[shard] for shard in shards
+            ):
                 return
 
     async def _execute(
-        self, taken: dict[int, list[tuple[dict, _Peer]]]
+        self, lane: int, taken: dict[int, list[tuple[dict, _Peer]]]
     ) -> dict[int, list[dict]]:
         batches = {
             shard: [request for request, _ in queue]
             for shard, queue in taken.items()
         }
         try:
-            if self.executor.inline:
-                # CPU-bound Python in this process: a thread would add
-                # two hand-offs a batch and no parallelism.
-                return self.executor.execute(batches)
-            return await asyncio.get_running_loop().run_in_executor(
-                None, self.executor.execute, batches
-            )
-        except Exception as exc:  # keep the dispatcher alive
+            return await self.executor.execute_lane(lane, batches)
+        except Exception as exc:  # keep the lane alive
             return {
                 shard: [
                     error_response(

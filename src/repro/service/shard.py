@@ -21,6 +21,13 @@ Two execution modes, one semantics:
     workers *means* out-of-process, so a one-shard batch is not
     padded, and no tenant heap ever runs in the parent.
 
+The shards one worker runs form a *lane*.  A caller either blocks in
+:meth:`ShardExecutor.execute` (the isolation oracle, the in-process
+load runner) or awaits :meth:`ShardExecutor.execute_lane` on an event
+loop (the server: one dispatcher per lane, so a slow worker holds up
+only its own lane, and no thread is involved).  Both run the same
+protocol; only the wait for a worker's reply differs.
+
 The crash story is replay.  What the parent holds for a pool-mode
 shard is its *committed* state — the session blobs
 (:meth:`repro.service.session.TenantSession.capture`, checksummed) and
@@ -29,18 +36,18 @@ metric registries from the shard's last commit point — plus the
 clients were sent.  A commit point drains and captures in the worker
 (:meth:`ShardRuntime.commit`) and empties the suffix; there is one
 every :data:`COMMIT_EVERY_BATCHES` batches, at every parent-side read
-(:meth:`ShardExecutor.shard_state`, :meth:`~ShardExecutor.shard_metrics`
-and so the ``metrics`` op) and at :meth:`ShardExecutor.close`.  When a
-worker dies — mid-batch or idle — or overruns the task timeout, the
-parent kills it, forks a replacement, sends it the committed blobs and
-replays the suffix, then retries the batch at ``attempt + 1``.  By
-resume equivalence (``resume_suite`` in :mod:`repro.verify.differential`)
-the replay reproduces the lost worker's state exactly, so no
-acknowledged op can be lost; and the replay is checked, not trusted:
-the rebuilt worker returns the responses it produced, and one that
-differs from what was acknowledged drains the shard with
-``shard-failed`` naming the first differing request instead of
-serving from a state that diverged.  A batch that exhausts its retry
+(:meth:`ShardExecutor.shard_state`, :meth:`~ShardExecutor.shard_metrics`,
+:meth:`~ShardExecutor.lane_metrics` and so the ``metrics`` op) and at
+:meth:`ShardExecutor.close`.  When a worker dies — mid-batch or idle —
+or overruns the task timeout, the parent kills it, forks a replacement,
+sends it the committed blobs and replays the suffix, then retries the
+batch at ``attempt + 1``.  By resume equivalence (``resume_suite`` in
+:mod:`repro.verify.differential`) the replay reproduces the lost
+worker's state exactly, so no acknowledged op can be lost; and the
+replay is checked, not trusted: the rebuilt worker returns the
+responses it produced, and one that differs from what was acknowledged
+drains the shard with ``shard-failed`` naming the first differing
+request instead of serving from a state that diverged.  A batch that exhausts its retry
 budget is *drained*: every request in it gets ``shard-failed``, and
 the state stays committed + suffix for the next batch to rebuild.
 
@@ -52,13 +59,15 @@ metric draining in :mod:`repro.service.session`.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import hashlib
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Generator, Iterable, Mapping
 
 from repro.gc.registry import COLLECTOR_KINDS
 from repro.heap.flat import FlatHeap
@@ -472,6 +481,19 @@ class _Ledger:
     resident: bool = True
 
 
+def _evict(ledgers: list[_Ledger]) -> None:
+    """A worker is gone: none of the shards it held is resident."""
+    for ledger in ledgers:
+        ledger.resident = False
+
+
+#: What a protocol step waits for: the round's start and, per worker
+#: index, the seconds its reply is allowed from then (``None``: no
+#: bound).  The runner answers with each worker's reply or WorkerLost.
+_Waits = tuple[float, dict[int, "float | None"]]
+_Steps = Generator[_Waits, dict[int, Any], Any]
+
+
 class ShardExecutor:
     """Owns the shards' committed state and routes batches to them.
 
@@ -480,9 +502,32 @@ class ShardExecutor:
     non-empty shards to their pinned worker processes (``jobs >= 1``)
     or applying them to persistent in-process runtimes (``jobs == 0``).
     The owner releases the workers with :meth:`close` (or a ``with``
-    block); state and registries stay readable afterwards.  In pool
-    mode every method that talks to the workers holds one lock, so a
-    read from another thread waits for the batch in flight.
+    block); state and registries stay readable afterwards.
+
+    The pool-mode protocol — make resident (rebuild and checked
+    replay), send, collect, acknowledge, retry, commit — is written
+    once, as generators that yield whenever they need replies, and is
+    run by one of two runners that differ only in how they wait:
+
+    * the synchronous API (:meth:`execute`, :meth:`shard_metrics`,
+      :meth:`merged_metrics`, :meth:`shard_state`, :meth:`close`)
+      blocks the calling thread in ``connection.wait`` and holds one
+      lock, so a read from another thread waits for the batch in
+      flight;
+    * the awaited API (:meth:`execute_lane`, :meth:`lane_metrics`)
+      awaits the replies on the running event loop, which watches every
+      worker's pipe and sentinel.  A *lane* is the set of shards pinned
+      to one worker (inline has one lane for all shards); each lane
+      runs one batch at a time, lanes run side by side, and a read
+      waits for every lane to go idle.
+
+    The two APIs share the workers.  Once a loop has watched them, the
+    synchronous API is called only from that loop's thread and never
+    while a lane batch is in flight: it refuses then, with
+    ``RuntimeError``, rather than send to a worker the lane is waiting
+    on.  (The server closes the executor this way, after every lane
+    has gone idle: the final commit round blocks the loop only at
+    shutdown.)
     """
 
     def __init__(
@@ -506,6 +551,7 @@ class ShardExecutor:
         self.chaos = chaos
         self.timeout = timeout
         self.retries = retries
+        #: One per :meth:`execute` call and one per lane dispatch.
         self.batches = 0
         self.respawns = [0] * shards
         if self.inline:
@@ -515,26 +561,35 @@ class ShardExecutor:
             ]
             self._ledgers: list[_Ledger] | None = None
             self._workers: list[PinnedWorker] | None = None
+            self.lanes = 1
         else:
             self._runtimes = None
             self._ledgers = [_Ledger() for _ in range(shards)]
+            self.lanes = min(jobs, shards)
+            # The ledgers of the shards each worker holds.
+            self._held = [
+                self._ledgers[index :: self.lanes]
+                for index in range(self.lanes)
+            ]
             # Forked by their first message; re-forked after a loss.
             handler = partial(
                 serve_shards, {"tenant_cap": tenant_cap, "chaos": chaos}
             )
             self._workers = [
-                PinnedWorker(handler) for _ in range(min(jobs, shards))
+                PinnedWorker(handler, on_exit=partial(_evict, held))
+                for held in self._held
             ]
             self._lock = threading.Lock()
+            self._lane_locks = [asyncio.Lock() for _ in self._workers]
 
     def close(self) -> None:
         """Commit every shard, then kill the worker processes
         (idempotent; inline has none)."""
         if self._workers is None:
             return
-        with self._lock:
+        with self._blocking():
             try:
-                self._commit(range(self.shards))
+                self._run_blocking(self._commit_steps(range(self.shards)))
             finally:
                 for index, worker in enumerate(self._workers):
                     worker.kill()
@@ -551,6 +606,10 @@ class ShardExecutor:
     def shard_of(self, tenant: str) -> int:
         return shard_of(tenant, self.shards)
 
+    def lane_of(self, shard: int) -> int:
+        """The lane that runs ``shard``'s batches."""
+        return shard % self.lanes
+
     def open_tenants(self, shard: int) -> int:
         if self._runtimes is not None:
             return self._runtimes[shard].open_tenants
@@ -561,18 +620,35 @@ class ShardExecutor:
         point in pool mode."""
         if self._runtimes is not None:
             return self._runtimes[shard].registries
-        with self._lock:
-            self._commit([shard])
-            return self._ledgers[shard].registries
+        self._run(self._commit_steps([shard]))
+        return self._ledgers[shard].registries
 
     def merged_metrics(self) -> list[MetricRegistry]:
-        """Service-wide registries: shard registries merged per label."""
+        """Service-wide registries: shard registries merged per label
+        (a commit point on every shard in pool mode)."""
         if self._ledgers is not None:
-            with self._lock:
-                self._commit(range(self.shards))
+            self._run(self._commit_steps(range(self.shards)))
+        return self._merged()
+
+    async def lane_metrics(self) -> list[MetricRegistry]:
+        """:meth:`merged_metrics`, awaited: waits for every lane to go
+        idle and holds them idle while every shard commits, so the
+        registries count every batch dispatched before the call."""
+        if self._ledgers is None:
+            return self._merged()
+        async with self._all_lanes():
+            await self._run_awaited(self._commit_steps(range(self.shards)))
+            return self._merged()
+
+    def _merged(self) -> list[MetricRegistry]:
         by_label: dict[str, list[MetricRegistry]] = {}
         for shard in range(self.shards):
-            for label, registry in self.shard_metrics(shard).items():
+            registries = (
+                self._runtimes[shard].registries
+                if self._runtimes is not None
+                else self._ledgers[shard].registries
+            )
+            for label, registry in registries.items():
                 by_label.setdefault(label, []).append(registry)
         return [
             merge_registries(group, label)
@@ -584,9 +660,8 @@ class ShardExecutor:
         point in pool mode."""
         if self._runtimes is not None:
             return self._runtimes[shard].export_state()
-        with self._lock:
-            self._commit([shard])
-            return self._ledgers[shard].blobs
+        self._run(self._commit_steps([shard]))
+        return self._ledgers[shard].blobs
 
     # ------------------------------------------------------------------
 
@@ -613,13 +688,118 @@ class ShardExecutor:
                 )
                 for shard, ops in work.items()
             }
-        with self._lock:
-            responses = self._execute_pinned(work)
+        responses = self._run(self._execute_steps(work))
         return {shard: responses[shard] for shard in work}
 
-    def _execute_pinned(
-        self, work: dict[int, list[dict]]
+    async def execute_lane(
+        self, lane: int, batches: Mapping[int, list[dict]]
     ) -> dict[int, list[dict]]:
+        """:meth:`execute` for the shards of one lane, awaited.
+
+        Inline it is :meth:`execute` itself, on the calling thread.  In
+        pool mode the lane's worker is sent the batch and the reply is
+        awaited, as are a rebuild, its checked replay, a retry and a
+        commit point: the loop serves every other lane and connection
+        meanwhile.  A lane runs one batch at a time.
+        """
+        if self._runtimes is not None:
+            return self.execute(batches)
+        work = {
+            shard: ops for shard, ops in sorted(batches.items()) if ops
+        }
+        if not work:
+            return {}
+        self.batches += 1
+        async with self._lane_locks[lane]:
+            responses = await self._run_awaited(self._execute_steps(work))
+        return {shard: responses[shard] for shard in work}
+
+    # ------------------------------------------------------------------
+    # The two runners
+    # ------------------------------------------------------------------
+
+    def _run(self, steps: _Steps) -> Any:
+        """Drive ``steps`` in this thread, under the lock.  A worker
+        that died while idle is reaped first; a loop watching it would
+        have done that already."""
+        with self._blocking():
+            for index, worker in enumerate(self._workers):
+                if worker.died_idle():
+                    self._lost(index)
+            return self._run_blocking(steps)
+
+    @contextlib.contextmanager
+    def _blocking(self):
+        """The synchronous API's lock, refused while a lane batch is in
+        flight: its worker is the lane's to wait on."""
+        with self._lock:
+            if any(lock.locked() for lock in self._lane_locks):
+                raise RuntimeError("a lane batch is in flight")
+            yield
+
+    def _run_blocking(self, steps: _Steps) -> Any:
+        """Run ``steps`` to its end, blocking for each reply."""
+        try:
+            started, allowed = next(steps)
+            while True:
+                outcomes: dict[int, Any] = {}
+                for index, budget in allowed.items():
+                    try:
+                        outcomes[index] = self._workers[index].receive(
+                            _remaining(started, budget)
+                        )
+                    except WorkerLost as lost:
+                        outcomes[index] = lost
+                started, allowed = steps.send(outcomes)
+        except StopIteration as done:
+            return done.value
+        finally:
+            steps.close()
+
+    async def _run_awaited(self, steps: _Steps) -> Any:
+        """Run ``steps`` to its end, awaiting each reply on the loop;
+        the replies of one round are awaited side by side."""
+        try:
+            started, allowed = next(steps)
+            while True:
+                started, allowed = steps.send(
+                    await self._replies(started, allowed)
+                )
+        except StopIteration as done:
+            return done.value
+        finally:
+            steps.close()
+
+    async def _replies(
+        self, started: float, allowed: dict[int, float | None]
+    ) -> dict[int, Any]:
+        async def reply(index: int) -> Any:
+            try:
+                return await self._workers[index].reply(
+                    _remaining(started, allowed[index])
+                )
+            except WorkerLost as lost:
+                return lost
+
+        if len(allowed) == 1:
+            (index,) = allowed
+            return {index: await reply(index)}
+        outcomes = await asyncio.gather(*map(reply, allowed))
+        return dict(zip(allowed, outcomes))
+
+    @contextlib.asynccontextmanager
+    async def _all_lanes(self):
+        """Every lane, once each has gone idle (taken in lane order)."""
+        async with contextlib.AsyncExitStack() as stack:
+            for lock in self._lane_locks:
+                await stack.enter_async_context(lock)
+            yield
+
+    # ------------------------------------------------------------------
+    # The protocol, written once
+    # ------------------------------------------------------------------
+
+    def _execute_steps(self, work: dict[int, list[dict]]) -> _Steps:
         """Run each batch on its shard's worker, rebuilding a lost
         worker and retrying the batch until the budget is spent."""
         retries = task_retries() if self.retries is None else self.retries
@@ -627,7 +807,7 @@ class ShardExecutor:
         attempts = dict.fromkeys(work, 0)
         pending = dict(work)
         while pending:
-            replies, lost, diverged = self._call(
+            replies, lost, diverged = yield from self._call(
                 "batch", pending, lambda s: (s, pending[s], attempts[s])
             )
             for shard, detail in diverged.items():
@@ -650,7 +830,7 @@ class ShardExecutor:
                     f"{attempts[shard] + 1} attempt(s)); committed state "
                     f"preserved",
                 )
-        self._commit(
+        yield from self._commit_steps(
             shard
             for shard in responses
             if len(self._ledgers[shard].suffix) >= COMMIT_EVERY_BATCHES
@@ -668,7 +848,7 @@ class ShardExecutor:
             for request in self._strip_chaos(ops)
         ]
 
-    def _commit(self, shards: Iterable[int]) -> None:
+    def _commit_steps(self, shards: Iterable[int]) -> _Steps:
         """A commit point for ``shards``: each worker drains and
         captures what changed since the last one, and the suffix is
         emptied.  A shard whose worker cannot be rebuilt within the
@@ -678,7 +858,9 @@ class ShardExecutor:
         for _attempt in range(retries + 1):
             if not due:
                 return
-            replies, lost, _diverged = self._call("commit", due, lambda s: s)
+            replies, lost, _diverged = yield from self._call(
+                "commit", due, lambda s: s
+            )
             for shard, (blobs, tenants, registries) in replies.items():
                 ledger = self._ledgers[shard]
                 ledger.blobs = {
@@ -691,7 +873,7 @@ class ShardExecutor:
 
     def _call(
         self, verb: str, shards: Iterable[int], item: Callable[[int], Any]
-    ) -> tuple[dict[int, Any], dict[int, WorkerLost], dict[int, str]]:
+    ) -> Generator[_Waits, dict[int, Any], tuple]:
         """Make ``shards`` resident, then send each worker one ``verb``
         message carrying ``item(shard)`` for each of its shards.
 
@@ -699,11 +881,11 @@ class ShardExecutor:
         worker was lost on the way, and the shards whose rebuild
         diverged (see :meth:`_make_resident`), which were not sent.
         """
-        lost, diverged = self._make_resident(shards)
+        lost, diverged = yield from self._make_resident(shards)
         groups = self._by_worker(
             [shard for shard in shards if shard not in lost | diverged.keys()]
         )
-        outcomes = self._round(
+        outcomes = yield from self._round(
             verb,
             {
                 index: [item(shard) for shard in group]
@@ -722,25 +904,21 @@ class ShardExecutor:
 
     def _make_resident(
         self, shards: Iterable[int]
-    ) -> tuple[dict[int, WorkerLost], dict[int, str]]:
+    ) -> Generator[_Waits, dict[int, Any], tuple]:
         """Rebuild every shard of ``shards`` its worker does not hold.
 
-        A worker found dead between messages is reaped first.  The
-        rebuilt worker's replay of the suffix must answer exactly what
-        was acknowledged; a worker whose replay diverged is killed.
+        The rebuilt worker's replay of the suffix must answer exactly
+        what was acknowledged; a worker whose replay diverged is killed.
         Returns the shards of ``shards`` whose worker was lost on the
         way (a lost worker takes every shard it held with it) and, with
         a detail naming the first differing request, the shards whose
         replay diverged.
         """
         shards = list(shards)
-        for index in self._by_worker(shards):
-            if self._workers[index].died_idle():
-                self._lost(index)
         groups = self._by_worker(
             [shard for shard in shards if not self._ledgers[shard].resident]
         )
-        outcomes = self._round(
+        outcomes = yield from self._round(
             "rebuild",
             {
                 index: [
@@ -759,6 +937,12 @@ class ShardExecutor:
         for index, group in groups.items():
             outcome = outcomes[index]
             if isinstance(outcome, WorkerLost):
+                continue
+            if self._workers[index].pid is None:
+                # The loop saw it exit after replying: it holds nothing.
+                outcomes[index] = WorkerLost(
+                    "worker-crash", "worker exited after its rebuild"
+                )
                 continue
             for position, shard in enumerate(group):
                 mismatch = _first_difference(
@@ -781,25 +965,27 @@ class ShardExecutor:
                     "crash", "a shard on this worker failed its replay check"
                 )
         lost = {
-            shard: outcomes[shard % len(self._workers)]
+            shard: outcomes[self.lane_of(shard)]
             for shard in shards
             if shard not in diverged
-            and isinstance(
-                outcomes.get(shard % len(self._workers)), WorkerLost
-            )
+            and isinstance(outcomes.get(self.lane_of(shard)), WorkerLost)
         }
         return lost, diverged
 
     def _round(
         self, verb: str, groups: dict[int, list]
-    ) -> dict[int, Any]:
+    ) -> Generator[_Waits, dict[int, Any], dict[int, Any]]:
         """One message to each worker in ``groups``, then every reply.
 
-        A worker's reply is due within the task timeout times the
-        batches its message carries (a rebuild counts its suffix).  A
+        The send half sends every message; the collect half yields to
+        the runner for the replies.  A worker's reply is due within the
+        task timeout times the batches its message carries (a rebuild
+        counts its suffix), counted from the start of the round.  A
         lost worker's outcome is its :class:`WorkerLost`, and its
         shards are no longer resident.
         """
+        if not groups:
+            return {}
         timeout = task_timeout() if self.timeout is None else self.timeout
         outcomes: dict[int, Any] = {}
         started = time.monotonic()
@@ -809,21 +995,18 @@ class ShardExecutor:
                     self._workers[index].send((verb, items))
                 except WorkerLost as lost:
                     outcomes[index] = lost
+            allowed: dict[int, float | None] = {}
             for index, items in groups.items():
                 if index in outcomes:
                     continue
-                budget = None
+                allowed[index] = None
                 if timeout is not None:
                     units = len(items)
                     if verb == "rebuild":
                         units += sum(len(item[3]) for item in items)
-                    budget = max(
-                        0.0, started + timeout * units - time.monotonic()
-                    )
-                try:
-                    outcomes[index] = self._workers[index].receive(budget)
-                except WorkerLost as lost:
-                    outcomes[index] = lost
+                    allowed[index] = timeout * units
+            if allowed:
+                outcomes.update((yield started, allowed))
         except BaseException:
             # A reply left unread would answer the next message.
             for index in groups:
@@ -838,13 +1021,12 @@ class ShardExecutor:
     def _by_worker(self, shards: Iterable[int]) -> dict[int, list[int]]:
         groups: dict[int, list[int]] = {}
         for shard in shards:
-            groups.setdefault(shard % len(self._workers), []).append(shard)
+            groups.setdefault(self.lane_of(shard), []).append(shard)
         return groups
 
     def _lost(self, index: int) -> None:
         """Worker ``index`` is gone: none of its shards is resident."""
-        for shard in range(index, self.shards, len(self._workers)):
-            self._ledgers[shard].resident = False
+        _evict(self._held[index])
 
     @staticmethod
     def _strip_chaos(ops: list[dict]) -> list[dict]:
@@ -870,6 +1052,14 @@ class ShardExecutor:
                 self.open_tenants(shard) for shard in range(self.shards)
             ],
         }
+
+
+def _remaining(started: float, budget: float | None) -> float | None:
+    """What is left at this moment of ``budget`` seconds from
+    ``started``."""
+    if budget is None:
+        return None
+    return max(0.0, started + budget - time.monotonic())
 
 
 def _first_difference(

@@ -2,8 +2,10 @@
 retry/quarantine, timeout recovery, worker-crash recovery, and the
 journal integration of the experiment runner."""
 
+import asyncio
 import itertools
 import os
+import select
 import signal
 import time
 
@@ -356,6 +358,148 @@ class TestPinnedWorker:
         pid, count = worker.receive(timeout=30)
         assert pid != first and count == 1
         worker.kill()
+
+
+class TestPinnedWorkerOnALoop:
+    """``await reply()``: the running loop watches the worker's pipe
+    and sentinel, registered once per fork."""
+
+    @staticmethod
+    def _counting_readers(loop) -> list[int]:
+        added: list[int] = []
+        add_reader = loop.add_reader
+
+        def counting(fd, callback, *args):
+            added.append(fd)
+            return add_reader(fd, callback, *args)
+
+        loop.add_reader = counting
+        return added
+
+    def test_replies_are_awaited_and_the_watch_outlives_each_message(
+        self, new_workers
+    ):
+        worker = PinnedWorker(_pinned)
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            added = self._counting_readers(loop)
+            replies = []
+            for _ in range(3):
+                worker.send("count")
+                replies.append(await worker.reply(timeout=30))
+            pid = worker.pid
+            assert replies == [(pid, 1), (pid, 2), (pid, 3)]
+            # The pipe and the sentinel, once for the three messages.
+            assert len(added) == 2
+            # The synchronous wait still works on a watched worker.
+            worker.send("count")
+            assert worker.receive(timeout=30) == (pid, 4)
+            worker.kill()
+            assert [loop.remove_reader(fd) for fd in added] == [False] * 2
+
+        asyncio.run(body())
+        assert worker.pid is None and not new_workers()
+
+    @pytest.mark.parametrize(
+        "message, kind",
+        [("raise", "crash"), ("spin", "timeout"), ("exit", "worker-crash")],
+    )
+    def test_a_failed_message_kills_reaps_and_unwatches(
+        self, message, kind, new_workers
+    ):
+        worker = PinnedWorker(_pinned)
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            added = self._counting_readers(loop)
+            worker.send("count")
+            await worker.reply(timeout=30)
+            worker.send(message)
+            with pytest.raises(WorkerLost) as lost:
+                await worker.reply(timeout=0.5)
+            assert lost.value.kind == kind
+            if kind == "timeout":  # the budget it was given, by name
+                assert "within 0.5s" in str(lost.value)
+            assert worker.pid is None and not new_workers()
+            assert [loop.remove_reader(fd) for fd in added] == [False] * 2
+            worker.send("count")
+            assert (await worker.reply(timeout=30))[1] == 1
+            assert len(added) == 4  # watched again after the new fork
+            worker.kill()
+
+        asyncio.run(body())
+
+    def test_an_idle_exit_is_reaped_by_the_loop_and_reported(
+        self, new_workers
+    ):
+        exits: list[int] = []
+        worker = PinnedWorker(_pinned, on_exit=lambda: exits.append(1))
+
+        async def body():
+            worker.send("count")
+            first, _ = await worker.reply(timeout=30)
+            os.kill(first, signal.SIGKILL)
+            for _ in range(2000):
+                if worker.pid is None:
+                    break
+                await asyncio.sleep(0.005)
+            # Reaped by the sentinel callback, with no probe from here.
+            assert worker.pid is None and exits == [1]
+            assert not new_workers()
+            worker.send("count")
+            pid, count = await worker.reply(timeout=30)
+            assert pid != first and count == 1
+            worker.kill()
+            assert exits == [1]  # a kill is no exit to report
+
+        asyncio.run(body())
+
+    def test_a_reply_written_before_the_exit_is_still_answered(
+        self, new_workers
+    ):
+        """The pipe (reply, then EOF) and the sentinel are readable in
+        one poll: whichever callback runs second sees an idle worker
+        that exited, reaps it and reports it, and the reply taken by
+        the first is still the message's."""
+        exits: list[int] = []
+        worker = PinnedWorker(_pinned, on_exit=lambda: exits.append(1))
+
+        async def body():
+            worker.send("count")
+            pid, _ = await worker.reply(timeout=30)  # watched from here
+            worker.send("count")
+            # The loop does not poll until the await below.
+            assert select.select([worker._conn], [], [], 30)[0]
+            os.kill(pid, signal.SIGKILL)
+            assert select.select([worker._process.sentinel], [], [], 30)[0]
+            assert await worker.reply(timeout=30) == (pid, 2)
+            for _ in range(200):
+                if exits:
+                    break
+                await asyncio.sleep(0.005)
+            assert worker.pid is None and exits == [1]
+            assert not new_workers()
+            worker.send("count")
+            assert (await worker.reply(timeout=30))[1] == 1
+            worker.kill()
+
+        asyncio.run(body())
+
+    def test_a_kill_fails_an_awaited_reply(self, new_workers):
+        worker = PinnedWorker(_pinned)
+
+        async def body():
+            worker.send("spin")
+            waiting = asyncio.create_task(worker.reply())  # no timeout
+            await asyncio.sleep(0.05)
+            worker.kill()
+            with pytest.raises(WorkerLost) as lost:
+                await asyncio.wait_for(waiting, 30)
+            assert lost.value.kind == "worker-crash"
+            assert worker.pid is None and not new_workers()
+
+        asyncio.run(body())
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import asyncio
 import json
 import logging
 import os
+import select
 import signal
 import socket
 import struct
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.service import server as server_module
+from repro.service import shard as shard_module
 from repro.service.loadgen import (
     TenantOutcome,
     _Connection,
@@ -60,16 +62,17 @@ def _line(op: str, request_id, **payload) -> bytes:
 
 
 def _hold_batches(server: HeapServer) -> asyncio.Event:
-    """Park every batch at the dispatcher, queues already swapped out,
-    until the returned event is set, so a test decides what is in
-    flight and for how long.  (Blocking inside the executor would park
-    the whole loop in inline mode: it runs on the loop thread.)"""
+    """Park every batch at its lane's dispatcher, queues already
+    swapped out, until the returned event is set, so a test decides
+    what is in flight and for how long.  (Blocking inside the executor
+    would park the whole loop: it runs on the loop thread.  A pool
+    test can hold a batch in its worker instead: ``_HeldInWorker``.)"""
     release = asyncio.Event()
     execute = server._execute
 
-    async def held(taken):
+    async def held(lane, taken):
         await asyncio.wait_for(release.wait(), 30)
-        return await execute(taken)
+        return await execute(lane, taken)
 
     server._execute = held
     return release
@@ -604,35 +607,142 @@ def test_inline_server_is_one_thread():
     assert set(ran_on) == {threading.main_thread()}
 
 
-def test_pool_server_answers_in_place_while_a_batch_is_in_the_pool():
-    """Pool mode keeps its thread: the executor blocks on the workers,
-    and the loop must go on reading and answering meanwhile."""
-    entered, release = threading.Event(), threading.Event()
-    ran_on: list[threading.Thread] = []
+class _HeldInWorker:
+    """Pool workers forked from now on stop in the middle of their
+    first batch that carries a request of ``tenant``, until
+    :meth:`release`: a batch held in a worker, with nothing patched in
+    the server or its executor."""
+
+    def __init__(self, monkeypatch, tenant: str) -> None:
+        self._entered_r, entered_w = os.pipe()
+        release_r, self._release_w = os.pipe()
+        self._fds = [self._entered_r, entered_w, release_r, self._release_w]
+        run_shard_batch = shard_module.run_shard_batch
+        holding = [True]
+
+        def held(item, attempt=0):
+            if holding[0] and any(
+                request.get("tenant") == tenant for request in item["ops"]
+            ):
+                holding[0] = False
+                os.write(entered_w, b"e")
+                os.read(release_r, 1)
+            return run_shard_batch(item, attempt)
+
+        monkeypatch.setattr(shard_module, "run_shard_batch", held)
+
+    def entered(self) -> bool:
+        return bool(select.select([self._entered_r], [], [], 0)[0])
+
+    def release(self) -> None:
+        os.write(self._release_w, b"r")
+
+    def close(self) -> None:
+        for fd in self._fds:
+            os.close(fd)
+
+
+def test_pool_server_answers_in_place_while_a_batch_is_in_the_pool(
+    monkeypatch,
+):
+    """A batch held in a worker holds only its own lane: the loop goes
+    on reading and answering meanwhile."""
+    held = _HeldInWorker(monkeypatch, "t")
 
     async def body(server, port, connection):
-        execute = server.executor.execute
-
-        def held(batches):
-            ran_on.append(threading.current_thread())
-            entered.set()
-            assert release.wait(30), "test never released the executor"
-            return execute(batches)
-
-        server.executor.execute = held
         opening = asyncio.create_task(
             connection.request(_req("open", 0, tenant="t"))
         )
         try:
-            await _eventually(entered.is_set)
+            await _eventually(held.entered)
             assert (await connection.request(_req("ping", 1)))["pong"]
             assert not opening.done()
         finally:
-            release.set()
+            held.release()
         assert (await opening)["ok"]
 
-    _run(asyncio.wait_for(_with_server(body, jobs=2), 60))
-    assert ran_on and threading.main_thread() not in ran_on
+    try:
+        _run(asyncio.wait_for(_with_server(body, jobs=2), 60))
+    finally:
+        held.close()
+
+
+def test_pool_server_is_one_thread():
+    """Pool batches are sent, awaited and delivered on the loop thread:
+    serving them starts no thread (an executor thread would stay
+    alive)."""
+
+    async def body(server, port, connection):
+        threads = threading.active_count()
+        tenants = [f"t{index}" for index in range(8)]
+        assert {server.executor.shard_of(t) for t in tenants} == {0, 1}
+        opened = await asyncio.gather(
+            *(
+                connection.request(_req("open", t, tenant=t))
+                for t in tenants
+            )
+        )
+        assert all(response["ok"] for response in opened)
+        for uid in range(5):
+            answered = await asyncio.gather(
+                *(
+                    connection.request(
+                        _req("alloc", f"{t}:{uid}", tenant=t, uid=uid,
+                             size=2, fields=0)
+                    )
+                    for t in tenants
+                )
+            )
+            assert all(response["ok"] for response in answered)
+        assert (await connection.request(_req("metrics", "m")))["ok"]
+        assert threading.active_count() == threads
+        return server.stats()
+
+    stats = _run(asyncio.wait_for(_with_server(body, jobs=2), 60))
+    # One dispatch per lane per round at least, never one for both.
+    assert stats["batches"] >= 2 * 6
+
+
+def test_metrics_waits_for_the_lanes_not_the_server(monkeypatch):
+    """A pool-mode ``metrics`` op waits for the batch held in a worker
+    and then for the commit point, but on the loop: another
+    connection's ``ping`` is answered first, and the registries count
+    the held batch's requests."""
+    held = _HeldInWorker(monkeypatch, "t")
+
+    async def body(server, port, connection):
+        other = _Connection(*await asyncio.open_connection("127.0.0.1", port))
+        try:
+            opening = asyncio.create_task(
+                connection.request(_req("open", 0, tenant="t"))
+            )
+            await _eventually(held.entered)
+            metrics = asyncio.create_task(
+                connection.request(_req("metrics", 1))
+            )
+            prometheus = asyncio.create_task(
+                connection.request(_req("metrics", 2, format="prometheus"))
+            )
+            await _eventually(lambda: len(server._reads) == 2)
+            assert (await other.request(_req("ping", 3)))["pong"]
+            assert not (opening.done() or metrics.done() or prometheus.done())
+            held.release()
+            assert (await opening)["ok"]
+            service = (await metrics)["registries"]["service"]["metrics"]
+            assert service["requests.open"]["value"] == 1
+            assert service["tenants_opened"]["value"] == 1
+            assert (
+                'repro_gc_tenants_opened_total{collector="service"} 1'
+                in (await prometheus)["prometheus"]
+            )
+        finally:
+            held.release()
+            await other.close()
+
+    try:
+        _run(asyncio.wait_for(_with_server(body, shards=2, jobs=2), 60))
+    finally:
+        held.close()
 
 
 def test_flooding_client_is_held_to_its_window():

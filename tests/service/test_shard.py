@@ -8,6 +8,7 @@ the replayed suffix, recomputed identical answers.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import itertools
 import os
@@ -1044,13 +1045,17 @@ class TestKillAnywhere:
     batch — and nothing a client or a reader can see changes: the
     rebuilt worker replays the suffix onto the committed blobs."""
 
+    @pytest.mark.parametrize("path", ["execute", "lanes"])
     @settings(
         max_examples=12,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(data=st.data())
-    def test_responses_registries_and_blobs_equal_inline(self, data):
+    def test_responses_registries_and_blobs_equal_inline(self, path, data):
+        """Through the synchronous :meth:`ShardExecutor.execute` and
+        through the awaited lane entry point (every lane side by side,
+        reads awaited too), with the same equalities."""
         stream = _CADENCE_STREAM
         cuts = sorted(
             data.draw(
@@ -1072,12 +1077,23 @@ class TestKillAnywhere:
         )
         kill_at = data.draw(st.integers(0, last), label="kill at")
         victim = data.draw(st.integers(0, 1), label="shard")
+        lanes = path == "lanes"
+
+        async def execute(pool, routed):
+            if lanes:
+                return await _through_lanes(pool, routed)
+            return pool.execute(routed)
+
+        async def metrics(pool):
+            if lanes:
+                return await pool.lane_metrics()
+            return pool.merged_metrics()
 
         inline = ShardExecutor(2, jobs=0)
         killed = False
-        with mock.patch.object(
-            shard_module, "COMMIT_EVERY_BATCHES", commit_every
-        ), ShardExecutor(2, jobs=2, chaos=True, timeout=1.0) as pool:
+
+        async def body(pool):
+            nonlocal killed
             for index, batch in enumerate(batches):
                 routed = _routed(pool, batch)
                 expected = inline.execute(routed)
@@ -1085,7 +1101,7 @@ class TestKillAnywhere:
                     drill = {"op": kill, "attempts": 1, "seconds": 30.0}
                     shard = victim if victim in routed else 1 - victim
                     routed[shard] = [drill, *routed[shard]]
-                assert pool.execute(routed) == expected
+                assert await execute(pool, routed) == expected
                 # The idle kill waits for a shard with an uncommitted
                 # suffix, which at most one more batch brings.
                 if kill == "sigkill" and index >= kill_at and not killed:
@@ -1093,9 +1109,12 @@ class TestKillAnywhere:
                         if pool._ledgers[shard].suffix:
                             _kill_worker(pool, shard)
                             killed = True
+                            # Lanes: the loop may see the exit first.
+                            await asyncio.sleep(0)
+                            await asyncio.sleep(0)
                             break
                 if index == read_at:
-                    assert _jsonable(pool.merged_metrics()) == _jsonable(
+                    assert _jsonable(await metrics(pool)) == _jsonable(
                         inline.merged_metrics()
                     )
                 if index == migrate_at:
@@ -1104,12 +1123,185 @@ class TestKillAnywhere:
                             shard
                         )
             assert pool.respawns == [0, 0]
+            if lanes:
+                pool.close()
+
+        with mock.patch.object(
+            shard_module, "COMMIT_EVERY_BATCHES", commit_every
+        ), ShardExecutor(2, jobs=2, chaos=True, timeout=1.0) as pool:
+            asyncio.run(body(pool))
         assert kill != "sigkill" or killed or kill_at == last
         assert _jsonable(pool.merged_metrics()) == _jsonable(
             inline.merged_metrics()
         )
         for shard in range(2):
             assert pool.shard_state(shard) == inline.shard_state(shard)
+
+
+class TestLanes:
+    """The awaited entry point: one lane per pinned worker, each
+    awaiting its own worker on the event loop."""
+
+    def test_a_wedged_lane_holds_up_no_other(self):
+        """Shard 0's worker spins past the task timeout mid-batch while
+        shard 1's tenants keep getting answers; shard 0's lane then
+        times out, kills, rebuilds, checks the replay and retries, all
+        on the loop, and ends where inline ends."""
+        streams = _open_streams()
+        wedged = [t for t in streams if shard_of(t, 2) == 0]
+        serving = [t for t in streams if shard_of(t, 2) == 1]
+        assert wedged and serving
+        inline = ShardExecutor(2, jobs=0)
+        timeout = 1.0
+
+        def round_of(tenants, position):
+            return [streams[t][position] for t in tenants]
+
+        async def body(pool):
+            threads = threading.active_count()
+            for position in range(4):  # a suffix for the rebuild
+                routed = _routed(pool, round_of(streams, position))
+                assert await _through_lanes(pool, routed) == inline.execute(
+                    routed
+                )
+            before = pool._workers[0].pid
+            drill = {"op": "_chaos-spin", "attempts": 1, "seconds": 30.0}
+            ops = round_of(wedged, 4)
+            expected = inline.execute({0: ops})
+            stall = asyncio.create_task(
+                pool.execute_lane(0, {0: [drill, *ops]})
+            )
+            answered, slowest = 0, 0.0
+            started = time.monotonic()
+            while not stall.done():
+                request = _req("alloc", serving[answered % len(serving)],
+                               100 + answered, uid=100 + answered, size=2,
+                               fields=0)
+                sent = time.monotonic()
+                (response,) = (await pool.execute_lane(1, {1: [request]}))[1]
+                slowest = max(slowest, time.monotonic() - sent)
+                assert response["ok"]
+                expected_other = inline.execute({1: [request]})[1][0]
+                assert response == expected_other
+                answered += 1
+            assert time.monotonic() - started >= timeout
+            assert await stall == expected
+            assert answered >= 10 and slowest < timeout / 2
+            assert pool._workers[0].pid not in (None, before)
+            assert pool.respawns == [0, 0]
+            for position in range(5, len(streams[wedged[0]])):
+                routed = _routed(pool, round_of(streams, position))
+                assert await _through_lanes(pool, routed) == inline.execute(
+                    routed
+                )
+            assert _jsonable(await pool.lane_metrics()) == _jsonable(
+                inline.merged_metrics()
+            )
+            assert threading.active_count() == threads
+            pool.close()
+
+        with ShardExecutor(2, jobs=2, chaos=True, timeout=timeout) as pool:
+            asyncio.run(body(pool))
+        for shard in range(2):
+            assert pool.shard_state(shard) == inline.shard_state(shard)
+
+    def test_an_idle_exit_seen_by_the_loop_costs_no_attempt(self):
+        """With no retry to spare, a worker killed while idle is reaped
+        by the loop's watch on its sentinel, and the next batch rebuilds
+        it instead of failing."""
+        opening = [_req("open", "t0", 0, kind="mark-sweep"),
+                   _req("alloc", "t0", 1, uid=0, size=3, fields=1)]
+        later = [_req("read", "t0", 2, uid=0)]
+        inline = ShardExecutor(1, jobs=0)
+
+        async def body(pool):
+            assert await pool.execute_lane(0, {0: opening}) == inline.execute(
+                {0: opening}
+            )
+            _kill_worker(pool, 0)
+            for _ in range(200):
+                if pool._workers[0].pid is None:
+                    break
+                await asyncio.sleep(0.005)
+            assert pool._workers[0].pid is None
+            assert not pool._ledgers[0].resident
+            assert await pool.execute_lane(0, {0: later}) == inline.execute(
+                {0: later}
+            )
+            assert pool.respawns == [0]
+            pool.close()
+
+        with ShardExecutor(1, jobs=1, retries=0) as pool:
+            asyncio.run(body(pool))
+        assert pool.shard_state(0) == inline.shard_state(0)
+
+    def test_a_worker_seen_to_exit_after_its_rebuild_holds_nothing(self):
+        """The rebuilt worker replies and the loop then sees it exit
+        before the lane resumes: the batch goes to no fresh fork that
+        lacks the shard, it is retried on a new rebuild instead."""
+        opening = [_req("open", "t0", 0, kind="mark-sweep"),
+                   _req("alloc", "t0", 1, uid=0, size=3, fields=1)]
+        later = [_req("read", "t0", 2, uid=0)]
+        inline = ShardExecutor(1, jobs=0)
+        first = inline.execute({0: opening})
+
+        async def body(pool):
+            assert await pool.execute_lane(0, {0: opening}) == first
+            _kill_worker(pool, 0)
+            worker = pool._workers[0]
+            while worker.pid is not None:
+                await asyncio.sleep(0.005)
+            replied = worker.reply
+
+            async def reply_then_exit(timeout=None):
+                worker.reply = replied  # the rebuild's reply only
+                value = await replied(timeout)
+                os.kill(worker.pid, signal.SIGKILL)
+                while worker.pid is not None:  # the sentinel callback
+                    await asyncio.sleep(0.005)
+                return value
+
+            worker.reply = reply_then_exit
+            assert await pool.execute_lane(0, {0: later}) == inline.execute(
+                {0: later}
+            )
+            assert pool.respawns == [0]
+            pool.close()
+
+        with ShardExecutor(1, jobs=1, retries=1) as pool:
+            asyncio.run(body(pool))
+        assert pool.shard_state(0) == inline.shard_state(0)
+
+    def test_the_synchronous_api_refuses_while_a_lane_is_in_flight(self):
+        drill = {"op": "_chaos-spin", "attempts": 1, "seconds": 0.3}
+        ops = [_req("open", "t0", 0, kind="mark-sweep")]
+        inline = ShardExecutor(1, jobs=0)
+
+        async def body(pool):
+            lane = asyncio.create_task(pool.execute_lane(0, {0: [drill, *ops]}))
+            await asyncio.sleep(0.05)
+            with pytest.raises(RuntimeError, match="lane batch"):
+                pool.execute({0: ops})
+            assert await lane == inline.execute({0: ops})
+            assert pool.respawns == [0]
+            pool.close()
+
+        with ShardExecutor(1, jobs=1, chaos=True) as pool:
+            asyncio.run(body(pool))
+
+
+async def _through_lanes(
+    executor: ShardExecutor, routed: dict[int, list[dict]]
+) -> dict[int, list[dict]]:
+    """``routed`` through :meth:`ShardExecutor.execute_lane`, every
+    lane side by side."""
+    by_lane: dict[int, dict[int, list[dict]]] = {}
+    for shard, ops in routed.items():
+        by_lane.setdefault(executor.lane_of(shard), {})[shard] = ops
+    answers = await asyncio.gather(
+        *(executor.execute_lane(lane, part) for lane, part in by_lane.items())
+    )
+    return {shard: ops for part in answers for shard, ops in part.items()}
 
 
 def test_reads_from_another_thread_wait_for_the_batch_in_flight():
