@@ -21,17 +21,20 @@ the marker's lifecycle and the hooks that cycle calls around a mark:
   :class:`~repro.perf.parallel.WorkerPool`, which lives as long as the
   collector does (workers are forked at the first pool-mode cycle and
   reused by every later one; :meth:`ConcurrentCollector.close` or a
-  watchdog abort kills them).  Reconciliation hands the submitted
-  future to the pool's retry ladder (env-tunable timeout,
-  attempt-salted retries via ``derive_seed(seed, cycle, attempt)``,
-  worker-crash recovery); what a given-up marker *means* is decided
-  here: the watchdog discards the cycle and ``_finish_mark`` re-opens
-  one over the current heap, marked inline.
+  watchdog abort kills them).  What the cycle keeps is the marker's
+  worker, as the handle of the task in flight; reconciliation hands it
+  to the pool's retry ladder (env-tunable timeout, attempt-salted
+  retries via ``derive_seed(seed, cycle, attempt)``, worker-crash
+  recovery); what a given-up marker *means* is decided here: the
+  watchdog discards the cycle and ``_finish_mark`` re-opens one over
+  the current heap, marked inline.  A marker discarded before it is
+  reconciled (a restore, a static promotion) is killed with its
+  worker, so its reply can never answer a later cycle.
 * **While the marker runs** the mutator proceeds untouched: allocation
   is allocate-black via the birth clock (nothing born after the epoch
   is ever scanned), and the SATB deletion barrier grays overwritten
   pre-epoch referents onto ``gray_stack`` exactly as the incremental
-  collector does.  Allocation safepoints merely poll the marker future
+  collector does.  Allocation safepoints merely poll the marker's worker
   (overlap telemetry only — polls are observably free).
 * **Reconciliation (cycle close)**: drain the marker's reachable set
   ``R``, then re-mark from the SATB log and the current roots until
@@ -242,7 +245,8 @@ class ConcurrentCollector(IncrementalCollector):
         self._pool = None
         #: Payload of the in-flight marker task (None when quiescent).
         self._payload: tuple | None = None
-        self._future = None
+        #: The marker's worker while its task is in flight (pool mode).
+        self._task = None
         #: Cached marker result dict once drained (or when inline).
         self._result: dict | None = None
         self._done_early = False
@@ -278,9 +282,9 @@ class ConcurrentCollector(IncrementalCollector):
         self._done_early = False
         if self.marker_workers == 0:
             self._result = _mark_snapshot_task(payload)
-            self._future = None
+            self._task = None
         else:
-            self._future = self._marker_pool().submit(
+            self._task = self._marker_pool().submit(
                 _mark_snapshot_task, payload, 0
             )
 
@@ -288,30 +292,33 @@ class ConcurrentCollector(IncrementalCollector):
         """The marker's result dict, waiting/retrying as needed.
 
         Timeouts and worker crashes climb the pool's ladder: kill the
-        poisoned workers, resubmit with the attempt salt bumped, give
+        poisoned worker, resubmit with the attempt salt bumped, give
         up after ``marker_retries`` resubmissions.  A given-up marker
-        raises :class:`WedgedMarkerError` rather than re-marking a
-        snapshot the wedged worker may have been poisoned against.
+        raises :class:`WedgedMarkerError`, now and at every later drain
+        of the cycle, rather than re-marking a snapshot the wedged
+        worker may have been poisoned against.
         """
         if self._result is not None:
             return self._result
         from repro.perf.parallel import TaskFailure
 
-        if self._future.done():
+        task, self._task = self._task, None
+        if task is None:
+            raise WedgedMarkerError("the cycle's marker was given up")
+        if task.ready():
             self._done_early = True
         (result,) = self._marker_pool().map(
             _mark_snapshot_task,
             [self._payload],
             timeout=self._marker_timeout,
             retries=self._marker_retries,
-            submitted=[self._future],
+            submitted=[task],
         )
         if isinstance(result, TaskFailure):
             raise WedgedMarkerError(
                 f"marker wedged after {result.attempts} attempts "
                 f"({result.kind}: {result.error})"
             )
-        self._future = None
         self._result = result
         return result
 
@@ -347,13 +354,15 @@ class ConcurrentCollector(IncrementalCollector):
         return self.overlapped_words / self.marker_words_total
 
     def _discard_pending(self) -> None:
-        future = self._future
-        self._future = None
+        """Forget the marker; one still in flight is killed with its
+        worker, whose reply would otherwise answer the next cycle."""
+        task = self._task
+        self._task = None
         self._payload = None
         self._result = None
         self._done_early = False
-        if future is not None:
-            future.cancel()
+        if task is not None:
+            task.kill()
 
     def close(self) -> None:
         """Kill the marker workers (idempotent)."""
@@ -467,8 +476,8 @@ class ConcurrentCollector(IncrementalCollector):
     def _mark_slice(self) -> None:
         """Allocation safepoints only poll the marker (overlap
         telemetry); they do no mark work and record no pause."""
-        future = self._future
-        if future is not None and not self._done_early and future.done():
+        task = self._task
+        if task is not None and not self._done_early and task.ready():
             self._done_early = True
 
     def _reconcile_scan(self, marked_ids: set[int]) -> int:

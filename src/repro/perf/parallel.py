@@ -14,24 +14,24 @@ keep that guarantee:
 * **``jobs=1`` bypasses the pool entirely** — the serial path is the
   reference semantics, and everything else must equal it.
 
-Every worker process in the repo is forked here, in one of two
-shapes, and both make their workers exit when their parent dies:
+Every worker process in the repo is forked here, as a
+:class:`PinnedWorker`: one process with a pipe of its own, which
+answers every message its owner sends it, one at a time, and keeps
+whatever the handler keeps between messages.  A pinned worker that
+dies, overruns or raises is killed and reaped before its owner hears
+of it (:class:`WorkerLost`), and every worker exits when its parent
+dies.  Two owners hold them:
 
-* a :class:`WorkerPool` — the one place a
-  :class:`concurrent.futures.ProcessPoolExecutor` (default start
-  method) is built, found broken, or killed.  Any worker takes any
-  task, so a task must carry everything it needs.  A pool's lifetime
-  is chosen by where its owner holds it, not by a flag: the one-shot
-  sweeps (:func:`parallel_map`, :func:`resilient_map`) open one in a
+* a :class:`WorkerPool` is ``jobs`` pinned workers that run any
+  task, so a task must carry everything it needs.  A failed task
+  costs its own worker and nothing else.  A pool's lifetime is chosen
+  by where its owner holds it, not by a flag: the one-shot sweeps
+  (:func:`parallel_map`, :func:`resilient_map`) open one in a
   ``with`` block, the concurrent collector keeps one for its whole
   life so mark cycles reuse warm workers;
-* a :class:`PinnedWorker` — one process with a pipe of its own, which
-  answers every message its owner sends it and keeps whatever the
-  handler keeps between messages.  The pool-mode shard executor pins
-  each shard to one, so tenant heaps stay resident in the worker and a
-  batch ships only its requests.  A pinned worker that dies, overruns
-  or raises is killed and reaped before its owner hears of it
-  (:class:`WorkerLost`); rebuilding what it held is the owner's job.
+* the pool-mode shard executor pins each shard to one, so tenant
+  heaps stay resident in the worker and a batch ships only its
+  requests; rebuilding what a lost worker held is its job.
 
 Task callables and handlers must be module-level (picklable) functions.
 """
@@ -44,13 +44,6 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import connection, util
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
@@ -81,6 +74,18 @@ _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
 
 
+def _env_number(name: str, convert: Callable[[str], Any], what: str) -> Any:
+    """The environment knob ``name`` through ``convert``, or ``None``
+    when it is unset or empty."""
+    env = os.environ.get(name, "").strip()
+    if not env:
+        return None
+    try:
+        return convert(env)
+    except ValueError:
+        raise ValueError(f"{name} must be {what}, got {env!r}") from None
+
+
 def default_jobs() -> int:
     """Worker count when the user does not pass ``--jobs``.
 
@@ -88,15 +93,8 @@ def default_jobs() -> int:
     library callers and tests stay serial (and deterministic profiling
     stays trivial) unless parallelism is requested explicitly.
     """
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer, got {env!r}"
-            ) from None
-    return 1
+    jobs = _env_number("REPRO_JOBS", int, "an integer")
+    return 1 if jobs is None else max(1, jobs)
 
 
 def derive_seed(base_seed: int, index: int, attempt: int = 0) -> int:
@@ -128,16 +126,8 @@ def task_timeout() -> float | None:
     are deterministic, so a wedged task normally means a wedged
     machine, not a wedged task).
     """
-    env = os.environ.get("REPRO_TASK_TIMEOUT", "").strip()
-    if not env:
-        return None
-    try:
-        value = float(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TASK_TIMEOUT must be a number of seconds, got {env!r}"
-        ) from None
-    return value if value > 0 else None
+    value = _env_number("REPRO_TASK_TIMEOUT", float, "a number of seconds")
+    return value if value is not None and value > 0 else None
 
 
 def task_retries() -> int:
@@ -147,15 +137,8 @@ def task_retries() -> int:
     with the default of 1, a task runs at most twice before it is
     quarantined.
     """
-    env = os.environ.get("REPRO_TASK_RETRIES", "").strip()
-    if not env:
-        return 1
-    try:
-        return max(0, int(env))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TASK_RETRIES must be an integer, got {env!r}"
-        ) from None
+    retries = _env_number("REPRO_TASK_RETRIES", int, "an integer")
+    return 1 if retries is None else max(0, retries)
 
 
 def parallel_map(
@@ -169,14 +152,28 @@ def parallel_map(
     With ``jobs <= 1`` (or fewer than two items) this is a plain loop
     in the current process — no pool, no pickling, byte-identical to
     the pre-parallel code path.  Otherwise ``func`` must be a
-    module-level function and items/results must pickle.
+    module-level function and items/results must pickle; the tasks go
+    through :meth:`WorkerPool.map` with no retry, and the first task
+    that fails raises :class:`RuntimeError` here.
     """
     work = list(items)
     if jobs <= 1 or len(work) <= 1:
         return [func(item) for item in work]
     with WorkerPool(min(jobs, len(work))) as pool:
-        futures = [pool.submit(func, item) for item in work]
-        return [future.result() for future in futures]
+        results = pool.map(
+            _call_once, [(func, item) for item in work], retries=0
+        )
+    for result in results:
+        if isinstance(result, TaskFailure):
+            raise RuntimeError(
+                f"task {result.index} failed ({result.kind}): {result.error}"
+            )
+    return results
+
+
+def _call_once(task: tuple[Callable[[Any], Any], Any], attempt: int) -> Any:
+    func, item = task
+    return func(item)
 
 
 # ----------------------------------------------------------------------
@@ -212,9 +209,9 @@ class TaskFailure:
 
 
 def _exit_with_parent() -> None:
-    """Worker initializer: end the worker when its parent process dies.
+    """End the worker when its parent process dies.
 
-    An idle worker blocks on its task queue, and a parent that dies
+    An idle worker blocks on its pipe, and a parent that dies
     without cleanup (``kill -9``, or a SIGTERM nothing handles) never
     tells it to stop.  The parent's sentinel turns readable when the
     parent is gone, so a daemon thread waits on it and exits.
@@ -238,11 +235,8 @@ def _kill(processes: Sequence[multiprocessing.process.BaseProcess]) -> None:
     for process in processes:
         process.terminate()
     for process in processes:
-        # Watch the sentinel instead of join()ing: an executor's manager
-        # thread joins its workers as it winds down, and a second
-        # waitpid() from this thread can lose the exit status to it,
-        # after which the child reads as alive here until the manager
-        # gets to publish what it reaped.
+        # Watch the sentinel instead of join()ing, so the SIGTERM grace
+        # is one bounded wait; the caller reaps.
         if not connection.wait([process.sentinel], timeout=2.0):
             process.kill()  # SIGTERM blocked, or the worker stopped
             connection.wait([process.sentinel])
@@ -259,6 +253,7 @@ class WorkerLost(Exception):
     def __init__(self, kind: str, error: str) -> None:
         super().__init__(f"{kind}: {error}")
         self.kind = kind
+        self.error = error
 
 
 def _serve_pinned(conn: connection.Connection, handler: Callable) -> None:
@@ -345,6 +340,13 @@ class PinnedWorker:
             return False
         self.kill()
         return True
+
+    def ready(self) -> bool:
+        """Whether the message in flight has its reply on the pipe or
+        the worker has exited; never blocks."""
+        return not self._busy or bool(
+            connection.wait([self._conn, self._process.sentinel], 0)
+        )
 
     def send(self, message: Any) -> None:
         if self._busy:
@@ -505,21 +507,27 @@ class PinnedWorker:
             self.on_exit()
 
 
-class WorkerPool:
-    """``jobs`` worker processes and the retry ladder that drives them.
+def _run_task(message: tuple[Callable[..., Any], tuple]) -> Any:
+    """A pool worker's handler: every message is one task."""
+    func, args = message
+    return func(*args)
 
-    Workers are forked by the first :meth:`submit` after construction
-    or :meth:`restart`, so a pool nobody submits to costs nothing, and
-    a pool that is dropped without :meth:`close` leaves nothing behind
-    (the executor winds its idle workers down when it is collected or
-    the interpreter exits, and a worker whose parent died exits by
-    itself).  Not thread-safe, and :meth:`map` is one-call-at-a-time
-    per pool.
+
+class WorkerPool:
+    """``jobs`` :class:`PinnedWorker` processes, one task in flight on
+    each, and the retry ladder that drives them.
+
+    A worker is forked by the first task it is given, so a pool nobody
+    submits to costs nothing, and a pool that is dropped without
+    :meth:`close` leaves nothing behind (each worker is killed when it
+    is collected or the interpreter exits, and a worker whose parent
+    died exits by itself).  Not thread-safe, and :meth:`map` is
+    one-call-at-a-time per pool.
     """
 
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
-        self._executor: ProcessPoolExecutor | None = None
+        self._workers = [PinnedWorker(_run_task) for _ in range(jobs)]
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -527,34 +535,25 @@ class WorkerPool:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def submit(self, func: Callable[..., Any], *args: Any) -> Future:
-        """Schedule ``func(*args)`` on a worker, forking the workers
-        first if there are none (or one died while idle)."""
-        if self._executor is not None:
-            try:
-                return self._executor.submit(func, *args)
-            except BrokenProcessPool:
-                self.restart()
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_exit_with_parent
-        )
-        return self._executor.submit(func, *args)
-
-    def restart(self) -> None:
-        """Kill the workers, wait until every one of them has been
-        reaped, and forget them; the next :meth:`submit` forks new
-        ones.  Futures still in flight fail or never resolve."""
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        # _processes is CPython's worker table.
-        _kill(list((executor._processes or {}).values()))
-        # Returns when the manager thread has joined every worker.
-        executor.shutdown(wait=True, cancel_futures=True)
+    def submit(self, func: Callable[..., Any], *args: Any) -> PinnedWorker:
+        """Send ``func(*args)`` to an idle worker, forking it first if
+        it has none (or its process died while idle), and return that
+        worker as the task's handle: :meth:`PinnedWorker.ready` polls
+        it, :meth:`map` adopts it, and :meth:`PinnedWorker.kill` drops
+        the task with its worker."""
+        for worker in self._workers:
+            if not worker._busy:
+                try:
+                    worker.send((func, args))
+                except WorkerLost:  # it died idle; this send forks anew
+                    worker.send((func, args))
+                return worker
+        raise RuntimeError(f"all {self.jobs} workers have a task in flight")
 
     def close(self) -> None:
-        """Release the workers (idempotent)."""
-        self.restart()
+        """Kill and reap every worker (idempotent)."""
+        for worker in self._workers:
+            worker.kill()
 
     def map(
         self,
@@ -564,7 +563,7 @@ class WorkerPool:
         timeout: float | None = None,
         retries: int | None = None,
         on_result: Callable[[int, Any], None] | None = None,
-        submitted: Sequence[Future] = (),
+        submitted: Sequence[PinnedWorker] = (),
     ) -> list[Any]:
         """Map ``func`` over ``items``; failures cannot sink the sweep.
 
@@ -573,23 +572,21 @@ class WorkerPool:
         (:func:`derive_seed`).  Each slot of the returned list (input
         order) holds either the task's result or a :class:`TaskFailure`
         describing why it was quarantined after ``retries`` extra
-        attempts.
+        attempts.  A failed task costs its own worker, which is killed
+        and reaped, and one attempt of its own; the other workers and
+        their tasks run on.
 
         * A raising task is retried, then quarantined (``"crash"``).
-        * A task running longer than ``timeout`` seconds has its
-          (unkillable-politely) workers killed; innocent in-flight
-          tasks are resubmitted at their same attempt number, the
-          offender at ``attempt + 1`` (``"timeout"``).
-        * A dead worker process (:class:`BrokenProcessPool`) retires
-          the workers the same way; every in-flight task at the time of
-          death is charged one attempt, since the engine cannot know
-          which of them killed it (``"worker-crash"``).
+        * A task running longer than ``timeout`` seconds is retried at
+          ``attempt + 1``, then quarantined (``"timeout"``).
+        * A task whose worker process died is retried, then
+          quarantined (``"worker-crash"``).
 
         ``timeout``/``retries`` default to the ``REPRO_TASK_TIMEOUT`` /
         ``REPRO_TASK_RETRIES`` environment knobs.  ``on_result`` is
         invoked in the parent process as each slot settles — the sweep
         journal hangs off this to persist completions immediately.
-        ``submitted`` holds attempt-0 futures the caller already got from
+        ``submitted`` holds attempt-0 tasks the caller already got from
         :meth:`submit` for the leading items (the concurrent collector
         submits its marker at cycle open and reconciles here); their
         timeout clock starts now.  A ``map`` left by an exception
@@ -602,21 +599,20 @@ class WorkerPool:
         if retries is None:
             retries = task_retries()
         results: list[Any] = [None] * len(work)
+        pending: deque[tuple[int, Any, int]] = deque(
+            (index, item, 0) for index, item in enumerate(work)
+        )
+        inflight: dict[PinnedWorker, tuple[int, Any, int, float]] = {}
+        for worker in submitted:
+            inflight[worker] = (*pending.popleft(), time.monotonic())
 
         def settle(index: int, outcome: Any) -> None:
             results[index] = outcome
             if on_result is not None:
                 on_result(index, outcome)
 
-        pending: deque[tuple[int, Any, int]] = deque(
-            (index, item, 0) for index, item in enumerate(work)
-        )
-        inflight: dict[Any, tuple[int, Any, int, float]] = {}
-        for future in submitted:
-            inflight[future] = (*pending.popleft(), time.monotonic())
-
-        def retry_or_quarantine(
-            index: int, item: Any, attempt: int, kind: str, error: str
+        def fail(
+            index: int, item: Any, attempt: int, lost: WorkerLost
         ) -> None:
             if attempt < retries:
                 pending.append((index, item, attempt + 1))
@@ -626,9 +622,9 @@ class WorkerPool:
                     TaskFailure(
                         index=index,
                         item=item,
-                        kind=kind,
+                        kind=lost.kind,
                         attempts=attempt + 1,
-                        error=error,
+                        error=lost.error,
                     ),
                 )
 
@@ -636,72 +632,36 @@ class WorkerPool:
             while pending or inflight:
                 while pending and len(inflight) < self.jobs:
                     index, item, attempt = pending.popleft()
-                    future = self.submit(func, item, attempt)
-                    inflight[future] = (index, item, attempt, time.monotonic())
-
-                tick = 0.05 if timeout is not None else None
-                done, _ = wait(
-                    set(inflight), timeout=tick, return_when=FIRST_COMPLETED
-                )
-                broken = False
-                for future in done:
-                    index, item, attempt, _started = inflight.pop(future)
-                    try:
-                        value = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = True
-                        retry_or_quarantine(
-                            index,
-                            item,
-                            attempt,
-                            "worker-crash",
-                            str(exc) or type(exc).__name__,
+                    worker = self.submit(func, item, attempt)
+                    inflight[worker] = (index, item, attempt, time.monotonic())
+                wait = None
+                if timeout is not None:
+                    oldest = min(started for *_, started in inflight.values())
+                    wait = max(0.0, oldest + timeout - time.monotonic())
+                waitables = []
+                for worker in inflight:
+                    waitables += (worker._conn, worker._process.sentinel)
+                connection.wait(waitables, wait)
+                now = time.monotonic()
+                for worker, (index, item, attempt, started) in list(
+                    inflight.items()
+                ):
+                    if worker.ready():
+                        del inflight[worker]
+                        try:
+                            settle(index, worker.receive(0))
+                        except WorkerLost as lost:
+                            fail(index, item, attempt, lost)
+                    elif timeout is not None and now - started >= timeout:
+                        del inflight[worker]
+                        worker.kill()  # a stuck worker ignores politeness
+                        ran = now - started
+                        lost = WorkerLost(
+                            "timeout", f"exceeded {timeout}s (ran {ran:.1f}s)"
                         )
-                    except Exception as exc:
-                        retry_or_quarantine(
-                            index,
-                            item,
-                            attempt,
-                            "crash",
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    else:
-                        settle(index, value)
-                if broken:
-                    # The workers are unusable; everything still in
-                    # flight is doomed but innocent — resubmit at the
-                    # same attempt.
-                    for index, item, attempt, _started in inflight.values():
-                        pending.append((index, item, attempt))
-                    inflight = {}
-                    self.restart()
-                    continue
-                if timeout is not None and inflight:
-                    now = time.monotonic()
-                    expired = [
-                        future
-                        for future, (_i, _it, _a, started) in inflight.items()
-                        if now - started > timeout
-                    ]
-                    if expired:
-                        # A stuck worker cannot be cancelled politely;
-                        # kill them all and resubmit the innocent.
-                        for future in expired:
-                            index, item, attempt, started = inflight.pop(future)
-                            retry_or_quarantine(
-                                index,
-                                item,
-                                attempt,
-                                "timeout",
-                                f"exceeded {timeout}s "
-                                f"(ran {now - started:.1f}s)",
-                            )
-                        for index, item, attempt, _started in inflight.values():
-                            pending.append((index, item, attempt))
-                        inflight = {}
-                        self.restart()
+                        fail(index, item, attempt, lost)
         except BaseException:
-            self.restart()
+            self.close()
             raise
         return results
 
@@ -864,30 +824,15 @@ def run_experiment_records(
     records: dict[str, ExperimentRecord] = {}
     missing: list[str] = []
     for name in names:
-        if journal is not None:
-            entry = journal.completed.get(name)
-            if entry is not None:
-                records[name] = ExperimentRecord(
-                    name=name,
-                    text=entry["text"],
-                    payload=entry["payload"],
-                    seconds=entry.get("seconds", 0.0),
-                    cached=True,
-                )
-                continue
-        entry = cache.get(name) if cache is not None else None
-        if entry is not None:
-            records[name] = ExperimentRecord(
-                name=name,
-                text=entry["text"],
-                payload=entry["payload"],
-                seconds=entry.get("seconds", 0.0),
-                cached=True,
-            )
-            if journal is not None:
+        entry = journal.completed.get(name) if journal is not None else None
+        if entry is None and cache is not None:
+            entry = cache.get(name)
+            if entry is not None and journal is not None:
                 journal.record_success(name, entry)
-        else:
+        if entry is None:
             missing.append(name)
+            continue
+        records[name] = _record(name, entry, cached=True)
 
     def on_result(index: int, outcome: Any) -> None:
         # Runs in the parent as each task settles: persist *now*, so a
@@ -910,6 +855,7 @@ def run_experiment_records(
             cache.put(name, entry)
         if journal is not None:
             journal.record_success(name, entry)
+        records[name] = _record(name, entry, cached=False)
 
     outcomes = resilient_map(
         _experiment_task,
@@ -919,17 +865,16 @@ def run_experiment_records(
         retries=retries,
         on_result=on_result,
     )
-    for name, outcome in zip(missing, outcomes):
-        if isinstance(outcome, TaskFailure):
-            if failures is not None:
-                failures.append(outcome)
-            continue
-        _task_name, text, payload, seconds = outcome
-        records[name] = ExperimentRecord(
-            name=name,
-            text=text,
-            payload=payload,
-            seconds=seconds,
-            cached=False,
-        )
+    if failures is not None:
+        failures.extend(o for o in outcomes if isinstance(o, TaskFailure))
     return [records[name] for name in names if name in records]
+
+
+def _record(name: str, entry: dict, cached: bool) -> ExperimentRecord:
+    return ExperimentRecord(
+        name=name,
+        text=entry["text"],
+        payload=entry["payload"],
+        seconds=entry.get("seconds", 0.0),
+        cached=cached,
+    )

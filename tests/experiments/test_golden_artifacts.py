@@ -69,3 +69,15 @@ def test_all_committed_artifacts_are_valid_json():
     assert names, "no committed artifacts found"
     for name in names:
         json.loads((ARTIFACTS / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ARTIFACTS.glob("*.json")), ids=lambda path: path.name
+)
+def test_committed_artifact_is_in_the_form_the_writer_writes(path):
+    """Byte-for-byte what ``atomic_write_json`` writes for the same
+    value, so ``repro-gc all --output`` can be ``cmp``-ed against the
+    committed tree."""
+    raw = path.read_text(encoding="utf-8")
+    canonical = json.dumps(json.loads(raw), indent=2, sort_keys=True)
+    assert raw == canonical + "\n"

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import pickle
 import random
-from concurrent.futures import Future
 
 import pytest
 
+from repro.gc import concurrent as concurrent_module
 from repro.gc.concurrent import (
     ConcurrentCollector,
     WedgedMarkerError,
@@ -35,6 +35,7 @@ from repro.heap.backend import make_heap
 from repro.heap.barrier import WriteBarrier
 from repro.heap.flat import FlatHeap, HeapError
 from repro.heap.roots import RootSet
+from tests.resilience.test_watchdog import never_answer
 
 
 def setup(heap_words=100, backend="flat", **kwargs):
@@ -185,28 +186,26 @@ class TestEquivalence:
         )
 
 
-class _HungFuture(Future):
-    """A future whose worker never answers: a real, never-resolved
-    future, so ``result(timeout)`` raises what the stdlib raises —
-    ``concurrent.futures.TimeoutError``, which before Python 3.11 is
-    not the builtin ``TimeoutError``."""
-
-
 class TestResilientMarker:
-    def test_hung_worker_falls_back_inline(self):
+    def test_hung_worker_falls_back_inline(self, monkeypatch, new_workers):
+        monkeypatch.setattr(
+            concurrent_module, "_mark_snapshot_task", never_answer
+        )
         _, roots, collector = setup(
-            heap_words=200, marker_timeout=0.01, marker_retries=0
+            heap_words=200,
+            marker_workers=1,
+            marker_timeout=0.01,
+            marker_retries=0,
         )
         frame = roots.push_frame()
         while not collector.cycle_open:
             frame.push(collector.allocate(4))
-        expected = collector.pending_marked_ids()
-        # Replay the drain as if the pool never answered: the ladder
-        # must terminate, and collect() must discard the cycle and
-        # re-mark the heap inline — everything the lost marker would
-        # have kept (and the allocate-black newborn) survives.
-        collector._result = None
-        collector._future = _HungFuture()
+        # What the hung marker would have kept: its snapshot, marked here.
+        expected = set(_mark_snapshot_task(collector._payload)["ids"])
+        # The ladder must terminate, and collect() must discard the
+        # cycle and re-mark the heap inline — everything the lost
+        # marker would have kept (and the allocate-black newborn)
+        # survives.
         with pytest.raises(WedgedMarkerError):
             collector._await_marker()
         collector.collect()
@@ -214,6 +213,7 @@ class TestResilientMarker:
         assert not collector.cycle_open and not collector.marker_inflight
         survivors = set(collector.space.object_ids())
         assert expected < survivors == set(roots.ids())
+        assert not new_workers()
 
     def test_attempt_salt_perturbs_order_not_result(self):
         from repro.perf.parallel import derive_seed
@@ -276,6 +276,44 @@ class TestLifecycle:
         collector.on_static_promotion()
         assert not collector.cycle_open
         assert collector._payload is None
+
+    def test_a_discarded_marker_is_killed_with_its_worker(self, new_workers):
+        """A static promotion mid-cycle kills the worker whose marker
+        is in flight, so its reply cannot answer the next cycle, and
+        the next cycle keeps what the inline collector keeps."""
+
+        def promote_mid_cycle(collector, roots, at_promotion):
+            frame = roots.push_frame()
+            while not collector.cycle_open:
+                frame.push(collector.allocate(4))
+            at_promotion()
+            collector.on_static_promotion()
+            assert not collector.cycle_open
+            for index in range(0, len(frame), 2):
+                frame.set(index, None)
+            while not collector.cycle_open:
+                frame.push(collector.allocate(4))
+            collector.collect()
+            return sorted(collector.space.object_ids())
+
+        markers = []
+
+        def note_marker():
+            (marker,) = new_workers()
+            markers.append(marker)
+
+        _, roots, pooled = setup(heap_words=200, marker_workers=1)
+        try:
+            survivors = promote_mid_cycle(pooled, roots, note_marker)
+            (marker,) = markers
+            assert not marker.is_alive()
+            assert marker.pid not in {p.pid for p in new_workers()}
+        finally:
+            pooled.close()
+        assert not new_workers()
+
+        _, roots, inline = setup(heap_words=200)
+        assert survivors == promote_mid_cycle(inline, roots, lambda: None)
 
     def test_close_is_idempotent(self, new_workers):
         _, roots, collector = setup(heap_words=100, marker_workers=1)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import fnmatch
 import inspect
-from concurrent.futures import Future
 
 import pytest
 
+from repro.gc import concurrent as concurrent_module
 from repro.gc.concurrent import ConcurrentCollector
 from repro.gc.incremental import IncrementalCollector
 from repro.gc.marksweep import MarkSweepCollector
@@ -31,6 +31,7 @@ from repro.heap.backend import make_heap
 from repro.heap.roots import RootSet
 from repro.verify import audit
 from repro.verify.audit import audit_collector, enable_checked_mode
+from tests.resilience.test_watchdog import never_answer
 
 _HEAD = [("heap", "P"), ("roots", "P")]
 _SIZING = [("auto_expand", True), ("load_factor", 2.0)]
@@ -195,8 +196,11 @@ class TestSurfaceUnmoved:
 
 @pytest.mark.parametrize("backend", ["flat"])
 def test_wedged_marker_met_by_the_allocation_ladder_loses_nothing(
-    backend, new_workers
+    backend, monkeypatch, new_workers
 ):
+    monkeypatch.setattr(
+        concurrent_module, "_mark_snapshot_task", never_answer
+    )
     heap = make_heap(backend)
     roots = RootSet()
     collector = ConcurrentCollector(
@@ -211,9 +215,8 @@ def test_wedged_marker_met_by_the_allocation_ladder_loses_nothing(
     frame = roots.push_frame()
     while not collector.cycle_open:
         frame.push(collector.allocate(4))
-    collector._future = Future()  # wedged: never completes
-    # Armed only now: the audit of the handoff would wait for (and
-    # cache) the real marker's answer.
+    # Armed only now: the audit of the handoff would wait for the
+    # marker's answer and meet the wedge itself.
     enable_checked_mode(collector)
     opened_at = collector.epoch_clock
     collections = collector.stats.collections

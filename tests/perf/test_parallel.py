@@ -30,6 +30,17 @@ def test_parallel_map_preserves_input_order_with_pool() -> None:
     ]
 
 
+def _square_or_raise(value: int) -> int:
+    if value == 3:
+        raise ValueError("three is refused")
+    return value * value
+
+
+def test_parallel_map_raises_when_a_task_raises() -> None:
+    with pytest.raises(RuntimeError, match="three is refused"):
+        parallel_map(_square_or_raise, list(range(6)), jobs=2)
+
+
 def test_parallel_map_empty() -> None:
     assert parallel_map(_square, [], jobs=4) == []
 

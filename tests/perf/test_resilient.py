@@ -66,6 +66,21 @@ def _pid(item, attempt):
     return os.getpid()
 
 
+def _pid_unless_bomb(item, attempt):
+    """The worker's pid and the attempt; a bomb kills its worker, and
+    anything else takes long enough to be in flight when it does."""
+    if item == "bomb":
+        os._exit(1)
+    time.sleep(0.3)
+    return (os.getpid(), attempt)
+
+
+def _pid_unless_slow(item, attempt):
+    if item == "slow":
+        time.sleep(30.0)
+    return os.getpid()
+
+
 def _spin_ignoring_sigterm(item, attempt):
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     while True:
@@ -171,7 +186,7 @@ class TestPooledPath:
             retries=1,
         )
         assert results[0] == ("fast", 0)
-        # The offender was killed with its pool, then retried; the
+        # The offender's worker was killed, then the task retried; the
         # retry (attempt 1) skips the sleep and completes.
         assert results[1] == ("slow", 1)
 
@@ -192,9 +207,8 @@ class TestPooledPath:
         assert failure.attempts == 1
 
     def test_worker_crash_quarantines_after_retries(self):
-        # Two bombs: every breakage charges both (the engine cannot
-        # tell which in-flight task killed the pool), so both march to
-        # quarantine in lockstep.
+        # Two bombs: each one's attempts end with its own worker, so
+        # both are quarantined after two attempts.
         results = resilient_map(
             _kill_worker, ["bomb", "bomb"], jobs=2, retries=1
         )
@@ -204,9 +218,9 @@ class TestPooledPath:
             assert failure.attempts == 2
 
     def test_worker_crash_recovery_resumes_all_tasks(self):
-        # The bomb detonates only on its first attempt; every task in
-        # flight at the breakage is charged one attempt and resubmitted,
-        # so with budget to spare the whole sweep still completes.
+        # The bomb detonates only on its first attempt and is charged
+        # one attempt for it; with budget to spare the whole sweep
+        # still completes.
         results = resilient_map(
             _kill_worker_first_attempt,
             ["a", "bomb", "b"],
@@ -247,16 +261,44 @@ class TestWorkerPool:
             results = pool.map(
                 _echo, ["a", "b"], retries=0, submitted=[early]
             )
-        assert early.done()
+            assert early.ready()
         assert results == [("a", 0), ("b", 0)]
 
     def test_crashed_workers_are_replaced_by_the_next_map(self, new_workers):
         with WorkerPool(2) as pool:
             before = set(pool.map(_pid, ["a", "b"], retries=0))
-            (failure,) = pool.map(_kill_worker, ["bomb"], retries=0)
+            assert len(before) == 2
+            failure, (survivor, _) = pool.map(
+                _pid_unless_bomb, ["bomb", "a"], retries=0
+            )
             assert failure.kind == "worker-crash"
             after = set(pool.map(_pid, ["a", "b"], retries=0))
-            assert after and not (after & before)
+            # Only the crashed worker was replaced.
+            assert survivor in before and survivor in after
+            assert len(after) == 2 and not (before - {survivor}) & after
+        assert not new_workers()
+
+    def test_a_task_beside_a_bomb_finishes_in_its_own_worker(self):
+        with WorkerPool(2) as pool:
+            before = set(pool.map(_pid, ["a", "b"], retries=0))
+            failure, (pid, attempt) = pool.map(
+                _pid_unless_bomb, ["bomb", "a"], retries=1
+            )
+        assert failure.kind == "worker-crash" and failure.attempts == 2
+        # Not resubmitted: the first attempt, in the worker it began in.
+        assert attempt == 0 and pid in before
+
+    def test_a_timeout_kills_only_the_offenders_worker(self, new_workers):
+        with WorkerPool(2) as pool:
+            before = pool.map(_pid, ["a", "b"], retries=0)
+            failure, survivor = pool.map(
+                _pid_unless_slow, ["slow", "fast"], timeout=0.5, retries=0
+            )
+            assert failure.kind == "timeout"
+            after = pool.map(_pid, ["a", "b"], retries=0)
+        assert survivor in before and survivor in after
+        (offender,) = set(before) - {survivor}
+        assert offender not in after
         assert not new_workers()
 
     def test_abandoned_map_leaves_the_pool_usable(self, new_workers):
@@ -285,8 +327,8 @@ class TestWorkerPool:
             _spin_ignoring_sigterm, ["deaf"], timeout=0.2, retries=0
         )
         assert failure.kind == "timeout"
-        # The ladder's restart() could not SIGTERM this one away; by
-        # the time it returned the worker was SIGKILLed and reaped.
+        # The ladder's kill could not SIGTERM this one away; by the
+        # time map() returned the worker was SIGKILLed and reaped.
         assert not new_workers()
         pool.close()
 

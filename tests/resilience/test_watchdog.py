@@ -8,7 +8,7 @@ process.
 """
 
 import multiprocessing
-from concurrent.futures import Future
+import time
 
 import pytest
 
@@ -32,10 +32,19 @@ class RecordingMetrics:
         pass
 
 
-def _wedged_collector(backend, metrics=None):
-    """A pool-mode collector with an open cycle whose marker future
-    will never resolve — the deterministic stand-in for a hung or
-    livelocked worker."""
+def never_answer(payload, attempt=0):
+    """The marker task, except that a forked worker never answers."""
+    if multiprocessing.parent_process() is not None:
+        time.sleep(3600)
+    return _mark_snapshot_task(payload, attempt)
+
+
+def _wedged_collector(backend, monkeypatch, metrics=None):
+    """A pool-mode collector with an open cycle whose marker worker
+    never answers — a hung worker, for real."""
+    monkeypatch.setattr(
+        concurrent_module, "_mark_snapshot_task", never_answer
+    )
     heap = make_heap(backend)
     roots = RootSet()
     collector = ConcurrentCollector(
@@ -51,7 +60,6 @@ def _wedged_collector(backend, metrics=None):
     for index in range(4):
         roots.set_global(f"g{index}", collector.allocate(4))
     collector._open_cycle("full")
-    collector._future = Future()  # wedged: never completes
     return heap, roots, collector
 
 
@@ -62,9 +70,9 @@ def backend(request):
 
 class TestWatchdogAbort:
     def test_wedged_cycle_is_aborted_and_collection_completes(
-        self, backend
+        self, backend, monkeypatch
     ):
-        heap, roots, collector = _wedged_collector(backend)
+        heap, roots, collector = _wedged_collector(backend, monkeypatch)
         survivors = sorted(obj.obj_id for obj in heap.all_objects())
         collector.collect()
         assert collector.watchdog_aborts == 1
@@ -75,9 +83,9 @@ class TestWatchdogAbort:
         collector.close()
 
     def test_abort_degrades_to_inline_marking_permanently(
-        self, backend, new_workers
+        self, backend, monkeypatch, new_workers
     ):
-        heap, roots, collector = _wedged_collector(backend)
+        heap, roots, collector = _wedged_collector(backend, monkeypatch)
         assert new_workers()
         collector.collect()
         assert collector.marker_workers == 0
@@ -88,9 +96,13 @@ class TestWatchdogAbort:
         assert collector.stats.collections >= 2
         collector.close()
 
-    def test_abort_keeps_allocations_made_since_cycle_open(self, backend):
+    def test_abort_keeps_allocations_made_since_cycle_open(
+        self, backend, monkeypatch
+    ):
         metrics = RecordingMetrics()
-        heap, roots, collector = _wedged_collector(backend, metrics)
+        heap, roots, collector = _wedged_collector(
+            backend, monkeypatch, metrics
+        )
         enable_checked_mode(collector)
         # The mutator keeps going while the marker is wedged.
         newborns = [collector.allocate(4) for _ in range(3)]
@@ -112,9 +124,11 @@ class TestWatchdogAbort:
         assert collector.marker_workers == 0
         collector.close()
 
-    def test_abort_emits_watchdog_event(self, backend):
+    def test_abort_emits_watchdog_event(self, backend, monkeypatch):
         metrics = RecordingMetrics()
-        heap, roots, collector = _wedged_collector(backend, metrics)
+        heap, roots, collector = _wedged_collector(
+            backend, monkeypatch, metrics
+        )
         collector.collect()
         kinds = [kind for kind, _ in metrics.events]
         assert "watchdog-abort" in kinds
