@@ -1,13 +1,16 @@
-"""The tri-color pair is one cycle with two markers — pinned.
+"""The tri-color pair is one cycle with two markers, and every collector
+one skeleton — pinned.
 
 Two kinds of test:
 
 * structure — ``ConcurrentCollector`` restates none of the cycle
   (``collect``, ``reserve_window``, the head of ``_open_cycle``), the
-  auditor has one wavefront check, and folding the pair moved no
+  auditor has one wavefront check, the collection tail is counted in
+  one place, no collector's snapshot code names a plain scalar field
+  (``Collector.state_fields`` carries those), and neither fold moved a
   public surface: constructor and factory signatures, the registry's
-  kinds, and the key order of ``export_state()`` equal literals copied
-  from the commit before the fold;
+  kinds, and the key order of ``export_state()`` for all seven kinds
+  equal literals copied from the commits before the folds;
 * behaviour — a wedged marker met through the *allocation* ladder
   (``_reserve`` -> the shared ``collect()`` -> watchdog abort -> inline
   re-open) loses nothing allocated since the cycle opened
@@ -16,16 +19,27 @@ Two kinds of test:
 
 from __future__ import annotations
 
+import ast
 import fnmatch
 import inspect
+from pathlib import Path
 
 import pytest
 
+import repro.gc
 from repro.gc import concurrent as concurrent_module
 from repro.gc.concurrent import ConcurrentCollector
+from repro.gc.generational import GenerationalCollector
+from repro.gc.hybrid import HybridCollector
 from repro.gc.incremental import IncrementalCollector
 from repro.gc.marksweep import MarkSweepCollector
-from repro.gc.registry import COLLECTOR_KINDS, make_collector
+from repro.gc.nonpredictive import NonPredictiveCollector
+from repro.gc.registry import (
+    COLLECTOR_KINDS,
+    GcGeometry,
+    collector_factory,
+    make_collector,
+)
 from repro.gc.stopcopy import StopAndCopyCollector
 from repro.heap.backend import make_heap
 from repro.heap.roots import RootSet
@@ -37,7 +51,7 @@ _HEAD = [("heap", "P"), ("roots", "P")]
 _SIZING = [("auto_expand", True), ("load_factor", 2.0)]
 
 #: ``(name, default)`` per parameter, positional ones marked ``"P"``;
-#: everything after the third is keyword-only.
+#: everything else is keyword-only.
 PARENT_SIGNATURES = {
     IncrementalCollector: _HEAD
     + [
@@ -62,6 +76,34 @@ PARENT_SIGNATURES = {
     + [("heap_words", "P"), *_SIZING, ("max_heap_words", None)],
     StopAndCopyCollector: _HEAD
     + [("semispace_words", "P"), *_SIZING, ("max_semispace_words", None)],
+    GenerationalCollector: _HEAD
+    + [
+        ("generation_words", "P"),
+        ("auto_expand_oldest", True),
+        ("oldest_load_factor", 2.0),
+        ("promotion_threshold", 1),
+        ("tenuring_overflow_fraction", 0.5),
+    ],
+    NonPredictiveCollector: _HEAD
+    + [
+        ("step_count", "P"),
+        ("step_words", "P"),
+        ("policy", None),
+        ("initial_j", 0),
+        ("use_remset", True),
+        ("algorithm", "stop-and-copy"),
+        ("compaction_threshold", None),
+    ],
+    HybridCollector: _HEAD
+    + [
+        ("nursery_words", "P"),
+        ("step_count", "P"),
+        ("step_words", "P"),
+        ("policy", None),
+        ("initial_j", 0),
+        ("max_remset", None),
+        ("allow_promotion_into_protected", True),
+    ],
 }
 
 INCREMENTAL_STATE_KEYS = [
@@ -88,6 +130,64 @@ CONCURRENT_STATE_KEYS = INCREMENTAL_STATE_KEYS + [
     "watchdog_aborts",
     "marker_result",
 ]
+STEP_STATE_KEYS = ["step_order", "step_words", "j"]
+#: The stop-the-world kinds' ``export_state()`` keys, by registry kind.
+STATE_KEYS = {
+    "mark-sweep": [
+        "space_capacity",
+        "auto_expand",
+        "load_factor",
+        "max_heap_words",
+    ],
+    "stop-and-copy": [
+        "semispace_capacity",
+        "active",
+        "auto_expand",
+        "load_factor",
+        "max_semispace_words",
+        "peak_semispace_words",
+    ],
+    "generational": [
+        "generation_capacities",
+        "remsets",
+        "auto_expand_oldest",
+        "oldest_load_factor",
+        "promotion_threshold",
+        "tenuring_overflow_fraction",
+        "survival_counts",
+    ],
+    "non-predictive": STEP_STATE_KEYS
+    + [
+        "use_remset",
+        "algorithm",
+        "compaction_threshold",
+        "compactions",
+        "alloc_index",
+        "remset",
+    ],
+    "hybrid": ["nursery_capacity"]
+    + STEP_STATE_KEYS
+    + [
+        "max_remset",
+        "allow_promotion_into_protected",
+        "remset_young",
+        "remset_steps",
+    ],
+}
+
+_GC_SOURCES = sorted(Path(repro.gc.__file__).parent.glob("*.py"))
+_SCALARS = (type(None), bool, int, float, str)
+
+
+def _plain_scalar_fields(collector) -> set[str]:
+    """Snapshot keys that are nothing but an attribute's scalar value."""
+    missing = object()
+    return {
+        key
+        for key, value in collector.export_state().items()
+        if isinstance(value, _SCALARS)
+        and getattr(collector, key, missing) == value
+    }
 
 
 class TestOneCycle:
@@ -151,7 +251,8 @@ class TestSurfaceUnmoved:
         ] == PARENT_SIGNATURES[cls]
         assert all(
             parameter.kind is parameter.KEYWORD_ONLY
-            for parameter in parameters[3:]
+            for parameter in parameters
+            if parameter.kind is not parameter.POSITIONAL_OR_KEYWORD
         )
 
     def test_factory_signature_and_kinds(self):
@@ -192,6 +293,61 @@ class TestSurfaceUnmoved:
             assert list(state["marker_result"]) == ["ids", "words"]
         collector.collect()
         assert list(collector.export_state()) == keys
+
+    @pytest.mark.parametrize("kind", STATE_KEYS)
+    def test_stop_the_world_export_state_key_order(self, kind):
+        roots = RootSet()
+        collector = make_collector(
+            kind, make_heap(), roots, GcGeometry().scaled(1, 64)
+        )
+        keys = STATE_KEYS[kind]
+        assert list(collector.export_state()) == keys
+        frame = roots.push_frame()
+        for index in range(400):
+            obj = collector.allocate(4, field_count=1)
+            if index % 10 == 0:
+                frame.push(obj)
+        assert collector.stats.collections > 0
+        assert list(collector.export_state()) == keys
+
+
+class TestOneSkeleton:
+    def test_the_collection_tail_is_counted_once(self):
+        sites = [
+            (path.name, number)
+            for path in _GC_SOURCES
+            for number, line in enumerate(
+                path.read_text().splitlines(), start=1
+            )
+            if "stats.collections +=" in line
+        ]
+        assert len(sites) == 1, sites
+
+    def test_no_snapshot_override_names_a_plain_scalar_field(self):
+        plain: set[str] = set()
+        for kind in COLLECTOR_KINDS:
+            collector = collector_factory(kind)(make_heap(), RootSet())
+            plain |= _plain_scalar_fields(collector)
+            collector.close()
+        assert {"auto_expand", "load_factor", "j", "cycle_open"} <= plain
+        named = []
+        for path in _GC_SOURCES:
+            tree = ast.parse(path.read_text())
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef) or cls.name == "Collector":
+                    continue
+                for method in cls.body:
+                    if not isinstance(method, ast.FunctionDef) or not (
+                        "export" in method.name or "import" in method.name
+                    ):
+                        continue
+                    named.extend(
+                        (cls.name, method.name, node.value)
+                        for node in ast.walk(method)
+                        if isinstance(node, ast.Constant)
+                        and node.value in plain
+                    )
+        assert named == []
 
 
 @pytest.mark.parametrize("backend", ["flat"])
