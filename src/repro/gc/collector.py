@@ -15,6 +15,12 @@ never inspect object ages — the non-predictive collector's defining
 property (Section 4: "Neither does it keep track of the ages of
 objects") is enforced structurally by this interface: ``birth`` is used
 only by the measurement layer in :mod:`repro.trace`.
+
+:class:`Collector` is also the skeleton every collector shares, so the
+paper's comparison rests on one copy of its bookkeeping: the collection
+tail (:meth:`Collector._end_pause`), §5's sizing rule with the
+single-space kinds' checks and expand-or-fail rung, and the snapshot's
+plain scalar fields (:attr:`Collector.state_fields`).
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ __all__ = ["Collector", "HeapExhausted", "PostCollectionHook"]
 #: Signature of the optional post-collection hook (checked mode).
 PostCollectionHook = Callable[["Collector"], None]
 
+
+#: The types of a plain snapshot field's value.
+_PLAIN = (type(None), bool, int, float, str)
 
 #: ``bump_space`` before the first reservation: empty and zero-sized,
 #: so the fast-path test needs no ``None`` case.  Only ``used`` is read
@@ -86,6 +95,11 @@ class Collector(abc.ABC):
 
     #: Short machine-readable name ("mark-sweep", "non-predictive", ...).
     name: str = "abstract"
+    #: The keys of :meth:`export_state`, in order.  A key whose
+    #: attribute holds a plain scalar (``None``, a bool, a number, a
+    #: string) is a plain field, which the base exports and imports;
+    #: every other key is the collector's structure.
+    state_fields: tuple[str, ...] = ()
 
     def __init__(self, heap: FlatHeap, roots: RootSet) -> None:
         self.heap = heap
@@ -267,9 +281,11 @@ class Collector(abc.ABC):
         mark-cycle state.  Heap contents, roots, and ``stats`` are
         serialized separately by :mod:`repro.resilience.snapshot`.
         """
-        raise NotImplementedError(
-            f"{self.name} does not support checkpoint/restore"
-        )
+        structure = self._export_structure()
+        return {
+            key: structure[key] if key in structure else getattr(self, key)
+            for key in self.state_fields
+        }
 
     def import_state(self, state: dict) -> None:
         """Restore :meth:`export_state` output onto a freshly
@@ -278,11 +294,21 @@ class Collector(abc.ABC):
         Runs *before* the heap contents are imported: it may only
         touch content-independent structure (space capacities and
         ordering, remembered sets, cycle flags), never resident
-        objects.
+        objects.  Structure first: ``j``'s setter reads the steps.
         """
-        raise NotImplementedError(
-            f"{self.name} does not support checkpoint/restore"
-        )
+        self.bump_limit = 0
+        self._import_structure(state)
+        for key in self.state_fields:
+            if hasattr(self, key) and isinstance(getattr(self, key), _PLAIN):
+                setattr(self, key, state[key])
+
+    def _export_structure(self) -> dict:
+        """The snapshot's structured keys (a capacity, a remembered
+        set, the gray stack) and their values."""
+        return {}
+
+    def _import_structure(self, state: dict) -> None:
+        """Restore the keys :meth:`_export_structure` exports."""
 
     # ------------------------------------------------------------------
     # Heap sizing: the inverse load factor L of Section 5
@@ -293,8 +319,8 @@ class Collector(abc.ABC):
     # that sizes a space by that rule calls it with its own space,
     # factor and cap, at the rule's two moments: the end of a collection
     # (`_keep_load_factor` over what it left live) and an allocation
-    # that still does not fit after one (`_grow_to_fit`: the same rule
-    # over occupancy plus the request).
+    # that still does not fit after one (`_expand_or_fail`: the same
+    # rule over occupancy plus the request).
 
     def _set_capacity(self, space: FlatSpace, words: int) -> None:
         """Move ``space``'s capacity to ``words`` and say so."""
@@ -306,12 +332,6 @@ class Collector(abc.ABC):
                 new_capacity=words,
             )
         space.capacity = words
-
-    def _grow_to_fit(
-        self, space: FlatSpace, pending: int, factor: float, cap: int | None
-    ) -> None:
-        """Make room for a request of ``pending`` words, by the rule."""
-        self._keep_load_factor(space, space.used + pending, factor, cap)
 
     def _keep_load_factor(
         self, space: FlatSpace, words: int, factor: float, cap: int | None
@@ -325,16 +345,94 @@ class Collector(abc.ABC):
         if (space.capacity or 0) < minimum:
             self._set_capacity(space, minimum)
 
+    @staticmethod
+    def _check_load_factor(load_factor: float) -> None:
+        if load_factor <= 1.0:
+            raise ValueError(f"load factor must exceed 1, got {load_factor!r}")
+
+    # The single-space kinds size their one space by the rule under
+    # ``auto_expand``, ``load_factor`` and a cap of their own.
+
+    def _init_sizing(
+        self,
+        words: int,
+        auto_expand: bool,
+        load_factor: float,
+        cap: int | None,
+        unit: str = "heap",
+    ) -> None:
+        """Check a single-space kind's geometry and keep its rule."""
+        if words <= 0:
+            raise ValueError(f"{unit} size must be positive, got {words!r}")
+        self._check_load_factor(load_factor)
+        if cap is not None and cap < words:
+            raise ValueError(
+                f"expansion cap {cap} is below the initial {unit} size "
+                f"{words}"
+            )
+        self.auto_expand = auto_expand
+        self.load_factor = load_factor
+
+    def _keep_sized(self, space: FlatSpace, live: int, cap: int | None) -> None:
+        """The rule at the end of a collection, over what it left live."""
+        if self.auto_expand:
+            self._keep_load_factor(space, live, self.load_factor, cap)
+
+    def _expand_or_fail(
+        self, space: FlatSpace, size: int, cap: int | None
+    ) -> None:
+        """``_reserve``'s last rung, after its collections: grow by the
+        rule over occupancy plus the request, else raise."""
+        if space.fits(size):
+            return
+        if self.auto_expand:
+            self._keep_load_factor(
+                space, space.used + size, self.load_factor, cap
+            )
+        if not space.fits(size):
+            raise HeapExhausted(self, size)
+
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
 
-    def _finish_collection(self) -> None:
-        """Observe metrics and run the checked-mode hook; collectors
-        call this at the end of every collection, after all stats and
-        structural updates.  Metrics are observed first so telemetry
-        records the collection even when a checked-mode audit then
-        rejects the resulting heap."""
+    def _start_collection(self, kind: str, **detail: object) -> None:
+        """Announce a collection of ``kind`` (the metrics plane's
+        ``collection-start`` event)."""
+        if self.metrics is not None:
+            self.metrics.event(
+                "collection-start", kind=kind, clock=self.heap.clock, **detail
+            )
+
+    def _end_pause(
+        self,
+        kind: str,
+        work: int,
+        reclaimed: int,
+        live: int,
+        *,
+        count: str | None = "major",
+    ) -> None:
+        """The collection tail, called last, after every other update:
+        count a ``"major"`` or ``"minor"`` collection (``count=None``: a
+        mark slice or a hand-off, no collection), record the pause, then
+        observe metrics before the checked-mode hook, so telemetry
+        records the collection even when an audit rejects the heap."""
+        stats = self.stats
+        if count is not None:
+            stats.words_reclaimed += reclaimed
+            stats.collections += 1
+            if count == "major":
+                stats.major_collections += 1
+            else:
+                stats.minor_collections += 1
+        stats.record_pause(
+            clock=self.heap.clock,
+            kind=kind,
+            work=work,
+            reclaimed=reclaimed,
+            live=live,
+        )
         self.bump_limit = 0
         if self.metrics is not None:
             self.metrics.observe_collection(self)

@@ -202,6 +202,16 @@ class ConcurrentCollector(IncrementalCollector):
     """
 
     name = "concurrent"
+    state_fields = IncrementalCollector.state_fields + (
+        "marker_workers",
+        "marker_seed",
+        "marker_cycles",
+        "overlapped_cycles",
+        "marker_words_total",
+        "overlapped_words",
+        "watchdog_aborts",
+        "marker_result",
+    )
 
     close_pause_kind = "reconcile"
     #: Safepoints only poll, so a live SATB log bounds no bump window.
@@ -402,36 +412,22 @@ class ConcurrentCollector(IncrementalCollector):
     # Checkpoint / restore
     # ------------------------------------------------------------------
 
-    def export_state(self) -> dict:
-        """The incremental state plus the marker plane.
+    def _export_structure(self) -> dict:
+        """The incremental structure plus the marker's result.
 
         An in-flight marker is *materialized*: the checkpoint
         synchronizes with the worker (waiting/retrying via the normal
         ladder) and stores its result, so a restored process never
         depends on a worker that died with the original.
         """
-        state = super().export_state()
-        state["marker_workers"] = self.marker_workers
-        state["marker_seed"] = self.marker_seed
-        state["marker_cycles"] = self.marker_cycles
-        state["overlapped_cycles"] = self.overlapped_cycles
-        state["marker_words_total"] = self.marker_words_total
-        state["overlapped_words"] = self.overlapped_words
-        state["watchdog_aborts"] = self.watchdog_aborts
-        state["marker_result"] = (
+        structure = super()._export_structure()
+        structure["marker_result"] = (
             dict(self._drain_pending()) if self.marker_inflight else None
         )
-        return state
+        return structure
 
-    def import_state(self, state: dict) -> None:
-        super().import_state(state)
-        self.marker_workers = state["marker_workers"]
-        self.marker_seed = state["marker_seed"]
-        self.marker_cycles = state["marker_cycles"]
-        self.overlapped_cycles = state["overlapped_cycles"]
-        self.marker_words_total = state["marker_words_total"]
-        self.overlapped_words = state["overlapped_words"]
-        self.watchdog_aborts = state["watchdog_aborts"]
+    def _import_structure(self, state: dict) -> None:
+        super()._import_structure(state)
         self._discard_pending()
         result = state["marker_result"]
         if result is not None:
@@ -456,13 +452,6 @@ class ConcurrentCollector(IncrementalCollector):
         root_ids = self._root_ids()
         snapshot = heap.export_mark_snapshot(self.space, root_ids)
         self._submit_marker(snapshot)
-        self.stats.record_pause(
-            clock=heap.clock,
-            kind="handoff",
-            work=0,
-            reclaimed=0,
-            live=self.space.used,
-        )
         if self.metrics is not None:
             self.metrics.event(
                 "handoff",
@@ -471,7 +460,7 @@ class ConcurrentCollector(IncrementalCollector):
                 snapshot_words=self.space.used,
                 epoch=self.epoch_clock,
             )
-        self._finish_collection()
+        self._end_pause("handoff", 0, 0, self.space.used, count=None)
 
     def _mark_slice(self) -> None:
         """Allocation safepoints only poll the marker (overlap
@@ -554,14 +543,7 @@ class ConcurrentCollector(IncrementalCollector):
         super().on_static_promotion()
         self._discard_pending()
 
-    def describe(self) -> str:
-        mode = (
-            "inline marker"
-            if self.marker_workers == 0
-            else f"{self.marker_workers}-worker marker pool"
-        )
-        return (
-            f"concurrent tri-color mark-sweep, heap "
-            f"{self.space.capacity} words, {mode}, "
-            f"trigger {self.trigger_fraction}"
-        )
+    def _describe_marking(self) -> str:
+        if self.marker_workers == 0:
+            return "inline marker"
+        return f"{self.marker_workers}-worker marker pool"

@@ -62,6 +62,15 @@ class GenerationalCollector(Collector):
     """
 
     name = "generational"
+    state_fields = (
+        "generation_capacities",
+        "remsets",
+        "auto_expand_oldest",
+        "oldest_load_factor",
+        "promotion_threshold",
+        "tenuring_overflow_fraction",
+        "survival_counts",
+    )
 
     def __init__(
         self,
@@ -93,10 +102,7 @@ class GenerationalCollector(Collector):
             raise ValueError(
                 f"generation sizes must be positive, got {generation_words!r}"
             )
-        if oldest_load_factor <= 1.0:
-            raise ValueError(
-                f"load factor must exceed 1, got {oldest_load_factor!r}"
-            )
+        self._check_load_factor(oldest_load_factor)
         self.spaces: list[FlatSpace] = [
             heap.add_space(f"gen-{index}", words)
             for index, words in enumerate(generation_words)
@@ -141,33 +147,24 @@ class GenerationalCollector(Collector):
     def managed_spaces(self) -> frozenset[FlatSpace]:
         return frozenset(self.spaces)
 
-    def export_state(self) -> dict:
+    def _export_structure(self) -> dict:
         return {
             "generation_capacities": [
                 space.capacity for space in self.spaces
             ],
             "remsets": [remset.export_state() for remset in self.remsets],
-            "auto_expand_oldest": self.auto_expand_oldest,
-            "oldest_load_factor": self.oldest_load_factor,
-            "promotion_threshold": self.promotion_threshold,
-            "tenuring_overflow_fraction": self.tenuring_overflow_fraction,
             "survival_counts": sorted(
                 [oid, count] for oid, count in self._survival_counts.items()
             ),
         }
 
-    def import_state(self, state: dict) -> None:
-        self.bump_limit = 0
+    def _import_structure(self, state: dict) -> None:
         for space, capacity in zip(
             self.spaces, state["generation_capacities"]
         ):
             space.capacity = capacity
         for remset, remset_state in zip(self.remsets, state["remsets"]):
             remset.import_state(remset_state)
-        self.auto_expand_oldest = state["auto_expand_oldest"]
-        self.oldest_load_factor = state["oldest_load_factor"]
-        self.promotion_threshold = state["promotion_threshold"]
-        self.tenuring_overflow_fraction = state["tenuring_overflow_fraction"]
         self._survival_counts = {
             int(oid): int(count) for oid, count in state["survival_counts"]
         }
@@ -182,20 +179,14 @@ class GenerationalCollector(Collector):
         capacity = nursery.capacity
         if capacity is not None and nursery.used + size > capacity:
             upto = self._collect_for(size)
-            if (
-                nursery.capacity is not None
-                and nursery.used + size > nursery.capacity
-            ):
+            if not nursery.fits(size):
                 # Emergency full collection: promote everything out of
                 # the nursery (tenuring stayers included) before giving
                 # up.  Skipped when the collection above already was
                 # full — repeating it cannot free more.
                 if upto < self.generation_count - 1:
                     self.collect()
-                if (
-                    nursery.capacity is not None
-                    and nursery.used + size > nursery.capacity
-                ):
+                if not nursery.fits(size):
                     raise HeapExhausted(self, size)
         return nursery
 
@@ -265,18 +256,9 @@ class GenerationalCollector(Collector):
         heap = self.heap
         region_list = self.spaces[:upto + 1]
         region = set(region_list)
-        used_before = sum(space.used for space in region_list)
-        if self.metrics is not None:
-            self.metrics.event(
-                "collection-start",
-                kind=(
-                    "full"
-                    if upto == self.generation_count - 1
-                    else f"minor-0..{upto}"
-                ),
-                clock=heap.clock,
-                upto=upto,
-            )
+        full = upto == self.generation_count - 1
+        kind = "full" if full else f"minor-0..{upto}"
+        self._start_collection(kind, upto=upto)
 
         seeds = self._root_ids()
         seeds.extend(self._remset_seeds(upto, region))
@@ -296,7 +278,6 @@ class GenerationalCollector(Collector):
         # threshold above 1, under-age survivors stay in (are
         # re-copied within) their generation, subject to tenuring
         # overflow.
-        full = upto == self.generation_count - 1
         target = self.oldest if full else self.spaces[upto + 1]
         promote_all = full or self.promotion_threshold == 1
         reclaimed = 0
@@ -333,9 +314,7 @@ class GenerationalCollector(Collector):
                 counts = self._survival_counts
                 for oid in [oid for oid in counts if not contains(oid)]:
                     del counts[oid]
-            movers, stayers = self._partition_survivors(
-                survivors, target, full
-            )
+            movers, stayers = self._partition_survivors(survivors)
             incoming = sum(size for _, size, _ in movers)
             live = sum(size for _, size, _ in survivors)
             mover_ids = [oid for oid, _, _ in movers]
@@ -373,24 +352,13 @@ class GenerationalCollector(Collector):
         else:
             self._maintain_remsets_after_minor(upto, mover_ids, has_stayers)
 
-        self.stats.words_reclaimed += reclaimed
-        self.stats.collections += 1
-        if full:
-            self.stats.major_collections += 1
-        else:
-            self.stats.minor_collections += 1
-        self.stats.record_pause(
-            clock=heap.clock,
-            kind="full" if full else f"minor-0..{upto}",
-            work=live,
-            reclaimed=reclaimed,
-            live=live,
-        )
         if full and self.auto_expand_oldest:
             self._keep_load_factor(
                 self.oldest, live, self.oldest_load_factor, None
             )
-        self._finish_collection()
+        self._end_pause(
+            kind, live, reclaimed, live, count="major" if full else "minor"
+        )
 
     def on_static_promotion(self) -> None:
         super().on_static_promotion()
@@ -399,31 +367,24 @@ class GenerationalCollector(Collector):
         self._survival_counts.clear()
 
     def _partition_survivors(
-        self,
-        survivors: list[tuple[int, int, FlatSpace]],
-        target: FlatSpace,
-        full: bool,
+        self, survivors: list[tuple[int, int, FlatSpace]]
     ) -> tuple[
         list[tuple[int, int, FlatSpace]], list[tuple[int, int, FlatSpace]]
     ]:
-        """Split ``(id, size, space)`` survivors into movers and stayers.
+        """Split a minor collection's ``(id, size, space)`` survivors
+        into movers and stayers under a promotion threshold above 1.
 
-        With the default promote-all threshold everything moves (the
-        Larceny policy).  Otherwise an object moves once it has
-        survived ``promotion_threshold`` collections of its
-        generation, or when its cohort of under-age survivors would
-        occupy too much of the generation (tenuring overflow).
+        An object moves once it has survived ``promotion_threshold``
+        collections of its generation, or when its cohort of under-age
+        survivors would occupy too much of the generation (tenuring
+        overflow).  (The target generation lies outside the condemned
+        region, so no survivor is already there.)
         """
-        already_there = [entry for entry in survivors if entry[2] is target]
-        candidates = [entry for entry in survivors if entry[2] is not target]
-        if full or self.promotion_threshold == 1:
-            return candidates, already_there
-
         movers: list[tuple[int, int, FlatSpace]] = []
-        stayers = already_there[:]
+        stayers: list[tuple[int, int, FlatSpace]] = []
         stayer_words: dict[str, int] = {}
         undecided: list[tuple[int, int, FlatSpace]] = []
-        for entry in candidates:
+        for entry in survivors:
             oid, size, space = entry
             count = self._survival_counts.get(oid, 0) + 1
             if count >= self.promotion_threshold:

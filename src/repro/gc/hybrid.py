@@ -66,6 +66,14 @@ class HybridCollector(StepCollector):
     name = "hybrid-non-predictive"
     step_space_prefix = "hybrid-step"
     steps_remset_name = "hybrid-steps"
+    state_fields = (
+        "nursery_capacity",
+        *StepCollector.state_fields,
+        "max_remset",
+        "allow_promotion_into_protected",
+        "remset_young",
+        "remset_steps",
+    )
 
     def __init__(
         self,
@@ -112,33 +120,22 @@ class HybridCollector(StepCollector):
     def managed_spaces(self) -> frozenset[FlatSpace]:
         return frozenset((self.nursery, *self.steps))
 
-    def export_state(self) -> dict:
+    def _export_structure(self) -> dict:
         return {
+            **super()._export_structure(),
             "nursery_capacity": self.nursery.capacity,
-            **super().export_state(),
-            "max_remset": self.max_remset,
-            "allow_promotion_into_protected": (
-                self.allow_promotion_into_protected
-            ),
             "remset_young": self.remset_young.export_state(),
             "remset_steps": self.remset_steps.export_state(),
         }
 
-    def import_state(self, state: dict) -> None:
-        super().import_state(state)
+    def _import_structure(self, state: dict) -> None:
+        super()._import_structure(state)
         self.nursery.capacity = state["nursery_capacity"]
-        self.max_remset = state["max_remset"]
-        self.allow_promotion_into_protected = state[
-            "allow_promotion_into_protected"
-        ]
         self.remset_young.import_state(state["remset_young"])
         self.remset_steps.import_state(state["remset_steps"])
 
     def _dynamic_free(self) -> int:
         return sum(space.free for space in self.steps)
-
-    def _protected_free(self) -> int:
-        return sum(space.free for space in self._protected_list)
 
     def _collectable_free(self) -> int:
         return sum(space.free for space in self._collectable_list)
@@ -158,17 +155,11 @@ class HybridCollector(StepCollector):
             )
         if capacity is not None and nursery.used + size > capacity:
             self.collect_nursery()
-            if (
-                nursery.capacity is not None
-                and nursery.used + size > nursery.capacity
-            ):
+            if not nursery.fits(size):
                 # Emergency full collection: condemn the dynamic area
                 # as well before reporting exhaustion.
                 self.collect()
-                if (
-                    nursery.capacity is not None
-                    and nursery.used + size > nursery.capacity
-                ):
+                if not nursery.fits(size):
                     raise HeapExhausted(self, size)
         return nursery
 
@@ -220,10 +211,7 @@ class HybridCollector(StepCollector):
 
         heap = self.heap
         region = {self.nursery}
-        if self.metrics is not None:
-            self.metrics.event(
-                "collection-start", kind="promote", clock=heap.clock
-            )
+        self._start_collection("promote")
 
         seeds = self._root_ids()
         # Dynamic-area slots that still point into the nursery.
@@ -258,7 +246,8 @@ class HybridCollector(StepCollector):
         if survivor_words > self._collectable_free():
             if (
                 self.allow_promotion_into_protected
-                and survivor_words <= self._protected_free()
+                and survivor_words
+                <= sum(space.free for space in self._protected_list)
             ):
                 into_protected = True
             elif survivor_words > self._dynamic_free():
@@ -304,18 +293,9 @@ class HybridCollector(StepCollector):
 
         # The nursery is empty, so no dynamic-to-nursery pointers exist.
         self.remset_young.clear()
-
-        self.stats.words_reclaimed += reclaimed
-        self.stats.collections += 1
-        self.stats.minor_collections += 1
-        self.stats.record_pause(
-            clock=heap.clock,
-            kind="promote",
-            work=survivor_words,
-            reclaimed=reclaimed,
-            live=survivor_words,
+        self._end_pause(
+            "promote", survivor_words, reclaimed, survivor_words, count="minor"
         )
-        self._finish_collection()
 
     def _promote_into_collectable(
         self, promoted: list[tuple[int, int]]

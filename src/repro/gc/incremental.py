@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from typing import Collection
 
-from repro.gc.collector import Collector, HeapExhausted
+from repro.gc.collector import Collector
 from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.roots import RootSet
 
@@ -82,6 +82,20 @@ class IncrementalCollector(Collector):
     """
 
     name = "incremental"
+    state_fields = (
+        "space_capacity",
+        "slice_budget",
+        "trigger_fraction",
+        "auto_expand",
+        "load_factor",
+        "max_heap_words",
+        "cycle_open",
+        "epoch_clock",
+        "gray_stack",
+        "cycles_opened",
+        "slices_run",
+        "satb_grays",
+    )
 
     #: Kind of the pause that closes a cycle.
     close_pause_kind = "full"
@@ -104,8 +118,7 @@ class IncrementalCollector(Collector):
         max_heap_words: int | None = None,
     ) -> None:
         super().__init__(heap, roots)
-        if heap_words <= 0:
-            raise ValueError(f"heap size must be positive, got {heap_words!r}")
+        self._init_sizing(heap_words, auto_expand, load_factor, max_heap_words)
         if slice_budget is not None and slice_budget < 1:
             raise ValueError(
                 f"slice budget must be >= 1 word or None, got {slice_budget!r}"
@@ -114,20 +127,9 @@ class IncrementalCollector(Collector):
             raise ValueError(
                 f"trigger fraction must be in (0, 1], got {trigger_fraction!r}"
             )
-        if load_factor <= 1.0:
-            raise ValueError(
-                f"load factor must exceed 1, got {load_factor!r}"
-            )
-        if max_heap_words is not None and max_heap_words < heap_words:
-            raise ValueError(
-                f"expansion cap {max_heap_words} is below the initial "
-                f"heap size {heap_words}"
-            )
         self.space = heap.add_space("inc-heap", heap_words)
         self.slice_budget = slice_budget
         self.trigger_fraction = trigger_fraction
-        self.auto_expand = auto_expand
-        self.load_factor = load_factor
         self.max_heap_words = max_heap_words
         #: True while a mark cycle is in progress (the heap is then an
         #: "in-cycle" snapshot: some garbage may be resident, and the
@@ -148,39 +150,18 @@ class IncrementalCollector(Collector):
     def managed_spaces(self) -> frozenset:
         return frozenset((self.space,))
 
-    def export_state(self) -> dict:
+    def _export_structure(self) -> dict:
         # The color arena travels with the heap snapshot; the gray
         # stack is ordered (drain order is observable) and serialized
         # verbatim.
         return {
             "space_capacity": self.space.capacity,
-            "slice_budget": self.slice_budget,
-            "trigger_fraction": self.trigger_fraction,
-            "auto_expand": self.auto_expand,
-            "load_factor": self.load_factor,
-            "max_heap_words": self.max_heap_words,
-            "cycle_open": self.cycle_open,
-            "epoch_clock": self.epoch_clock,
             "gray_stack": list(self.gray_stack),
-            "cycles_opened": self.cycles_opened,
-            "slices_run": self.slices_run,
-            "satb_grays": self.satb_grays,
         }
 
-    def import_state(self, state: dict) -> None:
-        self.bump_limit = 0
+    def _import_structure(self, state: dict) -> None:
         self.space.capacity = state["space_capacity"]
-        self.slice_budget = state["slice_budget"]
-        self.trigger_fraction = state["trigger_fraction"]
-        self.auto_expand = state["auto_expand"]
-        self.load_factor = state["load_factor"]
-        self.max_heap_words = state["max_heap_words"]
-        self.cycle_open = state["cycle_open"]
-        self.epoch_clock = state["epoch_clock"]
         self.gray_stack = [int(oid) for oid in state["gray_stack"]]
-        self.cycles_opened = state["cycles_opened"]
-        self.slices_run = state["slices_run"]
-        self.satb_grays = state["satb_grays"]
 
     # ------------------------------------------------------------------
     # Allocation (every call is a safepoint)
@@ -192,28 +173,12 @@ class IncrementalCollector(Collector):
         if capacity is not None and space.used + size > capacity:
             was_open = self.cycle_open
             self.collect()
-            if (
-                was_open
-                and space.capacity is not None
-                and space.used + size > space.capacity
-            ):
+            if was_open and not space.fits(size):
                 # The finished cycle swept only to its snapshot, so
                 # SATB floating garbage survived; a second collection
                 # from the now-quiescent heap is precise.
                 self.collect()
-            if (
-                space.capacity is not None
-                and space.used + size > space.capacity
-            ):
-                if self.auto_expand:
-                    self._grow_to_fit(
-                        space, size, self.load_factor, self.max_heap_words
-                    )
-                if (
-                    space.capacity is not None
-                    and space.used + size > space.capacity
-                ):
-                    raise HeapExhausted(self, size)
+            self._expand_or_fail(space, size, self.max_heap_words)
         elif self.cycle_open:
             self._mark_slice()
         elif capacity is not None and space.used + size > int(
@@ -296,10 +261,7 @@ class IncrementalCollector(Collector):
         self.cycle_open = True
         self.cycles_opened += 1
         self.gray_stack.clear()
-        if self.metrics is not None:
-            self.metrics.event(
-                "collection-start", kind=kind, clock=heap.clock
-            )
+        self._start_collection(kind)
         self._begin_mark()
 
     def _begin_mark(self) -> None:
@@ -322,7 +284,7 @@ class IncrementalCollector(Collector):
         return self._scan(None), ()
 
     def _cycle_closed(self, work: int, reclaimed: int, live: int) -> None:
-        """After the sweep and its pause record, before resizing."""
+        """After the sweep, before resizing and the pause record."""
 
     def pending_marked_ids(self) -> frozenset[int]:
         """Marks the open cycle holds off the color arena: none here."""
@@ -346,26 +308,18 @@ class IncrementalCollector(Collector):
         """One budgeted mark increment at an allocation safepoint."""
         if not self.gray_stack:
             return  # wavefront drained; the cycle awaits its sweep
-        heap = self.heap
         work = self._scan(self.slice_budget)
         self.slices_run += 1
-        self.stats.record_pause(
-            clock=heap.clock,
-            kind="slice",
-            work=work,
-            reclaimed=0,
-            live=self.space.used,
-        )
         if self.metrics is not None:
             self.metrics.event(
                 "slice",
-                clock=heap.clock,
+                clock=self.heap.clock,
                 budget=self.slice_budget,
                 work=work,
                 backlog=len(self.gray_stack),
                 live=self.space.used,
             )
-        self._finish_collection()
+        self._end_pause("slice", work, 0, self.space.used, count=None)
 
     # ------------------------------------------------------------------
     # Write barrier (SATB deletion barrier)
@@ -411,24 +365,11 @@ class IncrementalCollector(Collector):
         reclaimed = heap.sweep_epoch(space, self.epoch_clock, marked_ids)
         live = space.used
 
-        self.stats.words_reclaimed += reclaimed
-        self.stats.collections += 1
-        self.stats.major_collections += 1
-        self.stats.record_pause(
-            clock=heap.clock,
-            kind=self.close_pause_kind,
-            work=work,
-            reclaimed=reclaimed,
-            live=live,
-        )
         self._cycle_closed(work, reclaimed, live)
         self.cycle_open = False
         self.gray_stack.clear()
-        if self.auto_expand:
-            self._keep_load_factor(
-                space, live, self.load_factor, self.max_heap_words
-            )
-        self._finish_collection()
+        self._keep_sized(space, live, self.max_heap_words)
+        self._end_pause(self.close_pause_kind, work, reclaimed, live)
 
     def on_static_promotion(self) -> None:
         """A full static promotion moved/freed everything under us;
@@ -438,13 +379,13 @@ class IncrementalCollector(Collector):
         self.gray_stack.clear()
 
     def describe(self) -> str:
-        budget = (
-            "unbounded"
-            if self.slice_budget is None
-            else f"{self.slice_budget}w"
-        )
         return (
-            f"incremental tri-color mark-sweep, heap "
-            f"{self.space.capacity} words, slice budget {budget}, "
+            f"{self.name} tri-color mark-sweep, heap "
+            f"{self.space.capacity} words, {self._describe_marking()}, "
             f"trigger {self.trigger_fraction}"
         )
+
+    def _describe_marking(self) -> str:
+        if self.slice_budget is None:
+            return "slice budget unbounded"
+        return f"slice budget {self.slice_budget}w"

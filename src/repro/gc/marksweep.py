@@ -14,7 +14,7 @@ how Larceny's collectors "chose" their heap sizes in Table 3.
 
 from __future__ import annotations
 
-from repro.gc.collector import Collector, HeapExhausted
+from repro.gc.collector import Collector
 from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.roots import RootSet
 
@@ -42,6 +42,12 @@ class MarkSweepCollector(Collector):
     """
 
     name = "mark-sweep"
+    state_fields = (
+        "space_capacity",
+        "auto_expand",
+        "load_factor",
+        "max_heap_words",
+    )
 
     def __init__(
         self,
@@ -54,66 +60,33 @@ class MarkSweepCollector(Collector):
         max_heap_words: int | None = None,
     ) -> None:
         super().__init__(heap, roots)
-        if heap_words <= 0:
-            raise ValueError(f"heap size must be positive, got {heap_words!r}")
-        if load_factor <= 1.0:
-            raise ValueError(
-                f"load factor must exceed 1, got {load_factor!r}"
-            )
-        if max_heap_words is not None and max_heap_words < heap_words:
-            raise ValueError(
-                f"expansion cap {max_heap_words} is below the initial "
-                f"heap size {heap_words}"
-            )
+        self._init_sizing(heap_words, auto_expand, load_factor, max_heap_words)
         self.space = heap.add_space("ms-heap", heap_words)
-        self.auto_expand = auto_expand
-        self.load_factor = load_factor
         self.max_heap_words = max_heap_words
 
     def managed_spaces(self) -> frozenset:
         return frozenset((self.space,))
 
-    def export_state(self) -> dict:
-        return {
-            "space_capacity": self.space.capacity,
-            "auto_expand": self.auto_expand,
-            "load_factor": self.load_factor,
-            "max_heap_words": self.max_heap_words,
-        }
+    def _export_structure(self) -> dict:
+        return {"space_capacity": self.space.capacity}
 
-    def import_state(self, state: dict) -> None:
-        self.bump_limit = 0
+    def _import_structure(self, state: dict) -> None:
         self.space.capacity = state["space_capacity"]
-        self.auto_expand = state["auto_expand"]
-        self.load_factor = state["load_factor"]
-        self.max_heap_words = state["max_heap_words"]
 
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
 
-    def _reserve(self, size: int) -> "Space":
+    def _reserve(self, size: int) -> FlatSpace:
         # Hot path: inline FlatSpace.fits.
         space = self.space
         capacity = space.capacity
         if capacity is not None and space.used + size > capacity:
+            # The collection is the emergency step; what is left of the
+            # policy is bounded expansion, then a structured failure
+            # with occupancy diagnostics.
             self.collect()
-            if (
-                space.capacity is not None
-                and space.used + size > space.capacity
-            ):
-                # The collection above was the emergency step; what is
-                # left of the policy is bounded expansion, then a
-                # structured failure with occupancy diagnostics.
-                if self.auto_expand:
-                    self._grow_to_fit(
-                        space, size, self.load_factor, self.max_heap_words
-                    )
-                if (
-                    space.capacity is not None
-                    and space.used + size > space.capacity
-                ):
-                    raise HeapExhausted(self, size)
+            self._expand_or_fail(space, size, self.max_heap_words)
         return space
 
     # ------------------------------------------------------------------
@@ -122,10 +95,7 @@ class MarkSweepCollector(Collector):
 
     def collect(self) -> None:
         """Mark everything reachable from the roots, then sweep."""
-        if self.metrics is not None:
-            self.metrics.event(
-                "collection-start", kind="full", clock=self.heap.clock
-            )
+        self._start_collection("full")
         work_before = self.stats.words_marked
         marked = self._trace_region({self.space}, self._root_ids())
 
@@ -135,24 +105,12 @@ class MarkSweepCollector(Collector):
         # but not free; the mark/cons ratio deliberately excludes it,
         # as in the paper).
         self.stats.words_swept += self.space.used
-        reclaimed = self.heap.free_unmarked(self.space, marked)
+        _, reclaimed = self.heap.partition_space(self.space, marked)
         live = self.space.used
-
-        self.stats.words_reclaimed += reclaimed
-        self.stats.collections += 1
-        self.stats.major_collections += 1
-        self.stats.record_pause(
-            clock=self.heap.clock,
-            kind="full",
-            work=self.stats.words_marked - work_before,
-            reclaimed=reclaimed,
-            live=live,
+        self._keep_sized(self.space, live, self.max_heap_words)
+        self._end_pause(
+            "full", self.stats.words_marked - work_before, reclaimed, live
         )
-        if self.auto_expand:
-            self._keep_load_factor(
-                self.space, live, self.load_factor, self.max_heap_words
-            )
-        self._finish_collection()
 
     def describe(self) -> str:
         return (

@@ -52,6 +52,14 @@ class NonPredictiveCollector(StepCollector):
     name = "non-predictive"
     step_space_prefix = "np-step"
     steps_remset_name = "np-steps"
+    state_fields = StepCollector.state_fields + (
+        "use_remset",
+        "algorithm",
+        "compaction_threshold",
+        "compactions",
+        "alloc_index",
+        "remset",
+    )
 
     def __init__(
         self,
@@ -89,26 +97,16 @@ class NonPredictiveCollector(StepCollector):
         self.compactions = 0
         # Allocation proceeds from the highest-numbered step downward;
         # steps above the cursor are closed until the next collection.
-        self._alloc_index = step_count - 1
+        self.alloc_index = step_count - 1
 
-    def export_state(self) -> dict:
+    def _export_structure(self) -> dict:
         return {
-            **super().export_state(),
-            "use_remset": self.use_remset,
-            "algorithm": self.algorithm,
-            "compaction_threshold": self.compaction_threshold,
-            "compactions": self.compactions,
-            "alloc_index": self._alloc_index,
+            **super()._export_structure(),
             "remset": self.remset.export_state(),
         }
 
-    def import_state(self, state: dict) -> None:
-        super().import_state(state)
-        self.use_remset = state["use_remset"]
-        self.algorithm = state["algorithm"]
-        self.compaction_threshold = state["compaction_threshold"]
-        self.compactions = state["compactions"]
-        self._alloc_index = state["alloc_index"]
+    def _import_structure(self, state: dict) -> None:
+        super()._import_structure(state)
         self.remset.import_state(state["remset"])
 
     def _remember_crossings(self, obj_ids, j: int, record) -> None:
@@ -133,14 +131,14 @@ class NonPredictiveCollector(StepCollector):
             space = self._allocation_step(size)
         else:
             steps = self.steps
-            alloc_index = self._alloc_index
+            alloc_index = self.alloc_index
             while alloc_index >= 0:
                 candidate = steps[alloc_index]
                 if candidate.used + size <= candidate.capacity:
                     space = candidate
                     break
                 alloc_index -= 1
-            self._alloc_index = alloc_index
+            self.alloc_index = alloc_index
         if space is None:
             self.collect()
             space = self._allocation_step(size)
@@ -179,11 +177,11 @@ class NonPredictiveCollector(StepCollector):
                 if self.steps[index].fits(size):
                     return self.steps[index]
             return None
-        while self._alloc_index >= 0:
-            space = self.steps[self._alloc_index]
+        while self.alloc_index >= 0:
+            space = self.steps[self.alloc_index]
             if space.fits(size):
                 return space
-            self._alloc_index -= 1
+            self.alloc_index -= 1
         return None
 
     # ------------------------------------------------------------------
@@ -225,7 +223,15 @@ class NonPredictiveCollector(StepCollector):
     ) -> list[int]:
         if self.use_remset:
             return super()._protected_seeds(protected, region)
-        return self._scan_protected(protected, region)
+        # Scan mode: every protected object's pointers into the region.
+        seeds: list[int] = []
+        for space in protected:
+            for obj in space.objects():
+                self.stats.roots_traced += obj.size
+                for ref in obj.references():
+                    if self.heap.get(ref).space in region:
+                        seeds.append(ref)
+        return seeds
 
     def _reclaim(
         self,
@@ -239,12 +245,12 @@ class NonPredictiveCollector(StepCollector):
             outcome = self._evacuate_survivors(condemned, protected, marked)
         # Allocation restarts at the highest step the survivors left
         # room in.
-        self._alloc_index = self._highest_free_index()
+        self.alloc_index = self._highest_free_index()
         return outcome
 
     def on_static_promotion(self) -> None:
         super().on_static_promotion()
-        self._alloc_index = self._highest_free_index()
+        self.alloc_index = self._highest_free_index()
 
     def _evacuate_survivors(
         self,
@@ -301,7 +307,7 @@ class NonPredictiveCollector(StepCollector):
         reclaimed = 0
         for space in collectable:
             self.stats.words_swept += space.used
-            reclaimed += heap.free_unmarked(space, marked)
+            reclaimed += heap.partition_space(space, marked)[1]
             live += space.used
             self.stats.words_marked += space.used
 
@@ -354,19 +360,6 @@ class NonPredictiveCollector(StepCollector):
             if self.steps[index].free > 0:
                 return index
         return -1
-
-    def _scan_protected(
-        self, protected: list[FlatSpace], region: set[FlatSpace]
-    ) -> list[int]:
-        """Scan every protected object for pointers into the region."""
-        seeds: list[int] = []
-        for space in protected:
-            for obj in space.objects():
-                self.stats.roots_traced += obj.size
-                for ref in obj.references():
-                    if self.heap.get(ref).space in region:
-                        seeds.append(ref)
-        return seeds
 
     def describe(self) -> str:
         return (

@@ -15,7 +15,7 @@ without edits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.gc.collector import Collector
@@ -111,16 +111,12 @@ class GcGeometry:
         budget = self.slice_budget
         if budget is not None:
             budget = max(8, budget * numerator // denominator)
-        return GcGeometry(
+        return replace(
+            self,
             nursery_words=scale(self.nursery_words),
             semispace_words=scale(self.semispace_words),
             step_words=scale(self.step_words),
-            step_count=self.step_count,
-            load_factor=self.load_factor,
-            gen_oldest_load_factor=self.gen_oldest_load_factor,
             slice_budget=budget,
-            marker_workers=self.marker_workers,
-            auto_expand=self.auto_expand,
         )
 
 
@@ -131,21 +127,19 @@ def make_collector(
     geometry: GcGeometry,
 ) -> Collector:
     """Build one collector of ``kind`` over ``heap`` with ``geometry``."""
+    # The single-space kinds share §5's sizing rule and the geometry's
+    # word for whether it may grow.
+    sizing = {
+        "load_factor": geometry.load_factor,
+        "auto_expand": geometry.auto_expand,
+    }
     if kind == "mark-sweep":
         return MarkSweepCollector(
-            heap,
-            roots,
-            2 * geometry.semispace_words,
-            load_factor=geometry.load_factor,
-            auto_expand=geometry.auto_expand,
+            heap, roots, 2 * geometry.semispace_words, **sizing
         )
     if kind == "stop-and-copy":
         return StopAndCopyCollector(
-            heap,
-            roots,
-            geometry.semispace_words,
-            load_factor=geometry.load_factor,
-            auto_expand=geometry.auto_expand,
+            heap, roots, geometry.semispace_words, **sizing
         )
     if kind == "generational":
         return GenerationalCollector(
@@ -175,8 +169,7 @@ def make_collector(
             roots,
             2 * geometry.semispace_words,
             slice_budget=geometry.slice_budget,
-            load_factor=geometry.load_factor,
-            auto_expand=geometry.auto_expand,
+            **sizing,
         )
     if kind == "concurrent":
         # The incremental geometry with the mark phase off-thread, so
@@ -186,8 +179,7 @@ def make_collector(
             roots,
             2 * geometry.semispace_words,
             marker_workers=geometry.marker_workers,
-            load_factor=geometry.load_factor,
-            auto_expand=geometry.auto_expand,
+            **sizing,
         )
     raise ValueError(f"unknown collector kind {kind!r}")
 

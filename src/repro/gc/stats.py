@@ -14,7 +14,7 @@ anywhere in the accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["GcStats", "PauseRecord"]
 
@@ -133,21 +133,7 @@ class GcStats:
         work to individual collections; the key set is stable so the
         diff is always total.
         """
-        return {
-            "words_allocated": self.words_allocated,
-            "objects_allocated": self.objects_allocated,
-            "words_marked": self.words_marked,
-            "words_copied": self.words_copied,
-            "words_swept": self.words_swept,
-            "words_reclaimed": self.words_reclaimed,
-            "roots_traced": self.roots_traced,
-            "remset_entries_created": self.remset_entries_created,
-            "remset_entries_pruned": self.remset_entries_pruned,
-            "words_promoted": self.words_promoted,
-            "collections": self.collections,
-            "minor_collections": self.minor_collections,
-            "major_collections": self.major_collections,
-        }
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     def export_state(self) -> dict:
         """Every counter plus the full pause log, JSON-serializable."""
@@ -200,3 +186,9 @@ class GcStats:
             "gc_mutator_ratio": self.gc_mutator_ratio(),
             "max_pause_work": self.max_pause_work,
         }
+
+
+#: Every cumulative counter of :class:`GcStats`, in field order.
+_COUNTERS = tuple(
+    spec.name for spec in fields(GcStats) if spec.name != "pauses"
+)

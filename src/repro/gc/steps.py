@@ -72,6 +72,8 @@ class StepCollector(Collector):
     #: Step spaces are named ``{step_space_prefix}-{index}``.
     step_space_prefix: str
     steps_remset_name: str
+    #: The step half of the snapshot; leaves add their own keys.
+    state_fields = ("step_order", "step_words", "j")
 
     def __init__(
         self,
@@ -170,18 +172,12 @@ class StepCollector(Collector):
     def managed_spaces(self) -> frozenset[FlatSpace]:
         return frozenset(self.steps)
 
-    def export_state(self) -> dict:
-        """The step half of the snapshot; leaves add their own keys."""
+    def _export_structure(self) -> dict:
         # Renumbering reorders ``steps`` without renaming the spaces,
         # so the logical order is recoverable from the name list alone.
-        return {
-            "step_order": [space.name for space in self.steps],
-            "step_words": self.step_words,
-            "j": self._j,
-        }
+        return {"step_order": [space.name for space in self.steps]}
 
-    def import_state(self, state: dict) -> None:
-        self.bump_limit = 0
+    def _import_structure(self, state: dict) -> None:
         if sorted(state["step_order"]) != sorted(
             space.name for space in self.steps
         ):
@@ -194,10 +190,6 @@ class StepCollector(Collector):
         self._step_index_of = {
             space: index for index, space in enumerate(self.steps)
         }
-        self.step_words = state["step_words"]
-        # Through the setter: rebuilds the partition caches over the
-        # restored order.
-        self.j = state["j"]
 
     # ------------------------------------------------------------------
     # Tuning
@@ -237,12 +229,19 @@ class StepCollector(Collector):
                     record(obj_id, slot)
                     self.stats.remset_entries_created += 1
 
-    def _snapshot(self, projected_growth: int = 0) -> StepSnapshot:
-        return StepSnapshot(
-            step_used=self.step_used(),
-            step_capacity=[self.step_words] * self.step_count,
-            remset_size=len(self.remset_steps),
-            projected_remset_growth=projected_growth,
+    def _reset_boundary(self) -> None:
+        """The protected steps are empty (after a collection or a static
+        promotion), so no protected-to-collectable pointer exists: empty
+        the remembered sets wholesale and choose a new ``j``."""
+        for remset in self._remsets:
+            remset.clear()
+        self.j = self.policy.choose_j(
+            StepSnapshot(
+                step_used=self.step_used(),
+                step_capacity=[self.step_words] * self.step_count,
+                remset_size=len(self.remset_steps),
+                projected_remset_growth=0,
+            )
         )
 
     # ------------------------------------------------------------------
@@ -251,49 +250,24 @@ class StepCollector(Collector):
 
     def collect(self) -> None:
         """Collect steps j+1..k, renumber, and choose a new ``j``."""
-        heap = self.heap
         protected = self._protected_list
         collectable = self._collectable_list
         condemned = self._condemned(collectable)
         region = set(condemned)
-        if self.metrics is not None:
-            self.metrics.event(
-                "collection-start",
-                kind="non-predictive",
-                clock=heap.clock,
-                j=self._j,
-                collectable_steps=len(collectable),
-            )
+        self._start_collection(
+            "non-predictive", j=self._j, collectable_steps=len(collectable)
+        )
 
         seeds = self._root_ids()
         seeds.extend(self._protected_seeds(protected, region))
         marked = self._trace_region(region, seeds, count_work=False)
         live, reclaimed = self._reclaim(condemned, protected, marked)
-
-        # After the collection the (new) protected steps are empty, so
-        # no protected-to-collectable pointers exist and the remembered
-        # sets can be emptied wholesale.
-        for remset in self._remsets:
-            remset.clear()
-
-        self.stats.words_reclaimed += reclaimed
-        self.stats.collections += 1
-        self.stats.major_collections += 1
-        self.stats.record_pause(
-            clock=heap.clock,
-            kind="non-predictive",
-            work=live,
-            reclaimed=reclaimed,
-            live=live,
-        )
-        self.j = self.policy.choose_j(self._snapshot())
-        self._finish_collection()
+        self._reset_boundary()
+        self._end_pause("non-predictive", live, reclaimed, live)
 
     def on_static_promotion(self) -> None:
         super().on_static_promotion()
-        for remset in self._remsets:
-            remset.clear()
-        self.j = self.policy.choose_j(self._snapshot())
+        self._reset_boundary()
 
     def _condemned(self, collectable: list[FlatSpace]) -> list[FlatSpace]:
         """The spaces a collection traces and empties, in the order

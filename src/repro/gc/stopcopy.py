@@ -16,7 +16,7 @@ copied word) follow Cheney's algorithm exactly.
 
 from __future__ import annotations
 
-from repro.gc.collector import Collector, HeapExhausted
+from repro.gc.collector import Collector
 from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.roots import RootSet
 
@@ -43,6 +43,14 @@ class StopAndCopyCollector(Collector):
     """
 
     name = "stop-and-copy"
+    state_fields = (
+        "semispace_capacity",
+        "active",
+        "auto_expand",
+        "load_factor",
+        "max_semispace_words",
+        "peak_semispace_words",
+    )
 
     def __init__(
         self,
@@ -55,28 +63,20 @@ class StopAndCopyCollector(Collector):
         max_semispace_words: int | None = None,
     ) -> None:
         super().__init__(heap, roots)
-        if semispace_words <= 0:
-            raise ValueError(
-                f"semispace size must be positive, got {semispace_words!r}"
-            )
-        if load_factor <= 1.0:
-            raise ValueError(f"load factor must exceed 1, got {load_factor!r}")
-        if (
-            max_semispace_words is not None
-            and max_semispace_words < semispace_words
-        ):
-            raise ValueError(
-                f"expansion cap {max_semispace_words} is below the "
-                f"initial semispace size {semispace_words}"
-            )
+        self._init_sizing(
+            semispace_words,
+            auto_expand,
+            load_factor,
+            max_semispace_words,
+            unit="semispace",
+        )
         self.max_semispace_words = max_semispace_words
         self._semispaces = (
             heap.add_space("sc-semispace-A", semispace_words),
             heap.add_space("sc-semispace-B", semispace_words),
         )
-        self._active = 0
-        self.auto_expand = auto_expand
-        self.load_factor = load_factor
+        #: Index of the semispace allocation happens in.
+        self.active = 0
         #: Semispace size high-water mark, for Table 3's semiheap column.
         self.peak_semispace_words = semispace_words
 
@@ -87,12 +87,12 @@ class StopAndCopyCollector(Collector):
     @property
     def tospace(self) -> FlatSpace:
         """The active semispace (where allocation happens)."""
-        return self._semispaces[self._active]
+        return self._semispaces[self.active]
 
     @property
     def fromspace(self) -> FlatSpace:
         """The idle semispace (empty between collections)."""
-        return self._semispaces[1 - self._active]
+        return self._semispaces[1 - self.active]
 
     @property
     def semispace_words(self) -> int:
@@ -101,25 +101,12 @@ class StopAndCopyCollector(Collector):
     def managed_spaces(self) -> frozenset:
         return frozenset(self._semispaces)
 
-    def export_state(self) -> dict:
-        return {
-            "semispace_capacity": self._semispaces[0].capacity,
-            "active": self._active,
-            "auto_expand": self.auto_expand,
-            "load_factor": self.load_factor,
-            "max_semispace_words": self.max_semispace_words,
-            "peak_semispace_words": self.peak_semispace_words,
-        }
+    def _export_structure(self) -> dict:
+        return {"semispace_capacity": self._semispaces[0].capacity}
 
-    def import_state(self, state: dict) -> None:
-        self.bump_limit = 0
+    def _import_structure(self, state: dict) -> None:
         for space in self._semispaces:
             space.capacity = state["semispace_capacity"]
-        self._active = state["active"]
-        self.auto_expand = state["auto_expand"]
-        self.load_factor = state["load_factor"]
-        self.max_semispace_words = state["max_semispace_words"]
-        self.peak_semispace_words = state["peak_semispace_words"]
 
     # ------------------------------------------------------------------
     # Allocation
@@ -128,25 +115,12 @@ class StopAndCopyCollector(Collector):
     def _reserve(self, size: int) -> FlatSpace:
         # Hot path: hoist the tospace property and inline FlatSpace.fits.
         # collect() flips the semispaces, so tospace is re-read after it.
-        tospace = self._semispaces[self._active]
+        tospace = self._semispaces[self.active]
         capacity = tospace.capacity
         if capacity is not None and tospace.used + size > capacity:
             self.collect()
-            tospace = self._semispaces[self._active]
-            capacity = tospace.capacity
-            if capacity is not None and tospace.used + size > capacity:
-                # Post-collection policy: bounded expansion, then a
-                # structured failure with occupancy diagnostics.
-                if self.auto_expand:
-                    self._grow_to_fit(
-                        tospace,
-                        size,
-                        self.load_factor,
-                        self.max_semispace_words,
-                    )
-                capacity = tospace.capacity
-                if capacity is not None and tospace.used + size > capacity:
-                    raise HeapExhausted(self, size)
+            tospace = self._semispaces[self.active]
+            self._expand_or_fail(tospace, size, self.max_semispace_words)
         return tospace
 
     def _set_capacity(self, space: FlatSpace, words: int) -> None:
@@ -163,11 +137,7 @@ class StopAndCopyCollector(Collector):
 
     def collect(self) -> None:
         """Flip semispaces, Cheney-copying the live objects."""
-        if self.metrics is not None:
-            self.metrics.event(
-                "collection-start", kind="full", clock=self.heap.clock
-            )
-        heap = self.heap
+        self._start_collection("full")
         old_from, old_to = self.fromspace, self.tospace
         used_before = old_to.used
 
@@ -177,28 +147,15 @@ class StopAndCopyCollector(Collector):
         # The destination always fits (equal semispaces, live <= used),
         # so the kernel bypasses the heap's capacity-checked slow path.
         # Everything left behind is unreachable and abandoned.
-        work, reclaimed = heap.cheney_evacuate(
+        work, reclaimed = self.heap.cheney_evacuate(
             old_to, old_from, self._root_ids()
         )
         self.stats.words_copied += work
 
-        self._active = 1 - self._active
+        self.active = 1 - self.active
         live = used_before - reclaimed
-        self.stats.words_reclaimed += reclaimed
-        self.stats.collections += 1
-        self.stats.major_collections += 1
-        self.stats.record_pause(
-            clock=heap.clock,
-            kind="full",
-            work=work,
-            reclaimed=reclaimed,
-            live=live,
-        )
-        if self.auto_expand:
-            self._keep_load_factor(
-                self.tospace, live, self.load_factor, self.max_semispace_words
-            )
-        self._finish_collection()
+        self._keep_sized(self.tospace, live, self.max_semispace_words)
+        self._end_pause("full", work, reclaimed, live)
 
     def describe(self) -> str:
         return (

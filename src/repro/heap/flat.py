@@ -40,8 +40,8 @@ Object handles (:class:`FlatObject`) are created on demand by
 :meth:`FlatHeap.get` and read through to the arenas; neither the hot
 collector loops nor the mutator (:mod:`repro.runtime.machine`) touch
 them — collectors run over ids via the kernel methods
-(``trace_region``, ``cheney_evacuate``, ``free_unmarked``,
-``partition_space``, ``extract_live``, ...) and the mutator over ids
+(``trace_region``, ``cheney_evacuate``, ``partition_space`` and
+``extract_live`` over one sweep kernel, ...) and the mutator over ids
 via the id-level accessors (``kind_of``, ``load_ref``, ``store_slot``,
 ``payload_of``, ...).
 
@@ -1399,88 +1399,35 @@ class FlatHeap:
         to_space.used += work
         return work, reclaimed
 
-    def free_unmarked(self, space: FlatSpace, marked: "set[int]") -> int:
-        """Sweep ``space`` in place, freeing unmarked objects.
-
-        Returns words reclaimed.  Survivors keep their relative order
-        (positions are renumbered, which is unobservable).
-        """
-        state = self._state
-        hdr = self._hdr
-        payloads = self._payloads or None
-        token = space._token
-        ids = space._ids
-        if payloads is None and space._count == len(ids):
-            fresh = [oid for oid in ids if oid in marked]
-            survivor_words = sum(hdr[oid] & _SIZE_MASK for oid in fresh)
-            reclaimed = space.used - survivor_words
-            if len(fresh) != len(ids):
-                # Distinct ids (no stale entries), so max-min+1 == len
-                # proves the set is exactly an interval in any order;
-                # kill it as one slice, re-pointing survivors below.
-                lo, hi = min(ids), max(ids)
-                if hi - lo + 1 == len(ids):
-                    state[lo:hi + 1] = array("q", bytes(8 * len(ids)))
-                else:
-                    for oid in ids:
-                        if oid not in marked:
-                            state[oid] = _DEAD
-            packed = token
-            stride = 1 << _POS_SHIFT
-            for oid in fresh:
-                state[oid] = packed
-                packed += stride
-            self._live_count -= space._count - len(fresh)
-            space._ids = fresh
-            space._count = len(fresh)
-            space.used -= reclaimed
-            return reclaimed
-        fresh = []
-        append = fresh.append
-        reclaimed = 0
-        for pos, oid in enumerate(ids):
-            if state[oid] == (pos << _POS_SHIFT) | token:
-                if oid in marked:
-                    state[oid] = (len(fresh) << _POS_SHIFT) | token
-                    append(oid)
-                else:
-                    state[oid] = _DEAD
-                    reclaimed += hdr[oid] & _SIZE_MASK
-                    if payloads is not None:
-                        payloads.pop(oid, None)
-        self._live_count -= space._count - len(fresh)
-        space._ids = fresh
-        space._count = len(fresh)
-        space.used -= reclaimed
-        return reclaimed
-
-    def partition_space(
+    def _free_dead(
         self, space: FlatSpace, marked: "set[int]"
     ) -> tuple[list[int], int]:
-        """Free dead objects; return surviving ids in space order.
+        """The sweep kernel: free every resident of ``space`` not in
+        ``marked``; return the survivors in space order and the words
+        freed.
 
-        Survivors remain resident in ``space`` — callers move some of
-        them out afterwards (generational promotion).
+        The caller finishes the job: it rewrites every survivor's state
+        word (the fast path may have zeroed them with the dead) and
+        resets the space's id list, count and occupancy.
         """
         state = self._state
         hdr = self._hdr
         # The payload side-table is almost always empty; skipping the
         # per-corpse dict.pop when it is keeps the sweep loop tight.
         payloads = self._payloads or None
-        token = space._token
         ids = space._ids
         if payloads is None and space._count == len(ids):
             # No stale entries: every listed id is resident, so the
             # classification collapses to C-speed comprehensions.
-            fresh = [oid for oid in ids if oid in marked]
-            survivor_words = sum(hdr[oid] & _SIZE_MASK for oid in fresh)
+            survivors = [oid for oid in ids if oid in marked]
+            survivor_words = sum(hdr[oid] & _SIZE_MASK for oid in survivors)
             reclaimed = space.used - survivor_words
-            if len(fresh) != len(ids):
+            if len(survivors) != len(ids):
                 # Distinct ids (no stale entries), so max-min+1 == len
                 # proves the set is exactly an interval regardless of
                 # order (a freshly bump-allocated space, typically):
-                # kill the whole range in one slice store, then
-                # re-point the survivors below.
+                # kill the whole range in one slice store; the caller
+                # re-points the survivors.
                 lo, hi = min(ids), max(ids)
                 if hi - lo + 1 == len(ids):
                     state[lo:hi + 1] = array("q", bytes(8 * len(ids)))
@@ -1488,34 +1435,46 @@ class FlatHeap:
                     for oid in ids:
                         if oid not in marked:
                             state[oid] = _DEAD
-            packed = token
-            stride = 1 << _POS_SHIFT
-            for oid in fresh:
-                state[oid] = packed
-                packed += stride
-            self._live_count -= space._count - len(fresh)
-            space._ids = list(fresh)
-            space._count = len(fresh)
-            space.used -= reclaimed
-            return fresh, reclaimed
-        fresh = []
-        append = fresh.append
-        reclaimed = 0
-        for pos, oid in enumerate(ids):
-            if state[oid] == (pos << _POS_SHIFT) | token:
-                if oid in marked:
-                    state[oid] = (len(fresh) << _POS_SHIFT) | token
-                    append(oid)
-                else:
-                    state[oid] = _DEAD
-                    reclaimed += hdr[oid] & _SIZE_MASK
-                    if payloads is not None:
-                        payloads.pop(oid, None)
-        self._live_count -= space._count - len(fresh)
-        space._ids = list(fresh)
-        space._count = len(fresh)
+        else:
+            survivors = []
+            append = survivors.append
+            reclaimed = 0
+            token = space._token
+            for pos, oid in enumerate(ids):
+                if state[oid] == (pos << _POS_SHIFT) | token:
+                    if oid in marked:
+                        append(oid)
+                    else:
+                        state[oid] = _DEAD
+                        reclaimed += hdr[oid] & _SIZE_MASK
+                        if payloads is not None:
+                            payloads.pop(oid, None)
+        self._live_count -= space._count - len(survivors)
+        return survivors, reclaimed
+
+    def partition_space(
+        self, space: FlatSpace, marked: "set[int]"
+    ) -> tuple[list[int], int]:
+        """Sweep ``space`` in place: free dead objects; return surviving
+        ids in space order and the words reclaimed.
+
+        Survivors remain resident in ``space``, in their relative order
+        (positions are renumbered, which is unobservable) — callers may
+        move some of them out afterwards (generational promotion).
+        """
+        survivors, reclaimed = self._free_dead(space, marked)
+        state = self._state
+        packed = space._token
+        stride = 1 << _POS_SHIFT
+        for oid in survivors:
+            state[oid] = packed
+            packed += stride
+        # The space keeps the kernel's list and the caller gets a copy,
+        # made after the old id list is released.
+        space._ids = survivors
+        space._count = len(survivors)
         space.used -= reclaimed
-        return fresh, reclaimed
+        return list(survivors), reclaimed
 
     def extract_live(
         self, space: FlatSpace, marked: "set[int]"
@@ -1526,50 +1485,10 @@ class FlatHeap:
         left detached for the caller to repack (evacuation/renumbering
         in the non-predictive and hybrid collectors).
         """
+        survivors, reclaimed = self._free_dead(space, marked)
         state = self._state
-        hdr = self._hdr
-        payloads = self._payloads or None
-        token = space._token
-        ids = space._ids
-        if payloads is None and space._count == len(ids):
-            survivors = [oid for oid in ids if oid in marked]
-            survivor_words = sum(
-                hdr[oid] & _SIZE_MASK for oid in survivors
-            )
-            reclaimed = space.used - survivor_words
-            if len(survivors) != len(ids):
-                # No stale entries means the ids are distinct, so
-                # max-min+1 == len proves they are exactly an interval
-                # (in any order) and the whole range can be zeroed as
-                # one slice; survivors are re-pointed just below.
-                lo, hi = min(ids), max(ids)
-                if hi - lo + 1 == len(ids):
-                    state[lo:hi + 1] = array("q", bytes(8 * len(ids)))
-                else:
-                    for oid in ids:
-                        if oid not in marked:
-                            state[oid] = _DEAD
-            for oid in survivors:
-                state[oid] = _DETACHED
-            self._live_count -= space._count - len(survivors)
-            space._ids = []
-            space._count = 0
-            space.used = 0
-            return survivors, reclaimed
-        survivors = []
-        append = survivors.append
-        reclaimed = 0
-        for pos, oid in enumerate(ids):
-            if state[oid] == (pos << _POS_SHIFT) | token:
-                if oid in marked:
-                    state[oid] = _DETACHED
-                    append(oid)
-                else:
-                    state[oid] = _DEAD
-                    reclaimed += hdr[oid] & _SIZE_MASK
-                    if payloads is not None:
-                        payloads.pop(oid, None)
-        self._live_count -= space._count - len(survivors)
+        for oid in survivors:
+            state[oid] = _DETACHED
         space._ids = []
         space._count = 0
         space.used = 0

@@ -48,7 +48,7 @@ class GcInstrumentation:
     """One collector's metric recorder.
 
     ``observe_collection`` runs once per completed collection (from
-    ``Collector._finish_collection``): it diffs the cumulative
+    ``Collector._end_pause``): it diffs the cumulative
     :class:`~repro.gc.stats.GcStats` snapshot against the previous
     collection's, records the per-collection work decomposition
     (mark/copy/sweep/root), pause-cost histograms, allocation-rate and

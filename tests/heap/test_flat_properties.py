@@ -144,7 +144,8 @@ class TestRenumberingStability:
         while space.object_count > 4:
             order = _resident_ids(space)
             marked = set(rng.sample(order, int(len(order) * 0.7)))
-            heap.free_unmarked(space, marked)
+            survivors, _ = heap.partition_space(space, marked)
+            assert survivors == _resident_ids(space)
             assert _resident_ids(space) == [
                 oid for oid in order if oid in marked
             ]
@@ -167,7 +168,7 @@ class TestRenumberingStability:
         heap.move_ids([1, 2, 3], region)
         heap.allocate(1, 0, region)  # id 9 -> region lists [5,1,2,3,9]
         assert _resident_ids(region) == [5, 1, 2, 3, 9]
-        reclaimed = heap.free_unmarked(region, set())
+        _, reclaimed = heap.partition_space(region, set())
         assert reclaimed == 5
         heap.check_integrity()
         assert _resident_ids(region) == []
@@ -382,7 +383,7 @@ class TestSweepEpochKernel:
             for oid in order
             if twin.color_of(oid) or twin.birth_of(oid) >= epoch
         }
-        expected = twin.free_unmarked(twin_space, keep | marked)
+        _, expected = twin.partition_space(twin_space, keep | marked)
 
         assert heap.sweep_epoch(space, epoch, marked) == expected
         assert list(space.object_ids()) == list(twin_space.object_ids())

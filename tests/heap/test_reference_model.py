@@ -150,8 +150,11 @@ class HeapVersusModel(RuleBasedStateMachine):
         live = self._live()
         marked = {live[pick % len(live)] for pick in keep} if live else set()
         expected = self.model.free_unmarked(space, marked)
-        swept = self.heap.free_unmarked(self.heap.space(space), marked)
+        survivors, swept = self.heap.partition_space(
+            self.heap.space(space), marked
+        )
         assert swept == expected
+        assert survivors == list(self.heap.space(space).object_ids())
 
     # A dangling slot fails the integrity pass that ends every import.
     @precondition(lambda self: not self.model.dangling())
