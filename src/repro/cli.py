@@ -23,10 +23,6 @@ Subcommands:
   injection to a mutator safepoint with a live mark wavefront — an
   incremental gray stack or a concurrent marker holding its
   snapshot);
-* ``bench`` — the performance suite: allocation throughput and
-  full-collection latency per collector, persisted to
-  ``BENCH_perf.json`` (``--quick`` for the CI smoke variant, which
-  fails on a >30% throughput regression vs the committed record);
 * ``metrics`` — the observability plane: run an experiment (default
   antiprediction) or a seeded collector sweep with the
   :mod:`repro.metrics` instrumentation armed, and render pause-cost
@@ -110,15 +106,12 @@ def _cmd_all(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.experiments.runner import run_experiments
-    from repro.perf.bench import BENCH_FILENAME, record_all_run
     from repro.perf.cache import CACHE_DIR_NAME, ArtifactCache, source_digest
     from repro.perf.parallel import default_jobs
     from repro.resilience.atomic import atomic_write_json, atomic_write_text
     from repro.resilience.journal import JOURNAL_FILENAME, SweepJournal
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 1:
-        raise SystemExit(f"--jobs must be at least 1, got {jobs}")
 
     selected = EXPERIMENTS
     if args.only:
@@ -203,23 +196,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
         return 1
     # A fully successful sweep needs no resume point.
     journal.discard()
-    # The full regeneration's wall clock is part of the repo's perf
-    # trajectory; partial runs (--only) would not be comparable.
-    if len(selected) == len(EXPERIMENTS):
-        entry = record_all_run(
-            Path.cwd() / BENCH_FILENAME,
-            jobs=jobs,
-            seconds=wall_seconds,
-            experiments=len(records),
-            cache_hits=cache_hits,
-        )
-        speedup = entry.get("speedup_vs_serial_baseline")
-        suffix = (
-            f" ({speedup}x vs serial seed baseline)"
-            if speedup is not None
-            else ""
-        )
-        print(f"recorded in {BENCH_FILENAME}{suffix}")
     return 0
 
 
@@ -311,19 +287,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         to_prometheus,
     )
 
-    for option, value in (
-        ("--repeats", args.repeats),
-        ("--runs", args.runs),
-        ("--jobs", args.jobs),
-    ):
-        if value is not None and value < 1:
-            print(
-                f"repro-gc metrics: error: {option} must be positive, "
-                f"got {value}",
-                file=sys.stderr,
-            )
-            return 2
-
     if args.overhead:
         from repro.metrics.sweep import measure_overhead
 
@@ -399,8 +362,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.name is None:
-        return _cmd_bench_suite(args)
     benchmark = get_benchmark(args.name)
     outcome = run_benchmark_under(
         benchmark, args.collector, scale=args.scale
@@ -416,59 +377,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"collections: {outcome.collections} "
         f"({outcome.minor_collections} minor)"
     )
-    return 0
-
-
-def _cmd_bench_suite(args: argparse.Namespace) -> int:
-    """Bare ``repro-gc bench``: the perf suite + BENCH_perf.json."""
-    from pathlib import Path
-
-    from repro.perf.bench import (
-        BENCH_FILENAME,
-        build_report,
-        compare_to_baseline,
-        load_report,
-        run_perf_suite,
-        write_report,
-    )
-
-    path = Path.cwd() / BENCH_FILENAME
-    baseline = load_report(path)
-    mode = "quick" if args.quick else "full"
-    print(f"perf suite ({mode}): allocation throughput and "
-          f"full-collection latency per collector")
-    results = run_perf_suite(quick=args.quick)
-    print(
-        f"{'collector':<16} {'words/sec':>12} "
-        f"{'collections':>12} {'collect mean':>13} {'collect max':>12}"
-    )
-    for bench in results:
-        print(
-            f"{bench.collector:<16} "
-            f"{bench.alloc_words_per_sec:>12,.0f} "
-            f"{bench.collections_during_alloc:>12} "
-            f"{bench.full_collect_seconds_mean * 1000:>11.2f}ms "
-            f"{bench.full_collect_seconds_max * 1000:>10.2f}ms"
-        )
-    report = build_report(results, quick=args.quick, previous=baseline)
-    write_report(path, report)
-    print(f"written to {path.name}")
-    if args.no_baseline_check or baseline is None:
-        return 0
-    regressions = compare_to_baseline(
-        report, baseline, tolerance=args.tolerance
-    )
-    if regressions:
-        print()
-        print(
-            f"[FAIL] throughput regressed beyond "
-            f"{100 * args.tolerance:.0f}% of the previous "
-            f"{BENCH_FILENAME}:"
-        )
-        for message in regressions:
-            print(f"  - {message}")
-        return 1
-    print(f"[PASS] no throughput regression vs previous {BENCH_FILENAME}")
     return 0
 
 
@@ -510,6 +418,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     epoch = args.epoch or max(1, span // 20)
     print(storage_profile(trace, epoch).to_text())
     return 0
+
+
+def positive_int(token: str) -> int:
+    """A count argument: an integer of at least 1.
+
+    An argparse ``type``, named for the error text argparse builds
+    from it ("invalid positive_int value"), so a bad count is a usage
+    error (exit 2), never a traceback from deep inside the command.
+    """
+    value = int(token)
+    if value < 1:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
+def non_negative_int(token: str) -> int:
+    """A ``--jobs``/``--retries`` argument, where 0 means none."""
+    value = int(token)
+    if value < 0:
+        raise ValueError(f"must be non-negative, got {value}")
+    return value
 
 
 def slice_budget(token: str) -> int | None:
@@ -712,9 +641,13 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g, load = args.g, args.load
-    estimate = analysis.mark_cons_ratio(g, load)
-    relative = analysis.relative_overhead(g, load)
-    best = analysis.optimal_generation_fraction(load)
+    try:
+        estimate = analysis.mark_cons_ratio(g, load)
+        relative = analysis.relative_overhead(g, load)
+        best = analysis.optimal_generation_fraction(load)
+    except ValueError as exc:
+        print(f"repro-gc analyze: error: {exc}", file=sys.stderr)
+        return 2
     print(f"g = {g}, L = {load}")
     print(f"l(g,g)                    = {analysis.live_fraction(g, g, load):.4f}")
     print(
@@ -937,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=None,
         help=(
             "worker processes for independent experiments "
@@ -969,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--retries",
-        type=int,
+        type=non_negative_int,
         default=None,
         help=(
             "extra attempts before a failing experiment is "
@@ -1058,11 +991,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub.add_argument(
-        "--runs", type=int, default=1, help="sweep runs per collector"
+        "--runs",
+        type=positive_int,
+        default=1,
+        help="sweep runs per collector",
     )
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=None,
         help="sweep worker processes (default: REPRO_JOBS or 1)",
     )
@@ -1099,7 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--overhead",
         action="store_true",
         help=(
-            "measure metrics-on vs metrics-off wall-clock on the bench "
+            "measure metrics-on vs metrics-off wall-clock on the decay "
             "workload and fail if the overhead exceeds the tolerance"
         ),
     )
@@ -1111,44 +1047,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--repeats",
-        type=int,
+        type=positive_int,
         default=3,
         help="--overhead timing repetitions per mode (best-of-N)",
     )
     sub.set_defaults(func=_cmd_metrics)
 
     sub = subparsers.add_parser(
-        "bench",
-        help=(
-            "no name: the perf suite (throughput/latency per collector, "
-            "written to BENCH_perf.json); with a name: run that "
-            "benchmark under one collector"
-        ),
+        "bench", help="run one benchmark under one collector"
     )
-    sub.add_argument("name", nargs="?", default=None, choices=benchmark_names())
+    sub.add_argument("name", choices=benchmark_names())
     sub.add_argument(
         "--collector", choices=_COLLECTORS, default="stop-and-copy"
     )
     sub.add_argument("--scale", type=int, default=1, choices=(0, 1, 2))
-    sub.add_argument(
-        "--quick",
-        action="store_true",
-        help="perf suite only: ~8x smaller workloads (CI smoke mode)",
-    )
-    sub.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help=(
-            "perf suite only: allowed fractional throughput drop vs "
-            "the previous BENCH_perf.json (default 0.30)"
-        ),
-    )
-    sub.add_argument(
-        "--no-baseline-check",
-        action="store_true",
-        help="perf suite only: skip the regression comparison",
-    )
     sub.set_defaults(func=_cmd_bench)
 
     sub = subparsers.add_parser(
@@ -1161,7 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--scale", type=int, default=0, choices=(0, 1, 2))
     rec.add_argument(
         "--epochs",
-        type=int,
+        type=positive_int,
         default=50,
         help="death-time resolution: samples per run",
     )
@@ -1170,14 +1082,14 @@ def build_parser() -> argparse.ArgumentParser:
         "survival", help="survival-by-age table from a saved trace"
     )
     srv.add_argument("file")
-    srv.add_argument("--age-step", type=int, default=None)
-    srv.add_argument("--brackets", type=int, default=9)
+    srv.add_argument("--age-step", type=positive_int, default=None)
+    srv.add_argument("--brackets", type=positive_int, default=9)
     srv.set_defaults(func=_cmd_trace)
     prof = trace_sub.add_parser(
         "profile", help="live-storage profile from a saved trace"
     )
     prof.add_argument("file")
-    prof.add_argument("--epoch", type=int, default=None)
+    prof.add_argument("--epoch", type=positive_int, default=None)
     prof.set_defaults(func=_cmd_trace)
 
     sub = subparsers.add_parser(
@@ -1361,10 +1273,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="TCP port (0 binds an ephemeral port and prints it)",
     )
-    sub.add_argument("--shards", type=int, default=2)
+    sub.add_argument("--shards", type=positive_int, default=2)
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=non_negative_int,
         default=0,
         help=(
             "worker processes for shard batches; 0 runs shards inline "
@@ -1426,10 +1338,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="send a shutdown op after the load (with --connect)",
     )
     sub.add_argument(
-        "--shards", type=int, default=2, help="self-hosted server shards"
+        "--shards",
+        type=positive_int,
+        default=2,
+        help="self-hosted server shards",
     )
     sub.add_argument(
-        "--jobs", type=int, default=0, help="self-hosted server jobs"
+        "--jobs",
+        type=non_negative_int,
+        default=0,
+        help="self-hosted server jobs",
     )
     sub.add_argument("--tenant-cap", type=int, default=None)
     sub.add_argument(
@@ -1473,9 +1391,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--tenants", type=int, default=8)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--ops", type=int, default=160)
-    sub.add_argument("--shards", type=int, default=2)
-    sub.add_argument("--jobs", type=int, default=0)
+    sub.add_argument("--ops", type=positive_int, default=160)
+    sub.add_argument("--shards", type=positive_int, default=2)
+    sub.add_argument("--jobs", type=non_negative_int, default=0)
     sub.add_argument("--kinds", default=None)
     sub.add_argument("--interleave-seed", type=int, default=None)
     sub.add_argument(

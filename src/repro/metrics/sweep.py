@@ -8,8 +8,8 @@ order), so a sweep's merged metrics are byte-identical at any ``--jobs``
 level — the same determinism contract the experiment engine makes.
 
 :func:`measure_overhead` is the acceptance check for the plane's cost:
-it times the same seeded bench workload with instrumentation attached
-and detached and reports the wall-clock ratio.
+it times one seeded decay cell with instrumentation attached and
+detached and reports the wall-clock ratio.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
 SWEEP_COLLECTORS: tuple[str, ...] = COLLECTOR_KINDS
 
 #: Decay half-life of the sweep workload (the experiments' canonical
-#: regime, same as the bench suite).
+#: regime).
 SWEEP_HALF_LIFE = 2_000.0
 SWEEP_ALLOC_WORDS = 120_000
 QUICK_ALLOC_WORDS = 20_000
@@ -117,7 +117,7 @@ def measure_overhead(
     seed: int = 0,
     repeats: int = 3,
 ) -> dict[str, float]:
-    """Wall-clock cost of the metrics plane on the bench workload.
+    """Wall-clock cost of the metrics plane on one decay cell.
 
     Runs the same seeded workload with instrumentation attached and
     detached, ``repeats`` times each, and compares best-of-N (the

@@ -1,4 +1,4 @@
-"""Performance layer: parallel experiment engine, benchmarks, caching.
+"""Performance layer: parallel experiment engine, caching, pause SLO.
 
 The reproduction's artifacts are pure functions of the source tree:
 every experiment takes only registry defaults and derives all
@@ -12,38 +12,11 @@ exploits:
 * :mod:`repro.perf.cache` — an on-disk artifact cache keyed by
   (experiment name, parameters, source digest), so ``repro-gc all``
   skips artifacts the current source tree has already produced;
-* :mod:`repro.perf.bench` — the ``repro-gc bench`` performance suite:
-  allocation throughput and full-collection latency per collector,
-  persisted to ``BENCH_perf.json`` as the repo's perf trajectory.
+* :mod:`repro.perf.plan` — the decay workload precomputed into an
+  allocation plan, so a timed loop drives nothing but the collector;
+* :mod:`repro.perf.slo` — the ``repro-gc slo`` pause gate.
+
+Throughput and collection latency per collector are measured by the
+committed benchmark (``python3 bench/run.py --workload alloc-decay``),
+not by this package.
 """
-
-from repro.perf.bench import (
-    BENCH_FILENAME,
-    CollectorBench,
-    build_report,
-    compare_to_baseline,
-    run_perf_suite,
-)
-from repro.perf.cache import ArtifactCache, source_digest
-from repro.perf.parallel import (
-    ExperimentRecord,
-    default_jobs,
-    derive_seed,
-    parallel_map,
-    run_experiment_records,
-)
-
-__all__ = [
-    "ArtifactCache",
-    "BENCH_FILENAME",
-    "CollectorBench",
-    "ExperimentRecord",
-    "build_report",
-    "compare_to_baseline",
-    "default_jobs",
-    "derive_seed",
-    "parallel_map",
-    "run_experiment_records",
-    "run_perf_suite",
-    "source_digest",
-]

@@ -1,6 +1,6 @@
 """Crash-safe file writes: write-temp, fsync, rename.
 
-Every artifact this repository persists — ``BENCH_perf.json``, the
+Every artifact this repository persists — ``SLO_pause.json``, the
 ``.repro_cache/`` entries, the sweep journal, exported experiment
 text/JSON — goes through :func:`atomic_write_text` (or its JSON
 wrapper), so a worker killed mid-write can never leave a truncated

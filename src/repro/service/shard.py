@@ -542,6 +542,8 @@ class ShardExecutor:
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
+        if jobs < 0:
+            raise ValueError(f"jobs must be non-negative, got {jobs}")
         self.shards = shards
         self.jobs = jobs
         #: Batches are applied in the calling process — no pool to

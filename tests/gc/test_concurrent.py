@@ -1,6 +1,6 @@
 """Tests for the concurrent (off-thread marking) collector.
 
-Four layers:
+Five layers:
 
 * the handoff machinery — cycles open with a marker in flight, the
   handoff pause is priced at zero words, allocation stays black, and
@@ -14,13 +14,17 @@ Four layers:
   cycle and an inline re-mark of the same heap, and the attempt salt
   perturbs only traversal order, never the result;
 * lifecycle — errors travel back as data and raise at reconciliation,
-  and close/collect/static-promotion all discard the pending marker.
+  and close/collect/static-promotion all discard the pending marker;
+* overlap — ``marker_overlap()``, the share of mark work a worker
+  finished while the mutator ran, reads 0 inline and above 0 with a
+  real marker on the decay workload.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -31,10 +35,13 @@ from repro.gc.concurrent import (
     _mark_snapshot_task,
 )
 from repro.gc.incremental import IncrementalCollector
+from repro.gc.registry import GcGeometry, collector_factory
 from repro.heap.backend import make_heap
 from repro.heap.barrier import WriteBarrier
 from repro.heap.flat import FlatHeap, HeapError
 from repro.heap.roots import RootSet
+from repro.mutator.decay_mutator import DecaySchedule
+from repro.perf.plan import build_allocation_plan, execute_plan
 from tests.resilience.test_watchdog import never_answer
 
 
@@ -328,6 +335,33 @@ class TestLifecycle:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             setup(marker_workers=-1)
+
+
+class TestMarkerOverlap:
+    """The overlap the benchmark reports as
+    ``gc.concurrent.marker_overlap``, at both ends of its range."""
+
+    def decay_run(self, marker_workers):
+        geometry = replace(GcGeometry(), marker_workers=marker_workers)
+        collector = collector_factory("concurrent", geometry)(
+            FlatHeap(), RootSet()
+        )
+        plan = build_allocation_plan(DecaySchedule(2000.0, seed=0), 200_000)
+        try:
+            execute_plan(collector, plan)
+            return collector.stats.collections, collector.marker_overlap()
+        finally:
+            collector.close()
+
+    def test_inline_marker_never_overlaps(self):
+        collections, overlap = self.decay_run(0)
+        assert collections > 0
+        assert overlap == 0.0
+
+    def test_worker_marker_overlaps_the_mutator(self):
+        collections, overlap = self.decay_run(1)
+        assert collections > 0
+        assert 0.0 < overlap <= 1.0
 
 
 class TestSpanHandoff:

@@ -30,7 +30,9 @@ class TestParser:
         ],
     )
     def test_nonpositive_knobs_are_usage_errors(self, argv, capsys):
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
         assert "repro-gc metrics: error:" in capsys.readouterr().err
 
 

@@ -19,11 +19,11 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.harness import collector_factory
+from repro.gc.registry import COLLECTOR_KINDS
 from repro.heap.backend import make_heap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.decay_mutator import DecaySchedule
-from repro.perf.bench import BENCH_COLLECTORS
 from repro.perf.plan import build_allocation_plan, execute_plan
 
 WORDS = 20_000
@@ -60,7 +60,7 @@ def _run_plan(kind, backend="flat"):
 
 
 @pytest.mark.parametrize("backend", ["flat"])
-@pytest.mark.parametrize("kind", BENCH_COLLECTORS)
+@pytest.mark.parametrize("kind", COLLECTOR_KINDS)
 def test_plan_matches_mutator(kind, backend):
     heap_a, coll_a = _run_mutator(kind, backend)
     heap_b, coll_b = _run_plan(kind, backend)
@@ -76,7 +76,7 @@ def plan_digest(kind) -> str:
     return hashlib.sha256(repr(seen).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("kind", BENCH_COLLECTORS)
+@pytest.mark.parametrize("kind", COLLECTOR_KINDS)
 def test_plan_agrees_across_backends(kind):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert plan_digest(kind) == golden[kind]
@@ -120,7 +120,7 @@ class TestBuildPlan:
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     GOLDEN_PATH.write_text(
         json.dumps(
-            {kind: plan_digest(kind) for kind in BENCH_COLLECTORS},
+            {kind: plan_digest(kind) for kind in COLLECTOR_KINDS},
             indent=1,
             sort_keys=True,
         )

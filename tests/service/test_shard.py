@@ -138,6 +138,12 @@ class TestRouting:
         with pytest.raises(ValueError):
             ShardExecutor(0)
 
+    def test_executor_rejects_negative_jobs(self):
+        """``min(jobs, shards)`` lanes would be negative and the server
+        would index past its lane list; refuse at construction."""
+        with pytest.raises(ValueError, match="jobs"):
+            ShardExecutor(2, jobs=-1)
+
     def test_routing_memo_is_bounded_and_is_the_sha256_rule(self):
         """Tenant names are client-chosen: ten times the memo's bound of
         distinct names leaves it at the bound, a name as long as a

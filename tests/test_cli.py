@@ -131,6 +131,46 @@ class TestTraceFlags:
             main(["trace", "record", "nonesuch", "-o", "/tmp/x.jsonl"])
 
 
+@pytest.fixture(scope="module")
+def lattice_trace(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("trace") / "trace.jsonl")
+    assert main(
+        ["trace", "record", "lattice", "-o", path,
+         "--scale", "0", "--epochs", "10"]
+    ) == 0
+    return path
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "record", "lattice", "-o", "{out}", "--epochs", "0"],
+            ["trace", "survival", "{trace}", "--brackets", "0"],
+            ["trace", "profile", "{trace}", "--epoch", "-3"],
+            ["analyze", "--load", "1.0"],
+            ["analyze", "--g", "1.5"],
+            ["load", "--shards", "0"],
+            ["serve", "--shards", "0"],
+            ["bench"],
+        ],
+    )
+    def test_bad_arguments_exit_2_with_one_error_line(
+        self, argv, lattice_trace, tmp_path, capsys
+    ):
+        """Out-of-range numbers (and a missing benchmark name) are
+        usage errors, like ``verify --ops 0``, not tracebacks."""
+        out = str(tmp_path / "t.jsonl")
+        argv = [token.format(trace=lattice_trace, out=out) for token in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        command = " ".join(argv[:2] if argv[0] == "trace" else argv[:1])
+        assert f"repro-gc {command}: error:" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_verify_passes_on_all_collectors(self, capsys):
         assert main(["verify", "--ops", "150", "--seed", "1"]) == 0
