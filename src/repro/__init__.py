@@ -50,7 +50,6 @@ from repro.gc import (
 )
 from repro.heap import (
     FlatHeap,
-    FlatObject,
     FlatSpace,
     RememberedSet,
     RootSet,
@@ -68,7 +67,6 @@ __all__ = [
     "FixedFractionPolicy",
     "FixedJPolicy",
     "FlatHeap",
-    "FlatObject",
     "FlatSpace",
     "GcStats",
     "GenerationalCollector",

@@ -224,18 +224,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         collectors = ("incremental", "concurrent")
     else:
         collectors = _COLLECTORS
-    try:
-        matrix = run_chaos_matrix(
-            seed=args.seed,
-            op_count=args.ops,
-            collectors=collectors,
-            quick=args.quick,
-            events=events,
-            safepoint=args.safepoint,
-        )
-    except ValueError as exc:
-        print(f"repro-gc chaos: error: {exc}", file=sys.stderr)
-        return 2
+    matrix = run_chaos_matrix(
+        seed=args.seed,
+        op_count=args.ops,
+        collectors=collectors,
+        quick=args.quick,
+        events=events,
+        safepoint=args.safepoint,
+    )
     if not args.safepoint:
         # The snapshot-corrupt family rides along with every default
         # sweep: corrupted checkpoint files must fail restore() with
@@ -405,7 +401,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"to {args.output}"
         )
         return 0
-    trace = load_trace(args.file)
+    try:
+        trace = load_trace(args.file)
+    except (OSError, ValueError) as exc:  # TraceFormatError, bad bytes
+        print(
+            f"repro-gc trace {args.trace_command}: error: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     span = max(1, trace.end_clock - trace.start_clock)
     if args.trace_command == "survival":
         age_step = args.age_step or max(1, span // 12)
@@ -528,11 +531,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         from repro.verify.differential import VERIFY_GEOMETRY
         from repro.verify.replay import ReplayContext, generate_script
 
-        try:
-            script = generate_script(args.ops, args.seed)
-        except ValueError as exc:
-            print(f"repro-gc snapshot: error: {exc}", file=sys.stderr)
-            return 2
+        script = generate_script(args.ops, args.seed)
         context = ReplayContext(
             collector_factory(args.collector, VERIFY_GEOMETRY)
         )
@@ -544,7 +543,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         print(
             f"snapshot of {args.collector} on backend "
             f"{payload['backend']} (clock {collector.heap.clock}, "
-            f"{len(list(collector.heap.all_objects()))} live objects) "
+            f"{collector.heap.object_count} live objects) "
             f"written to {path}"
         )
         return 0
@@ -570,7 +569,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         return 1
     print(
         f"restored {collector.name} on backend {heap.backend_name}: "
-        f"clock {heap.clock}, {len(list(heap.all_objects()))} live "
+        f"clock {heap.clock}, {heap.object_count} live "
         f"objects, {collector.stats.collections} collections on record"
     )
     return 0
@@ -920,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
-        "--ops", type=int, default=400, help="mutator script length"
+        "--ops", type=positive_int, default=400, help="mutator script length"
     )
     sub.add_argument(
         "--quick",
@@ -1106,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub.add_argument(
-        "--ops", type=int, default=2000, help="script length in ops"
+        "--ops", type=positive_int, default=2000, help="script length in ops"
     )
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
@@ -1202,7 +1201,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--collector", choices=_COLLECTORS, default="generational"
     )
     save.add_argument(
-        "--ops", type=int, default=600, help="mutator script length"
+        "--ops", type=positive_int, default=600, help="mutator script length"
     )
     save.add_argument("--seed", type=int, default=0)
     save.set_defaults(func=_cmd_snapshot)
@@ -1310,7 +1309,7 @@ def build_parser() -> argparse.ArgumentParser:
             "against a live server (--connect) or a self-hosted one"
         ),
     )
-    sub.add_argument("--tenants", type=int, default=200)
+    sub.add_argument("--tenants", type=positive_int, default=200)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
         "--profile",
@@ -1323,9 +1322,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated collector kinds (default: all seven)",
     )
     sub.add_argument(
-        "--ops", type=int, default=300, help="ops per tenant (approx)"
+        "--ops", type=positive_int, default=300, help="ops per tenant (approx)"
     )
-    sub.add_argument("--connections", type=int, default=8)
+    sub.add_argument("--connections", type=positive_int, default=8)
     sub.add_argument(
         "--connect",
         default=None,
@@ -1389,7 +1388,7 @@ def build_parser() -> argparse.ArgumentParser:
             "match per-tenant serial replays byte for byte"
         ),
     )
-    sub.add_argument("--tenants", type=int, default=8)
+    sub.add_argument("--tenants", type=positive_int, default=8)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--ops", type=positive_int, default=160)
     sub.add_argument("--shards", type=positive_int, default=2)

@@ -87,7 +87,7 @@ def run_table1(
     def live_per_step() -> tuple[int, ...]:
         counts = [0] * step_count
         for obj_id in mutator.held_ids():
-            number = collector.step_number(heap.get(obj_id))
+            number = collector.step_number(obj_id)
             if number is not None:
                 counts[number - 1] += 1
         return tuple(counts)

@@ -5,7 +5,8 @@ provides allocation, decides when to collect, and implements the write
 barrier's remember-store hook.  The mutator-facing surface is
 deliberately small:
 
-* :meth:`Collector.allocate` — allocate, collecting first if needed;
+* :meth:`Collector.allocate_id` — allocate, collecting first if
+  needed, and return the new object's id;
 * :meth:`Collector.collect` — an explicit full collection;
 * :meth:`Collector.remember_store_id` — called by the write barrier
   on every store, with object ids.
@@ -30,7 +31,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from repro.gc.stats import GcStats
-from repro.heap.flat import FlatHeap, FlatObject, FlatSpace
+from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.roots import RootSet
 from repro.metrics.instrument import active_session
 
@@ -136,9 +137,8 @@ class Collector(abc.ABC):
         expanding, or degrading first as the collector's policy allows.
 
         This is each collector's allocation policy in one place;
-        :meth:`allocate`, :meth:`allocate_id` and
-        :meth:`reserve_window` all route through it, by way of
-        :meth:`_reserve_bump`.
+        :meth:`allocate_id` and :meth:`reserve_window` both route
+        through it, by way of :meth:`_reserve_bump`.
 
         Raises:
             HeapExhausted: if no collection can free enough space.
@@ -160,31 +160,18 @@ class Collector(abc.ABC):
         self.bump_limit = space.capacity or 0
         return space
 
-    def allocate(
-        self, size: int, field_count: int = 0, kind: str = "data"
-    ) -> FlatObject:
-        """Allocate an object, collecting first if necessary.
-
-        Raises:
-            HeapExhausted: if no collection can free enough space.
-        """
-        space = self._reserve_bump(size)
-        obj = self.heap.allocate(size, field_count, space, kind)
-        stats = self.stats
-        stats.words_allocated += size
-        stats.objects_allocated += 1
-        return obj
-
     def allocate_id(
         self, size: int, field_count: int = 0, kind: str = "data"
     ) -> int:
-        """Allocate an object and return its raw id (no handle).
+        """Allocate an object, collecting first if necessary, and return
+        its id.
 
-        Identical observable behaviour to :meth:`allocate`.  For
-        :class:`~repro.runtime.machine.Machine` it is the miss handler:
-        the constructors allocate straight into ``bump_space`` while the
-        published limit allows and come here when it does not.  The
-        service's tenant sessions allocate through it on every ``alloc``.
+        For :class:`~repro.runtime.machine.Machine` it is the miss
+        handler: the constructors allocate straight into ``bump_space``
+        while the published limit allows and come here when it does not.
+
+        Raises:
+            HeapExhausted: if no collection can free enough space.
         """
         space = self._reserve_bump(size)
         obj_id = self.heap.allocate_id(size, field_count, space, kind)
@@ -222,15 +209,6 @@ class Collector(abc.ABC):
     @abc.abstractmethod
     def collect(self) -> None:
         """Perform a full collection of everything this collector manages."""
-
-    def remember_store(
-        self, obj: FlatObject, slot: int, target: FlatObject | None
-    ) -> None:
-        """Object-taking form of :meth:`remember_store_id`, for callers
-        that hold handles (:class:`~repro.heap.barrier.WriteBarrier`)."""
-        self.remember_store_id(
-            obj.obj_id, slot, None if target is None else target.obj_id
-        )
 
     def remember_store_id(
         self, src_id: int, slot: int, target_id: int | None

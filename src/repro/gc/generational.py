@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.gc.collector import Collector, HeapExhausted
-from repro.heap.flat import FlatHeap, FlatObject, FlatSpace
+from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.remset import RememberedSet
 from repro.heap.roots import RootSet
 
@@ -138,11 +138,12 @@ class GenerationalCollector(Collector):
     def oldest(self) -> FlatSpace:
         return self.spaces[-1]
 
-    def generation_index(self, obj: FlatObject) -> int | None:
+    def generation_index(self, obj_id: int) -> int | None:
         """The generation an object resides in, or None if unmanaged."""
-        if obj.space is None:
+        space = self.heap.space_of(obj_id)
+        if space is None:
             return None
-        return self._generation_of.get(obj.space.name)
+        return self._generation_of.get(space.name)
 
     def managed_spaces(self) -> frozenset[FlatSpace]:
         return frozenset(self.spaces)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from repro.core.policy import TuningPolicy
 from repro.gc.collector import HeapExhausted
 from repro.gc.steps import StepCollector
-from repro.heap.flat import FlatHeap, FlatObject, FlatSpace
+from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.remset import RememberedSet
 from repro.heap.roots import RootSet
 
@@ -114,8 +114,8 @@ class HybridCollector(StepCollector):
     # Geometry
     # ------------------------------------------------------------------
 
-    def in_nursery(self, obj: FlatObject) -> bool:
-        return obj.space is self.nursery
+    def in_nursery(self, obj_id: int) -> bool:
+        return self.heap.space_of(obj_id) is self.nursery
 
     def managed_spaces(self) -> frozenset[FlatSpace]:
         return frozenset((self.nursery, *self.steps))

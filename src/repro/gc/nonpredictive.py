@@ -224,12 +224,13 @@ class NonPredictiveCollector(StepCollector):
         if self.use_remset:
             return super()._protected_seeds(protected, region)
         # Scan mode: every protected object's pointers into the region.
+        heap = self.heap
         seeds: list[int] = []
         for space in protected:
-            for obj in space.objects():
-                self.stats.roots_traced += obj.size
-                for ref in obj.references():
-                    if self.heap.get(ref).space in region:
+            for obj_id in space.object_ids():
+                self.stats.roots_traced += heap.size_of(obj_id)
+                for _, ref in heap.ref_slots(obj_id):
+                    if heap.space_of(ref) in region:
                         seeds.append(ref)
         return seeds
 

@@ -155,20 +155,6 @@ class GcStats:
             for clock, kind, work, reclaimed, live in state["pauses"]
         ]
 
-    def components(self) -> dict[str, int]:
-        """The mark/cons work decomposition (words, cumulative).
-
-        ``mark + copy`` is the mark/cons numerator; ``sweep`` and
-        ``root`` are the secondary costs Section 6 lists as omitted
-        from the paper's analysis but tracked here.
-        """
-        return {
-            "mark": self.words_marked,
-            "copy": self.words_copied,
-            "sweep": self.words_swept,
-            "root": self.roots_traced,
-        }
-
     def summary(self) -> dict[str, float]:
         """A flat dict of headline numbers, for tables and CLI output."""
         return {

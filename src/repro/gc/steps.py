@@ -45,7 +45,7 @@ import abc
 
 from repro.core.policy import HalfEmptyPolicy, StepSnapshot, TuningPolicy
 from repro.gc.collector import Collector
-from repro.heap.flat import FlatHeap, FlatObject, FlatSpace
+from repro.heap.flat import FlatHeap, FlatSpace
 from repro.heap.remset import RememberedSet
 from repro.heap.roots import RootSet
 
@@ -157,9 +157,9 @@ class StepCollector(Collector):
         self._collectable_list = self.steps[j:]
         self._protected_set = set(self._protected_list)
 
-    def step_number(self, obj: FlatObject) -> int | None:
+    def step_number(self, obj_id: int) -> int | None:
         """The 1-based step number an object resides in, or None."""
-        space = obj.space
+        space = self.heap.space_of(obj_id)
         if space is None:
             return None
         index = self._step_index_of.get(space)
@@ -224,7 +224,7 @@ class StepCollector(Collector):
         heap = self.heap
         for obj_id in obj_ids:
             for slot, ref in heap.ref_slots(obj_id):
-                dst = self.step_number(heap.get(ref))
+                dst = self.step_number(ref)
                 if dst is not None and dst > j:
                     record(obj_id, slot)
                     self.stats.remset_entries_created += 1

@@ -4,7 +4,6 @@ from repro.heap.backend import make_heap
 from repro.heap.barrier import WriteBarrier
 from repro.heap.flat import (
     FlatHeap,
-    FlatObject,
     FlatSpace,
     HeapError,
     SpaceFull,
@@ -14,7 +13,6 @@ from repro.heap.roots import Frame, RootSet
 
 __all__ = [
     "FlatHeap",
-    "FlatObject",
     "FlatSpace",
     "Frame",
     "HeapError",

@@ -4,34 +4,29 @@ Every mutator store of a reference goes through a
 :class:`WriteBarrier`.  The barrier itself is policy-free: it counts
 stores (the paper's §6 caveat that the analysis omits barrier cost is
 addressed by reporting this count) and forwards each pointer store to
-the active collector's ``remember_store`` hook, which decides whether
+the active collector's ``remember_store_id`` hook, which decides whether
 the store creates a remembered-set entry.
 
 The barrier does not distinguish *why* a store is interesting — the
 paper notes that situations 3 and 6 of §8.4 are "detected by the write
 barrier, which does not distinguish between them" — so a collector's
-hook receives only source, slot and target.  Its one body per collector
-is id-level, ``Collector.remember_store_id(src_id, slot, target_id)``:
-like PyPy's barrier, a test on the source's header word, with no object
-model in the way.  :meth:`WriteBarrier.on_store` is the form for callers
-that hold object handles (replay and the tests); it reaches that body
-through the ``Collector.remember_store`` adapter.
-:class:`~repro.runtime.machine.Machine` holds ids, so its store paths
-bump this barrier's counters and call the id-level hook directly; the
-service's sessions hold ids too, count nothing, and call only the hook.
+hook receives only source, slot and target, as object ids:
+``Collector.remember_store_id(src_id, slot, target_id)``, like PyPy's
+barrier a test on the source's header word.
+:class:`~repro.runtime.machine.Machine`'s inlined store paths bump
+this barrier's counters and call that hook themselves; the replay
+interpreter, which tenant sessions run, calls only the hook.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.heap.flat import FlatObject
-
 __all__ = ["WriteBarrier"]
 
-#: Signature of the collector hook invoked on every store (the target
-#: is None when the new value is not a pointer).
-RememberStoreHook = Callable[[FlatObject, int, "FlatObject | None"], None]
+#: Signature of the collector hook invoked on every store: source id,
+#: slot, target id (None when the new value is not a pointer).
+RememberStoreHook = Callable[[int, int, "int | None"], None]
 
 
 class WriteBarrier:
@@ -53,9 +48,7 @@ class WriteBarrier:
         """Install the active collector's remember-store hook."""
         self._hook = hook
 
-    def on_store(
-        self, obj: FlatObject, slot: int, target: FlatObject | None
-    ) -> None:
+    def on_store(self, src_id: int, slot: int, target_id: int | None) -> None:
         """Record one mutator store; called before the heap write.
 
         The hook fires for *every* store — including overwrites with
@@ -66,10 +59,10 @@ class WriteBarrier:
         target.
         """
         self.stores += 1
-        if target is not None:
+        if target_id is not None:
             self.pointer_stores += 1
         if self._hook is not None:
-            self._hook(obj, slot, target)
+            self._hook(src_id, slot, target_id)
 
     def reset_counters(self) -> None:
         self.stores = 0

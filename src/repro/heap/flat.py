@@ -36,14 +36,15 @@ timing).  ``tests/heap/reference_model.py`` states these semantics as
 a plain dict model, and a state machine holds this heap to it after
 every operation.
 
-Object handles (:class:`FlatObject`) are created on demand by
-:meth:`FlatHeap.get` and read through to the arenas; neither the hot
-collector loops nor the mutator (:mod:`repro.runtime.machine`) touch
-them — collectors run over ids via the kernel methods
-(``trace_region``, ``cheney_evacuate``, ``partition_space`` and
-``extract_live`` over one sweep kernel, ...) and the mutator over ids
-via the id-level accessors (``kind_of``, ``load_ref``, ``store_slot``,
-``payload_of``, ...).
+Every client names an object by its id: collectors through the
+kernel methods (``trace_region``, ``cheney_evacuate``,
+``partition_space`` and ``extract_live`` over one sweep kernel, ...),
+mutators through the id-level accessors (``allocate_id``, ``kind_of``,
+``load_ref``, ``store_slot``, ``payload_of``, ...), and space
+membership through ``FlatSpace.add``/``remove``/``contains``,
+``free`` and ``move``.  :meth:`FlatHeap.get` returns a read-only
+:class:`FlatObject` view of one row for readers that want its
+attributes together; nothing else builds one.
 
 References between objects are stored as integer object ids rather
 than Python references, so reachability is whatever the simulated
@@ -61,10 +62,9 @@ import weakref
 from array import array
 from bisect import bisect_left
 from collections import deque
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 __all__ = [
-    "FlatFields",
     "FlatHeap",
     "FlatObject",
     "FlatSpace",
@@ -166,32 +166,26 @@ class FlatSpace:
 
     # -- membership -----------------------------------------------------
 
-    def add(self, obj: "FlatObject") -> None:
+    def add(self, oid: int) -> None:
         """Place a detached object here, updating occupancy."""
         heap = self._heap
-        oid = obj.obj_id
-        state = heap._state
-        if state[oid] & _TOKEN_MASK == self._token and self._valid(oid):
-            raise ValueError(f"{obj!r} is already in space {self.name!r}")
+        if self.contains(oid):
+            raise ValueError(f"object {oid} is already in space {self.name!r}")
         size = heap._hdr[oid] & _SIZE_MASK
         if not self.fits(size):
             raise SpaceFull(self, size)
         heap.place_id(oid, self, size)
 
-    def remove(self, obj: "FlatObject") -> None:
+    def remove(self, oid: int) -> None:
         """Detach a resident object, updating occupancy."""
         heap = self._heap
-        oid = obj.obj_id
-        if not self._valid(oid):
-            raise KeyError(f"{obj!r} is not in space {self.name!r}")
+        if not self.contains(oid):
+            raise KeyError(f"object {oid} is not in space {self.name!r}")
         heap._state[oid] = _DETACHED
         self.used -= heap._hdr[oid] & _SIZE_MASK
         self._count -= 1
 
-    def contains(self, obj: "FlatObject") -> bool:
-        return self._valid(obj.obj_id)
-
-    def _valid(self, oid: int) -> bool:
+    def contains(self, oid: int) -> bool:
         state = self._heap._state
         if not 0 <= oid < len(state):
             return False
@@ -209,11 +203,6 @@ class FlatSpace:
         for pos, oid in enumerate(self._ids):
             if state[oid] == (pos << _POS_SHIFT) | token:
                 yield oid
-
-    def objects(self) -> Iterator["FlatObject"]:
-        heap = self._heap
-        for oid in self.object_ids():
-            yield FlatObject(heap, oid)
 
     def _compact_ids(self) -> None:
         """Drop stale entries, renumbering live positions."""
@@ -238,64 +227,13 @@ class FlatSpace:
         )
 
 
-class FlatFields:
-    """A mutable list-like view of one object's slot range.
-
-    Supports exactly the operations collector code and the fault
-    injectors perform on ``FlatObject.fields``: ``len``, iteration,
-    indexing (including negative indices and slices), item assignment,
-    and equality against any sequence.  Assignment writes the slot
-    arena directly — a raw store that bypasses checked-mode probes
-    (the chaos fault injector relies on this).
-    """
-
-    __slots__ = ("_heap", "_oid")
-
-    def __init__(self, heap: "FlatHeap", oid: int) -> None:
-        self._heap = heap
-        self._oid = oid
-
-    def __len__(self) -> int:
-        return (self._heap._hdr[self._oid] >> _FC_SHIFT) & _FC_MASK
-
-    def __iter__(self) -> Iterator[object]:
-        heap = self._heap
-        base = heap._slot_base[self._oid]
-        count = (heap._hdr[self._oid] >> _FC_SHIFT) & _FC_MASK
-        return iter(heap._slots[base:base + count])
-
-    def __getitem__(self, index):
-        heap = self._heap
-        base = heap._slot_base[self._oid]
-        count = (heap._hdr[self._oid] >> _FC_SHIFT) & _FC_MASK
-        if isinstance(index, slice):
-            return heap._slots[base:base + count][index]
-        return heap._slots[base + range(count)[index]]
-
-    def __setitem__(self, index: int, value: object) -> None:
-        heap = self._heap
-        base = heap._slot_base[self._oid]
-        count = (heap._hdr[self._oid] >> _FC_SHIFT) & _FC_MASK
-        heap._slots[base + range(count)[index]] = value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FlatFields):
-            return list(self) == list(other)
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"FlatFields({list(self)!r})"
-
-
 class FlatObject:
-    """An on-demand handle over one arena row.
+    """A read-only view of one arena row, built by :meth:`FlatHeap.get`.
 
-    Cheap to create (two attribute stores); all state reads go through
-    to the arenas, so two handles for the same id always agree.
-    Handles have no identity guarantee — code must compare ``obj_id``,
-    which everything in this repository does.
+    Every attribute reads through to the arenas, so two views of the
+    same id always agree; views have no identity guarantee (compare
+    ``obj_id``).  Nothing writes through a view: the heap's id-level
+    methods are the only way to change an object.
     """
 
     __slots__ = ("heap", "obj_id")
@@ -306,56 +244,24 @@ class FlatObject:
 
     @property
     def size(self) -> int:
-        return self.heap._hdr[self.obj_id] & _SIZE_MASK
+        return self.heap.size_of(self.obj_id)
 
     @property
     def birth(self) -> int:
-        return self.heap._birth[self.obj_id]
+        return self.heap.birth_of(self.obj_id)
 
     @property
     def kind(self) -> str:
-        return self.heap._kind_names[self.heap._hdr[self.obj_id] >> _KIND_SHIFT]
+        heap = self.heap
+        return heap._kind_names[heap._hdr[self.obj_id] >> _KIND_SHIFT]
 
     @property
     def space(self) -> FlatSpace | None:
         return self.heap.space_if_live(self.obj_id)
 
-    @space.setter
-    def space(self, value: FlatSpace | None) -> None:
-        # Rewrites only which space the object *claims* — no space table
-        # or occupancy is touched, like a raw back-pointer store.  Exists
-        # for the fault injectors; collectors move objects through the
-        # heap kernels instead.
-        heap = self.heap
-        packed = heap._state[self.obj_id]
-        if packed == _DEAD:
-            raise HeapError(f"dangling object id {self.obj_id}")
-        if value is None:
-            heap._state[self.obj_id] = _DETACHED
-        else:
-            pos = packed >> _POS_SHIFT if packed != _DETACHED else 0
-            heap._state[self.obj_id] = (pos << _POS_SHIFT) | value._token
-
     @property
     def payload(self) -> object:
-        return self.heap._payloads.get(self.obj_id)
-
-    @payload.setter
-    def payload(self, value: object) -> None:
-        self.heap._payloads[self.obj_id] = value
-
-    @property
-    def fields(self) -> FlatFields:
-        return FlatFields(self.heap, self.obj_id)
-
-    def references(self) -> Iterator[int]:
-        """Ids stored in reference slots (``None``/immediates skipped)."""
-        for value in self.fields:
-            if type(value) is int:
-                yield value
-
-    def points_to(self, obj_id: int) -> bool:
-        return any(ref == obj_id for ref in self.references())
+        return self.heap.payload_of(self.obj_id)
 
     def __repr__(self) -> str:
         space = self.space
@@ -484,23 +390,6 @@ class FlatHeap:
             self._kind_names.append(kind)
         return code
 
-    def allocate(
-        self,
-        size: int,
-        field_count: int,
-        space: FlatSpace,
-        kind: str = "data",
-        *,
-        advance_clock: bool = True,
-    ) -> FlatObject:
-        """Allocate a new object in ``space`` and advance the clock."""
-        return FlatObject(
-            self,
-            self.allocate_id(
-                size, field_count, space, kind, advance_clock=advance_clock
-            ),
-        )
-
     def allocate_id(
         self,
         size: int,
@@ -510,7 +399,8 @@ class FlatHeap:
         *,
         advance_clock: bool = True,
     ) -> int:
-        """Allocate and return the raw id — the heap's hot path."""
+        """Allocate a new object in ``space``, advance the clock (unless
+        told not to) and return the object's id."""
         capacity = space.capacity
         used = space.used
         if capacity is not None and used + size > capacity:
@@ -629,9 +519,8 @@ class FlatHeap:
         self.objects_allocated += count
         return first, first + count
 
-    def free(self, obj: FlatObject) -> None:
+    def free(self, oid: int) -> None:
         """Remove a dead object from the heap entirely."""
-        oid = obj.obj_id
         state = self._state
         if not 0 <= oid < len(state) or state[oid] == _DEAD:
             raise HeapError(f"object {oid} is not in the heap")
@@ -644,9 +533,8 @@ class FlatHeap:
         self._live_count -= 1
         self._payloads.pop(oid, None)
 
-    def move(self, obj: FlatObject, to_space: FlatSpace) -> None:
+    def move(self, oid: int, to_space: FlatSpace) -> None:
         """Move an object between spaces (the simulator's "copy")."""
-        oid = obj.obj_id
         state = self._state
         if not 0 <= oid < len(state) or state[oid] == _DEAD:
             raise HeapError(f"object {oid} is not in the heap")
@@ -673,13 +561,9 @@ class FlatHeap:
             space._compact_ids()
 
     def get(self, obj_id: int) -> FlatObject:
-        """Resolve an object id; dangling ids are a structural error."""
-        state = self._state
-        if (
-            type(obj_id) is not int
-            or not 0 <= obj_id < len(state)
-            or state[obj_id] == _DEAD
-        ):
+        """A read-only view of a live object; dangling ids are a
+        structural error."""
+        if not self.contains_id(obj_id):
             raise HeapError(f"dangling object id {obj_id}")
         return FlatObject(self, obj_id)
 
@@ -691,27 +575,15 @@ class FlatHeap:
             and state[obj_id] != _DEAD
         )
 
-    def all_objects(self) -> Iterator[FlatObject]:
+    def object_ids(self) -> Iterator[int]:
+        """Every live id, ascending."""
         state = self._state
         for oid in range(len(state)):
             if state[oid] != _DEAD:
-                yield FlatObject(self, oid)
-
-    def resident_words(self, spaces: Iterable[FlatSpace]) -> int:
-        return sum(space.used for space in spaces)
+                yield oid
 
     def dangling_ids(self, ids: Iterable[int]) -> list[int]:
-        state = self._state
-        n = len(state)
-        return [
-            obj_id
-            for obj_id in ids
-            if not (
-                type(obj_id) is int
-                and 0 <= obj_id < n
-                and state[obj_id] != _DEAD
-            )
-        ]
+        return [obj_id for obj_id in ids if not self.contains_id(obj_id)]
 
     def occupancy(self) -> dict:
         """A JSON-able per-space occupancy snapshot for diagnostics."""
@@ -733,33 +605,7 @@ class FlatHeap:
         }
 
     # ------------------------------------------------------------------
-    # Fields
-    # ------------------------------------------------------------------
-
-    def read_field(self, obj: FlatObject, slot: int) -> FlatObject | None:
-        ref = self.read_slot(obj, slot)
-        if ref is None:
-            return None
-        if type(ref) is not int:
-            raise HeapError(
-                f"slot {slot} of object {obj.obj_id} holds an immediate, "
-                f"not a reference"
-            )
-        return self.get(ref)
-
-    def read_slot(self, obj: FlatObject, slot: int) -> object:
-        return self.load_slot(obj.obj_id, slot)
-
-    def write_field(
-        self, obj: FlatObject, slot: int, target: FlatObject | None
-    ) -> None:
-        self.write_slot(obj, slot, None if target is None else target.obj_id)
-
-    def write_slot(self, obj: FlatObject, slot: int, value: object) -> None:
-        self.store_slot(obj.obj_id, slot, value)
-
-    # ------------------------------------------------------------------
-    # Id-level accessors (shared kernel surface)
+    # Id-level accessors
     # ------------------------------------------------------------------
 
     def size_of(self, oid: int) -> int:
@@ -842,6 +688,13 @@ class FlatHeap:
             for slot in range(count)
             if type(slots[base + slot]) is int
         ]
+
+    def space_of(self, oid: int) -> FlatSpace | None:
+        """The space of a live object, or None while it is detached;
+        like :meth:`get`, a dangling id is a structural error."""
+        if not self.contains_id(oid):
+            raise HeapError(f"dangling object id {oid}")
+        return self.space_if_live(oid)
 
     def space_if_live(self, oid: int) -> FlatSpace | None:
         """The space of ``oid``, or None if freed/detached/dangling."""
@@ -1168,10 +1021,9 @@ class FlatHeap:
             self._space_by_token[space._token] = space
         self.check_integrity()
 
-    def place_id(self, oid: int, space: FlatSpace, size: int | None = None) -> None:
-        """Attach a detached object to ``space`` (no capacity check)."""
-        if size is None:
-            size = self._hdr[oid] & _SIZE_MASK
+    def place_id(self, oid: int, space: FlatSpace, size: int) -> None:
+        """Attach a detached object of ``size`` words to ``space`` (no
+        capacity check)."""
         ids = space._ids
         self._state[oid] = (len(ids) << _POS_SHIFT) | space._token
         ids.append(oid)
@@ -1513,12 +1365,7 @@ class FlatHeap:
     # Tracing / integrity
     # ------------------------------------------------------------------
 
-    def reachable_from(
-        self,
-        root_ids: Iterable[int],
-        *,
-        visit: Callable[[FlatObject], None] | None = None,
-    ) -> set[int]:
+    def reachable_from(self, root_ids: Iterable[int]) -> set[int]:
         """Transitive closure of the reference graph from the roots."""
         state = self._state
         hdr = self._hdr
@@ -1542,8 +1389,6 @@ class FlatHeap:
                 or state[oid] == _DEAD
             ):
                 raise HeapError(f"dangling object id {oid}")
-            if visit is not None:
-                visit(FlatObject(self, oid))
             count = (hdr[oid] >> _FC_SHIFT) & _FC_MASK
             if count:
                 base = sbase[oid]
@@ -1595,7 +1440,7 @@ class FlatHeap:
                     f"space {space.name!r} without a valid id entry"
                 )
                 raise HeapError(f"object {oid} claims {where}")
-            for ref in FlatObject(self, oid).references():
+            for _, ref in self.ref_slots(oid):
                 if not (0 <= ref < n and state[ref] != _DEAD):
                     raise HeapError(
                         f"object {oid} points at freed object {ref}"

@@ -9,15 +9,13 @@ ways, mirroring a real language runtime:
   around program activations, so that intermediate structures stay
   alive across an allocation that may trigger collection.
 
-The root set stores object ids, not Python references; dangling roots
-are detected by the tracer.
+Every root cell holds an object id (or ``None``), and callers set it
+by id; dangling roots are detected by the tracer.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
-
-from repro.heap.flat import FlatObject
 
 __all__ = ["Frame", "RootSet"]
 
@@ -30,20 +28,12 @@ class Frame:
     def __init__(self) -> None:
         self._slots: list[int | None] = []
 
-    def push(self, obj: FlatObject | None) -> int:
-        """Append a slot; returns its index within the frame."""
-        self._slots.append(None if obj is None else obj.obj_id)
-        return len(self._slots) - 1
-
-    def push_id(self, obj_id: int | None) -> int:
-        """Append a slot holding a raw object id."""
+    def push(self, obj_id: int | None) -> int:
+        """Append a slot holding ``obj_id``; returns its index."""
         self._slots.append(obj_id)
         return len(self._slots) - 1
 
-    def set(self, index: int, obj: FlatObject | None) -> None:
-        self._slots[index] = None if obj is None else obj.obj_id
-
-    def set_id(self, index: int, obj_id: int | None) -> None:
+    def set(self, index: int, obj_id: int | None) -> None:
         self._slots[index] = obj_id
 
     def get_id(self, index: int) -> int | None:
@@ -83,8 +73,8 @@ class RootSet:
     # Globals
     # ------------------------------------------------------------------
 
-    def set_global(self, name: str, obj: FlatObject | None) -> None:
-        self._globals[name] = None if obj is None else obj.obj_id
+    def set_global(self, name: str, obj_id: int | None) -> None:
+        self._globals[name] = obj_id
 
     def get_global_id(self, name: str) -> int | None:
         return self._globals.get(name)

@@ -97,9 +97,9 @@ class LifetimeDrivenMutator:
     def step(self) -> None:
         """Release due objects, then allocate one object.
 
-        This is the inner loop of every synthetic experiment, so
-        :meth:`_release_due` and :meth:`_hold` are inlined with direct
-        access to the frame's slot list.
+        This is the inner loop of every synthetic experiment, so the
+        release and the slot reuse are inlined with direct access to
+        the frame's slot list.
         """
         collector = self.collector
         clock = collector.heap.clock
@@ -111,12 +111,12 @@ class LifetimeDrivenMutator:
             slots[slot] = None
             free_slots.append(slot)
         words = self.object_words
-        obj = collector.allocate(words)
+        obj_id = collector.allocate_id(words)
         if free_slots:
             slot = free_slots.pop()
-            slots[slot] = obj.obj_id
+            slots[slot] = obj_id
         else:
-            slots.append(obj.obj_id)
+            slots.append(obj_id)
             slot = len(slots) - 1
         lifetime = self.schedule.lifetime_for(clock, self._allocated)
         if lifetime <= 0:
@@ -143,13 +143,17 @@ class LifetimeDrivenMutator:
             step()
 
     def release_due(self) -> None:
-        """Release objects whose death time has arrived (public form).
+        """Release objects whose death time has arrived.
 
         ``step`` does this automatically before each allocation; the
         Table 1 experiment calls it explicitly so that live storage can
         be sampled exactly *at* a cohort boundary.
         """
-        self._release_due(self.collector.heap.clock)
+        clock = self.collector.heap.clock
+        while self._deaths and self._deaths[0][0] <= clock:
+            _, slot = heapq.heappop(self._deaths)
+            self._frame.set(slot, None)
+            self._free_slots.append(slot)
 
     def held_ids(self) -> list[int]:
         """Ids of the objects the mutator currently keeps live."""
@@ -158,23 +162,6 @@ class LifetimeDrivenMutator:
     def release_all(self) -> None:
         """Drop every live object (end-of-run cleanup)."""
         while self._deaths:
-            _, slot = heapq.heappop(self._deaths)
-            self._frame.set(slot, None)
-            self._free_slots.append(slot)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _hold(self, obj_id: int) -> int:
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._frame.set_id(slot, obj_id)
-            return slot
-        return self._frame.push_id(obj_id)
-
-    def _release_due(self, clock: int) -> None:
-        while self._deaths and self._deaths[0][0] <= clock:
             _, slot = heapq.heappop(self._deaths)
             self._frame.set(slot, None)
             self._free_slots.append(slot)

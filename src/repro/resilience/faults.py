@@ -23,8 +23,8 @@ kind                      models / should be caught by
                           **benign by design**: remsets may
                           over-approximate, so nothing must fire
 ``stale-forward``         a forwarding/move that updated the object
-                          but not the space bookkeeping (the
-                          ``obj.space`` back-pointer desyncs) —
+                          but not the space bookkeeping (the space
+                          an object's state word claims desyncs) —
                           heap-integrity
 ``root-skip``             a root enumeration that silently skips an
                           entry — invisible to every check that reuses
@@ -52,6 +52,7 @@ from repro.gc.collector import Collector
 from repro.gc.concurrent import ConcurrentCollector
 from repro.gc.incremental import IncrementalCollector
 from repro.gc.steps import StepCollector
+from repro.heap.flat import _DETACHED, _TOKEN_MASK
 from repro.verify.audit import remset_family
 
 __all__ = [
@@ -164,17 +165,19 @@ def _inject_dangling_slot(
 ) -> FaultInjection | None:
     """Point a live reference slot at an id that was never allocated."""
     heap = collector.heap
-    candidates = [obj for obj in heap.all_objects() if obj.fields]
+    candidates = [oid for oid in heap.object_ids() if heap.slot_count_of(oid)]
     if not candidates:
         return None
-    obj = _pick(rng, candidates, key=lambda o: o.obj_id)
-    slot = rng.randrange(len(obj.fields))
+    obj_id = _pick(rng, candidates)
+    slot = rng.randrange(heap.slot_count_of(obj_id))
     bogus = 1_000_000_000 + rng.randrange(1_000)
-    obj.fields[slot] = bogus  # behind the heap's back: no probe, no barrier
+    # Straight into the slot arena, behind the heap's back: no checked-
+    # mode probe, no barrier.
+    heap._slots[heap._slot_base[obj_id] + slot] = bogus
     return FaultInjection(
         kind="dangling-slot",
         detail=(
-            f"slot {slot} of object {obj.obj_id} now holds dangling "
+            f"slot {slot} of object {obj_id} now holds dangling "
             f"id {bogus}"
         ),
     )
@@ -183,7 +186,7 @@ def _inject_dangling_slot(
 def _inject_stale_forward(
     collector: Collector, rng: random.Random
 ) -> FaultInjection | None:
-    """Desync an object's space back-pointer from the space that holds it.
+    """Desync the space an object claims from the space that holds it.
 
     Models a forwarding step that updated the object header but not the
     space bookkeeping (or vice versa): the object still sits in space
@@ -191,21 +194,27 @@ def _inject_stale_forward(
     """
     heap = collector.heap
     spaces = list(heap.spaces())
-    candidates = [obj for obj in heap.all_objects() if obj.space is not None]
+    candidates = [oid for oid in heap.object_ids() if heap.space_if_live(oid)]
     if not candidates:
         return None
-    obj = _pick(rng, candidates, key=lambda o: o.obj_id)
-    others = [space for space in spaces if space is not obj.space]
+    obj_id = _pick(rng, candidates)
+    right = heap.space_if_live(obj_id)
+    others = [space for space in spaces if space is not right]
     # Single-space collectors still have a stale-forward analogue: a
-    # move that cleared the back-pointer without leaving the table.
+    # move that cleared the claim without leaving the table.
     wrong = _pick(rng, others, key=lambda s: s.name) if others else None
-    right = obj.space
-    obj.space = wrong  # the holding space's table is left untouched
+    # Rewrite only the token of the object's state word: its position
+    # stays, and no space table or occupancy is touched.
+    state = heap._state
+    state[obj_id] = (
+        _DETACHED if wrong is None
+        else state[obj_id] & ~_TOKEN_MASK | wrong._token
+    )
     claim = wrong.name if wrong is not None else None
     return FaultInjection(
         kind="stale-forward",
         detail=(
-            f"object {obj.obj_id} claims space {claim!r} while "
+            f"object {obj_id} claims space {claim!r} while "
             f"still resident in {right.name!r}"
         ),
     )
@@ -287,10 +296,9 @@ def _inject_drop_remset(
         root_ids = set(collector.roots.ids())
         satb = set(collector.gray_stack)
         referrers: dict[int, list[int]] = {}
-        for obj in heap.all_objects():
-            for ref in obj.fields:
-                if type(ref) is int:
-                    referrers.setdefault(ref, []).append(obj.obj_id)
+        for obj_id in heap.object_ids():
+            for _, ref in heap.ref_slots(obj_id):
+                referrers.setdefault(ref, []).append(obj_id)
         reachable = heap.reachable_from(sorted(root_ids))
         candidates = [
             oid
@@ -404,12 +412,13 @@ def _inject_dup_remset(
     # region qualify: a correct collector must tolerate such entries,
     # because the barrier records them eagerly and the pointed-at store
     # may be overwritten before the next partial collection prunes.
+    slot_count_of = collector.heap.slot_count_of
     candidates = [
-        (remset, obj.obj_id, slot)
+        (remset, obj_id, slot)
         for remset, spaces in sources
         for space in spaces
-        for obj in space.objects()
-        for slot in range(len(obj.fields))
+        for obj_id in space.object_ids()
+        for slot in range(slot_count_of(obj_id))
     ]
     if not candidates:
         return None

@@ -33,7 +33,7 @@ from repro.gc.collector import Collector
 from repro.gc.stats import GcStats
 from repro.heap.backend import make_heap
 from repro.heap.barrier import WriteBarrier
-from repro.heap.flat import FlatHeap, FlatObject, HeapError
+from repro.heap.flat import FlatHeap, HeapError
 from repro.heap.roots import RootSet
 from repro.runtime.values import (
     FLONUM_WORDS,
@@ -99,11 +99,11 @@ def _measure_idle(scan: Callable[[dict[int, Ref], int], list[int]]) -> int:
     """
 
     def rooted(held: bool, threshold: int) -> bool:
-        table = {0: Ref(None, 0, "probe")}
+        table = {0: Ref(0, "probe")}
         holder = table[0] if held else None  # the outside reference
         return bool(scan(table, threshold))
 
-    table = {0: Ref(None, 0, "probe")}
+    table = {0: Ref(0, "probe")}
     for ref in table.values():
         idle = sys.getrefcount(ref)
     del ref
@@ -148,10 +148,10 @@ class Machine:
         self.heap = make_heap(heap_backend)
         self.roots = RootSet()
         self.collector = collector_factory(self.heap, self.roots)
-        self.barrier = WriteBarrier(self.collector.remember_store)
-        #: The collector's id-level barrier hook.  The store paths below
-        #: bump the barrier's counters and call it themselves rather
-        #: than building two handles for ``barrier.on_store``.
+        self.barrier = WriteBarrier(self.collector.remember_store_id)
+        #: The collector's barrier hook.  The store paths below bump the
+        #: barrier's counters and call it themselves, a frame less than
+        #: ``barrier.on_store``.
         self._remember = self.collector.remember_store_id
         self.static = self.heap.add_space("static", None)
         #: Object id -> *the* handle of that object, for every object
@@ -161,8 +161,8 @@ class Machine:
         self._handle_limit = _MIN_HANDLE_LIMIT
         idle = _idle_refcount()
         # The provider is the table's only reader.  It closes over the
-        # table, not the machine, and a Ref holds the heap, not the
-        # machine: nothing the machine owns points back at it, so
+        # table, not the machine, and a Ref holds only its id and kind:
+        # nothing the machine owns points back at it, so
         # dropping the last reference frees it (and the heap's arenas)
         # at once instead of leaving it to CPython's cycle collector —
         # which float-heavy programs, whose only tracked allocations
@@ -177,8 +177,9 @@ class Machine:
         #: Vector length -> (words, shape), entered by the first vector
         #: of that length (which took the checked path).
         self._vector_shapes: dict[int, tuple[int, object]] = {}
-        #: Callbacks invoked with each dynamically allocated object.
-        self._allocation_hooks: list[Callable[[FlatObject], None]] = []
+        #: Callbacks invoked with the id of each dynamically allocated
+        #: object.
+        self._allocation_hooks: list[Callable[[int], None]] = []
         #: Mutator operations executed (reads, stores, arithmetic).
         #: Together with words allocated this is the simulator's proxy
         #: for "mutator time" in Table 3: programs like sboyer that
@@ -193,7 +194,7 @@ class Machine:
     def _new_handle(self, obj_id: int, kind: str) -> Ref:
         """Build and intern the handle of an object the table lacks."""
         handles = self._handles
-        handles[obj_id] = ref = Ref(self.heap, obj_id, kind)
+        handles[obj_id] = ref = Ref(obj_id, kind)
         if len(handles) > self._handle_limit:
             self._sweep_handles()
         return ref
@@ -275,11 +276,10 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _notify(self, obj_id: int) -> None:
-        obj = self.heap.get(obj_id)
         for hook in self._allocation_hooks:
-            hook(obj)
+            hook(obj_id)
 
-    def add_allocation_hook(self, hook: Callable[[FlatObject], None]) -> None:
+    def add_allocation_hook(self, hook: Callable[[int], None]) -> None:
         self._allocation_hooks.append(hook)
 
     def cons(self, car: SchemeValue, cdr: SchemeValue) -> Ref:
@@ -310,7 +310,7 @@ class Machine:
         else:
             obj_id = collector.allocate_id(PAIR_WORDS, 2, "pair")
         handles = self._handles
-        handles[obj_id] = ref = Ref(heap, obj_id, "pair")
+        handles[obj_id] = ref = Ref(obj_id, "pair")
         if len(handles) > self._handle_limit:
             self._sweep_handles()
         store_slot = heap.store_slot
@@ -377,7 +377,7 @@ class Machine:
             obj_id = collector.allocate_id(FLONUM_WORDS, 0, "flonum")
             heap.set_payload(obj_id, payload)
         handles = self._handles
-        handles[obj_id] = ref = Ref(heap, obj_id, "flonum")
+        handles[obj_id] = ref = Ref(obj_id, "flonum")
         if len(handles) > self._handle_limit:
             self._sweep_handles()
         if self._allocation_hooks:
@@ -614,19 +614,19 @@ class Machine:
         uncollected static area).
         """
         heap = self.heap
+        static = self.static
         reached = heap.reachable_from(self.roots.ids())
         promoted = 0
         for obj_id in reached:
-            obj = heap.get(obj_id)
-            if obj.space is not self.static:
-                heap.move(obj, self.static)
-                promoted += obj.size
+            if heap.space_if_live(obj_id) is not static:
+                heap.move(obj_id, static)
+                promoted += heap.size_of(obj_id)
         # Everything left in a dynamic space is garbage.
         for space in list(heap.spaces()):
-            if space is self.static:
+            if space is static:
                 continue
-            for obj in list(space.objects()):
-                heap.free(obj)
+            for obj_id in list(space.object_ids()):
+                heap.free(obj_id)
         self.collector.on_static_promotion()
         return promoted
 
@@ -646,12 +646,12 @@ class Machine:
 
     def live_words(self) -> int:
         """Words currently reachable from the roots (an exact trace)."""
-        total = 0
-        for obj_id in self.heap.reachable_from(self.roots.ids()):
-            obj = self.heap.get(obj_id)
-            if obj.space is not self.static:
-                total += obj.size
-        return total
+        heap = self.heap
+        return sum(
+            heap.size_of(obj_id)
+            for obj_id in heap.reachable_from(self.roots.ids())
+            if heap.space_if_live(obj_id) is not self.static
+        )
 
     def describe(self) -> str:
         return f"machine({self.collector.describe()})"

@@ -36,8 +36,6 @@ death times remain accurate.
 
 from __future__ import annotations
 
-from repro.heap.flat import FlatHeap, FlatObject
-
 __all__ = [
     "Fixnum",
     "Ref",
@@ -122,22 +120,16 @@ class Ref:
     the reference count and forgets the entry.  Two handles are equal
     iff they name the same heap object.  Like a tagged pointer in
     Larceny, the handle carries the object's kind (fixed at birth), so
-    type tests touch no memory; the heap is addressed through the id,
-    and :attr:`obj` builds the heap's object handle for callers that
-    want one.  It holds the heap, not the machine or its table, so a
-    machine is in no reference cycle with its handles.
+    type tests touch no memory; the heap is addressed through the id.
+    It holds neither the machine nor its table, so a machine is in no
+    reference cycle with its handles.
     """
 
-    __slots__ = ("_heap", "obj_id", "kind", "__weakref__")
+    __slots__ = ("obj_id", "kind", "__weakref__")
 
-    def __init__(self, heap: FlatHeap, obj_id: int, kind: str) -> None:
-        self._heap = heap
+    def __init__(self, obj_id: int, kind: str) -> None:
         self.obj_id = obj_id
         self.kind = kind
-
-    @property
-    def obj(self) -> FlatObject:
-        return self._heap.get(self.obj_id)
 
     def is_pair(self) -> bool:
         return self.kind == "pair"

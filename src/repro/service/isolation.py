@@ -182,26 +182,15 @@ def _checkpoint_entry(payload: dict) -> list:
 def replay_fingerprint(case: TenantCase) -> dict:
     """The serial-replay reference history for one tenant case."""
     result = replay(case.script, collector_factory(case.kind, case.geometry))
-    checks = [
-        [
-            checkpoint.clock,
-            checkpoint.live_words,
-            len(checkpoint.graph),
-            graph_digest(checkpoint.graph),
-        ]
-        # The last checkpoint is replay's implicit final fingerprint;
-        # it corresponds to the close response, not a checkpoint op.
-        for checkpoint in result.checkpoints[:-1]
+    # The last checkpoint is replay's implicit final fingerprint; it
+    # corresponds to the close response, not a checkpoint op.
+    *checks, final = [
+        [c.clock, c.live_words, len(c.graph), graph_digest(c.graph)]
+        for c in result.checkpoints
     ]
-    final = result.checkpoints[-1]
     return {
         "checks": checks,
-        "final": [
-            final.clock,
-            final.live_words,
-            len(final.graph),
-            graph_digest(final.graph),
-        ],
+        "final": final,
         "stats": [[str(k), int(v)] for k, v in result.stats],
         "pauses": len(result.pauses),
         "pauses_digest": pauses_digest(result.pauses),

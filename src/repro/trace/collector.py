@@ -44,6 +44,4 @@ class TracingCollector(Collector):
         reclamation path.
         """
         reached = self.heap.reachable_from(self.roots.ids())
-        for obj in list(self.space.objects()):
-            if obj.obj_id not in reached:
-                self.heap.free(obj)
+        self.heap.partition_space(self.space, reached)

@@ -87,6 +87,9 @@ def _read(handle: IO[str]) -> LifetimeTrace:
         raise TraceFormatError(
             f"unsupported trace version {header.get('version')!r}"
         )
+    clocks = (header.get("start_clock"), header.get("end_clock"))
+    if not all(type(clock) is int for clock in clocks):
+        raise TraceFormatError(f"bad header clocks {clocks}")
     records = []
     for line_number, line in enumerate(handle, start=2):
         line = line.strip()
@@ -94,10 +97,16 @@ def _read(handle: IO[str]) -> LifetimeTrace:
             continue
         try:
             obj_id, size, birth, death, kind = json.loads(line)
-        except (json.JSONDecodeError, ValueError) as error:
+        except (ValueError, TypeError) as error:
             raise TraceFormatError(
                 f"bad record on line {line_number}: {error}"
             ) from error
+        if not (
+            type(obj_id) is type(size) is type(birth) is int
+            and (death is None or type(death) is int)
+            and type(kind) is str
+        ):
+            raise TraceFormatError(f"bad record on line {line_number}")
         records.append(
             ObjectRecord(
                 obj_id=obj_id, size=size, birth=birth, death=death, kind=kind
@@ -109,7 +118,5 @@ def _read(handle: IO[str]) -> LifetimeTrace:
             f"header declares {declared} records, found {len(records)}"
         )
     return LifetimeTrace(
-        records=records,
-        start_clock=header["start_clock"],
-        end_clock=header["end_clock"],
+        records=records, start_clock=clocks[0], end_clock=clocks[1]
     )

@@ -18,7 +18,6 @@ color represents the survivors from a 100,000-byte epoch").
 
 from __future__ import annotations
 
-from repro.heap.flat import FlatObject
 from repro.runtime.machine import Machine
 from repro.trace.collector import TracingCollector
 from repro.trace.events import LifetimeTrace, ObjectRecord
@@ -59,13 +58,15 @@ class LifetimeRecorder:
     # Hooks
     # ------------------------------------------------------------------
 
-    def _on_allocate(self, obj: FlatObject) -> None:
+    def _on_allocate(self, obj_id: int) -> None:
         if self._finished:
             return
+        heap = self.machine.heap
         record = ObjectRecord(
-            obj_id=obj.obj_id, size=obj.size, birth=obj.birth, kind=obj.kind
+            obj_id=obj_id, size=heap.size_of(obj_id),
+            birth=heap.birth_of(obj_id), kind=heap.kind_of(obj_id),
         )
-        self._records[obj.obj_id] = record
+        self._records[obj_id] = record
         self.trace.records.append(record)
         if self.machine.clock >= self._next_epoch:
             self.sample()
@@ -86,7 +87,7 @@ class LifetimeRecorder:
                 record.death = clock
                 del self._records[obj_id]
                 if machine.heap.contains_id(obj_id):
-                    machine.heap.free(machine.heap.get(obj_id))
+                    machine.heap.free(obj_id)
         # Records of still-live objects stay in _records; dead ones are
         # dropped so the dict tracks exactly the live population.
         while self._next_epoch <= clock:

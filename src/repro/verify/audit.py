@@ -263,7 +263,7 @@ def _check_managed_spaces(
             )
     checks.append("stats-conservation")
     stats = collector.stats
-    resident = heap.resident_words(managed)
+    resident = sum(space.used for space in managed)
     balance = resident + stats.words_reclaimed
     if balance != stats.words_allocated:
         violations.append(
@@ -337,10 +337,10 @@ class RemsetObligation(NamedTuple):
 def _live_refs(heap, space: FlatSpace) -> Iterator[tuple[int, int, int]]:
     """``(obj_id, slot, ref)`` for every slot of ``space`` that holds
     the id of a live object."""
-    for obj in space.objects():
-        for slot, ref in enumerate(obj.fields):
-            if type(ref) is int and heap.contains_id(ref):
-                yield obj.obj_id, slot, ref
+    for obj_id in space.object_ids():
+        for slot, ref in heap.ref_slots(obj_id):
+            if heap.contains_id(ref):
+                yield obj_id, slot, ref
 
 
 def _generational_obligations(
@@ -352,7 +352,7 @@ def _generational_obligations(
         if src_gen == 0:
             continue  # nursery sources are always traced
         for obj_id, slot, ref in _live_refs(heap, space):
-            dst_gen = collector.generation_index(heap.get(ref))
+            dst_gen = collector.generation_index(ref)
             if dst_gen is not None and dst_gen < src_gen:
                 yield RemsetObligation(
                     collector.remsets[src_gen],
@@ -378,14 +378,13 @@ def _step_obligations(
         src = f"step-{index + 1}"
         for obj_id, slot, ref in _live_refs(heap, space):
             entry = (obj_id, slot)
-            target = heap.get(ref)
-            if hybrid and collector.in_nursery(target):
+            if hybrid and collector.in_nursery(ref):
                 yield RemsetObligation(
                     collector.remset_young, entry, src, "nursery", ref,
                     wanted="a remset_young entry",
                 )
                 continue
-            dst = collector.step_number(target)
+            dst = collector.step_number(ref)
             if dst is not None and index < j < dst:
                 yield RemsetObligation(
                     collector.remset_steps, entry,
@@ -441,10 +440,11 @@ def _check_step_structure(
     pauses = collector.stats.pauses
     threshold = pauses[-1].clock if pauses else 0
     fresh: list[tuple[int, int]] = []
+    birth_of = collector.heap.birth_of
     for index, space in enumerate(collector.steps):
-        for obj in space.objects():
-            if obj.birth >= threshold:
-                fresh.append((obj.birth, index))
+        for obj_id in space.object_ids():
+            if birth_of(obj_id) >= threshold:
+                fresh.append((birth_of(obj_id), index))
     fresh.sort()
     for (birth_a, step_a), (birth_b, step_b) in zip(fresh, fresh[1:]):
         if step_b > step_a:

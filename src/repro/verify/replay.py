@@ -35,8 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from repro.gc.collector import Collector
-from repro.heap.barrier import WriteBarrier
-from repro.heap.flat import FlatHeap
+from repro.heap.flat import FlatHeap, HeapError
 from repro.heap.roots import RootSet
 from repro.verify.audit import enable_checked_mode
 
@@ -367,13 +366,17 @@ def generate_script(
 
 
 class ReplayContext:
-    """The heap, roots, collector and barrier a script's ops act on.
+    """The heap, roots and collector a script's ops act on.
 
-    The one interpreter of script ops: :func:`replay` drives a whole
-    script through it, and harnesses that need to interleave their own
-    steps (the chaos matrix's fault injection) or keep the collector
-    afterwards (snapshot capture) hold a context and call
-    :meth:`apply`/:meth:`run` themselves.
+    The one interpreter of the mutator's ops, which addresses the heap
+    by object id only: :meth:`apply` reads one op from a script,
+    resolving its uids, and runs ``alloc`` and ``store`` through the
+    methods of those names.  :func:`replay` drives a
+    whole script through it, harnesses that interleave their own steps
+    (the chaos matrix's fault injection) or keep the collector
+    afterwards (snapshot capture) call :meth:`apply`/:meth:`run`
+    themselves, and each tenant session of the service validates a
+    request and calls the op.
     """
 
     def __init__(
@@ -390,31 +393,36 @@ class ReplayContext:
         roots = RootSet()
         self._install(heap, roots, factory(heap, roots))
 
+    @classmethod
+    def restored(
+        cls, document: dict, uid_to_id: dict[int, int]
+    ) -> "ReplayContext":
+        """An unchecked context over a restored snapshot ``document``
+        whose objects the script names by ``uid_to_id``."""
+        from repro.resilience.snapshot import restore  # see restart
+
+        context = cls.__new__(cls)
+        context.checked = False
+        context.uid_to_id = uid_to_id
+        context.allocations = 0
+        context._install(*restore(document))
+        return context
+
     def _install(self, heap, roots: RootSet, collector: Collector) -> None:
         self.heap, self.roots, self.collector = heap, roots, collector
         if self.checked:
             enable_checked_mode(collector)
-        self.barrier = WriteBarrier(collector.remember_store)
 
     def apply(self, op: Op) -> None:
         """Apply one ``alloc``/``store``/``drop``/``collect`` op."""
         kind = op[0]
         if kind == "alloc":
-            _, uid, size, field_count = op
-            obj = self.collector.allocate(size, field_count)
-            self.uid_to_id[uid] = obj.obj_id
-            self.roots.set_global(f"u{uid}", obj)
-            self.allocations += 1
+            self.alloc(*op[1:])
         elif kind == "store":
             _, src_uid, slot, dst_uid = op
-            src = self.heap.get(self._resolve(src_uid))
-            target = (
-                None
-                if dst_uid is None
-                else self.heap.get(self._resolve(dst_uid))
-            )
-            self.barrier.on_store(src, slot, target)
-            self.heap.write_field(src, slot, target)
+            src = self._resolve(src_uid)
+            dst = None if dst_uid is None else self._resolve(dst_uid)
+            self.store(src, slot, dst)
         elif kind == "drop":
             self.roots.remove_global(f"u{op[1]}")
         elif kind == "collect":
@@ -422,23 +430,43 @@ class ReplayContext:
         else:
             raise ReplayError(f"unknown op kind {kind!r}")
 
+    def alloc(self, uid: int, size: int, field_count: int) -> int:
+        """Allocate and root an object under ``uid``; returns its id."""
+        obj_id = self.collector.allocate_id(size, field_count)
+        self.uid_to_id[uid] = obj_id
+        self.roots.set_global(f"u{uid}", obj_id)
+        self.allocations += 1
+        return obj_id
+
+    def store(self, src_id: int, slot: int, dst_id: int | None) -> None:
+        """Barrier, then write: the snapshot-at-the-beginning barrier
+        reads the slot's old value."""
+        self.collector.remember_store_id(src_id, slot, dst_id)
+        self.heap.store_slot(src_id, slot, dst_id)
+
     def _resolve(self, uid: int) -> int:
+        """The id of the live object under ``uid``; a freed one is a
+        structural error of the heap."""
         try:
-            return self.uid_to_id[uid]
+            obj_id = self.uid_to_id[uid]
         except KeyError:
             raise ReplayError(
                 f"script references uid {uid} before its alloc"
             ) from None
+        if not self.heap.contains_id(obj_id):
+            raise HeapError(f"dangling object id {obj_id}")
+        return obj_id
 
     def checkpoint(self, op_index: int) -> Checkpoint:
         """Fingerprint the graph reachable from the surviving roots."""
         heap = self.heap
-        graph = tuple(
-            sorted(
-                (obj_id, heap.get(obj_id).size, tuple(heap.get(obj_id).fields))
-                for obj_id in heap.reachable_from(list(self.roots.ids()))
-            )
-        )
+        # Ids are unique, so ordering by id orders the entries.  Built
+        # from a list: a tuple grown from a generator strands every
+        # resized tuple in the interpreter's per-size free lists.
+        graph = tuple([
+            (obj_id, heap.size_of(obj_id), tuple(heap.slots_of(obj_id)))
+            for obj_id in sorted(heap.reachable_from(list(self.roots.ids())))
+        ])
         return Checkpoint(
             op_index=op_index,
             clock=heap.clock,
@@ -501,9 +529,7 @@ class ReplayContext:
             collections=stats.collections,
             stats=tuple(sorted(stats.snapshot().items())),
             pauses=tuple(stats.pauses),
-            survivors=tuple(
-                sorted(obj.obj_id for obj in self.heap.all_objects())
-            ),
+            survivors=tuple(self.heap.object_ids()),
         )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.gc.collector import Collector, HeapExhausted
 from repro.gc.marksweep import MarkSweepCollector
-from repro.heap.flat import FlatHeap, FlatObject
+from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 
 
@@ -37,50 +37,50 @@ def setup():
 class TestTraceRegion:
     def test_marks_only_within_region(self, setup):
         heap, roots, collector = setup
-        inside = collector.allocate(2, field_count=1)
-        outside = heap.allocate(2, 1, collector.other)
-        heap.write_field(inside, 0, outside)
-        heap.write_field(outside, 0, inside)
+        inside = collector.allocate_id(2, field_count=1)
+        outside = heap.allocate_id(2, 1, collector.other)
+        heap.store_slot(inside, 0, outside)
+        heap.store_slot(outside, 0, inside)
         marked = collector._trace_region(
-            {collector.space}, [inside.obj_id, outside.obj_id]
+            {collector.space}, [inside, outside]
         )
-        assert marked == {inside.obj_id}
+        assert marked == {inside}
 
     def test_boundary_objects_not_scanned(self, setup):
         # A region object reachable ONLY through an out-of-region
         # object's fields must NOT be found: boundary objects terminate
         # the trace (their interesting slots must come via seeds).
         heap, roots, collector = setup
-        hidden = collector.allocate(2)
-        bridge = heap.allocate(2, 1, collector.other)
-        heap.write_field(bridge, 0, hidden)
-        marked = collector._trace_region({collector.space}, [bridge.obj_id])
+        hidden = collector.allocate_id(2)
+        bridge = heap.allocate_id(2, 1, collector.other)
+        heap.store_slot(bridge, 0, hidden)
+        marked = collector._trace_region({collector.space}, [bridge])
         assert marked == set()
 
     def test_work_accounting_optional(self, setup):
         heap, roots, collector = setup
-        obj = collector.allocate(5)
+        obj = collector.allocate_id(5)
         collector._trace_region(
-            {collector.space}, [obj.obj_id], count_work=False
+            {collector.space}, [obj], count_work=False
         )
         assert collector.stats.words_marked == 0
-        collector._trace_region({collector.space}, [obj.obj_id])
+        collector._trace_region({collector.space}, [obj])
         assert collector.stats.words_marked == 5
 
     def test_root_ids_counts_tracing_cost(self, setup):
         heap, roots, collector = setup
         frame = roots.push_frame()
-        frame.push(collector.allocate(1))
-        frame.push(collector.allocate(1))
+        frame.push(collector.allocate_id(1))
+        frame.push(collector.allocate_id(1))
         ids = collector._root_ids()
         assert len(ids) == 2
         assert collector.stats.roots_traced == 2
 
     def test_default_hooks_are_noops(self, setup):
         heap, roots, collector = setup
-        a = collector.allocate(2, field_count=1)
-        b = collector.allocate(2)
-        collector.remember_store(a, 0, b)  # must not raise
+        a = collector.allocate_id(2, field_count=1)
+        b = collector.allocate_id(2)
+        collector.remember_store_id(a, 0, b)  # must not raise
         collector.on_static_promotion()  # must not raise
 
     def test_describe(self, setup):
@@ -97,7 +97,7 @@ class TestHeapExhausted:
         )
         with pytest.raises(HeapExhausted) as excinfo:
             frame = roots.push_frame()
-            frame.push(collector.allocate(4))
-            collector.allocate(4)
+            frame.push(collector.allocate_id(4))
+            collector.allocate_id(4)
         assert "mark-sweep" in str(excinfo.value)
         assert excinfo.value.requested == 4

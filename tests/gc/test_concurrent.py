@@ -55,19 +55,19 @@ def setup(heap_words=100, backend="flat", **kwargs):
 def link(heap, barrier, src, slot, dst):
     """One mutator pointer store, through the write barrier."""
     barrier.on_store(src, slot, dst)
-    heap.write_slot(src, slot, dst.obj_id if dst is not None else None)
+    heap.store_slot(src, slot, dst)
 
 
 def storm(collector, heap, roots, *, seed=0, steps=120):
     """A deterministic allocate/store/drop/collect interleaving."""
     rng = random.Random(seed)
-    barrier = WriteBarrier(collector.remember_store)
+    barrier = WriteBarrier(collector.remember_store_id)
     frame = roots.push_frame()
     live = []
     for _ in range(steps):
         choice = rng.random()
         if choice < 0.55 or len(live) < 2:
-            obj = collector.allocate(rng.randrange(2, 6), 2)
+            obj = collector.allocate_id(rng.randrange(2, 6), 2)
             live.append((frame.push(obj), obj))
         elif choice < 0.8:
             src = live[rng.randrange(len(live))][1]
@@ -87,7 +87,7 @@ class TestHandoff:
         _, roots, collector = setup(heap_words=100, trigger_fraction=0.5)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         assert collector.marker_inflight
         assert collector.pending_marked_ids()
 
@@ -95,7 +95,7 @@ class TestHandoff:
         _, roots, collector = setup(heap_words=100)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         handoffs = [
             p for p in collector.stats.pauses if p.kind == "handoff"
         ]
@@ -105,22 +105,22 @@ class TestHandoff:
         heap, roots, collector = setup(heap_words=200)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
-        newborn = collector.allocate(4)
+            frame.push(collector.allocate_id(4))
+        newborn = collector.allocate_id(4)
         frame.push(newborn)
-        assert heap.birth_of(newborn.obj_id) >= collector.epoch_clock
+        assert heap.birth_of(newborn) >= collector.epoch_clock
         # Born after the snapshot: invisible to the marker, survives
         # the cycle close unconditionally.
-        assert newborn.obj_id not in collector.pending_marked_ids()
+        assert newborn not in collector.pending_marked_ids()
         collector.collect()
-        assert heap.contains_id(newborn.obj_id)
+        assert heap.contains_id(newborn)
 
     def test_clean_run_reconciles_with_zero_work(self):
         _, roots, collector = setup(heap_words=200)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
-        frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
+        frame.push(collector.allocate_id(4))
         collector.collect()
         reconciles = [
             p for p in collector.stats.pauses if p.kind == "reconcile"
@@ -133,17 +133,17 @@ class TestHandoff:
         # and the referent survives as floating garbage, exactly the
         # incremental collector's semantics.
         heap, roots, collector = setup(heap_words=400)
-        barrier = WriteBarrier(collector.remember_store)
+        barrier = WriteBarrier(collector.remember_store_id)
         frame = roots.push_frame()
-        holder = collector.allocate(4, 1)
-        victim = collector.allocate(4)
+        holder = collector.allocate_id(4, 1)
+        victim = collector.allocate_id(4)
         frame.push(holder)
         link(heap, barrier, holder, 0, victim)
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         link(heap, barrier, holder, 0, None)  # deletion mid-cycle
         collector.collect()
-        assert heap.contains_id(victim.obj_id)
+        assert heap.contains_id(victim)
         last = collector.stats.pauses[-1]
         assert last.kind == "reconcile" and last.work == 0
 
@@ -206,7 +206,7 @@ class TestResilientMarker:
         )
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         # What the hung marker would have kept: its snapshot, marked here.
         expected = set(_mark_snapshot_task(collector._payload)["ids"])
         # The ladder must terminate, and collect() must discard the
@@ -226,9 +226,9 @@ class TestResilientMarker:
         from repro.perf.parallel import derive_seed
 
         heap, roots, collector = setup(heap_words=400)
-        barrier = WriteBarrier(collector.remember_store)
+        barrier = WriteBarrier(collector.remember_store_id)
         frame = roots.push_frame()
-        objs = [collector.allocate(3, 2) for _ in range(12)]
+        objs = [collector.allocate_id(3, 2) for _ in range(12)]
         for obj in objs:
             frame.push(obj)
         rng = random.Random(5)
@@ -250,18 +250,18 @@ class TestLifecycle:
     def test_marker_error_raises_at_reconcile(self):
         heap = FlatHeap()
         space = heap.add_space("s", None)
-        holder = heap.allocate(4, 1, space)
-        corpse = heap.allocate(1, 0, space)
-        heap.write_slot(holder, 0, corpse.obj_id)
+        holder = heap.allocate_id(4, 1, space)
+        corpse = heap.allocate_id(1, 0, space)
+        heap.store_slot(holder, 0, corpse)
         heap.free(corpse)
-        snapshot = heap.export_mark_snapshot(space, [holder.obj_id])
+        snapshot = heap.export_mark_snapshot(space, [holder])
         result = _mark_snapshot_task((snapshot, 0, 0))
         assert "error" in result and "dangling" in result["error"]
 
         _, roots, collector = setup(heap_words=100)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         collector._result = {"error": "induced marker failure"}
         with pytest.raises(HeapError, match="induced marker failure"):
             collector.collect()
@@ -270,7 +270,7 @@ class TestLifecycle:
         _, roots, collector = setup(heap_words=100)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         collector.collect()
         assert not collector.marker_inflight
         assert collector._payload is None
@@ -279,7 +279,7 @@ class TestLifecycle:
         _, roots, collector = setup(heap_words=100)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         collector.on_static_promotion()
         assert not collector.cycle_open
         assert collector._payload is None
@@ -292,14 +292,14 @@ class TestLifecycle:
         def promote_mid_cycle(collector, roots, at_promotion):
             frame = roots.push_frame()
             while not collector.cycle_open:
-                frame.push(collector.allocate(4))
+                frame.push(collector.allocate_id(4))
             at_promotion()
             collector.on_static_promotion()
             assert not collector.cycle_open
             for index in range(0, len(frame), 2):
                 frame.set(index, None)
             while not collector.cycle_open:
-                frame.push(collector.allocate(4))
+                frame.push(collector.allocate_id(4))
             collector.collect()
             return sorted(collector.space.object_ids())
 
@@ -326,7 +326,7 @@ class TestLifecycle:
         _, roots, collector = setup(heap_words=100, marker_workers=1)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         assert new_workers()
         collector.close()
         collector.close()
@@ -377,7 +377,7 @@ class TestSpanHandoff:
             for _ in range(1000):
                 frame.push(None)
             for index in range(100_000):
-                frame.set(index % 1000, collector.allocate(1))
+                frame.set(index % 1000, collector.allocate_id(1))
             collector.collect()
             collector.collect()  # the first kept SATB floating garbage
             assert len(heap._hdr) >= 100_000
@@ -404,15 +404,15 @@ class TestSpanHandoff:
     def test_boundary_reference_below_the_span_is_skipped(self, backend):
         heap, roots, collector = setup(heap_words=400, backend=backend)
         elsewhere = heap.add_space("elsewhere", None)
-        bystander = heap.allocate(2, 0, elsewhere)
-        holder = collector.allocate(4, 1)
+        bystander = heap.allocate_id(2, 0, elsewhere)
+        holder = collector.allocate_id(4, 1)
         roots.set_global("holder", holder)
-        heap.write_slot(holder, 0, bystander.obj_id)
-        assert bystander.obj_id < min(collector.space.object_ids())
+        heap.store_slot(holder, 0, bystander)
+        assert bystander < min(collector.space.object_ids())
         collector.collect()
-        assert heap.contains_id(holder.obj_id)
-        assert heap.contains_id(bystander.obj_id)
-        assert bystander.obj_id not in collector.space.object_ids()
+        assert heap.contains_id(holder)
+        assert heap.contains_id(bystander)
+        assert bystander not in collector.space.object_ids()
 
     @pytest.mark.parametrize("bystander", [False, True])
     @pytest.mark.parametrize("backend", ["flat"])
@@ -424,14 +424,14 @@ class TestSpanHandoff:
         heap, roots, collector = setup(heap_words=400, backend=backend)
         elsewhere = heap.add_space("elsewhere", None)
         if bystander:
-            heap.allocate(2, 0, elsewhere)
-        corpse = heap.allocate(2, 0, elsewhere)
-        holder = collector.allocate(4, 1)
+            heap.allocate_id(2, 0, elsewhere)
+        corpse = heap.allocate_id(2, 0, elsewhere)
+        holder = collector.allocate_id(4, 1)
         roots.set_global("holder", holder)
-        heap.write_slot(holder, 0, corpse.obj_id)
+        heap.store_slot(holder, 0, corpse)
         heap.free(corpse)
-        assert corpse.obj_id < min(collector.space.object_ids())
+        assert corpse < min(collector.space.object_ids())
         with pytest.raises(
-            HeapError, match=f"dangling object id {corpse.obj_id}"
+            HeapError, match=f"dangling object id {corpse}"
         ):
             collector.collect()

@@ -58,7 +58,7 @@ def test_generational_invariants_with_tenuring(lifetimes, threshold):
     # a stale generation.
     for obj_id in collector._survival_counts:
         assert heap.contains_id(obj_id)
-        gen = collector.generation_index(heap.get(obj_id))
+        gen = collector.generation_index(obj_id)
         assert gen is not None and gen < collector.generation_count - 1
 
 
@@ -93,7 +93,7 @@ def test_hybrid_invariants(lifetimes, initial_j):
     # in a way that would crash the next trace.
     for obj_id, slot in collector.remset_steps.entries():
         if heap.contains_id(obj_id):
-            assert slot < len(heap.get(obj_id).fields)
+            assert slot < len(obj_id.fields)
 
 
 @pytest.mark.parametrize("threshold", [1, 2])

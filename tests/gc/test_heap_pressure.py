@@ -33,26 +33,26 @@ class TestExactCapacityBoundary:
         heap, roots = _fresh(backend)
         collector = MarkSweepCollector(heap, roots, 8, auto_expand=False)
         for index in range(2):
-            roots.set_global(f"g{index}", collector.allocate(4))
+            roots.set_global(f"g{index}", collector.allocate_id(4))
         assert collector.space.used == 8
 
     def test_one_word_past_capacity_exhausts(self, backend):
         heap, roots = _fresh(backend)
         collector = MarkSweepCollector(heap, roots, 8, auto_expand=False)
         for index in range(2):
-            roots.set_global(f"g{index}", collector.allocate(4))
+            roots.set_global(f"g{index}", collector.allocate_id(4))
         with pytest.raises(HeapExhausted) as excinfo:
-            collector.allocate(1)
+            collector.allocate_id(1)
         assert excinfo.value.requested == 1
 
     def test_garbage_at_capacity_is_collected_not_fatal(self, backend):
         heap, roots = _fresh(backend)
         collector = MarkSweepCollector(heap, roots, 8, auto_expand=False)
-        collector.allocate(4)
-        collector.allocate(4)  # both unreachable
-        obj = collector.allocate(4)  # forces a collection, then fits
+        collector.allocate_id(4)
+        collector.allocate_id(4)  # both unreachable
+        obj = collector.allocate_id(4)  # forces a collection, then fits
         roots.set_global("live", obj)
-        assert heap.contains_id(obj.obj_id)
+        assert heap.contains_id(obj)
 
 
 class TestEmergencyCollection:
@@ -72,13 +72,13 @@ class TestEmergencyCollection:
         )
         stayers = []
         for index in range(4):
-            obj = collector.allocate(4)
+            obj = collector.allocate_id(4)
             roots.set_global(f"g{index}", obj)
             stayers.append(obj)
         assert collector.nursery.used == 16
-        newcomer = collector.allocate(4)  # triggers the emergency path
+        newcomer = collector.allocate_id(4)  # triggers the emergency path
         roots.set_global("newcomer", newcomer)
-        assert heap.contains_id(newcomer.obj_id)
+        assert heap.contains_id(newcomer)
         for obj in stayers:
             assert collector.generation_index(obj) == 1
         assert collector.nursery.used == 4
@@ -86,11 +86,11 @@ class TestEmergencyCollection:
     def test_stopcopy_collects_garbage_before_raising(self, backend):
         heap, roots = _fresh(backend)
         collector = StopAndCopyCollector(heap, roots, 8, auto_expand=False)
-        collector.allocate(4)
-        collector.allocate(4)  # both unreachable
-        obj = collector.allocate(8)
+        collector.allocate_id(4)
+        collector.allocate_id(4)  # both unreachable
+        obj = collector.allocate_id(8)
         roots.set_global("live", obj)
-        assert heap.contains_id(obj.obj_id)
+        assert heap.contains_id(obj)
 
 
 class TestExpansionCap:
@@ -100,10 +100,10 @@ class TestExpansionCap:
             heap, roots, 8, auto_expand=True, max_heap_words=16
         )
         for index in range(4):
-            roots.set_global(f"g{index}", collector.allocate(4))
+            roots.set_global(f"g{index}", collector.allocate_id(4))
         assert collector.space.capacity <= 16
         with pytest.raises(HeapExhausted):
-            collector.allocate(4)
+            collector.allocate_id(4)
         assert collector.space.capacity <= 16
 
     def test_stopcopy_expands_only_to_the_cap(self, backend):
@@ -112,9 +112,9 @@ class TestExpansionCap:
             heap, roots, 8, auto_expand=True, max_semispace_words=16
         )
         for index in range(4):
-            roots.set_global(f"g{index}", collector.allocate(4))
+            roots.set_global(f"g{index}", collector.allocate_id(4))
         with pytest.raises(HeapExhausted):
-            collector.allocate(4)
+            collector.allocate_id(4)
         for space in heap.spaces():
             assert (space.capacity or 0) <= 16
 
@@ -132,9 +132,9 @@ class TestExhaustionDiagnostics:
         heap, roots = _fresh(backend)
         collector = MarkSweepCollector(heap, roots, 8, auto_expand=False)
         for index in range(2):
-            roots.set_global(f"g{index}", collector.allocate(4))
+            roots.set_global(f"g{index}", collector.allocate_id(4))
         with pytest.raises(HeapExhausted) as excinfo:
-            collector.allocate(4)
+            collector.allocate_id(4)
         return collector, excinfo.value
 
     def test_snapshot_carries_per_space_occupancy(self, backend):
@@ -180,7 +180,7 @@ class TestSeededFlatPressure:
                     del live[name]
                 else:
                     size = rng.randint(1, 6)
-                    obj = collector.allocate(size)
+                    obj = collector.allocate_id(size)
                     name = f"g{step}"
                     roots.set_global(name, obj)
                     live[name] = size
@@ -223,11 +223,11 @@ class TestSeededFlatPressure:
                 roots.remove_global(name)
                 del live[name]
             else:
-                obj = collector.allocate(rng.randint(1, 4))
+                obj = collector.allocate_id(rng.randint(1, 4))
                 name = f"g{step}"
                 roots.set_global(name, obj)
                 live[name] = obj
         assert collector.stats.collections > 0
         for name, obj in live.items():
-            assert heap.contains_id(obj.obj_id), name
+            assert heap.contains_id(obj), name
         heap.check_integrity()

@@ -23,26 +23,26 @@ def setup(nursery_words=10, step_count=4, step_words=10, **kwargs):
 class TestEphemeralCollection:
     def test_allocates_in_nursery(self):
         heap, _, collector = setup()
-        obj = collector.allocate(4)
+        obj = collector.allocate_id(4)
         assert collector.in_nursery(obj)
 
     def test_promotion_empties_nursery(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        kept = collector.allocate(4)
+        kept = collector.allocate_id(4)
         frame.push(kept)
-        collector.allocate(4)  # garbage
+        collector.allocate_id(4)  # garbage
         collector.collect_nursery()
         assert collector.nursery.is_empty()
         assert collector.step_number(kept) is not None
-        assert not heap.contains_id(kept.obj_id + 1) or True
+        assert not heap.contains_id(kept + 1) or True
         assert collector.stats.minor_collections == 1
         assert collector.stats.words_promoted == 4
 
     def test_promotion_targets_highest_free_step(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        kept = collector.allocate(4)
+        kept = collector.allocate_id(4)
         frame.push(kept)
         collector.collect_nursery()
         assert collector.step_number(kept) == collector.step_count
@@ -50,50 +50,50 @@ class TestEphemeralCollection:
     def test_nursery_fill_triggers_promotion(self):
         heap, roots, collector = setup(nursery_words=8)
         for _ in range(5):
-            collector.allocate(2)
+            collector.allocate_id(2)
         assert collector.stats.minor_collections >= 1
 
     def test_oversized_allocation_rejected(self):
         _, _, collector = setup(nursery_words=8)
         with pytest.raises(ValueError):
-            collector.allocate(9)
+            collector.allocate_id(9)
 
 
 class TestYoungRememberedSet:
     def test_step_to_nursery_store_remembered(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        old = collector.allocate(2, field_count=1)
+        old = collector.allocate_id(2, field_count=1)
         frame.push(old)
         collector.collect_nursery()  # old now in a step
-        young = collector.allocate(2)
+        young = collector.allocate_id(2)
         frame.push(young)
-        collector.remember_store(old, 0, young)
-        assert (old.obj_id, 0) in collector.remset_young
+        collector.remember_store_id(old, 0, young)
+        assert (old, 0) in collector.remset_young
 
     def test_remset_keeps_unrooted_nursery_object_alive(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        old = collector.allocate(2, field_count=1)
+        old = collector.allocate_id(2, field_count=1)
         frame.push(old)
         collector.collect_nursery()
-        young = collector.allocate(2)
-        heap.write_field(old, 0, young)
-        collector.remember_store(old, 0, young)
+        young = collector.allocate_id(2)
+        heap.store_slot(old, 0, young)
+        collector.remember_store_id(old, 0, young)
         # young has no root; only old's remembered slot reaches it.
         collector.collect_nursery()
-        assert heap.contains_id(young.obj_id)
+        assert heap.contains_id(young)
         assert collector.step_number(young) is not None
 
     def test_young_remset_cleared_after_promotion(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        old = collector.allocate(2, field_count=1)
+        old = collector.allocate_id(2, field_count=1)
         frame.push(old)
         collector.collect_nursery()
-        young = collector.allocate(2)
-        heap.write_field(old, 0, young)
-        collector.remember_store(old, 0, young)
+        young = collector.allocate_id(2)
+        heap.store_slot(old, 0, young)
+        collector.remember_store_id(old, 0, young)
         collector.collect_nursery()
         assert len(collector.remset_young) == 0
 
@@ -104,7 +104,7 @@ class TestNonPredictiveCollection:
         # objects out of the ephemeral area."
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        in_nursery = collector.allocate(4)
+        in_nursery = collector.allocate_id(4)
         frame.push(in_nursery)
         collector.collect()
         assert collector.nursery.is_empty()
@@ -112,24 +112,24 @@ class TestNonPredictiveCollection:
 
     def test_np_collection_reclaims_step_garbage(self):
         heap, roots, collector = setup()
-        doomed = collector.allocate(4)
+        doomed = collector.allocate_id(4)
         collector.collect_nursery()  # doomed promoted (it was rooted? no)
         # doomed had no root: it died at the promotion already.
-        assert not heap.contains_id(doomed.obj_id)
-        survivor = collector.allocate(4)
+        assert not heap.contains_id(doomed)
+        survivor = collector.allocate_id(4)
         frame = roots.push_frame()
         frame.push(survivor)
         collector.collect_nursery()
         slot_obj = survivor
         collector.collect()
-        assert heap.contains_id(slot_obj.obj_id)
+        assert heap.contains_id(slot_obj)
 
     def test_renumbering_and_policy(self):
         heap, roots, collector = setup(
             step_count=6, step_words=4, policy=FixedJPolicy(2), initial_j=2
         )
         frame = roots.push_frame()
-        kept = collector.allocate(4)
+        kept = collector.allocate_id(4)
         frame.push(kept)
         collector.collect()
         assert collector.j <= 2
@@ -142,7 +142,7 @@ class TestNonPredictiveCollection:
         frame = roots.push_frame()
         with pytest.raises(HeapExhausted):
             for _ in range(20):
-                frame.push(collector.allocate(5))
+                frame.push(collector.allocate_id(5))
 
 
 class TestPromotionIntoProtected:
@@ -153,7 +153,7 @@ class TestPromotionIntoProtected:
         kept = []
         # j=2 of 4 steps; fill steps 3,4 via repeated promotions.
         while collector._collectable_free() >= (collector.nursery.capacity or 0):
-            obj = collector.allocate(8)
+            obj = collector.allocate_id(8)
             kept.append(obj)
             frame.push(obj)
             collector.collect_nursery()
@@ -170,12 +170,12 @@ class TestPromotionIntoProtected:
         frame, kept = self._fill_collectable(collector, roots)
         # Next promotion must go into the protected steps; give the
         # promoted object a pointer into a collectable step.
-        young = collector.allocate(4, field_count=1)
+        young = collector.allocate_id(4, field_count=1)
         frame.push(young)
-        heap.write_field(young, 0, kept[0])
+        heap.store_slot(young, 0, kept[0])
         collector.collect_nursery()
         assert collector.step_number(young) <= collector.j
-        assert (young.obj_id, 0) in collector.remset_steps
+        assert (young, 0) in collector.remset_steps
         # And the entry must actually protect the target at the next
         # np collection if the target loses its other roots.
         heap.check_integrity()
@@ -194,7 +194,7 @@ class TestPromotionIntoProtected:
             allow_promotion_into_protected=False,
         )
         frame, kept = self._fill_collectable(collector, roots)
-        young = collector.allocate(4)
+        young = collector.allocate_id(4)
         frame.push(young)
         collector.collect_nursery()
         assert collector.j < 2
@@ -210,14 +210,14 @@ class TestSafety:
         frame = roots.push_frame()
         window = []
         for index in range(300):
-            obj = collector.allocate(2, field_count=1)
+            obj = collector.allocate_id(2, field_count=1)
             if window:
                 # Old-to-new pointers keep reachability bounded by the
                 # window; stores go through the collector's barrier
                 # hook as the machine would route them.
                 previous = window[-1][1]
-                heap.write_field(previous, 0, obj)
-                collector.remember_store(previous, 0, obj)
+                heap.store_slot(previous, 0, obj)
+                collector.remember_store_id(previous, 0, obj)
             slot = frame.push(obj)
             window.append((slot, obj))
             if len(window) > 10:
@@ -225,7 +225,7 @@ class TestSafety:
                 frame.set(old_slot, None)
         heap.check_integrity()
         for _, obj in window:
-            assert heap.contains_id(obj.obj_id)
+            assert heap.contains_id(obj)
 
     def test_rejects_bad_configuration(self):
         # The step geometry's rejections are test_steps.py's.

@@ -35,7 +35,7 @@ def setup(heap_words=100, backend="flat", **kwargs):
 def link(heap, barrier, src, slot, dst):
     """One mutator pointer store, through the write barrier."""
     barrier.on_store(src, slot, dst)
-    heap.write_slot(src, slot, dst.obj_id if dst is not None else None)
+    heap.store_slot(src, slot, dst)
 
 
 class TestSlicing:
@@ -43,7 +43,7 @@ class TestSlicing:
         _, roots, collector = setup(heap_words=100, trigger_fraction=0.5)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         assert collector.cycles_opened == 1
         assert collector.space.used > 0
 
@@ -53,7 +53,7 @@ class TestSlicing:
         )
         frame = roots.push_frame()
         for _ in range(40):
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         # Every slice marked at most budget + one object of overshoot
         # (work granularity is a whole object).
         for pause in collector.stats.pauses:
@@ -69,7 +69,7 @@ class TestSlicing:
         _, roots, collector = setup(heap_words=100, slice_budget=None)
         frame = roots.push_frame()
         for _ in range(30):
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         assert not collector.gray_stack
         assert collector.cycles_opened >= 1
 
@@ -77,20 +77,20 @@ class TestSlicing:
         heap, roots, collector = setup(heap_words=200, slice_budget=1)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
-        newborn = collector.allocate(4)
+            frame.push(collector.allocate_id(4))
+        newborn = collector.allocate_id(4)
         frame.push(newborn)
         # Born after the epoch opened: survives the cycle close
         # unconditionally, without ever being colored or scanned.
-        assert heap.birth_of(newborn.obj_id) >= collector.epoch_clock
+        assert heap.birth_of(newborn) >= collector.epoch_clock
         collector.collect()
-        assert heap.contains_id(newborn.obj_id)
+        assert heap.contains_id(newborn)
 
     def test_explicit_collect_closes_cycle(self):
         _, roots, collector = setup(heap_words=200, slice_budget=1)
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         collector.collect()
         assert not collector.cycle_open
         assert not collector.gray_stack
@@ -99,9 +99,9 @@ class TestSlicing:
         _, roots, collector = setup(heap_words=12, auto_expand=False)
         frame = roots.push_frame()
         for _ in range(6):
-            frame.push(collector.allocate(2))
+            frame.push(collector.allocate_id(2))
         with pytest.raises(HeapExhausted):
-            collector.allocate(2)
+            collector.allocate_id(2)
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -113,32 +113,32 @@ class TestSlicing:
 class TestSatbBarrier:
     def test_overwritten_referent_is_grayed(self):
         heap, roots, collector = setup(heap_words=400, slice_budget=1)
-        barrier = WriteBarrier(collector.remember_store)
+        barrier = WriteBarrier(collector.remember_store_id)
         frame = roots.push_frame()
-        holder = collector.allocate(4, 2)
-        victim = collector.allocate(4)
+        holder = collector.allocate_id(4, 2)
+        victim = collector.allocate_id(4)
         frame.push(holder)
         link(heap, barrier, holder, 0, victim)
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         # Sever the only edge mid-cycle; the deletion barrier must
         # gray the old referent if it predates the epoch.
-        was_white = heap.color_of(victim.obj_id) == WHITE
+        was_white = heap.color_of(victim) == WHITE
         link(heap, barrier, holder, 0, None)
         if was_white:
-            assert heap.color_of(victim.obj_id) == GRAY
-            assert victim.obj_id in collector.gray_stack
+            assert heap.color_of(victim) == GRAY
+            assert victim in collector.gray_stack
         assert collector.satb_grays >= 1
         # SATB keeps the snapshot referent alive through this cycle.
         collector.collect()
-        assert heap.contains_id(victim.obj_id)
+        assert heap.contains_id(victim)
 
     def test_barrier_is_noop_outside_cycle(self):
         heap, roots, collector = setup(heap_words=400)
-        barrier = WriteBarrier(collector.remember_store)
+        barrier = WriteBarrier(collector.remember_store_id)
         frame = roots.push_frame()
-        holder = collector.allocate(4, 2)
-        victim = collector.allocate(4)
+        holder = collector.allocate_id(4, 2)
+        victim = collector.allocate_id(4)
         frame.push(holder)
         link(heap, barrier, holder, 0, victim)
         link(heap, barrier, holder, 0, None)
@@ -147,18 +147,18 @@ class TestSatbBarrier:
 
     def test_floating_garbage_dies_next_cycle(self):
         heap, roots, collector = setup(heap_words=400, slice_budget=1)
-        barrier = WriteBarrier(collector.remember_store)
+        barrier = WriteBarrier(collector.remember_store_id)
         frame = roots.push_frame()
-        holder = collector.allocate(4, 2)
-        victim = collector.allocate(4)
+        holder = collector.allocate_id(4, 2)
+        victim = collector.allocate_id(4)
         frame.push(holder)
         link(heap, barrier, holder, 0, victim)
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         link(heap, barrier, holder, 0, None)
         collector.collect()   # victim floats (SATB snapshot)
         collector.collect()   # precise from a quiescent heap
-        assert not heap.contains_id(victim.obj_id)
+        assert not heap.contains_id(victim)
 
 
 def bfs_reachable(heap, roots, space):
@@ -188,20 +188,20 @@ class TestMutationStorm:
             heap_words=256, backend=backend, slice_budget=2,
             trigger_fraction=0.3,
         )
-        barrier = WriteBarrier(collector.remember_store)
+        barrier = WriteBarrier(collector.remember_store_id)
         rng = random.Random(seed)
         frame = roots.push_frame()
         live = []
         for step in range(400):
             action = rng.randrange(10)
             if action < 4 or not live:
-                obj = collector.allocate(rng.choice((3, 4)), 2)
+                obj = collector.allocate_id(rng.choice((3, 4)), 2)
                 frame.push(obj)
                 live.append(obj)
             elif action < 7 and len(live) >= 2:
                 src = rng.choice(live)
                 dst = rng.choice(live + [None])
-                slot = rng.randrange(heap.slot_count_of(src.obj_id))
+                slot = rng.randrange(heap.slot_count_of(src))
                 link(heap, barrier, src, slot, dst)
             elif action < 9 and len(live) > 4:
                 # Drop a root (the object may stay reachable via heap
@@ -237,15 +237,15 @@ class TestColorEncoding:
     @pytest.mark.parametrize("backend", ["flat"])
     def test_colors_roundtrip_and_reset(self, backend):
         heap, roots, collector = setup(heap_words=64, backend=backend)
-        obj = collector.allocate(4)
-        assert heap.color_of(obj.obj_id) == WHITE
+        obj = collector.allocate_id(4)
+        assert heap.color_of(obj) == WHITE
         # Colors are writable only within a mark epoch (the epoch
         # sizes the color arena).
         heap.begin_mark_epoch()
-        heap.set_color(obj.obj_id, GRAY)
-        assert heap.color_of(obj.obj_id) == GRAY
-        heap.set_color(obj.obj_id, BLACK)
-        assert heap.color_of(obj.obj_id) == BLACK
+        heap.set_color(obj, GRAY)
+        assert heap.color_of(obj) == GRAY
+        heap.set_color(obj, BLACK)
+        assert heap.color_of(obj) == BLACK
         # A new epoch whitens everything.
         heap.begin_mark_epoch()
-        assert heap.color_of(obj.obj_id) == WHITE
+        assert heap.color_of(obj) == WHITE

@@ -20,31 +20,31 @@ def setup(heap_words=100, **kwargs):
 class TestAllocation:
     def test_allocates_in_heap_space(self):
         heap, _, collector = setup()
-        obj = collector.allocate(4)
-        assert obj.space is collector.space
+        obj = collector.allocate_id(4)
+        assert heap.space_if_live(obj) is collector.space
         assert collector.stats.words_allocated == 4
 
     def test_collects_when_full(self):
         heap, roots, collector = setup(heap_words=10)
         for _ in range(5):
-            collector.allocate(2)  # all garbage (no roots)
-        obj = collector.allocate(2)  # forces a collection
+            collector.allocate_id(2)  # all garbage (no roots)
+        obj = collector.allocate_id(2)  # forces a collection
         assert collector.stats.collections == 1
-        assert heap.contains_id(obj.obj_id)
+        assert heap.contains_id(obj)
 
     def test_exhaustion_without_expand(self):
         heap, roots, collector = setup(heap_words=10, auto_expand=False)
         frame = roots.push_frame()
         for _ in range(5):
-            frame.push(collector.allocate(2))
+            frame.push(collector.allocate_id(2))
         with pytest.raises(HeapExhausted):
-            collector.allocate(2)
+            collector.allocate_id(2)
 
     def test_auto_expand_keeps_load_factor(self):
         heap, roots, collector = setup(heap_words=10, load_factor=2.0)
         frame = roots.push_frame()
         for _ in range(20):
-            frame.push(collector.allocate(2))
+            frame.push(collector.allocate_id(2))
         live = sum(1 for _ in frame.ids()) * 2
         assert collector.space.capacity >= live
 
@@ -53,39 +53,39 @@ class TestCollection:
     def test_preserves_rooted_objects(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        kept = collector.allocate(4)
+        kept = collector.allocate_id(4)
         frame.push(kept)
-        collector.allocate(4)  # garbage
+        collector.allocate_id(4)  # garbage
         collector.collect()
-        assert heap.contains_id(kept.obj_id)
+        assert heap.contains_id(kept)
         assert heap.object_count == 1
 
     def test_preserves_transitively_reachable(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        a = collector.allocate(2, field_count=1)
-        b = collector.allocate(2, field_count=1)
-        c = collector.allocate(2)
-        heap.write_field(a, 0, b)
-        heap.write_field(b, 0, c)
+        a = collector.allocate_id(2, field_count=1)
+        b = collector.allocate_id(2, field_count=1)
+        c = collector.allocate_id(2)
+        heap.store_slot(a, 0, b)
+        heap.store_slot(b, 0, c)
         frame.push(a)
         collector.collect()
         assert heap.object_count == 3
 
     def test_reclaims_cycles(self):
         heap, roots, collector = setup()
-        a = collector.allocate(2, field_count=1)
-        b = collector.allocate(2, field_count=1)
-        heap.write_field(a, 0, b)
-        heap.write_field(b, 0, a)
+        a = collector.allocate_id(2, field_count=1)
+        b = collector.allocate_id(2, field_count=1)
+        heap.store_slot(a, 0, b)
+        heap.store_slot(b, 0, a)
         collector.collect()
         assert heap.object_count == 0
 
     def test_work_accounting(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        frame.push(collector.allocate(4))
-        collector.allocate(6)  # garbage
+        frame.push(collector.allocate_id(4))
+        collector.allocate_id(6)  # garbage
         collector.collect()
         stats = collector.stats
         assert stats.words_marked == 4
@@ -95,7 +95,7 @@ class TestCollection:
 
     def test_pause_records(self):
         heap, roots, collector = setup()
-        collector.allocate(4)
+        collector.allocate_id(4)
         collector.collect()
         (pause,) = collector.stats.pauses
         assert pause.kind == "full"
@@ -106,7 +106,7 @@ class TestCollection:
         heap, roots, collector = setup()
         frame = roots.push_frame()
         for index in range(10):
-            obj = collector.allocate(2, field_count=1)
+            obj = collector.allocate_id(2, field_count=1)
             if index % 3 == 0:
                 frame.push(obj)
         collector.collect()

@@ -29,28 +29,28 @@ def setup(step_count=6, step_words=10, **kwargs):
 class TestAllocationOrder:
     def test_fills_highest_numbered_step_first(self):
         heap, _, collector = setup()
-        obj = collector.allocate(4)
+        obj = collector.allocate_id(4)
         assert collector.step_number(obj) == 6
 
     def test_descends_when_step_fills(self):
         heap, _, collector = setup(step_count=3, step_words=4)
-        first = collector.allocate(4)
-        second = collector.allocate(4)
+        first = collector.allocate_id(4)
+        second = collector.allocate_id(4)
         assert collector.step_number(first) == 3
         assert collector.step_number(second) == 2
 
     def test_oversized_object_rejected(self):
         _, _, collector = setup(step_words=4)
         with pytest.raises(ValueError):
-            collector.allocate(5)
+            collector.allocate_id(5)
 
     def test_bump_pointer_closes_slivers(self):
         # A step with a sliver too small for the request is closed;
         # later smaller objects do not reopen it.
         heap, _, collector = setup(step_count=3, step_words=5)
-        collector.allocate(4)  # step 3, 1 word sliver
-        big = collector.allocate(2)  # closes step 3, goes to step 2
-        small = collector.allocate(1)  # still step 2
+        collector.allocate_id(4)  # step 3, 1 word sliver
+        big = collector.allocate_id(2)  # closes step 3, goes to step 2
+        small = collector.allocate_id(1)  # still step 2
         assert collector.step_number(big) == 2
         assert collector.step_number(small) == 2
 
@@ -59,8 +59,8 @@ class TestCollection:
     def test_collection_triggered_when_all_steps_full(self):
         heap, roots, collector = setup(step_count=3, step_words=4)
         for _ in range(3):
-            collector.allocate(4)  # garbage
-        collector.allocate(4)
+            collector.allocate_id(4)  # garbage
+        collector.allocate_id(4)
         assert collector.stats.collections == 1
 
     def test_protected_objects_survive_even_if_garbage(self):
@@ -70,19 +70,19 @@ class TestCollection:
             step_count=4, step_words=4, policy=FixedJPolicy(1), initial_j=1
         )
         for _ in range(3):
-            collector.allocate(4)
-        doomed = collector.allocate(4)  # lands in step 1, unrooted
+            collector.allocate_id(4)
+        doomed = collector.allocate_id(4)  # lands in step 1, unrooted
         assert collector.step_number(doomed) == 1
         collector.collect()
-        assert heap.contains_id(doomed.obj_id)
+        assert heap.contains_id(doomed)
 
     def test_collectable_garbage_reclaimed(self):
         heap, roots, collector = setup(step_count=4, step_words=4, initial_j=1)
-        doomed = [collector.allocate(4) for _ in range(3)]
-        collector.allocate(4)
+        doomed = [collector.allocate_id(4) for _ in range(3)]
+        collector.allocate_id(4)
         collector.collect()
         for obj in doomed:
-            assert not heap.contains_id(obj.obj_id)
+            assert not heap.contains_id(obj)
 
     def test_survivors_packed_into_highest_free_steps(self):
         heap, roots, collector = setup(
@@ -91,7 +91,7 @@ class TestCollection:
         frame = roots.push_frame()
         survivors = []
         for _ in range(4):
-            obj = collector.allocate(4)
+            obj = collector.allocate_id(4)
             survivors.append(obj)
             frame.push(obj)
         collector.collect()
@@ -103,9 +103,9 @@ class TestCollection:
     def test_copy_work_counts_survivors_only(self):
         heap, roots, collector = setup(step_count=4, step_words=4, initial_j=0)
         frame = roots.push_frame()
-        frame.push(collector.allocate(4))
+        frame.push(collector.allocate_id(4))
         for _ in range(3):
-            collector.allocate(4)
+            collector.allocate_id(4)
         collector.collect()
         assert collector.stats.words_copied == 4
         assert collector.stats.words_reclaimed == 12
@@ -115,7 +115,7 @@ class TestCollection:
             step_count=8, step_words=4, policy=HalfEmptyPolicy(), initial_j=0
         )
         for _ in range(8):
-            collector.allocate(4)  # all garbage
+            collector.allocate_id(4)  # all garbage
         collector.collect()
         # Everything died: all 8 steps empty, so j = min(8//2, 8//2) = 4.
         assert collector.j == 4
@@ -125,63 +125,63 @@ class TestCollection:
         frame = roots.push_frame()
         with pytest.raises(HeapExhausted):
             for _ in range(10):
-                frame.push(collector.allocate(4))
+                frame.push(collector.allocate_id(4))
 
 
 class TestRememberedSet:
     def _fill_protected(self, collector, roots, frame):
         """Run one collection so there is a protected region to use."""
         for _ in range(collector.step_count):
-            collector.allocate(4)
+            collector.allocate_id(4)
         collector.collect()
 
     def test_barrier_records_protected_to_collectable(self):
         heap, roots, collector = setup(step_count=4, step_words=8, initial_j=2)
         frame = roots.push_frame()
-        old = collector.allocate(2, field_count=1)  # step 4 (collectable)
+        old = collector.allocate_id(2, field_count=1)  # step 4 (collectable)
         frame.push(old)
         # Descend into the protected region (fill steps 4 and 3).
         for _ in range(7):
-            collector.allocate(2)
-        young = collector.allocate(2, field_count=1)
+            collector.allocate_id(2)
+        young = collector.allocate_id(2, field_count=1)
         frame.push(young)
         assert collector.step_number(young) <= 2  # protected
-        collector.remember_store(young, 0, old)
-        assert (young.obj_id, 0) in collector.remset
+        collector.remember_store_id(young, 0, old)
+        assert (young, 0) in collector.remset
 
     def test_barrier_ignores_collectable_sources(self):
         heap, roots, collector = setup(step_count=4, step_words=8, initial_j=1)
         frame = roots.push_frame()
-        a = collector.allocate(2, field_count=1)  # step 4
-        b = collector.allocate(2, field_count=1)  # step 4
+        a = collector.allocate_id(2, field_count=1)  # step 4
+        b = collector.allocate_id(2, field_count=1)  # step 4
         frame.push(a)
         frame.push(b)
-        collector.remember_store(a, 0, b)
+        collector.remember_store_id(a, 0, b)
         assert len(collector.remset) == 0
 
     def test_remset_keeps_collectable_target_alive(self):
         # An object reachable ONLY from a protected-step slot must
         # survive the collection of the collectable steps.
         heap, roots, collector = setup(step_count=4, step_words=4, initial_j=1)
-        target = collector.allocate(4, field_count=0)  # step 4, unrooted
-        collector.allocate(4)  # step 3, garbage
-        collector.allocate(4)  # step 2, garbage
-        holder = collector.allocate(4, field_count=1)  # step 1, protected
-        heap.write_field(holder, 0, target)
-        collector.remember_store(holder, 0, target)
+        target = collector.allocate_id(4, field_count=0)  # step 4, unrooted
+        collector.allocate_id(4)  # step 3, garbage
+        collector.allocate_id(4)  # step 2, garbage
+        holder = collector.allocate_id(4, field_count=1)  # step 1, protected
+        heap.store_slot(holder, 0, target)
+        collector.remember_store_id(holder, 0, target)
         collector.collect()
-        assert heap.contains_id(target.obj_id)
-        assert heap.contains_id(holder.obj_id)
+        assert heap.contains_id(target)
+        assert heap.contains_id(holder)
         heap.check_integrity()
 
     def test_remset_cleared_after_collection(self):
         heap, roots, collector = setup(step_count=4, step_words=4, initial_j=1)
-        target = collector.allocate(4)
-        collector.allocate(4)
-        collector.allocate(4)
-        holder = collector.allocate(4, field_count=1)
-        heap.write_field(holder, 0, target)
-        collector.remember_store(holder, 0, target)
+        target = collector.allocate_id(4)
+        collector.allocate_id(4)
+        collector.allocate_id(4)
+        holder = collector.allocate_id(4, field_count=1)
+        heap.store_slot(holder, 0, target)
+        collector.remember_store_id(holder, 0, target)
         collector.collect()
         assert len(collector.remset) == 0
 
@@ -191,13 +191,13 @@ class TestRememberedSet:
         heap, roots, collector = setup(
             step_count=4, step_words=4, initial_j=1, use_remset=False
         )
-        target = collector.allocate(4)
-        collector.allocate(4)
-        collector.allocate(4)
-        holder = collector.allocate(4, field_count=1)
-        heap.write_field(holder, 0, target)
+        target = collector.allocate_id(4)
+        collector.allocate_id(4)
+        collector.allocate_id(4)
+        holder = collector.allocate_id(4, field_count=1)
+        heap.store_slot(holder, 0, target)
         collector.collect()
-        assert heap.contains_id(target.obj_id)
+        assert heap.contains_id(target)
 
 
 class TestReduceJ:

@@ -39,23 +39,24 @@ class TestMarkSweepMode:
             step_count=4, step_words=8, compaction_threshold=0
         )
         frame = roots.push_frame()
-        kept = collector.allocate(8)  # fills step 4 entirely
+        kept = collector.allocate_id(8)  # fills step 4 entirely
         frame.push(kept)
         for _ in range(3):
-            collector.allocate(8)  # garbage fills 3..1
-        space_before = kept.space
+            collector.allocate_id(8)  # garbage fills 3..1
+        space_before = heap.space_if_live(kept)
         collector.collect()
-        assert kept.space is space_before  # swept in place, not moved
+        # Swept in place, not moved.
+        assert heap.space_if_live(kept) is space_before
         assert collector.stats.words_copied == 0
         assert collector.stats.words_marked == 8
         assert collector.stats.words_swept == 32
 
     def test_dead_objects_freed_in_place(self):
         heap, roots, collector = setup(step_count=4, step_words=8)
-        doomed = [collector.allocate(8) for _ in range(4)]
-        collector.allocate(8)  # triggers the collection
+        doomed = [collector.allocate_id(8) for _ in range(4)]
+        collector.allocate_id(8)  # triggers the collection
         for obj in doomed:
-            assert not heap.contains_id(obj.obj_id)
+            assert not heap.contains_id(obj)
 
     def test_sweep_reopens_holes_for_allocation(self):
         heap, roots, collector = setup(
@@ -64,13 +65,13 @@ class TestMarkSweepMode:
         frame = roots.push_frame()
         # Alternate live/dead within steps.
         for index in range(8):
-            obj = collector.allocate(4)
+            obj = collector.allocate_id(4)
             if index % 2 == 0:
                 frame.push(obj)
         collector.collect()
         # Half of each step is free again; allocation reuses holes.
-        obj = collector.allocate(4)
-        assert heap.contains_id(obj.obj_id)
+        obj = collector.allocate_id(4)
+        assert heap.contains_id(obj)
         heap.check_integrity()
 
     def test_compaction_restores_empty_prefix(self):
@@ -80,7 +81,7 @@ class TestMarkSweepMode:
         frame = roots.push_frame()
         # Scatter live objects across all steps.
         for index in range(8):
-            obj = collector.allocate(8)
+            obj = collector.allocate_id(8)
             if index % 2 == 0:
                 frame.push(obj)
         collector.collect()
@@ -101,10 +102,10 @@ class TestMarkSweepMode:
         frame = roots.push_frame()
         window = []
         for index in range(300):
-            obj = collector.allocate(2, field_count=1)
+            obj = collector.allocate_id(2, field_count=1)
             if window:
-                heap.write_field(window[-1][1], 0, obj)
-                collector.remember_store(window[-1][1], 0, obj)
+                heap.store_slot(window[-1][1], 0, obj)
+                collector.remember_store_id(window[-1][1], 0, obj)
             slot = frame.push(obj)
             window.append((slot, obj))
             if len(window) > 10:
@@ -112,7 +113,7 @@ class TestMarkSweepMode:
                 frame.set(old_slot, None)
         heap.check_integrity()
         for _, obj in window:
-            assert heap.contains_id(obj.obj_id)
+            assert heap.contains_id(obj)
 
     def test_mark_cons_between_copy_mode_and_baseline_under_decay(self):
         # §4 says the non-predictive policy works over "any of those
@@ -149,8 +150,8 @@ class TestMarkSweepMode:
             initial_j=1,
         )
         for _ in range(3):
-            collector.allocate(8)
-        unrooted_protected = collector.allocate(8)  # step 1
+            collector.allocate_id(8)
+        unrooted_protected = collector.allocate_id(8)  # step 1
         assert collector.step_number(unrooted_protected) == 1
         collector.collect()
-        assert heap.contains_id(unrooted_protected.obj_id)
+        assert heap.contains_id(unrooted_protected)

@@ -43,7 +43,7 @@ def settle(collector, frame, field_count=0):
     (non-predictive) or promoted there (hybrid).  Either way the steps
     fill from step ``k`` downward, one object per step, and run on into
     the protected steps once the collectable ones are full."""
-    obj = collector.allocate(collector.step_words, field_count)
+    obj = collector.allocate_id(collector.step_words, field_count)
     slot = frame.push(obj)
     if isinstance(collector, HybridCollector):
         collector.collect_nursery()
@@ -109,14 +109,14 @@ class TestReduceJ:
         holder, _ = settle(collector, frame, field_count=1)  # step 2
         assert collector.step_number(inner) == 3
         assert collector.step_number(holder) == 2
-        heap.write_field(holder, 0, inner)
-        collector.remember_store(holder, 0, inner)  # both protected
+        heap.store_slot(holder, 0, inner)
+        collector.remember_store_id(holder, 0, inner)  # both protected
         assert len(collector.remset_steps) == 0
         created = collector.stats.remset_entries_created
 
         collector.reduce_j(2)  # step 3 becomes collectable
         assert collector.j == 2
-        assert (holder.obj_id, 0) in collector.remset_steps
+        assert (holder, 0) in collector.remset_steps
         assert collector.stats.remset_entries_created == created + 1
         collector.check_step_invariants()
         assert audit_collector(collector).ok
@@ -124,7 +124,7 @@ class TestReduceJ:
         # Only holder's remembered slot reaches inner now.
         frame.set(inner_slot, None)
         collector.collect()
-        assert heap.contains_id(inner.obj_id)
+        assert heap.contains_id(inner)
         heap.check_integrity()
 
     def test_reduce_to_zero_needs_no_entries(self, kind):

@@ -34,19 +34,19 @@ class TestCollection:
     def test_survivors_move_to_other_semispace(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        kept = collector.allocate(4)
+        kept = collector.allocate_id(4)
         frame.push(kept)
-        collector.allocate(4)  # garbage
+        collector.allocate_id(4)  # garbage
         target = collector.fromspace
         collector.collect()
-        assert kept.space is target
+        assert heap.space_if_live(kept) is target
         assert heap.object_count == 1
 
     def test_fromspace_empty_after_collection(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
         for _ in range(5):
-            frame.push(collector.allocate(2))
+            frame.push(collector.allocate_id(2))
         collector.collect()
         assert collector.fromspace.is_empty()
         heap.check_integrity()
@@ -56,9 +56,9 @@ class TestCollection:
         # that makes stop-and-copy cheap for young generations (§7).
         heap, roots, collector = setup(semispace_words=1000)
         frame = roots.push_frame()
-        frame.push(collector.allocate(10))
+        frame.push(collector.allocate_id(10))
         for _ in range(50):
-            collector.allocate(10)  # garbage
+            collector.allocate_id(10)  # garbage
         collector.collect()
         assert collector.stats.words_copied == 10
         assert collector.stats.words_reclaimed == 500
@@ -66,12 +66,12 @@ class TestCollection:
     def test_cheney_scan_reaches_nested_structure(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        a = collector.allocate(2, field_count=2)
-        b = collector.allocate(2, field_count=1)
-        c = collector.allocate(2)
-        heap.write_field(a, 0, b)
-        heap.write_field(a, 1, c)
-        heap.write_field(b, 0, c)
+        a = collector.allocate_id(2, field_count=2)
+        b = collector.allocate_id(2, field_count=1)
+        c = collector.allocate_id(2)
+        heap.store_slot(a, 0, b)
+        heap.store_slot(a, 1, c)
+        heap.store_slot(b, 0, c)
         frame.push(a)
         collector.collect()
         assert heap.object_count == 3
@@ -80,11 +80,11 @@ class TestCollection:
     def test_shared_object_copied_once(self):
         heap, roots, collector = setup()
         frame = roots.push_frame()
-        shared = collector.allocate(2)
-        a = collector.allocate(2, field_count=1)
-        b = collector.allocate(2, field_count=1)
-        heap.write_field(a, 0, shared)
-        heap.write_field(b, 0, shared)
+        shared = collector.allocate_id(2)
+        a = collector.allocate_id(2, field_count=1)
+        b = collector.allocate_id(2, field_count=1)
+        heap.store_slot(a, 0, shared)
+        heap.store_slot(b, 0, shared)
         frame.push(a)
         frame.push(b)
         collector.collect()
@@ -95,23 +95,23 @@ class TestAllocationAndSizing:
     def test_collects_when_tospace_full(self):
         heap, roots, collector = setup(semispace_words=10)
         for _ in range(5):
-            collector.allocate(2)
-        collector.allocate(2)
+            collector.allocate_id(2)
+        collector.allocate_id(2)
         assert collector.stats.collections == 1
 
     def test_exhaustion_when_fixed(self):
         heap, roots, collector = setup(semispace_words=10, auto_expand=False)
         frame = roots.push_frame()
         for _ in range(5):
-            frame.push(collector.allocate(2))
+            frame.push(collector.allocate_id(2))
         with pytest.raises(HeapExhausted):
-            collector.allocate(2)
+            collector.allocate_id(2)
 
     def test_auto_expand_grows_both_semispaces(self):
         heap, roots, collector = setup(semispace_words=10, load_factor=2.0)
         frame = roots.push_frame()
         for _ in range(20):
-            frame.push(collector.allocate(2))
+            frame.push(collector.allocate_id(2))
         assert collector.tospace.capacity == collector.fromspace.capacity
         assert collector.peak_semispace_words >= 40
 

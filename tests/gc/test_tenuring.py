@@ -30,7 +30,7 @@ class TestTenuring:
     def test_threshold_one_promotes_immediately(self):
         heap, roots, collector = setup(promotion_threshold=1)
         frame = roots.push_frame()
-        obj = collector.allocate(4)
+        obj = collector.allocate_id(4)
         frame.push(obj)
         collector.collect_generations(0)
         assert collector.generation_index(obj) == 1
@@ -38,7 +38,7 @@ class TestTenuring:
     def test_underage_survivor_stays(self):
         heap, roots, collector = setup(promotion_threshold=2)
         frame = roots.push_frame()
-        obj = collector.allocate(4)
+        obj = collector.allocate_id(4)
         frame.push(obj)
         collector.collect_generations(0)
         assert collector.generation_index(obj) == 0  # one survival: stays
@@ -48,7 +48,7 @@ class TestTenuring:
     def test_stayer_still_charged_copy_work(self):
         heap, roots, collector = setup(promotion_threshold=2)
         frame = roots.push_frame()
-        frame.push(collector.allocate(4))
+        frame.push(collector.allocate_id(4))
         collector.collect_generations(0)
         assert collector.stats.words_copied == 4
         assert collector.stats.words_promoted == 0
@@ -61,7 +61,7 @@ class TestTenuring:
         )
         frame = roots.push_frame()
         # 24 words of survivors > 25% of the 40-word nursery.
-        kept = [collector.allocate(8) for _ in range(3)]
+        kept = [collector.allocate_id(8) for _ in range(3)]
         for obj in kept:
             frame.push(obj)
         collector.collect_generations(0)
@@ -71,7 +71,7 @@ class TestTenuring:
     def test_full_collection_ignores_threshold(self):
         heap, roots, collector = setup(promotion_threshold=10)
         frame = roots.push_frame()
-        obj = collector.allocate(4)
+        obj = collector.allocate_id(4)
         frame.push(obj)
         collector.collect()
         assert collector.generation_index(obj) == 1
@@ -79,23 +79,23 @@ class TestTenuring:
     def test_counts_reset_on_promotion(self):
         heap, roots, collector = setup(promotion_threshold=2)
         frame = roots.push_frame()
-        obj = collector.allocate(4)
+        obj = collector.allocate_id(4)
         frame.push(obj)
         collector.collect_generations(0)
         collector.collect_generations(0)
         assert collector.generation_index(obj) == 1
-        assert obj.obj_id not in collector._survival_counts
+        assert obj not in collector._survival_counts
 
     def test_counts_dropped_for_the_dead(self):
         heap, roots, collector = setup(promotion_threshold=3)
         frame = roots.push_frame()
-        obj = collector.allocate(4)
+        obj = collector.allocate_id(4)
         slot = frame.push(obj)
         collector.collect_generations(0)
-        assert obj.obj_id in collector._survival_counts
+        assert obj in collector._survival_counts
         frame.set(slot, None)
         collector.collect_generations(0)
-        assert obj.obj_id not in collector._survival_counts
+        assert obj not in collector._survival_counts
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ class TestTenuringRemsetCompleteness:
         holder = machine.cons(None, None)
         collector.collect_generations(0)
         collector.collect_generations(0)
-        assert collector.generation_index(holder.obj) == 1
+        assert collector.generation_index(holder.obj_id) == 1
         # Point it at a nursery object; entry lands in remset[1].
         young = machine.cons(Fixnum(7), None)
         machine.set_car(holder, young)

@@ -223,7 +223,7 @@ class TestOneCycle:
         collector.metrics = Metrics()
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         collector.collect()  # closes the open cycle: no second start
         collector.collect()
         starts = [
@@ -285,7 +285,7 @@ class TestSurfaceUnmoved:
         assert list(collector.export_state()) == keys
         frame = roots.push_frame()
         while not collector.cycle_open:
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         state = collector.export_state()
         assert list(state) == keys
         if cls is ConcurrentCollector:
@@ -304,7 +304,7 @@ class TestSurfaceUnmoved:
         assert list(collector.export_state()) == keys
         frame = roots.push_frame()
         for index in range(400):
-            obj = collector.allocate(4, field_count=1)
+            obj = collector.allocate_id(4, field_count=1)
             if index % 10 == 0:
                 frame.push(obj)
         assert collector.stats.collections > 0
@@ -370,7 +370,7 @@ def test_wedged_marker_met_by_the_allocation_ladder_loses_nothing(
     )
     frame = roots.push_frame()
     while not collector.cycle_open:
-        frame.push(collector.allocate(4))
+        frame.push(collector.allocate_id(4))
     # Armed only now: the audit of the handoff would wait for the
     # marker's answer and meet the wedge itself.
     enable_checked_mode(collector)
@@ -382,10 +382,10 @@ def test_wedged_marker_met_by_the_allocation_ladder_loses_nothing(
     # the test — closes the cycle.
     since_open = []
     while collector.stats.collections == collections:
-        kept = collector.allocate(4)
-        since_open.append(kept.obj_id)
+        kept = collector.allocate_id(4)
+        since_open.append(kept)
         frame.push(kept)
-        collector.allocate(4)
+        collector.allocate_id(4)
     assert collector.watchdog_aborts == 1
     assert collector.marker_workers == 0
     assert not new_workers()

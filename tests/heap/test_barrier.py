@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 from repro.heap.barrier import WriteBarrier
-from repro.heap.flat import FlatHeap, FlatObject
-
-
-def obj(obj_id: int) -> FlatObject:
-    """A handle; the code under test reads only its id."""
-    return FlatObject(FlatHeap(), obj_id)
 
 
 class TestBarrier:
     def test_counts_all_stores(self):
         barrier = WriteBarrier()
-        barrier.on_store(obj(1), 0, obj(2))
-        barrier.on_store(obj(1), 1, None)
+        barrier.on_store(1, 0, 2)
+        barrier.on_store(1, 1, None)
         assert barrier.stores == 2
         assert barrier.pointer_stores == 1
 
@@ -25,31 +19,29 @@ class TestBarrier:
         # hook fires on every store; None marks a non-pointer value.
         seen = []
         barrier = WriteBarrier(
-            lambda src, slot, dst: seen.append(
-                (src.obj_id, slot, dst.obj_id if dst else None)
-            )
+            lambda src, slot, dst: seen.append((src, slot, dst))
         )
-        barrier.on_store(obj(1), 0, obj(2))
-        barrier.on_store(obj(1), 1, None)
+        barrier.on_store(1, 0, 2)
+        barrier.on_store(1, 1, None)
         assert seen == [(1, 0, 2), (1, 1, None)]
 
     def test_hook_can_be_swapped(self):
         first, second = [], []
         barrier = WriteBarrier(lambda *args: first.append(args))
-        barrier.on_store(obj(1), 0, obj(2))
+        barrier.on_store(1, 0, 2)
         barrier.set_hook(lambda *args: second.append(args))
-        barrier.on_store(obj(1), 0, obj(3))
+        barrier.on_store(1, 0, 3)
         assert len(first) == 1
         assert len(second) == 1
 
     def test_no_hook_is_fine(self):
         barrier = WriteBarrier()
-        barrier.on_store(obj(1), 0, obj(2))
+        barrier.on_store(1, 0, 2)
         assert barrier.pointer_stores == 1
 
     def test_reset_counters(self):
         barrier = WriteBarrier()
-        barrier.on_store(obj(1), 0, obj(2))
+        barrier.on_store(1, 0, 2)
         barrier.reset_counters()
         assert barrier.stores == 0
         assert barrier.pointer_stores == 0

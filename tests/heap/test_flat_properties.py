@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 from repro.experiments.harness import GcGeometry, collector_factory
 from repro.heap.backend import make_heap
-from repro.heap.flat import FlatHeap, HeapError, SpaceFull
+from repro.heap.flat import (
+    _DETACHED,
+    _TOKEN_MASK,
+    FlatHeap,
+    HeapError,
+    SpaceFull,
+)
 from repro.verify import generate_script
 from repro.verify.replay import replay
 
@@ -41,19 +47,19 @@ class TestArenaGrowth:
             arena = len(heap._hdr)
             size = rng.randint(1, 6)
             try:
-                obj = heap.allocate(size, rng.randint(0, size), space)
+                obj = heap.allocate_id(size, rng.randint(0, size), space)
             except SpaceFull:
                 exhaustions += 1
                 rng.shuffle(live)
                 for oid in live[: len(live) // 2 + 1]:
-                    heap.free(heap.get(oid))
+                    heap.free(oid)
                 del live[: len(live) // 2 + 1]
             else:
-                live.append(obj.obj_id)
+                live.append(obj)
                 # Ids are append-only: the arena never shrinks and the
                 # new object lands at its end.
                 assert len(heap._hdr) == arena + 1
-                assert obj.obj_id == arena
+                assert obj == arena
             assert space.used <= 64
             heap.check_integrity()
         assert exhaustions > 0, "capacity never hit; workload too small"
@@ -62,11 +68,11 @@ class TestArenaGrowth:
     def test_allocation_into_full_space_never_partially_commits(self):
         heap = FlatHeap()
         space = heap.add_space("pool", capacity=8)
-        heap.allocate(8, 0, space)
+        heap.allocate_id(8, 0, space)
         arena = len(heap._hdr)
         count = heap.object_count
         with pytest.raises(SpaceFull):
-            heap.allocate(1, 0, space)
+            heap.allocate_id(1, 0, space)
         assert len(heap._hdr) == arena
         assert heap.object_count == count
         heap.check_integrity()
@@ -82,8 +88,8 @@ class TestStateAliasing:
         spaces = [heap.add_space(f"s{i}", capacity=None) for i in range(4)]
         model: dict[int, int] = {}
         for i in range(120):
-            obj = heap.allocate(1, 0, spaces[i % 4])
-            model[obj.obj_id] = i % 4
+            obj = heap.allocate_id(1, 0, spaces[i % 4])
+            model[obj] = i % 4
         for _ in range(60):
             movers = rng.sample(sorted(model), rng.randint(1, 20))
             target = rng.randrange(4)
@@ -96,33 +102,26 @@ class TestStateAliasing:
                 assert set(_resident_ids(space)) == expected
 
     def test_wrong_space_claim_is_detected(self):
-        # The stale-forward fault injector rewires an object's claimed
-        # space through the raw setter; the auditor must notice the
-        # accounting mismatch on the very next integrity pass.
+        # The stale-forward fault injector rewrites the space token of
+        # an object's state word behind the heap's back; the auditor
+        # must notice the accounting mismatch on the very next
+        # integrity pass.
         heap = FlatHeap()
         home = heap.add_space("home", capacity=None)
         wrong = heap.add_space("wrong", capacity=None)
-        obj = heap.allocate(2, 0, home)
-        heap.allocate(1, 0, home)
-        obj.space = wrong
+        obj = heap.allocate_id(2, 0, home)
+        heap.allocate_id(1, 0, home)
+        heap._state[obj] = heap._state[obj] & ~_TOKEN_MASK | wrong._token
         with pytest.raises(HeapError):
             heap.check_integrity()
 
     def test_detached_claim_is_detected(self):
         heap = FlatHeap()
         home = heap.add_space("home", capacity=None)
-        obj = heap.allocate(1, 0, home)
-        obj.space = None
+        obj = heap.allocate_id(1, 0, home)
+        heap._state[obj] = _DETACHED
         with pytest.raises(HeapError):
             heap.check_integrity()
-
-    def test_dangling_claim_rejected_by_setter(self):
-        heap = FlatHeap()
-        home = heap.add_space("home", capacity=None)
-        obj = heap.allocate(1, 0, home)
-        heap.free(heap.get(obj.obj_id))
-        with pytest.raises(HeapError):
-            obj.space = home
 
 
 class TestRenumberingStability:
@@ -135,7 +134,7 @@ class TestRenumberingStability:
         space = heap.add_space("region", capacity=None)
         other = heap.add_space("other", capacity=None)
         for _ in range(100):
-            heap.allocate(1, 0, space)
+            heap.allocate_id(1, 0, space)
         # Shuffle some residents through another space and back so the
         # id list is a non-trivial permutation, not a sorted run.
         out = rng.sample(list(space.object_ids()), 30)
@@ -161,12 +160,12 @@ class TestRenumberingStability:
         other = heap.add_space("other", capacity=None)
         region = heap.add_space("region", capacity=None)
         for _ in range(5):
-            heap.allocate(1, 0, other)  # ids 0-4
-        heap.allocate(1, 0, region)  # id 5
+            heap.allocate_id(1, 0, other)  # ids 0-4
+        heap.allocate_id(1, 0, region)  # id 5
         for _ in range(3):
-            heap.allocate(1, 0, other)  # ids 6-8
+            heap.allocate_id(1, 0, other)  # ids 6-8
         heap.move_ids([1, 2, 3], region)
-        heap.allocate(1, 0, region)  # id 9 -> region lists [5,1,2,3,9]
+        heap.allocate_id(1, 0, region)  # id 9 -> region lists [5,1,2,3,9]
         assert _resident_ids(region) == [5, 1, 2, 3, 9]
         _, reclaimed = heap.partition_space(region, set())
         assert reclaimed == 5
@@ -178,7 +177,7 @@ class TestRenumberingStability:
         heap = FlatHeap()
         space = heap.add_space("region", capacity=None)
         other = heap.add_space("other", capacity=None)
-        ids = [heap.allocate(1, 0, space).obj_id for _ in range(12)]
+        ids = [heap.allocate_id(1, 0, space) for _ in range(12)]
         heap.move_ids([ids[1], ids[7]], other)
         heap.move_ids([ids[7], ids[1]], space)
         order = _resident_ids(space)
@@ -241,20 +240,20 @@ def _epoch_heap(backend, before, after):
     def apply(step, in_epoch):
         op, a, b = step
         if op == "alloc":
-            obj = heap.allocate(
+            obj = heap.allocate_id(
                 a,
                 0,
                 space if b & _IN else other,
                 advance_clock=not b & _STILL,
             )
             if b & _PAYLOAD:
-                heap.set_payload(obj.obj_id, f"p{obj.obj_id}")
+                heap.set_payload(obj, f"p{obj}")
             if not in_epoch:
-                pre_epoch.append(obj.obj_id)
+                pre_epoch.append(obj)
         elif op == "free":
             ids = list(space.object_ids())
             if ids:
-                heap.free(heap.get(ids[a % len(ids)]))
+                heap.free(ids[a % len(ids)])
         elif op == "move-out":
             ids = list(space.object_ids())
             if ids:

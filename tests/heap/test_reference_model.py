@@ -65,7 +65,7 @@ class HeapVersusModel(RuleBasedStateMachine):
         fields = min(fields, size)
 
         def allocate():
-            return self.heap.allocate(
+            return self.heap.allocate_id(
                 size, fields, self.heap.space(space), kind,
                 advance_clock=advance,
             )
@@ -76,27 +76,27 @@ class HeapVersusModel(RuleBasedStateMachine):
             with pytest.raises(SpaceFull):
                 allocate()
         else:
-            assert allocate().obj_id == expected
+            assert allocate() == expected
 
     @precondition(lambda self: self.model.objects)
     @rule(pick=PICK)
     def free(self, pick):
         oid = self._pick(pick)
         self.model.free(oid)
-        self.heap.free(self.heap.get(oid))
+        self.heap.free(oid)
 
     @precondition(lambda self: self.model.objects)
     @rule(pick=PICK, space=st.sampled_from(SPACES))
     def move(self, pick, space):
         oid = self._pick(pick)
-        obj, target = self.heap.get(oid), self.heap.space(space)
+        target = self.heap.space(space)
         try:
             self.model.move(oid, space)
         except ModelFull:
             with pytest.raises(SpaceFull):
-                self.heap.move(obj, target)
+                self.heap.move(oid, target)
         else:
-            self.heap.move(obj, target)
+            self.heap.move(oid, target)
 
     @precondition(lambda self: self.model.objects)
     @rule(
@@ -114,17 +114,16 @@ class HeapVersusModel(RuleBasedStateMachine):
         """``FlatSpace.remove`` then ``add``, back home if it is full."""
         oid = self._pick(pick)
         home = self.model.objects[oid].space
-        obj = self.heap.get(oid)
         self.model.detach(oid)
-        self.heap.space(home).remove(obj)
+        self.heap.space(home).remove(oid)
         try:
             self.model.attach(oid, space)
         except ModelFull:
             with pytest.raises(SpaceFull):
-                self.heap.space(space).add(obj)
+                self.heap.space(space).add(oid)
             self.model.attach(oid, home)
             space = home
-        self.heap.space(space).add(obj)
+        self.heap.space(space).add(oid)
 
     @precondition(lambda self: self.model.objects)
     @rule(src=PICK, slot=PICK, value=VALUES, dst=PICK)

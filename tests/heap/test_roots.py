@@ -4,20 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.heap.flat import FlatHeap, FlatObject
 from repro.heap.roots import RootSet
-
-
-def obj(obj_id: int) -> FlatObject:
-    """A handle; the code under test reads only its id."""
-    return FlatObject(FlatHeap(), obj_id)
 
 
 class TestGlobals:
     def test_set_and_enumerate(self):
         roots = RootSet()
-        roots.set_global("a", obj(1))
-        roots.set_global("b", obj(2))
+        roots.set_global("a", 1)
+        roots.set_global("b", 2)
         assert sorted(roots.ids()) == [1, 2]
 
     def test_none_global_not_enumerated(self):
@@ -27,13 +21,13 @@ class TestGlobals:
 
     def test_overwrite(self):
         roots = RootSet()
-        roots.set_global("a", obj(1))
-        roots.set_global("a", obj(2))
+        roots.set_global("a", 1)
+        roots.set_global("a", 2)
         assert list(roots.ids()) == [2]
 
     def test_remove(self):
         roots = RootSet()
-        roots.set_global("a", obj(1))
+        roots.set_global("a", 1)
         roots.remove_global("a")
         assert list(roots.ids()) == []
         assert roots.get_global_id("a") is None
@@ -43,9 +37,9 @@ class TestShadowStack:
     def test_frames_enumerate_in_order(self):
         roots = RootSet()
         frame1 = roots.push_frame()
-        frame1.push(obj(1))
+        frame1.push(1)
         frame2 = roots.push_frame()
-        frame2.push(obj(2))
+        frame2.push(2)
         assert list(roots.ids()) == [1, 2]
         assert roots.frame_depth == 2
 
@@ -59,25 +53,26 @@ class TestShadowStack:
     def test_pop_removes_roots(self):
         roots = RootSet()
         frame = roots.push_frame()
-        frame.push(obj(1))
+        frame.push(1)
         roots.pop_frame(frame)
         assert list(roots.ids()) == []
 
     def test_slot_update(self):
         roots = RootSet()
         frame = roots.push_frame()
-        slot = frame.push(obj(1))
+        slot = frame.push(1)
         frame.set(slot, None)
         assert list(roots.ids()) == []
-        frame.set_id(slot, 9)
+        frame.set(slot, 9)
         assert list(roots.ids()) == [9]
         assert frame.get_id(slot) == 9
 
     def test_push_id(self):
+        """A frame slot holds an object id, or None for no root."""
         roots = RootSet()
         frame = roots.push_frame()
-        frame.push_id(5)
-        frame.push_id(None)
+        frame.push(5)
+        frame.push(None)
         assert list(roots.ids()) == [5]
         assert len(frame) == 2
 
@@ -93,8 +88,8 @@ class TestProviders:
 
     def test_len_counts_everything(self):
         roots = RootSet()
-        roots.set_global("a", obj(1))
+        roots.set_global("a", 1)
         frame = roots.push_frame()
-        frame.push(obj(2))
+        frame.push(2)
         roots.add_provider(lambda: [3, 4])
         assert len(roots) == 4

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.heap.flat import FlatHeap, FlatObject, SpaceFull
+from repro.heap.flat import FlatHeap, SpaceFull
 
 
 @pytest.fixture
@@ -12,13 +12,13 @@ def heap() -> FlatHeap:
     return FlatHeap()
 
 
-def make_obj(heap: FlatHeap, size: int) -> FlatObject:
+def make_obj(heap: FlatHeap, size: int) -> int:
     """A detached object of ``size`` words, ready for ``space.add``."""
     try:
         home = heap.space("home")
     except KeyError:
         home = heap.add_space("home", None)
-    obj = heap.allocate(size, 0, home)
+    obj = heap.allocate_id(size, 0, home)
     home.remove(obj)
     return obj
 
@@ -37,7 +37,7 @@ class TestOccupancy:
         space.add(obj)
         assert space.used == 30
         assert space.free == 70
-        assert obj.space is space
+        assert heap.space_if_live(obj) is space
         assert space.contains(obj)
 
     def test_remove_updates_accounting(self, heap):
@@ -46,7 +46,7 @@ class TestOccupancy:
         space.add(obj)
         space.remove(obj)
         assert space.used == 0
-        assert obj.space is None
+        assert heap.space_if_live(obj) is None
         assert not space.contains(obj)
 
     def test_fits(self, heap):
@@ -94,8 +94,7 @@ class TestOccupancy:
 class TestIteration:
     def test_objects_in_insertion_order(self, heap):
         space = heap.add_space("s", 100)
-        objs = [heap.allocate(1, 0, space) for _ in range(5)]
-        assert [obj.obj_id for obj in space.objects()] == [0, 1, 2, 3, 4]
+        objs = [heap.allocate_id(1, 0, space) for _ in range(5)]
         assert list(space.object_ids()) == [0, 1, 2, 3, 4]
         # Like a dict, a re-inserted resident goes to the end.
         space.remove(objs[1])

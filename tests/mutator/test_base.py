@@ -57,7 +57,7 @@ class TestLifetimes:
         assert len(live_ids) == 3
         collector.collect()
         # Only the held objects survive the collection.
-        assert {obj.obj_id for obj in heap.all_objects()} == live_ids
+        assert set(heap.object_ids()) == live_ids
 
     def test_release_due_is_idempotent(self):
         _, _, _, mutator = setup(FixedLifetimeSchedule(5))

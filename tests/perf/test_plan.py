@@ -34,8 +34,14 @@ GOLDEN_PATH = Path(__file__).with_name("golden_plan_fingerprints.json")
 def _fingerprint(heap):
     rows = []
     for space in heap.spaces():
-        for obj in space.objects():
-            rows.append((obj.obj_id, obj.size, obj.birth, obj.kind, space.name))
+        for oid in space.object_ids():
+            rows.append((
+                oid,
+                heap.size_of(oid),
+                heap.birth_of(oid),
+                heap.kind_of(oid),
+                space.name,
+            ))
     return sorted(rows)
 
 

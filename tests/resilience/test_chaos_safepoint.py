@@ -74,7 +74,7 @@ class TestFaultPlumbing:
         )
         frame = roots.push_frame()
         while not (collector.cycle_open and collector.gray_stack):
-            frame.push(collector.allocate(4))
+            frame.push(collector.allocate_id(4))
         return heap, collector
 
     def test_remset_faults_apply_to_incremental(self):

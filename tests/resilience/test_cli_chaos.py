@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -36,10 +38,12 @@ class TestChaosCommand:
         assert "root-skip" in kinds
 
     def test_bad_op_count_is_a_usage_error_not_a_traceback(self, capsys):
-        code = main(["chaos", "--ops", "0"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--ops", "0"])
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("repro-gc chaos: error:")
+        # argparse prints its usage line above the error.
+        assert err.splitlines()[-1].startswith("repro-gc chaos: error:")
 
     def test_json_mode_prints_machine_readable(self, capsys):
         code = main(

@@ -92,7 +92,7 @@ class TestInjectors:
 
     def test_dangling_slot_fails_audit(self):
         collector, _, roots = _marksweep()
-        obj = collector.allocate(4, 2)
+        obj = collector.allocate_id(4, 2)
         roots.set_global("a", obj)
         assert audit_collector(collector).ok
         injection = inject_fault(
@@ -103,7 +103,7 @@ class TestInjectors:
 
     def test_stale_forward_fails_audit_even_single_space(self):
         collector, _, roots = _marksweep()
-        roots.set_global("a", collector.allocate(4))
+        roots.set_global("a", collector.allocate_id(4))
         injection = inject_fault(
             "stale-forward", collector, random.Random(2)
         )
@@ -112,7 +112,7 @@ class TestInjectors:
 
     def test_mis_renumber_fails_audit(self):
         collector, _, roots = _nonpredictive()
-        roots.set_global("a", collector.allocate(4))
+        roots.set_global("a", collector.allocate_id(4))
         injection = inject_fault(
             "mis-renumber", collector, random.Random(3)
         )
@@ -122,14 +122,14 @@ class TestInjectors:
 
     def test_drop_remset_fails_audit(self):
         collector, heap, roots = _generational()
-        old = collector.allocate(4, 1)
+        old = collector.allocate_id(4, 1)
         roots.set_global("old", old)
         collector.collect()  # promotes `old` out of the nursery
         assert collector.generation_index(old) == 1
-        young = collector.allocate(4)
+        young = collector.allocate_id(4)
         roots.set_global("young", young)
-        old.fields[0] = young.obj_id
-        collector.remember_store(old, 0, young)
+        heap.store_slot(old, 0, young)
+        collector.remember_store_id(old, 0, young)
         roots.remove_global("young")  # young now lives via old's slot
         assert audit_collector(collector).ok
         injection = inject_fault(
@@ -141,10 +141,10 @@ class TestInjectors:
 
     def test_dup_remset_is_benign(self):
         collector, heap, roots = _generational()
-        old = collector.allocate(4, 1)
+        old = collector.allocate_id(4, 1)
         roots.set_global("old", old)
         collector.collect()
-        young = collector.allocate(4)
+        young = collector.allocate_id(4)
         roots.set_global("young", young)
         injection = inject_fault(
             "dup-remset", collector, random.Random(5)
@@ -169,10 +169,10 @@ class TestStepKinds:
         settle(collector, frame)
         settle(collector, frame)
         holder, _ = settle(collector, frame, field_count=1)
-        heap.write_field(holder, 0, target)
-        collector.remember_store(holder, 0, target)
+        heap.store_slot(holder, 0, target)
+        collector.remember_store_id(holder, 0, target)
         assert audit_collector(collector).ok
-        return collector, holder.obj_id, target.obj_id
+        return collector, holder, target
 
     def test_drop_remset_names_the_crossing(self, kind):
         collector, holder, target = self._crossing(kind)
@@ -227,18 +227,18 @@ def test_hybrid_drop_remset_names_the_nursery_crossing():
     heap, roots, collector = make("hybrid")
     frame = roots.push_frame()
     old, _ = settle(collector, frame, field_count=1)  # step 6
-    young = collector.allocate(2)
+    young = collector.allocate_id(2)
     frame.push(young)
-    heap.write_field(old, 0, young)
-    collector.remember_store(old, 0, young)
+    heap.store_slot(old, 0, young)
+    collector.remember_store_id(old, 0, young)
     injection = inject_fault("drop-remset", collector, random.Random(7))
     assert injection.detail == (
-        f"entry ({old.obj_id}, 0) dropped from hybrid-young "
+        f"entry ({old}, 0) dropped from hybrid-young "
         f"(step-6 -> nursery)"
     )
     assert audit_collector(collector).violations == (
-        f"remset incomplete: step-6 object {old.obj_id} slot 0 points at "
-        f"nursery object {young.obj_id} without a remset_young entry",
+        f"remset incomplete: step-6 object {old} slot 0 points at "
+        f"nursery object {young} without a remset_young entry",
     )
 
 
@@ -255,9 +255,9 @@ class TestRootSkipWitness:
 
     def test_plain_audit_misses_root_skip(self):
         collector, _, roots = _marksweep()
-        obj = collector.allocate(4)
+        obj = collector.allocate_id(4)
         roots.set_global("a", obj)
-        witness = {obj.obj_id}
+        witness = {obj}
         injection = inject_fault("root-skip", collector, random.Random(6))
         assert injection is not None
         # Every classic check trusts the collector's own root set, so
@@ -270,10 +270,10 @@ class TestRootSkipWitness:
 
     def test_witness_passes_on_honest_collector(self):
         collector, _, roots = _marksweep()
-        obj = collector.allocate(4)
+        obj = collector.allocate_id(4)
         roots.set_global("a", obj)
         report = audit_collector(
-            collector, expected_roots={obj.obj_id}
+            collector, expected_roots={obj}
         )
         assert report.ok
         assert "root-witness" in report.checks

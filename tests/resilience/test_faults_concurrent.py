@@ -29,15 +29,15 @@ def mid_handoff_collector():
     heap = make_heap()
     roots = RootSet()
     collector = ConcurrentCollector(heap, roots, 400)
-    barrier = WriteBarrier(collector.remember_store)
+    barrier = WriteBarrier(collector.remember_store_id)
     frame = roots.push_frame()
-    holder = collector.allocate(4, 1)
-    child = collector.allocate(4)
+    holder = collector.allocate_id(4, 1)
+    child = collector.allocate_id(4)
     frame.push(holder)
     barrier.on_store(holder, 0, child)
-    heap.write_slot(holder, 0, child.obj_id)
+    heap.store_slot(holder, 0, child)
     while not collector.cycle_open:
-        frame.push(collector.allocate(4))
+        frame.push(collector.allocate_id(4))
     assert collector.marker_inflight
     return heap, roots, collector, holder, child
 
@@ -57,11 +57,11 @@ class TestDropMarkerResult:
 
     def test_drop_is_detected_by_concurrent_wavefront_audit(self):
         heap, roots, collector, holder, child = mid_handoff_collector()
-        assert child.obj_id in collector.pending_marked_ids()
+        assert child in collector.pending_marked_ids()
         injection = inject_fault("drop-remset", collector, random.Random(0))
         assert injection is not None
         assert "marker-marked" in injection.detail
-        assert child.obj_id not in collector.pending_marked_ids()
+        assert child not in collector.pending_marked_ids()
         report = audit_collector(collector)
         assert not report.ok
         assert any("concurrent" in v for v in report.violations)
@@ -74,8 +74,8 @@ class TestDropMarkerResult:
         injection = inject_fault("drop-remset", collector, random.Random(0))
         assert injection is not None
         collector.collect()
-        assert heap.contains_id(holder.obj_id)
-        assert not heap.contains_id(child.obj_id)
+        assert heap.contains_id(holder)
+        assert not heap.contains_id(child)
 
     def test_dup_is_benign(self):
         heap, roots, collector, holder, child = mid_handoff_collector()
@@ -87,8 +87,8 @@ class TestDropMarkerResult:
         report = audit_collector(collector)
         assert report.ok, report.violations
         collector.collect()
-        assert heap.contains_id(holder.obj_id)
-        assert heap.contains_id(child.obj_id)
+        assert heap.contains_id(holder)
+        assert heap.contains_id(child)
 
 
 class TestSafepointMatrix:

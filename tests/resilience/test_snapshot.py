@@ -42,7 +42,7 @@ def _live_collector(kind="generational", *, ops=80, seed=5):
 
 
 def _survivors(heap):
-    return sorted(obj.obj_id for obj in heap.all_objects())
+    return list(heap.object_ids())
 
 
 class TestRoundTrip:
@@ -67,10 +67,10 @@ class TestRoundTrip:
         document = checkpoint(collector, "generational", VERIFY_GEOMETRY)
         heap, roots, restored = restore(document)
         before = len(_survivors(heap))
-        obj = restored.allocate(2)
+        obj = restored.allocate_id(2)
         roots.set_global("fresh", obj)
         restored.collect()
-        assert heap.contains_id(obj.obj_id)
+        assert heap.contains_id(obj)
         assert len(_survivors(heap)) <= before + 1
 
     def test_restore_into_rebinds_in_place(self):
@@ -87,7 +87,7 @@ class TestRoundTrip:
         state = capture_state(collector)
         clock = collector.heap.clock
         survivors = _survivors(collector.heap)
-        collector.roots.set_global("late", collector.allocate(3))
+        collector.roots.set_global("late", collector.allocate_id(3))
         collector.collect()
         assert collector.heap.clock != clock
         restore_state(collector, state)
@@ -188,7 +188,7 @@ class TestDiskRoundTrip:
         path = tmp_path / "heap.snapshot.json"
         save_snapshot(path, first)
 
-        collector.roots.set_global("late", collector.allocate(3))
+        collector.roots.set_global("late", collector.allocate_id(3))
         second = checkpoint(collector, "mark-sweep", VERIFY_GEOMETRY)
         assert second["checksum"] != first["checksum"]
 

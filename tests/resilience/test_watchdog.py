@@ -58,7 +58,7 @@ def _wedged_collector(backend, monkeypatch, metrics=None):
     if metrics is not None:
         collector.metrics = metrics
     for index in range(4):
-        roots.set_global(f"g{index}", collector.allocate(4))
+        roots.set_global(f"g{index}", collector.allocate_id(4))
     collector._open_cycle("full")
     return heap, roots, collector
 
@@ -73,12 +73,12 @@ class TestWatchdogAbort:
         self, backend, monkeypatch
     ):
         heap, roots, collector = _wedged_collector(backend, monkeypatch)
-        survivors = sorted(obj.obj_id for obj in heap.all_objects())
+        survivors = list(heap.object_ids())
         collector.collect()
         assert collector.watchdog_aborts == 1
         assert not collector.cycle_open
         # The emergency inline collection still did its job.
-        assert sorted(obj.obj_id for obj in heap.all_objects()) == survivors
+        assert list(heap.object_ids()) == survivors
         assert collector.stats.collections >= 1
         collector.close()
 
@@ -105,10 +105,10 @@ class TestWatchdogAbort:
         )
         enable_checked_mode(collector)
         # The mutator keeps going while the marker is wedged.
-        newborns = [collector.allocate(4) for _ in range(3)]
+        newborns = [collector.allocate_id(4) for _ in range(3)]
         for index, obj in enumerate(newborns):
             roots.set_global(f"n{index}", obj)
-        collector.allocate(4)  # unrooted: garbage for the re-run
+        collector.allocate_id(4)  # unrooted: garbage for the re-run
         allocated = collector.stats.words_allocated
         rooted = sorted(roots.ids())
 
@@ -144,7 +144,7 @@ class TestWatchdogAbort:
         roots = RootSet()
         collector = ConcurrentCollector(heap, roots, 400)
         for index in range(4):
-            roots.set_global(f"g{index}", collector.allocate(4))
+            roots.set_global(f"g{index}", collector.allocate_id(4))
         collector.collect()
         assert not new_workers()
         assert collector.watchdog_aborts == 0
@@ -164,10 +164,10 @@ def _drill_script(collector, roots):
     drop every third root, and quiesce."""
     frame = roots.push_frame()
     while not collector.cycle_open:
-        frame.push(collector.allocate(4))
+        frame.push(collector.allocate_id(4))
     for _ in range(12):
-        frame.push(collector.allocate(3))
-        collector.allocate(2)
+        frame.push(collector.allocate_id(3))
+        collector.allocate_id(2)
     for index in range(0, len(frame), 3):
         frame.set(index, None)
     collector.collect()

@@ -61,7 +61,7 @@ class Run:
         collector.allocate_id = counted
         if all_miss:
             machine.add_allocation_hook(
-                lambda obj: setattr(collector, "bump_limit", 0)
+                lambda obj_id: setattr(collector, "bump_limit", 0)
             )
 
     def observe(self) -> dict:

@@ -240,10 +240,9 @@ def test_stale_entry_of_a_freed_object_is_never_returned(backend, no_cycle_gc):
     outer = machine.cons(inner, inner)
     vec = machine.make_vector(1, inner)
     inner_id = inner.obj_id
-    view = inner.obj
     del inner
     assert inner_id in machine._handles  # idle, not yet forgotten
-    machine.heap.free(view)
+    machine.heap.free(inner_id)
     for read in (
         lambda: machine.car(outer),
         lambda: machine.cdr(outer),

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
-from repro.heap.flat import FlatFields, FlatObject, HeapError
+from repro.heap.flat import FlatObject, HeapError
 from repro.programs.registry import get_benchmark
 from repro.runtime.machine import Machine
 from repro.runtime.values import FLONUM_WORDS, PAIR_WORDS, Fixnum, Ref
@@ -56,14 +56,14 @@ class TestConstructors:
     def test_cons_size_and_kind(self, machine):
         pair = machine.cons(Fixnum(1), Fixnum(2))
         assert pair.is_pair()
-        assert pair.obj.size == PAIR_WORDS
+        assert machine.heap.size_of(pair.obj_id) == PAIR_WORDS
         assert machine.car(pair) == Fixnum(1)
         assert machine.cdr(pair) == Fixnum(2)
 
     def test_vector(self, machine):
         vec = machine.make_vector(3, fill=Fixnum(0))
         assert vec.is_vector()
-        assert vec.obj.size == 4
+        assert machine.heap.size_of(vec.obj_id) == 4
         assert machine.vector_length(vec) == 3
         machine.vector_set(vec, 1, Fixnum(9))
         assert machine.vector_ref(vec, 1) == Fixnum(9)
@@ -79,13 +79,13 @@ class TestConstructors:
     def test_flonum_is_boxed_four_words(self, machine):
         flo = machine.make_flonum(3.25)
         assert flo.is_flonum()
-        assert flo.obj.size == FLONUM_WORDS
+        assert machine.heap.size_of(flo.obj_id) == FLONUM_WORDS
         assert machine.flonum_value(flo) == 3.25
 
     def test_string(self, machine):
         s = machine.make_string("hello")
         assert s.is_string()
-        assert s.obj.size == 1 + (5 + 3) // 4
+        assert machine.heap.size_of(s.obj_id) == 1 + (5 + 3) // 4
         assert machine.string_value(s) == "hello"
 
     def test_type_errors(self, machine):
@@ -112,7 +112,7 @@ class TestSymbols:
 
     def test_symbols_live_in_static_area(self, machine):
         sym = machine.intern("bar")
-        assert sym.obj.space is machine.static
+        assert machine.heap.space_if_live(sym.obj_id) is machine.static
 
     def test_static_allocation_does_not_advance_clock(self, machine):
         before = machine.clock
@@ -172,7 +172,9 @@ class TestBarrierRouting:
 class TestAllocationHooks:
     def test_hooks_see_every_dynamic_allocation(self, machine):
         seen = []
-        machine.add_allocation_hook(lambda obj: seen.append(obj.kind))
+        machine.add_allocation_hook(
+            lambda obj_id: seen.append(machine.heap.kind_of(obj_id))
+        )
         machine.cons(None, None)
         machine.make_flonum(1.0)
         machine.intern("not-dynamic")
@@ -185,7 +187,7 @@ class TestIdLevelPath:
         allocation hook builds no slot view and no per-access object
         handle.  A count, so it cannot flake the way a timing gate
         would."""
-        built = {FlatObject: 0, FlatFields: 0}
+        built = {FlatObject: 0}
         for cls in built:
             def counting(self, *args, _cls=cls, _init=cls.__init__):
                 built[_cls] += 1
@@ -200,7 +202,7 @@ class TestIdLevelPath:
         machine.collect()
         assert machine.stats.collections > 1
         assert machine.stats.objects_allocated > 1000
-        assert built == {FlatObject: 0, FlatFields: 0}
+        assert built == {FlatObject: 0}
 
     @pytest.mark.parametrize("kind", COLLECTOR_KINDS)
     def test_dropped_machine_is_freed_without_the_cycle_collector(
@@ -270,8 +272,8 @@ class TestIdLevelPath:
     def test_dropped_machine_is_freed_with_the_table_populated(
         self, no_cycle_gc
     ):
-        """machine -> table -> Ref -> heap, and the provider closes over
-        the table: no cycle, whatever the table holds."""
+        """machine -> table -> Ref, and the provider closes over the
+        table: no cycle, whatever the table holds."""
         machine = Machine(
             collector_factory("generational", GcGeometry()),
             heap_backend="flat",
@@ -285,17 +287,19 @@ class TestIdLevelPath:
             for target in (machine, machine.collector, machine.heap)
         )
         del machine
+        # A handle still in use holds only its id and kind.
+        assert outer.is_pair()
         assert machine_gone() is None and collector_gone() is None
-        # A handle still in use keeps the heap it reads, nothing more.
-        assert outer.obj.size == PAIR_WORDS
-        del outer
         assert heap_gone() is None
 
     def test_hook_still_receives_an_object(self):
         seen = []
         machine = Machine(TracingCollector, heap_backend="flat")
+        heap = machine.heap
         machine.add_allocation_hook(
-            lambda obj: seen.append((obj.kind, obj.size, obj.obj_id))
+            lambda obj_id: seen.append(
+                (heap.kind_of(obj_id), heap.size_of(obj_id), obj_id)
+            )
         )
         vec = machine.make_vector(2)
         s = machine.make_string("abc")
@@ -335,7 +339,7 @@ class TestChecksKept:
         inner = machine.cons(None, None)
         outer = machine.cons(inner, inner)
         vec = machine.make_vector(1, inner)
-        machine.heap.free(inner.obj)
+        machine.heap.free(inner.obj_id)
         for read in (
             lambda: machine.car(outer),
             lambda: machine.cdr(outer),
@@ -357,7 +361,7 @@ class TestChecksKept:
         machine.heap.checked = True
         pair = machine.cons(None, None)
         doomed = machine.cons(None, None)
-        machine.heap.free(doomed.obj)
+        machine.heap.free(doomed.obj_id)
         with pytest.raises(HeapError, match="cannot store dangling"):
             machine.set_car(pair, doomed)
         with pytest.raises(HeapError, match="cannot store dangling"):

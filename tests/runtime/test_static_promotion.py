@@ -29,7 +29,7 @@ class TestFullStaticPromotion:
         keep = machine.cons(Fixnum(1), machine.cons(Fixnum(2), None))
         promoted = machine.full_collect_to_static()
         assert promoted == 4
-        assert keep.obj.space is machine.static
+        assert machine.heap.space_if_live(keep.obj_id) is machine.static
         assert machine.car(keep) == Fixnum(1)
         assert machine.car(machine.cdr(keep)) == Fixnum(2)
 

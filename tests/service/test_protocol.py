@@ -285,11 +285,11 @@ class TestCodecIsTheJsonModules:
             )
             for request in tenant_plan.requests[1:-1]:
                 session.apply(request)
-                graph = session.live_graph()
+                graph = session.context.checkpoint(0).graph
                 assert graph_digest(graph) == sha(
                     [[obj_id, size, list(fields)] for obj_id, size, fields in graph]
                 )
-            pauses = session.collector.stats.pauses
+            pauses = session.context.collector.stats.pauses
             collections += len(pauses)
             assert pauses_digest(pauses) == sha(
                 [[p.clock, p.kind, p.work, p.reclaimed, p.live] for p in pauses]

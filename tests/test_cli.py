@@ -153,6 +153,12 @@ class TestUsageErrors:
             ["load", "--shards", "0"],
             ["serve", "--shards", "0"],
             ["bench"],
+            ["isolation", "--tenants", "0"],
+            ["isolation", "--tenants", "-3"],
+            ["load", "--tenants", "0"],
+            ["load", "--connections", "0"],
+            ["load", "--ops", "0"],
+            ["snapshot", "save", "{out}", "--ops", "0"],
         ],
     )
     def test_bad_arguments_exit_2_with_one_error_line(
@@ -167,8 +173,51 @@ class TestUsageErrors:
         except SystemExit as exc:
             code = exc.code
         assert code == 2
-        command = " ".join(argv[:2] if argv[0] == "trace" else argv[:1])
+        nested = argv[0] in ("trace", "snapshot")
+        command = " ".join(argv[:2] if nested else argv[:1])
         assert f"repro-gc {command}: error:" in capsys.readouterr().err
+
+    def test_huge_counts_are_only_parsed(self):
+        args = build_parser().parse_args(
+            ["load", "--tenants", "1000000000", "--connections", "1000000",
+             "--ops", "1000000000"]
+        )
+        assert (args.tenants, args.connections, args.ops) == (
+            10**9, 10**6, 10**9
+        )
+        args = build_parser().parse_args(["isolation", "--tenants", "10000000"])
+        assert args.tenants == 10**7
+
+    @pytest.mark.parametrize("command", ["survival", "profile"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "",
+            "not json\n",
+            '{"format": "x"}\n',
+            "binary",
+            '{"format": "repro-lifetime-trace", "version": 1}\n',
+            '{"format": "repro-lifetime-trace", "version": 1,'
+            ' "start_clock": 0, "end_clock": 9}\n["a", 1, 0, null, "pair"]\n',
+            '{"format": "repro-lifetime-trace", "version": 1,'
+            ' "start_clock": 0, "end_clock": 9}\n5\n',
+        ],
+    )
+    def test_unreadable_trace_file_is_one_error_line(
+        self, command, content, tmp_path, capsys
+    ):
+        """A missing, empty, foreign or malformed trace file exits 2
+        with one error line, not a traceback."""
+        path = tmp_path / "t.jsonl"
+        if content == "binary":
+            path.write_bytes(b"\xff\xfe\x00garbage")
+        elif content is not None:
+            path.write_text(content)
+        assert main(["trace", command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-gc trace {command}: error:")
+        assert len(err.splitlines()) == 1
 
 
 class TestVerifyCommand:
@@ -201,9 +250,11 @@ class TestVerifyCommand:
             )
 
     def test_verify_rejects_bad_ops_cleanly(self, capsys):
-        assert main(["verify", "--ops", "0"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--ops", "0"])
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "op count must be positive" in err
+        assert "argument --ops: invalid positive_int value: '0'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -29,14 +29,14 @@ def build(kind: str):
 
 def churn(heap, roots, collector, count: int = 120) -> None:
     """A small workload: allocate, link, drop, collect."""
-    barrier = WriteBarrier(collector.remember_store)
+    barrier = WriteBarrier(collector.remember_store_id)
     keep = None
     for index in range(count):
-        obj = collector.allocate(1 + index % 3, 1)
+        obj = collector.allocate_id(1 + index % 3, 1)
         roots.set_global("latest", obj)
-        if keep is not None and heap.contains_id(keep.obj_id):
+        if keep is not None and heap.contains_id(keep):
             barrier.on_store(keep, 0, obj)
-            heap.write_field(keep, 0, obj)
+            heap.store_slot(keep, 0, obj)
         if index % 7 == 0:
             roots.set_global("keep", obj)
             keep = obj
@@ -69,7 +69,7 @@ class TestAuditPasses:
 class TestAuditCatches:
     def test_dangling_root(self):
         heap, roots, collector = build("mark-sweep")
-        obj = collector.allocate(2)
+        obj = collector.allocate_id(2)
         roots.set_global("g", obj)
         heap.free(obj)  # behind the collector's back
         report = audit_collector(collector)
@@ -86,22 +86,22 @@ class TestAuditCatches:
 
     def test_generational_missing_remset_entry(self):
         heap, roots, collector = build("generational")
-        old = collector.allocate(2, 1)
+        old = collector.allocate_id(2, 1)
         roots.set_global("old", old)
         collector.collect()  # promote `old` out of the nursery
         assert collector.generation_index(old) == 1
-        young = collector.allocate(1)
+        young = collector.allocate_id(1)
         roots.set_global("young", young)
         # Store WITHOUT the write barrier: an old-to-young pointer the
         # remembered set never hears about.
-        heap.write_field(old, 0, young)
+        heap.store_slot(old, 0, young)
         report = audit_collector(collector)
         assert not report.ok
         assert any("remset incomplete" in v for v in report.violations)
 
     def test_audit_error_carries_report(self):
         heap, roots, collector = build("mark-sweep")
-        obj = collector.allocate(1)
+        obj = collector.allocate_id(1)
         roots.set_global("g", obj)
         heap.free(obj)
         with pytest.raises(AuditError) as excinfo:
@@ -112,20 +112,20 @@ class TestAuditCatches:
 class TestCheckedMode:
     def test_hook_fires_on_collection(self):
         class Broken(GenerationalCollector):
-            def remember_store(self, obj, slot, target):
+            def remember_store_id(self, src_id, slot, target_id):
                 pass  # lose every barrier notification
 
         roots2 = RootSet()
         broken = Broken(FlatHeap(), roots2, [24, 96])
         enable_checked_mode(broken)
-        barrier = WriteBarrier(broken.remember_store)
-        old = broken.allocate(2, 1)
+        barrier = WriteBarrier(broken.remember_store_id)
+        old = broken.allocate_id(2, 1)
         roots2.set_global("old", old)
         broken.collect()  # promote
-        young = broken.allocate(1)
+        young = broken.allocate_id(1)
         roots2.set_global("young", young)
         barrier.on_store(old, 0, young)
-        broken.heap.write_field(old, 0, young)
+        broken.heap.store_slot(old, 0, young)
         # Reachable only through the old object: a minor collection
         # that never hears about the store frees it while live.
         roots2.remove_global("young")
@@ -145,7 +145,7 @@ class TestUnmanagedCollectors:
         heap = FlatHeap()
         roots = RootSet()
         collector = TracingCollector(heap, roots)
-        collector.allocate(3)
+        collector.allocate_id(3)
         report = audit_collector(collector)
         assert report.ok
         assert "stats-conservation" not in report.checks
@@ -162,7 +162,7 @@ class TestIncrementalModes:
         heap, roots, collector = build("incremental")
         frame = roots.push_frame()
         while not (collector.cycle_open and collector.gray_stack):
-            frame.push(collector.allocate(3))
+            frame.push(collector.allocate_id(3))
         return heap, roots, collector
 
     def test_in_cycle_snapshot_is_accepted(self):

@@ -28,7 +28,7 @@ class BrokenBarrierGenerational(GenerationalCollector):
 
     name = "generational-broken-barrier"
 
-    def remember_store(self, obj, slot, target):
+    def remember_store_id(self, src_id, slot, target_id):
         pass
 
 
