@@ -10,13 +10,13 @@ the marker's lifecycle and the hooks that cycle calls around a mark:
   incremental collector, snapshot the roots plus the reachability-
   relevant state of the collected space (:meth:`export_mark_snapshot`
   ships the space's *id span* of the heap's packed ``array('q')``
-  arenas as raw bytes, one memcpy per arena, so the hand-off costs
-  what the space holds, not every id ever issued), and hand it to
-  :func:`_mark_snapshot_task`.  Nothing else is captured: a cycle
-  that has not swept has freed nothing, so there is nothing to roll
-  back to.  With
-  ``marker_workers == 0`` the task runs inline at the handoff — the
-  deterministic reference mode every oracle uses; with workers it is
+  arenas as ``array('q')`` slices, one memcpy per arena, so the
+  hand-off costs what the space holds, not every id ever issued), and
+  hand it to :func:`_mark_snapshot_task`.  Nothing else is captured: a
+  cycle that has not swept has freed nothing, so there is nothing to
+  roll back to.  With ``marker_workers == 0`` the task runs inline at
+  the handoff — the deterministic reference mode every oracle uses —
+  and the snapshot is dropped there; with workers it is
   submitted to the collector's own
   :class:`~repro.perf.parallel.WorkerPool`, which lives as long as the
   collector does (workers are forked at the first pool-mode cycle and
@@ -61,8 +61,6 @@ SLO report gates.
 
 from __future__ import annotations
 
-from array import array
-
 from repro.gc.incremental import BLACK, GRAY, WHITE, IncrementalCollector
 from repro.heap.flat import (
     _DEAD,
@@ -78,11 +76,14 @@ from repro.heap.roots import RootSet
 
 __all__ = ["ConcurrentCollector", "WedgedMarkerError"]
 
-#: Placeholder payload installed when a snapshot restores a collector
-#: whose marker was in flight: the marker's *result* is rehydrated from
-#: the snapshot, so the payload only needs to make ``marker_inflight``
-#: true — it is never traced again.
-_RESTORED_PAYLOAD = ("restored-marker",)
+#: Placeholder payload of a cycle whose marker result is already in
+#: hand: an inline marker has run at the handoff, or a snapshot
+#: restored a collector whose marker was in flight (its *result* is
+#: rehydrated from the snapshot).  The payload then only needs to make
+#: ``marker_inflight`` true — it is never traced again, so the heap
+#: snapshot it replaces is freed at once instead of living through the
+#: cycle beside the growing heap.
+_SPENT_PAYLOAD = ("spent-marker",)
 
 
 class WedgedMarkerError(RuntimeError):
@@ -98,18 +99,14 @@ class WedgedMarkerError(RuntimeError):
 
 def _trace_snapshot(snapshot: dict, roots: list[int]) -> tuple[set[int], int]:
     """Mark a heap snapshot: the ``trace_region`` kernel over the
-    rehydrated id span (arena index = ``oid - lo``), with non-resident
+    shipped id span (arena index = ``oid - lo``), with non-resident
     roots skipped silently (the cycle-open contract) and dangling
     *references* raised.  A reference under the span is a boundary if
     the snapshot lists it as live, else it dangles."""
-    hdr = array("q")
-    hdr.frombytes(snapshot["hdr"])
-    state = array("q")
-    state.frombytes(snapshot["state"])
-    sbase = array("q")
-    sbase.frombytes(snapshot["slot_base"])
-    refs = array("q")
-    refs.frombytes(snapshot["refs"])
+    hdr = snapshot["hdr"]
+    state = snapshot["state"]
+    sbase = snapshot["slot_base"]
+    refs = snapshot["refs"]
     token = snapshot["token"]
     lo = snapshot["lo"]
     slot_lo = snapshot["slot_lo"]
@@ -293,6 +290,8 @@ class ConcurrentCollector(IncrementalCollector):
         if self.marker_workers == 0:
             self._result = _mark_snapshot_task(payload)
             self._task = None
+            # Nothing resubmits an inline marker's snapshot.
+            self._payload = _SPENT_PAYLOAD
         else:
             self._task = self._marker_pool().submit(
                 _mark_snapshot_task, payload, 0
@@ -434,7 +433,7 @@ class ConcurrentCollector(IncrementalCollector):
             # Rehydrate the marker as already-drained: reconciliation
             # then proceeds exactly as it would have in the original
             # process.
-            self._payload = _RESTORED_PAYLOAD
+            self._payload = _SPENT_PAYLOAD
             if "ids" in result:
                 result = {
                     "ids": [int(oid) for oid in result["ids"]],

@@ -40,11 +40,21 @@ Every client names an object by its id: collectors through the
 kernel methods (``trace_region``, ``cheney_evacuate``,
 ``partition_space`` and ``extract_live`` over one sweep kernel, ...),
 mutators through the id-level accessors (``allocate_id``, ``kind_of``,
-``load_ref``, ``store_slot``, ``payload_of``, ...), and space
+``load_slot``, ``store_slot``, ``payload_of``, ...), and space
 membership through ``FlatSpace.add``/``remove``/``contains``,
 ``free`` and ``move``.  :meth:`FlatHeap.get` returns a read-only
 :class:`FlatObject` view of one row for readers that want its
 attributes together; nothing else builds one.
+
+The arenas themselves (``_hdr``, ``_birth``, ``_state``,
+``_slot_base``, ``_slots``, ``_payloads``) and the packing constants
+above are a contract with exactly three readers and writers outside
+the accessors: this module's kernels, the runtime machine's unit
+operations (:mod:`repro.runtime.machine` indexes them inline, one
+Python frame per ``car``, keeping every check the accessors make), and
+the fault injectors (:mod:`repro.resilience.faults` corrupt them behind
+every probe and barrier).  Everything else goes through the methods;
+CI greps ``src/`` for arena access anywhere else.
 
 References between objects are stored as integer object ids rather
 than Python references, so reachability is whatever the simulated
@@ -62,6 +72,7 @@ import weakref
 from array import array
 from bisect import bisect_left
 from collections import deque
+from itertools import islice
 from typing import Collection, Iterable, Iterator
 
 __all__ = [
@@ -644,22 +655,6 @@ class FlatHeap:
             )
         return self._slots[self._slot_base[oid] + slot]
 
-    def load_ref(self, oid: int, slot: int) -> object:
-        """:meth:`load_slot` for a reader that will follow the value:
-        an id is returned only if it names a live object (the test
-        :meth:`kind_of` makes), else it is a structural error."""
-        count = (self._hdr[oid] >> _FC_SHIFT) & _FC_MASK
-        if not 0 <= slot < count:
-            raise HeapError(
-                f"object {oid} has no slot {slot} (it has {count})"
-            )
-        value = self._slots[self._slot_base[oid] + slot]
-        if type(value) is int:
-            state = self._state
-            if not 0 <= value < len(state) or state[value] == _DEAD:
-                raise HeapError(f"dangling object id {value}")
-        return value
-
     def store_slot(self, oid: int, slot: int, value: object) -> None:
         """Write a slot's raw value (no write barrier); checked mode
         rejects a dangling id at the store site."""
@@ -896,12 +891,15 @@ class FlatHeap:
 
         Only the space's id span ships: every resident has an id of at
         least ``lo = min(space._ids)``, so the header/state/slot-base
-        arenas are sliced from ``lo`` (raw ``array('q')`` bytes, one
-        memcpy each) and the slot arena from ``_slot_base[lo]`` — slots
-        are laid out in id order.  The slot arena is a Python list (it
-        holds ids, ``None``, and immediates), so it is lowered to a
-        packed ref arena with non-references encoded as ``-1``; ids
-        are non-negative, so the encoding is unambiguous.  ``below``
+        arenas are sliced from ``lo`` (``array('q')`` slices, one
+        memcpy each, which the marker reads as they are and pickle
+        carries to a worker as they are) and the slot arena from
+        ``_slot_base[lo]`` — slots are laid out in id order.  The slot
+        arena is a Python list (it holds ids, ``None``, and
+        immediates), so it is lowered, one element at a time with no
+        intermediate list, to a packed ``array('q')`` ref plane with
+        non-references encoded as ``-1``; ids are non-negative, so the
+        encoding is unambiguous.  ``below``
         lists the live ids under ``lo`` (residents of other spaces;
         empty whenever this space holds every live object), which is
         what lets the marker tell a boundary reference from a dangling
@@ -914,7 +912,11 @@ class FlatHeap:
         lo = min(space._ids, default=len(state))
         slot_lo = self._slot_base[lo] if lo < len(state) else len(slots)
         refs = array(
-            "q", (x if type(x) is int else -1 for x in slots[slot_lo:])
+            "q",
+            (
+                x if type(x) is int else -1
+                for x in islice(slots, slot_lo, None)
+            ),
         )
         below = (
             []
@@ -924,10 +926,10 @@ class FlatHeap:
         return {
             "lo": lo,
             "slot_lo": slot_lo,
-            "hdr": memoryview(self._hdr)[lo:].tobytes(),
-            "state": memoryview(state)[lo:].tobytes(),
-            "slot_base": memoryview(self._slot_base)[lo:].tobytes(),
-            "refs": refs.tobytes(),
+            "hdr": self._hdr[lo:],
+            "state": state[lo:],
+            "slot_base": self._slot_base[lo:],
+            "refs": refs,
             "below": below,
             "token": space._token,
             "roots": list(root_ids),

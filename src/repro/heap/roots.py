@@ -23,29 +23,29 @@ __all__ = ["Frame", "RootSet"]
 class Frame:
     """One shadow-stack frame: an ordered, growable list of root slots."""
 
-    __slots__ = ("_slots",)
+    __slots__ = ("_cells",)
 
     def __init__(self) -> None:
-        self._slots: list[int | None] = []
+        self._cells: list[int | None] = []
 
     def push(self, obj_id: int | None) -> int:
         """Append a slot holding ``obj_id``; returns its index."""
-        self._slots.append(obj_id)
-        return len(self._slots) - 1
+        self._cells.append(obj_id)
+        return len(self._cells) - 1
 
     def set(self, index: int, obj_id: int | None) -> None:
-        self._slots[index] = obj_id
+        self._cells[index] = obj_id
 
     def get_id(self, index: int) -> int | None:
-        return self._slots[index]
+        return self._cells[index]
 
     def ids(self) -> Iterator[int]:
-        for ref in self._slots:
+        for ref in self._cells:
             if ref is not None:
                 yield ref
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._cells)
 
 
 class RootSet:
@@ -132,7 +132,7 @@ class RootSet:
         """
         return {
             "globals": [[name, ref] for name, ref in self._globals.items()],
-            "frames": [list(frame._slots) for frame in self._stack],
+            "frames": [list(frame._cells) for frame in self._stack],
         }
 
     def import_state(self, state: dict) -> None:
@@ -144,7 +144,7 @@ class RootSet:
         self._stack = []
         for slots in state["frames"]:
             frame = Frame()
-            frame._slots = list(slots)
+            frame._cells = list(slots)
             self._stack.append(frame)
 
     def __len__(self) -> int:

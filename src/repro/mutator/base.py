@@ -104,7 +104,7 @@ class LifetimeDrivenMutator:
         collector = self.collector
         clock = collector.heap.clock
         deaths = self._deaths
-        slots = self._frame._slots
+        slots = self._frame._cells
         free_slots = self._free_slots
         while deaths and deaths[0][0] <= clock:
             _, slot = heapq.heappop(deaths)

@@ -142,7 +142,7 @@ def execute_plan(collector: Collector, plan: AllocationPlan) -> Frame:
     that is not collector work or the minimal root bookkeeping.
     """
     frame = collector.roots.push_frame()
-    slots = frame._slots
+    slots = frame._cells
     slots.extend([None] * plan.slot_count)
     releases = plan.releases
     store = plan.store_slots

@@ -33,7 +33,15 @@ from repro.gc.collector import Collector
 from repro.gc.stats import GcStats
 from repro.heap.backend import make_heap
 from repro.heap.barrier import WriteBarrier
-from repro.heap.flat import FlatHeap, HeapError
+from repro.heap.flat import (
+    _DEAD,
+    _FC_MASK,
+    _FC_SHIFT,
+    _KIND_SHIFT,
+    _TOKEN_MASK,
+    FlatHeap,
+    HeapError,
+)
 from repro.heap.roots import RootSet
 from repro.runtime.values import (
     FLONUM_WORDS,
@@ -51,6 +59,10 @@ __all__ = ["CollectorFactory", "Machine"]
 #: Builds a collector over a freshly created heap and root set.
 CollectorFactory = Callable[[FlatHeap, RootSet], Collector]
 
+
+#: Immediates a slot holds as they are (:meth:`Machine._encode`'s
+#: commonest cases, which the store paths test without calling it).
+_PLAIN_IMMEDIATES = frozenset({type(None), bool, Fixnum})
 
 #: The handle table is swept from the insert path when it outgrows
 #: this many entries, or twice the handles found held by the last such
@@ -149,10 +161,17 @@ class Machine:
         self.roots = RootSet()
         self.collector = collector_factory(self.heap, self.roots)
         self.barrier = WriteBarrier(self.collector.remember_store_id)
-        #: The collector's barrier hook.  The store paths below bump the
-        #: barrier's counters and call it themselves, a frame less than
-        #: ``barrier.on_store``.
-        self._remember = self.collector.remember_store_id
+        #: The collector's barrier hook, or None if it is the base
+        #: class's no-op (mark-sweep, stop-and-copy).  The store paths
+        #: below bump the barrier's counters and call it themselves, a
+        #: frame less than ``barrier.on_store``.
+        remember = self.collector.remember_store_id
+        self._remember = (
+            None
+            if getattr(remember, "__func__", None)
+            is Collector.remember_store_id
+            else remember
+        )
         self.static = self.heap.add_space("static", None)
         #: Object id -> *the* handle of that object, for every object
         #: Python code may still hold one of (and, until the next sweep,
@@ -237,33 +256,46 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _store(self, obj_id: int, slot: int, value: SchemeValue) -> None:
+        """Store ``value`` into an existing slot of ``obj_id`` through
+        the write barrier: barrier, then write, since the SATB barrier
+        reads the slot's old value.  The caller has checked the slot
+        index; the slot arena is written directly."""
         self.operations += 1
         barrier = self.barrier
         heap = self.heap
+        remember = self._remember
         if isinstance(value, Ref):
             # A live handle pins its object, so the handle's id *is*
-            # the store target.
+            # the store target.  Residency in the static area is the
+            # state word's space token (dead and detached words carry
+            # none).
             target_id = value.obj_id
-            static = self.static
+            state = heap._state
+            static_token = self.static._token
             if (
-                heap.space_if_live(obj_id) is static
-                and heap.space_if_live(target_id) is not static
+                state[obj_id] & _TOKEN_MASK == static_token
+                and state[target_id] & _TOKEN_MASK != static_token
             ):
                 raise HeapError(
                     "static objects may only reference static objects"
                 )
             barrier.stores += 1
             barrier.pointer_stores += 1
-            self._remember(obj_id, slot, target_id)
-            heap.store_slot(obj_id, slot, target_id)
+            if remember is not None:
+                remember(obj_id, slot, target_id)
+            if heap.checked and not heap.contains_id(target_id):
+                raise HeapError(f"cannot store dangling object id {target_id}")
+            heap._slots[heap._slot_base[obj_id] + slot] = target_id
         else:
-            encoded = self._encode(value)
+            if type(value) not in _PLAIN_IMMEDIATES:
+                value = self._encode(value)
             barrier.stores += 1
             # The SATB barrier must see pointer *deletions* too:
             # overwriting a reference slot with an immediate kills an
             # edge just as surely as storing None.
-            self._remember(obj_id, slot, None)
-            heap.store_slot(obj_id, slot, encoded)
+            if remember is not None:
+                remember(obj_id, slot, None)
+            heap._slots[heap._slot_base[obj_id] + slot] = value
 
     def _require(self, value: SchemeValue, kind: str) -> int:
         """The object id behind a handle of the given kind."""
@@ -313,24 +345,36 @@ class Machine:
         handles[obj_id] = ref = Ref(obj_id, "pair")
         if len(handles) > self._handle_limit:
             self._sweep_handles()
-        store_slot = heap.store_slot
+        slots = heap._slots
+        base = heap._slot_base[obj_id]
+        remember = self._remember
         barrier = self.barrier
         self.operations += 2
         barrier.stores += 2
         if isinstance(car, Ref):
             target_id = car.obj_id
             barrier.pointer_stores += 1
-            self._remember(obj_id, 0, target_id)
-            store_slot(obj_id, 0, target_id)
+            if remember is not None:
+                remember(obj_id, 0, target_id)
+            if heap.checked and not heap.contains_id(target_id):
+                raise HeapError(f"cannot store dangling object id {target_id}")
+            slots[base] = target_id
+        elif type(car) in _PLAIN_IMMEDIATES:
+            slots[base] = car
         else:
-            store_slot(obj_id, 0, self._encode(car))
+            slots[base] = self._encode(car)
         if isinstance(cdr, Ref):
             target_id = cdr.obj_id
             barrier.pointer_stores += 1
-            self._remember(obj_id, 1, target_id)
-            store_slot(obj_id, 1, target_id)
+            if remember is not None:
+                remember(obj_id, 1, target_id)
+            if heap.checked and not heap.contains_id(target_id):
+                raise HeapError(f"cannot store dangling object id {target_id}")
+            slots[base + 1] = target_id
+        elif type(cdr) in _PLAIN_IMMEDIATES:
+            slots[base + 1] = cdr
         else:
-            store_slot(obj_id, 1, self._encode(cdr))
+            slots[base + 1] = self._encode(cdr)
         if self._allocation_hooks:
             self._notify(obj_id)
         return ref
@@ -432,13 +476,20 @@ class Machine:
         self.operations += 1
         if not isinstance(pair, Ref) or pair.kind != "pair":
             raise TypeError(f"expected a pair, got {pair!r}")
-        value = self.heap.load_ref(pair.obj_id, 0)
+        # A pair has two slots by kind: no field count to decode.
+        heap = self.heap
+        value = heap._slots[heap._slot_base[pair.obj_id]]
         if type(value) is int:
-            # load_ref vouched for the id: a table entry alone would
+            # The load vouches for the id: a table entry alone would
             # not, it can outlive an object the heap has freed.
+            state = heap._state
+            if not 0 <= value < len(state) or state[value] == _DEAD:
+                raise HeapError(f"dangling object id {value}")
             ref = self._handles.get(value)
             if ref is None:
-                ref = self._new_handle(value, self.heap.kind_of(value))
+                ref = self._new_handle(
+                    value, heap._kind_names[heap._hdr[value] >> _KIND_SHIFT]
+                )
             return ref
         return value
 
@@ -446,19 +497,29 @@ class Machine:
         self.operations += 1
         if not isinstance(pair, Ref) or pair.kind != "pair":
             raise TypeError(f"expected a pair, got {pair!r}")
-        value = self.heap.load_ref(pair.obj_id, 1)
+        heap = self.heap
+        value = heap._slots[heap._slot_base[pair.obj_id] + 1]
         if type(value) is int:
+            state = heap._state
+            if not 0 <= value < len(state) or state[value] == _DEAD:
+                raise HeapError(f"dangling object id {value}")
             ref = self._handles.get(value)
             if ref is None:
-                ref = self._new_handle(value, self.heap.kind_of(value))
+                ref = self._new_handle(
+                    value, heap._kind_names[heap._hdr[value] >> _KIND_SHIFT]
+                )
             return ref
         return value
 
     def set_car(self, pair: SchemeValue, value: SchemeValue) -> None:
-        self._store(self._require(pair, "pair"), 0, value)
+        if not isinstance(pair, Ref) or pair.kind != "pair":
+            raise TypeError(f"expected a pair, got {pair!r}")
+        self._store(pair.obj_id, 0, value)
 
     def set_cdr(self, pair: SchemeValue, value: SchemeValue) -> None:
-        self._store(self._require(pair, "pair"), 1, value)
+        if not isinstance(pair, Ref) or pair.kind != "pair":
+            raise TypeError(f"expected a pair, got {pair!r}")
+        self._store(pair.obj_id, 1, value)
 
     # ------------------------------------------------------------------
     # Vectors
@@ -475,32 +536,37 @@ class Machine:
 
     def vector_ref(self, vector: SchemeValue, index: int) -> SchemeValue:
         self.operations += 1
+        if not isinstance(vector, Ref) or vector.kind != "vector":
+            raise TypeError(f"expected a vector, got {vector!r}")
         heap = self.heap
-        obj_id = self._require(vector, "vector")
-        try:
-            value = heap.load_ref(obj_id, index)
-        except HeapError:
-            # The load reports a bad index and a dangling element alike;
-            # only the first is the caller's IndexError.  (Testing the
-            # bounds up front, as vector_set must, costs every read a
-            # call.)
-            if not 0 <= index < heap.slot_count_of(obj_id):
-                raise self._vector_index_error(obj_id, index) from None
-            raise
+        obj_id = vector.obj_id
+        # The bounds come from the header's field count, before the
+        # load: a bad index is the caller's IndexError, and only a
+        # loaded id that names no live object is a HeapError.
+        if not 0 <= index < (heap._hdr[obj_id] >> _FC_SHIFT) & _FC_MASK:
+            raise self._vector_index_error(obj_id, index)
+        value = heap._slots[heap._slot_base[obj_id] + index]
         if type(value) is int:
+            state = heap._state
+            if not 0 <= value < len(state) or state[value] == _DEAD:
+                raise HeapError(f"dangling object id {value}")
             ref = self._handles.get(value)
             if ref is None:
-                ref = self._new_handle(value, heap.kind_of(value))
+                ref = self._new_handle(
+                    value, heap._kind_names[heap._hdr[value] >> _KIND_SHIFT]
+                )
             return ref
         return value
 
     def vector_set(
         self, vector: SchemeValue, index: int, value: SchemeValue
     ) -> None:
-        obj_id = self._require(vector, "vector")
+        if not isinstance(vector, Ref) or vector.kind != "vector":
+            raise TypeError(f"expected a vector, got {vector!r}")
+        obj_id = vector.obj_id
         # Checked here, not left to the store: an out-of-range index
         # must not reach the barrier or the counters.
-        if not 0 <= index < self.heap.slot_count_of(obj_id):
+        if not 0 <= index < (self.heap._hdr[obj_id] >> _FC_SHIFT) & _FC_MASK:
             raise self._vector_index_error(obj_id, index)
         self._store(obj_id, index, value)
 
@@ -522,13 +588,14 @@ class Machine:
         self.operations += 1
         if not isinstance(flonum, Ref) or flonum.kind != "flonum":
             raise TypeError(f"expected a flonum, got {flonum!r}")
-        payload = self.heap.payload_of(flonum.obj_id)
+        payload = self.heap._payloads.get(flonum.obj_id)
         assert isinstance(payload, float)
         return payload
 
     # The arithmetic below reads both operands as flonum_value does
-    # (one operation each), inline: a flonum operation is the unit of
-    # work of the float-heavy programs, and each frame shows.
+    # (one operation each), inline and straight from the payload table:
+    # a flonum operation is the unit of work of the float-heavy
+    # programs, and each frame shows.
 
     def fl_add(self, a: SchemeValue, b: SchemeValue) -> Ref:
         """Flonum addition: allocates the boxed result, as Larceny does."""
@@ -537,8 +604,8 @@ class Machine:
             raise TypeError(f"expected a flonum, got {a!r}")
         if not isinstance(b, Ref) or b.kind != "flonum":
             raise TypeError(f"expected a flonum, got {b!r}")
-        payload_of = self.heap.payload_of
-        x, y = payload_of(a.obj_id), payload_of(b.obj_id)
+        payload = self.heap._payloads.get
+        x, y = payload(a.obj_id), payload(b.obj_id)
         assert isinstance(x, float) and isinstance(y, float)
         return self.make_flonum(x + y)
 
@@ -548,8 +615,8 @@ class Machine:
             raise TypeError(f"expected a flonum, got {a!r}")
         if not isinstance(b, Ref) or b.kind != "flonum":
             raise TypeError(f"expected a flonum, got {b!r}")
-        payload_of = self.heap.payload_of
-        x, y = payload_of(a.obj_id), payload_of(b.obj_id)
+        payload = self.heap._payloads.get
+        x, y = payload(a.obj_id), payload(b.obj_id)
         assert isinstance(x, float) and isinstance(y, float)
         return self.make_flonum(x - y)
 
@@ -559,8 +626,8 @@ class Machine:
             raise TypeError(f"expected a flonum, got {a!r}")
         if not isinstance(b, Ref) or b.kind != "flonum":
             raise TypeError(f"expected a flonum, got {b!r}")
-        payload_of = self.heap.payload_of
-        x, y = payload_of(a.obj_id), payload_of(b.obj_id)
+        payload = self.heap._payloads.get
+        x, y = payload(a.obj_id), payload(b.obj_id)
         assert isinstance(x, float) and isinstance(y, float)
         return self.make_flonum(x * y)
 
@@ -570,8 +637,8 @@ class Machine:
             raise TypeError(f"expected a flonum, got {a!r}")
         if not isinstance(b, Ref) or b.kind != "flonum":
             raise TypeError(f"expected a flonum, got {b!r}")
-        payload_of = self.heap.payload_of
-        x, y = payload_of(a.obj_id), payload_of(b.obj_id)
+        payload = self.heap._payloads.get
+        x, y = payload(a.obj_id), payload(b.obj_id)
         assert isinstance(x, float) and isinstance(y, float)
         return self.make_flonum(x / y)
 
@@ -579,7 +646,7 @@ class Machine:
         self.operations += 1
         if not isinstance(a, Ref) or a.kind != "flonum":
             raise TypeError(f"expected a flonum, got {a!r}")
-        x = self.heap.payload_of(a.obj_id)
+        x = self.heap._payloads.get(a.obj_id)
         assert isinstance(x, float)
         return self.make_flonum(x**0.5)
 
@@ -589,8 +656,8 @@ class Machine:
             raise TypeError(f"expected a flonum, got {a!r}")
         if not isinstance(b, Ref) or b.kind != "flonum":
             raise TypeError(f"expected a flonum, got {b!r}")
-        payload_of = self.heap.payload_of
-        x, y = payload_of(a.obj_id), payload_of(b.obj_id)
+        payload = self.heap._payloads.get
+        x, y = payload(a.obj_id), payload(b.obj_id)
         assert isinstance(x, float) and isinstance(y, float)
         return x < y
 

@@ -103,9 +103,9 @@ class TestFields:
         a = heap.allocate_id(2, 2, space)
         b = heap.allocate_id(2, 0, space)
         heap.store_slot(a, 0, b)
-        assert heap.load_ref(a, 0) == b
+        assert heap.load_slot(a, 0) == b
         heap.store_slot(a, 0, None)
-        assert heap.load_ref(a, 0) is None
+        assert heap.load_slot(a, 0) is None
 
     def test_write_slot_immediate(self, heap):
         space = heap.add_space("s", 10)
