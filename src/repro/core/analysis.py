@@ -309,3 +309,45 @@ def optimal_generation_fraction(
         relative_overhead=estimate.value,
         exact=estimate.exact,
     )
+
+
+def register(subparsers) -> None:
+    """``repro-gc analyze``."""
+    from repro.cli import finite_float
+
+    sub = subparsers.add_parser(
+        "analyze", help="print Section 5 quantities for (g, L)"
+    )
+    sub.add_argument("--g", type=finite_float, default=0.25)
+    sub.add_argument("--load", type=finite_float, default=3.5)
+    sub.set_defaults(func=_cmd_analyze)
+
+
+def _cmd_analyze(args) -> int:
+    import sys
+
+    g, load = args.g, args.load
+    try:
+        estimate = mark_cons_ratio(g, load)
+        relative = relative_overhead(g, load)
+        best = optimal_generation_fraction(load)
+    except ValueError as exc:
+        print(f"repro-gc analyze: error: {exc}", file=sys.stderr)
+        return 2
+    print(f"g = {g}, L = {load}")
+    print(f"l(g,g)                    = {live_fraction(g, g, load):.4f}")
+    print(f"stable equilibrium holds  = {stable_equilibrium_holds(g, load)}")
+    print(
+        f"mark/cons (non-predictive) = {estimate.value:.4f}"
+        f" ({'exact' if estimate.exact else 'lower bound'})"
+    )
+    print(
+        f"mark/cons (mark/sweep)     = "
+        f"{nongenerational_mark_cons(load):.4f}"
+    )
+    print(f"relative overhead          = {relative.value:.4f}")
+    print(
+        f"optimal g for this L       = {best.g:.4f} "
+        f"(overhead {best.relative_overhead:.4f})"
+    )
+    return 0

@@ -13,9 +13,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from repro.gc.registry import GcGeometry, collector_factory
+from repro.gc.registry import COLLECTOR_KINDS, GcGeometry, collector_factory
 from repro.gc.stopcopy import StopAndCopyCollector
-from repro.programs.registry import Benchmark
+from repro.programs.registry import Benchmark, benchmark_names, get_benchmark
 from repro.runtime.machine import Machine
 
 __all__ = [
@@ -79,3 +79,34 @@ def run_benchmark_under(
         minor_collections=stats.minor_collections,
         result=result,
     )
+
+
+def register(subparsers) -> None:
+    """``repro-gc bench``."""
+    sub = subparsers.add_parser(
+        "bench", help="run one benchmark under one collector"
+    )
+    sub.add_argument("name", choices=benchmark_names())
+    sub.add_argument(
+        "--collector", choices=COLLECTOR_KINDS, default="stop-and-copy"
+    )
+    sub.add_argument("--scale", type=int, default=1, choices=(0, 1, 2))
+    sub.set_defaults(func=_cmd_bench)
+
+
+def _cmd_bench(args) -> int:
+    outcome = run_benchmark_under(
+        get_benchmark(args.name), args.collector, scale=args.scale
+    )
+    print(f"benchmark  : {outcome.benchmark}")
+    print(f"collector  : {outcome.collector}")
+    print(f"allocated  : {outcome.words_allocated:,} words")
+    print(f"peak live  : {outcome.peak_live_words:,} words")
+    print(f"gc work    : {outcome.gc_work:,} words")
+    print(f"mark/cons  : {outcome.mark_cons:.4f}")
+    print(f"gc/mutator : {100 * outcome.gc_mutator_ratio:.1f}%")
+    print(
+        f"collections: {outcome.collections} "
+        f"({outcome.minor_collections} minor)"
+    )
+    return 0

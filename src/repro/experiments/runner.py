@@ -249,3 +249,190 @@ def run_experiments(
         journal=journal,
         failures=failures,
     )
+
+
+def register(subparsers) -> None:
+    """``repro-gc list``, ``experiment`` and ``all``."""
+    from repro.cli import non_negative_int, positive_int
+
+    sub = subparsers.add_parser("list", help="list experiments and benchmarks")
+    sub.set_defaults(func=_cmd_list)
+
+    sub = subparsers.add_parser(
+        "experiment", help="regenerate one paper artifact"
+    )
+    sub.add_argument("name", choices=experiment_names())
+    sub.add_argument(
+        "--json",
+        action="store_true",
+        help="emit the result as JSON instead of rendered text",
+    )
+    sub.set_defaults(func=_cmd_experiment)
+
+    sub = subparsers.add_parser("all", help="regenerate every artifact")
+    sub.add_argument(
+        "--output",
+        help="also write each artifact's text and JSON into this directory",
+    )
+    sub.add_argument(
+        "--only", help="comma-separated experiment names to regenerate"
+    )
+    sub.add_argument(
+        "--jobs",
+        type=positive_int,
+        help=(
+            "worker processes for independent experiments "
+            "(default: REPRO_JOBS or 1)"
+        ),
+    )
+    sub.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="ignore and do not update the artifact cache (.repro_cache/)",
+    )
+    sub.add_argument(
+        "--resume",
+        action="store_true",
+        help=(
+            "serve experiments already journalled in "
+            ".repro_cache/journal.json by a killed or quarantine-"
+            "shortened sweep of the same task set and source"
+        ),
+    )
+    sub.add_argument(
+        "--task-timeout",
+        type=float,
+        help=(
+            "per-experiment wall-clock budget in seconds when running "
+            "with --jobs > 1 (default: REPRO_TASK_TIMEOUT or none)"
+        ),
+    )
+    sub.add_argument(
+        "--retries",
+        type=non_negative_int,
+        help=(
+            "extra attempts before a failing experiment is "
+            "quarantined (default: REPRO_TASK_RETRIES or 1)"
+        ),
+    )
+    sub.set_defaults(func=_cmd_all)
+
+
+def _cmd_list(_args) -> int:
+    from repro.programs.registry import BENCHMARKS, EXTRA_BENCHMARKS
+
+    print("experiments:")
+    for experiment in EXPERIMENTS:
+        print(f"  {experiment.name:<14} {experiment.paper_artifact}")
+    print()
+    print("benchmarks (the paper's Table 2):")
+    for benchmark in BENCHMARKS:
+        print(f"  {benchmark.name:<14} {benchmark.description}")
+    print()
+    print("extra workloads:")
+    for benchmark in EXTRA_BENCHMARKS:
+        print(f"  {benchmark.name:<14} {benchmark.description}")
+    return 0
+
+
+def _cmd_experiment(args) -> int:
+    import json
+
+    from repro.experiments.export import to_jsonable
+
+    result, text = run_experiment(args.name)
+    print(json.dumps(to_jsonable(result), indent=2) if args.json else text)
+    return 0
+
+
+def _cmd_all(args) -> int:
+    import time
+    from pathlib import Path
+
+    from repro.perf.cache import CACHE_DIR_NAME, ArtifactCache, source_digest
+    from repro.perf.parallel import default_jobs
+    from repro.resilience.atomic import atomic_write_json, atomic_write_text
+    from repro.resilience.journal import JOURNAL_FILENAME, SweepJournal
+
+    jobs = args.jobs if args.jobs is not None else default_jobs()
+
+    selected = EXPERIMENTS
+    if args.only:
+        wanted = {name.strip() for name in args.only.split(",")}
+        unknown = wanted - set(experiment_names())
+        if unknown:
+            raise SystemExit(f"unknown experiments: {sorted(unknown)}")
+        selected = tuple(e for e in EXPERIMENTS if e.name in wanted)
+    output = Path(args.output) if args.output else None
+    if output is not None:
+        output.mkdir(parents=True, exist_ok=True)
+    cache = None if args.no_cache else ArtifactCache.default()
+
+    names = [experiment.name for experiment in selected]
+    digest = cache.digest if cache is not None else source_digest()
+    journal_path = Path.cwd() / CACHE_DIR_NAME / JOURNAL_FILENAME
+    if args.resume:
+        journal = SweepJournal.resume(journal_path, names, digest)
+        if journal.completed:
+            print(
+                f"resuming: {len(journal.completed)}/{len(names)} "
+                f"experiments already journalled"
+            )
+    else:
+        journal = SweepJournal.fresh(journal_path, names, digest)
+
+    failures: list = []
+    start = time.perf_counter()
+    records = run_experiments(
+        names,
+        jobs=jobs,
+        cache=cache,
+        timeout=args.task_timeout,
+        retries=args.retries,
+        journal=journal,
+        failures=failures,
+    )
+    wall_seconds = time.perf_counter() - start
+    by_name = {record.name: record for record in records}
+    for experiment in selected:
+        record = by_name.get(experiment.name)
+        print(f"=== {experiment.name}: {experiment.paper_artifact} ===")
+        if record is None:
+            print("(quarantined — see the failure report below)")
+            print()
+            continue
+        print(record.text)
+        print()
+        if output is not None:
+            atomic_write_text(
+                output / f"{experiment.name}.txt", record.text + "\n"
+            )
+            atomic_write_json(
+                output / f"{experiment.name}.json", record.payload
+            )
+    if output is not None:
+        print(f"artifacts written to {output}/")
+        print()
+    cache_hits = sum(1 for record in records if record.cached)
+    print("=== timing ===")
+    print(f"{'experiment':<16} {'seconds':>8}  source")
+    for record in records:
+        source = "cache" if record.cached else "run"
+        print(f"{record.name:<16} {record.seconds:>8.2f}  {source}")
+    print(
+        f"{'TOTAL (wall)':<16} {wall_seconds:>8.2f}  "
+        f"jobs={jobs}, cache hits {cache_hits}/{len(records)}"
+    )
+    if failures:
+        print()
+        print(f"[FAIL] {len(failures)} experiment(s) quarantined:")
+        for failure in failures:
+            print(f"  - {failure.summary()}")
+        print(
+            "the journal keeps their quarantine record; rerun with "
+            "--resume to retry just them"
+        )
+        return 1
+    # A fully successful sweep needs no resume point.
+    journal.discard()
+    return 0

@@ -172,3 +172,23 @@ def run_validation() -> list[CheckResult]:
                 )
             )
     return results
+
+
+def register(subparsers) -> None:
+    """``repro-gc validate``."""
+    sub = subparsers.add_parser(
+        "validate",
+        help="quick self-check: verify the paper's claims end to end",
+    )
+    sub.set_defaults(func=_cmd_validate)
+
+
+def _cmd_validate(_args) -> int:
+    results = run_validation()
+    for result in results:
+        print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}")
+        print(f"       {result.detail}")
+    failures = sum(not result.passed for result in results)
+    print()
+    print(f"{len(results) - failures}/{len(results)} paper claims verified")
+    return 1 if failures else 0

@@ -142,3 +142,166 @@ def measure_overhead(
         "metrics_on_seconds": on,
         "overhead_ratio": (on / off) if off > 0 else 1.0,
     }
+
+
+def register(subparsers) -> None:
+    """``repro-gc metrics``."""
+    from repro.cli import non_negative_float, positive_int
+    from repro.experiments.runner import experiment_names
+
+    sub = subparsers.add_parser(
+        "metrics",
+        help=(
+            "the observability plane: pause histograms (p50/p95/max in "
+            "words) and the mark/copy/sweep/root decomposition, from an "
+            "instrumented experiment or a seeded collector sweep"
+        ),
+    )
+    sub.add_argument(
+        "--experiment",
+        default="antiprediction",
+        choices=experiment_names(),
+        help="experiment to run instrumented (default: antiprediction)",
+    )
+    sub.add_argument(
+        "--sweep",
+        action="store_true",
+        help=(
+            "instead of an experiment, fan seeded decay-workload runs "
+            "of every collector over the parallel engine and merge "
+            "their registries deterministically"
+        ),
+    )
+    sub.add_argument(
+        "--runs", type=positive_int, default=1, help="sweep runs per collector"
+    )
+    sub.add_argument(
+        "--jobs",
+        type=positive_int,
+        help="sweep worker processes (default: REPRO_JOBS or 1)",
+    )
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--quick",
+        action="store_true",
+        help="sweep only: ~6x smaller workload per cell",
+    )
+    sub.add_argument(
+        "--json",
+        action="store_true",
+        help="emit the registries as JSON instead of the summary table",
+    )
+    sub.add_argument(
+        "--prometheus",
+        action="store_true",
+        help="emit Prometheus text exposition format instead",
+    )
+    sub.add_argument(
+        "--output",
+        help="also write the registries as a JSON artifact to this path",
+    )
+    sub.add_argument(
+        "--events",
+        help=(
+            "experiment mode only: write the telemetry event stream "
+            "as NDJSON to this path"
+        ),
+    )
+    sub.add_argument(
+        "--overhead",
+        action="store_true",
+        help=(
+            "measure metrics-on vs metrics-off wall-clock on the decay "
+            "workload and fail if the overhead exceeds the tolerance"
+        ),
+    )
+    sub.add_argument(
+        "--overhead-tolerance",
+        type=non_negative_float,
+        default=0.05,
+        help="allowed fractional overhead for --overhead (default 0.05)",
+    )
+    sub.add_argument(
+        "--repeats",
+        type=positive_int,
+        default=3,
+        help="--overhead timing repetitions per mode (best-of-N)",
+    )
+    sub.set_defaults(func=_cmd_metrics)
+
+
+def _cmd_metrics(args) -> int:
+    import json
+    import sys
+    from pathlib import Path
+
+    from repro.metrics.export import (
+        registries_to_jsonable,
+        render_summary,
+        to_prometheus,
+    )
+    from repro.resilience.atomic import atomic_write_json
+
+    if args.overhead:
+        result = measure_overhead(repeats=args.repeats)
+        ratio = result["overhead_ratio"]
+        print(
+            f"metrics-off: {result['metrics_off_seconds'] * 1000:.1f}ms  "
+            f"metrics-on: {result['metrics_on_seconds'] * 1000:.1f}ms  "
+            f"overhead: {100 * (ratio - 1):+.1f}%"
+        )
+        budget = f"{100 * args.overhead_tolerance:.0f}%"
+        if ratio > 1.0 + args.overhead_tolerance:
+            print(f"[FAIL] overhead exceeds {budget}")
+            return 1
+        print(f"[PASS] within the {budget} overhead budget")
+        return 0
+
+    stream = None
+    if args.sweep:
+        from repro.perf.parallel import default_jobs
+
+        jobs = args.jobs if args.jobs is not None else default_jobs()
+        sweep = run_metrics_sweep(
+            runs=args.runs, jobs=jobs, seed=args.seed, quick=args.quick
+        )
+        registries = list(sweep["collectors"].values())
+        source = (
+            f"decay sweep: {args.runs} run(s) per collector, "
+            f"seed {args.seed}, jobs {jobs}"
+        )
+    else:
+        from repro.experiments.runner import run_experiment_instrumented
+
+        _result, _text, session = run_experiment_instrumented(
+            args.experiment
+        )
+        registries = session.registries()
+        stream = session.stream
+        source = f"experiment: {args.experiment}"
+
+    if args.json:
+        print(json.dumps(registries_to_jsonable(registries), indent=2))
+    elif args.prometheus:
+        print(to_prometheus(registries), end="")
+    else:
+        print(f"metrics — {source}")
+        print()
+        print(render_summary(registries))
+    if args.output:
+        path = atomic_write_json(
+            args.output, registries_to_jsonable(registries)
+        )
+        print(f"metrics written to {path}")
+    if args.events:
+        path = Path(args.events)
+        if stream is None:
+            print(
+                "repro-gc metrics: --events requires an experiment run "
+                "(the sweep workers do not share one stream)",
+                file=sys.stderr,
+            )
+            return 2
+        stream.write(path)
+        print(f"{len(stream)} events written to {path}")
+    return 0

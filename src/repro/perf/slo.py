@@ -50,9 +50,8 @@ scheduler noise.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from repro.gc.registry import GcGeometry, collector_factory
 from repro.heap.flat import FlatHeap
@@ -66,9 +65,7 @@ __all__ = [
     "SLO_FACTOR",
     "SLO_FILENAME",
     "SLO_GEOMETRY",
-    "load_slo_report",
     "run_pause_slo",
-    "write_slo_report",
 ]
 
 SLO_FILENAME = "SLO_pause.json"
@@ -233,14 +230,69 @@ def run_pause_slo(*, quick: bool = False, seed: int = 0) -> dict[str, Any]:
     }
 
 
-def load_slo_report(path: Path | str) -> dict[str, Any] | None:
-    path = Path(path)
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
+def register(subparsers) -> None:
+    """``repro-gc slo``."""
+    sub = subparsers.add_parser(
+        "slo",
+        help=(
+            "pause SLO gate: require the incremental collector's p99 "
+            "pause to be at most 1/50 of mark-sweep's full-collection "
+            "p99 on the decay and gcbench workloads, and write the "
+            "measured report to SLO_pause.json"
+        ),
+    )
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--quick",
+        action="store_true",
+        help="~3x smaller decay workload (CI smoke mode)",
+    )
+    sub.add_argument(
+        "--output", help="report path (default: ./SLO_pause.json)"
+    )
+    sub.add_argument(
+        "--no-write",
+        action="store_true",
+        help="measure and judge without touching the report file",
+    )
+    sub.set_defaults(func=_cmd_slo)
 
 
-def write_slo_report(path: Path | str, report: Mapping[str, Any]) -> None:
+def _cmd_slo(args) -> int:
     from repro.resilience.atomic import atomic_write_json
 
-    atomic_write_json(Path(path), report)
+    mode = "quick" if args.quick else "full"
+    print(
+        f"pause SLO ({mode}): incremental p99 pause * {SLO_FACTOR} <= "
+        f"mark-sweep full-collection p99, in words of work"
+    )
+    report = run_pause_slo(quick=args.quick, seed=args.seed)
+    for name, verdict in report["workloads"].items():
+        inc = verdict["incremental"]
+        ratio = verdict["ratio"]
+        mark = "PASS" if verdict["pass"] else "FAIL"
+        print(
+            f"[{mark}] {name:<8} incremental p99 "
+            f"{inc['p99_pause_words']:>6} words over {inc['pauses']} "
+            f"pauses vs full-GC p99 {verdict['full_p99_pause_words']:>6} "
+            f"words (ratio 1/{ratio:.0f})"
+            if ratio is not None
+            else f"[{mark}] {name:<8} unmeasured — no pauses recorded"
+        )
+        conc = verdict.get("concurrent")
+        if conc is not None:
+            cmark = "PASS" if conc["pass"] else "FAIL"
+            print(
+                f"[{cmark}] {name:<8} concurrent mutator-visible p99 "
+                f"{conc['p99_mutator_visible_pause_words']:>6} words over "
+                f"{conc['pauses']} pauses vs incremental p99 "
+                f"{conc['incremental_p99_pause_words']:>6} words"
+                if conc["measured"]
+                else f"[{cmark}] {name:<8} concurrent unmeasured — "
+                f"no handoff pauses recorded"
+            )
+    if not args.no_write:
+        path = Path(args.output) if args.output else Path.cwd() / SLO_FILENAME
+        atomic_write_json(path, report)
+        print(f"written to {path.name}")
+    return 0 if report["pass"] else 1

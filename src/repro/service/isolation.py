@@ -481,3 +481,48 @@ def _shrink_divergence(
     divergence.shrunk_ops = len(shrunk.ops)
     divergence.shrunk_script = shrunk.to_text()
     return divergence
+
+
+def register(subparsers) -> None:
+    """``repro-gc isolation``."""
+    from repro.cli import collector_kinds, non_negative_int, positive_int
+
+    sub = subparsers.add_parser(
+        "isolation",
+        help=(
+            "tenant-isolation suite: interleaved service runs must "
+            "match per-tenant serial replays byte for byte"
+        ),
+    )
+    sub.add_argument("--tenants", type=positive_int, default=8)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--ops", type=positive_int, default=160)
+    sub.add_argument("--shards", type=positive_int, default=2)
+    sub.add_argument("--jobs", type=non_negative_int, default=0)
+    sub.add_argument("--kinds", type=collector_kinds)
+    sub.add_argument("--interleave-seed", type=int)
+    sub.add_argument(
+        "--verbose",
+        action="store_true",
+        help="print shrunk divergence scripts",
+    )
+    sub.set_defaults(func=_cmd_isolation)
+
+
+def _cmd_isolation(args) -> int:
+    report = run_isolation_suite(
+        args.tenants,
+        seed=args.seed,
+        ops_per_tenant=args.ops,
+        shards=args.shards,
+        jobs=args.jobs,
+        kinds=args.kinds or COLLECTOR_KINDS,
+        interleave_seed=args.interleave_seed,
+    )
+    print(report.summary())
+    if not report.ok and args.verbose:
+        for divergence in report.divergences:
+            if divergence.shrunk_script:
+                print(f"--- shrunk script for {divergence.tenant} ---")
+                print(divergence.shrunk_script)
+    return 0 if report.ok else 1

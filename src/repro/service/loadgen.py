@@ -66,6 +66,7 @@ __all__ = [
     "plan_fingerprint",
     "run_load",
     "run_load_inline",
+    "shutdown_server",
     "tenant_geometry",
 ]
 
@@ -537,6 +538,16 @@ class _Connection:
             pass
 
 
+async def shutdown_server(host: str, port: int) -> None:
+    """Send the server at ``host:port`` the ``shutdown`` op."""
+    reader, writer = await asyncio.open_connection(host, port)
+    connection = _Connection(reader, writer)
+    await connection.request(
+        {"v": PROTOCOL_VERSION, "id": "load:bye", "op": "shutdown"}
+    )
+    await connection.close()
+
+
 async def run_load(
     plan: LoadPlan,
     host: str,
@@ -607,3 +618,176 @@ async def run_load(
         server_stats=server_stats,
         metrics=metrics,
     )
+
+
+def register(subparsers) -> None:
+    """``repro-gc load``."""
+    from repro.cli import (
+        collector_kinds,
+        host_port,
+        non_negative_float,
+        non_negative_int,
+        positive_int,
+    )
+
+    sub = subparsers.add_parser(
+        "load",
+        help=(
+            "closed-loop load generator: seeded multi-tenant traffic "
+            "against a live server (--connect) or a self-hosted one"
+        ),
+    )
+    sub.add_argument("--tenants", type=positive_int, default=200)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--profile",
+        choices=("decay", "burst", "session-tail", "mixed"),
+        default="mixed",
+    )
+    sub.add_argument(
+        "--kinds",
+        type=collector_kinds,
+        help="comma-separated collector kinds (default: all seven)",
+    )
+    sub.add_argument(
+        "--ops", type=positive_int, default=300, help="ops per tenant (approx)"
+    )
+    sub.add_argument("--connections", type=positive_int, default=8)
+    sub.add_argument(
+        "--connect",
+        type=host_port,
+        metavar="HOST:PORT",
+        help="drive an already-running server instead of self-hosting",
+    )
+    sub.add_argument(
+        "--shutdown",
+        action="store_true",
+        help="send a shutdown op after the load (with --connect)",
+    )
+    sub.add_argument(
+        "--shards",
+        type=positive_int,
+        default=2,
+        help="self-hosted server shards",
+    )
+    sub.add_argument(
+        "--jobs",
+        type=non_negative_int,
+        default=0,
+        help="self-hosted server jobs",
+    )
+    sub.add_argument("--tenant-cap", type=int)
+    sub.add_argument(
+        "--report", help="write the scale report JSON to this path"
+    )
+    sub.add_argument(
+        "--check",
+        metavar="REPORT",
+        help=(
+            "gate against a committed scale report: schema validity "
+            "plus p99 mutator-visible pause regression"
+        ),
+    )
+    sub.add_argument(
+        "--tolerance",
+        type=non_negative_float,
+        default=1.25,
+        help="allowed p99 growth factor for --check",
+    )
+    sub.add_argument(
+        "--fingerprint",
+        action="store_true",
+        help="print the plan fingerprint (no traffic) and exit",
+    )
+    sub.add_argument(
+        "--allow-errors",
+        action="store_true",
+        help="do not fail the run on error responses",
+    )
+    sub.set_defaults(func=_cmd_load)
+
+
+def _cmd_load(args) -> int:
+    import sys
+
+    from repro.resilience.atomic import atomic_write_json
+    from repro.service.report import (
+        build_scale_report,
+        check_pause_regression,
+        render_scale_report,
+        validate_scale_report,
+    )
+    from repro.service.server import HeapServer
+
+    if args.check:
+        # The gate's baseline is read and validated before any traffic.
+        try:
+            with open(args.check, encoding="utf-8") as handle:
+                committed = json.load(handle)
+        except (OSError, ValueError) as exc:
+            print(f"repro-gc load: error: --check: {exc}", file=sys.stderr)
+            return 2
+        problems = validate_scale_report(committed)
+        if problems:
+            for problem in problems:
+                print(f"gate: {problem}")
+            return 1
+    plan = build_plan(
+        args.tenants,
+        seed=args.seed,
+        profile=args.profile,
+        kinds=args.kinds or COLLECTOR_KINDS,
+        ops_per_tenant=args.ops,
+    )
+    if args.fingerprint:
+        print(plan_fingerprint(plan))
+        return 0
+
+    async def run():
+        if args.connect is not None:
+            result = await run_load(
+                plan, *args.connect, connections=args.connections
+            )
+            if args.shutdown:
+                await shutdown_server(*args.connect)
+            return result, "server"
+        server = HeapServer(
+            shards=args.shards, jobs=args.jobs, tenant_cap=args.tenant_cap
+        )
+        port = await server.start()
+        try:
+            result = await run_load(
+                plan, "127.0.0.1", port, connections=args.connections
+            )
+        finally:
+            await server.close()
+        return result, "self-serve"
+
+    try:
+        result, mode = asyncio.run(run())
+    except OSError as exc:  # nothing listening, or the server went away
+        print(f"repro-gc load: error: {exc}", file=sys.stderr)
+        return 1
+    report = build_scale_report(plan, result, mode=mode)
+    problems = validate_scale_report(report)
+    print(render_scale_report(report))
+    if problems:
+        for problem in problems:
+            print(f"schema: {problem}")
+        return 1
+    if result.error_total and not args.allow_errors:
+        print(f"load run saw {result.error_total} error response(s)")
+        return 1
+    if args.report:
+        atomic_write_json(args.report, report)
+        print(f"wrote {args.report}")
+    if args.check:
+        gate = check_pause_regression(
+            report, committed, tolerance=args.tolerance
+        )
+        if gate:
+            for problem in gate:
+                print(f"gate: {problem}")
+            return 1
+        print(f"gate: p99 pauses within {args.tolerance}x of {args.check}")
+    return 0

@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import sys
 from typing import Any
 
 from repro.metrics.export import to_prometheus
@@ -501,3 +502,86 @@ class HeapServer:
                 outboxes.setdefault(peer, []).append(encode_line(response))
         for peer, lines in outboxes.items():
             peer.deliver(lines)
+
+
+def register(subparsers) -> None:
+    """``repro-gc serve``."""
+    from repro.cli import non_negative_int, port, positive_int
+
+    sub = subparsers.add_parser(
+        "serve",
+        help=(
+            "GC-as-a-service: host tenant heaps behind a line-JSON TCP "
+            "server, sharded across worker processes"
+        ),
+    )
+    sub.add_argument("--host", default="127.0.0.1")
+    sub.add_argument(
+        "--port",
+        type=port,
+        default=0,
+        help="TCP port (0 binds an ephemeral port and prints it)",
+    )
+    sub.add_argument("--shards", type=positive_int, default=2)
+    sub.add_argument(
+        "--jobs",
+        type=non_negative_int,
+        default=0,
+        help=(
+            "worker processes for shard batches; 0 runs shards inline "
+            "in the server process (deterministic reference mode)"
+        ),
+    )
+    sub.add_argument(
+        "--tenant-cap",
+        type=int,
+        help="per-shard open-tenant limit (admission control)",
+    )
+    sub.add_argument(
+        "--task-timeout",
+        type=float,
+        help="seconds before a wedged shard batch is drained",
+    )
+    sub.add_argument(
+        "--task-retries",
+        type=int,
+        help="replay attempts for a lost shard batch",
+    )
+    sub.set_defaults(func=_cmd_serve)
+
+
+def _cmd_serve(args) -> int:
+    server = HeapServer(
+        shards=args.shards,
+        jobs=args.jobs,
+        tenant_cap=args.tenant_cap,
+        timeout=args.task_timeout,
+        retries=args.task_retries,
+    )
+
+    async def run() -> None:
+        port = await server.start(args.host, args.port)
+        # The bound port on one parseable line, flushed immediately, so
+        # scripts (and the CI smoke job) can serve on port 0 and read
+        # back where the listener landed.
+        print(f"repro-gc serve: listening on {args.host}:{port}", flush=True)
+        print(
+            f"  shards={args.shards} jobs={args.jobs} "
+            f"tenant_cap={args.tenant_cap}",
+            flush=True,
+        )
+        try:
+            await server.serve_until_closed()
+        finally:
+            stats = server.stats()
+            print(f"repro-gc serve: closed after {stats}", flush=True)
+
+    try:
+        asyncio.run(run())
+    except KeyboardInterrupt:
+        # Ctrl-C cancels serve_until_closed before server.close() runs.
+        server.executor.close()
+    except OSError as exc:  # the address is taken, or not ours to bind
+        print(f"repro-gc serve: error: {exc}", file=sys.stderr)
+        return 1
+    return 0

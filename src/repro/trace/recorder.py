@@ -118,3 +118,86 @@ def record_run(program, epoch_words: int) -> LifetimeTrace:
     recorder = LifetimeRecorder(machine, epoch_words)
     program(machine)
     return recorder.finish()
+
+
+def register(subparsers) -> None:
+    """``repro-gc trace record|survival|profile``."""
+    from repro.cli import positive_int
+    from repro.programs.registry import benchmark_names
+
+    sub = subparsers.add_parser(
+        "trace", help="record and analyze lifetime traces"
+    )
+    trace_sub = sub.add_subparsers(dest="trace_command", required=True)
+    rec = trace_sub.add_parser("record", help="record a benchmark's trace")
+    rec.add_argument("benchmark", choices=benchmark_names())
+    rec.add_argument("-o", "--output", required=True)
+    rec.add_argument("--scale", type=int, default=0, choices=(0, 1, 2))
+    rec.add_argument(
+        "--epochs",
+        type=positive_int,
+        default=50,
+        help="death-time resolution: samples per run",
+    )
+    rec.set_defaults(func=_cmd_record)
+    srv = trace_sub.add_parser(
+        "survival", help="survival-by-age table from a saved trace"
+    )
+    srv.add_argument("file")
+    srv.add_argument("--age-step", type=positive_int)
+    srv.add_argument("--brackets", type=positive_int, default=9)
+    srv.set_defaults(func=_cmd_analyze)
+    prof = trace_sub.add_parser(
+        "profile", help="live-storage profile from a saved trace"
+    )
+    prof.add_argument("file")
+    prof.add_argument("--epoch", type=positive_int)
+    prof.set_defaults(func=_cmd_analyze)
+
+
+def _cmd_record(args) -> int:
+    from repro.programs.registry import get_benchmark
+    from repro.trace.io import save_trace
+
+    benchmark = get_benchmark(args.benchmark)
+    # A dry run sizes the sampling epoch from the total allocation.
+    dry = Machine(TracingCollector)
+    benchmark.run(dry, args.scale)
+    epoch = max(1, dry.stats.words_allocated // args.epochs)
+    trace = record_run(
+        lambda machine: benchmark.run(machine, args.scale), epoch
+    )
+    save_trace(trace, args.output)
+    print(
+        f"recorded {trace.object_count:,} objects "
+        f"({trace.words_allocated:,} words, epoch {epoch:,}) "
+        f"to {args.output}"
+    )
+    return 0
+
+
+def _cmd_analyze(args) -> int:
+    """``trace survival`` and ``trace profile``: read a saved trace."""
+    import sys
+
+    from repro.trace.io import load_trace
+    from repro.trace.profile import storage_profile
+    from repro.trace.survival import survival_table
+
+    try:
+        trace = load_trace(args.file)
+    except (OSError, ValueError) as exc:  # TraceFormatError, bad bytes
+        print(
+            f"repro-gc trace {args.trace_command}: error: {exc}",
+            file=sys.stderr,
+        )
+        return 2
+    span = max(1, trace.end_clock - trace.start_clock)
+    if args.trace_command == "survival":
+        age_step = args.age_step or max(1, span // 12)
+        table = survival_table(trace, age_step, bracket_count=args.brackets)
+        print(table.to_text())
+        return 0
+    epoch = args.epoch or max(1, span // 20)
+    print(storage_profile(trace, epoch).to_text())
+    return 0

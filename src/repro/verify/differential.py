@@ -648,3 +648,149 @@ def run_differential(
     return collector_suite(kinds, geometry=geometry, factories=factories).run(
         script, checked=checked
     )
+
+
+def register(subparsers) -> None:
+    """``repro-gc verify``: one suite per run, picked by its mode flag."""
+    from repro.cli import positive_int, slice_budget
+
+    sub = subparsers.add_parser(
+        "verify",
+        help=(
+            "differential GC check: replay one random mutator script "
+            "under every collector and compare live graphs"
+        ),
+    )
+    sub.add_argument(
+        "--ops", type=positive_int, default=2000, help="script length in ops"
+    )
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--collectors",
+        nargs="+",
+        choices=COLLECTOR_KINDS,
+        default=list(COLLECTOR_KINDS),
+        help="collectors to compare (first is the reference)",
+    )
+    sub.add_argument(
+        "--max-live",
+        type=int,
+        default=40,
+        help="live-storage budget the generated script stays under",
+    )
+    sub.add_argument(
+        "--no-shrink",
+        action="store_true",
+        help="on failure, skip minimizing the counterexample",
+    )
+    sub.add_argument(
+        "--unchecked",
+        action="store_true",
+        help="skip the per-collection heap-invariant audit",
+    )
+    # The suites are alternatives: at most one mode flag per run.
+    mode = sub.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--budgets",
+        nargs="*",
+        type=slice_budget,
+        metavar="BUDGET",
+        help=(
+            "interruption-equivalence suite: replay the script under "
+            "mark-sweep and under the incremental collector at each "
+            "slice budget ('inf' = unbounded; default 1 7 64 inf), "
+            "and require identical graphs, stats, and survivor sets at "
+            "every budget"
+        ),
+    )
+    mode.add_argument(
+        "--concurrent",
+        action="store_true",
+        help=(
+            "concurrent-equivalence suite: replay the script under "
+            "mark-sweep, the unbounded incremental collector, and the "
+            "concurrent collector with both inline and worker-process "
+            "markers, and require identical graphs, stats, pause logs, "
+            "and survivor sets"
+        ),
+    )
+    mode.add_argument(
+        "--resume",
+        action="store_true",
+        help=(
+            "resume-equivalence suite: replay the script under every "
+            "collector, checkpoint/restoring the entire context through "
+            "its serialized snapshot at every allocation safepoint, and "
+            "require checkpoints, stats, pauses, and survivors "
+            "byte-identical to an uninterrupted run"
+        ),
+    )
+    sub.add_argument(
+        "--resume-interval",
+        type=int,
+        default=1,
+        help=(
+            "--resume only: checkpoint/restore after every Nth "
+            "allocation safepoint (default 1 = every allocation)"
+        ),
+    )
+    sub.set_defaults(func=_cmd_verify)
+
+
+def _cmd_verify(args) -> int:
+    import sys
+
+    from repro.verify.replay import generate_script
+    from repro.verify.shrink import shrink_script
+
+    # The mode flags pick the suite and what it is built from.
+    kinds = tuple(args.collectors)
+    try:
+        script = generate_script(
+            args.ops, args.seed, max_live_words=args.max_live
+        )
+        if args.budgets is not None:
+            name = "budgets"
+            options = {"budgets": tuple(args.budgets)} if args.budgets else {}
+        elif args.concurrent:
+            name, options = "concurrent", {}
+        elif args.resume:
+            name = "resume"
+            options = {"kinds": kinds, "resume_interval": args.resume_interval}
+        else:
+            name, options = "collectors", {"kinds": kinds}
+        suite = SUITES[name](**options)
+    except ValueError as exc:
+        print(f"repro-gc verify: error: {exc}", file=sys.stderr)
+        return 2
+    checked = not args.unchecked
+    # The budget, concurrent and resume suites keep the heading they
+    # printed when they ran once per heap backend.
+    heading = "" if name == "collectors" else "backend flat: "
+    report = suite.run(script, checked=checked)
+    if report.ok:
+        print(f"[PASS] {heading}{report.summary()}")
+        if name == "collectors":
+            # The collector suite also lists every replay.
+            for label, result in report.results.items():
+                print(
+                    f"       {label:<14} "
+                    f"collections={result.collections:<4} "
+                    f"checkpoints={len(result.checkpoints)}"
+                )
+        return 0
+    print(f"[FAIL] {heading}{report.summary()}")
+    if not args.no_shrink:
+        where = f" ({heading[:-2]})" if heading else ""
+        print()
+        print(f"shrinking the counterexample{where} ...")
+
+        def fails(candidate) -> bool:
+            return not suite.run(candidate, checked=checked).ok
+
+        small = shrink_script(script, fails)
+        print(f"minimal failing script ({len(small.ops)} ops):")
+        print(small.to_text())
+        print()
+        print(suite.run(small, checked=checked).summary())
+    return 1
