@@ -88,6 +88,18 @@ class TestOutcomeScoring:
         assert not matrix.ok
         assert list(matrix.failures()) == [bad]
 
+    def test_a_matrix_that_injected_nothing_is_not_ok(self):
+        matrix = DetectionMatrix(
+            seed=0,
+            op_count=10,
+            collectors=("mark-sweep",),
+            kinds=("dangling-slot",),
+            outcomes=(self._outcome("n/a"),),
+        )
+        assert not matrix.injected
+        assert not matrix.ok
+        assert matrix.failures() == ()
+
 
 class TestSnapshotChaos:
     @pytest.fixture(scope="class")

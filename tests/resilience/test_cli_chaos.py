@@ -52,3 +52,15 @@ class TestChaosCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
+
+    def test_a_run_that_injects_no_fault_fails(self, capsys):
+        """mark-sweep never has a live mark wavefront, so no safepoint
+        injection finds a target: a matrix of n/a cells tested
+        nothing."""
+        code = main(
+            ["chaos", "--quick", "--collectors", "mark-sweep", "--safepoint"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "FAIL: seed=0 ops=160 n/a=6" in captured.out
+        assert "[FAIL] no cell injected a fault" in captured.err

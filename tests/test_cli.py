@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 from dataclasses import replace
 from pathlib import Path
 
@@ -159,6 +160,18 @@ class TestUsageErrors:
             ["load", "--connections", "0"],
             ["load", "--ops", "0"],
             ["snapshot", "save", "{out}", "--ops", "0"],
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-1"],
+            ["load", "--kinds", ",,", "--fingerprint"],
+            ["isolation", "--kinds", ",,"],
+            ["analyze", "--load", "inf"],
+            ["load", "--connect", "nohost", "--fingerprint"],
+            ["load", "--connect", ":abc", "--fingerprint"],
+            ["load", "--connect", "127.0.0.1:65536", "--fingerprint"],
+            ["metrics", "--overhead", "--overhead-tolerance", "nan"],
+            ["metrics", "--overhead", "--overhead-tolerance", "-1"],
+            ["load", "--tolerance", "nan", "--fingerprint"],
+            ["load", "--tolerance", "-0.5", "--fingerprint"],
         ],
     )
     def test_bad_arguments_exit_2_with_one_error_line(
@@ -435,3 +448,61 @@ class TestServiceCommands:
             main(["load", "--kinds", "warp-speed", "--fingerprint"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["load", "--profile", "thermal"])
+
+
+class TestServiceFailures:
+    """Service inputs that used to end in a traceback, or in a full
+    load run before the traceback."""
+
+    LOAD = ["load", "--tenants", "2", "--ops", "10"]
+
+    @staticmethod
+    def _one_error_line(err: str, command: str) -> None:
+        assert err.startswith(f"repro-gc {command}: error:"), err
+        assert len(err.splitlines()) == 1, err
+
+    def test_nothing_listening_is_one_error_line(self, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert main([*self.LOAD, "--connect", f"127.0.0.1:{port}"]) == 1
+        self._one_error_line(capsys.readouterr().err, "load")
+
+    def test_serving_on_a_taken_port_is_one_error_line(self, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.listen()
+            port = sock.getsockname()[1]
+            assert main(["serve", "--port", str(port)]) == 1
+        self._one_error_line(capsys.readouterr().err, "serve")
+
+    @pytest.mark.parametrize("content", [None, "", '{"rows": [\n'])
+    def test_unreadable_check_report_stops_before_any_traffic(
+        self, content, tmp_path, capsys
+    ):
+        path = tmp_path / "scale.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([*self.LOAD, "--check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self._one_error_line(captured.err, "load")
+
+    def test_check_report_of_the_wrong_shape_stops_before_any_traffic(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "scale.json"
+        path.write_text('{"version": 0, "rows": []}')
+        assert main([*self.LOAD, "--check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("gate: ")
+        assert "total:" not in out
+
+    def test_report_is_written_atomically_into_a_new_directory(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "new" / "scale.json"
+        assert main([*self.LOAD, "--report", str(path)]) == 0
+        text = path.read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
