@@ -107,6 +107,14 @@ def non_negative_float(token: str) -> float:
     return value
 
 
+def positive_float(token: str) -> float:
+    """A ``--task-timeout`` in seconds: a finite real number above 0."""
+    value = finite_float(token)
+    if value <= 0:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
 def collector_kinds(token: str) -> tuple[str, ...]:
     """A comma-separated, non-empty list of registered collector kinds."""
     kinds = tuple(part.strip() for part in token.split(",") if part.strip())
@@ -116,6 +124,18 @@ def collector_kinds(token: str) -> tuple[str, ...]:
             f"; got {token!r}"
         )
     return kinds
+
+
+def experiment_selection(token: str) -> tuple[str, ...]:
+    """A comma-separated, non-empty list of registered experiments."""
+    names = tuple(part.strip() for part in token.split(",") if part.strip())
+    known = runner.experiment_names()
+    if not names or not set(names) <= set(known):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated experiments of {', '.join(known)}"
+            f"; got {token!r}"
+        )
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:

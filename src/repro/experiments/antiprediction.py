@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.decay import LN2
-from repro.gc.collector import Collector
 from repro.gc.generational import GenerationalCollector
 from repro.gc.marksweep import MarkSweepCollector
 from repro.gc.nonpredictive import NonPredictiveCollector
@@ -60,19 +59,6 @@ class AntipredictionResult:
         return self.mark_cons["non-predictive"] < self.mark_cons["mark-sweep"]
 
 
-def _steady_mark_cons(collector: Collector) -> float:
-    pauses = collector.stats.pauses
-    half = len(pauses) // 2
-    if half < 1:
-        raise RuntimeError(
-            f"{collector.name}: too few collections for a steady-state "
-            f"measurement ({len(pauses)})"
-        )
-    work = sum(pause.work for pause in pauses[half:])
-    allocated = pauses[-1].clock - pauses[half - 1].clock
-    return work / allocated
-
-
 def run_antiprediction(
     *,
     half_life: float = 2_000.0,
@@ -94,7 +80,7 @@ def run_antiprediction(
             collector, roots, DecaySchedule(half_life, seed=seed)
         )
         mutator.run(workload_words)
-        return _steady_mark_cons(collector)
+        return collector.stats.steady_mark_cons()
 
     mark_cons = {
         "mark-sweep": run_one(

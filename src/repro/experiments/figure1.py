@@ -107,15 +107,8 @@ def simulate_relative_overhead(
         collector, roots, DecaySchedule(half_life, seed=seed)
     )
     mutator.run(cycles * heap_words)
-    pauses = collector.stats.pauses
-    half = len(pauses) // 2
-    if half < 1:
-        raise RuntimeError(
-            "simulation too short: no steady-state collections observed"
-        )
-    work = sum(pause.work for pause in pauses[half:])
-    allocated = pauses[-1].clock - pauses[half - 1].clock
-    simulated = (work / allocated) / analysis.nongenerational_mark_cons(load)
+    steady = collector.stats.steady_mark_cons()
+    simulated = steady / analysis.nongenerational_mark_cons(load)
     predicted = analysis.relative_overhead(g, load)
     return SimulationPoint(
         g=g,

@@ -64,16 +64,6 @@ class HazardResult:
         raise KeyError(f"no hazard point for shape {shape!r}")
 
 
-def _steady_mark_cons(collector) -> float:
-    pauses = collector.stats.pauses
-    half = len(pauses) // 2
-    if half < 1:
-        return collector.stats.mark_cons
-    work = sum(pause.work for pause in pauses[half:])
-    allocated = pauses[-1].clock - pauses[half - 1].clock
-    return work / allocated if allocated else 0.0
-
-
 def run_hazard(
     *,
     shapes: tuple[float, ...] = (0.5, 0.7, 1.0, 1.5, 2.5),
@@ -106,7 +96,7 @@ def run_hazard(
             generational, roots, WeibullSchedule(scale, shape, seed=seed)
         )
         mutator.run(cycles * heap_words)
-        gen_cost = _steady_mark_cons(generational)
+        gen_cost = generational.stats.steady_mark_cons()
 
         heap = FlatHeap()
         roots = RootSet()
@@ -117,7 +107,7 @@ def run_hazard(
             nonpredictive, roots, WeibullSchedule(scale, shape, seed=seed)
         )
         mutator.run(cycles * heap_words)
-        np_cost = _steady_mark_cons(nonpredictive)
+        np_cost = nonpredictive.stats.steady_mark_cons()
 
         points.append(
             HazardPoint(

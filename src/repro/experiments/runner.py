@@ -214,7 +214,6 @@ def run_experiments(
     cache=None,
     timeout=None,
     retries=None,
-    journal=None,
     failures=None,
 ):
     """Regenerate several artifacts, optionally in parallel and cached.
@@ -226,7 +225,7 @@ def run_experiments(
     :class:`~repro.perf.parallel.ExperimentRecord` objects, which carry
     the rendered text and the JSON-able payload rather than live result
     objects — see that module for why.  The resilience knobs
-    (``timeout``, ``retries``, ``journal``, ``failures``) pass through
+    (``timeout``, ``retries``, ``failures``) pass through
     to the hardened engine untouched; a quarantined experiment's name
     is absent from the returned records and described in ``failures``.
     """
@@ -246,14 +245,18 @@ def run_experiments(
         cache=cache,
         timeout=timeout,
         retries=retries,
-        journal=journal,
         failures=failures,
     )
 
 
 def register(subparsers) -> None:
     """``repro-gc list``, ``experiment`` and ``all``."""
-    from repro.cli import non_negative_int, positive_int
+    from repro.cli import (
+        experiment_selection,
+        non_negative_int,
+        positive_float,
+        positive_int,
+    )
 
     sub = subparsers.add_parser("list", help="list experiments and benchmarks")
     sub.set_defaults(func=_cmd_list)
@@ -275,7 +278,9 @@ def register(subparsers) -> None:
         help="also write each artifact's text and JSON into this directory",
     )
     sub.add_argument(
-        "--only", help="comma-separated experiment names to regenerate"
+        "--only",
+        type=experiment_selection,
+        help="comma-separated experiment names to regenerate",
     )
     sub.add_argument(
         "--jobs",
@@ -291,17 +296,8 @@ def register(subparsers) -> None:
         help="ignore and do not update the artifact cache (.repro_cache/)",
     )
     sub.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "serve experiments already journalled in "
-            ".repro_cache/journal.json by a killed or quarantine-"
-            "shortened sweep of the same task set and source"
-        ),
-    )
-    sub.add_argument(
         "--task-timeout",
-        type=float,
+        type=positive_float,
         help=(
             "per-experiment wall-clock budget in seconds when running "
             "with --jobs > 1 (default: REPRO_TASK_TIMEOUT or none)"
@@ -349,38 +345,21 @@ def _cmd_all(args) -> int:
     import time
     from pathlib import Path
 
-    from repro.perf.cache import CACHE_DIR_NAME, ArtifactCache, source_digest
+    from repro.perf.cache import ArtifactCache
     from repro.perf.parallel import default_jobs
     from repro.resilience.atomic import atomic_write_json, atomic_write_text
-    from repro.resilience.journal import JOURNAL_FILENAME, SweepJournal
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
 
     selected = EXPERIMENTS
     if args.only:
-        wanted = {name.strip() for name in args.only.split(",")}
-        unknown = wanted - set(experiment_names())
-        if unknown:
-            raise SystemExit(f"unknown experiments: {sorted(unknown)}")
-        selected = tuple(e for e in EXPERIMENTS if e.name in wanted)
+        selected = tuple(e for e in EXPERIMENTS if e.name in args.only)
     output = Path(args.output) if args.output else None
     if output is not None:
         output.mkdir(parents=True, exist_ok=True)
     cache = None if args.no_cache else ArtifactCache.default()
 
     names = [experiment.name for experiment in selected]
-    digest = cache.digest if cache is not None else source_digest()
-    journal_path = Path.cwd() / CACHE_DIR_NAME / JOURNAL_FILENAME
-    if args.resume:
-        journal = SweepJournal.resume(journal_path, names, digest)
-        if journal.completed:
-            print(
-                f"resuming: {len(journal.completed)}/{len(names)} "
-                f"experiments already journalled"
-            )
-    else:
-        journal = SweepJournal.fresh(journal_path, names, digest)
-
     failures: list = []
     start = time.perf_counter()
     records = run_experiments(
@@ -389,7 +368,6 @@ def _cmd_all(args) -> int:
         cache=cache,
         timeout=args.task_timeout,
         retries=args.retries,
-        journal=journal,
         failures=failures,
     )
     wall_seconds = time.perf_counter() - start
@@ -428,11 +406,6 @@ def _cmd_all(args) -> int:
         print(f"[FAIL] {len(failures)} experiment(s) quarantined:")
         for failure in failures:
             print(f"  - {failure.summary()}")
-        print(
-            "the journal keeps their quarantine record; rerun with "
-            "--resume to retry just them"
-        )
+        print("rerun to retry just them")
         return 1
-    # A fully successful sweep needs no resume point.
-    journal.discard()
     return 0

@@ -78,16 +78,6 @@ class WeakHypothesisResult:
         return self.points[-1]
 
 
-def _steady_mark_cons(collector) -> float:
-    pauses = collector.stats.pauses
-    half = len(pauses) // 2
-    if half < 1:
-        return collector.stats.mark_cons
-    work = sum(pause.work for pause in pauses[half:])
-    allocated = pauses[-1].clock - pauses[half - 1].clock
-    return work / allocated if allocated else 0.0
-
-
 def run_weak_hypothesis(
     *,
     young_fraction: float = 0.9,
@@ -111,7 +101,7 @@ def run_weak_hypothesis(
             ),
         )
         mutator.run(workload_words)
-        return _steady_mark_cons(collector)
+        return collector.stats.steady_mark_cons()
 
     points = []
     for heap_words in sorted(heap_sizes):

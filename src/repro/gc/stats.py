@@ -110,6 +110,24 @@ class GcStats:
             return 0.0
         return self.gc_work / denominator
 
+    def steady_mark_cons(self) -> float:
+        """The mark/cons ratio over the second half of the collections.
+
+        The work of those collections over the words allocated since
+        the collection before them: the start-up transient, while the
+        heap first fills, is left out.  Raises on fewer than two
+        collections, which leave no steady state to measure.
+        """
+        half = len(self.pauses) // 2
+        if half < 1:
+            raise RuntimeError(
+                "too few collections for a steady-state measurement "
+                f"({len(self.pauses)})"
+            )
+        work = sum(pause.work for pause in self.pauses[half:])
+        allocated = self.pauses[-1].clock - self.pauses[half - 1].clock
+        return work / allocated
+
     @property
     def max_pause_work(self) -> int:
         """Largest single-collection work (a pause-time analogue)."""

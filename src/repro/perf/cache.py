@@ -1,11 +1,11 @@
 """On-disk artifact cache keyed by the source tree's digest.
 
-Every experiment is a pure function of (its name, its parameters, the
-``repro`` package's source), so an artifact produced once is valid
-until the source changes.  The cache stores one JSON file per entry
-under ``.repro_cache/`` and bakes a key of
+Every experiment is a pure function of (its name, the ``repro``
+package's source), so an artifact produced once is valid until the
+source changes.  The cache stores one JSON file per entry under
+``.repro_cache/`` and bakes a key of
 
-    sha256(name, canonical-JSON(params), source digest)
+    sha256(name, source digest)
 
 into both the filename and the entry body.  Any edit to any ``.py``
 file under ``src/repro/`` changes the digest, which changes every key,
@@ -13,26 +13,28 @@ which makes every old entry unreachable — invalidation is automatic
 and conservative (there is no per-module dependency tracking; touching
 a docstring invalidates everything).
 
-Stale files from earlier digests are left on disk until
-:meth:`ArtifactCache.clear` removes them; they are small and harmless.
+The cache is also a sweep's resume point: ``repro-gc all`` stores each
+experiment the moment it settles, so a sweep killed at any instant
+loses only the experiments in flight, and rerunning it serves the rest.
+Each entry carries a SHA-256 checksum of its canonical value; an entry
+whose value no longer matches it (bit rot, a hand edit) is a miss with
+a :class:`RuntimeWarning`, so a damaged entry costs one rerun and is
+never served.  Stale files from earlier digests are left on disk; they
+are small and harmless.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
+import warnings
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = ["ArtifactCache", "CACHE_DIR_NAME", "source_digest"]
 
 #: Directory created next to wherever ``repro-gc all`` runs.
 CACHE_DIR_NAME = ".repro_cache"
-
-#: The default parameter marker: experiments run from the registry take
-#: only their defaults, so their parameter dict is empty.
-_DEFAULT_PARAMS: Mapping[str, Any] = {}
 
 
 def source_digest(package_root: Path | None = None) -> str:
@@ -53,6 +55,12 @@ def source_digest(package_root: Path | None = None) -> str:
         digest.update(path.read_bytes())
         digest.update(b"\0")
     return digest.hexdigest()
+
+
+def _checksum(value: Any) -> str:
+    """SHA-256 of the value's canonical (sorted, compact) JSON."""
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 class ArtifactCache:
@@ -77,76 +85,48 @@ class ArtifactCache:
         """The CLI's cache: ``.repro_cache/`` under the current directory."""
         return cls(Path.cwd() / CACHE_DIR_NAME)
 
-    # ------------------------------------------------------------------
-    # Keying
-    # ------------------------------------------------------------------
-
-    def key(
-        self, name: str, params: Mapping[str, Any] | None = None
-    ) -> str:
+    def key(self, name: str) -> str:
         blob = json.dumps(
-            {
-                "name": name,
-                "params": dict(params if params is not None else _DEFAULT_PARAMS),
-                "source": self.digest,
-            },
-            sort_keys=True,
-            default=str,
+            {"name": name, "source": self.digest}, sort_keys=True
         ).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def entry_path(
-        self, name: str, params: Mapping[str, Any] | None = None
-    ) -> Path:
-        return self.directory / f"{name}-{self.key(name, params)[:16]}.json"
+    def entry_path(self, name: str) -> Path:
+        return self.directory / f"{name}-{self.key(name)[:16]}.json"
 
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-
-    def get(
-        self, name: str, params: Mapping[str, Any] | None = None
-    ) -> Any | None:
-        """The cached value, or None on miss/corruption/stale digest."""
-        path = self.entry_path(name, params)
+    def get(self, name: str) -> Any | None:
+        """The cached value, or None on a miss, a stale digest or a
+        damaged entry (the last with a :class:`RuntimeWarning`)."""
+        path = self.entry_path(name)
         try:
             with path.open(encoding="utf-8") as handle:
                 entry = json.load(handle)
         except (OSError, ValueError):
             return None
-        if entry.get("key") != self.key(name, params):
+        if not isinstance(entry, dict) or entry.get("key") != self.key(name):
             return None  # truncated-key filename collision
-        return entry.get("value")
+        value = entry.get("value")
+        if _checksum(value) != entry.get("checksum"):
+            warnings.warn(
+                f"artifact cache: skipping corrupt entry for {name!r} "
+                f"(checksum validation failed); it will be re-run",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return None
+        return value
 
-    def put(
-        self,
-        name: str,
-        value: Any,
-        params: Mapping[str, Any] | None = None,
-    ) -> Path:
+    def put(self, name: str, value: Any) -> Path:
         """Store a JSON-able value; atomic write-fsync-rename."""
         from repro.resilience.atomic import atomic_write_text
 
-        path = self.entry_path(name, params)
         entry = {
             "name": name,
-            "params": dict(params if params is not None else _DEFAULT_PARAMS),
-            "key": self.key(name, params),
+            "key": self.key(name),
             "source": self.digest,
-            "created": time.time(),
+            "checksum": _checksum(value),
             "value": value,
         }
-        return atomic_write_text(path, json.dumps(entry, sort_keys=True))
-
-    def clear(self) -> int:
-        """Delete every entry file; returns how many were removed."""
-        removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return atomic_write_text(
+            self.entry_path(name), json.dumps(entry, sort_keys=True)
+        )

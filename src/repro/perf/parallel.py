@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
     import asyncio
 
     from repro.perf.cache import ArtifactCache
-    from repro.resilience.journal import SweepJournal
 
 __all__ = [
     "ExperimentRecord",
@@ -584,8 +583,8 @@ class WorkerPool:
 
         ``timeout``/``retries`` default to the ``REPRO_TASK_TIMEOUT`` /
         ``REPRO_TASK_RETRIES`` environment knobs.  ``on_result`` is
-        invoked in the parent process as each slot settles — the sweep
-        journal hangs off this to persist completions immediately.
+        invoked in the parent process as each slot settles — the artifact
+        cache hangs off this to persist completions immediately.
         ``submitted`` holds attempt-0 tasks the caller already got from
         :meth:`submit` for the leading items (the concurrent collector
         submits its marker at cycle open and reconciles here); their
@@ -803,58 +802,41 @@ def run_experiment_records(
     cache: "ArtifactCache | None" = None,
     timeout: float | None = None,
     retries: int | None = None,
-    journal: "SweepJournal | None" = None,
     failures: "list[TaskFailure] | None" = None,
 ) -> list[ExperimentRecord]:
     """Regenerate the named artifacts, fanning cache misses out to
     ``jobs`` workers; records come back in the order of ``names``.
 
     When a cache is supplied, hits are served without running anything
-    and misses are stored after running, keyed by (name, default
-    parameters, source digest) — see :mod:`repro.perf.cache`.
+    and each miss is stored the moment it settles, keyed by (name,
+    source digest) — see :mod:`repro.perf.cache` — so a killed sweep,
+    rerun, runs only what it had not finished.
 
     The fan-out is the resilient engine (:func:`resilient_map`):
     ``timeout``/``retries`` bound each task (defaulting to the
-    ``REPRO_TASK_TIMEOUT``/``REPRO_TASK_RETRIES`` knobs), quarantined
-    tasks are appended to ``failures`` instead of sinking the sweep
-    (their names are simply absent from the returned records), and a
-    ``journal`` — when given — has every completion persisted the
-    moment it happens, so a killed sweep resumes where it stopped.
+    ``REPRO_TASK_TIMEOUT``/``REPRO_TASK_RETRIES`` knobs), and
+    quarantined tasks are appended to ``failures`` instead of sinking
+    the sweep (their names are simply absent from the returned records).
     """
     records: dict[str, ExperimentRecord] = {}
     missing: list[str] = []
     for name in names:
-        entry = journal.completed.get(name) if journal is not None else None
-        if entry is None and cache is not None:
-            entry = cache.get(name)
-            if entry is not None and journal is not None:
-                journal.record_success(name, entry)
+        entry = cache.get(name) if cache is not None else None
         if entry is None:
             missing.append(name)
-            continue
-        records[name] = _record(name, entry, cached=True)
+        else:
+            records[name] = _record(name, entry, cached=True)
 
     def on_result(index: int, outcome: Any) -> None:
         # Runs in the parent as each task settles: persist *now*, so a
         # kill -9 one task later loses at most the task in flight.
-        name = missing[index]
         if isinstance(outcome, TaskFailure):
-            if journal is not None:
-                journal.record_failure(
-                    name,
-                    {
-                        "kind": outcome.kind,
-                        "attempts": outcome.attempts,
-                        "error": outcome.error,
-                    },
-                )
             return
+        name = missing[index]
         _task_name, text, payload, seconds = outcome
         entry = {"text": text, "payload": payload, "seconds": seconds}
         if cache is not None:
             cache.put(name, entry)
-        if journal is not None:
-            journal.record_success(name, entry)
         records[name] = _record(name, entry, cached=False)
 
     outcomes = resilient_map(

@@ -1,6 +1,6 @@
 """Resilience: fault injection, chaos testing, and crash-safe IO.
 
-Three concerns live here, all in service of the ROADMAP's
+Four concerns live here, all in service of the ROADMAP's
 "production-scale" north star:
 
 * :mod:`repro.resilience.atomic` — crash-safe artifact writes
@@ -14,8 +14,6 @@ Three concerns live here, all in service of the ROADMAP's
   fault mid-replay, then asks the verify layer (heap auditor +
   differential oracle) whether it noticed, producing the detection
   matrix behind ``repro-gc chaos``;
-* :mod:`repro.resilience.journal` — the per-completion sweep journal
-  behind ``repro-gc all --resume``;
 * :mod:`repro.resilience.snapshot` — crash-consistent, checksummed
   checkpoint/restore of a live heap plus collector state, behind
   ``repro-gc snapshot`` and the resume-equivalence oracle.
@@ -39,7 +37,6 @@ from repro.resilience.faults import (
     FaultPlan,
     fault_expectation,
 )
-from repro.resilience.journal import SweepJournal
 from repro.resilience.snapshot import (
     SnapshotError,
     capture_state,
@@ -60,7 +57,6 @@ __all__ = [
     "FaultPlan",
     "SNAPSHOT_FAULTS",
     "SnapshotError",
-    "SweepJournal",
     "atomic_write_json",
     "atomic_write_text",
     "capture_state",

@@ -1,10 +1,9 @@
 """Crash-safe file writes: write-temp, fsync, rename.
 
 Every artifact this repository persists — ``SLO_pause.json``, the
-``.repro_cache/`` entries, the sweep journal, exported experiment
-text/JSON — goes through :func:`atomic_write_text` (or its JSON
-wrapper), so a worker killed mid-write can never leave a truncated
-file behind.  The recipe is the standard one:
+``.repro_cache/`` entries, exported experiment text/JSON — goes
+through :func:`atomic_write_text` (or its JSON wrapper), so a worker
+killed mid-write can never leave a truncated file behind.  The recipe is the standard one:
 
 1. write the full content to a temporary file *in the same directory*
    (``os.replace`` is only atomic within a filesystem);

@@ -506,7 +506,7 @@ class HeapServer:
 
 def register(subparsers) -> None:
     """``repro-gc serve``."""
-    from repro.cli import non_negative_int, port, positive_int
+    from repro.cli import non_negative_int, port, positive_float, positive_int
 
     sub = subparsers.add_parser(
         "serve",
@@ -539,12 +539,12 @@ def register(subparsers) -> None:
     )
     sub.add_argument(
         "--task-timeout",
-        type=float,
+        type=positive_float,
         help="seconds before a wedged shard batch is drained",
     )
     sub.add_argument(
         "--task-retries",
-        type=int,
+        type=non_negative_int,
         help="replay attempts for a lost shard batch",
     )
     sub.set_defaults(func=_cmd_serve)

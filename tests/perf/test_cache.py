@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.perf.cache import ArtifactCache, source_digest
 
 
@@ -12,15 +14,6 @@ def test_miss_then_hit(tmp_path) -> None:
     assert cache.get("table1") is None
     cache.put("table1", {"rows": [1, 2, 3]})
     assert cache.get("table1") == {"rows": [1, 2, 3]}
-
-
-def test_params_distinguish_entries(tmp_path) -> None:
-    cache = ArtifactCache(tmp_path, digest="d1")
-    cache.put("sweep", "defaults")
-    cache.put("sweep", "tuned", params={"cycles": 50})
-    assert cache.get("sweep") == "defaults"
-    assert cache.get("sweep", params={"cycles": 50}) == "tuned"
-    assert cache.get("sweep", params={"cycles": 51}) is None
 
 
 def test_source_digest_change_invalidates(tmp_path) -> None:
@@ -53,12 +46,26 @@ def test_entry_with_foreign_key_is_a_miss(tmp_path) -> None:
     assert cache.get("table1") is None
 
 
-def test_clear_removes_entries(tmp_path) -> None:
+def test_bit_rotted_value_is_a_miss_and_warns(tmp_path) -> None:
+    # A value that still parses, under the right key, but no longer
+    # matches the checksum stored with it is never served.
     cache = ArtifactCache(tmp_path, digest="d1")
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.clear() == 2
-    assert cache.get("a") is None
+    path = cache.put("table1", {"text": "Table 1", "payload": [1, 2, 3]})
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    entry["value"]["payload"][1] = 7
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    with pytest.warns(RuntimeWarning, match="'table1'.*checksum"):
+        assert cache.get("table1") is None
+
+
+def test_entry_without_checksum_is_a_miss(tmp_path) -> None:
+    cache = ArtifactCache(tmp_path, digest="d1")
+    path = cache.put("table1", "good")
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    del entry["checksum"]
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    with pytest.warns(RuntimeWarning):
+        assert cache.get("table1") is None
 
 
 def test_source_digest_tracks_file_content(tmp_path) -> None:

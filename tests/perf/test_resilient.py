@@ -1,6 +1,6 @@
 """Tests for the hardened parallel engine: attempt-salted seeds,
 retry/quarantine, timeout recovery, worker-crash recovery, and the
-journal integration of the experiment runner."""
+experiment runner's use of the artifact cache."""
 
 import asyncio
 import itertools
@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.perf.cache import ArtifactCache
 from repro.perf.parallel import (
     PinnedWorker,
     TaskFailure,
@@ -22,7 +23,6 @@ from repro.perf.parallel import (
     task_retries,
     task_timeout,
 )
-from repro.resilience.journal import SweepJournal
 
 
 # ----------------------------------------------------------------------
@@ -545,44 +545,61 @@ class TestPinnedWorkerOnALoop:
 
 
 # ----------------------------------------------------------------------
-# run_experiment_records + journal
+# run_experiment_records + the artifact cache
 # ----------------------------------------------------------------------
 
 
-class TestJournalIntegration:
-    def test_journalled_entry_served_without_rerun(self, tmp_path):
-        path = tmp_path / "journal.json"
-        journal = SweepJournal.fresh(path, ["table1"], "digest")
-        journal.record_success(
+class TestCacheIntegration:
+    def test_cached_entry_served_without_rerun(self, tmp_path):
+        cache = ArtifactCache(tmp_path, digest="digest")
+        cache.put(
             "table1",
-            {"text": "from-journal", "payload": {"k": 1}, "seconds": 0.1},
+            {"text": "from-cache", "payload": {"k": 1}, "seconds": 0.1},
         )
-        resumed = SweepJournal.resume(path, ["table1"], "digest")
-        (record,) = run_experiment_records(["table1"], journal=resumed)
-        # Served from the journal: the fake text proves no rerun.
-        assert record.text == "from-journal"
+        (record,) = run_experiment_records(["table1"], cache=cache)
+        # Served from the cache: the fake text proves no rerun.
+        assert record.text == "from-cache"
         assert record.cached
 
-    def test_fresh_run_journals_each_completion(self, tmp_path):
-        path = tmp_path / "journal.json"
-        journal = SweepJournal.fresh(path, ["equilibrium"], "digest")
-        (record,) = run_experiment_records(["equilibrium"], journal=journal)
-        assert not record.cached
-        resumed = SweepJournal.resume(path, ["equilibrium"], "digest")
-        assert resumed.completed["equilibrium"]["text"] == record.text
+    def test_each_completion_is_stored_before_the_next_runs(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.perf.parallel as parallel
+
+        cache = ArtifactCache(tmp_path, digest="digest")
+        names = ["table1", "table2", "table3"]
+        stored_at_start = []
+
+        def task(name, attempt=0):
+            stored_at_start.append([n for n in names if cache.get(n)])
+            return name, f"text of {name}", {"name": name}, 0.5
+
+        monkeypatch.setattr(parallel, "_experiment_task", task)
+        records = run_experiment_records(names, cache=cache)
+        assert [record.text for record in records] == [
+            f"text of {name}" for name in names
+        ]
+        assert not any(record.cached for record in records)
+        # So a kill -9 during a task loses only that task.
+        assert stored_at_start == [[], ["table1"], ["table1", "table2"]]
+        for record in records:
+            assert cache.get(record.name) == {
+                "text": record.text, "payload": record.payload, "seconds": 0.5
+            }
 
     def test_quarantine_reported_not_raised(self, tmp_path, monkeypatch):
         import repro.perf.parallel as parallel
 
         monkeypatch.setattr(parallel, "_experiment_task", _always_raise)
-        path = tmp_path / "journal.json"
-        journal = SweepJournal.fresh(path, ["equilibrium"], "digest")
+        cache = ArtifactCache(tmp_path, digest="digest")
         failures = []
         records = run_experiment_records(
-            ["equilibrium"], retries=0, journal=journal, failures=failures
+            ["equilibrium"], retries=0, cache=cache, failures=failures
         )
         assert records == []
         (failure,) = failures
         assert failure.kind == "crash"
-        resumed = SweepJournal.resume(path, ["equilibrium"], "digest")
-        assert resumed.quarantined["equilibrium"]["kind"] == "crash"
+        # A quarantined experiment leaves nothing to serve: a rerun
+        # retries it.
+        assert cache.get("equilibrium") is None
+

@@ -1,2 +1,2 @@
 """Tests for the resilience layer: atomic writes, fault injection,
-chaos detection, and the sweep journal."""
+chaos detection, snapshots, and resuming a killed sweep."""

@@ -300,9 +300,12 @@ class TestCodecIsTheJsonModules:
         """The encoder is built from ``json.encoder.c_make_encoder``; an
         interpreter without it falls back to ``JSONEncoder``'s own
         iterator and must put the same bytes on the wire."""
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        src = Path(__file__).resolve().parents[2] / "src"
         script = (
             "import json, json.encoder\n"
             "json.encoder.c_make_encoder = None\n"
@@ -319,6 +322,7 @@ class TestCodecIsTheJsonModules:
         )
         result = subprocess.run(
             [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,
             text=True,
             timeout=60,

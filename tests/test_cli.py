@@ -95,6 +95,15 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["all", "--only", "table99"])
 
+    @pytest.mark.parametrize("only", ["table2,nonesuch", "", ",,"])
+    def test_all_only_is_a_usage_error(self, capsys, only):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["all", "--only", only])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: repro-gc all")
+        assert err[-1].startswith("repro-gc all: error: argument --only:")
+
     def test_list_shows_extras(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
@@ -172,6 +181,10 @@ class TestUsageErrors:
             ["metrics", "--overhead", "--overhead-tolerance", "-1"],
             ["load", "--tolerance", "nan", "--fingerprint"],
             ["load", "--tolerance", "-0.5", "--fingerprint"],
+            ["all", "--only", "table2", "--task-timeout", "0"],
+            ["all", "--only", "table2", "--task-timeout", "nan"],
+            ["serve", "--task-timeout", "0"],
+            ["serve", "--task-retries", "-1"],
         ],
     )
     def test_bad_arguments_exit_2_with_one_error_line(

@@ -25,13 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
+from repro.experiments.runner import experiment_names
 from repro.gc.registry import COLLECTOR_KINDS
 from tests.test_cli_spec import parser_paths
 
 #: What each argparse type promises of a value it accepts.
 IN_RANGE = {
     "int": lambda value: type(value) is int,
-    "float": lambda value: type(value) is float,
     "positive_int": lambda value: type(value) is int and value >= 1,
     "non_negative_int": lambda value: type(value) is int and value >= 0,
     "slice_budget": lambda value: value is None or value >= 1,
@@ -41,8 +41,12 @@ IN_RANGE = {
     ),
     "finite_float": lambda value: math.isfinite(value),
     "non_negative_float": lambda value: math.isfinite(value) and value >= 0,
+    "positive_float": lambda value: math.isfinite(value) and value > 0,
     "collector_kinds": lambda value: (
         len(value) > 0 and set(value) <= set(COLLECTOR_KINDS)
+    ),
+    "experiment_selection": lambda value: (
+        len(value) > 0 and set(value) <= set(experiment_names())
     ),
 }
 
