@@ -213,7 +213,7 @@ def run_experiments(
     jobs=1,
     cache=None,
     timeout=None,
-    retries=None,
+    retries=1,
     failures=None,
 ):
     """Regenerate several artifacts, optionally in parallel and cached.
@@ -285,10 +285,8 @@ def register(subparsers) -> None:
     sub.add_argument(
         "--jobs",
         type=positive_int,
-        help=(
-            "worker processes for independent experiments "
-            "(default: REPRO_JOBS or 1)"
-        ),
+        default=1,
+        help="worker processes for independent experiments (default: 1)",
     )
     sub.add_argument(
         "--no-cache",
@@ -300,15 +298,16 @@ def register(subparsers) -> None:
         type=positive_float,
         help=(
             "per-experiment wall-clock budget in seconds when running "
-            "with --jobs > 1 (default: REPRO_TASK_TIMEOUT or none)"
+            "with --jobs > 1 (default: none)"
         ),
     )
     sub.add_argument(
         "--retries",
         type=non_negative_int,
+        default=1,
         help=(
             "extra attempts before a failing experiment is "
-            "quarantined (default: REPRO_TASK_RETRIES or 1)"
+            "quarantined (default: 1)"
         ),
     )
     sub.set_defaults(func=_cmd_all)
@@ -346,10 +345,7 @@ def _cmd_all(args) -> int:
     from pathlib import Path
 
     from repro.perf.cache import ArtifactCache
-    from repro.perf.parallel import default_jobs
     from repro.resilience.atomic import atomic_write_json, atomic_write_text
-
-    jobs = args.jobs if args.jobs is not None else default_jobs()
 
     selected = EXPERIMENTS
     if args.only:
@@ -364,7 +360,7 @@ def _cmd_all(args) -> int:
     start = time.perf_counter()
     records = run_experiments(
         names,
-        jobs=jobs,
+        jobs=args.jobs,
         cache=cache,
         timeout=args.task_timeout,
         retries=args.retries,
@@ -399,7 +395,7 @@ def _cmd_all(args) -> int:
         print(f"{record.name:<16} {record.seconds:>8.2f}  {source}")
     print(
         f"{'TOTAL (wall)':<16} {wall_seconds:>8.2f}  "
-        f"jobs={jobs}, cache hits {cache_hits}/{len(records)}"
+        f"jobs={args.jobs}, cache hits {cache_hits}/{len(records)}"
     )
     if failures:
         print()

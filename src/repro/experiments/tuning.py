@@ -97,12 +97,6 @@ def _run_policy(
     )
 
 
-def _policy_task(spec: tuple[str, TuningPolicy, dict]) -> TuningRow:
-    """One ablation point; module-level so worker processes can run it."""
-    name, policy, kwargs = spec
-    return _run_policy(name, policy, **kwargs)
-
-
 def run_tuning(
     *,
     half_life: float = 2_000.0,
@@ -110,17 +104,10 @@ def run_tuning(
     step_count: int = 16,
     cycles: int = 25,
     seed: int = 9,
-    jobs: int = 1,
 ) -> TuningResult:
-    """Run the policy ablation.
-
-    The six policy runs are independent (each builds its own heap and
-    draws lifetimes from its own seeded stream), so ``jobs > 1`` fans
-    them out through :func:`repro.perf.parallel.parallel_map`; rows
-    come back in the fixed ablation order either way.
-    """
-    from repro.perf.parallel import parallel_map
-
+    """Run the policy ablation: six independent policy runs, each on
+    its own heap with its own seeded lifetime stream, in a fixed
+    order."""
     shared = dict(
         half_life=half_life,
         load_factor=load_factor,
@@ -140,7 +127,9 @@ def run_tuning(
             {**shared, "use_remset": False},
         ),
     ]
-    rows = parallel_map(_policy_task, specs, jobs=jobs)
+    rows = [
+        _run_policy(name, policy, **kwargs) for name, policy, kwargs in specs
+    ]
     return TuningResult(
         half_life=half_life, load_factor=load_factor, rows=tuple(rows)
     )

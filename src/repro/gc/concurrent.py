@@ -23,7 +23,7 @@ the marker's lifecycle and the hooks that cycle calls around a mark:
   reused by every later one; :meth:`ConcurrentCollector.close` or a
   watchdog abort kills them).  What the cycle keeps is the marker's
   worker, as the handle of the task in flight; reconciliation hands it
-  to the pool's retry ladder (env-tunable timeout, attempt-salted
+  to the pool's retry ladder (the collector's own timeout, attempt-salted
   retries via ``derive_seed(seed, cycle, attempt)``, worker-crash
   recovery); what a given-up marker *means* is decided here: the
   watchdog discards the cycle and ``_finish_mark`` re-opens one over
@@ -191,9 +191,9 @@ class ConcurrentCollector(IncrementalCollector):
             a persistent process pool so marking overlaps the mutator.
         marker_seed: base seed for the marker's traversal-order salt.
         marker_timeout: seconds to wait at reconciliation before
-            declaring the worker hung (default: ``REPRO_TASK_TIMEOUT``).
+            declaring the worker hung (default: ``None``, no limit).
         marker_retries: resubmissions after a timeout/crash before the
-            inline fallback runs (default: ``REPRO_TASK_RETRIES``).
+            inline fallback runs (default: 1).
         trigger_fraction / auto_expand / load_factor / max_heap_words:
             the incremental collector's policy, unchanged.
     """
@@ -225,7 +225,7 @@ class ConcurrentCollector(IncrementalCollector):
         marker_workers: int = 0,
         marker_seed: int = 0,
         marker_timeout: float | None = None,
-        marker_retries: int | None = None,
+        marker_retries: int = 1,
         trigger_fraction: float = 0.5,
         auto_expand: bool = True,
         load_factor: float = 2.0,

@@ -44,10 +44,6 @@ class WriteBarrier:
         self.stores = 0
         self.pointer_stores = 0
 
-    def set_hook(self, hook: RememberStoreHook | None) -> None:
-        """Install the active collector's remember-store hook."""
-        self._hook = hook
-
     def on_store(self, src_id: int, slot: int, target_id: int | None) -> None:
         """Record one mutator store; called before the heap write.
 
@@ -63,7 +59,3 @@ class WriteBarrier:
             self.pointer_stores += 1
         if self._hook is not None:
             self._hook(src_id, slot, target_id)
-
-    def reset_counters(self) -> None:
-        self.stores = 0
-        self.pointer_stores = 0

@@ -362,16 +362,6 @@ class FlatHeap:
             )
         return space
 
-    def remove_space(self, space: FlatSpace) -> None:
-        if not space.is_empty():
-            raise HeapError(f"cannot remove non-empty space {space.name!r}")
-        if self._spaces.get(space.name) is not space:
-            raise KeyError(f"space {space.name!r} is not registered")
-        del self._spaces[space.name]
-        self._space_by_token[space._token] = None
-        if self.event_sink is not None:
-            self.event_sink.emit("space-removed", space=space.name)
-
     def space(self, name: str) -> FlatSpace:
         try:
             return self._spaces[name]

@@ -21,7 +21,7 @@ models the paper's §8.4 cleanup during root tracing.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 __all__ = ["RememberedSet", "SlotRef"]
 
@@ -109,33 +109,9 @@ class RememberedSet:
     # Maintenance
     # ------------------------------------------------------------------
 
-    def discard_object(self, obj_id: int) -> None:
-        """Drop every entry for a dead or moved-away object."""
-        self._barrier_entries = {
-            entry for entry in self._barrier_entries if entry[0] != obj_id
-        }
-        self._promotion_entries = {
-            entry for entry in self._promotion_entries if entry[0] != obj_id
-        }
-
-    def discard_objects(self, obj_ids: Iterable[int]) -> None:
-        dead = set(obj_ids)
-        if not dead:
-            return
-        self._barrier_entries = {
-            entry for entry in self._barrier_entries if entry[0] not in dead
-        }
-        self._promotion_entries = {
-            entry for entry in self._promotion_entries if entry[0] not in dead
-        }
-
     def clear(self) -> None:
         """Empty the set (e.g. after a full collection, §8.4)."""
         self._barrier_entries.clear()
-        self._promotion_entries.clear()
-
-    def clear_promotion_entries(self) -> None:
-        """Drop only the promotion-entered portion."""
         self._promotion_entries.clear()
 
     # ------------------------------------------------------------------

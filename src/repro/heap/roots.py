@@ -36,9 +36,6 @@ class Frame:
     def set(self, index: int, obj_id: int | None) -> None:
         self._cells[index] = obj_id
 
-    def get_id(self, index: int) -> int | None:
-        return self._cells[index]
-
     def ids(self) -> Iterator[int]:
         for ref in self._cells:
             if ref is not None:
@@ -99,10 +96,6 @@ class RootSet:
         if not self._stack or self._stack[-1] is not frame:
             raise ValueError("pop_frame called with a frame that is not on top")
         self._stack.pop()
-
-    @property
-    def frame_depth(self) -> int:
-        return len(self._stack)
 
     # ------------------------------------------------------------------
     # Enumeration

@@ -18,7 +18,7 @@ instrumentation plane:
 * ``promotion`` — survivors moved to an older generation or step;
 * ``renumbering`` — a non-predictive step renumbering (§4);
 * ``heap-expansion`` — a space's capacity grew;
-* ``space-created`` / ``space-removed`` — heap geometry changes;
+* ``space-created`` — a heap space was added;
 * ``fault-injected`` / ``fault-detected`` — the chaos harness's
   injection and detection records (see :mod:`repro.resilience.chaos`);
 * ``checkpoint`` / ``restore`` — crash-consistent snapshot capture and

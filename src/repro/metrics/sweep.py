@@ -70,6 +70,24 @@ def run_decay_cell(
     return instrument.registry, stream
 
 
+def _metric_task(cell: tuple[str, int, int], attempt: int) -> dict[str, Any]:
+    """One sweep cell, in a worker process.
+
+    ``cell`` is ``(collector kind, derived seed, alloc words)`` — all
+    primitives, so it pickles.  The registry comes back in its JSON
+    form (also picklable); the parent re-hydrates and merges in cell
+    order, never completion order, so sweep metrics are byte-identical
+    at any jobs level.  The sweep never retries, so ``attempt`` is 0.
+    """
+    import sys
+
+    if sys.getrecursionlimit() < 200_000:
+        sys.setrecursionlimit(200_000)
+    kind, seed, alloc_words = cell
+    registry, _stream = run_decay_cell(kind, seed, alloc_words=alloc_words)
+    return registry.to_jsonable()
+
+
 def run_metrics_sweep(
     kinds: Sequence[str] = SWEEP_COLLECTORS,
     *,
@@ -83,9 +101,10 @@ def run_metrics_sweep(
     Returns ``{"collectors": {kind: registry}, "merged": registry}``
     with every registry merged in cell-index order — the jobs-level-
     independent registry order, so ``--jobs 4`` and ``--jobs 1``
-    produce byte-identical metrics.
+    produce byte-identical metrics.  A cell that fails raises
+    :class:`RuntimeError`: a sweep missing a cell has nothing to merge.
     """
-    from repro.perf.parallel import derive_seed, run_metric_records
+    from repro.perf.parallel import TaskFailure, derive_seed, resilient_map
 
     alloc_words = QUICK_ALLOC_WORDS if quick else SWEEP_ALLOC_WORDS
     cells = [
@@ -94,7 +113,12 @@ def run_metrics_sweep(
             kind for kind in kinds for _ in range(runs)
         )
     ]
-    records = run_metric_records(cells, jobs=jobs)
+    records = resilient_map(_metric_task, cells, jobs=jobs, retries=0)
+    for record in records:
+        if isinstance(record, TaskFailure):
+            raise RuntimeError(
+                f"task {record.index} failed ({record.kind}): {record.error}"
+            )
     per_kind: dict[str, list[MetricRegistry]] = {}
     for (kind, _, _), payload in zip(cells, records):
         per_kind.setdefault(kind, []).append(
@@ -178,7 +202,8 @@ def register(subparsers) -> None:
     sub.add_argument(
         "--jobs",
         type=positive_int,
-        help="sweep worker processes (default: REPRO_JOBS or 1)",
+        default=1,
+        help="sweep worker processes (default: 1)",
     )
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
@@ -259,16 +284,13 @@ def _cmd_metrics(args) -> int:
 
     stream = None
     if args.sweep:
-        from repro.perf.parallel import default_jobs
-
-        jobs = args.jobs if args.jobs is not None else default_jobs()
         sweep = run_metrics_sweep(
-            runs=args.runs, jobs=jobs, seed=args.seed, quick=args.quick
+            runs=args.runs, jobs=args.jobs, seed=args.seed, quick=args.quick
         )
         registries = list(sweep["collectors"].values())
         source = (
             f"decay sweep: {args.runs} run(s) per collector, "
-            f"seed {args.seed}, jobs {jobs}"
+            f"seed {args.seed}, jobs {args.jobs}"
         )
     else:
         from repro.experiments.runner import run_experiment_instrumented

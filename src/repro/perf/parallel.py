@@ -14,6 +14,10 @@ keep that guarantee:
 * **``jobs=1`` bypasses the pool entirely** — the serial path is the
   reference semantics, and everything else must equal it.
 
+How many workers, how long a task may run and how often it is retried
+are arguments, set by each caller (a CLI flag or a constructor
+parameter); nothing here reads the environment.
+
 Every worker process in the repo is forked here, as a
 :class:`PinnedWorker`: one process with a pipe of its own, which
 answers every message its owner sends it, one at a time, and keeps
@@ -25,10 +29,10 @@ dies.  Two owners hold them:
 * a :class:`WorkerPool` is ``jobs`` pinned workers that run any
   task, so a task must carry everything it needs.  A failed task
   costs its own worker and nothing else.  A pool's lifetime is chosen
-  by where its owner holds it, not by a flag: the one-shot sweeps
-  (:func:`parallel_map`, :func:`resilient_map`) open one in a
-  ``with`` block, the concurrent collector keeps one for its whole
-  life so mark cycles reuse warm workers;
+  by where its owner holds it, not by a flag: the one-shot fan-out
+  (:func:`resilient_map`) opens one in a ``with`` block, the
+  concurrent collector keeps one for its whole life so mark cycles
+  reuse warm workers;
 * the pool-mode shard executor pins each shard to one, so tenant
   heaps stay resident in the worker and a batch ships only its
   requests; rebuilding what a lost worker held is its job.
@@ -46,7 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection, util
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     import asyncio
@@ -59,41 +63,10 @@ __all__ = [
     "TaskFailure",
     "WorkerLost",
     "WorkerPool",
-    "default_jobs",
     "derive_seed",
-    "parallel_map",
     "resilient_map",
     "run_experiment_records",
-    "run_metric_records",
-    "task_retries",
-    "task_timeout",
 ]
-
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
-
-
-def _env_number(name: str, convert: Callable[[str], Any], what: str) -> Any:
-    """The environment knob ``name`` through ``convert``, or ``None``
-    when it is unset or empty."""
-    env = os.environ.get(name, "").strip()
-    if not env:
-        return None
-    try:
-        return convert(env)
-    except ValueError:
-        raise ValueError(f"{name} must be {what}, got {env!r}") from None
-
-
-def default_jobs() -> int:
-    """Worker count when the user does not pass ``--jobs``.
-
-    Honours the ``REPRO_JOBS`` environment variable; otherwise 1, so
-    library callers and tests stay serial (and deterministic profiling
-    stays trivial) unless parallelism is requested explicitly.
-    """
-    jobs = _env_number("REPRO_JOBS", int, "an integer")
-    return 1 if jobs is None else max(1, jobs)
 
 
 def derive_seed(base_seed: int, index: int, attempt: int = 0) -> int:
@@ -116,63 +89,6 @@ def derive_seed(base_seed: int, index: int, attempt: int = 0) -> int:
     else:
         blob = f"{base_seed}:{index}".encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
-
-
-def task_timeout() -> float | None:
-    """Per-task timeout in seconds, from ``REPRO_TASK_TIMEOUT``.
-
-    Unset, empty, or ``0`` means no timeout (the default: experiments
-    are deterministic, so a wedged task normally means a wedged
-    machine, not a wedged task).
-    """
-    value = _env_number("REPRO_TASK_TIMEOUT", float, "a number of seconds")
-    return value if value is not None and value > 0 else None
-
-
-def task_retries() -> int:
-    """How many times a failed task is re-attempted (default 1).
-
-    Reads ``REPRO_TASK_RETRIES``.  This bounds *additional* attempts:
-    with the default of 1, a task runs at most twice before it is
-    quarantined.
-    """
-    retries = _env_number("REPRO_TASK_RETRIES", int, "an integer")
-    return 1 if retries is None else max(0, retries)
-
-
-def parallel_map(
-    func: Callable[[_ItemT], _ResultT],
-    items: Iterable[_ItemT],
-    *,
-    jobs: int = 1,
-) -> list[_ResultT]:
-    """Map ``func`` over ``items``; results always in input order.
-
-    With ``jobs <= 1`` (or fewer than two items) this is a plain loop
-    in the current process — no pool, no pickling, byte-identical to
-    the pre-parallel code path.  Otherwise ``func`` must be a
-    module-level function and items/results must pickle; the tasks go
-    through :meth:`WorkerPool.map` with no retry, and the first task
-    that fails raises :class:`RuntimeError` here.
-    """
-    work = list(items)
-    if jobs <= 1 or len(work) <= 1:
-        return [func(item) for item in work]
-    with WorkerPool(min(jobs, len(work))) as pool:
-        results = pool.map(
-            _call_once, [(func, item) for item in work], retries=0
-        )
-    for result in results:
-        if isinstance(result, TaskFailure):
-            raise RuntimeError(
-                f"task {result.index} failed ({result.kind}): {result.error}"
-            )
-    return results
-
-
-def _call_once(task: tuple[Callable[[Any], Any], Any], attempt: int) -> Any:
-    func, item = task
-    return func(item)
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +476,7 @@ class WorkerPool:
         items: Iterable[Any],
         *,
         timeout: float | None = None,
-        retries: int | None = None,
+        retries: int = 1,
         on_result: Callable[[int, Any], None] | None = None,
         submitted: Sequence[PinnedWorker] = (),
     ) -> list[Any]:
@@ -581,8 +497,7 @@ class WorkerPool:
         * A task whose worker process died is retried, then
           quarantined (``"worker-crash"``).
 
-        ``timeout``/``retries`` default to the ``REPRO_TASK_TIMEOUT`` /
-        ``REPRO_TASK_RETRIES`` environment knobs.  ``on_result`` is
+        ``timeout=None`` runs tasks without a time limit.  ``on_result`` is
         invoked in the parent process as each slot settles — the artifact
         cache hangs off this to persist completions immediately.
         ``submitted`` holds attempt-0 tasks the caller already got from
@@ -593,10 +508,6 @@ class WorkerPool:
         workers, so no abandoned task keeps one.
         """
         work = list(items)
-        if timeout is None:
-            timeout = task_timeout()
-        if retries is None:
-            retries = task_retries()
         results: list[Any] = [None] * len(work)
         pending: deque[tuple[int, Any, int]] = deque(
             (index, item, 0) for index, item in enumerate(work)
@@ -671,7 +582,7 @@ def resilient_map(
     *,
     jobs: int = 1,
     timeout: float | None = None,
-    retries: int | None = None,
+    retries: int = 1,
     on_result: Callable[[int, Any], None] | None = None,
 ) -> list[Any]:
     """:meth:`WorkerPool.map` over a pool that lives for this call.
@@ -691,8 +602,6 @@ def resilient_map(
                 retries=retries,
                 on_result=on_result,
             )
-    if retries is None:
-        retries = task_retries()
     results = []
     for index, item in enumerate(work):
         results.append(_serial_attempts(func, item, index, retries))
@@ -766,42 +675,13 @@ def _experiment_task(
     return name, text, to_jsonable(result), seconds
 
 
-def _metric_task(cell: tuple[str, int, int]) -> dict[str, Any]:
-    """One metrics-sweep cell, in a worker process.
-
-    ``cell`` is ``(collector kind, derived seed, alloc words)`` — all
-    primitives, so it pickles.  The registry comes back in its JSON
-    form (also picklable); the parent re-hydrates and merges in cell
-    order, never completion order, so sweep metrics are byte-identical
-    at any jobs level.
-    """
-    import sys
-
-    from repro.metrics.sweep import run_decay_cell
-
-    if sys.getrecursionlimit() < 200_000:
-        sys.setrecursionlimit(200_000)
-    kind, seed, alloc_words = cell
-    registry, _stream = run_decay_cell(kind, seed, alloc_words=alloc_words)
-    return registry.to_jsonable()
-
-
-def run_metric_records(
-    cells: Sequence[tuple[str, int, int]],
-    *,
-    jobs: int = 1,
-) -> list[dict[str, Any]]:
-    """Fan metrics-sweep cells out; JSON registries in input order."""
-    return parallel_map(_metric_task, cells, jobs=jobs)
-
-
 def run_experiment_records(
     names: Sequence[str],
     *,
     jobs: int = 1,
     cache: "ArtifactCache | None" = None,
     timeout: float | None = None,
-    retries: int | None = None,
+    retries: int = 1,
     failures: "list[TaskFailure] | None" = None,
 ) -> list[ExperimentRecord]:
     """Regenerate the named artifacts, fanning cache misses out to
@@ -813,8 +693,8 @@ def run_experiment_records(
     rerun, runs only what it had not finished.
 
     The fan-out is the resilient engine (:func:`resilient_map`):
-    ``timeout``/``retries`` bound each task (defaulting to the
-    ``REPRO_TASK_TIMEOUT``/``REPRO_TASK_RETRIES`` knobs), and
+    ``timeout``/``retries`` bound each task (no time limit and one
+    retry unless the caller says otherwise), and
     quarantined tasks are appended to ``failures`` instead of sinking
     the sweep (their names are simply absent from the returned records).
     """

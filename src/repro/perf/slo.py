@@ -57,7 +57,7 @@ from repro.gc.registry import GcGeometry, collector_factory
 from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.metrics.instrument import instrument_collector
-from repro.metrics.registry import Histogram, MetricRegistry
+from repro.metrics.registry import MetricRegistry
 from repro.mutator.base import LifetimeDrivenMutator
 from repro.mutator.decay_mutator import DecaySchedule
 
@@ -137,18 +137,6 @@ def _pause_columns(registry: MetricRegistry) -> dict[str, Any]:
     }
 
 
-def _mutator_visible(registry: MetricRegistry) -> Histogram:
-    """The concurrent collector's mutator-visible pause histogram.
-
-    Handoff plus reconcile — the only pauses the mutator observes;
-    off-thread marking is excluded by construction.
-    """
-    visible = Histogram("pause_words.mutator_visible")
-    visible.merge(registry.histogram("pause_words.handoff"))
-    visible.merge(registry.histogram("pause_words.reconcile"))
-    return visible
-
-
 def _judge_concurrent(
     concurrent: MetricRegistry, incremental_p99: int
 ) -> dict[str, Any]:
@@ -157,7 +145,11 @@ def _judge_concurrent(
     A run with no handoffs never paused concurrently, so it is not
     *measured* and must not pass silently.
     """
-    visible = _mutator_visible(concurrent)
+    # The service's scale report and this gate share one definition;
+    # importing it lazily keeps the server off the gate's import path.
+    from repro.service.report import mutator_visible_histogram
+
+    visible = mutator_visible_histogram(concurrent, "concurrent")
     mv_p99 = visible.quantile(0.99) if visible.count else 0
     measured = visible.count > 0 and incremental_p99 > 0
     return {

@@ -43,7 +43,6 @@ from repro.resilience.snapshot import (
     checkpoint,
     load_snapshot,
     restore,
-    restore_into,
     restore_state,
     save_snapshot,
     verify_snapshot,
@@ -64,7 +63,6 @@ __all__ = [
     "fault_expectation",
     "load_snapshot",
     "restore",
-    "restore_into",
     "restore_state",
     "run_chaos_matrix",
     "run_snapshot_chaos",

@@ -65,7 +65,6 @@ __all__ = [
     "checkpoint",
     "load_snapshot",
     "restore",
-    "restore_into",
     "restore_state",
     "save_snapshot",
     "verify_snapshot",
@@ -238,23 +237,6 @@ def restore(document: dict):
             backend=payload["backend"],
         )
     return heap, roots, collector
-
-
-def restore_into(collector: "Collector", document: dict) -> None:
-    """Validate a snapshot document and restore it onto an existing
-    collector of the same kind and geometry (in-place variant)."""
-    payload = verify_snapshot(document)
-    try:
-        restore_state(collector, payload)
-    except Exception as exc:
-        raise SnapshotError(f"snapshot restore failed: {exc}") from exc
-    if collector.metrics is not None:
-        collector.metrics.event(
-            "restore",
-            clock=collector.heap.clock,
-            kind=collector.name,
-            backend=payload["backend"],
-        )
 
 
 # ----------------------------------------------------------------------

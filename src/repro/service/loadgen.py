@@ -676,7 +676,7 @@ def register(subparsers) -> None:
         default=0,
         help="self-hosted server jobs",
     )
-    sub.add_argument("--tenant-cap", type=int)
+    sub.add_argument("--tenant-cap", type=positive_int)
     sub.add_argument(
         "--report", help="write the scale report JSON to this path"
     )

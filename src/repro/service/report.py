@@ -17,7 +17,8 @@ Two classes of field, deliberately separated:
   the machine that ran the load.  They are reported for humans and
   excluded from :func:`deterministic_rows` and the gate.
 
-"Mutator-visible" follows :mod:`repro.perf.slo`: for the concurrent
+"Mutator-visible" is defined once, by :func:`mutator_visible_histogram`,
+which the pause SLO (:mod:`repro.perf.slo`) uses too: for the concurrent
 collector it is the handoff + reconcile histograms merged (off-thread
 marking is invisible to the mutator by construction); for every other
 kind it is the full ``pause_words`` histogram.
@@ -69,7 +70,7 @@ _WALL_CLOCK_FIELDS = ("elapsed_s", "throughput_rps")
 def mutator_visible_histogram(
     registry: MetricRegistry, kind: str
 ) -> Histogram:
-    """The pauses the mutator actually observes, per slo.py semantics."""
+    """The pauses the mutator actually observes (see module docstring)."""
     visible = Histogram("pause_words.mutator_visible")
     if kind == "concurrent":
         for name in ("pause_words.handoff", "pause_words.reconcile"):

@@ -179,7 +179,7 @@ class HeapServer:
         jobs: int = 0,
         tenant_cap: int | None = None,
         timeout: float | None = None,
-        retries: int | None = None,
+        retries: int = 1,
     ) -> None:
         self.executor = ShardExecutor(
             shards,
@@ -534,7 +534,7 @@ def register(subparsers) -> None:
     )
     sub.add_argument(
         "--tenant-cap",
-        type=int,
+        type=positive_int,
         help="per-shard open-tenant limit (admission control)",
     )
     sub.add_argument(
@@ -545,7 +545,8 @@ def register(subparsers) -> None:
     sub.add_argument(
         "--task-retries",
         type=non_negative_int,
-        help="replay attempts for a lost shard batch",
+        default=1,
+        help="replay attempts for a lost shard batch (default: 1)",
     )
     sub.set_defaults(func=_cmd_serve)
 

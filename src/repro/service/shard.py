@@ -72,12 +72,7 @@ from typing import Any, Callable, Generator, Iterable, Mapping
 from repro.gc.registry import COLLECTOR_KINDS
 from repro.heap.flat import FlatHeap
 from repro.metrics.registry import MetricRegistry, merge_registries
-from repro.perf.parallel import (
-    PinnedWorker,
-    WorkerLost,
-    task_retries,
-    task_timeout,
-)
+from repro.perf.parallel import PinnedWorker, WorkerLost
 from repro.service.protocol import (
     ProtocolError,
     error_response,
@@ -538,10 +533,12 @@ class ShardExecutor:
         tenant_cap: int | None = None,
         chaos: bool = False,
         timeout: float | None = None,
-        retries: int | None = None,
+        retries: int = 1,
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
+        if tenant_cap is not None and tenant_cap < 1:
+            raise ValueError(f"tenant cap must be >= 1, got {tenant_cap}")
         if jobs < 0:
             raise ValueError(f"jobs must be non-negative, got {jobs}")
         self.shards = shards
@@ -804,7 +801,6 @@ class ShardExecutor:
     def _execute_steps(self, work: dict[int, list[dict]]) -> _Steps:
         """Run each batch on its shard's worker, rebuilding a lost
         worker and retrying the batch until the budget is spent."""
-        retries = task_retries() if self.retries is None else self.retries
         responses: dict[int, list[dict]] = {}
         attempts = dict.fromkeys(work, 0)
         pending = dict(work)
@@ -822,7 +818,7 @@ class ShardExecutor:
                 ledger.open_tenants = reply["open_tenants"]
                 responses[shard] = reply["responses"]
             for shard, failure in lost.items():
-                if attempts[shard] < retries:
+                if attempts[shard] < self.retries:
                     attempts[shard] += 1
                     continue
                 responses[shard] = self._drain(
@@ -856,8 +852,7 @@ class ShardExecutor:
         emptied.  A shard whose worker cannot be rebuilt within the
         retry budget stays at committed + suffix."""
         due = [shard for shard in shards if self._ledgers[shard].suffix]
-        retries = task_retries() if self.retries is None else self.retries
-        for _attempt in range(retries + 1):
+        for _attempt in range(self.retries + 1):
             if not due:
                 return
             replies, lost, _diverged = yield from self._call(
@@ -988,7 +983,6 @@ class ShardExecutor:
         """
         if not groups:
             return {}
-        timeout = task_timeout() if self.timeout is None else self.timeout
         outcomes: dict[int, Any] = {}
         started = time.monotonic()
         try:
@@ -1002,11 +996,11 @@ class ShardExecutor:
                 if index in outcomes:
                     continue
                 allowed[index] = None
-                if timeout is not None:
+                if self.timeout is not None:
                     units = len(items)
                     if verb == "rebuild":
                         units += sum(len(item[3]) for item in items)
-                    allowed[index] = timeout * units
+                    allowed[index] = self.timeout * units
             if allowed:
                 outcomes.update((yield started, allowed))
         except BaseException:

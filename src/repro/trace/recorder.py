@@ -101,10 +101,6 @@ class LifetimeRecorder:
             self._finished = True
         return self.trace
 
-    @property
-    def live_object_count(self) -> int:
-        return len(self._records)
-
 
 def record_run(program, epoch_words: int) -> LifetimeTrace:
     """Run a program under a tracing machine and return its trace.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.gc.collector import Collector
@@ -89,10 +89,6 @@ class MutatorScript:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    def normalized(self) -> "MutatorScript":
-        """This script with unreplayable ops removed."""
-        return replace(self, ops=normalize_ops(self.ops))
 
     def to_text(self) -> str:
         """A printable rendering, one op per line."""

@@ -67,7 +67,7 @@ PARENT_SIGNATURES = {
         ("marker_workers", 0),
         ("marker_seed", 0),
         ("marker_timeout", None),
-        ("marker_retries", None),
+        ("marker_retries", 1),
         ("trigger_fraction", 0.5),
         *_SIZING,
         ("max_heap_words", None),

@@ -25,23 +25,7 @@ class TestBarrier:
         barrier.on_store(1, 1, None)
         assert seen == [(1, 0, 2), (1, 1, None)]
 
-    def test_hook_can_be_swapped(self):
-        first, second = [], []
-        barrier = WriteBarrier(lambda *args: first.append(args))
-        barrier.on_store(1, 0, 2)
-        barrier.set_hook(lambda *args: second.append(args))
-        barrier.on_store(1, 0, 3)
-        assert len(first) == 1
-        assert len(second) == 1
-
     def test_no_hook_is_fine(self):
         barrier = WriteBarrier()
         barrier.on_store(1, 0, 2)
         assert barrier.pointer_stores == 1
-
-    def test_reset_counters(self):
-        barrier = WriteBarrier()
-        barrier.on_store(1, 0, 2)
-        barrier.reset_counters()
-        assert barrier.stores == 0
-        assert barrier.pointer_stores == 0

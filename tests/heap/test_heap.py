@@ -67,12 +67,6 @@ class TestSpaces:
         with pytest.raises(KeyError):
             heap.space("nope")
 
-    def test_remove_space_requires_empty(self, heap):
-        space = heap.add_space("s", 10)
-        heap.allocate_id(1, 0, space)
-        with pytest.raises(HeapError):
-            heap.remove_space(space)
-
     def test_move_between_spaces(self, heap):
         a = heap.add_space("a", 10)
         b = heap.add_space("b", 10)

@@ -25,9 +25,7 @@ class TestRecording:
         remset.record_barrier(2, 1)
         assert remset.promotion_size == 1
         assert remset.barrier_size == 1
-        remset.clear_promotion_entries()
-        assert (1, 0) not in remset
-        assert (2, 1) in remset
+        assert list(remset.entries()) == [(2, 1), (1, 0)]
 
     def test_duplicate_recording_idempotent(self):
         remset = RememberedSet()
@@ -60,21 +58,6 @@ class TestRecording:
 
 
 class TestMaintenance:
-    def test_discard_object(self):
-        remset = RememberedSet()
-        remset.record_barrier(1, 0)
-        remset.record_barrier(1, 1)
-        remset.record_barrier(2, 0)
-        remset.discard_object(1)
-        assert sorted(remset.entries()) == [(2, 0)]
-
-    def test_discard_objects_bulk(self):
-        remset = RememberedSet()
-        for obj_id in range(6):
-            remset.record_barrier(obj_id, 0)
-        remset.discard_objects({0, 2, 4})
-        assert sorted(entry[0] for entry in remset.entries()) == [1, 3, 5]
-
     def test_prune_returns_dropped_count(self):
         remset = RememberedSet()
         for obj_id in range(4):

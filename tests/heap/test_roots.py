@@ -41,7 +41,8 @@ class TestShadowStack:
         frame2 = roots.push_frame()
         frame2.push(2)
         assert list(roots.ids()) == [1, 2]
-        assert roots.frame_depth == 2
+        roots.pop_frame(frame2)
+        assert list(roots.ids()) == [1]
 
     def test_pop_requires_top_frame(self):
         roots = RootSet()
@@ -65,7 +66,7 @@ class TestShadowStack:
         assert list(roots.ids()) == []
         frame.set(slot, 9)
         assert list(roots.ids()) == [9]
-        assert frame.get_id(slot) == 9
+        assert list(frame.ids()) == [9]
 
     def test_push_id(self):
         """A frame slot holds an object id, or None for no root."""

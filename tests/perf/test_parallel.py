@@ -5,44 +5,50 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.runner import experiment_names, run_experiments
-from repro.experiments.tuning import run_tuning
+from repro.metrics import sweep
 from repro.perf.cache import ArtifactCache
 from repro.perf.parallel import (
-    default_jobs,
     derive_seed,
-    parallel_map,
+    resilient_map,
     run_experiment_records,
 )
 
 
-def _square(value: int) -> int:
+def _square(value: int, attempt: int) -> int:
     return value * value
 
 
-def test_parallel_map_preserves_input_order_serial() -> None:
-    assert parallel_map(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
+def test_resilient_map_preserves_input_order_serial() -> None:
+    assert resilient_map(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
 
 
-def test_parallel_map_preserves_input_order_with_pool() -> None:
+def test_resilient_map_preserves_input_order_with_pool() -> None:
     items = list(range(8))
-    assert parallel_map(_square, items, jobs=2) == [
+    assert resilient_map(_square, items, jobs=2) == [
         value * value for value in items
     ]
 
 
-def _square_or_raise(value: int) -> int:
-    if value == 3:
-        raise ValueError("three is refused")
-    return value * value
+def test_metrics_sweep_raises_when_a_cell_fails(monkeypatch) -> None:
+    """A sweep missing a cell has nothing to merge: the first failed
+    cell raises, in the pool as in the serial path.  The pool's
+    workers are forked after the patch, so they run it too."""
+    run_decay_cell = sweep.run_decay_cell
+
+    def refuse_hybrid(kind, seed, **kwargs):
+        if kind == "hybrid":
+            raise ValueError("hybrid is refused")
+        return run_decay_cell(kind, seed, **kwargs)
+
+    monkeypatch.setattr(sweep, "run_decay_cell", refuse_hybrid)
+    kinds = ("mark-sweep", "hybrid")
+    for jobs in (1, 2):
+        with pytest.raises(RuntimeError, match="hybrid is refused"):
+            sweep.run_metrics_sweep(kinds, jobs=jobs, quick=True)
 
 
-def test_parallel_map_raises_when_a_task_raises() -> None:
-    with pytest.raises(RuntimeError, match="three is refused"):
-        parallel_map(_square_or_raise, list(range(6)), jobs=2)
-
-
-def test_parallel_map_empty() -> None:
-    assert parallel_map(_square, [], jobs=4) == []
+def test_resilient_map_empty() -> None:
+    assert resilient_map(_square, [], jobs=4) == []
 
 
 def test_derive_seed_is_deterministic_and_distinct() -> None:
@@ -51,18 +57,6 @@ def test_derive_seed_is_deterministic_and_distinct() -> None:
     assert len(set(seeds)) == 100
     assert all(0 <= seed < 2**63 for seed in seeds)
     assert derive_seed(0, 1) != derive_seed(1, 0)
-
-
-def test_default_jobs_reads_environment(monkeypatch) -> None:
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("REPRO_JOBS", "0")
-    assert default_jobs() == 1
-    monkeypatch.setenv("REPRO_JOBS", "many")
-    with pytest.raises(ValueError):
-        default_jobs()
 
 
 def test_run_experiment_records_matches_serial_reference() -> None:
@@ -97,8 +91,3 @@ def test_run_experiments_defaults_to_full_registry(tmp_path) -> None:
     assert all(record.cached for record in records)
     assert records[0].text == f"text-{names[0]}"
 
-
-def test_tuning_parallel_rows_match_serial() -> None:
-    serial = run_tuning(cycles=2, jobs=1)
-    pooled = run_tuning(cycles=2, jobs=2)
-    assert serial.rows == pooled.rows

@@ -15,7 +15,6 @@ from repro.resilience.snapshot import (
     checkpoint,
     load_snapshot,
     restore,
-    restore_into,
     restore_state,
     save_snapshot,
     verify_snapshot,
@@ -72,15 +71,6 @@ class TestRoundTrip:
         restored.collect()
         assert heap.contains_id(obj)
         assert len(_survivors(heap)) <= before + 1
-
-    def test_restore_into_rebinds_in_place(self):
-        source = _live_collector("mark-sweep", seed=9)
-        document = checkpoint(source, "mark-sweep", VERIFY_GEOMETRY)
-        target = _live_collector("mark-sweep", seed=13)
-        assert _survivors(target.heap) != _survivors(source.heap)
-        restore_into(target, document)
-        assert _survivors(target.heap) == _survivors(source.heap)
-        assert target.heap.clock == source.heap.clock
 
     def test_capture_restore_state_rolls_back_mutation(self):
         collector = _live_collector("mark-sweep")
@@ -142,9 +132,6 @@ class TestEnvelopeValidation:
             verify_snapshot(document)
         with pytest.raises(SnapshotError, match="heap backend 'object'"):
             restore(document)
-        target = _live_collector()
-        with pytest.raises(SnapshotError, match="heap backend 'object'"):
-            restore_into(target, document)
 
     def test_format_constants_are_wired_through(self):
         document = self._document()

@@ -138,6 +138,13 @@ class TestRouting:
         with pytest.raises(ValueError):
             ShardExecutor(0)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_executor_rejects_a_tenant_cap_below_one(self, cap):
+        """A cap below one refuses every ``open``: a server that can
+        hold no tenant is a configuration error, like zero shards."""
+        with pytest.raises(ValueError, match="tenant cap"):
+            ShardExecutor(2, tenant_cap=cap)
+
     def test_executor_rejects_negative_jobs(self):
         """``min(jobs, shards)`` lanes would be negative and the server
         would index past its lane list; refuse at construction."""

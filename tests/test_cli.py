@@ -185,6 +185,10 @@ class TestUsageErrors:
             ["all", "--only", "table2", "--task-timeout", "nan"],
             ["serve", "--task-timeout", "0"],
             ["serve", "--task-retries", "-1"],
+            ["load", "--tenants", "2", "--ops", "10", "--tenant-cap", "-1",
+             "--allow-errors"],
+            ["load", "--tenants", "2", "--ops", "10", "--tenant-cap", "0",
+             "--allow-errors"],
         ],
     )
     def test_bad_arguments_exit_2_with_one_error_line(
@@ -202,6 +206,16 @@ class TestUsageErrors:
         nested = argv[0] in ("trace", "snapshot")
         command = " ".join(argv[:2] if nested else argv[:1])
         assert f"repro-gc {command}: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_serve_tenant_cap_below_one_is_a_usage_error(self, cap, capsys):
+        """A cap below one would refuse every ``open``.  Only parsed:
+        a parser that accepted it would start a server that never
+        exits."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--tenant-cap", cap])
+        assert exit_info.value.code == 2
+        assert "repro-gc serve: error:" in capsys.readouterr().err
 
     def test_huge_counts_are_only_parsed(self):
         args = build_parser().parse_args(

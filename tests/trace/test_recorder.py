@@ -94,12 +94,3 @@ class TestRecorder:
         # local goes away, so at least the churn is dead).
         dead = sum(1 for record in trace.records if record.death is not None)
         assert dead >= 19
-
-    def test_live_object_count_tracks_population(self):
-        machine = Machine(TracingCollector)
-        recorder = LifetimeRecorder(machine, epoch_words=10)
-        keepers = [machine.cons(Fixnum(index), None) for index in range(3)]
-        for _ in range(50):
-            machine.cons(Fixnum(0), None)
-        recorder.sample()
-        assert recorder.live_object_count <= 3 + 10

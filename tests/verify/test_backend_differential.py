@@ -22,7 +22,6 @@ from pathlib import Path
 
 from repro.gc.registry import collector_factory
 from repro.metrics.instrument import metrics_session
-from repro.perf.parallel import default_jobs, parallel_map
 from repro.verify import generate_script
 from repro.verify.differential import DEFAULT_COLLECTORS, VERIFY_GEOMETRY
 from repro.verify.replay import ReplayContext
@@ -65,15 +64,12 @@ def observables(kind: str, name: str) -> dict[str, str]:
 
 
 def script_observables(name: str) -> tuple[str, dict]:
-    """Module-level so the sweep can run in worker processes."""
     return name, {kind: observables(kind, name) for kind in DEFAULT_COLLECTORS}
 
 
 def _mismatches(names) -> list[str]:
     golden = json.loads(GOLDEN_PATH.read_text())
-    outcomes = parallel_map(
-        script_observables, list(names), jobs=default_jobs()
-    )
+    outcomes = [script_observables(name) for name in names]
     return [
         f"{name} {kind}: {observable}"
         for name, seen in outcomes
@@ -103,7 +99,7 @@ def test_longer_script_with_higher_live_budget() -> None:
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     GOLDEN_PATH.write_text(
         json.dumps(
-            dict(parallel_map(script_observables, list(SCRIPTS), jobs=2)),
+            dict(script_observables(name) for name in SCRIPTS),
             indent=1,
             sort_keys=True,
         )

@@ -4,17 +4,14 @@ Every script is replayed under every collector in checked mode, so a
 failure here is either a collector disagreeing about the live graph or
 a heap invariant breaking mid-run — both with a seed to reproduce.
 
-The 50-seed sweep goes through the perf layer's parallel engine: each
-seed is an independent task, results come back in seed order, and
-``REPRO_JOBS=N`` fans the sweep across worker processes (the default
-is serial, which is byte-identical to running each seed inline).
+The 50-seed sweep runs each seed as an independent script, in seed
+order.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.perf.parallel import default_jobs, parallel_map
 from repro.verify import generate_script, run_differential
 
 #: One differential run covers 5 collectors x ~25 collections, so 50
@@ -22,21 +19,12 @@ from repro.verify import generate_script, run_differential
 SEEDS = range(50)
 
 
-def _fuzz_task(seed: int) -> tuple[int, bool, str]:
-    """Module-level so the sweep can run in worker processes."""
-    script = generate_script(120, seed)
-    report = run_differential(script)
-    return seed, report.ok, report.summary()
-
-
 def test_collectors_agree_on_random_scripts() -> None:
-    outcomes = parallel_map(_fuzz_task, SEEDS, jobs=default_jobs())
-    assert [seed for seed, _, _ in outcomes] == list(SEEDS)
-    failures = [
-        f"seed {seed}: {summary}"
-        for seed, ok, summary in outcomes
-        if not ok
-    ]
+    failures = []
+    for seed in SEEDS:
+        report = run_differential(generate_script(120, seed))
+        if not report.ok:
+            failures.append(f"seed {seed}: {report.summary()}")
     assert not failures, "\n".join(failures)
 
 
