@@ -98,7 +98,7 @@ def run_table1(
     # Align to the start of a cycle: run up to just after a collection.
     collections = collector.stats.collections
     while collector.stats.collections == collections:
-        mutator.step()
+        mutator.run_objects(1)
     mutator.release_due()
 
     rows: dict[int, tuple[int, ...]] = {-1: live_per_step()}
@@ -108,14 +108,13 @@ def run_table1(
     cycle_start = heap.clock - 1
     for boundary in range(1, 6):
         target = cycle_start + boundary * step_words
-        while heap.clock < target:
-            mutator.step()
+        mutator.run(target - heap.clock)
         mutator.release_due()
         rows[boundary * step_words] = live_per_step()
     # Finish the cycle (trigger the collection) to measure mark/cons.
     collections = collector.stats.collections
     while collector.stats.collections == collections:
-        mutator.step()
+        mutator.run_objects(1)
     copied = collector.stats.words_copied - copied_before
     allocated = heap.clock - 1 - cycle_start
     return Table1Result(

@@ -9,11 +9,12 @@ level — the same determinism contract the experiment engine makes.
 
 :func:`measure_overhead` is the acceptance check for the plane's cost:
 it times one seeded decay cell with instrumentation attached and
-detached and reports the wall-clock ratio.
+detached and reports the CPU-time ratio.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Any, Sequence
 
@@ -136,35 +137,40 @@ def run_metrics_sweep(
 
 def measure_overhead(
     *,
-    alloc_words: int = QUICK_ALLOC_WORDS,
+    alloc_words: int = SWEEP_ALLOC_WORDS,
     kind: str = "non-predictive",
     seed: int = 0,
     repeats: int = 3,
 ) -> dict[str, float]:
-    """Wall-clock cost of the metrics plane on one decay cell.
-
-    Runs the same seeded workload with instrumentation attached and
-    detached, ``repeats`` times each, and compares best-of-N (the
-    stable statistic under scheduler noise).  The acceptance bar is a
-    ratio ≤ 1.05.
-    """
-    def timed(instrumented: bool) -> float:
-        best = float("inf")
-        for _ in range(repeats):
+    """CPU-time cost of the metrics plane on one decay cell: ``repeats``
+    pairs of the same seeded workload, instrumentation detached then
+    attached, each run timed by ``time.process_time()``; the ratio is
+    the median of the pairs' ratios, so drift between pairs cancels.
+    The acceptance bar is a ratio ≤ 1.05.  The plane acts per
+    collection, so a probe that collected 0 times raises
+    ``ValueError``: it compared two identical programs."""
+    pairs = []
+    for _ in range(repeats):
+        pair = []
+        for instrumented in (False, True):
             collector, mutator = _build_cell(kind, seed)
             if instrumented:
                 instrument_collector(collector, stream=EventStream())
-            start = time.perf_counter()
+            start = time.process_time()
             mutator.run(alloc_words)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    off = timed(False)
-    on = timed(True)
+            pair.append(time.process_time() - start)
+        pairs.append(pair)
+    collections = collector.stats.collections
+    if collections == 0:
+        raise ValueError(
+            f"the overhead probe ({kind}, {alloc_words} words) collected "
+            "0 times, so metrics-on and metrics-off ran the same program"
+        )
     return {
-        "metrics_off_seconds": off,
-        "metrics_on_seconds": on,
-        "overhead_ratio": (on / off) if off > 0 else 1.0,
+        "metrics_off_seconds": statistics.median(off for off, _ in pairs),
+        "metrics_on_seconds": statistics.median(on for _, on in pairs),
+        "overhead_ratio": statistics.median(on / off for off, on in pairs),
+        "collections": collections,
     }
 
 
@@ -236,7 +242,7 @@ def register(subparsers) -> None:
         "--overhead",
         action="store_true",
         help=(
-            "measure metrics-on vs metrics-off wall-clock on the decay "
+            "measure metrics-on vs metrics-off CPU time on the decay "
             "workload and fail if the overhead exceeds the tolerance"
         ),
     )
@@ -250,7 +256,7 @@ def register(subparsers) -> None:
         "--repeats",
         type=positive_int,
         default=3,
-        help="--overhead timing repetitions per mode (best-of-N)",
+        help="--overhead timing pairs (median of the pairs' ratios)",
     )
     sub.set_defaults(func=_cmd_metrics)
 
@@ -268,12 +274,17 @@ def _cmd_metrics(args) -> int:
     from repro.resilience.atomic import atomic_write_json
 
     if args.overhead:
-        result = measure_overhead(repeats=args.repeats)
+        try:
+            result = measure_overhead(repeats=args.repeats)
+        except ValueError as error:
+            print(f"[FAIL] {error}")
+            return 1
         ratio = result["overhead_ratio"]
         print(
             f"metrics-off: {result['metrics_off_seconds'] * 1000:.1f}ms  "
             f"metrics-on: {result['metrics_on_seconds'] * 1000:.1f}ms  "
-            f"overhead: {100 * (ratio - 1):+.1f}%"
+            f"overhead: {100 * (ratio - 1):+.1f}%  "
+            f"({result['collections']} collections)"
         )
         budget = f"{100 * args.overhead_tolerance:.0f}%"
         if ratio > 1.0 + args.overhead_tolerance:

@@ -1,11 +1,7 @@
 """Synthetic lifetime-driven workloads for the analytical experiments."""
 
 from repro.mutator.base import LifetimeDrivenMutator, LifetimeSchedule
-from repro.mutator.decay_mutator import (
-    DecaySchedule,
-    HalvingSchedule,
-    decay_mutator,
-)
+from repro.mutator.decay_mutator import DecaySchedule, HalvingSchedule
 from repro.mutator.phased import PhasedSchedule
 from repro.mutator.synthetic import (
     BimodalSchedule,
@@ -24,5 +20,4 @@ __all__ = [
     "PhasedSchedule",
     "UniformLifetimeSchedule",
     "WeibullSchedule",
-    "decay_mutator",
 ]

@@ -6,7 +6,8 @@ lifetimes follow a prescribed distribution exactly.  A
 :class:`LifetimeDrivenMutator` allocates plain (pointer-free) objects
 through a collector, holds each in a root slot, and clears the slot
 when the object's scheduled death time arrives — the object then
-becomes garbage for the collector to discover.
+becomes garbage for the collector to discover.  Each run is planned
+ahead and allocated through bump windows (:mod:`repro.perf.plan`).
 
 Pointer-free objects are faithful to the radioactive decay model's
 Assumption 2 ("live objects have no other distinguishing
@@ -17,10 +18,11 @@ except where it resides.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.gc.collector import Collector
 from repro.heap.roots import Frame, RootSet
+from repro.perf.plan import plan_objects, replay_plan
 
 __all__ = ["LifetimeDrivenMutator", "LifetimeSchedule"]
 
@@ -39,6 +41,10 @@ class LifetimeSchedule(Protocol):
 
 class LifetimeDrivenMutator:
     """Drives a collector with a scheduled-lifetime workload.
+
+    A mutator is spent once a run raises ``HeapExhausted`` (or
+    ``ValueError`` for a non-positive lifetime); ``held_ids`` is then
+    what per-object allocation would hold at the failing allocation.
 
     Args:
         collector: the collector under test (its ``roots`` must be the
@@ -62,7 +68,6 @@ class LifetimeDrivenMutator:
                 f"object size must be at least 1 word, got {object_words!r}"
             )
         self.collector = collector
-        self.roots = roots
         self.schedule = schedule
         self.object_words = object_words
         self._frame: Frame = roots.push_frame()
@@ -70,98 +75,54 @@ class LifetimeDrivenMutator:
         #: (death clock, slot) min-heap of scheduled deaths.
         self._deaths: list[tuple[int, int]] = []
         self._allocated = 0
-        #: Observer invoked after every allocation with the current clock.
-        self.on_step: Callable[[int], None] | None = None
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
 
     @property
     def live_objects(self) -> int:
         """Objects currently held live by the mutator."""
         return len(self._deaths)
 
-    @property
-    def live_words(self) -> int:
-        return self.live_objects * self.object_words
-
-    @property
-    def allocations(self) -> int:
-        return self._allocated
-
-    # ------------------------------------------------------------------
-    # Driving
-    # ------------------------------------------------------------------
-
-    def step(self) -> None:
-        """Release due objects, then allocate one object.
-
-        This is the inner loop of every synthetic experiment, so the
-        release and the slot reuse are inlined with direct access to
-        the frame's slot list.
-        """
-        collector = self.collector
-        clock = collector.heap.clock
-        deaths = self._deaths
-        slots = self._frame._cells
-        free_slots = self._free_slots
-        while deaths and deaths[0][0] <= clock:
-            _, slot = heapq.heappop(deaths)
-            slots[slot] = None
-            free_slots.append(slot)
-        words = self.object_words
-        obj_id = collector.allocate_id(words)
-        if free_slots:
-            slot = free_slots.pop()
-            slots[slot] = obj_id
-        else:
-            slots.append(obj_id)
-            slot = len(slots) - 1
-        lifetime = self.schedule.lifetime_for(clock, self._allocated)
-        if lifetime <= 0:
-            raise ValueError(
-                f"schedule produced non-positive lifetime {lifetime!r}"
-            )
-        heapq.heappush(deaths, (clock + words + lifetime, slot))
-        self._allocated += 1
-        if self.on_step is not None:
-            self.on_step(collector.heap.clock)
-
     def run(self, words: int) -> None:
         """Allocate at least ``words`` words of objects."""
-        heap = self.collector.heap
-        target = heap.clock + words
-        step = self.step
-        while heap.clock < target:
-            step()
+        if words > 0:
+            self.run_objects(-(-words // self.object_words))
 
     def run_objects(self, count: int) -> None:
         """Allocate exactly ``count`` objects."""
-        step = self.step
-        for _ in range(count):
-            step()
+        if count <= 0:
+            return
+        plan = plan_objects(
+            self.schedule,
+            count,
+            self.object_words,
+            self.collector.heap.clock,
+            self._allocated,
+            self._deaths,
+            self._free_slots,
+            len(self._frame),  # the slot high-water mark
+        )
+        self._allocated += count
+        replay_plan(self.collector, self._frame, plan)
 
     def release_due(self) -> None:
         """Release objects whose death time has arrived.
 
-        ``step`` does this automatically before each allocation; the
-        Table 1 experiment calls it explicitly so that live storage can
-        be sampled exactly *at* a cohort boundary.
+        A run does this before each allocation; the Table 1 experiment
+        calls it explicitly so that live storage can be sampled exactly
+        *at* a cohort boundary.
         """
-        clock = self.collector.heap.clock
-        while self._deaths and self._deaths[0][0] <= clock:
-            _, slot = heapq.heappop(self._deaths)
+        self._release(self.collector.heap.clock)
+
+    def release_all(self) -> None:
+        """Drop every live object (end-of-run cleanup)."""
+        self._release(float("inf"))
+
+    def _release(self, clock: float) -> None:
+        deaths = self._deaths
+        while deaths and deaths[0][0] <= clock:
+            _, slot = heapq.heappop(deaths)
             self._frame.set(slot, None)
             self._free_slots.append(slot)
 
     def held_ids(self) -> list[int]:
         """Ids of the objects the mutator currently keeps live."""
         return list(self._frame.ids())
-
-    def release_all(self) -> None:
-        """Drop every live object (end-of-run cleanup)."""
-        while self._deaths:
-            _, slot = heapq.heappop(self._deaths)
-            self._frame.set(slot, None)
-            self._free_slots.append(slot)

@@ -16,11 +16,8 @@ import math
 import random
 
 from repro.core.decay import RadioactiveDecayModel
-from repro.gc.collector import Collector
-from repro.heap.roots import RootSet
-from repro.mutator.base import LifetimeDrivenMutator
 
-__all__ = ["DecaySchedule", "HalvingSchedule", "decay_mutator"]
+__all__ = ["DecaySchedule", "HalvingSchedule"]
 
 
 class DecaySchedule:
@@ -82,19 +79,3 @@ class HalvingSchedule:
         completion = cohort - position
         return completion + survives * cohort - 1
 
-
-def decay_mutator(
-    collector: Collector,
-    roots: RootSet,
-    half_life: float,
-    *,
-    seed: int = 0,
-    object_words: int = 1,
-) -> LifetimeDrivenMutator:
-    """Convenience constructor for a radioactive-decay mutator."""
-    return LifetimeDrivenMutator(
-        collector,
-        roots,
-        DecaySchedule(half_life, seed=seed),
-        object_words=object_words,
-    )

@@ -12,8 +12,8 @@ exploits:
 * :mod:`repro.perf.cache` — an on-disk artifact cache keyed by
   (experiment name, parameters, source digest), so ``repro-gc all``
   skips artifacts the current source tree has already produced;
-* :mod:`repro.perf.plan` — the decay workload precomputed into an
-  allocation plan, so a timed loop drives nothing but the collector;
+* :mod:`repro.perf.plan` — lifetime-driven allocation planned ahead
+  and replayed through bump windows (every decay run and the benchmark);
 * :mod:`repro.perf.slo` — the ``repro-gc slo`` pause gate.
 
 Throughput and collection latency per collector are measured by the

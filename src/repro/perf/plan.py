@@ -1,26 +1,17 @@
-"""Plan-driven benchmark workloads: the decay mutator, choreographed.
+"""Allocation plans: the one driver of every lifetime-driven run.
 
-The allocation-throughput benchmark wants to time the *collector* —
-reservation, collection, copying — not the synthetic workload driving
-it.  Most of a :class:`~repro.mutator.base.LifetimeDrivenMutator`
-step is bookkeeping whose outcome is fully deterministic before the
-run starts: the lifetime drawn for allocation *i*, its death clock,
-which root slot frees before which allocation.  None of it depends on
-collector state, because the simulated clock advances only on
-allocation — exactly ``object_words`` per object — so allocation *i*
-always happens at clock ``start + i * object_words``.
-
-:func:`build_allocation_plan` replays that choreography once, untimed,
-into flat tuples; :func:`execute_plan` then drives a collector through
-the identical workload with nothing in the timed loop but allocation
-windows (:meth:`~repro.gc.collector.Collector.reserve_window`, which
-the heap materializes at C speed) and root-slot stores.
-Observable collector state afterwards — collections, pause log,
-GcStats, heap fingerprint — is identical to driving
-``LifetimeDrivenMutator.run`` over the same schedule, which
-``tests/perf/test_plan.py`` pins for every collector.
-
-Two facts carry the equivalence argument:
+The clock moves only on allocation and a lifetime is drawn at birth,
+so a lifetime-driven run's choreography — each death clock, which root
+slot frees before which allocation — is fixed before it starts.
+:func:`plan_objects` computes it from the state a run carries, and
+:func:`replay_plan` drives a collector through it with nothing in the
+loop but allocation windows
+(:meth:`~repro.gc.collector.Collector.reserve_window`) and root-slot
+stores.  :class:`~repro.mutator.base.LifetimeDrivenMutator` allocates
+only this way; the benchmark's ``alloc-decay`` times
+:func:`execute_plan` on a whole run from :func:`build_allocation_plan`.
+``tests/perf/test_plan.py`` pins both against a per-object reference
+loop for every collector.  Two facts carry that equivalence:
 
 * A window never outlives its reservation: ``reserve_window`` caps the
   window at the reserved space's free room, so no collection can fall
@@ -36,12 +27,21 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.gc.collector import Collector
 from repro.heap.roots import Frame
-from repro.mutator.base import LifetimeSchedule
 
-__all__ = ["AllocationPlan", "build_allocation_plan", "execute_plan"]
+if TYPE_CHECKING:
+    from repro.mutator.base import LifetimeSchedule
+
+__all__ = [
+    "AllocationPlan",
+    "build_allocation_plan",
+    "execute_plan",
+    "plan_objects",
+    "replay_plan",
+]
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class AllocationPlan:
             before it (objects whose scheduled death clock has
             arrived); almost always empty or a single slot.
         store_slots: per allocation, the root slot that holds the new
-            object — the same LIFO free-slot reuse the mutator does.
+            object (LIFO reuse of released slots).
         slot_count: total slots the frame needs (its high-water mark).
     """
 
@@ -70,6 +70,50 @@ class AllocationPlan:
         return self.total_objects * self.object_words
 
 
+def plan_objects(
+    schedule: LifetimeSchedule,
+    count: int,
+    object_words: int,
+    clock: int,
+    index: int,
+    deaths: list[tuple[int, int]],
+    free_slots: list[int],
+    slot_count: int,
+) -> AllocationPlan:
+    """Plan ``count`` allocations, the first at ``clock`` with ordinal
+    ``index``, advancing a run's ``deaths`` (``(death clock, slot)``
+    min-heap) and ``free_slots`` (reused LIFO) in place.  Raises
+    ``ValueError`` for a non-positive lifetime."""
+    lifetime_for = schedule.lifetime_for
+    releases: list[tuple[int, ...]] = []
+    store_slots: list[int] = []
+    for index in range(index, index + count):
+        if deaths and deaths[0][0] <= clock:
+            due = []
+            while deaths and deaths[0][0] <= clock:
+                due.append(heapq.heappop(deaths)[1])
+            free_slots.extend(due)
+            releases.append(tuple(due))
+        else:
+            releases.append(())
+        if free_slots:
+            slot = free_slots.pop()
+        else:
+            slot = slot_count
+            slot_count += 1
+        store_slots.append(slot)
+        lifetime = lifetime_for(clock, index)
+        if lifetime <= 0:
+            raise ValueError(
+                f"schedule produced non-positive lifetime {lifetime!r}"
+            )
+        clock += object_words
+        heapq.heappush(deaths, (clock + lifetime, slot))
+    return AllocationPlan(
+        object_words, count, tuple(releases), tuple(store_slots), slot_count
+    )
+
+
 def build_allocation_plan(
     schedule: LifetimeSchedule,
     alloc_words: int,
@@ -77,13 +121,9 @@ def build_allocation_plan(
     object_words: int = 1,
     start_clock: int = 0,
 ) -> AllocationPlan:
-    """Precompute the death/slot choreography of a mutator run.
-
-    Replicates ``LifetimeDrivenMutator.run(alloc_words)`` step for
-    step — the same clock reads, the same ``lifetime_for`` call order
-    (so the schedule's RNG stream is untouched), the same min-heap of
-    deaths and LIFO slot reuse — without touching any heap.
-    """
+    """Plan a whole run: ``LifetimeDrivenMutator.run(alloc_words)`` on
+    a fresh mutator at clock ``start_clock``, with the same
+    ``lifetime_for`` calls in the same order."""
     if alloc_words < 1:
         raise ValueError(
             f"allocation budget must be positive, got {alloc_words!r}"
@@ -92,58 +132,21 @@ def build_allocation_plan(
         raise ValueError(
             f"object size must be at least 1 word, got {object_words!r}"
         )
-    total = -(-alloc_words // object_words)
-    releases: list[tuple[int, ...]] = []
-    store_slots: list[int] = []
-    deaths: list[tuple[int, int]] = []
-    free_slots: list[int] = []
-    slot_count = 0
-    clock = start_clock
-    for index in range(total):
-        due: list[int] = []
-        while deaths and deaths[0][0] <= clock:
-            _, slot = heapq.heappop(deaths)
-            free_slots.append(slot)
-            due.append(slot)
-        releases.append(tuple(due))
-        if free_slots:
-            slot = free_slots.pop()
-        else:
-            slot = slot_count
-            slot_count += 1
-        store_slots.append(slot)
-        lifetime = schedule.lifetime_for(clock, index)
-        if lifetime <= 0:
-            raise ValueError(
-                f"schedule produced non-positive lifetime {lifetime!r}"
-            )
-        heapq.heappush(deaths, (clock + object_words + lifetime, slot))
-        clock += object_words
-    return AllocationPlan(
-        object_words=object_words,
-        total_objects=total,
-        releases=tuple(releases),
-        store_slots=tuple(store_slots),
-        slot_count=slot_count,
+    objects = -(-alloc_words // object_words)
+    return plan_objects(
+        schedule, objects, object_words, start_clock, 0, [], [], 0
     )
 
 
-def execute_plan(collector: Collector, plan: AllocationPlan) -> Frame:
-    """Drive ``collector`` through a precomputed plan, windowed.
-
-    Pushes one frame on the collector's root set (pre-sized to the
-    plan's slot high-water mark; empty slots are invisible to root
-    enumeration) and allocates the whole plan through bump windows.
-    Returns the frame, still holding the plan's end-of-run live set —
-    callers wanting the equilibrium graph for latency probes use it
-    as-is, then clear it.
-
-    This is the benchmark's timed region: keep it free of anything
-    that is not collector work or the minimal root bookkeeping.
-    """
-    frame = collector.roots.push_frame()
+def replay_plan(
+    collector: Collector, frame: Frame, plan: AllocationPlan
+) -> None:
+    """Allocate ``plan`` through bump windows, holding it in ``frame``
+    (grown to the plan's slot high-water mark; empty slots are not
+    roots).  On ``HeapExhausted`` the frame holds what per-object
+    allocation would hold at that point."""
     slots = frame._cells
-    slots.extend([None] * plan.slot_count)
+    slots.extend([None] * (plan.slot_count - len(slots)))
     releases = plan.releases
     store = plan.store_slots
     words = plan.object_words
@@ -151,12 +154,9 @@ def execute_plan(collector: Collector, plan: AllocationPlan) -> Frame:
     reserve = collector.reserve_window
     done = 0
     while done < total:
-        # The reservation below may collect, so the releases due before
-        # the window's first allocation must land first — exactly where
-        # the per-object mutator applies them.  Releases due *inside*
-        # the window are invisible to the heap until the next
-        # collection, so applying them at their per-object points in
-        # the loop below preserves equivalence.
+        # The reservation may collect, so the releases due before the
+        # window's first allocation land first; those due inside the
+        # window land at their per-object points.
         for slot in releases[done]:
             slots[slot] = None
         first, end = reserve(total - done, words)
@@ -168,4 +168,15 @@ def execute_plan(collector: Collector, plan: AllocationPlan) -> Frame:
                 slots[slot] = None
             slots[store[index]] = first
         done += count
+
+
+def execute_plan(collector: Collector, plan: AllocationPlan) -> Frame:
+    """Push a frame and replay a whole-run plan into it; return the
+    frame, still holding the plan's end-of-run live set.
+
+    This is the benchmark's timed region: keep it free of anything
+    that is not collector work or the minimal root bookkeeping.
+    """
+    frame = collector.roots.push_frame()
+    replay_plan(collector, frame, plan)
     return frame

@@ -109,7 +109,7 @@ def test_generational_steady_state_reaches_equilibrium(threshold):
     )
     mutator.run(20_000)
     mutator.release_due()
-    assert mutator.live_words <= 301
+    assert mutator.live_objects <= 301
     # Resident garbage is bounded by the heap geometry, not growing
     # with the run length.
     assert heap.live_words <= (collector.oldest.capacity or 0) + 128

@@ -104,7 +104,7 @@ def test_post_collection_protected_steps_empty(algorithm):
     collections_seen = 0
     while collections_seen < 5:
         before = collector.stats.collections
-        mutator.step()
+        mutator.run_objects(1)
         if collector.stats.collections > before:
             collections_seen += 1
             for space in collector.steps[: collector.j]:

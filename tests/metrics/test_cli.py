@@ -135,3 +135,18 @@ class TestOverheadMode:
         assert code == 0
         assert "metrics-off:" in out
         assert "[PASS]" in out
+
+    def test_a_probe_that_never_collects_fails(self, capsys, monkeypatch):
+        import functools
+
+        from repro.metrics import sweep
+
+        monkeypatch.setattr(
+            sweep,
+            "measure_overhead",
+            functools.partial(sweep.measure_overhead, alloc_words=4_000),
+        )
+        code = main(["metrics", "--overhead", "--repeats", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[FAIL]" in out and "collected 0 times" in out

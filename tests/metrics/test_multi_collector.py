@@ -59,7 +59,7 @@ def _interleaved_registries(specs) -> list[str]:
             if mutator.collector.heap.clock >= WORK_WORDS:
                 active.remove(context)
                 continue
-            mutator.step()
+            mutator.run_objects(1)
     return [
         instrument.registry.canonical_json() for instrument, _ in contexts
     ]

@@ -54,7 +54,7 @@ def steady():
     def run_to_next_collection():
         collections = collector.stats.collections
         while collector.stats.collections == collections:
-            mutator.step()
+            mutator.run_objects(1)
         mutator.release_due()
 
     # Warm up past the fill transient, then align to a cycle boundary.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.metrics.sweep import (
     SWEEP_COLLECTORS,
     measure_overhead,
@@ -79,15 +81,25 @@ class TestSweep:
 
 class TestOverhead:
     def test_reports_the_expected_shape(self):
-        report = measure_overhead(alloc_words=4_000, repeats=1)
+        report = measure_overhead(repeats=1)
         assert set(report) == {
             "metrics_off_seconds",
             "metrics_on_seconds",
             "overhead_ratio",
+            "collections",
         }
         assert report["metrics_off_seconds"] > 0
         assert report["metrics_on_seconds"] > 0
         assert report["overhead_ratio"] > 0
+
+    def test_probe_collects(self):
+        # The plane acts per collection: a probe that never collects
+        # compares two identical programs.
+        assert measure_overhead(repeats=1)["collections"] > 0
+
+    def test_refuses_a_probe_that_never_collects(self):
+        with pytest.raises(ValueError, match="collected 0 times"):
+            measure_overhead(alloc_words=4_000, repeats=1)
 
     def test_overhead_within_acceptance_bar(self):
         """The ISSUE's ≤5% bar, with local slack for noisy test hosts.

@@ -23,21 +23,51 @@ def setup(schedule, heap_words=10_000, object_words=1):
 
 class TestDriving:
     def test_step_allocates_one_object(self):
-        heap, _, _, mutator = setup(FixedLifetimeSchedule(5))
-        mutator.step()
-        assert mutator.allocations == 1
+        heap, _, collector, mutator = setup(FixedLifetimeSchedule(5))
+        mutator.run_objects(1)
+        assert collector.stats.objects_allocated == 1
         assert heap.clock == 1
+        assert mutator.live_objects == 1
 
     def test_run_allocates_requested_words(self):
-        heap, _, _, mutator = setup(FixedLifetimeSchedule(5), object_words=3)
+        heap, _, collector, mutator = setup(
+            FixedLifetimeSchedule(5), object_words=3
+        )
         mutator.run(30)
         assert heap.clock == 30
-        assert mutator.allocations == 10
+        assert collector.stats.objects_allocated == 10
+
+    def test_run_rounds_up_to_whole_objects(self):
+        heap, _, collector, mutator = setup(
+            FixedLifetimeSchedule(5), object_words=3
+        )
+        mutator.run(31)
+        assert heap.clock == 33
+        assert collector.stats.objects_allocated == 11
+
+    def test_non_positive_runs_are_no_ops(self):
+        heap, _, _, mutator = setup(FixedLifetimeSchedule(5))
+        for amount in (0, -3):
+            mutator.run(amount)
+            mutator.run_objects(amount)
+        assert heap.clock == 0
+        assert mutator.held_ids() == []
+
+    def test_runs_carry_the_choreography(self):
+        # Deaths scheduled in one run fall due in the next, and the
+        # freed slots are reused.
+        _, _, _, mutator = setup(FixedLifetimeSchedule(4))
+        for _ in range(10):
+            mutator.run(3)
+        mutator.release_due()
+        assert mutator.live_objects == 4
+        assert len(mutator.held_ids()) == 4
 
     def test_run_objects(self):
-        heap, _, _, mutator = setup(FixedLifetimeSchedule(5))
+        heap, _, collector, mutator = setup(FixedLifetimeSchedule(5))
         mutator.run_objects(7)
-        assert mutator.allocations == 7
+        assert collector.stats.objects_allocated == 7
+        assert heap.clock == 7
 
 
 class TestLifetimes:
@@ -76,18 +106,11 @@ class TestLifetimes:
         assert heap.object_count == 0
 
     def test_live_words_scales_with_object_size(self):
-        _, _, _, mutator = setup(FixedLifetimeSchedule(10), object_words=4)
+        heap, _, _, mutator = setup(FixedLifetimeSchedule(10), object_words=4)
         mutator.run(100)
-        assert mutator.live_words == mutator.live_objects * 4
-
-
-class TestObserver:
-    def test_on_step_sees_every_allocation(self):
-        clocks = []
-        _, _, _, mutator = setup(FixedLifetimeSchedule(5))
-        mutator.on_step = clocks.append
-        mutator.run_objects(5)
-        assert clocks == [1, 2, 3, 4, 5]
+        held = mutator.held_ids()
+        assert len(held) == mutator.live_objects
+        assert sum(heap.size_of(obj) for obj in held) == len(held) * 4
 
 
 class TestValidation:
@@ -102,4 +125,4 @@ class TestValidation:
 
         _, _, _, mutator = setup(BadSchedule())
         with pytest.raises(ValueError):
-            mutator.step()
+            mutator.run_objects(1)

@@ -12,11 +12,7 @@ from repro.gc.marksweep import MarkSweepCollector
 from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.mutator.base import LifetimeDrivenMutator
-from repro.mutator.decay_mutator import (
-    DecaySchedule,
-    HalvingSchedule,
-    decay_mutator,
-)
+from repro.mutator.decay_mutator import DecaySchedule, HalvingSchedule
 from repro.mutator.phased import PhasedSchedule
 from repro.mutator.synthetic import (
     BimodalSchedule,
@@ -31,7 +27,9 @@ class TestDecaySchedule:
         heap = FlatHeap()
         roots = RootSet()
         collector = MarkSweepCollector(heap, roots, 50_000)
-        mutator = decay_mutator(collector, roots, half_life=1_000, seed=3)
+        mutator = LifetimeDrivenMutator(
+            collector, roots, DecaySchedule(1_000, seed=3)
+        )
         mutator.run(20_000)
         expected = 1_000 / LN2
         assert mutator.live_objects == pytest.approx(expected, rel=0.10)
