@@ -6,11 +6,17 @@ Two kinds of guarantee:
   module-level ``random.*`` functions (which draw from the shared,
   implicitly-seeded global generator), and
 * behavioral tests that every stochastic lifetime schedule replays the
-  identical stream after ``reseed(seed)``.
+  identical stream after ``reseed(seed)``, and draws the streams pinned
+  in ``golden_lifetime_streams.json`` (regenerate with
+  ``PYTHONPATH=src python -m tests.mutator.test_seed_discipline`` only
+  when a stream is meant to change).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import pickle
 import re
 from pathlib import Path
 
@@ -25,6 +31,9 @@ from repro.mutator.synthetic import (
 )
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+STREAMS_PATH = Path(__file__).with_name("golden_lifetime_streams.json")
+#: Lifetimes per pinned stream.
+PINNED_DRAWS = 100_000
 
 #: Module-level random functions that would read the global RNG.
 #: ``random.Random(...)`` instantiation is fine; ``random.random()``,
@@ -50,17 +59,14 @@ def test_no_global_random_calls_in_src():
     )
 
 
-SCHEDULES = [
-    pytest.param(lambda: DecaySchedule(32.0, seed=5), id="decay"),
-    pytest.param(lambda: UniformLifetimeSchedule(4, 64, seed=5), id="uniform"),
-    pytest.param(lambda: WeibullSchedule(40.0, 1.7, seed=5), id="weibull"),
-    pytest.param(
-        lambda: BimodalSchedule(0.8, 8, 200.0, seed=5), id="bimodal"
-    ),
-    pytest.param(
-        lambda: PhasedSchedule(500, churn_fraction=0.3, seed=5), id="phased"
-    ),
-]
+MAKERS = {
+    "decay": lambda: DecaySchedule(32.0, seed=5),
+    "uniform": lambda: UniformLifetimeSchedule(4, 64, seed=5),
+    "weibull": lambda: WeibullSchedule(40.0, 1.7, seed=5),
+    "bimodal": lambda: BimodalSchedule(0.8, 8, 200.0, seed=5),
+    "phased": lambda: PhasedSchedule(500, churn_fraction=0.3, seed=5),
+}
+SCHEDULES = [pytest.param(make, id=name) for name, make in MAKERS.items()]
 
 
 def stream(schedule, n=200):
@@ -88,3 +94,49 @@ def test_reseed_with_new_seed_changes_stream(make):
 @pytest.mark.parametrize("make", SCHEDULES)
 def test_same_seed_means_same_schedule(make):
     assert stream(make()) == stream(make())
+
+
+def stream_digest(schedule) -> str:
+    """SHA-256 of the schedule's next ``PINNED_DRAWS`` lifetimes."""
+    return hashlib.sha256(
+        ",".join(map(str, stream(schedule, PINNED_DRAWS))).encode()
+    ).hexdigest()
+
+
+def stream_digests(name) -> dict[str, str]:
+    """The fresh stream, the stream after ``reseed(7)``, and what a
+    pickled copy of the reseeded schedule draws next."""
+    schedule = MAKERS[name]()
+    digests = {"fresh": stream_digest(schedule)}
+    schedule.reseed(7)
+    digests["reseeded"] = stream_digest(schedule)
+    digests["unpickled"] = stream_digest(
+        pickle.loads(pickle.dumps(schedule))
+    )
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS))
+def test_lifetime_streams_match_golden(name):
+    golden = json.loads(STREAMS_PATH.read_text())
+    assert stream_digests(name) == golden[name]
+
+
+@pytest.mark.parametrize("make", SCHEDULES)
+def test_unpickled_schedule_continues_the_stream(make):
+    schedule = make()
+    stream(schedule)
+    copy = pickle.loads(pickle.dumps(schedule))
+    assert stream(copy) == stream(schedule)
+
+
+if __name__ == "__main__":  # pragma: no cover - regeneration entry point
+    STREAMS_PATH.write_text(
+        json.dumps(
+            {name: stream_digests(name) for name in MAKERS},
+            indent=1,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+    print(f"wrote {STREAMS_PATH}")
