@@ -25,8 +25,7 @@ class DecaySchedule:
 
     def __init__(self, half_life: float, *, seed: int = 0) -> None:
         self.model = RadioactiveDecayModel(half_life)
-        self.seed = seed
-        self._rng = random.Random(seed)
+        self.reseed(seed)
         # log of the survival ratio, hoisted out of the per-object
         # sampling loop.  The division below matches
         # RadioactiveDecayModel.sample_discrete_lifetime exactly, so the
@@ -37,12 +36,14 @@ class DecaySchedule:
         """Restart the lifetime stream deterministically from ``seed``."""
         self.seed = seed
         self._rng = random.Random(seed)
+        # Bound once per stream: lifetime_for runs once per allocation.
+        self._random = self._rng.random
 
     def lifetime_for(self, clock: int, index: int) -> int:
         # Inlined RadioactiveDecayModel.sample_discrete_lifetime with
-        # the cached log term (see __init__).
-        u = self._rng.random()
-        lifetime = int(math.ceil(math.log(1.0 - u) / self._log_r))
+        # the cached log term (see __init__); math.ceil of a float is
+        # already an int.
+        lifetime = math.ceil(math.log(1.0 - self._random()) / self._log_r)
         return 1 if lifetime < 1 else lifetime
 
 
