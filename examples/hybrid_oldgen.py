@@ -18,7 +18,8 @@ from __future__ import annotations
 from repro import GenerationalCollector, HybridCollector
 from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
-from repro.mutator import LifetimeDrivenMutator, PhasedSchedule
+from repro.mutator.base import LifetimeDrivenMutator
+from repro.mutator.phased import PhasedSchedule
 
 NURSERY = 2_048
 OLD_AREA = 16_384

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from repro.programs.dynamic import generate_corpus, infer_program
 from repro.runtime.machine import Machine
-from repro.trace import (
-    LifetimeRecorder,
-    TracingCollector,
-    storage_profile,
-    survival_table,
-)
+from repro.trace.collector import TracingCollector
+from repro.trace.profile import storage_profile
+from repro.trace.recorder import LifetimeRecorder
+from repro.trace.survival import survival_table
 
 ITERATIONS = 6
 DEFINITIONS = 40

@@ -28,7 +28,8 @@ from repro import (
     nongenerational_mark_cons,
     optimal_generation_fraction,
 )
-from repro.mutator import LifetimeDrivenMutator, DecaySchedule
+from repro.mutator.base import LifetimeDrivenMutator
+from repro.mutator.decay_mutator import DecaySchedule
 
 HALF_LIFE = 2_000.0
 LOAD_FACTOR = 3.5  # heap is 3.5x the live storage

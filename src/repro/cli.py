@@ -2,9 +2,13 @@
 
 Each subcommand is declared and handled by the package whose
 decisions it encodes, in one ``register(subparsers)`` function next to
-the command's entry point.  This module builds the top-level parser
-from those functions, holds the argparse types they share, and
-dispatches.
+the command's entry point.  This module maps each command to that
+module, holds the argparse types the commands share, and dispatches.
+
+``repro-gc CMD`` imports only CMD's module (and what it imports): a
+known command is parsed by a parser that only its module registered.
+No arguments, ``--help``, an unknown command and any usage error go
+to the full parser, so usage text lists every command either way.
 
 Each type is named for the error text argparse builds from it
 ("invalid positive_int value: '0'"), so a bad value is a usage error
@@ -15,37 +19,32 @@ deep inside the command.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import math
 import sys
 
-from repro.core import analysis
-from repro.experiments import harness, runner, validate
-from repro.gc.registry import COLLECTOR_KINDS
-from repro.metrics import sweep
-from repro.perf import slo
-from repro.resilience import chaos, snapshot
-from repro.service import isolation, loadgen, server
-from repro.trace import recorder
-from repro.verify import differential
-
 __all__ = ["main"]
 
-#: The ``register`` functions, in the order ``--help`` lists commands.
-COMMANDS = (
-    runner.register,  # list, experiment, all
-    chaos.register,
-    sweep.register,  # metrics
-    harness.register,  # bench
-    recorder.register,  # trace
-    validate.register,
-    differential.register,  # verify
-    snapshot.register,
-    slo.register,
-    analysis.register,  # analyze
-    server.register,  # serve
-    loadgen.register,  # load
-    isolation.register,
-)
+#: Each command, in the order ``--help`` lists them, and the module
+#: whose ``register`` declares it.
+COMMANDS = {
+    "list": "repro.experiments.runner",
+    "experiment": "repro.experiments.runner",
+    "all": "repro.experiments.runner",
+    "chaos": "repro.resilience.chaos",
+    "metrics": "repro.metrics.sweep",
+    "bench": "repro.experiments.harness",
+    "trace": "repro.trace.recorder",
+    "validate": "repro.experiments.validate",
+    "verify": "repro.verify.differential",
+    "snapshot": "repro.resilience.snapshot",
+    "slo": "repro.perf.slo",
+    "analyze": "repro.core.analysis",
+    "serve": "repro.service.server",
+    "load": "repro.service.loadgen",
+    "isolation": "repro.service.isolation",
+}
 
 
 def positive_int(token: str) -> int:
@@ -117,6 +116,8 @@ def positive_float(token: str) -> float:
 
 def collector_kinds(token: str) -> tuple[str, ...]:
     """A comma-separated, non-empty list of registered collector kinds."""
+    from repro.gc.registry import COLLECTOR_KINDS
+
     kinds = tuple(part.strip() for part in token.split(",") if part.strip())
     if not kinds or not set(kinds) <= set(COLLECTOR_KINDS):
         raise argparse.ArgumentTypeError(
@@ -128,8 +129,10 @@ def collector_kinds(token: str) -> tuple[str, ...]:
 
 def experiment_selection(token: str) -> tuple[str, ...]:
     """A comma-separated, non-empty list of registered experiments."""
+    from repro.experiments.runner import experiment_names
+
     names = tuple(part.strip() for part in token.split(",") if part.strip())
-    known = runner.experiment_names()
+    known = experiment_names()
     if not names or not set(names) <= set(known):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated experiments of {', '.join(known)}"
@@ -138,8 +141,26 @@ def experiment_selection(token: str) -> tuple[str, ...]:
     return names
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _UsageError(Exception):
+    """A usage error on a one-command parser, for the full one to print."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command``'s module alone.
+
+    A one-command parser raises :class:`_UsageError` instead of
+    printing usage, which would list only its own commands.
+    """
+    parser_class = argparse.ArgumentParser
+    modules = dict.fromkeys(COMMANDS.values())
+    if command is not None:
+        parser_class, modules = _OneCommandParser, (COMMANDS[command],)
+    parser = parser_class(
         prog="repro-gc",
         description=(
             "Reproduction of 'Generational Garbage Collection and the "
@@ -147,13 +168,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for register in COMMANDS:
-        register(subparsers)
+    for module in modules:
+        importlib.import_module(module).register(subparsers)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = None
+    if argv and argv[0] in COMMANDS:
+        with contextlib.suppress(_UsageError):
+            args = build_parser(argv[0]).parse_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     return args.func(args)
 
 

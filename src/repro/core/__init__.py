@@ -1,55 +1,1 @@
 """The paper's primary contribution: decay model, analysis, and policies."""
-
-from repro.core.analysis import (
-    MarkConsEstimate,
-    OverheadPoint,
-    expected_live,
-    fixed_point_f,
-    live_fraction,
-    mark_cons_ratio,
-    nongenerational_mark_cons,
-    optimal_generation_fraction,
-    overhead_curve,
-    relative_overhead,
-    stable_equilibrium_holds,
-)
-from repro.core.decay import (
-    LN2,
-    RadioactiveDecayModel,
-    equilibrium_live_storage,
-    half_life_for_live_storage,
-)
-from repro.core.policy import (
-    AdaptiveRemsetPolicy,
-    FixedFractionPolicy,
-    FixedJPolicy,
-    HalfEmptyPolicy,
-    StepSnapshot,
-    TuningPolicy,
-    leading_empty_steps,
-)
-
-__all__ = [
-    "LN2",
-    "AdaptiveRemsetPolicy",
-    "FixedFractionPolicy",
-    "FixedJPolicy",
-    "HalfEmptyPolicy",
-    "MarkConsEstimate",
-    "OverheadPoint",
-    "RadioactiveDecayModel",
-    "StepSnapshot",
-    "TuningPolicy",
-    "equilibrium_live_storage",
-    "expected_live",
-    "fixed_point_f",
-    "half_life_for_live_storage",
-    "leading_empty_steps",
-    "live_fraction",
-    "mark_cons_ratio",
-    "nongenerational_mark_cons",
-    "optimal_generation_fraction",
-    "overhead_curve",
-    "relative_overhead",
-    "stable_equilibrium_holds",
-]

@@ -1,25 +1,1 @@
 """Drivers that regenerate every table and figure of the paper."""
-
-from repro.experiments.harness import (
-    GcGeometry,
-    RunOutcome,
-    collector_factory,
-    run_benchmark_under,
-)
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    Experiment,
-    experiment_names,
-    run_experiment,
-)
-
-__all__ = [
-    "EXPERIMENTS",
-    "Experiment",
-    "GcGeometry",
-    "RunOutcome",
-    "collector_factory",
-    "experiment_names",
-    "run_benchmark_under",
-    "run_experiment",
-]

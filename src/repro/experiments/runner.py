@@ -193,14 +193,14 @@ def run_experiment_instrumented(name: str):
     """Run one experiment with the metrics plane armed.
 
     Every collector the experiment constructs self-attaches to a
-    process-wide :class:`~repro.metrics.MetricsSession`, so existing
+    process-wide :class:`~repro.metrics.instrument.MetricsSession`, so
     experiments gain pause histograms, the mark/cons decomposition,
     and the telemetry event stream without any change to their code.
     Returns ``(result, rendered text, session)``.  Instrumentation is
     read-only, so the result is byte-identical to an uninstrumented
     run (the metrics-off invariance tests pin this).
     """
-    from repro.metrics import metrics_session
+    from repro.metrics.instrument import metrics_session
 
     with metrics_session() as session:
         result, text = run_experiment(name)

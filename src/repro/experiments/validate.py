@@ -108,7 +108,8 @@ def _check_antiprediction() -> CheckResult:
 
 
 def _check_differential() -> CheckResult:
-    from repro.verify import generate_script, run_differential
+    from repro.verify.differential import run_differential
+    from repro.verify.replay import generate_script
 
     script = generate_script(600, 3, max_live_words=60)
     report = run_differential(script)

@@ -1,21 +1,1 @@
 """Garbage collectors: the paper's non-predictive collector and baselines."""
-
-from repro.gc.collector import Collector, HeapExhausted
-from repro.gc.generational import GenerationalCollector
-from repro.gc.hybrid import HybridCollector
-from repro.gc.marksweep import MarkSweepCollector
-from repro.gc.nonpredictive import NonPredictiveCollector
-from repro.gc.stats import GcStats, PauseRecord
-from repro.gc.stopcopy import StopAndCopyCollector
-
-__all__ = [
-    "Collector",
-    "GcStats",
-    "GenerationalCollector",
-    "HeapExhausted",
-    "HybridCollector",
-    "MarkSweepCollector",
-    "NonPredictiveCollector",
-    "PauseRecord",
-    "StopAndCopyCollector",
-]

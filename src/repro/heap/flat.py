@@ -297,7 +297,7 @@ class FlatHeap:
             :meth:`check_integrity` catches dangling slots after the
             fact either way.
         event_sink: optional telemetry sink
-            (:class:`repro.metrics.EventStream`) for space creation and
+            (:class:`repro.metrics.events.EventStream`) for space creation and
             removal; ``None`` emits nothing.
     """
 

@@ -7,43 +7,3 @@ metric types and their exact merge laws,
 :mod:`repro.metrics.export` for the output formats behind the
 ``repro-gc metrics`` CLI command.
 """
-
-from repro.metrics.events import (
-    EVENT_SCHEMA_VERSION,
-    EventStream,
-    parse_ndjson,
-)
-from repro.metrics.instrument import (
-    GcInstrumentation,
-    MetricsSession,
-    active_session,
-    instrument_collector,
-    metrics_session,
-)
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    bucket_bounds,
-    bucket_lower,
-    merge_registries,
-)
-
-__all__ = [
-    "EVENT_SCHEMA_VERSION",
-    "EventStream",
-    "parse_ndjson",
-    "GcInstrumentation",
-    "MetricsSession",
-    "active_session",
-    "instrument_collector",
-    "metrics_session",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "bucket_bounds",
-    "bucket_lower",
-    "merge_registries",
-]

@@ -1,40 +1,1 @@
 """The six benchmark programs of Table 2, ported to the runtime."""
-
-from repro.programs.boyer import BoyerResult, run_nboyer, run_sboyer
-from repro.programs.dynamic import DynamicResult, run_dynamic
-from repro.programs.gcbench import GcBenchResult, run_gcbench
-from repro.programs.lattice import LatticeResult, run_lattice
-from repro.programs.nbody import NBodyResult, run_nbody
-from repro.programs.nucleic import NucleicResult, run_nucleic
-from repro.programs.perm import PermResult, run_mperm, run_perm
-from repro.programs.registry import (
-    BENCHMARKS,
-    EXTRA_BENCHMARKS,
-    Benchmark,
-    benchmark_names,
-    get_benchmark,
-)
-
-__all__ = [
-    "BENCHMARKS",
-    "EXTRA_BENCHMARKS",
-    "Benchmark",
-    "GcBenchResult",
-    "PermResult",
-    "BoyerResult",
-    "DynamicResult",
-    "LatticeResult",
-    "NBodyResult",
-    "NucleicResult",
-    "benchmark_names",
-    "get_benchmark",
-    "run_dynamic",
-    "run_gcbench",
-    "run_lattice",
-    "run_mperm",
-    "run_perm",
-    "run_nbody",
-    "run_nboyer",
-    "run_nucleic",
-    "run_sboyer",
-]

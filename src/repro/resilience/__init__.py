@@ -21,51 +21,7 @@ Four concerns live here, all in service of the ROADMAP's
 The package mutation-tests the *auditor*: a corruption the auditor
 cannot see is a hole in the verify layer, found here before a real
 collector bug hides in it.
+
+Each name is imported from the module that defines it: this package
+imports none of them, so a command loads only the ones it uses.
 """
-
-from repro.resilience.atomic import atomic_write_json, atomic_write_text
-from repro.resilience.chaos import (
-    SNAPSHOT_FAULTS,
-    ChaosOutcome,
-    DetectionMatrix,
-    run_chaos_matrix,
-    run_snapshot_chaos,
-)
-from repro.resilience.faults import (
-    CORRUPTION_FAULTS,
-    FAULT_KINDS,
-    FaultPlan,
-    fault_expectation,
-)
-from repro.resilience.snapshot import (
-    SnapshotError,
-    capture_state,
-    checkpoint,
-    load_snapshot,
-    restore,
-    restore_state,
-    save_snapshot,
-    verify_snapshot,
-)
-
-__all__ = [
-    "CORRUPTION_FAULTS",
-    "ChaosOutcome",
-    "DetectionMatrix",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "SNAPSHOT_FAULTS",
-    "SnapshotError",
-    "atomic_write_json",
-    "atomic_write_text",
-    "capture_state",
-    "checkpoint",
-    "fault_expectation",
-    "load_snapshot",
-    "restore",
-    "restore_state",
-    "run_chaos_matrix",
-    "run_snapshot_chaos",
-    "save_snapshot",
-    "verify_snapshot",
-]

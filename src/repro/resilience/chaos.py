@@ -431,7 +431,7 @@ def run_chaos_matrix(
         geometry: heap geometry (defaults to the verify geometry).
         quick: cap the script at :data:`QUICK_OP_COUNT` ops — the CI
             smoke configuration.
-        events: optional :class:`repro.metrics.EventStream`; every
+        events: optional :class:`repro.metrics.events.EventStream`; every
             injection emits a ``fault-injected`` record and every
             fired detection channel a ``fault-detected`` record, so
             the safety net's verdicts land in the same NDJSON

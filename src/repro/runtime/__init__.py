@@ -1,49 +1,1 @@
 """Scheme-ish runtime over the simulated heap: values, machine, interop."""
-
-from repro.runtime.interop import (
-    from_list,
-    list_length,
-    list_ref,
-    scheme_equal,
-    to_list,
-    to_python,
-)
-from repro.runtime.interp import Interpreter, SchemeError
-from repro.runtime.machine import CollectorFactory, Machine
-from repro.runtime.reader import ReaderError, read, read_all
-from repro.runtime.values import (
-    FLONUM_WORDS,
-    PAIR_WORDS,
-    SYMBOL_WORDS,
-    Fixnum,
-    Ref,
-    SchemeValue,
-    fx,
-    word_size_of_string,
-    word_size_of_vector,
-)
-
-__all__ = [
-    "FLONUM_WORDS",
-    "PAIR_WORDS",
-    "SYMBOL_WORDS",
-    "CollectorFactory",
-    "Fixnum",
-    "Interpreter",
-    "Machine",
-    "ReaderError",
-    "SchemeError",
-    "Ref",
-    "SchemeValue",
-    "from_list",
-    "fx",
-    "list_length",
-    "list_ref",
-    "scheme_equal",
-    "to_list",
-    "read",
-    "read_all",
-    "to_python",
-    "word_size_of_string",
-    "word_size_of_vector",
-]

@@ -15,10 +15,8 @@ The service stack, bottom to top:
   byte-identical to per-tenant serial replays;
 * :mod:`repro.service.report` — the committed scale report and its
   CI gates.
+
+Each name is imported from the module that defines it: this package
+imports none of them, so ``repro-gc serve`` loads neither the load
+generator nor the isolation oracle.
 """
-
-from repro.service.protocol import PROTOCOL_VERSION
-from repro.service.server import HeapServer
-from repro.service.shard import ShardExecutor
-
-__all__ = ["PROTOCOL_VERSION", "HeapServer", "ShardExecutor"]

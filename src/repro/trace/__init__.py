@@ -1,27 +1,1 @@
 """Lifetime measurement: traces, survival tables, storage profiles."""
-
-from repro.trace.collector import TracingCollector
-from repro.trace.events import LifetimeTrace, ObjectRecord
-from repro.trace.io import TraceFormatError, load_trace, save_trace
-from repro.trace.profile import StorageProfile, storage_profile
-from repro.trace.recorder import LifetimeRecorder, record_run
-from repro.trace.render import TextTable, render_series
-from repro.trace.survival import SurvivalRow, SurvivalTable, survival_table
-
-__all__ = [
-    "LifetimeRecorder",
-    "LifetimeTrace",
-    "ObjectRecord",
-    "StorageProfile",
-    "SurvivalRow",
-    "SurvivalTable",
-    "TextTable",
-    "TraceFormatError",
-    "load_trace",
-    "save_trace",
-    "TracingCollector",
-    "record_run",
-    "render_series",
-    "storage_profile",
-    "survival_table",
-]

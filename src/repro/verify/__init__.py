@@ -14,62 +14,9 @@ Two independent oracles over the collectors in :mod:`repro.gc`:
   :mod:`repro.verify.shrink` minimizes any counterexample.
 
 The CLI front end is ``repro-gc verify``.
+
+Each name is imported from the module that defines it: this package
+imports none of them, so the server, which replays through
+:mod:`repro.verify.replay`, loads neither the differential engine nor
+the shrinker.
 """
-
-from repro.verify.audit import (
-    AuditError,
-    AuditReport,
-    assert_heap_invariants,
-    audit_collector,
-    disable_checked_mode,
-    enable_checked_mode,
-)
-from repro.verify.differential import (
-    DEFAULT_COLLECTORS,
-    SUITES,
-    VERIFY_GEOMETRY,
-    DifferentialReport,
-    Divergence,
-    Relation,
-    Variant,
-    run_differential,
-    run_equivalence,
-)
-from repro.verify.replay import (
-    Checkpoint,
-    MutatorScript,
-    ReplayCrash,
-    ReplayError,
-    ReplayResult,
-    generate_script,
-    normalize_ops,
-    replay,
-)
-from repro.verify.shrink import shrink_script
-
-__all__ = [
-    "AuditError",
-    "AuditReport",
-    "Checkpoint",
-    "DEFAULT_COLLECTORS",
-    "DifferentialReport",
-    "Divergence",
-    "MutatorScript",
-    "Relation",
-    "ReplayCrash",
-    "ReplayError",
-    "ReplayResult",
-    "SUITES",
-    "VERIFY_GEOMETRY",
-    "Variant",
-    "assert_heap_invariants",
-    "audit_collector",
-    "disable_checked_mode",
-    "enable_checked_mode",
-    "generate_script",
-    "normalize_ops",
-    "replay",
-    "run_differential",
-    "run_equivalence",
-    "shrink_script",
-]

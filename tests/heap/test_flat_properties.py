@@ -25,7 +25,7 @@ from repro.heap.flat import (
     HeapError,
     SpaceFull,
 )
-from repro.verify import generate_script
+from repro.verify.replay import generate_script
 from repro.verify.replay import replay
 
 

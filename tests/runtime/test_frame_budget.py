@@ -7,9 +7,10 @@ repeatable, so it is pinned here, on the allocation fast path (the hit:
 the collector is not entered) under every collector kind.  Before the
 fast path ``make_flonum`` was 6 frames and ``fl_add`` 14; before the
 machine indexed the heap's arenas itself ``cons`` was 7, ``fl_add`` 6
-and ``car`` 2.  A count going *up* means a helper call or a proxy crept
-back into the hot path — raise the budget only with a measurement that
-pays for it.
+and ``car`` 2; before ``make_vector`` and a read's handle-table miss
+interned the ``Ref`` in their own frame they were 4 and 3.  A count
+going *up* means a helper call or a proxy crept back into the hot path
+— raise the budget only with a measurement that pays for it.
 """
 
 from __future__ import annotations
@@ -28,14 +29,19 @@ BUDGET = {
     "cons": 3,
     # make_flonum, bump_allocate, Ref.__init__
     "make_flonum": 3,
-    # make_vector, bump_allocate, _new_handle, Ref.__init__
-    "make_vector": 4,
+    # make_vector, bump_allocate, Ref.__init__
+    "make_vector": 3,
     # fl_add, then make_flonum's three
     "fl_add": 4,
     # The reads index the slot arena inline.
     "car": 1,
     "cdr": 1,
     "vector_ref": 1,
+    # A read whose loaded id has no handle yet: the read and
+    # Ref.__init__.
+    "car_miss": 2,
+    "cdr_miss": 2,
+    "vector_ref_miss": 2,
     # The operation and _store, plus the collector's barrier hook
     # where it has one (STORES_ENTERING_THE_HOOK).
     "vector_set": 2,
@@ -84,6 +90,15 @@ def test_unit_operations_stay_within_their_frame_budget(
     pair = machine.cons(one, None)
     x = machine.make_flonum(1.0)
     vector = machine.make_vector(3)
+    # Every slot of ``outer`` and ``holder`` names ``missing``, whose
+    # handle each miss below first drops from the table (as a sweep
+    # drops an idle one) by a C call, which enters no frame.
+    missing = machine.cons(one, None)
+    outer = machine.cons(missing, missing)
+    holder = machine.make_vector(3, missing)
+    missing_id = missing.obj_id
+    del missing
+    forget = machine._handles.pop
 
     misses = 0
     allocate_id = machine.collector.allocate_id
@@ -102,6 +117,15 @@ def test_unit_operations_stay_within_their_frame_budget(
         "car": frames_entered(lambda: machine.car(pair)),
         "cdr": frames_entered(lambda: machine.cdr(pair)),
         "vector_ref": frames_entered(lambda: machine.vector_ref(vector, 2)),
+        "car_miss": frames_entered(
+            lambda: (forget(missing_id), machine.car(outer))
+        ),
+        "cdr_miss": frames_entered(
+            lambda: (forget(missing_id), machine.cdr(outer))
+        ),
+        "vector_ref_miss": frames_entered(
+            lambda: (forget(missing_id), machine.vector_ref(holder, 2))
+        ),
         "vector_set": frames_entered(
             lambda: machine.vector_set(vector, 2, one)
         ),

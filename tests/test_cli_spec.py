@@ -10,8 +10,11 @@ exclusive groups and the subcommand order.  It is data rather than
 CPython versions CI runs.
 
 Moving a command's declarations between modules must leave the golden
-as it is.  Regenerate with ``PYTHONPATH=src python -m tests.test_cli_spec``
-only when the command surface is meant to change.
+as it is.  ``repro-gc CMD`` parses with a parser that only CMD's module
+registered; each such parser must capture as CMD's part of the golden,
+and print the full parser's ``--help`` and usage errors byte for byte.
+Regenerate with ``PYTHONPATH=src python -m tests.test_cli_spec`` only
+when the command surface is meant to change.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.cli import build_parser
+import pytest
+
+from repro.cli import COMMANDS, build_parser, main
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli_spec.json")
 
@@ -81,10 +86,11 @@ def _action(action: argparse.Action) -> dict:
     }
 
 
-def capture() -> dict:
-    """The whole command surface as JSON data, keyed by path."""
+def capture(root: argparse.ArgumentParser | None = None) -> dict:
+    """The command surface below ``root`` (by default every command's)
+    as JSON data, keyed by path."""
     spec = {}
-    for path, parser, help_text in parser_paths():
+    for path, parser, help_text in parser_paths(root):
         sub = _subparsers(parser)
         spec[" ".join(path)] = {
             "prog": parser.prog,
@@ -113,6 +119,83 @@ def test_every_path_is_covered():
     paths = [path for path, _parser, _help in parser_paths()]
     assert len(paths) == 22
     assert sum(len(path) == 1 for path in paths) == 15
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_command_parser_matches_the_golden(command):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    spec = capture(build_parser(command))
+    paths = [path for path in golden if path.split(" ")[0] == command]
+    for path in paths:
+        assert spec[path] == golden[path], path
+
+
+def test_the_command_table_names_every_registered_command():
+    assert list(_subparsers(build_parser()).choices) == list(COMMANDS)
+    for command, module in COMMANDS.items():
+        registered = _subparsers(build_parser(command)).choices
+        assert list(registered) == [
+            name for name, home in COMMANDS.items() if home == module
+        ]
+
+
+def _outcome(parse, argv, capsys, monkeypatch):
+    """``parse(argv)``'s exit code, stdout and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exit_.value.code, captured.out, captured.err
+
+
+HELP_ARGVS = [[*path, "--help"] for path, _parser, _help in parser_paths()]
+
+USAGE_ERRORS = [
+    [],
+    ["nosuch"],
+    ["serve", "--port", "70000"],
+    ["serve", "--jobs", "x"],
+    ["serve", "--bogus"],
+    ["serve", "extra"],
+    ["list", "extra"],
+    ["experiment", "table99"],
+    ["all", "--only", "nope"],
+    ["bench", "lattice", "--collector", "x"],
+    ["verify", "--ops", "0"],
+    ["load", "--kinds", ",,"],
+    ["metrics", "--experiment", "nope"],
+    ["trace"],
+    ["trace", "record"],
+    ["snapshot", "nope"],
+    ["snapshot", "save", "f", "--bogus"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    HELP_ARGVS + USAGE_ERRORS,
+    ids=[" ".join(argv) or "(none)" for argv in HELP_ARGVS + USAGE_ERRORS],
+)
+def test_help_and_usage_errors_match_the_full_parser(
+    argv, capsys, monkeypatch
+):
+    full = _outcome(build_parser().parse_args, argv, capsys, monkeypatch)
+    assert full[0] in (0, 2)
+    assert _outcome(main, argv, capsys, monkeypatch) == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--port", "0", "--jobs", "2"],
+        ["list"],
+        ["all", "--only", "table1"],
+    ],
+)
+def test_one_command_parser_parses_as_the_full_parser(argv):
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(
+        build_parser().parse_args(argv)
+    )
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from repro.heap.barrier import WriteBarrier
 from repro.heap.flat import FlatHeap
 from repro.heap.roots import RootSet
 from repro.trace.collector import TracingCollector
-from repro.verify import (
+from repro.verify.audit import (
     AuditError,
     audit_collector,
     assert_heap_invariants,

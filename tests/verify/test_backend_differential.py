@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro.gc.registry import collector_factory
 from repro.metrics.instrument import metrics_session
-from repro.verify import generate_script
+from repro.verify.replay import generate_script
 from repro.verify.differential import DEFAULT_COLLECTORS, VERIFY_GEOMETRY
 from repro.verify.replay import ReplayContext
 

@@ -6,12 +6,9 @@ import pytest
 
 from repro.experiments.harness import GcGeometry
 from repro.gc.generational import GenerationalCollector
-from repro.verify import (
-    generate_script,
-    run_differential,
-    shrink_script,
-)
-from repro.verify.differential import DEFAULT_COLLECTORS
+from repro.verify.differential import DEFAULT_COLLECTORS, run_differential
+from repro.verify.replay import generate_script
+from repro.verify.shrink import shrink_script
 
 #: Tiny nursery so a write-barrier bug needs only a handful of filler
 #: allocations to trigger a minor collection.

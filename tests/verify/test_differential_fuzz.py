@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.verify import generate_script, run_differential
+from repro.verify.differential import run_differential
+from repro.verify.replay import generate_script
 
 #: One differential run covers 5 collectors x ~25 collections, so 50
 #: seeds exercise several thousand audited collections.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.harness import collector_factory
-from repro.verify import (
+from repro.verify.replay import (
     MutatorScript,
     ReplayError,
     generate_script,

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.verify import MutatorScript, generate_script, shrink_script
+from repro.verify.replay import MutatorScript, generate_script
+from repro.verify.shrink import shrink_script
 
 
 def alloc_count(script: MutatorScript) -> int:
@@ -47,7 +48,7 @@ class TestShrink:
             return alloc_count(candidate) >= 2
 
         small = shrink_script(script, fails)
-        from repro.verify import normalize_ops
+        from repro.verify.replay import normalize_ops
 
         assert normalize_ops(small.ops) == small.ops
 
