@@ -63,6 +63,14 @@ def non_negative_int(token: str) -> int:
     return value
 
 
+def seed(token: str) -> int:
+    """A ``--seed``: an integer in ``0 <= n < 2**63``."""
+    value = int(token)
+    if not 0 <= value < 1 << 63:
+        raise ValueError(f"seed must be 0 <= n < 2**63, got {value}")
+    return value
+
+
 def slice_budget(token: str) -> int | None:
     """One ``verify --budgets`` value: a positive integer, or ``inf``
     (``None``) for an unbounded slice."""

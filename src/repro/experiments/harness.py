@@ -83,6 +83,8 @@ def run_benchmark_under(
 
 def register(subparsers) -> None:
     """``repro-gc bench``."""
+    from repro.cli import non_negative_int
+
     sub = subparsers.add_parser(
         "bench", help="run one benchmark under one collector"
     )
@@ -90,7 +92,9 @@ def register(subparsers) -> None:
     sub.add_argument(
         "--collector", choices=COLLECTOR_KINDS, default="stop-and-copy"
     )
-    sub.add_argument("--scale", type=int, default=1, choices=(0, 1, 2))
+    sub.add_argument(
+        "--scale", type=non_negative_int, default=1, choices=(0, 1, 2)
+    )
     sub.set_defaults(func=_cmd_bench)
 
 

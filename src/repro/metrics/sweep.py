@@ -176,7 +176,7 @@ def measure_overhead(
 
 def register(subparsers) -> None:
     """``repro-gc metrics``."""
-    from repro.cli import non_negative_float, positive_int
+    from repro.cli import non_negative_float, positive_int, seed
     from repro.experiments.runner import experiment_names
 
     sub = subparsers.add_parser(
@@ -211,7 +211,7 @@ def register(subparsers) -> None:
         default=1,
         help="sweep worker processes (default: 1)",
     )
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument(
         "--quick",
         action="store_true",

@@ -33,7 +33,7 @@ dies.  Two owners hold them:
   (:func:`resilient_map`) opens one in a ``with`` block, the
   concurrent collector keeps one for its whole life so mark cycles
   reuse warm workers;
-* the pool-mode shard executor pins each shard to one, so tenant
+* the pool-mode shard executor holds one for every shard, so tenant
   heaps stay resident in the worker and a batch ships only its
   requests; rebuilding what a lost worker held is its job.
 

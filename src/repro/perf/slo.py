@@ -224,6 +224,8 @@ def run_pause_slo(*, quick: bool = False, seed: int = 0) -> dict[str, Any]:
 
 def register(subparsers) -> None:
     """``repro-gc slo``."""
+    from repro.cli import seed
+
     sub = subparsers.add_parser(
         "slo",
         help=(
@@ -233,7 +235,7 @@ def register(subparsers) -> None:
             "measured report to SLO_pause.json"
         ),
     )
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument(
         "--quick",
         action="store_true",

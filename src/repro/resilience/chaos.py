@@ -745,7 +745,7 @@ def _run_cell(
 
 def register(subparsers) -> None:
     """``repro-gc chaos``."""
-    from repro.cli import positive_int
+    from repro.cli import positive_int, seed
 
     sub = subparsers.add_parser(
         "chaos",
@@ -754,7 +754,7 @@ def register(subparsers) -> None:
             "mid-replay and require the verify layer to notice"
         ),
     )
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument(
         "--ops", type=positive_int, default=400, help="mutator script length"
     )

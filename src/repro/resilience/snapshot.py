@@ -273,7 +273,7 @@ def load_snapshot(path: Path | str) -> dict:
 
 def register(subparsers) -> None:
     """``repro-gc snapshot save|load|verify``."""
-    from repro.cli import positive_int
+    from repro.cli import positive_int, seed
     from repro.gc.registry import COLLECTOR_KINDS
 
     sub = subparsers.add_parser(
@@ -299,7 +299,7 @@ def register(subparsers) -> None:
     save.add_argument(
         "--ops", type=positive_int, default=600, help="mutator script length"
     )
-    save.add_argument("--seed", type=int, default=0)
+    save.add_argument("--seed", type=seed, default=0)
     save.set_defaults(func=_cmd_save)
     load = snapshot_sub.add_parser(
         "load",

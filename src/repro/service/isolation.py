@@ -485,7 +485,7 @@ def _shrink_divergence(
 
 def register(subparsers) -> None:
     """``repro-gc isolation``."""
-    from repro.cli import collector_kinds, non_negative_int, positive_int
+    from repro.cli import collector_kinds, non_negative_int, positive_int, seed
 
     sub = subparsers.add_parser(
         "isolation",
@@ -495,12 +495,12 @@ def register(subparsers) -> None:
         ),
     )
     sub.add_argument("--tenants", type=positive_int, default=8)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument("--ops", type=positive_int, default=160)
     sub.add_argument("--shards", type=positive_int, default=2)
     sub.add_argument("--jobs", type=non_negative_int, default=0)
     sub.add_argument("--kinds", type=collector_kinds)
-    sub.add_argument("--interleave-seed", type=int)
+    sub.add_argument("--interleave-seed", type=seed)
     sub.add_argument(
         "--verbose",
         action="store_true",

@@ -628,6 +628,7 @@ def register(subparsers) -> None:
         non_negative_float,
         non_negative_int,
         positive_int,
+        seed,
     )
 
     sub = subparsers.add_parser(
@@ -638,7 +639,7 @@ def register(subparsers) -> None:
         ),
     )
     sub.add_argument("--tenants", type=positive_int, default=200)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument(
         "--profile",
         choices=("decay", "burst", "session-tail", "mixed"),

@@ -16,32 +16,31 @@ nothing on it waits for a response before taking the next request:
    answered in place by the parent;
 2. a valid tenant op is appended, with its connection, to the owning
    shard's queue (stable hash routing via
-   :func:`repro.service.shard.shard_of`), and the shard's *lane* is
+   :func:`repro.service.shard.shard_of`), and the dispatcher is
    kicked;
-3. each lane's dispatcher task lets every reader that has data take
-   its turn, swaps its shards' queues out as one batch per shard and
-   hands them to :meth:`~repro.service.shard.ShardExecutor.execute_lane`,
+3. the one dispatcher task lets every reader that has data take its
+   turn, swaps the shards' queues out as one batch per shard and hands
+   them to :meth:`~repro.service.shard.ShardExecutor.execute_lane`,
    then encodes the responses and issues one ``write`` per connection
    per batch.
 
-A lane is the set of shards one executor worker runs, and everything
-about it happens on the event-loop thread; the whole server is one
-thread in either mode.  Inline (``--jobs 0``) there is one lane for all
-shards and the executor applies its batch in this process, on the loop
-thread: the work is CPU-bound Python, so a worker thread would buy no
-parallelism under the interpreter lock and cost two hand-offs a batch
-plus a fight for the lock on every ``recv``/``send``.  While a batch
-executes the kernel buffers what the clients send, and the next batch
-is everything that arrived meanwhile.  With a pool (``--jobs N``) there
-is one lane per pinned worker process: the lane sends its batch down
-the worker's pipe and awaits the reply, which the loop notices by
-watching the pipe, so the readers keep queueing and the other lanes
-keep dispatching meanwhile — a slow or lost worker, and the rebuild,
-replay and retry that follow, hold up its own lane's tenants only.  A
-pool-mode ``metrics`` op waits for every lane to go idle and for the
-commit point that follows, on the loop as well: it counts as one of its
-connection's requests in flight, and every other connection is served
-meanwhile.
+Everything happens on the event-loop thread; the whole server is one
+thread in either mode.  Inline (``--jobs 0``) the executor applies the
+batch in this process, on the loop thread: the work is CPU-bound
+Python, so a worker thread would buy no parallelism under the
+interpreter lock and cost two hand-offs a batch plus a fight for the
+lock on every ``recv``/``send``.  While a batch executes the kernel
+buffers what the clients send, and the next batch is everything that
+arrived meanwhile.  With a pool (``--jobs N``, any ``N >= 1``) one
+pinned worker process holds every shard: the dispatcher sends the batch
+down the worker's pipe and awaits the reply, which the loop notices by
+watching the pipe, so the readers keep reading, queueing and answering
+in place meanwhile.  A slow or lost worker, and the rebuild, replay and
+retry that follow, hold up every shard's tenants until the task timeout
+and the retry settle it.  A pool-mode ``metrics`` op waits for the
+batch in flight and for the commit point that follows, on the loop as
+well: it counts as one of its connection's requests in flight, and
+every other connection is served meanwhile.
 
 So what is in flight is bounded per tenant by the client, not per
 socket by the server: a connection that multiplexes fourteen
@@ -191,19 +190,12 @@ class HeapServer:
         self._queues: list[list[tuple[dict, _Peer]]] = [
             [] for _ in range(shards)
         ]
-        # One dispatch lane per pinned worker (inline: one for all).
-        lane_of = [self.executor.lane_of(shard) for shard in range(shards)]
-        self._kicks = [asyncio.Event() for _ in range(self.executor.lanes)]
-        self._lane_shards = [
-            [shard for shard in range(shards) if lane_of[shard] == lane]
-            for lane in range(self.executor.lanes)
-        ]
-        self._shard_kicks = [self._kicks[lane] for lane in lane_of]
+        self._kick = asyncio.Event()
         self._closing = asyncio.Event()
         self._server: asyncio.AbstractServer | None = None
-        self._dispatchers: list[asyncio.Task] = []
+        self._dispatcher: asyncio.Task | None = None
         self._handlers: dict[asyncio.Task, _Peer] = {}
-        # ``metrics`` ops waiting for the lanes (pool mode).
+        # ``metrics`` ops waiting for the executor (pool mode).
         self._reads: set[asyncio.Task] = set()
         self.requests_served = 0
 
@@ -216,10 +208,7 @@ class HeapServer:
         self._server = await asyncio.start_server(
             self._handle_connection, host, port
         )
-        self._dispatchers = [
-            asyncio.create_task(self._dispatch_loop(lane))
-            for lane in range(len(self._kicks))
-        ]
+        self._dispatcher = asyncio.create_task(self._dispatch_loop())
         return self._server.sockets[0].getsockname()[1]
 
     async def serve_until_closed(self) -> None:
@@ -237,10 +226,10 @@ class HeapServer:
         self._closing.set()
         if self._server is not None:
             self._server.close()
-        for kick in self._kicks:
-            kick.set()
-        dispatchers, self._dispatchers = self._dispatchers, []
-        await asyncio.gather(*dispatchers)
+        self._kick.set()
+        dispatcher, self._dispatcher = self._dispatcher, None
+        if dispatcher is not None:
+            await dispatcher
         while self._reads:
             await asyncio.gather(*self._reads)
         # Every response is written by now and no batch runs again:
@@ -375,19 +364,18 @@ class HeapServer:
             return None
         if op == "shutdown":
             self._closing.set()
-            for kick in self._kicks:
-                kick.set()
+            self._kick.set()
             return ok_response(request["id"], closing=True)
         shard = self.executor.shard_of(request["tenant"])
         self._queues[shard].append((request, peer))
         peer.in_flight += 1
-        self._shard_kicks[shard].set()
+        self._kick.set()
         return None
 
     async def _answer_metrics(self, request: dict, peer: _Peer) -> None:
-        """A pool-mode ``metrics`` op: it waits for every lane to go
-        idle and awaits their commit point, while the loop serves every
-        other connection.  It is one of its connection's requests in
+        """A pool-mode ``metrics`` op: it waits for the batch in flight
+        and awaits the commit point, while the loop serves every other
+        connection.  It is one of its connection's requests in
         flight, so the connection (and ``close``) waits for it."""
         try:
             response = self._metrics_response(
@@ -422,7 +410,7 @@ class HeapServer:
 
         Read on the loop thread, which is the only thread that touches
         the executor's ledgers, so the snapshot never races a batch.
-        ``batches`` counts lane dispatches.
+        ``batches`` counts dispatches.
         """
         snapshot = self.executor.stats()
         snapshot["requests_served"] = self.requests_served
@@ -432,40 +420,36 @@ class HeapServer:
     # Dispatch
     # ------------------------------------------------------------------
 
-    async def _dispatch_loop(self, lane: int) -> None:
-        kick = self._kicks[lane]
-        shards = self._lane_shards[lane]
+    async def _dispatch_loop(self) -> None:
         while True:
-            await kick.wait()
+            await self._kick.wait()
             # A batch is everything that has arrived, not what the
             # first reader to run had: every reader that is runnable
             # takes its turn before the queues are swapped out.
             await asyncio.sleep(0)
-            kick.clear()
+            self._kick.clear()
             taken = {
-                shard: self._queues[shard]
-                for shard in shards
-                if self._queues[shard]
+                shard: queue
+                for shard, queue in enumerate(self._queues)
+                if queue
             }
             for shard in taken:
                 self._queues[shard] = []
             if taken:
-                self._deliver(taken, await self._execute(lane, taken))
-            if self._closing.is_set() and not any(
-                self._queues[shard] for shard in shards
-            ):
+                self._deliver(taken, await self._execute(taken))
+            if self._closing.is_set() and not any(self._queues):
                 return
 
     async def _execute(
-        self, lane: int, taken: dict[int, list[tuple[dict, _Peer]]]
+        self, taken: dict[int, list[tuple[dict, _Peer]]]
     ) -> dict[int, list[dict]]:
         batches = {
             shard: [request for request, _ in queue]
             for shard, queue in taken.items()
         }
         try:
-            return await self.executor.execute_lane(lane, batches)
-        except Exception as exc:  # keep the lane alive
+            return await self.executor.execute_lane(batches)
+        except Exception as exc:  # keep the dispatcher alive
             return {
                 shard: [
                     error_response(
@@ -512,7 +496,7 @@ def register(subparsers) -> None:
         "serve",
         help=(
             "GC-as-a-service: host tenant heaps behind a line-JSON TCP "
-            "server, sharded across worker processes"
+            "server, sharded inline or in one worker process"
         ),
     )
     sub.add_argument("--host", default="127.0.0.1")
@@ -528,8 +512,9 @@ def register(subparsers) -> None:
         type=non_negative_int,
         default=0,
         help=(
-            "worker processes for shard batches; 0 runs shards inline "
-            "in the server process (deterministic reference mode)"
+            "0 runs shards inline in the server process (deterministic "
+            "reference mode); any N >= 1 runs every shard in one pinned "
+            "worker process"
         ),
     )
     sub.add_argument(

@@ -13,20 +13,19 @@ Two execution modes, one semantics:
     Persistent :class:`ShardRuntime` objects in the calling process.
     The deterministic reference mode the isolation oracle replays.
 ``jobs >= 1`` (pool)
-    Each shard is pinned to one of ``min(jobs, shards)`` long-lived
-    :class:`~repro.perf.parallel.PinnedWorker` processes (shard ``s``
-    to worker ``s % workers``), which keeps the shard's runtime
-    resident from batch to batch: a batch message carries only the
-    shard's requests and an attempt counter, never a heap.  Holding
-    workers *means* out-of-process, so a one-shard batch is not
-    padded, and no tenant heap ever runs in the parent.
+    One long-lived :class:`~repro.perf.parallel.PinnedWorker` process
+    holds every shard's runtime resident from batch to batch: a batch
+    message carries only the shards' requests and an attempt counter,
+    never a heap.  Holding the worker *means* out-of-process, so a
+    one-shard batch is not padded, and no tenant heap ever runs in the
+    parent.  Any ``jobs >= 1`` forks that one worker: two measured no
+    faster on the ``serve-pool`` benchmark.
 
-The shards one worker runs form a *lane*.  A caller either blocks in
-:meth:`ShardExecutor.execute` (the isolation oracle, the in-process
-load runner) or awaits :meth:`ShardExecutor.execute_lane` on an event
-loop (the server: one dispatcher per lane, so a slow worker holds up
-only its own lane, and no thread is involved).  Both run the same
-protocol; only the wait for a worker's reply differs.
+A caller either blocks in :meth:`ShardExecutor.execute` (the isolation
+oracle, the in-process load runner) or awaits
+:meth:`ShardExecutor.execute_lane` on an event loop (the server: one
+dispatcher, and no thread is involved).  Both run the same protocol;
+only the wait for the worker's reply differs.
 
 The crash story is replay.  What the parent holds for a pool-mode
 shard is its *committed* state — the session blobs
@@ -38,18 +37,20 @@ clients were sent.  A commit point drains and captures in the worker
 every :data:`COMMIT_EVERY_BATCHES` batches, at every parent-side read
 (:meth:`ShardExecutor.shard_state`, :meth:`~ShardExecutor.shard_metrics`,
 :meth:`~ShardExecutor.lane_metrics` and so the ``metrics`` op) and at
-:meth:`ShardExecutor.close`.  When a worker dies — mid-batch or idle —
-or overruns the task timeout, the parent kills it, forks a replacement,
-sends it the committed blobs and replays the suffix, then retries the
-batch at ``attempt + 1``.  By resume equivalence (``resume_suite`` in
-:mod:`repro.verify.differential`) the replay reproduces the lost
-worker's state exactly, so no acknowledged op can be lost; and the
-replay is checked, not trusted: the rebuilt worker returns the
-responses it produced, and one that differs from what was acknowledged
-drains the shard with ``shard-failed`` naming the first differing
-request instead of serving from a state that diverged.  A batch that exhausts its retry
-budget is *drained*: every request in it gets ``shard-failed``, and
-the state stays committed + suffix for the next batch to rebuild.
+:meth:`ShardExecutor.close`.  When the worker dies — mid-batch or idle
+— or overruns the task timeout, the parent kills it, and every shard
+it held is rebuilt as the next batch or commit point reaches it: the
+parent forks a replacement, sends it the committed blobs and replays
+the suffix, then retries the batch at ``attempt + 1``.  By resume
+equivalence (``resume_suite`` in :mod:`repro.verify.differential`) the
+replay reproduces the lost worker's state exactly, so no acknowledged
+op can be lost; and the replay is checked, not trusted: the rebuilt
+worker returns the responses it produced, and one that differs from
+what was acknowledged drains the shard with ``shard-failed`` naming the
+first differing request instead of serving from a state that diverged.
+A batch that exhausts its retry budget is *drained*: every request in
+it gets ``shard-failed``, and the state stays committed + suffix for
+the next batch to rebuild.
 
 The byte-identity of the two modes — responses, per-shard metric
 registries and committed blobs alike — is asserted by the service test
@@ -128,7 +129,7 @@ class ShardRuntime:
     are revived lazily on first touch, so a batch that addresses 3 of
     500 tenants pays for 3 restores.  The same class serves both
     execution modes — the inline executor keeps its runtimes in the
-    calling process, a pinned pool worker keeps its shards' runtimes
+    calling process, the pinned pool worker keeps every shard's runtime
     resident between batches.
     """
 
@@ -472,21 +473,21 @@ class _Ledger:
     suffix: list[tuple[list[dict], list[dict]]] = field(default_factory=list)
     #: The worker's open-tenant count after the last acknowledged batch.
     open_tenants: int = 0
-    #: Whether the shard's worker holds committed + suffix right now.
+    #: Whether the worker holds committed + suffix right now.
     resident: bool = True
 
 
 def _evict(ledgers: list[_Ledger]) -> None:
-    """A worker is gone: none of the shards it held is resident."""
+    """The worker is gone: no shard is resident."""
     for ledger in ledgers:
         ledger.resident = False
 
 
-#: What a protocol step waits for: the round's start and, per worker
-#: index, the seconds its reply is allowed from then (``None``: no
-#: bound).  The runner answers with each worker's reply or WorkerLost.
-_Waits = tuple[float, dict[int, "float | None"]]
-_Steps = Generator[_Waits, dict[int, Any], Any]
+#: What a protocol step waits for: the round's start and the seconds
+#: the worker's reply is allowed from then (``None``: no bound).  The
+#: runner answers with the reply or the WorkerLost.
+_Wait = tuple[float, "float | None"]
+_Steps = Generator[_Wait, Any, Any]
 
 
 class ShardExecutor:
@@ -494,15 +495,16 @@ class ShardExecutor:
 
     The parent-side half of the service: :meth:`execute` takes one
     batch per shard and returns responses per shard, sending the
-    non-empty shards to their pinned worker processes (``jobs >= 1``)
-    or applying them to persistent in-process runtimes (``jobs == 0``).
-    The owner releases the workers with :meth:`close` (or a ``with``
+    non-empty shards to the pinned worker process (``jobs >= 1``) or
+    applying them to persistent in-process runtimes (``jobs == 0``).
+    The owner releases the worker with :meth:`close` (or a ``with``
     block); state and registries stay readable afterwards.
 
     The pool-mode protocol — make resident (rebuild and checked
     replay), send, collect, acknowledge, retry, commit — is written
-    once, as generators that yield whenever they need replies, and is
-    run by one of two runners that differ only in how they wait:
+    once, as generators that yield whenever they need the worker's
+    reply, and is run by one of two runners that differ only in how
+    they wait:
 
     * the synchronous API (:meth:`execute`, :meth:`shard_metrics`,
       :meth:`merged_metrics`, :meth:`shard_state`, :meth:`close`)
@@ -510,18 +512,16 @@ class ShardExecutor:
       lock, so a read from another thread waits for the batch in
       flight;
     * the awaited API (:meth:`execute_lane`, :meth:`lane_metrics`)
-      awaits the replies on the running event loop, which watches every
-      worker's pipe and sentinel.  A *lane* is the set of shards pinned
-      to one worker (inline has one lane for all shards); each lane
-      runs one batch at a time, lanes run side by side, and a read
-      waits for every lane to go idle.
+      awaits the reply on the running event loop, which watches the
+      worker's pipe and sentinel.  It holds one ``asyncio.Lock``, so
+      one awaited batch or read runs at a time.
 
-    The two APIs share the workers.  Once a loop has watched them, the
+    The two APIs share the worker.  Once a loop has watched it, the
     synchronous API is called only from that loop's thread and never
-    while a lane batch is in flight: it refuses then, with
-    ``RuntimeError``, rather than send to a worker the lane is waiting
-    on.  (The server closes the executor this way, after every lane
-    has gone idle: the final commit round blocks the loop only at
+    while an awaited batch is in flight: it refuses then, with
+    ``RuntimeError``, rather than send to a worker the loop is waiting
+    on.  (The server closes the executor this way, after its dispatcher
+    has finished: the final commit round blocks the loop only at
     shutdown.)
     """
 
@@ -543,14 +543,14 @@ class ShardExecutor:
             raise ValueError(f"jobs must be non-negative, got {jobs}")
         self.shards = shards
         self.jobs = jobs
-        #: Batches are applied in the calling process — no pool to
+        #: Batches are applied in the calling process — no worker to
         #: block on, so a caller gains nothing from a thread.
         self.inline = jobs == 0
         self.tenant_cap = tenant_cap
         self.chaos = chaos
         self.timeout = timeout
         self.retries = retries
-        #: One per :meth:`execute` call and one per lane dispatch.
+        #: One per :meth:`execute` or :meth:`execute_lane` call.
         self.batches = 0
         self.respawns = [0] * shards
         if self.inline:
@@ -559,40 +559,31 @@ class ShardExecutor:
                 for index in range(shards)
             ]
             self._ledgers: list[_Ledger] | None = None
-            self._workers: list[PinnedWorker] | None = None
-            self.lanes = 1
+            self._worker: PinnedWorker | None = None
         else:
             self._runtimes = None
             self._ledgers = [_Ledger() for _ in range(shards)]
-            self.lanes = min(jobs, shards)
-            # The ledgers of the shards each worker holds.
-            self._held = [
-                self._ledgers[index :: self.lanes]
-                for index in range(self.lanes)
-            ]
-            # Forked by their first message; re-forked after a loss.
-            handler = partial(
-                serve_shards, {"tenant_cap": tenant_cap, "chaos": chaos}
+            # Forked by its first message; re-forked after a loss.
+            self._worker = PinnedWorker(
+                partial(
+                    serve_shards, {"tenant_cap": tenant_cap, "chaos": chaos}
+                ),
+                on_exit=partial(_evict, self._ledgers),
             )
-            self._workers = [
-                PinnedWorker(handler, on_exit=partial(_evict, held))
-                for held in self._held
-            ]
             self._lock = threading.Lock()
-            self._lane_locks = [asyncio.Lock() for _ in self._workers]
+            self._awaited = asyncio.Lock()
 
     def close(self) -> None:
-        """Commit every shard, then kill the worker processes
+        """Commit every shard, then kill the worker process
         (idempotent; inline has none)."""
-        if self._workers is None:
+        if self._worker is None:
             return
         with self._blocking():
             try:
                 self._run_blocking(self._commit_steps(range(self.shards)))
             finally:
-                for index, worker in enumerate(self._workers):
-                    worker.kill()
-                    self._lost(index)
+                self._worker.kill()
+                _evict(self._ledgers)
 
     def __enter__(self) -> "ShardExecutor":
         return self
@@ -604,10 +595,6 @@ class ShardExecutor:
 
     def shard_of(self, tenant: str) -> int:
         return shard_of(tenant, self.shards)
-
-    def lane_of(self, shard: int) -> int:
-        """The lane that runs ``shard``'s batches."""
-        return shard % self.lanes
 
     def open_tenants(self, shard: int) -> int:
         if self._runtimes is not None:
@@ -630,12 +617,12 @@ class ShardExecutor:
         return self._merged()
 
     async def lane_metrics(self) -> list[MetricRegistry]:
-        """:meth:`merged_metrics`, awaited: waits for every lane to go
-        idle and holds them idle while every shard commits, so the
-        registries count every batch dispatched before the call."""
+        """:meth:`merged_metrics`, awaited: waits for the awaited batch
+        in flight and holds the worker while every shard commits, so
+        the registries count every batch dispatched before the call."""
         if self._ledgers is None:
             return self._merged()
-        async with self._all_lanes():
+        async with self._awaited:
             await self._run_awaited(self._commit_steps(range(self.shards)))
             return self._merged()
 
@@ -687,19 +674,18 @@ class ShardExecutor:
                 )
                 for shard, ops in work.items()
             }
-        responses = self._run(self._execute_steps(work))
-        return {shard: responses[shard] for shard in work}
+        return self._run(self._execute_steps(work))
 
     async def execute_lane(
-        self, lane: int, batches: Mapping[int, list[dict]]
+        self, batches: Mapping[int, list[dict]]
     ) -> dict[int, list[dict]]:
-        """:meth:`execute` for the shards of one lane, awaited.
+        """:meth:`execute`, awaited.
 
         Inline it is :meth:`execute` itself, on the calling thread.  In
-        pool mode the lane's worker is sent the batch and the reply is
+        pool mode the worker is sent the batch and the reply is
         awaited, as are a rebuild, its checked replay, a retry and a
-        commit point: the loop serves every other lane and connection
-        meanwhile.  A lane runs one batch at a time.
+        commit point: the loop serves every connection meanwhile.  One
+        awaited batch runs at a time.
         """
         if self._runtimes is not None:
             return self.execute(batches)
@@ -709,9 +695,8 @@ class ShardExecutor:
         if not work:
             return {}
         self.batches += 1
-        async with self._lane_locks[lane]:
-            responses = await self._run_awaited(self._execute_steps(work))
-        return {shard: responses[shard] for shard in work}
+        async with self._awaited:
+            return await self._run_awaited(self._execute_steps(work))
 
     # ------------------------------------------------------------------
     # The two runners
@@ -722,85 +707,57 @@ class ShardExecutor:
         that died while idle is reaped first; a loop watching it would
         have done that already."""
         with self._blocking():
-            for index, worker in enumerate(self._workers):
-                if worker.died_idle():
-                    self._lost(index)
+            if self._worker.died_idle():
+                _evict(self._ledgers)
             return self._run_blocking(steps)
 
     @contextlib.contextmanager
     def _blocking(self):
-        """The synchronous API's lock, refused while a lane batch is in
-        flight: its worker is the lane's to wait on."""
+        """The synchronous API's lock, refused while an awaited batch
+        is in flight: the worker is the loop's to wait on."""
         with self._lock:
-            if any(lock.locked() for lock in self._lane_locks):
-                raise RuntimeError("a lane batch is in flight")
+            if self._awaited.locked():
+                raise RuntimeError("an awaited batch is in flight")
             yield
 
     def _run_blocking(self, steps: _Steps) -> Any:
         """Run ``steps`` to its end, blocking for each reply."""
         try:
-            started, allowed = next(steps)
+            wait = next(steps)
             while True:
-                outcomes: dict[int, Any] = {}
-                for index, budget in allowed.items():
-                    try:
-                        outcomes[index] = self._workers[index].receive(
-                            _remaining(started, budget)
-                        )
-                    except WorkerLost as lost:
-                        outcomes[index] = lost
-                started, allowed = steps.send(outcomes)
+                try:
+                    outcome = self._worker.receive(_remaining(*wait))
+                except WorkerLost as lost:
+                    outcome = lost
+                wait = steps.send(outcome)
         except StopIteration as done:
             return done.value
         finally:
             steps.close()
 
     async def _run_awaited(self, steps: _Steps) -> Any:
-        """Run ``steps`` to its end, awaiting each reply on the loop;
-        the replies of one round are awaited side by side."""
+        """Run ``steps`` to its end, awaiting each reply on the loop."""
         try:
-            started, allowed = next(steps)
+            wait = next(steps)
             while True:
-                started, allowed = steps.send(
-                    await self._replies(started, allowed)
-                )
+                try:
+                    outcome = await self._worker.reply(_remaining(*wait))
+                except WorkerLost as lost:
+                    outcome = lost
+                wait = steps.send(outcome)
         except StopIteration as done:
             return done.value
         finally:
             steps.close()
-
-    async def _replies(
-        self, started: float, allowed: dict[int, float | None]
-    ) -> dict[int, Any]:
-        async def reply(index: int) -> Any:
-            try:
-                return await self._workers[index].reply(
-                    _remaining(started, allowed[index])
-                )
-            except WorkerLost as lost:
-                return lost
-
-        if len(allowed) == 1:
-            (index,) = allowed
-            return {index: await reply(index)}
-        outcomes = await asyncio.gather(*map(reply, allowed))
-        return dict(zip(allowed, outcomes))
-
-    @contextlib.asynccontextmanager
-    async def _all_lanes(self):
-        """Every lane, once each has gone idle (taken in lane order)."""
-        async with contextlib.AsyncExitStack() as stack:
-            for lock in self._lane_locks:
-                await stack.enter_async_context(lock)
-            yield
 
     # ------------------------------------------------------------------
     # The protocol, written once
     # ------------------------------------------------------------------
 
     def _execute_steps(self, work: dict[int, list[dict]]) -> _Steps:
-        """Run each batch on its shard's worker, rebuilding a lost
-        worker and retrying the batch until the budget is spent."""
+        """Run each batch on the worker, rebuilding a lost worker and
+        retrying the batch until the budget is spent; responses in
+        shard order."""
         responses: dict[int, list[dict]] = {}
         attempts = dict.fromkeys(work, 0)
         pending = dict(work)
@@ -833,7 +790,7 @@ class ShardExecutor:
             for shard in responses
             if len(self._ledgers[shard].suffix) >= COMMIT_EVERY_BATCHES
         )
-        return responses
+        return {shard: responses[shard] for shard in work}
 
     def _drain(self, shard: int, ops: list[dict], detail: str) -> list[dict]:
         """Answer a batch that never ran: state stays committed +
@@ -847,9 +804,9 @@ class ShardExecutor:
         ]
 
     def _commit_steps(self, shards: Iterable[int]) -> _Steps:
-        """A commit point for ``shards``: each worker drains and
+        """A commit point for ``shards``: the worker drains and
         captures what changed since the last one, and the suffix is
-        emptied.  A shard whose worker cannot be rebuilt within the
+        emptied.  A shard the worker cannot be rebuilt with within the
         retry budget stays at committed + suffix."""
         due = [shard for shard in shards if self._ledgers[shard].suffix]
         for _attempt in range(self.retries + 1):
@@ -870,159 +827,116 @@ class ShardExecutor:
 
     def _call(
         self, verb: str, shards: Iterable[int], item: Callable[[int], Any]
-    ) -> Generator[_Waits, dict[int, Any], tuple]:
-        """Make ``shards`` resident, then send each worker one ``verb``
-        message carrying ``item(shard)`` for each of its shards.
+    ) -> Generator[_Wait, Any, tuple]:
+        """Make ``shards`` resident, then send the worker one ``verb``
+        message carrying ``item(shard)`` for each of them.
 
-        Returns the reply of every shard that got one, the shards whose
-        worker was lost on the way, and the shards whose rebuild
-        diverged (see :meth:`_make_resident`), which were not sent.
-        """
-        lost, diverged = yield from self._make_resident(shards)
-        groups = self._by_worker(
-            [shard for shard in shards if shard not in lost | diverged.keys()]
-        )
-        outcomes = yield from self._round(
-            verb,
-            {
-                index: [item(shard) for shard in group]
-                for index, group in groups.items()
-            },
-        )
-        replies: dict[int, Any] = {}
-        for index, group in groups.items():
-            outcome = outcomes[index]
-            for position, shard in enumerate(group):
-                if isinstance(outcome, WorkerLost):
-                    lost[shard] = outcome
-                else:
-                    replies[shard] = outcome[position]
-        return replies, lost, diverged
-
-    def _make_resident(
-        self, shards: Iterable[int]
-    ) -> Generator[_Waits, dict[int, Any], tuple]:
-        """Rebuild every shard of ``shards`` its worker does not hold.
-
-        The rebuilt worker's replay of the suffix must answer exactly
-        what was acknowledged; a worker whose replay diverged is killed.
-        Returns the shards of ``shards`` whose worker was lost on the
-        way (a lost worker takes every shard it held with it) and, with
-        a detail naming the first differing request, the shards whose
-        replay diverged.
+        Returns the reply of every shard, or, if the worker was lost
+        or a rebuild diverged (see :meth:`_make_resident`) on the way,
+        the shards lost with the worker and the shards that diverged.
         """
         shards = list(shards)
-        groups = self._by_worker(
-            [shard for shard in shards if not self._ledgers[shard].resident]
+        lost, diverged = yield from self._make_resident(shards)
+        if lost or diverged:
+            return {}, lost, diverged
+        outcome = yield from self._round(
+            verb, [item(shard) for shard in shards]
         )
-        outcomes = yield from self._round(
+        if isinstance(outcome, WorkerLost):
+            return {}, dict.fromkeys(shards, outcome), {}
+        return dict(zip(shards, outcome)), {}, {}
+
+    def _make_resident(
+        self, shards: list[int]
+    ) -> Generator[_Wait, Any, tuple]:
+        """Rebuild every shard of ``shards`` the worker does not hold.
+
+        The rebuilt worker's replay of each suffix must answer exactly
+        what was acknowledged; a worker whose replay diverged is killed.
+        Returns the shards of ``shards`` lost with the worker on the
+        way (a lost worker takes every shard with it) and, with a
+        detail naming the first differing request, the shards whose
+        replay diverged.
+        """
+        stale = [
+            shard for shard in shards if not self._ledgers[shard].resident
+        ]
+        if not stale:
+            return {}, {}
+        outcome = yield from self._round(
             "rebuild",
-            {
-                index: [
-                    (
-                        shard,
-                        self._ledgers[shard].blobs,
-                        self._ledgers[shard].registries,
-                        [ops for ops, _ in self._ledgers[shard].suffix],
-                    )
-                    for shard in group
-                ]
-                for index, group in groups.items()
-            },
+            [
+                (
+                    shard,
+                    self._ledgers[shard].blobs,
+                    self._ledgers[shard].registries,
+                    [ops for ops, _ in self._ledgers[shard].suffix],
+                )
+                for shard in stale
+            ],
         )
+        if not isinstance(outcome, WorkerLost) and self._worker.pid is None:
+            # The loop saw it exit after replying: it holds nothing.
+            outcome = WorkerLost(
+                "worker-crash", "worker exited after its rebuild"
+            )
+        if isinstance(outcome, WorkerLost):
+            return dict.fromkeys(shards, outcome), {}
         diverged: dict[int, str] = {}
-        for index, group in groups.items():
-            outcome = outcomes[index]
-            if isinstance(outcome, WorkerLost):
-                continue
-            if self._workers[index].pid is None:
-                # The loop saw it exit after replying: it holds nothing.
-                outcomes[index] = WorkerLost(
-                    "worker-crash", "worker exited after its rebuild"
+        for shard, replayed in zip(stale, outcome):
+            mismatch = _first_difference(self._ledgers[shard].suffix, replayed)
+            if mismatch is None:
+                self._ledgers[shard].resident = True
+            else:
+                diverged[shard] = (
+                    f"shard {shard} failed its replay check: the rebuilt "
+                    f"worker answered request {mismatch!r} differently "
+                    f"from the acknowledged response; committed state "
+                    f"preserved"
                 )
-                continue
-            for position, shard in enumerate(group):
-                mismatch = _first_difference(
-                    self._ledgers[shard].suffix, outcome[position]
-                )
-                if mismatch is None:
-                    self._ledgers[shard].resident = True
-                else:
-                    diverged[shard] = (
-                        f"shard {shard} failed its replay check: the "
-                        f"rebuilt worker answered request {mismatch!r} "
-                        f"differently from the acknowledged response; "
-                        f"committed state preserved"
-                    )
-            if diverged.keys() & set(group):
-                # A worker that diverged is trusted with no shard.
-                self._workers[index].kill()
-                self._lost(index)
-                outcomes[index] = WorkerLost(
-                    "crash", "a shard on this worker failed its replay check"
-                )
-        lost = {
-            shard: outcomes[self.lane_of(shard)]
-            for shard in shards
-            if shard not in diverged
-            and isinstance(outcomes.get(self.lane_of(shard)), WorkerLost)
-        }
-        return lost, diverged
+        if not diverged:
+            return {}, {}
+        # A worker that diverged is trusted with no shard.
+        self._worker.kill()
+        _evict(self._ledgers)
+        lost = WorkerLost(
+            "crash", "a shard on the worker failed its replay check"
+        )
+        return {s: lost for s in shards if s not in diverged}, diverged
 
     def _round(
-        self, verb: str, groups: dict[int, list]
-    ) -> Generator[_Waits, dict[int, Any], dict[int, Any]]:
-        """One message to each worker in ``groups``, then every reply.
+        self, verb: str, items: list
+    ) -> Generator[_Wait, Any, Any]:
+        """One message to the worker, then its reply.
 
-        The send half sends every message; the collect half yields to
-        the runner for the replies.  A worker's reply is due within the
-        task timeout times the batches its message carries (a rebuild
-        counts its suffix), counted from the start of the round.  A
-        lost worker's outcome is its :class:`WorkerLost`, and its
-        shards are no longer resident.
+        The send half sends the message; the collect half yields to
+        the runner for the reply, which is due within the task timeout
+        times the batches the message carries (a rebuild counts its
+        suffixes), counted from the send.  A lost worker's outcome is
+        its :class:`WorkerLost`, and no shard is resident any more.
         """
-        if not groups:
-            return {}
-        outcomes: dict[int, Any] = {}
         started = time.monotonic()
         try:
-            for index, items in groups.items():
-                try:
-                    self._workers[index].send((verb, items))
-                except WorkerLost as lost:
-                    outcomes[index] = lost
-            allowed: dict[int, float | None] = {}
-            for index, items in groups.items():
-                if index in outcomes:
-                    continue
-                allowed[index] = None
+            try:
+                self._worker.send((verb, items))
+            except WorkerLost as lost:
+                outcome = lost
+            else:
+                budget = None
                 if self.timeout is not None:
                     units = len(items)
                     if verb == "rebuild":
                         units += sum(len(item[3]) for item in items)
-                    allowed[index] = self.timeout * units
-            if allowed:
-                outcomes.update((yield started, allowed))
+                    budget = self.timeout * units
+                outcome = yield started, budget
         except BaseException:
             # A reply left unread would answer the next message.
-            for index in groups:
-                self._workers[index].kill()
-                self._lost(index)
+            self._worker.kill()
+            _evict(self._ledgers)
             raise
-        for index, outcome in outcomes.items():
-            if isinstance(outcome, WorkerLost):
-                self._lost(index)
-        return outcomes
-
-    def _by_worker(self, shards: Iterable[int]) -> dict[int, list[int]]:
-        groups: dict[int, list[int]] = {}
-        for shard in shards:
-            groups.setdefault(self.lane_of(shard), []).append(shard)
-        return groups
-
-    def _lost(self, index: int) -> None:
-        """Worker ``index`` is gone: none of its shards is resident."""
-        _evict(self._held[index])
+        if isinstance(outcome, WorkerLost):
+            _evict(self._ledgers)
+        return outcome
 
     @staticmethod
     def _strip_chaos(ops: list[dict]) -> list[dict]:

@@ -118,7 +118,7 @@ def record_run(program, epoch_words: int) -> LifetimeTrace:
 
 def register(subparsers) -> None:
     """``repro-gc trace record|survival|profile``."""
-    from repro.cli import positive_int
+    from repro.cli import non_negative_int, positive_int
     from repro.programs.registry import benchmark_names
 
     sub = subparsers.add_parser(
@@ -128,7 +128,9 @@ def register(subparsers) -> None:
     rec = trace_sub.add_parser("record", help="record a benchmark's trace")
     rec.add_argument("benchmark", choices=benchmark_names())
     rec.add_argument("-o", "--output", required=True)
-    rec.add_argument("--scale", type=int, default=0, choices=(0, 1, 2))
+    rec.add_argument(
+        "--scale", type=non_negative_int, default=0, choices=(0, 1, 2)
+    )
     rec.add_argument(
         "--epochs",
         type=positive_int,

@@ -652,7 +652,7 @@ def run_differential(
 
 def register(subparsers) -> None:
     """``repro-gc verify``: one suite per run, picked by its mode flag."""
-    from repro.cli import positive_int, slice_budget
+    from repro.cli import positive_int, seed, slice_budget
 
     sub = subparsers.add_parser(
         "verify",
@@ -664,7 +664,7 @@ def register(subparsers) -> None:
     sub.add_argument(
         "--ops", type=positive_int, default=2000, help="script length in ops"
     )
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=seed, default=0)
     sub.add_argument(
         "--collectors",
         nargs="+",
@@ -674,7 +674,7 @@ def register(subparsers) -> None:
     )
     sub.add_argument(
         "--max-live",
-        type=int,
+        type=positive_int,
         default=40,
         help="live-storage budget the generated script stays under",
     )
@@ -727,7 +727,7 @@ def register(subparsers) -> None:
     )
     sub.add_argument(
         "--resume-interval",
-        type=int,
+        type=positive_int,
         default=1,
         help=(
             "--resume only: checkpoint/restore after every Nth "

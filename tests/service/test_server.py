@@ -62,17 +62,17 @@ def _line(op: str, request_id, **payload) -> bytes:
 
 
 def _hold_batches(server: HeapServer) -> asyncio.Event:
-    """Park every batch at its lane's dispatcher, queues already
-    swapped out, until the returned event is set, so a test decides
-    what is in flight and for how long.  (Blocking inside the executor
+    """Park every batch at the dispatcher, queues already swapped out,
+    until the returned event is set, so a test decides what is in
+    flight and for how long.  (Blocking inside the executor
     would park the whole loop: it runs on the loop thread.  A pool
     test can hold a batch in its worker instead: ``_HeldInWorker``.)"""
     release = asyncio.Event()
     execute = server._execute
 
-    async def held(lane, taken):
+    async def held(taken):
         await asyncio.wait_for(release.wait(), 30)
-        return await execute(lane, taken)
+        return await execute(taken)
 
     server._execute = held
     return release
@@ -423,7 +423,7 @@ def test_pool_workers_exit_when_their_server_is_killed():
             answered = [json.loads(replies.readline()) for _ in tenants]
         assert all(response["ok"] for response in answered)
         workers = _children(server.pid)
-        assert len(workers) == 2
+        assert len(workers) == 1
     finally:
         server.send_signal(signal.SIGKILL)
         server.wait(timeout=30)
@@ -645,8 +645,8 @@ class _HeldInWorker:
 def test_pool_server_answers_in_place_while_a_batch_is_in_the_pool(
     monkeypatch,
 ):
-    """A batch held in a worker holds only its own lane: the loop goes
-    on reading and answering meanwhile."""
+    """A batch held in the worker holds the dispatcher, not the loop:
+    the loop goes on reading and answering meanwhile."""
     held = _HeldInWorker(monkeypatch, "t")
 
     async def body(server, port, connection):
@@ -670,9 +670,23 @@ def test_pool_server_answers_in_place_while_a_batch_is_in_the_pool(
 def test_pool_server_is_one_thread():
     """Pool batches are sent, awaited and delivered on the loop thread:
     serving them starts no thread (an executor thread would stay
-    alive)."""
+    alive), and one dispatcher sends them, one at a time, whichever
+    shards they carry."""
+    in_flight = most = 0
 
     async def body(server, port, connection):
+        execute_lane = server.executor.execute_lane
+
+        async def counted(batches):
+            nonlocal in_flight, most
+            in_flight += 1
+            most = max(most, in_flight)
+            try:
+                return await execute_lane(batches)
+            finally:
+                in_flight -= 1
+
+        server.executor.execute_lane = counted
         threads = threading.active_count()
         tenants = [f"t{index}" for index in range(8)]
         assert {server.executor.shard_of(t) for t in tenants} == {0, 1}
@@ -699,12 +713,14 @@ def test_pool_server_is_one_thread():
         return server.stats()
 
     stats = _run(asyncio.wait_for(_with_server(body, jobs=2), 60))
-    # One dispatch per lane per round at least, never one for both.
-    assert stats["batches"] >= 2 * 6
+    # Each of the six rounds is at least one dispatch, and no two
+    # dispatches ever overlap.
+    assert stats["batches"] >= 6
+    assert most == 1
 
 
 def test_metrics_waits_for_the_lanes_not_the_server(monkeypatch):
-    """A pool-mode ``metrics`` op waits for the batch held in a worker
+    """A pool-mode ``metrics`` op waits for the batch held in the worker
     and then for the commit point, but on the loop: another
     connection's ``ping`` is answered first, and the registries count
     the held batch's requests."""

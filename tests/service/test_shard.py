@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.gc.registry import COLLECTOR_KINDS
 from repro.metrics.registry import MetricRegistry, merge_registries
-from repro.perf.parallel import PinnedWorker
+from repro.perf.parallel import PinnedWorker, resilient_map
 from repro.service.loadgen import build_plan, tenant_geometry
 from repro.service.protocol import PROTOCOL_VERSION, geometry_from_payload
 from repro.service.session import TenantSession
@@ -40,6 +40,7 @@ from repro.service.shard import (
     SHARD_MEMO_ENTRIES,
     ShardExecutor,
     ShardRuntime,
+    run_shard_batch,
     shard_of,
 )
 
@@ -107,16 +108,9 @@ def _run_streams(
             after_round(index)
 
 
-def _worker_pids(executor: ShardExecutor) -> set[int]:
-    """The pids of the executor's pinned workers right now (none while
-    none are forked)."""
-    return {worker.pid for worker in executor._workers if worker.pid}
-
-
-def _kill_worker(executor: ShardExecutor, shard: int) -> None:
-    """SIGKILL the idle worker pinned to ``shard`` and wait until it is
-    gone."""
-    worker = executor._workers[shard % len(executor._workers)]
+def _kill_worker(executor: ShardExecutor) -> None:
+    """SIGKILL the executor's idle worker and wait until it is gone."""
+    worker = executor._worker
     os.kill(worker.pid, signal.SIGKILL)
     assert connection.wait([worker._process.sentinel], timeout=30)
 
@@ -146,8 +140,7 @@ class TestRouting:
             ShardExecutor(2, tenant_cap=cap)
 
     def test_executor_rejects_negative_jobs(self):
-        """``min(jobs, shards)`` lanes would be negative and the server
-        would index past its lane list; refuse at construction."""
+        """Negative jobs name neither mode; refuse at construction."""
         with pytest.raises(ValueError, match="jobs"):
             ShardExecutor(2, jobs=-1)
 
@@ -567,32 +560,30 @@ class TestFaultDrills:
 
     @pytest.mark.parametrize("drill", DRILLS)
     def test_a_retried_drill_keeps_the_blobs_and_reforks_the_pool(self, drill):
-        """The drill's retry replays the batch on a newly forked worker
-        for the drilled shard, rebuilt from committed blobs plus the
-        suffix, which every later batch reuses; the other shard's worker
-        never notices.  Responses and committed blobs equal an inline
-        run's byte for byte."""
+        """The drill's retry replays the batch on a newly forked worker,
+        which rebuilds every shard from committed blobs plus the suffix
+        and which every later batch reuses.  Responses and committed
+        blobs equal an inline run's byte for byte."""
         inline = ShardExecutor(2, jobs=0)
         reference = _run_streams(inline, _open_streams())
         streams = _open_streams()
         streams["t0"] = streams["t0"][:5] + [DRILLS[drill]] + streams["t0"][5:]
-        pids: list[set[int]] = []
+        pids: list[int | None] = []
         with ShardExecutor(
             2, jobs=2, chaos=True, retries=2, timeout=2.0
         ) as executor:
             drilled = _run_streams(
                 executor,
                 streams,
-                after_round=lambda _: pids.append(_worker_pids(executor)),
+                after_round=lambda _: pids.append(executor._worker.pid),
             )
             assert drilled == reference
             assert executor.respawns == [0, 0]
             for shard in range(2):
                 assert executor.shard_state(shard) == inline.shard_state(shard)
-        # Round 5 carried the drill: exactly one worker was replaced.
-        assert len(pids[4]) == len(pids[5]) == 2
-        assert len(pids[5] - pids[4]) == 1
-        assert all(seen == pids[5] for seen in pids[5:])
+        # Round 5 carried the drill: the worker was replaced once.
+        assert None not in pids and pids[4] != pids[5]
+        assert set(pids[:5]) == {pids[4]} and set(pids[5:]) == {pids[5]}
 
     def test_drained_batch_fails_structurally_then_revives(self):
         """Exhaust the retry budget: the batch drains to shard-failed,
@@ -683,7 +674,7 @@ class TestWorkerLifetime:
     only the retry ladder re-forks them, and only ``close`` ends them."""
 
     def test_fifty_batches_run_on_the_workers_of_the_first(self, new_workers):
-        pids: list[set[int]] = []
+        pids: list[int | None] = []
         with ShardExecutor(2, jobs=3) as executor:
             for index in range(50):
                 batches: dict[int, list[dict]] = {}
@@ -700,10 +691,35 @@ class TestWorkerLifetime:
                 assert sorted(batches) == [0, 1]
                 answered = executor.execute(batches)
                 assert all(r["ok"] for rs in answered.values() for r in rs)
-                pids.append(_worker_pids(executor))
+                pids.append(executor._worker.pid)
             assert executor.respawns == [0, 0]
-        assert len(pids[0]) == 2  # min(jobs, shards)
-        assert all(seen == pids[0] for seen in pids)
+        assert pids[0] is not None and set(pids) == {pids[0]}
+        assert not new_workers()
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_pool_mode_forks_exactly_one_worker(
+        self, shards, jobs, new_workers
+    ):
+        """Whatever ``jobs >= 1`` asks for, one pinned worker holds
+        every shard: a batch for each shard and a commit point of all
+        of them fork no second process."""
+        tenants: dict[int, str] = {}
+        for index in itertools.count():
+            tenants.setdefault(shard_of(f"t{index}", shards), f"t{index}")
+            if len(tenants) == shards:
+                break
+        with ShardExecutor(shards, jobs=jobs) as executor:
+            answered = executor.execute(
+                {
+                    shard: [_req("open", tenant, 0, kind="mark-sweep")]
+                    for shard, tenant in tenants.items()
+                }
+            )
+            assert sorted(answered) == list(range(shards))
+            assert all(r["ok"] for rs in answered.values() for r in rs)
+            executor.merged_metrics()
+            assert {p.pid for p in new_workers()} == {executor._worker.pid}
         assert not new_workers()
 
     def test_an_idle_worker_killed_between_batches_costs_no_request(self):
@@ -718,7 +734,7 @@ class TestWorkerLifetime:
             def kill_a_worker(index: int) -> None:
                 if index == 4:
                     assert executor._ledgers[0].suffix
-                    _kill_worker(executor, 0)
+                    _kill_worker(executor)
 
             killed = _run_streams(
                 executor, _open_streams(), after_round=kill_a_worker
@@ -755,7 +771,7 @@ class TestWorkerLifetime:
 
             # Only a worker forked from now on runs the drifting apply.
             monkeypatch.setattr(TenantSession, "apply", drifting)
-            _kill_worker(executor, 0)
+            _kill_worker(executor)
             later = [_req("checkpoint", "t0", 3)]
             (responses,) = executor.execute({0: later}).values()
             (failed,) = responses
@@ -802,6 +818,19 @@ def _stale_uid_streams() -> dict[str, list[dict]]:
                 _req("close", tenant, 8),
             ]
     return streams
+
+
+def test_the_benchmark_round_trip_is_two_empty_shard_batches():
+    """``pool_roundtrip_ms`` in ``bench/serve.py`` times exactly this:
+    two empty shard batches through a two-worker ``resilient_map``, each
+    answered with no responses and no tenant."""
+    items = [
+        {"shard": shard, "state": {}, "ops": [], "config": {}}
+        for shard in (0, 1)
+    ]
+    assert resilient_map(run_shard_batch, items, jobs=2) == [
+        {"responses": [], "open_tenants": 0}
+    ] * 2
 
 
 class TestStaleUid:
@@ -1053,10 +1082,11 @@ class TestDrainCadence:
 
 
 class TestKillAnywhere:
-    """Kill a pool worker anywhere between commit points — idle with
+    """Kill the pool worker anywhere between commit points — idle with
     acknowledged batches not yet committed, or in the middle of a
     batch — and nothing a client or a reader can see changes: the
-    rebuilt worker replays the suffix onto the committed blobs."""
+    rebuilt worker replays every shard's suffix onto its committed
+    blobs."""
 
     @pytest.mark.parametrize("path", ["execute", "lanes"])
     @settings(
@@ -1066,9 +1096,11 @@ class TestKillAnywhere:
     )
     @given(data=st.data())
     def test_responses_registries_and_blobs_equal_inline(self, path, data):
-        """Through the synchronous :meth:`ShardExecutor.execute` and
-        through the awaited lane entry point (every lane side by side,
-        reads awaited too), with the same equalities."""
+        """Three shards on the one worker, through the synchronous
+        :meth:`ShardExecutor.execute` and through the awaited
+        :meth:`ShardExecutor.execute_lane` (reads awaited too), with the
+        same equalities."""
+        shards = 3
         stream = _CADENCE_STREAM
         cuts = sorted(
             data.draw(
@@ -1089,20 +1121,22 @@ class TestKillAnywhere:
             label="kill",
         )
         kill_at = data.draw(st.integers(0, last), label="kill at")
-        victim = data.draw(st.integers(0, 1), label="shard")
-        lanes = path == "lanes"
+        # The shard whose batch carries a mid-batch drill: the shards
+        # before it in the message have run when the worker dies.
+        victim = data.draw(st.integers(0, shards - 1), label="shard")
+        awaited = path == "lanes"  # through execute_lane
 
         async def execute(pool, routed):
-            if lanes:
-                return await _through_lanes(pool, routed)
+            if awaited:
+                return await pool.execute_lane(routed)
             return pool.execute(routed)
 
         async def metrics(pool):
-            if lanes:
+            if awaited:
                 return await pool.lane_metrics()
             return pool.merged_metrics()
 
-        inline = ShardExecutor(2, jobs=0)
+        inline = ShardExecutor(shards, jobs=0)
         killed = False
 
         async def body(pool):
@@ -1112,58 +1146,61 @@ class TestKillAnywhere:
                 expected = inline.execute(routed)
                 if kill != "sigkill" and index == kill_at:
                     drill = {"op": kill, "attempts": 1, "seconds": 30.0}
-                    shard = victim if victim in routed else 1 - victim
+                    shard = victim if victim in routed else min(routed)
                     routed[shard] = [drill, *routed[shard]]
                 assert await execute(pool, routed) == expected
-                # The idle kill waits for a shard with an uncommitted
-                # suffix, which at most one more batch brings.
-                if kill == "sigkill" and index >= kill_at and not killed:
-                    for shard in (victim, 1 - victim):
-                        if pool._ledgers[shard].suffix:
-                            _kill_worker(pool, shard)
-                            killed = True
-                            # Lanes: the loop may see the exit first.
-                            await asyncio.sleep(0)
-                            await asyncio.sleep(0)
-                            break
+                # The idle kill waits for an uncommitted suffix, which
+                # at most one more batch brings.
+                if (
+                    kill == "sigkill"
+                    and index >= kill_at
+                    and not killed
+                    and any(ledger.suffix for ledger in pool._ledgers)
+                ):
+                    _kill_worker(pool)
+                    killed = True
+                    # Awaited: the loop may see the exit first.
+                    await asyncio.sleep(0)
+                    await asyncio.sleep(0)
                 if index == read_at:
                     assert _jsonable(await metrics(pool)) == _jsonable(
                         inline.merged_metrics()
                     )
                 if index == migrate_at:
-                    for shard in range(2):
+                    for shard in range(shards):
                         assert pool.shard_state(shard) == inline.shard_state(
                             shard
                         )
-            assert pool.respawns == [0, 0]
-            if lanes:
+            assert pool.respawns == [0] * shards
+            if awaited:
                 pool.close()
 
         with mock.patch.object(
             shard_module, "COMMIT_EVERY_BATCHES", commit_every
-        ), ShardExecutor(2, jobs=2, chaos=True, timeout=1.0) as pool:
+        ), ShardExecutor(shards, jobs=2, chaos=True, timeout=1.0) as pool:
             asyncio.run(body(pool))
         assert kill != "sigkill" or killed or kill_at == last
         assert _jsonable(pool.merged_metrics()) == _jsonable(
             inline.merged_metrics()
         )
-        for shard in range(2):
+        for shard in range(shards):
             assert pool.shard_state(shard) == inline.shard_state(shard)
 
 
 class TestLanes:
-    """The awaited entry point: one lane per pinned worker, each
-    awaiting its own worker on the event loop."""
+    """The awaited entry point, :meth:`ShardExecutor.execute_lane`:
+    the one worker's reply is awaited on the event loop."""
 
-    def test_a_wedged_lane_holds_up_no_other(self):
-        """Shard 0's worker spins past the task timeout mid-batch while
-        shard 1's tenants keep getting answers; shard 0's lane then
-        times out, kills, rebuilds, checks the replay and retries, all
-        on the loop, and ends where inline ends."""
+    def test_a_wedged_worker_delays_every_shard_and_loses_nothing(self):
+        """Shard 0's batch spins past the task timeout mid-batch while a
+        shard 1 batch waits its turn: the one worker holds every shard,
+        so the wedge delays both until the timeout kills the worker.
+        The rebuild, checked replay and retry run on the loop, no thread
+        is started, and every shard ends where inline ends."""
         streams = _open_streams()
         wedged = [t for t in streams if shard_of(t, 2) == 0]
-        serving = [t for t in streams if shard_of(t, 2) == 1]
-        assert wedged and serving
+        waiting = [t for t in streams if shard_of(t, 2) == 1]
+        assert wedged and waiting
         inline = ShardExecutor(2, jobs=0)
         timeout = 1.0
 
@@ -1174,37 +1211,28 @@ class TestLanes:
             threads = threading.active_count()
             for position in range(4):  # a suffix for the rebuild
                 routed = _routed(pool, round_of(streams, position))
-                assert await _through_lanes(pool, routed) == inline.execute(
+                assert await pool.execute_lane(routed) == inline.execute(
                     routed
                 )
-            before = pool._workers[0].pid
+            before = pool._worker.pid
             drill = {"op": "_chaos-spin", "attempts": 1, "seconds": 30.0}
-            ops = round_of(wedged, 4)
-            expected = inline.execute({0: ops})
-            stall = asyncio.create_task(
-                pool.execute_lane(0, {0: [drill, *ops]})
-            )
-            answered, slowest = 0, 0.0
+            stalled = round_of(wedged, 4)
+            queued = round_of(waiting, 4)
             started = time.monotonic()
-            while not stall.done():
-                request = _req("alloc", serving[answered % len(serving)],
-                               100 + answered, uid=100 + answered, size=2,
-                               fields=0)
-                sent = time.monotonic()
-                (response,) = (await pool.execute_lane(1, {1: [request]}))[1]
-                slowest = max(slowest, time.monotonic() - sent)
-                assert response["ok"]
-                expected_other = inline.execute({1: [request]})[1][0]
-                assert response == expected_other
-                answered += 1
+            stall = asyncio.create_task(
+                pool.execute_lane({0: [drill, *stalled]})
+            )
+            await asyncio.sleep(0)  # the stall takes the worker first
+            answered = await pool.execute_lane({1: queued})
             assert time.monotonic() - started >= timeout
-            assert await stall == expected
-            assert answered >= 10 and slowest < timeout / 2
-            assert pool._workers[0].pid not in (None, before)
+            assert stall.done()
+            assert answered == inline.execute({1: queued})
+            assert await stall == inline.execute({0: stalled})
+            assert pool._worker.pid not in (None, before)
             assert pool.respawns == [0, 0]
             for position in range(5, len(streams[wedged[0]])):
                 routed = _routed(pool, round_of(streams, position))
-                assert await _through_lanes(pool, routed) == inline.execute(
+                assert await pool.execute_lane(routed) == inline.execute(
                     routed
                 )
             assert _jsonable(await pool.lane_metrics()) == _jsonable(
@@ -1228,17 +1256,17 @@ class TestLanes:
         inline = ShardExecutor(1, jobs=0)
 
         async def body(pool):
-            assert await pool.execute_lane(0, {0: opening}) == inline.execute(
+            assert await pool.execute_lane({0: opening}) == inline.execute(
                 {0: opening}
             )
-            _kill_worker(pool, 0)
+            _kill_worker(pool)
             for _ in range(200):
-                if pool._workers[0].pid is None:
+                if pool._worker.pid is None:
                     break
                 await asyncio.sleep(0.005)
-            assert pool._workers[0].pid is None
+            assert pool._worker.pid is None
             assert not pool._ledgers[0].resident
-            assert await pool.execute_lane(0, {0: later}) == inline.execute(
+            assert await pool.execute_lane({0: later}) == inline.execute(
                 {0: later}
             )
             assert pool.respawns == [0]
@@ -1250,7 +1278,7 @@ class TestLanes:
 
     def test_a_worker_seen_to_exit_after_its_rebuild_holds_nothing(self):
         """The rebuilt worker replies and the loop then sees it exit
-        before the lane resumes: the batch goes to no fresh fork that
+        before the batch is sent: the batch goes to no fresh fork that
         lacks the shard, it is retried on a new rebuild instead."""
         opening = [_req("open", "t0", 0, kind="mark-sweep"),
                    _req("alloc", "t0", 1, uid=0, size=3, fields=1)]
@@ -1259,9 +1287,9 @@ class TestLanes:
         first = inline.execute({0: opening})
 
         async def body(pool):
-            assert await pool.execute_lane(0, {0: opening}) == first
-            _kill_worker(pool, 0)
-            worker = pool._workers[0]
+            assert await pool.execute_lane({0: opening}) == first
+            _kill_worker(pool)
+            worker = pool._worker
             while worker.pid is not None:
                 await asyncio.sleep(0.005)
             replied = worker.reply
@@ -1275,7 +1303,7 @@ class TestLanes:
                 return value
 
             worker.reply = reply_then_exit
-            assert await pool.execute_lane(0, {0: later}) == inline.execute(
+            assert await pool.execute_lane({0: later}) == inline.execute(
                 {0: later}
             )
             assert pool.respawns == [0]
@@ -1291,11 +1319,11 @@ class TestLanes:
         inline = ShardExecutor(1, jobs=0)
 
         async def body(pool):
-            lane = asyncio.create_task(pool.execute_lane(0, {0: [drill, *ops]}))
+            awaited = asyncio.create_task(pool.execute_lane({0: [drill, *ops]}))
             await asyncio.sleep(0.05)
-            with pytest.raises(RuntimeError, match="lane batch"):
+            with pytest.raises(RuntimeError, match="awaited batch"):
                 pool.execute({0: ops})
-            assert await lane == inline.execute({0: ops})
+            assert await awaited == inline.execute({0: ops})
             assert pool.respawns == [0]
             pool.close()
 
@@ -1303,25 +1331,10 @@ class TestLanes:
             asyncio.run(body(pool))
 
 
-async def _through_lanes(
-    executor: ShardExecutor, routed: dict[int, list[dict]]
-) -> dict[int, list[dict]]:
-    """``routed`` through :meth:`ShardExecutor.execute_lane`, every
-    lane side by side."""
-    by_lane: dict[int, dict[int, list[dict]]] = {}
-    for shard, ops in routed.items():
-        by_lane.setdefault(executor.lane_of(shard), {})[shard] = ops
-    answers = await asyncio.gather(
-        *(executor.execute_lane(lane, part) for lane, part in by_lane.items())
-    )
-    return {shard: ops for part in answers for shard, ops in part.items()}
-
-
 def test_reads_from_another_thread_wait_for_the_batch_in_flight():
-    """The server executes pool batches in a helper thread and answers
-    ``metrics`` on the event loop: a commit point taken from a second
-    thread, over and over with a short switch interval and more
-    workers than cores, must neither interleave with a batch on a
+    """The synchronous API may be called from several threads: a
+    commit point taken from a second thread, over and over with a short
+    switch interval, must neither interleave with a batch on the
     worker's pipe nor lose one from the suffix."""
     stream = _CADENCE_STREAM
     batches = [stream[index : index + 23] for index in range(0, len(stream), 23)]
@@ -1408,10 +1421,10 @@ def test_an_executor_dropped_without_close_exits_cleanly():
         "    assert len(batches) == 2\n"
         "    executor.execute(batches)\n"
         "    executor.merged_metrics()\n"
-        "    return executor, [worker.pid for worker in executor._workers]\n"
+        "    return executor, executor._worker.pid\n"
         "_, dropped = run()\n"
-        "held, pids = run()\n"
-        "print(*dropped, *pids, flush=True)\n"
+        "held, pid = run()\n"
+        "print(dropped, pid, flush=True)\n"
     )
     started = time.monotonic()
     run = subprocess.run(
@@ -1423,5 +1436,5 @@ def test_an_executor_dropped_without_close_exits_cleanly():
     assert run.returncode == 0, run.stderr
     assert time.monotonic() - started < 10
     pids = [int(pid) for pid in run.stdout.split()]
-    assert len(set(pids)) == 4
+    assert len(set(pids)) == 2
     assert _live_pids(pids) == []

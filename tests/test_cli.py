@@ -346,11 +346,11 @@ class TestVerifyCommand:
             assert exit_info.value.code == 2
             err = capsys.readouterr().err
             assert f"invalid slice_budget value: '{token}'" in err
-        assert main(
-            ["verify", "--ops", "50", "--resume", "--resume-interval", "0"]
-        ) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--ops", "50", "--resume", "--resume-interval", "0"])
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "resume interval must be positive" in err
+        assert "invalid positive_int value: '0'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -31,9 +31,9 @@ from tests.test_cli_spec import parser_paths
 
 #: What each argparse type promises of a value it accepts.
 IN_RANGE = {
-    "int": lambda value: type(value) is int,
     "positive_int": lambda value: type(value) is int and value >= 1,
     "non_negative_int": lambda value: type(value) is int and value >= 0,
+    "seed": lambda value: type(value) is int and 0 <= value < 2**63,
     "slice_budget": lambda value: value is None or value >= 1,
     "port": lambda value: type(value) is int and 0 <= value <= 65535,
     "host_port": lambda value: (
